@@ -132,17 +132,6 @@ class StratificationPlan:
             ],
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StratificationPlan":
-        return cls(
-            tuple(float(e) for e in data["bin_edges"]),
-            tuple(str(s) for s in data["status_vocabulary"]),
-            tuple(
-                CellQuota(int(c["bin_index"]), str(c["status"]), int(c["population"]), int(c["quota"]))
-                for c in data["cells"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
 class IsotonicCurve:

@@ -25,21 +25,22 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from . import __version__, aggregate, bayes, bounds, calibrate, metrics, records, simulate
 from .calibrate import ThresholdUnreachableError
 from .core import (
     DecisionThresholds,
     GaussianPosterior,
+    NoiseProfile,
     ReviewerWeights,
     ReviewPanel,
     RubricSchema,
     ScoringFunctional,
 )
-from .records import PanelRecord, RecordError
+from .records import RecordError
 
 __all__ = ["RunManifest", "build_parser", "main", "run"]
 
@@ -255,7 +256,7 @@ def _panel_score(
 
 def _load_thresholds(path: str) -> DecisionThresholds:
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(records.read_text(path))
     except json.JSONDecodeError as exc:
         raise RecordError(f"{path}: invalid JSON: {exc.msg}") from exc
     try:
@@ -497,14 +498,11 @@ def cmd_review(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- bayes
 
 
-def _review_variance(config_bayes: Mapping[str, Any], reviewer: str) -> float:
-    raw = config_bayes.get("review_variances", {})
-    if not isinstance(raw, dict):
-        raise _config_error("bayes.review_variances: must be an object")
-    if reviewer in raw:
-        return float(raw[reviewer])
-    if "default" in raw:
-        return float(raw["default"])
+def _review_variance(variances: Mapping[str, Any], reviewer: str) -> float:
+    if reviewer in variances:
+        return float(variances[reviewer])
+    if "default" in variances:
+        return float(variances["default"])
     raise _config_error(
         f"bayes.review_variances: no variance for reviewer {reviewer!r} and no default"
     )
@@ -522,6 +520,9 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         raise _config_error(f"bayes prior: {exc}") from exc
     alpha = float(raw_bayes.get("alpha", 0.05))
+    review_variances = raw_bayes.get("review_variances", {})
+    if not isinstance(review_variances, dict):
+        raise _config_error("bayes.review_variances: must be an object")
     schema = _schema_from_config(config)
     functional = _functional_from_config(config, schema)
 
@@ -554,10 +555,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     run = _Run(args.out, "bayes", None, args.config, inputs)
 
     solicit_variance = float(
-        raw_bayes.get(
-            "solicit_variance",
-            raw_bayes.get("review_variances", {}).get("default", 1.0)
-        )
+        raw_bayes.get("solicit_variance", review_variances.get("default", 1.0))
     )
 
     rows = []
@@ -566,7 +564,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
         for review in record.reviews:
             consensus = aggregate.ConsensusRubric(review.rubric.values)
             s = aggregate.score(consensus, functional, schema)
-            observations.append((s, _review_variance(raw_bayes, review.reviewer_id)))
+            observations.append((s, _review_variance(review_variances, review.reviewer_id)))
         posterior = bayes.posterior_update(prior, observations)
         p_accept = bayes.acceptance_probability(posterior, threshold)
         robust = bayes.credible_robust(posterior, threshold, alpha)
@@ -718,47 +716,76 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _margin_settings(config: Mapping[str, Any], args: argparse.Namespace):
-    spec, m_grid, threshold, edges = simulate.default_margin_settings()
-    raw = config.get("simulate", {}).get("margins")
-    if raw is not None:
-        if "spec" in raw:
-            spec = simulate.CohortSpec.from_dict(raw["spec"])
-        if "m_grid" in raw:
-            m_grid = tuple(int(m) for m in raw["m_grid"])
-        if "threshold" in raw:
-            threshold = float(raw["threshold"])
-        if "bin_edges" in raw:
-            edges = tuple(float(e) for e in raw["bin_edges"])
+def _simulate_section(config: Mapping[str, Any], experiment: str) -> Mapping[str, Any]:
+    """The ``simulate.<experiment>`` config object; empty when absent."""
+    raw = config.get("simulate", {})
+    if not isinstance(raw, dict):
+        raise _config_error("simulate: must be an object")
+    section = raw.get(experiment)
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise _config_error(f"simulate.{experiment}: must be an object")
+    return section
+
+
+def _config_field(
+    section: Mapping[str, Any], path: str, key: str, parse: Callable[[Any], Any], default: Any
+) -> Any:
+    """``parse(section[key])``, or ``default`` when absent; errors name the key path."""
+    if key not in section:
+        return default
+    try:
+        return parse(section[key])
+    except KeyError as exc:
+        raise _config_error(f"{path}.{key}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise _config_error(f"{path}.{key}: {exc}") from exc
+
+
+def _int_tuple(values: Sequence[Any]) -> tuple[int, ...]:
+    return tuple(int(v) for v in values)
+
+
+def _cohort_settings(
+    config: Mapping[str, Any],
+    args: argparse.Namespace,
+    experiment: str,
+    spec: simulate.CohortSpec,
+    m_grid: tuple[int, ...],
+) -> tuple[simulate.CohortSpec, tuple[int, ...], Mapping[str, Any]]:
+    """Cohort spec, panel sizes and config section of a cohort experiment.
+
+    ``simulate.<experiment>`` in the config overrides the given defaults,
+    and ``--m`` / ``--seed`` override the config.  The cohort is resized to
+    the largest panel size, every reviewer taking the first one's variance.
+    """
+    path = f"simulate.{experiment}"
+    section = _simulate_section(config, experiment)
+    spec = _config_field(section, path, "spec", simulate.CohortSpec.from_dict, spec)
+    m_grid = _config_field(section, path, "m_grid", _int_tuple, m_grid)
     if args.m is not None:
         m_grid = _parse_int_list(args.m, "--m")
-    if max(m_grid) != spec.m_reviewers:
+    if not m_grid or min(m_grid) < 1:
+        where = "--m" if args.m is not None else f"config: {path}.m_grid"
+        raise RecordError(f"{where}: panel sizes must be integers >= 1, got {list(m_grid)}")
+    m_max = max(m_grid)
+    if m_max != spec.m_reviewers:
         sigma = spec.noise.per_reviewer_variance[0]
-        spec = simulate.CohortSpec(
-            n_papers=spec.n_papers,
-            m_reviewers=max(m_grid),
-            latent=spec.latent,
-            noise=simulate.NoiseProfile(
-                (sigma,) * max(m_grid), spec.noise.scalar_bounds
-            ),
-            clip_mode=spec.clip_mode,
-            seed=spec.seed,
-        )
+        noise = NoiseProfile((sigma,) * m_max, spec.noise.scalar_bounds)
+        spec = replace(spec, m_reviewers=m_max, noise=noise)
     if args.seed is not None:
-        spec = simulate.CohortSpec(
-            n_papers=spec.n_papers,
-            m_reviewers=spec.m_reviewers,
-            latent=spec.latent,
-            noise=spec.noise,
-            clip_mode=spec.clip_mode,
-            seed=args.seed,
-        )
-    return spec, m_grid, threshold, edges
+        spec = replace(spec, seed=args.seed)
+    return spec, m_grid, section
 
 
 def cmd_simulate_margins(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    spec, m_grid, threshold, edges = _margin_settings(config, args)
+    spec, m_grid, threshold, edges = simulate.default_margin_settings()
+    spec, m_grid, section = _cohort_settings(config, args, "margins", spec, m_grid)
+    path = "simulate.margins"
+    threshold = _config_field(section, path, "threshold", float, threshold)
+    edges = _config_field(section, path, "bin_edges", lambda v: tuple(float(e) for e in v), edges)
     run = _Run(args.out, "simulate-margins", spec.seed, args.config, [])
     rows = simulate.margin_suite(spec, m_grid, threshold, edges)
     run.write(
@@ -794,18 +821,16 @@ def cmd_simulate_margins(args: argparse.Namespace) -> int:
 
 def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    settings = simulate.default_population_settings()
     grid, replicates, seed = simulate.default_bootstrap_settings()
-    raw = config.get("simulate", {}).get("threshold_error")
-    if raw is not None:
-        if "population" in raw:
-            settings = simulate.PopulationSettings.from_dict(raw["population"])
-        if "n_cal_grid" in raw:
-            grid = tuple(int(n) for n in raw["n_cal_grid"])
-        if "replicates" in raw:
-            replicates = int(raw["replicates"])
-        if "seed" in raw:
-            seed = int(raw["seed"])
+    path = "simulate.threshold_error"
+    section = _simulate_section(config, "threshold_error")
+    settings = _config_field(
+        section, path, "population", simulate.PopulationSettings.from_dict,
+        simulate.default_population_settings(),
+    )
+    grid = _config_field(section, path, "n_cal_grid", _int_tuple, grid)
+    replicates = _config_field(section, path, "replicates", int, replicates)
+    seed = _config_field(section, path, "seed", int, seed)
     if args.grid is not None:
         grid = _parse_int_list(args.grid, "--grid")
     if args.replicates is not None:
@@ -841,33 +866,7 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
 def cmd_simulate_variance(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     spec, m_grid = simulate.default_variance_settings()
-    raw = config.get("simulate", {}).get("variance")
-    if raw is not None:
-        if "spec" in raw:
-            spec = simulate.CohortSpec.from_dict(raw["spec"])
-        if "m_grid" in raw:
-            m_grid = tuple(int(m) for m in raw["m_grid"])
-    if args.m is not None:
-        m_grid = _parse_int_list(args.m, "--m")
-    if max(m_grid) != spec.m_reviewers:
-        sigma = spec.noise.per_reviewer_variance[0]
-        spec = simulate.CohortSpec(
-            n_papers=spec.n_papers,
-            m_reviewers=max(m_grid),
-            latent=spec.latent,
-            noise=simulate.NoiseProfile((sigma,) * max(m_grid), spec.noise.scalar_bounds),
-            clip_mode=spec.clip_mode,
-            seed=spec.seed,
-        )
-    if args.seed is not None:
-        spec = simulate.CohortSpec(
-            n_papers=spec.n_papers,
-            m_reviewers=spec.m_reviewers,
-            latent=spec.latent,
-            noise=spec.noise,
-            clip_mode=spec.clip_mode,
-            seed=args.seed,
-        )
+    spec, m_grid, _ = _cohort_settings(config, args, "variance", spec, m_grid)
 
     run = _Run(args.out, "simulate-variance", spec.seed, args.config, [])
     rows = simulate.variance_experiment(spec, m_grid)

@@ -2,7 +2,9 @@
 
 Every type validates its invariants at construction and raises
 ``ValueError`` with a message that names the violated field.  All types
-are immutable and round-trip through ``to_dict`` / ``from_dict``.
+are immutable.  Types read from config (``RubricSchema``,
+``ScoringFunctional``, ``NoiseProfile``, ``DecisionThresholds``) parse it
+with ``from_dict``.
 """
 
 from __future__ import annotations
@@ -80,13 +82,6 @@ class RubricSchema:
     def widths(self) -> tuple[float, ...]:
         return tuple(hi - lo for lo, hi in self.bounds)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "criteria_count": self.criteria_count,
-            "bounds": [list(pair) for pair in self.bounds],
-            "overall_index": self.overall_index,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RubricSchema":
         return cls(
@@ -122,13 +117,6 @@ class RubricVector:
             if not lo <= v <= hi:
                 _fail(f"values[{k}]", f"score {v} outside bounds [{lo}, {hi}]")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"values": list(self.values)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RubricVector":
-        return cls(tuple(float(v) for v in data["values"]))
-
 
 @dataclass(frozen=True)
 class ReviewRecord:
@@ -148,23 +136,6 @@ class ReviewRecord:
             _fail("integrity_flag", "must be a bool")
         if not isinstance(self.feedback, str):
             _fail("feedback", "must be a string")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "reviewer_id": self.reviewer_id,
-            "rubric": self.rubric.to_dict(),
-            "integrity_flag": self.integrity_flag,
-            "feedback": self.feedback,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReviewRecord":
-        return cls(
-            str(data["reviewer_id"]),
-            RubricVector.from_dict(data["rubric"]),
-            bool(data.get("integrity_flag", False)),
-            str(data.get("feedback", "")),
-        )
 
 
 @dataclass(frozen=True)
@@ -225,22 +196,6 @@ class ReviewPanel:
             except ValueError as exc:
                 raise ValueError(f"panel {self.submission_id!r}, reviewer {r.reviewer_id!r}: {exc}") from exc
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "submission_id": self.submission_id,
-            "reviews": [r.to_dict() for r in self.reviews],
-            "fabrication_label": self.fabrication_label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReviewPanel":
-        label = data.get("fabrication_label")
-        return cls(
-            str(data["submission_id"]),
-            tuple(ReviewRecord.from_dict(r) for r in data["reviews"]),
-            None if label is None else bool(label),
-        )
-
 
 @dataclass(frozen=True)
 class ReviewerWeights:
@@ -274,13 +229,6 @@ class ReviewerWeights:
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"weights": list(self.weights)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ReviewerWeights":
-        return cls(tuple(float(w) for w in data["weights"]))
 
 
 @dataclass(frozen=True)
@@ -338,12 +286,6 @@ class ScoringFunctional:
         assert self.coefficients is not None
         return math.sqrt(sum(c * c for c in self.coefficients))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "coefficients": None if self.coefficients is None else list(self.coefficients),
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScoringFunctional":
         coeffs = data.get("coefficients")
@@ -377,12 +319,6 @@ class NoiseProfile:
     @property
     def range_width(self) -> float:
         return self.scalar_bounds[1] - self.scalar_bounds[0]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "per_reviewer_variance": list(self.per_reviewer_variance),
-            "scalar_bounds": list(self.scalar_bounds),
-        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "NoiseProfile":
@@ -421,24 +357,6 @@ class BoundInputs:
                 if not math.isfinite(v) or v < 0:
                     _fail(f"projected_variances[{m}]", f"must be finite and >= 0, got {v!r}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "sigma_w_sq": self.sigma_w_sq,
-            "c_max": self.c_max,
-            "projected_variances": None
-            if self.projected_variances is None
-            else list(self.projected_variances),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BoundInputs":
-        proj = data.get("projected_variances")
-        return cls(
-            float(data["sigma_w_sq"]),
-            float(data["c_max"]),
-            None if proj is None else tuple(float(v) for v in proj),
-        )
-
 
 @dataclass(frozen=True)
 class CalibrationRecord:
@@ -457,23 +375,6 @@ class CalibrationRecord:
             _fail("human_accept", "must be a bool")
         if not isinstance(self.status, str) or not self.status:
             _fail("status", "must be a non-empty string")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "submission_id": self.submission_id,
-            "agent_score": self.agent_score,
-            "human_accept": self.human_accept,
-            "status": self.status,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CalibrationRecord":
-        return cls(
-            str(data["submission_id"]),
-            float(data["agent_score"]),
-            bool(data["human_accept"]),
-            str(data["status"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -537,13 +438,6 @@ class GaussianPosterior:
     def std(self) -> float:
         return math.sqrt(self.variance)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"mean": self.mean, "variance": self.variance}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "GaussianPosterior":
-        return cls(float(data["mean"]), float(data["variance"]))
-
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -565,10 +459,3 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.tn + self.fn
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ConfusionCounts":
-        return cls(int(data["tp"]), int(data["fp"]), int(data["tn"]), int(data["fn"]))

@@ -1,4 +1,4 @@
-"""JSONL record I/O for review panels and calibration pools.
+"""JSONL record loading for review panels and calibration pools.
 
 One JSON object per line.  Panel lines look like
 
@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .core import CalibrationRecord, ReviewPanel, ReviewRecord, RubricVector
 
@@ -29,12 +29,9 @@ __all__ = [
     "RecordError",
     "PanelRecord",
     "load_panel_records",
-    "dump_panel_records",
-    "save_panel_records",
     "load_calibration_records",
-    "dump_calibration_records",
-    "save_calibration_records",
     "load_config",
+    "read_text",
 ]
 
 
@@ -139,8 +136,16 @@ def _parse_panel_line(obj: Any) -> PanelRecord:
     )
 
 
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 input file; an unreadable path raises RecordError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise RecordError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
 def _iter_json_lines(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -168,30 +173,6 @@ def load_panel_records(path: str | Path) -> list[PanelRecord]:
     return out
 
 
-def dump_panel_records(records: Sequence[PanelRecord]) -> str:
-    """Canonical JSONL text for panel records (inverse of the loader)."""
-    lines = []
-    for rec in records:
-        obj: dict[str, Any] = {"id": rec.submission_id}
-        if rec.fabrication_label is not None:
-            obj["label"] = rec.fabrication_label
-        obj["reviews"] = [
-            {
-                "reviewer": r.reviewer_id,
-                "rubric": list(r.rubric.values),
-                "flag": r.integrity_flag,
-                "feedback": r.feedback,
-            }
-            for r in rec.reviews
-        ]
-        lines.append(json.dumps(obj, allow_nan=False))
-    return "\n".join(lines) + "\n"
-
-
-def save_panel_records(records: Sequence[PanelRecord], path: str | Path) -> None:
-    Path(path).write_text(dump_panel_records(records), encoding="utf-8")
-
-
 def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
     """Load calibration JSONL; duplicate ids are rejected."""
     out: list[CalibrationRecord] = []
@@ -217,31 +198,10 @@ def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
     return out
 
 
-def dump_calibration_records(records: Sequence[CalibrationRecord]) -> str:
-    """Canonical JSONL text for calibration records (inverse of the loader)."""
-    lines = [
-        json.dumps(
-            {
-                "id": r.submission_id,
-                "score": r.agent_score,
-                "accept": r.human_accept,
-                "status": r.status,
-            },
-            allow_nan=False,
-        )
-        for r in records
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def save_calibration_records(records: Sequence[CalibrationRecord], path: str | Path) -> None:
-    Path(path).write_text(dump_calibration_records(records), encoding="utf-8")
-
-
 def load_config(path: str | Path) -> dict[str, Any]:
     """Load a JSON config file; the top level must be an object."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise RecordError(f"{path}: invalid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):

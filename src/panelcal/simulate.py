@@ -87,11 +87,6 @@ class LatentDistribution:
     def gaussian(cls, mean: float, sd: float) -> "LatentDistribution":
         return cls("gaussian", mean, sd)
 
-    def to_dict(self) -> dict[str, Any]:
-        if self.kind == "uniform":
-            return {"kind": "uniform", "lo": self.param_a, "hi": self.param_b}
-        return {"kind": "gaussian", "mean": self.param_a, "sd": self.param_b}
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "LatentDistribution":
         kind = str(data["kind"])
@@ -136,16 +131,6 @@ class CohortSpec:
         else:
             if not lo <= self.latent.param_a <= hi:
                 raise ValueError("latent: gaussian mean must sit inside the scalar score bounds")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_papers": self.n_papers,
-            "m_reviewers": self.m_reviewers,
-            "latent": self.latent.to_dict(),
-            "noise": self.noise.to_dict(),
-            "clip_mode": self.clip_mode,
-            "seed": self.seed,
-        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CohortSpec":
@@ -205,50 +190,34 @@ class VarianceRow:
 class PopulationSettings:
     """Recipe for the synthetic human-labeled calibration population.
 
-    Human accepts are Bernoulli with logistic probability
+    The cohort's papers are the population.  Human accepts are Bernoulli
+    with logistic probability
     1 / (1 + exp(-link_slope * (latent - link_midpoint))).
     """
 
-    size: int
-    m_reviewers: int
-    latent: LatentDistribution
-    noise: NoiseProfile
-    clip_mode: str
+    cohort: CohortSpec
     link_midpoint: float
     link_slope: float
-    seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.size, int) or self.size < 2:
-            raise ValueError(f"size: must be an integer >= 2, got {self.size!r}")
+        if self.cohort.n_papers < 2:
+            raise ValueError(f"size: must be >= 2, got {self.cohort.n_papers}")
         if not math.isfinite(self.link_midpoint):
             raise ValueError(f"link_midpoint: must be finite, got {self.link_midpoint!r}")
         if not (math.isfinite(self.link_slope) and self.link_slope > 0):
             raise ValueError(f"link_slope: must be finite and > 0, got {self.link_slope!r}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "size": self.size,
-            "m_reviewers": self.m_reviewers,
-            "latent": self.latent.to_dict(),
-            "noise": self.noise.to_dict(),
-            "clip_mode": self.clip_mode,
-            "link_midpoint": self.link_midpoint,
-            "link_slope": self.link_slope,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "PopulationSettings":
+        """Parse the flat config form.
+
+        That is the cohort-spec keys, with ``size`` in place of ``n_papers``,
+        plus ``link_midpoint`` and ``link_slope``.
+        """
         return cls(
-            int(data["size"]),
-            int(data["m_reviewers"]),
-            LatentDistribution.from_dict(data["latent"]),
-            NoiseProfile.from_dict(data["noise"]),
-            str(data.get("clip_mode", "clip")),
+            CohortSpec.from_dict({**data, "n_papers": data["size"]}),
             float(data["link_midpoint"]),
             float(data["link_slope"]),
-            int(data.get("seed", 0)),
         )
 
 
@@ -402,20 +371,13 @@ def synthetic_calibration_population(settings: PopulationSettings) -> list[Calib
     scores; human accepts follow the logistic link on the latent quality
     from an independent stream; status mirrors the human decision.
     """
-    spec = CohortSpec(
-        n_papers=settings.size,
-        m_reviewers=settings.m_reviewers,
-        latent=settings.latent,
-        noise=settings.noise,
-        clip_mode=settings.clip_mode,
-        seed=settings.seed,
-    )
-    cohort = generate_cohort(spec)
+    size = settings.cohort.n_papers
+    cohort = generate_cohort(settings.cohort)
     consensus = cohort.scores.mean(axis=1)
-    label_rng = np.random.default_rng(np.random.SeedSequence([settings.seed, 1]))
+    label_rng = np.random.default_rng(np.random.SeedSequence([settings.cohort.seed, 1]))
     prob = 1.0 / (1.0 + np.exp(-settings.link_slope * (cohort.latent - settings.link_midpoint)))
-    accepts = label_rng.random(settings.size) < prob
-    width = len(str(settings.size))
+    accepts = label_rng.random(size) < prob
+    width = len(str(size))
     return [
         CalibrationRecord(
             submission_id=f"pop-{i + 1:0{width}d}",
@@ -423,7 +385,7 @@ def synthetic_calibration_population(settings: PopulationSettings) -> list[Calib
             human_accept=bool(accepts[i]),
             status="accept" if accepts[i] else "reject",
         )
-        for i in range(settings.size)
+        for i in range(size)
     ]
 
 
@@ -629,30 +591,35 @@ def check_variance_rows(
     return failures
 
 
+# shared by the margins and variance presets
+_DEFAULT_COHORT = CohortSpec(
+    n_papers=5000,
+    m_reviewers=3,
+    latent=LatentDistribution.uniform(4.0, 7.0),
+    noise=NoiseProfile((1.0, 1.0, 1.0), (1.0, 10.0)),
+    clip_mode="clip",
+    seed=20260819,
+)
+
+
 def default_margin_settings() -> tuple[CohortSpec, tuple[int, ...], float, tuple[float, ...]]:
     """Frozen margins preset: (spec, m_grid, threshold, bin_edges)."""
-    spec = CohortSpec(
-        n_papers=5000,
-        m_reviewers=3,
-        latent=LatentDistribution.uniform(4.0, 7.0),
-        noise=NoiseProfile((1.0, 1.0, 1.0), (1.0, 10.0)),
-        clip_mode="clip",
-        seed=20260819,
-    )
-    return spec, (1, 2, 3), 5.5, (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
+    return _DEFAULT_COHORT, (1, 2, 3), 5.5, (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
 
 
 def default_population_settings() -> PopulationSettings:
     """Frozen synthetic calibration population preset."""
     return PopulationSettings(
-        size=20000,
-        m_reviewers=3,
-        latent=LatentDistribution.uniform(2.0, 9.0),
-        noise=NoiseProfile((1.0, 1.0, 1.0), (1.0, 10.0)),
-        clip_mode="clip",
+        cohort=CohortSpec(
+            n_papers=20000,
+            m_reviewers=3,
+            latent=LatentDistribution.uniform(2.0, 9.0),
+            noise=NoiseProfile((1.0, 1.0, 1.0), (1.0, 10.0)),
+            clip_mode="clip",
+            seed=7,
+        ),
         link_midpoint=7.6,
         link_slope=2.5,
-        seed=7,
     )
 
 
@@ -663,12 +630,4 @@ def default_bootstrap_settings() -> tuple[tuple[int, ...], int, int]:
 
 def default_variance_settings() -> tuple[CohortSpec, tuple[int, ...]]:
     """Frozen variance preset: (spec, m_grid)."""
-    spec = CohortSpec(
-        n_papers=5000,
-        m_reviewers=3,
-        latent=LatentDistribution.uniform(4.0, 7.0),
-        noise=NoiseProfile((1.0, 1.0, 1.0), (1.0, 10.0)),
-        clip_mode="clip",
-        seed=20260819,
-    )
-    return spec, (1, 2, 3)
+    return _DEFAULT_COHORT, (1, 2, 3)

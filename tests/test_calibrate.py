@@ -53,7 +53,14 @@ def test_plan_validation_and_round_trip():
         ),
     )
     assert plan.n_cal == 5
-    assert StratificationPlan.from_dict(plan.to_dict()) == plan
+    assert plan.to_dict() == {
+        "bin_edges": [0.0, 5.0, 10.0],
+        "status_vocabulary": ["accept", "reject"],
+        "cells": [
+            {"bin_index": 0, "status": "accept", "population": 10, "quota": 2},
+            {"bin_index": 1, "status": "reject", "population": 6, "quota": 3},
+        ],
+    }
     with pytest.raises(ValueError, match="strictly increasing"):
         StratificationPlan((0.0, 0.0), ("a",), (CellQuota(0, "a", 1, 1),))
     with pytest.raises(ValueError, match="duplicate cell"):

@@ -404,6 +404,36 @@ def test_bayes_config_errors(tmp_path, capsys):
     assert "not finite" in err
 
 
+def test_bayes_review_variances_must_be_object(tmp_path, capsys):
+    panels = write(tmp_path, "panels.jsonl", BAYES_PANELS)
+    config = bayes_config(5.0)
+    config["bayes"]["review_variances"] = [1, 2]
+    code, _, err = run_cli(capsys, "bayes", "--panels", panels,
+                           "--config", write_json(tmp_path, "config.json", config),
+                           "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert "bayes.review_variances: must be an object" in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("option", ["--panels", "--records", "--config"])
+def test_directory_input_exits_2(tmp_path, capsys, option):
+    files = {
+        "--panels": write(tmp_path, "panels.jsonl", PANELS),
+        "--records": write(tmp_path, "pool.jsonl", POOL),
+        "--config": write_json(tmp_path, "config.json", {"target_rate": 0.33}),
+    }
+    files[option] = str(tmp_path)
+    if option == "--panels":
+        argv = ["detector-eval", "--panels", files["--panels"]]
+    else:
+        argv = ["calibrate", "--records", files["--records"], "--config", files["--config"]]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert f"error: {tmp_path}: cannot read: Is a directory" in err
+    assert not (tmp_path / "runs").exists()
+
+
 # ---------------------------------------------------------------- detector
 
 
@@ -528,6 +558,32 @@ def test_simulate_threshold_error_flat_link_fails_checks(tmp_path, capsys):
     d = run_dir(out)
     assert (d / "threshold_error.csv").exists()
     assert "FAIL" in (d / "checks.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    ("argv", "config", "message"),
+    [
+        (["margins"], {"simulate": []}, "config: simulate: must be an object"),
+        (["variance"], {"simulate": {"variance": [1, 3]}},
+         "config: simulate.variance: must be an object"),
+        (["margins"], {"simulate": {"margins": {"spec": {"n_papers": 100}}}},
+         "config: simulate.margins.spec: missing key 'm_reviewers'"),
+        (["threshold-error"], {"simulate": {"threshold_error": {"population": {"n_papers": 100}}}},
+         "config: simulate.threshold_error.population: missing key 'size'"),
+        (["variance", "--m", "0,3"], None, "--m: panel sizes must be integers >= 1, got [0, 3]"),
+        (["margins"], {"simulate": {"margins": {"m_grid": [0, 2]}}},
+         "config: simulate.margins.m_grid: panel sizes must be integers >= 1, got [0, 2]"),
+    ],
+    ids=["simulate-list", "section-list", "partial-spec", "partial-population", "m-zero-flag",
+         "m-zero-config"],
+)
+def test_simulate_bad_settings_exit_2_before_run(tmp_path, capsys, argv, config, message):
+    if config is not None:
+        argv = [*argv, "--config", write_json(tmp_path, "config.json", config)]
+    code, _, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert f"error: {message}\n" == err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_simulate_bad_flag_values(tmp_path, capsys):

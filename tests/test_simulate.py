@@ -47,10 +47,12 @@ def small_spec(m=3, seed=5, clip_mode="clip", sigma=1.0, n=400):
 
 
 def test_latent_distribution_validation_and_round_trip():
-    uni = LatentDistribution.uniform(2.0, 9.0)
-    assert LatentDistribution.from_dict(uni.to_dict()) == uni
-    gauss = LatentDistribution.gaussian(5.0, 1.5)
-    assert LatentDistribution.from_dict(gauss.to_dict()) == gauss
+    uni = LatentDistribution.from_dict({"kind": "uniform", "lo": 2, "hi": 9.0})
+    assert uni == LatentDistribution.uniform(2.0, 9.0)
+    gauss = LatentDistribution.from_dict({"kind": "gaussian", "mean": 5.0, "sd": 1.5})
+    assert gauss == LatentDistribution.gaussian(5.0, 1.5)
+    with pytest.raises(ValueError, match="kind"):
+        LatentDistribution.from_dict({"kind": "beta", "lo": 1, "hi": 2})
     with pytest.raises(ValueError, match="param_a"):
         LatentDistribution.uniform(3.0, 3.0)
     with pytest.raises(ValueError, match="param_b"):
@@ -68,8 +70,16 @@ def test_cohort_spec_validation():
         CohortSpec(10, 1, LatentDistribution.uniform(0.0, 7.0), NoiseProfile((1.0,), (1, 10)))
     with pytest.raises(ValueError, match="latent"):
         CohortSpec(10, 1, LatentDistribution.gaussian(11.0, 1.0), NoiseProfile((1.0,), (1, 10)))
-    spec = small_spec()
-    assert CohortSpec.from_dict(spec.to_dict()) == spec
+    # the cohort-spec example from the README
+    readme = {
+        "n_papers": 5000, "m_reviewers": 3,
+        "latent": {"kind": "uniform", "lo": 4.0, "hi": 7.0},
+        "noise": {"per_reviewer_variance": [1.0, 1.0, 1.0], "scalar_bounds": [1.0, 10.0]},
+        "clip_mode": "clip", "seed": 20260819,
+    }
+    assert CohortSpec.from_dict(readme) == default_margin_settings()[0]
+    del readme["clip_mode"], readme["seed"]
+    assert CohortSpec.from_dict(readme) == small_spec(n=5000, seed=0)
 
 
 # ---------------------------------------------------------------- cohorts
@@ -213,15 +223,24 @@ def test_margin_suite_structure():
 
 
 def test_synthetic_population_deterministic_and_labeled():
-    settings = PopulationSettings(
-        size=500,
-        m_reviewers=3,
-        latent=LatentDistribution.uniform(2.0, 9.0),
-        noise=NoiseProfile((1.0, 1.0, 1.0), (1.0, 10.0)),
-        clip_mode="clip",
+    settings = PopulationSettings.from_dict(
+        {
+            "size": 500,
+            "m_reviewers": 3,
+            "latent": {"kind": "uniform", "lo": 2.0, "hi": 9.0},
+            "noise": {"per_reviewer_variance": [1.0, 1.0, 1.0], "scalar_bounds": [1.0, 10.0]},
+            "link_midpoint": 5.5,
+            "link_slope": 2.0,
+            "seed": 21,
+        }
+    )
+    assert settings == PopulationSettings(
+        CohortSpec(
+            500, 3, LatentDistribution.uniform(2.0, 9.0), NoiseProfile((1.0,) * 3, (1.0, 10.0)),
+            seed=21,
+        ),
         link_midpoint=5.5,
         link_slope=2.0,
-        seed=21,
     )
     pop = synthetic_calibration_population(settings)
     assert len(pop) == 500
@@ -233,7 +252,8 @@ def test_synthetic_population_deterministic_and_labeled():
     high = [r.human_accept for r in pop if r.agent_score >= 7.0]
     low = [r.human_accept for r in pop if r.agent_score <= 4.0]
     assert np.mean(high) > 0.8 > 0.2 > np.mean(low)
-    assert PopulationSettings.from_dict(settings.to_dict()) == settings
+    with pytest.raises(ValueError, match="size"):
+        PopulationSettings(small_spec(n=1), 5.5, 2.0)
 
 
 # ---------------------------------------------------------------- bootstrap
@@ -392,10 +412,10 @@ def test_default_settings_are_consistent():
     assert spec.noise.scalar_bounds[0] <= threshold <= spec.noise.scalar_bounds[1]
 
     pop = default_population_settings()
-    assert pop.size >= 2
+    assert pop.cohort.n_papers >= 2
 
     grid, replicates, seed = default_bootstrap_settings()
-    assert all(2 <= n <= pop.size for n in grid)
+    assert all(2 <= n <= pop.cohort.n_papers for n in grid)
     assert replicates >= 2
 
     var_spec, var_grid = default_variance_settings()
