@@ -25,7 +25,9 @@ __all__ = [
     "ConsensusRubric",
     "Decision",
     "consensus_rubric",
+    "consensus_rows",
     "score",
+    "score_rows",
     "decide",
     "gls_weights",
     "panel_variance",
@@ -115,6 +117,48 @@ def score(
             f"consensus length {len(consensus)}"
         )
     return consensus.values[schema.overall_index]
+
+
+def consensus_rows(rubric: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``consensus_rubric`` of many panels at once: one (K,) row per panel.
+
+    ``rubric`` (N, K) and ``weights`` (N,) hold the reviews of all panels
+    back to back; ``counts`` (P,) gives each panel's number of rows (>= 1).
+    Panels of one size share a stacked ``matmul`` whose per-panel product
+    is the vector-matrix product ``consensus_rubric`` takes, so every row
+    matches it bit for bit (``np.add.reduceat`` and ``einsum`` do not).
+    """
+    starts = np.cumsum(counts) - counts
+    out = np.empty((len(counts), rubric.shape[1]))
+    for m in np.unique(counts):
+        panels = np.flatnonzero(counts == m)
+        rows = starts[panels, None] + np.arange(m)
+        out[panels] = np.matmul(weights[rows][:, None, :], rubric[rows])[:, 0, :]
+    return out
+
+
+def score_rows(
+    rows: np.ndarray,
+    functional: ScoringFunctional,
+    schema: RubricSchema | None = None,
+) -> np.ndarray:
+    """``score`` of each row of an (N, K) array of rubrics, bit for bit.
+
+    Each row takes the 1-D dot product ``score`` takes; one
+    ``(N, K) @ coefficients`` product rounds differently.
+    """
+    if not len(rows):
+        return np.empty(0)
+    if functional.kind == "linear":
+        coefficients = np.asarray(functional.coefficients, dtype=float)
+        if len(coefficients) != rows.shape[1]:
+            raise ValueError(
+                f"coefficients: expected {rows.shape[1]} entries, got {len(coefficients)}"
+            )
+        return np.matmul(rows[:, None, :], coefficients)[:, 0]
+    if schema is None or schema.overall_index is None:
+        raise ValueError("schema: overall_pick scoring needs a schema with overall_index set")
+    return rows[:, schema.overall_index].copy()
 
 
 def decide(value: float, threshold: float) -> Decision:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .core import GaussianPosterior
 
@@ -23,6 +25,8 @@ __all__ = [
     "acceptance_probability",
     "credible_robust",
     "solicit_worthwhile",
+    "posterior_arrays",
+    "credible_calls",
 ]
 
 _STD_NORMAL = NormalDist()
@@ -117,3 +121,47 @@ def solicit_worthwhile(
     std_next = math.sqrt(1.0 / precision_next)
     z = normal_quantile(1.0 - float(alpha) / 2.0)
     return abs(float(threshold) - posterior.mean) >= z * std_next
+
+
+def posterior_arrays(
+    prior: GaussianPosterior,
+    scores: np.ndarray,
+    variances: np.ndarray,
+    panel_sums: Callable[[np.ndarray, float], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``posterior_update`` of many panels at once: (means, variances).
+
+    ``scores`` and ``variances`` hold every panel's reviews back to back,
+    already checked finite (variances > 0).  ``panel_sums(values, start)``
+    adds each panel's values to ``start`` one at a time in review order,
+    the order ``posterior_update`` accumulates in, so results match it bit
+    for bit.
+    """
+    precision = panel_sums(1.0 / variances, 1.0 / prior.variance)
+    weighted = panel_sums(scores / variances, prior.mean / prior.variance)
+    return weighted / precision, 1.0 / precision
+
+
+def credible_calls(
+    means: np.ndarray,
+    variances: np.ndarray,
+    threshold: float,
+    alpha: float,
+    new_review_variance: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``acceptance_probability``, ``credible_robust`` and ``solicit_worthwhile`` at once.
+
+    Takes arrays of posterior means and variances and repeats the scalar
+    functions' float operations in their order, so every entry matches
+    them bit for bit.  The caller has checked what they check: a finite
+    threshold, ``0 < alpha < 1`` and a finite ``new_review_variance > 0``.
+    Returns (p_accept, robust, solicit).
+    """
+    std = np.sqrt(variances)
+    arguments = -((threshold - means) / std) / math.sqrt(2.0)
+    p_accept = 1.0 - 0.5 * np.array([math.erfc(x) for x in arguments.tolist()])
+    z = normal_quantile(1.0 - alpha / 2.0)
+    gap = np.abs(threshold - means)
+    robust = gap >= z * std
+    std_next = np.sqrt(1.0 / (1.0 / variances + 1.0 / new_review_variance))
+    return p_accept, robust, ~robust & (gap >= z * std_next)

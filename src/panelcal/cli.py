@@ -29,18 +29,19 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
+
 from . import __version__, aggregate, bayes, bounds, calibrate, metrics, records, simulate
 from .calibrate import ThresholdUnreachableError
 from .core import (
+    ConfusionCounts,
     DecisionThresholds,
     GaussianPosterior,
     NoiseProfile,
-    ReviewerWeights,
-    ReviewPanel,
     RubricSchema,
     ScoringFunctional,
 )
-from .records import RecordError
+from .records import PanelTable, RecordError
 
 __all__ = ["RunManifest", "build_parser", "main", "run"]
 
@@ -202,56 +203,112 @@ def _functional_from_config(
             return ScoringFunctional.mean(schema.criteria_count)
         raise _config_error("functional: required when no schema is given")
     try:
-        return ScoringFunctional.from_dict(raw)
+        functional = ScoringFunctional.from_dict(raw)
     except (ValueError, KeyError, TypeError) as exc:
         raise _config_error(f"functional: {exc}") from exc
+    if functional.kind == "overall_pick" and (schema is None or schema.overall_index is None):
+        raise _config_error("functional: overall_pick scoring needs a schema with overall_index set")
+    return functional
 
 
-def _weights_for_panel(config: Mapping[str, Any], panel: ReviewPanel) -> ReviewerWeights:
+def _config_field(
+    section: Mapping[str, Any], path: str, key: str, parse: Callable[[Any], Any], default: Any
+) -> Any:
+    """``parse(section[key])``, or ``default`` when absent; errors name the key path."""
+    if key not in section:
+        return default
+    try:
+        return parse(section[key])
+    except KeyError as exc:
+        raise _config_error(f"{path}.{key}: missing key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise _config_error(f"{path}.{key}: {exc}") from exc
+
+
+def _number_check(requirement: str, ok: Callable[[float], bool]) -> Callable[[Any], float]:
+    """A config value parser: ``float(value)`` if ``ok`` accepts it."""
+
+    def parse(value: Any) -> float:
+        try:
+            number = float(value)
+        except (TypeError, ValueError):
+            number = math.nan
+        if not ok(number):
+            raise ValueError(f"must {requirement}, got {value!r}")
+        return number
+
+    return parse
+
+
+_positive = _number_check("be a finite number > 0", lambda x: math.isfinite(x) and x > 0)
+_non_negative = _number_check("be a finite number >= 0", lambda x: math.isfinite(x) and x >= 0)
+_probability = _number_check("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
+
+
+def _per_reviewer(
+    table: PanelTable,
+    mapping: Mapping[str, Any],
+    path: str,
+    noun: str,
+    parse: Callable[[Any], float],
+    fallback: str | None = None,
+) -> np.ndarray:
+    """``parse(mapping[reviewer])`` for each roster member, in roster order.
+
+    A reviewer missing from ``mapping`` takes ``mapping[fallback]`` when
+    that key is given.  Errors name the config key path.
+    """
+    values = np.empty(len(table.roster))
+    for code, reviewer in enumerate(table.roster):
+        key = reviewer if reviewer in mapping else fallback
+        if key not in mapping:
+            no_fallback = "" if fallback is None else f" and no {fallback}"
+            raise _config_error(
+                f"{path}.{reviewer}: no {noun} for reviewer {reviewer!r}{no_fallback} "
+                f"(first review at {table.reviewer_where(code)})"
+            )
+        values[code] = _config_field(mapping, path, key, parse, None)
+    return values
+
+
+def _review_weights(config: Mapping[str, Any], table: PanelTable) -> np.ndarray:
+    """(N,) each review's weight in its panel's consensus.
+
+    The weights are normalized the way ``ReviewerWeights`` (and, for GLS,
+    ``aggregate.gls_weights`` before it) normalize them.
+    """
+
+    def normalized(values: np.ndarray) -> np.ndarray:
+        return values / table.panel_sums(values)[table.panel_index]
+
     raw = config.get("weights", "uniform")
     if raw == "uniform":
-        return ReviewerWeights.uniform(len(panel.reviews))
+        return normalized(1.0 / table.counts[table.panel_index])
     if raw == "gls":
         variances = config.get("gls_variances")
         if not isinstance(variances, dict):
             raise _config_error(
                 "gls_variances: required reviewer-to-variance object when weights is 'gls'"
             )
-        values = []
-        for reviewer in panel.reviewer_ids:
-            if reviewer not in variances:
-                raise _config_error(
-                    f"gls_variances: no variance for reviewer {reviewer!r} "
-                    f"(panel {panel.submission_id!r})"
-                )
-            values.append(float(variances[reviewer]))
-        return aggregate.gls_weights(values)
+        inverse = 1.0 / _per_reviewer(table, variances, "gls_variances", "variance", _positive)
+        return normalized(normalized(inverse[table.reviewer]))
     if not isinstance(raw, dict):
         raise _config_error("weights: must be 'uniform', 'gls', or a reviewer-to-weight object")
-    values = []
-    for reviewer in panel.reviewer_ids:
-        if reviewer not in raw:
-            raise _config_error(
-                f"weights: no weight for reviewer {reviewer!r} (panel {panel.submission_id!r})"
-            )
-        values.append(float(raw[reviewer]))
-    total = sum(values)
-    if total <= 0:
-        raise _config_error(
-            f"weights: weights for panel {panel.submission_id!r} sum to {total}; must be > 0"
-        )
-    return ReviewerWeights(tuple(v / total for v in values))
+    values = _per_reviewer(table, raw, "weights", "weight", _non_negative)[table.reviewer]
+    totals = table.panel_sums(values)
+    table.require(totals > 0, "the panel's reviewer weights from config sum to 0; must be > 0")
+    return normalized(values / totals[table.panel_index])
 
 
-def _panel_score(
-    panel: ReviewPanel,
-    config: Mapping[str, Any],
-    schema: RubricSchema | None,
-    functional: ScoringFunctional,
-) -> float:
-    weights = _weights_for_panel(config, panel)
-    consensus = aggregate.consensus_rubric(panel, weights)
-    return aggregate.score(consensus, functional, schema)
+def _check_criteria(table: PanelTable, functional: ScoringFunctional) -> None:
+    """Every rubric needs one criterion per coefficient of a linear functional.
+
+    For ``overall_pick`` the schema has already fixed the criteria count.
+    """
+    if functional.kind == "linear":
+        count = len(functional.coefficients)
+        wrong = np.bincount(table.panel_index[table.criteria != count], minlength=len(table))
+        table.require(wrong == 0, f"rubric length differs from the functional's {count} coefficients")
 
 
 def _load_thresholds(path: str) -> DecisionThresholds:
@@ -263,24 +320,6 @@ def _load_thresholds(path: str) -> DecisionThresholds:
         return DecisionThresholds.from_dict(data)
     except (ValueError, KeyError, TypeError) as exc:
         raise RecordError(f"{path}: {exc}") from exc
-
-
-def _panels_from_file(path: str) -> list[ReviewPanel]:
-    panels = []
-    for record in records.load_panel_records(path):
-        if not record.reviews:
-            raise RecordError(
-                f"{path}: panel {record.submission_id!r} has no reviews"
-            )
-        panels.append(record.to_panel())
-    return panels
-
-
-def _validate_panels(panels: Sequence[ReviewPanel], schema: RubricSchema | None) -> None:
-    if schema is None:
-        return
-    for panel in panels:
-        panel.validate_schema(schema)
 
 
 # ---------------------------------------------------------------- calibrate
@@ -380,16 +419,51 @@ def cmd_review(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     schema = _schema_from_config(config)
     functional = _functional_from_config(config, schema)
-    panels = _panels_from_file(args.panels)
-    _validate_panels(panels, schema)
+    table = records.load_panel_table(args.panels)
+    table.validate(schema)
+    _check_criteria(table, functional)
     thresholds = _load_thresholds(args.thresholds)
+    weights = _review_weights(config, table)
+    consensus = aggregate.consensus_rows(table.rubric, weights, table.counts)
+    scores = aggregate.score_rows(consensus, functional, schema)
+    table.require(np.isfinite(scores), "consensus score is not finite")
+
+    n = len(table)
+    taus = {"tau_rate": thresholds.tau_rate, "tau_05": thresholds.tau_05}
+    accepts = {label: scores >= tau for label, tau in taus.items()}
+    any_flag = table.any_flag
+    flagged_any = int(np.count_nonzero(any_flag))
+    flagged = table.reviewer_counts(table.flags).tolist()
+    names = [*table.roster, "any"]
+
+    # a validated panel has at most one review per reviewer, so review
+    # counts per reviewer are panel counts
+    metric_rows: list[tuple[object, ...]] = []
+    acceptance_rows = []
+    for label, accept in accepts.items():
+        k = int(np.count_nonzero(accept))
+        metric_rows.append(("acpt", label, k / n, k, n))
+        acceptance_rows.append((label, f"{taus[label]:.6g}", metrics.rate_with_counts(k, n)))
+    icr_table_rows = []
+    for name, k, total in zip(
+        names, [*flagged, flagged_any], [*table.reviewer_counts().tolist(), n]
+    ):
+        metric_rows.append(("icr", name, k / total, k, total))
+        icr_table_rows.append((name, metrics.rate_with_counts(k, total)))
+    conflict_table_rows = []
+    for label, accept in accepts.items():
+        conflicts = table.reviewer_counts(table.flags & accept[table.panel_index]).tolist()
+        conflicts.append(int(np.count_nonzero(any_flag & accept)))
+        for name, k, total in zip(names, conflicts, [*flagged, flagged_any]):
+            metric_rows.append(
+                (f"conflict_{label}", name, k / total if total else None,
+                 k if total else None, total)
+            )
+            conflict_table_rows.append(
+                (name, label, metrics.rate_with_counts(k, total) if total else "- (no flags)")
+            )
 
     run = _Run(args.out, "review", None, args.config, [args.panels, args.thresholds])
-
-    scores = {p.submission_id: _panel_score(p, config, schema, functional) for p in panels}
-    dec_rate = {pid: aggregate.decide(s, thresholds.tau_rate) for pid, s in scores.items()}
-    dec_05 = {pid: aggregate.decide(s, thresholds.tau_05) for pid, s in scores.items()}
-
     run.write(
         "decisions.csv",
         metrics.csv_text(
@@ -402,89 +476,28 @@ def cmd_review(args: argparse.Namespace) -> int:
                 "margin_tau_05",
                 "any_flag",
             ],
-            [
-                (
-                    p.submission_id,
-                    scores[p.submission_id],
-                    dec_rate[p.submission_id].accept,
-                    dec_rate[p.submission_id].margin,
-                    dec_05[p.submission_id].accept,
-                    dec_05[p.submission_id].margin,
-                    p.any_flag,
-                )
-                for p in panels
-            ],
+            list(zip(
+                table.ids,
+                scores.tolist(),
+                accepts["tau_rate"].tolist(),
+                (scores - thresholds.tau_rate).tolist(),
+                accepts["tau_05"].tolist(),
+                (scores - thresholds.tau_05).tolist(),
+                any_flag.tolist(),
+            )),
         ),
     )
-
-    n = len(panels)
-    acpt_rate = metrics.acpt(list(dec_rate.values()))
-    acpt_05 = metrics.acpt(list(dec_05.values()))
-    roster = sorted({r.reviewer_id for p in panels for r in p.reviews})
-
-    metric_rows: list[tuple[object, ...]] = [
-        ("acpt", "tau_rate", acpt_rate, round(acpt_rate * n), n),
-        ("acpt", "tau_05", acpt_05, round(acpt_05 * n), n),
-    ]
-    icr_table_rows = []
-    for reviewer in roster:
-        subset = [p for p in panels if reviewer in p.reviewer_ids]
-        value = metrics.icr_per_model(subset, reviewer)
-        flagged = round(value * len(subset))
-        metric_rows.append(("icr", reviewer, value, flagged, len(subset)))
-        icr_table_rows.append((reviewer, metrics.rate_with_counts(flagged, len(subset))))
-    any_icr = metrics.icr_any(panels)
-    any_flagged = round(any_icr * n)
-    metric_rows.append(("icr", "any", any_icr, any_flagged, n))
-    icr_table_rows.append(("any", metrics.rate_with_counts(any_flagged, n)))
-
-    conflict_table_rows = []
-    for label, tau in (("tau_rate", thresholds.tau_rate), ("tau_05", thresholds.tau_05)):
-        for reviewer in [*roster, None]:
-            name = "any" if reviewer is None else reviewer
-            subset = panels if reviewer is None else [
-                p for p in panels if reviewer in p.reviewer_ids
-            ]
-            value = metrics.conflict_rate(subset, scores, tau, reviewer)
-            if reviewer is None:
-                flagged = sum(1 for p in subset if p.any_flag)
-            else:
-                flagged = sum(
-                    1 for p in subset if p.review_by(reviewer).integrity_flag
-                )
-            num = 0 if value is None else round(value * flagged)
-            metric_rows.append(
-                (f"conflict_{label}", name, value, num if flagged else None, flagged)
-            )
-            conflict_table_rows.append(
-                (
-                    name,
-                    label,
-                    metrics.rate_with_counts(num, flagged)
-                    if flagged
-                    else "- (no flags)",
-                )
-            )
-
     run.write(
         "metrics.csv",
         metrics.csv_text(["metric", "scope", "value", "numerator", "denominator"], metric_rows),
     )
-
-    tau_rate_text = f"{thresholds.tau_rate:.6g}"
     report = [
         "review report",
         "",
         f"panels: {n}",
         "",
         "acceptance",
-        metrics.aligned_table(
-            ["threshold", "value", "acpt"],
-            [
-                ("tau_rate", tau_rate_text, metrics.rate_with_counts(round(acpt_rate * n), n)),
-                ("tau_05", f"{thresholds.tau_05:.6g}", metrics.rate_with_counts(round(acpt_05 * n), n)),
-            ],
-        ),
+        metrics.aligned_table(["threshold", "value", "acpt"], acceptance_rows),
         "integrity flags",
         metrics.aligned_table(["reviewer", "icr"], icr_table_rows),
         "conflicts (flagged but scored at acceptance level)",
@@ -498,16 +511,6 @@ def cmd_review(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- bayes
 
 
-def _review_variance(variances: Mapping[str, Any], reviewer: str) -> float:
-    if reviewer in variances:
-        return float(variances[reviewer])
-    if "default" in variances:
-        return float(variances["default"])
-    raise _config_error(
-        f"bayes.review_variances: no variance for reviewer {reviewer!r} and no default"
-    )
-
-
 def cmd_bayes(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     raw_bayes = config.get("bayes")
@@ -519,10 +522,15 @@ def cmd_bayes(args: argparse.Namespace) -> int:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise _config_error(f"bayes prior: {exc}") from exc
-    alpha = float(raw_bayes.get("alpha", 0.05))
+    alpha = _config_field(raw_bayes, "bayes", "alpha", _probability, 0.05)
     review_variances = raw_bayes.get("review_variances", {})
     if not isinstance(review_variances, dict):
         raise _config_error("bayes.review_variances: must be an object")
+    solicit_variance = _config_field(raw_bayes, "bayes", "solicit_variance", _positive, None)
+    if solicit_variance is None:
+        solicit_variance = _config_field(
+            review_variances, "bayes.review_variances", "default", _positive, 1.0
+        )
     schema = _schema_from_config(config)
     functional = _functional_from_config(config, schema)
 
@@ -547,42 +555,38 @@ def cmd_bayes(args: argparse.Namespace) -> int:
             f"bayes.threshold: resolved threshold {threshold} is not finite"
         )
 
-    panel_records = records.load_panel_records(args.panels)
-    for record in panel_records:
-        if record.reviews and schema is not None:
-            record.to_panel().validate_schema(schema)
-
-    run = _Run(args.out, "bayes", None, args.config, inputs)
-
-    solicit_variance = float(
-        raw_bayes.get("solicit_variance", review_variances.get("default", 1.0))
+    table = records.load_panel_table(args.panels)
+    table.validate(schema, require_reviews=False)
+    _check_criteria(table, functional)
+    variances = _per_reviewer(
+        table, review_variances, "bayes.review_variances", "variance", _positive, "default"
+    )
+    scores = aggregate.score_rows(table.rubric, functional, schema)
+    means, posterior_variances = bayes.posterior_arrays(
+        prior, scores, variances[table.reviewer], table.panel_sums
+    )
+    table.require(
+        np.isfinite(means) & (posterior_variances > 0),
+        "posterior mean is not finite or its variance is 0",
+    )
+    p_accept, robust, solicit = bayes.credible_calls(
+        means, posterior_variances, threshold, alpha, solicit_variance
+    )
+    rows = list(
+        zip(
+            table.ids,
+            table.counts.tolist(),
+            means.tolist(),
+            posterior_variances.tolist(),
+            p_accept.tolist(),
+            (p_accept >= 0.5).tolist(),
+            robust.tolist(),
+            solicit.tolist(),
+            ["" if count else "prior-only" for count in table.counts.tolist()],
+        )
     )
 
-    rows = []
-    for record in panel_records:
-        observations = []
-        for review in record.reviews:
-            consensus = aggregate.ConsensusRubric(review.rubric.values)
-            s = aggregate.score(consensus, functional, schema)
-            observations.append((s, _review_variance(review_variances, review.reviewer_id)))
-        posterior = bayes.posterior_update(prior, observations)
-        p_accept = bayes.acceptance_probability(posterior, threshold)
-        robust = bayes.credible_robust(posterior, threshold, alpha)
-        solicit = bayes.solicit_worthwhile(posterior, threshold, alpha, solicit_variance)
-        rows.append(
-            (
-                record.submission_id,
-                len(record.reviews),
-                posterior.mean,
-                posterior.variance,
-                p_accept,
-                p_accept >= 0.5,
-                robust,
-                solicit,
-                "" if record.reviews else "prior-only",
-            )
-        )
-
+    run = _Run(args.out, "bayes", None, args.config, inputs)
     run.write(
         "bayes.csv",
         metrics.csv_text(
@@ -634,43 +638,56 @@ def cmd_bayes(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- detector
 
 
-def cmd_detector_eval(args: argparse.Namespace) -> int:
-    panels = _panels_from_file(args.panels)
-    run = _Run(args.out, "detector-eval", None, None, [args.panels])
+def _confusion(
+    predicted: np.ndarray, truth: np.ndarray, count: Callable[[np.ndarray], np.ndarray]
+) -> list[list[int]]:
+    """[tp, fp, tn, fn], each as the list ``count`` makes of a selection mask."""
+    return [
+        count(predicted & truth).tolist(),
+        count(predicted & ~truth).tolist(),
+        count(~predicted & ~truth).tolist(),
+        count(~predicted & truth).tolist(),
+    ]
 
-    roster = sorted({r.reviewer_id for p in panels for r in p.reviews})
+
+def cmd_detector_eval(args: argparse.Namespace) -> int:
+    table = records.load_panel_table(args.panels)
+    table.validate(require_labels=True)
+
+    per_reviewer = _confusion(
+        table.flags, table.labels[table.panel_index], table.reviewer_counts
+    )
+    per_panel = _confusion(
+        table.any_flag, table.labels, lambda mask: np.array([np.count_nonzero(mask)])
+    )
     table_rows = []
     csv_rows = []
-    for name in [*roster, "any"]:
-        if name == "any":
-            subset = panels
-            counts = metrics.detector_counts(panels, None)
-        else:
-            subset = [p for p in panels if name in p.reviewer_ids]
-            counts = metrics.detector_counts(subset, name)
+    for name, tp, fp, tn, fn in zip(
+        [*table.roster, "any"], *(a + b for a, b in zip(per_reviewer, per_panel))
+    ):
+        counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
         m = metrics.detector_metrics(counts)
-        csv_rows.append(
-            (name, counts.tp, counts.fp, counts.tn, counts.fn, m.tpr, m.fpr, m.accuracy, m.f1)
-        )
+        csv_rows.append((name, tp, fp, tn, fn, m.tpr, m.fpr, m.accuracy, m.f1))
         table_rows.append(
             (
                 name,
-                f"{metrics.format_percent(m.tpr)} ({counts.tp}/{counts.tp + counts.fn})",
-                f"{metrics.format_percent(m.fpr)} ({counts.fp}/{counts.fp + counts.tn})",
-                f"{metrics.format_percent(m.accuracy)} ({counts.tp + counts.tn}/{counts.total})",
+                f"{metrics.format_percent(m.tpr)} ({tp}/{tp + fn})",
+                f"{metrics.format_percent(m.fpr)} ({fp}/{fp + tn})",
+                f"{metrics.format_percent(m.accuracy)} ({tp + tn}/{counts.total})",
                 metrics.format_percent(m.f1),
             )
         )
 
     # fair-coin reference: TPR/FPR/Acc 50% in expectation, F1 from prevalence
-    positives = sum(1 for p in panels if p.fabrication_label)
-    negatives = len(panels) - positives
+    positives = int(np.count_nonzero(table.labels))
+    negatives = len(table) - positives
     baseline_f1 = 2 * positives / (3 * positives + negatives) if positives else 0.0
     csv_rows.append(("random-baseline", None, None, None, None, 0.5, 0.5, 0.5, baseline_f1))
     table_rows.append(
         ("random-baseline", "50.0%", "50.0%", "50.0%", metrics.format_percent(baseline_f1))
     )
 
+    run = _Run(args.out, "detector-eval", None, None, [args.panels])
     run.write(
         "detector.csv",
         metrics.csv_text(
@@ -681,7 +698,7 @@ def cmd_detector_eval(args: argparse.Namespace) -> int:
     report = [
         "detector evaluation",
         "",
-        f"labeled panels: {len(panels)}",
+        f"labeled panels: {len(table)}",
         "",
         metrics.aligned_table(["reviewer", "tpr", "fpr", "accuracy", "f1"], table_rows),
     ]
@@ -727,20 +744,6 @@ def _simulate_section(config: Mapping[str, Any], experiment: str) -> Mapping[str
     if not isinstance(section, dict):
         raise _config_error(f"simulate.{experiment}: must be an object")
     return section
-
-
-def _config_field(
-    section: Mapping[str, Any], path: str, key: str, parse: Callable[[Any], Any], default: Any
-) -> Any:
-    """``parse(section[key])``, or ``default`` when absent; errors name the key path."""
-    if key not in section:
-        return default
-    try:
-        return parse(section[key])
-    except KeyError as exc:
-        raise _config_error(f"{path}.{key}: missing key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise _config_error(f"{path}.{key}: {exc}") from exc
 
 
 def _int_tuple(values: Sequence[Any]) -> tuple[int, ...]:

@@ -8,7 +8,9 @@ One JSON object per line.  Panel lines look like
 
 where "label" and "feedback" are optional and a review may carry a
 scalar "overall" instead of a "rubric" (it becomes a one-criterion
-rubric).  Calibration lines look like
+rubric).  A panel file is parsed once, into a columnar ``PanelTable``;
+``load_panel_records`` builds ``PanelRecord`` objects from it.
+Calibration lines look like
 
     {"id": "c1", "score": 6.5, "accept": true, "status": "accept"}
 
@@ -20,14 +22,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
-from .core import CalibrationRecord, ReviewPanel, ReviewRecord, RubricVector
+import numpy as np
+
+from .core import CalibrationRecord, ReviewPanel, ReviewRecord, RubricSchema, RubricVector
 
 __all__ = [
     "RecordError",
     "PanelRecord",
+    "PanelTable",
+    "load_panel_table",
     "load_panel_records",
     "load_calibration_records",
     "load_config",
@@ -56,6 +63,147 @@ class PanelRecord:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class PanelTable:
+    """A panel file as columns: one entry per panel, one row per review.
+
+    The reviews of all panels lie back to back in file order; panel ``i``
+    owns review rows ``offsets[i]:offsets[i + 1]``.  ``rubric`` has one
+    column per criterion of the longest rubric and is NaN past each
+    review's ``criteria`` count.  Reviewers are codes into ``roster``, the
+    sorted distinct reviewer ids.  Labels absent from the file are False in
+    ``labels`` and False in ``labeled``.
+    """
+
+    path: str
+    ids: tuple[str, ...]
+    lines: np.ndarray  # (P,) line number of each panel
+    counts: np.ndarray  # (P,) reviews per panel
+    offsets: np.ndarray  # (P + 1,) first review row of each panel, then N
+    labels: np.ndarray  # (P,) bool
+    labeled: np.ndarray  # (P,) bool
+    roster: tuple[str, ...]
+    reviewer: np.ndarray  # (N,) roster codes
+    rubric: np.ndarray  # (N, K) float
+    criteria: np.ndarray  # (N,) rubric length of each review
+    flags: np.ndarray  # (N,) bool
+    feedback: tuple[str, ...]  # (N,)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    @cached_property
+    def panel_index(self) -> np.ndarray:
+        """(N,) the panel each review belongs to."""
+        return np.repeat(np.arange(len(self)), self.counts)
+
+    @cached_property
+    def any_flag(self) -> np.ndarray:
+        """(P,) whether any review of the panel is flagged."""
+        return np.bincount(self.panel_index[self.flags], minlength=len(self)) > 0
+
+    def where(self, i: int) -> str:
+        """``path:line`` of panel ``i``."""
+        return f"{self.path}:{self.lines[i]}"
+
+    def error(self, i: int, message: str) -> RecordError:
+        return RecordError(f"{self.where(i)}: {message}")
+
+    def require(self, ok: np.ndarray, message: str) -> None:
+        """Raise ``path:line: message`` at the first panel where ``ok`` is false.
+
+        ``{id}`` in ``message`` becomes that panel's quoted id.
+        """
+        bad = np.flatnonzero(~ok)
+        if bad.size:
+            i = int(bad[0])
+            raise self.error(i, message.format(id=repr(self.ids[i])))
+
+    def reviewer_where(self, code: int) -> str:
+        """``path:line`` of the first panel reviewed by roster member ``code``."""
+        return self.where(int(self.panel_index[np.argmax(self.reviewer == code)]))
+
+    def reviewer_counts(self, mask: np.ndarray | None = None) -> np.ndarray:
+        """Per roster member, how many of its reviews ``mask`` selects (all if None)."""
+        codes = self.reviewer if mask is None else self.reviewer[mask]
+        return np.bincount(codes, minlength=len(self.roster))
+
+    def panel_sums(self, values: np.ndarray, start: float = 0.0) -> np.ndarray:
+        """(P,) ``start`` plus each panel's per-review ``values``, added left to right.
+
+        This is the order of a scalar accumulation loop and of Python's
+        ``sum`` (before 3.12, which compensates), so the totals match them
+        bit for bit; ``np.add.reduceat`` adds in another order.
+        """
+        total = np.full(len(self), start, dtype=float)
+        for j in range(int(self.counts.max(initial=0))):
+            panels = np.flatnonzero(self.counts > j)
+            total[panels] += values[self.offsets[panels] + j]
+        return total
+
+    def record(self, i: int) -> PanelRecord:
+        """Panel ``i`` as a ``PanelRecord``."""
+        rows = range(self.offsets[i], self.offsets[i + 1])
+        reviews = tuple(
+            ReviewRecord(
+                self.roster[self.reviewer[j]],
+                RubricVector(tuple(self.rubric[j, : self.criteria[j]].tolist())),
+                bool(self.flags[j]),
+                self.feedback[j],
+            )
+            for j in rows
+        )
+        label = bool(self.labels[i]) if self.labeled[i] else None
+        return PanelRecord(self.ids[i], reviews, label)
+
+    def validate(
+        self,
+        schema: RubricSchema | None = None,
+        *,
+        require_reviews: bool = True,
+        require_labels: bool = False,
+    ) -> None:
+        """Check every panel as ``ReviewPanel`` and ``validate_schema`` check one.
+
+        Panels without reviews fail when ``require_reviews`` is set and are
+        skipped otherwise.  The checks run on the columns; the first failing
+        panel is then rebuilt as an object, whose own error is raised with
+        the panel's ``path:line`` in front.
+        """
+        if require_reviews:
+            self.require(self.counts > 0, "panel {id} has no reviews")
+        panel_of = self.panel_index
+        key = panel_of * len(self.roster) + self.reviewer
+        order = np.argsort(key, kind="stable")
+        repeated = np.zeros(len(key), dtype=bool)
+        repeated[order[1:][key[order][1:] == key[order][:-1]]] = True
+        ragged = self.criteria != self.criteria[self.offsets[panel_of]]
+        self._raise_first(repeated | ragged, lambda panel: None)
+        if schema is not None:
+            k = schema.criteria_count
+            fits = self.criteria == k
+            if self.rubric.shape[1] >= k:
+                lo, hi = np.array(schema.bounds).T
+                values = self.rubric[:, :k]
+                fits &= ((values >= lo) & (values <= hi)).all(axis=1)
+            else:
+                fits[:] = False
+            self._raise_first(~fits, lambda panel: panel.validate_schema(schema))
+        if require_labels:
+            self.require(self.labeled, "panel {id} has no fabrication_label")
+
+    def _raise_first(self, bad_reviews: np.ndarray, check: Callable[[ReviewPanel], None]) -> None:
+        bad = np.flatnonzero(bad_reviews)
+        if not bad.size:
+            return
+        i = int(self.panel_index[bad[0]])
+        try:
+            check(self.record(i).to_panel())
+        except ValueError as exc:
+            raise self.error(i, str(exc)) from None
+        raise AssertionError(f"{self.where(i)}: column check and object check disagree")
+
+
 def _context(path: str | Path, line_no: int, message: str) -> RecordError:
     return RecordError(f"{path}:{line_no}: {message}")
 
@@ -78,62 +226,53 @@ def _get_number(obj: Mapping[str, Any], key: str) -> float:
     value = obj.get(key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"field {key!r} must be a number")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(f"field {key!r} must be finite")
     return value
 
 
-def _parse_review(obj: Any) -> ReviewRecord:
+def _all_finite(values: list[Any] | tuple[Any, ...]) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+_NUMBER_TYPES = {int, float}  # JSON numbers; bool is not among them
+
+
+def _review_fields(obj: Any) -> tuple[str, list[Any], bool, str]:
+    """Reviewer, rubric values, flag and feedback of one review object.
+
+    Checks what ``ReviewRecord`` and ``RubricVector`` check, with their
+    messages; an ``overall`` number becomes a one-criterion rubric.
+    """
     if not isinstance(obj, dict):
         raise ValueError("each review must be a JSON object")
     reviewer = _get_str(obj, "reviewer")
     if "rubric" in obj:
-        raw = obj["rubric"]
-        if not isinstance(raw, list) or not raw:
+        values = obj["rubric"]
+        if not isinstance(values, list) or not values:
             raise ValueError("field 'rubric' must be a non-empty array of numbers")
-        values = []
-        for k, v in enumerate(raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"field 'rubric[{k}]' must be a number")
-            values.append(float(v))
-        rubric = RubricVector(tuple(values))
+        if not set(map(type, values)) <= _NUMBER_TYPES:
+            k = next(k for k, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
+            raise ValueError(f"field 'rubric[{k}]' must be a number")
+        if not _all_finite(values):
+            k = next(k for k, v in enumerate(values) if not _all_finite((v,)))
+            raise ValueError(f"values[{k}]: must be finite, got {values[k]!r}")
     elif "overall" in obj:
-        rubric = RubricVector((_get_number(obj, "overall"),))
+        values = [_get_number(obj, "overall")]
     else:
         raise ValueError("each review needs a 'rubric' array or an 'overall' number")
     flag = _get_bool(obj, "flag")
-    feedback = ""
-    if "feedback" in obj:
-        if not isinstance(obj["feedback"], str):
-            raise ValueError("field 'feedback' must be a string")
-        feedback = obj["feedback"]
-    return ReviewRecord(
-        reviewer_id=reviewer, rubric=rubric, integrity_flag=flag, feedback=feedback
-    )
-
-
-def _parse_panel_line(obj: Any) -> PanelRecord:
-    if not isinstance(obj, dict):
-        raise ValueError("each line must be a JSON object")
-    submission_id = _get_str(obj, "id")
-    label: bool | None = None
-    if "label" in obj and obj["label"] is not None:
-        if not isinstance(obj["label"], bool):
-            raise ValueError("field 'label' must be a boolean or null")
-        label = obj["label"]
-    raw_reviews = obj.get("reviews")
-    if not isinstance(raw_reviews, list):
-        raise ValueError("field 'reviews' must be an array")
-    reviews = []
-    for i, raw in enumerate(raw_reviews):
-        try:
-            reviews.append(_parse_review(raw))
-        except ValueError as exc:
-            raise ValueError(f"reviews[{i}]: {exc}") from exc
-    return PanelRecord(
-        submission_id=submission_id, reviews=tuple(reviews), fabrication_label=label
-    )
+    feedback = obj.get("feedback", "")
+    if not isinstance(feedback, str):
+        raise ValueError("field 'feedback' must be a string")
+    return reviewer, values, flag, feedback
 
 
 def read_text(path: str | Path) -> str:
@@ -155,22 +294,89 @@ def _iter_json_lines(path: str | Path):
             raise _context(path, line_no, f"invalid JSON: {exc.msg}") from exc
 
 
-def load_panel_records(path: str | Path) -> list[PanelRecord]:
-    """Load panel JSONL; duplicate panel ids are rejected."""
-    out: list[PanelRecord] = []
+def load_panel_table(path: str | Path) -> PanelTable:
+    """Parse panel JSONL into a PanelTable; duplicate panel ids are rejected.
+
+    Only the per-line checks run here; ``PanelTable.validate`` checks the
+    panels as a whole.
+    """
+    ids: list[str] = []
+    lines: list[int] = []
+    counts: list[int] = []
+    labels: list[bool | None] = []
+    codes: dict[str, int] = {}  # reviewer id -> code in order of first appearance
+    reviewer: list[int] = []
+    values: list[Any] = []
+    criteria: list[int] = []
+    flags: list[bool] = []
+    feedback: list[str] = []
     seen: set[str] = set()
     for line_no, obj in _iter_json_lines(path):
         try:
-            record = _parse_panel_line(obj)
+            if not isinstance(obj, dict):
+                raise ValueError("each line must be a JSON object")
+            submission_id = _get_str(obj, "id")
+            label = obj.get("label")
+            if label is not None and not isinstance(label, bool):
+                raise ValueError("field 'label' must be a boolean or null")
+            reviews = obj.get("reviews")
+            if not isinstance(reviews, list):
+                raise ValueError("field 'reviews' must be an array")
+            for i, raw in enumerate(reviews):
+                try:
+                    name, row, flag, text = _review_fields(raw)
+                except ValueError as exc:
+                    raise ValueError(f"reviews[{i}]: {exc}") from exc
+                reviewer.append(codes.setdefault(name, len(codes)))
+                values.extend(row)
+                criteria.append(len(row))
+                flags.append(flag)
+                feedback.append(text)
         except ValueError as exc:
             raise _context(path, line_no, str(exc)) from exc
-        if record.submission_id in seen:
-            raise _context(path, line_no, f"duplicate panel id {record.submission_id!r}")
-        seen.add(record.submission_id)
-        out.append(record)
-    if not out:
+        if submission_id in seen:
+            raise _context(path, line_no, f"duplicate panel id {submission_id!r}")
+        seen.add(submission_id)
+        ids.append(submission_id)
+        lines.append(line_no)
+        counts.append(len(reviews))
+        labels.append(label)
+    if not ids:
         raise RecordError(f"{path}: no records found")
-    return out
+
+    roster = sorted(codes)
+    rank = np.empty(len(roster), dtype=np.intp)
+    rank[[codes[name] for name in roster]] = np.arange(len(roster))
+    widths = np.array(criteria, dtype=np.intp)
+    width = int(widths.max(initial=0))
+    flat = np.array(values, dtype=float)
+    if (widths == width).all():
+        rubric = flat.reshape(len(widths), width)
+    else:
+        rubric = np.full((len(widths), width), np.nan)
+        rubric[np.arange(width) < widths[:, None]] = flat
+    count_array = np.array(counts, dtype=np.intp)
+    return PanelTable(
+        path=str(path),
+        ids=tuple(ids),
+        lines=np.array(lines),
+        counts=count_array,
+        offsets=np.concatenate(([0], np.cumsum(count_array))),
+        labels=np.array([label is True for label in labels]),
+        labeled=np.array([label is not None for label in labels]),
+        roster=tuple(roster),
+        reviewer=rank[np.array(reviewer, dtype=np.intp)],
+        rubric=rubric,
+        criteria=widths,
+        flags=np.array(flags, dtype=bool),
+        feedback=tuple(feedback),
+    )
+
+
+def load_panel_records(path: str | Path) -> list[PanelRecord]:
+    """Load panel JSONL as records; duplicate panel ids are rejected."""
+    table = load_panel_table(path)
+    return [table.record(i) for i in range(len(table))]
 
 
 def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:

@@ -1,0 +1,8 @@
+"""Test-suite settings: property tests draw the same examples on every run."""
+
+from hypothesis import settings
+
+settings.register_profile(
+    "panelcal", derandomize=True, deadline=None, max_examples=40, database=None
+)
+settings.load_profile("panelcal")

@@ -479,6 +479,95 @@ def test_detector_eval_requires_labels(tmp_path, capsys):
     assert "no fabrication_label" in err
 
 
+# ---------------------------------------------------------------- fail closed
+
+
+LINEAR = {"kind": "linear", "coefficients": [0.5, 0.5]}
+
+
+def panel_bayes_config(review_variances):
+    return {"functional": LINEAR,
+            "bayes": {"prior_mean": 5.0, "prior_variance": 4.0, "threshold": 5.0,
+                      "review_variances": review_variances}}
+
+
+@pytest.mark.parametrize(
+    ("command", "config", "message"),
+    [
+        ("review", {"functional": LINEAR, "weights": "gls", "gls_variances": {"m1": 1.0, "m2": 2.0}},
+         "config: gls_variances.m3: no variance for reviewer 'm3' (first review at {panels}:3)"),
+        ("review", {"functional": LINEAR, "weights": "gls",
+                    "gls_variances": {"m1": 1.0, "m2": 0, "m3": 1.0}},
+         "config: gls_variances.m2: must be a finite number > 0, got 0"),
+        ("bayes", panel_bayes_config({"m1": "abc", "default": 1.0}),
+         "config: bayes.review_variances.m1: must be a finite number > 0, got 'abc'"),
+        ("bayes", panel_bayes_config({"m1": 1.0, "m2": 1.0}),
+         "config: bayes.review_variances.m3: no variance for reviewer 'm3' and no default "
+         "(first review at {panels}:3)"),
+        ("detector-eval", None, "{panels}:1: panel 'p1' has no fabrication_label"),
+        ("review", {"functional": LINEAR, "weights": {"m1": 0, "m2": 0, "m3": 1.0}},
+         "{panels}:1: the panel's reviewer weights from config sum to 0; must be > 0"),
+        ("review", {"functional": {"kind": "linear", "coefficients": [0.5, 0.5, 1.0]}},
+         "{panels}:1: rubric length differs from the functional's 3 coefficients"),
+    ],
+    ids=["gls-missing", "gls-not-positive", "bayes-not-numeric", "bayes-no-default",
+         "detector-unlabeled", "weights-sum-zero", "coefficient-count"],
+)
+def test_panel_commands_fail_before_run_dir(tmp_path, capsys, command, config, message):
+    panels = write(tmp_path, "panels.jsonl", PANELS)
+    argv = [command, "--panels", panels]
+    if command == "review":
+        argv += ["--thresholds", write(tmp_path, "thresholds.json", THRESHOLDS)]
+    if config is not None:
+        argv += ["--config", write_json(tmp_path, "config.json", config)]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err == f"error: {message.format(panels=panels)}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    ("lines", "message"),
+    [
+        ('{"id": "p1", "reviews": [{"reviewer": "m1", "rubric": [6, 8], "flag": false}, '
+         '{"reviewer": "m1", "rubric": [8, 6], "flag": true}]}',
+         "{panels}:2: reviews: duplicate reviewer_id 'm1'"),
+        ('{"id": "p1", "reviews": [{"reviewer": "m1", "rubric": [6, 8], "flag": false}, '
+         '{"reviewer": "m2", "rubric": [8, 6, 1], "flag": true}]}',
+         "{panels}:2: reviews: rubric length mismatch: 'm2' has 3, expected 2"),
+        ('{"id": "p1", "reviews": [{"reviewer": "m1", "rubric": [6, 11], "flag": false}]}',
+         "{panels}:2: panel 'p1', reviewer 'm1': values[1]: score 11.0 outside bounds [1.0, 10.0]"),
+    ],
+    ids=["duplicate-reviewer", "rubric-length", "schema-bounds"],
+)
+def test_panel_errors_name_the_line(tmp_path, capsys, lines, message):
+    panels = write(tmp_path, "panels.jsonl", "\n" + lines + "\n")
+    config = write_json(tmp_path, "config.json",
+                        {"schema": {"criteria_count": 2, "bounds": [[1, 10], [1, 10]]}})
+    code, _, err = run_cli(capsys, "review", "--panels", panels,
+                           "--thresholds", write(tmp_path, "thresholds.json", THRESHOLDS),
+                           "--config", config, "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err == f"error: {message.format(panels=panels)}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_bayes_settings_checked_before_run_dir(tmp_path, capsys):
+    panels = write(tmp_path, "panels.jsonl", BAYES_PANELS)
+    for key, value, message in [
+        ("alpha", 1.5, "config: bayes.alpha: must lie strictly in (0, 1), got 1.5"),
+        ("solicit_variance", -1, "config: bayes.solicit_variance: must be a finite number > 0, got -1"),
+    ]:
+        config = bayes_config(7.0)
+        config["bayes"][key] = value
+        code, _, err = run_cli(capsys, "bayes", "--panels", panels,
+                               "--config", write_json(tmp_path, "config.json", config),
+                               "--out", str(tmp_path / "runs"))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "runs").exists()
+
+
 # ---------------------------------------------------------------- simulate
 
 
