@@ -19,6 +19,7 @@ from .core import (
     ReviewPanel,
     RubricSchema,
     ScoringFunctional,
+    left_sum,
 )
 
 __all__ = [
@@ -180,7 +181,7 @@ def gls_weights(projected_variances: Sequence[float]) -> ReviewerWeights:
         if not math.isfinite(v) or v <= 0:
             raise ValueError(f"projected_variances[{m}]: must be finite and > 0, got {v!r}")
     inverse = [1.0 / v for v in variances]
-    total = sum(inverse)
+    total = left_sum(inverse)
     return ReviewerWeights(tuple(x / total for x in inverse))
 
 

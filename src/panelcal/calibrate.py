@@ -7,8 +7,10 @@ isotonic fit of the conditional tail probability
 
     pi(z) = P(human accepts | agent score >= z)
 
-reaches 1/2.  Stratified subsampling (score bins crossed with review
-status, largest-remainder quotas) builds the calibration set itself.
+reaches 1/2, found exactly as a level-set argmin (``tau05_from_scores``);
+the PAVA fit (``isotonic_fit``) gives the curve for ``curve.csv``.
+Stratified subsampling (score bins crossed with review status,
+largest-remainder quotas) builds the calibration set itself.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -31,6 +33,7 @@ __all__ = [
     "cell_populations",
     "allocate_quotas",
     "stratified_sample",
+    "stratify",
     "empirical_acceptance",
     "rate_matching_threshold",
     "tail_probability_points",
@@ -121,15 +124,7 @@ class StratificationPlan:
         return {
             "bin_edges": list(self.bin_edges),
             "status_vocabulary": list(self.status_vocabulary),
-            "cells": [
-                {
-                    "bin_index": c.bin_index,
-                    "status": c.status,
-                    "population": c.population,
-                    "quota": c.quota,
-                }
-                for c in self.cells
-            ],
+            "cells": [asdict(c) for c in self.cells],
         }
 
 
@@ -176,12 +171,29 @@ class IsotonicCurve:
         return tuple(k[2] for k in self.knots)
 
 
-def _bin_index(score: float, edges: Sequence[float]) -> int:
-    # bins are [e_i, e_{i+1}) except the last, which includes its upper edge
-    if score < edges[0] or score > edges[-1]:
-        raise ValueError(f"score {score} outside binning range [{edges[0]}, {edges[-1]}]")
-    idx = bisect.bisect_right(edges, score) - 1
-    return min(idx, len(edges) - 2)
+def _cell_members(
+    records: Sequence[CalibrationRecord],
+    edges: Sequence[float],
+    status_vocabulary: Sequence[str],
+) -> dict[tuple[int, str], list[int]]:
+    """Indices of the records in each (score bin, status) cell, in record order."""
+    vocab = tuple(status_vocabulary)
+    members: dict[tuple[int, str], list[int]] = {}
+    for idx, rec in enumerate(records):
+        score = rec.agent_score
+        if rec.status not in vocab:
+            raise ValueError(
+                f"record {rec.submission_id!r}: status {rec.status!r} not in vocabulary {vocab}"
+            )
+        if score < edges[0] or score > edges[-1]:
+            raise ValueError(
+                f"record {rec.submission_id!r}: score {score} outside binning range "
+                f"[{edges[0]}, {edges[-1]}]"
+            )
+        # bins are [e_i, e_{i+1}) except the last, which includes its upper edge
+        b = min(bisect.bisect_right(edges, score) - 1, len(edges) - 2)
+        members.setdefault((b, rec.status), []).append(idx)
+    return members
 
 
 def cell_populations(
@@ -190,20 +202,8 @@ def cell_populations(
     status_vocabulary: Sequence[str],
 ) -> dict[tuple[int, str], int]:
     """Count pool records per (score bin, status) cell."""
-    vocab = tuple(status_vocabulary)
-    counts: dict[tuple[int, str], int] = {}
-    for rec in records:
-        if rec.status not in vocab:
-            raise ValueError(
-                f"record {rec.submission_id!r}: status {rec.status!r} not in vocabulary {vocab}"
-            )
-        try:
-            b = _bin_index(rec.agent_score, bin_edges)
-        except ValueError as exc:
-            raise ValueError(f"record {rec.submission_id!r}: {exc}") from exc
-        key = (b, rec.status)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    members = _cell_members(records, bin_edges, status_vocabulary)
+    return {key: len(idx) for key, idx in members.items()}
 
 
 def allocate_quotas(
@@ -278,18 +278,33 @@ def stratified_sample(
     Returns the selected records in pool order.  The plan must be feasible:
     every cell's quota has to fit inside the pool's actual cell population.
     """
-    members: dict[tuple[int, str], list[int]] = {}
-    for idx, rec in enumerate(pool):
-        if rec.status not in plan.status_vocabulary:
-            raise ValueError(
-                f"record {rec.submission_id!r}: status {rec.status!r} not in plan vocabulary"
-            )
-        try:
-            b = _bin_index(rec.agent_score, plan.bin_edges)
-        except ValueError as exc:
-            raise ValueError(f"record {rec.submission_id!r}: {exc}") from exc
-        members.setdefault((b, rec.status), []).append(idx)
+    return _draw(pool, _cell_members(pool, plan.bin_edges, plan.status_vocabulary), plan, seed)
 
+
+def stratify(
+    pool: Sequence[CalibrationRecord],
+    n_cal: int,
+    bin_edges: Sequence[float],
+    status_vocabulary: Sequence[str],
+    seed: int,
+) -> tuple[StratificationPlan, list[CalibrationRecord]]:
+    """Plan and draw a stratified sample; returns (plan, sample).
+
+    Same as ``allocate_quotas`` on ``cell_populations``, then
+    ``stratified_sample``, but bins the pool once.
+    """
+    members = _cell_members(pool, bin_edges, status_vocabulary)
+    populations = {key: len(idx) for key, idx in members.items()}
+    plan = allocate_quotas(populations, n_cal, bin_edges, status_vocabulary)
+    return plan, _draw(pool, members, plan, seed)
+
+
+def _draw(
+    pool: Sequence[CalibrationRecord],
+    members: Mapping[tuple[int, str], list[int]],
+    plan: StratificationPlan,
+    seed: int,
+) -> list[CalibrationRecord]:
     rng = np.random.default_rng(seed)
     chosen: list[int] = []
     for cell in plan.cells:
@@ -336,12 +351,9 @@ def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> floa
     uniq, first = np.unique(ordered, return_index=True)
     rates = (n - first) / n
     gaps = np.abs(rates - target_rate)
-    sentinel_gap = target_rate  # acceptance 0 at +inf
-    best = min(float(gaps.min()), sentinel_gap)
-    finite_hits = np.nonzero(gaps == best)[0]
-    if finite_hits.size:
-        return float(uniq[finite_hits[0]])
-    return math.inf
+    best = int(np.argmin(gaps))  # the first, so the smallest of tied thresholds
+    # the sentinel's acceptance is 0, so its gap is target_rate; finite wins ties
+    return float(uniq[best]) if gaps[best] <= target_rate else math.inf
 
 
 def tail_probability_points(
@@ -397,12 +409,7 @@ def _pava(values: Sequence[float], weights: Sequence[float]) -> np.ndarray:
             swv[-1] += top_swv
             sw[-1] += top_sw
             cnt[-1] += top_cnt
-    out = np.empty(len(values), dtype=float)
-    pos = 0
-    for block_swv, block_sw, block_len in zip(swv, sw, cnt):
-        out[pos : pos + block_len] = block_swv / block_sw
-        pos += block_len
-    return out
+    return np.repeat(np.divide(swv, sw), cnt)
 
 
 def isotonic_fit(points: Sequence[tuple[float, float, float]]) -> IsotonicCurve:
@@ -412,11 +419,6 @@ def isotonic_fit(points: Sequence[tuple[float, float, float]]) -> IsotonicCurve:
     ts = [float(p[0]) for p in points]
     values = [float(p[1]) for p in points]
     weights = [float(p[2]) for p in points]
-    for i, t in enumerate(ts):
-        if not math.isfinite(t):
-            raise ValueError(f"points[{i}]: threshold must be finite, got {t!r}")
-    if any(a >= b for a, b in zip(ts, ts[1:])):
-        raise ValueError("points: thresholds must be strictly increasing")
     for i, v in enumerate(values):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"points[{i}]: value must lie in [0, 1], got {v!r}")
@@ -445,36 +447,40 @@ def tau_05(curve: IsotonicCurve, level: float = 0.5) -> float:
 
 
 def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> float:
-    """Fit the tail curve on all distinct scores and return tau_05.
+    """Exact tau_05 of the tail curve over all distinct scores; accepts are 0/1.
 
-    Array fast path used by the bootstrap harness; equivalent to
-    fit_tau05 on the corresponding records.
+    {fit >= 1/2} of a weighted isotonic fit is the largest upper set that
+    minimizes sum_k w_k (1/2 - y_k) (Barlow et al. 1972; Best & Chakravarti
+    1990).  With N_k and A_k the records and accepts at or above the k-th
+    distinct score, that objective is the integer suffix sum
+    S_k = sum_{j >= k} (N_j - 2 A_j), with S = 0 past the last score, so
+    tau_05 is the score at the first argmin of S: unreachable when that
+    argmin is past the end.
     """
     s = np.asarray(scores, dtype=float)
-    a = np.asarray(accepts, dtype=float)
+    a = np.asarray(accepts)
     if s.size == 0 or s.shape != a.shape:
         raise ValueError("scores: must be non-empty and match accepts in length")
-    order = np.argsort(s, kind="stable")
-    s = s[order]
-    a = a[order]
-    suffix = np.concatenate([np.cumsum(a[::-1])[::-1], [0.0]])
-    uniq, first = np.unique(s, return_index=True)
-    counts = s.size - first
-    estimates = suffix[first] / counts
-    fitted = _pava(estimates.tolist(), counts.tolist())
-    hits = np.nonzero(fitted >= 0.5)[0]
-    if hits.size == 0:
+    accepted = a == 1
+    if not np.all(accepted | (a == 0)):
+        raise ValueError("accepts: must be 0 or 1")
+    uniq, inverse = np.unique(s, return_inverse=True)
+    # counted from the top: tail_n[i] and tail_a[i] are N and A at uniq[-1 - i]
+    tail_n = np.cumsum(np.bincount(inverse, minlength=uniq.size)[::-1])
+    tail_a = np.cumsum(np.bincount(inverse[accepted], minlength=uniq.size)[::-1])
+    level = np.concatenate([np.cumsum(tail_n - 2 * tail_a)[::-1], [0]])  # S_0 .. S_m
+    k = int(np.argmin(level))
+    if k == uniq.size:
+        # the last PAVA block: the largest suffix mean of the tail curve
+        peak = float(np.max(np.cumsum(tail_a) / np.cumsum(tail_n)))
         raise ThresholdUnreachableError(
-            f"fitted curve never reaches 0.5 (max fitted value {float(fitted[-1]):.6g})"
+            f"fitted curve never reaches 0.5 (max fitted value {peak:.6g})"
         )
-    return float(uniq[hits[0]])
+    return float(uniq[k])
 
 
 def fit_tau05(records: Sequence[CalibrationRecord]) -> tuple[float, IsotonicCurve]:
-    """Full tau_05 pipeline on records: tail estimates, isotonic fit, crossing."""
-    if not records:
-        raise ValueError("records: must be non-empty")
-    candidates = sorted({r.agent_score for r in records})
-    points = tail_probability_points(records, candidates)
-    curve = isotonic_fit(points)
-    return tau_05(curve), curve
+    """tau_05 of the records, and the isotonic fit of their tail curve."""
+    scores = [r.agent_score for r in records]
+    tau = tau05_from_scores(scores, [r.human_accept for r in records])
+    return tau, isotonic_fit(tail_probability_points(records, sorted(set(scores))))

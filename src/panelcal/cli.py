@@ -9,11 +9,12 @@ Subcommands:
 * ``simulate``       Monte-Carlo experiments (margins, threshold-error, variance)
 * ``bound``          print one bound value (tail, margin, scalar, dkw, tau05)
 
-Every data-producing run writes into a fresh directory under ``--out``:
-a ``manifest.json`` (command, seed, input digests, UTC timestamps) is
-written before any output and finalized afterwards; nothing is ever
-overwritten.  Exit codes: 0 success, 2 input or config error,
-3 calibration infeasible, 4 simulation property-check failure.
+Every data-producing run that completes writes into a fresh directory
+under ``--out``: its outputs, then a ``manifest.json`` (command, seed,
+input and output digests, UTC timestamps); nothing is ever overwritten.
+A command that stops on an error creates no directory.  Exit codes:
+0 success, 2 input or config error, 3 calibration infeasible, 4
+simulation property-check failure (its run directory is still written).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -53,7 +54,7 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Provenance for one run directory."""
+    """Provenance for one run directory, written as ``manifest.json``."""
 
     command: str
     tool_version: str
@@ -64,31 +65,6 @@ class RunManifest:
     input_digests: dict[str, str]
     output_digests: dict[str, str]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "input_digests": dict(self.input_digests),
-            "output_digests": dict(self.output_digests),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RunManifest":
-        return cls(
-            command=str(data["command"]),
-            tool_version=str(data["tool_version"]),
-            started_at=str(data["started_at"]),
-            finished_at=None if data.get("finished_at") is None else str(data["finished_at"]),
-            seed=None if data.get("seed") is None else int(data["seed"]),
-            config_digest=None if data.get("config_digest") is None else str(data["config_digest"]),
-            input_digests={str(k): str(v) for k, v in data.get("input_digests", {}).items()},
-            output_digests={str(k): str(v) for k, v in data.get("output_digests", {}).items()},
-        )
-
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -98,13 +74,8 @@ def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_manifest(run_dir: Path, manifest: RunManifest) -> None:
-    text = json.dumps(manifest.to_dict(), indent=2, sort_keys=True) + "\n"
-    (run_dir / "manifest.json").write_text(text, encoding="utf-8")
-
-
 class _Run:
-    """A run directory plus its manifest lifecycle."""
+    """One run's manifest and outputs, kept in memory until ``finish`` writes them."""
 
     def __init__(
         self,
@@ -114,9 +85,7 @@ class _Run:
         config_path: str | None,
         input_paths: Sequence[str],
     ) -> None:
-        input_digests = {}
-        for p in input_paths:
-            input_digests[str(p)] = _sha256_file(Path(p))
+        input_digests = {str(p): _sha256_file(Path(p)) for p in input_paths}
         config_digest = None if config_path is None else _sha256_file(Path(config_path))
         ident = hashlib.sha256(
             json.dumps(
@@ -125,16 +94,9 @@ class _Run:
             ).encode()
         ).hexdigest()[:8]
         stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-        base = Path(out_base)
-        base.mkdir(parents=True, exist_ok=True)
-        name = f"{command}-{stamp}-{ident}"
-        run_dir = base / name
-        suffix = 1
-        while run_dir.exists():
-            suffix += 1
-            run_dir = base / f"{name}-{suffix}"
-        run_dir.mkdir()
-        self.dir = run_dir
+        self.out_base = Path(out_base)
+        self.name = f"{command}-{stamp}-{ident}"
+        self.outputs: dict[str, str] = {}
         self.manifest = RunManifest(
             command=command,
             tool_version=__version__,
@@ -145,30 +107,31 @@ class _Run:
             input_digests=input_digests,
             output_digests={},
         )
-        _write_manifest(run_dir, self.manifest)
 
-    def write(self, name: str, text: str) -> Path:
-        path = self.dir / name
-        if path.exists():
-            raise RuntimeError(f"refusing to overwrite {path}")
-        path.write_text(text, encoding="utf-8")
-        return path
+    def write(self, name: str, text: str) -> None:
+        if name in self.outputs:
+            raise RuntimeError(f"refusing to overwrite {name}")
+        self.outputs[name] = text
 
     def finish(self) -> None:
-        outputs = {
-            p.name: _sha256_file(p)
-            for p in sorted(self.dir.iterdir())
-            if p.name != "manifest.json" and p.is_file()
-        }
-        self.manifest = RunManifest(
-            **{
-                **self.manifest.to_dict(),
-                "finished_at": _utc_now(),
-                "output_digests": outputs,
-            }
+        """Create the run directory, write the outputs, then the manifest."""
+        self.out_base.mkdir(parents=True, exist_ok=True)
+        run_dir = self.out_base / self.name
+        suffix = 1
+        while run_dir.exists():
+            suffix += 1
+            run_dir = self.out_base / f"{self.name}-{suffix}"
+        run_dir.mkdir()
+        for name, text in self.outputs.items():
+            (run_dir / name).write_text(text, encoding="utf-8")
+        manifest = replace(
+            self.manifest,
+            finished_at=_utc_now(),
+            output_digests={name: _sha256_file(run_dir / name) for name in sorted(self.outputs)},
         )
-        _write_manifest(self.dir, self.manifest)
-        print(f"run directory: {self.dir}")
+        text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+        (run_dir / "manifest.json").write_text(text, encoding="utf-8")
+        print(f"run directory: {run_dir}")
 
 
 # ---------------------------------------------------------------- config
@@ -211,18 +174,31 @@ def _functional_from_config(
     return functional
 
 
+_REQUIRED = object()
+
+
 def _config_field(
-    section: Mapping[str, Any], path: str, key: str, parse: Callable[[Any], Any], default: Any
+    section: Mapping[str, Any],
+    path: str,
+    key: str,
+    parse: Callable[[Any], Any],
+    default: Any = _REQUIRED,
 ) -> Any:
-    """``parse(section[key])``, or ``default`` when absent; errors name the key path."""
+    """``parse(section[key])``, or ``default`` when absent (required without one).
+
+    Errors name the key path; ``path`` is "" for the top level.
+    """
+    where = f"{path}.{key}" if path else key
     if key not in section:
+        if default is _REQUIRED:
+            raise _config_error(f"{where}: required")
         return default
     try:
         return parse(section[key])
     except KeyError as exc:
-        raise _config_error(f"{path}.{key}: missing key {exc.args[0]!r}") from exc
+        raise _config_error(f"{where}: missing key {exc.args[0]!r}") from exc
     except (TypeError, ValueError) as exc:
-        raise _config_error(f"{path}.{key}: {exc}") from exc
+        raise _config_error(f"{where}: {exc}") from exc
 
 
 def _number_check(requirement: str, ok: Callable[[float], bool]) -> Callable[[Any], float]:
@@ -240,9 +216,41 @@ def _number_check(requirement: str, ok: Callable[[float], bool]) -> Callable[[An
     return parse
 
 
+_finite = _number_check("be a finite number", math.isfinite)
 _positive = _number_check("be a finite number > 0", lambda x: math.isfinite(x) and x > 0)
 _non_negative = _number_check("be a finite number >= 0", lambda x: math.isfinite(x) and x >= 0)
 _probability = _number_check("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
+
+
+def _positive_int(value: Any) -> int:
+    """A config value parser: an integer >= 1 (JSON true/false are not integers)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _object(value: Any) -> dict[str, Any]:
+    """A config value parser: a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError("must be an object")
+    return value
+
+
+def _bin_edges(value: Any) -> list[float]:
+    """A config value parser: at least two finite, strictly increasing numbers."""
+    if not isinstance(value, list) or len(value) < 2:
+        raise ValueError(f"must be a list of at least 2 numbers, got {value!r}")
+    edges = [_finite(v) for v in value]
+    if any(a >= b for a, b in zip(edges, edges[1:])):
+        raise ValueError(f"must be strictly increasing, got {value!r}")
+    return edges
+
+
+def _string_list(value: Any) -> list[str]:
+    """A config value parser: a list of strings."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"must be a list of strings, got {value!r}")
+    return value
 
 
 def _per_reviewer(
@@ -327,40 +335,29 @@ def _load_thresholds(path: str) -> DecisionThresholds:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    if "target_rate" not in config:
-        raise _config_error("target_rate: required for calibration")
-    target_rate = float(config["target_rate"])
-    delta = float(config.get("delta", 0.05))
+    target_rate = _config_field(config, "", "target_rate", _probability)
+    delta = _config_field(config, "", "delta", _probability, 0.05)
+    stratify = _config_field(config, "", "stratify", _object, None)
+    if stratify is not None:
+        n_cal = _config_field(stratify, "stratify", "n_cal", _positive_int)
+        edges = _config_field(stratify, "stratify", "bin_edges", _bin_edges)
+        vocab = _config_field(stratify, "stratify", "status_vocabulary", _string_list)
     pool = records.load_calibration_records(args.records)
 
-    run = _Run(
-        args.out,
-        "calibrate",
-        args.seed,
-        args.config,
-        [args.records],
-    )
+    run = _Run(args.out, "calibrate", args.seed, args.config, [args.records])
 
     used = pool
     plan = None
-    if "stratify" in config:
-        raw = config["stratify"]
-        if not isinstance(raw, dict):
-            raise _config_error("stratify: must be an object")
-        try:
-            n_cal = int(raw["n_cal"])
-            edges = [float(e) for e in raw["bin_edges"]]
-            vocab = [str(s) for s in raw["status_vocabulary"]]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise _config_error(f"stratify: {exc}") from exc
-        populations = calibrate.cell_populations(pool, edges, vocab)
-        plan = calibrate.allocate_quotas(populations, n_cal, edges, vocab)
-        used = calibrate.stratified_sample(pool, plan, 0 if args.seed is None else args.seed)
+    if stratify is not None:
+        seed = 0 if args.seed is None else args.seed
+        plan, used = calibrate.stratify(pool, n_cal, edges, vocab, seed)
 
     scores = [r.agent_score for r in used]
     tau_rate = calibrate.rate_matching_threshold(scores, target_rate)
     achieved = calibrate.empirical_acceptance(scores, tau_rate)
-    tau05, curve = calibrate.fit_tau05(used)
+    tau05 = calibrate.tau05_from_scores(scores, [r.human_accept for r in used])
+    points = calibrate.tail_probability_points(used, sorted(set(scores)))
+    curve = calibrate.isotonic_fit(points)
     thresholds = DecisionThresholds(
         tau_rate=tau_rate,
         tau_05=tau05,
@@ -368,27 +365,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         calibration_size=len(used),
     )
 
-    payload = dict(thresholds.to_dict())
-    payload["stratified"] = plan is not None
-    payload["seed"] = args.seed
-    run.write(
-        "thresholds.json", json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    payload = {**asdict(thresholds), "stratified": plan is not None, "seed": args.seed}
+    run.write("thresholds.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if plan is not None:
         run.write("plan.json", json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    candidates = sorted({r.agent_score for r in used})
-    points = calibrate.tail_probability_points(used, candidates)
     run.write(
         "curve.csv",
         metrics.csv_text(
             ["threshold", "raw_estimate", "fitted", "weight"],
-            [
-                (t, raw_value, fit, weight)
-                for (t, raw_value, _), (fit, weight) in zip(
-                    points, zip(curve.fitted, curve.weights)
-                )
-            ],
+            [(t, raw, fit, weight) for (t, raw, weight), fit in zip(points, curve.fitted)],
         ),
     )
 
@@ -516,16 +502,12 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     raw_bayes = config.get("bayes")
     if not isinstance(raw_bayes, dict):
         raise _config_error("bayes: required object with prior_mean and prior_variance")
-    try:
-        prior = GaussianPosterior(
-            float(raw_bayes["prior_mean"]), float(raw_bayes["prior_variance"])
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _config_error(f"bayes prior: {exc}") from exc
+    prior = GaussianPosterior(
+        _config_field(raw_bayes, "bayes", "prior_mean", _finite),
+        _config_field(raw_bayes, "bayes", "prior_variance", _positive),
+    )
     alpha = _config_field(raw_bayes, "bayes", "alpha", _probability, 0.05)
-    review_variances = raw_bayes.get("review_variances", {})
-    if not isinstance(review_variances, dict):
-        raise _config_error("bayes.review_variances: must be an object")
+    review_variances = _config_field(raw_bayes, "bayes", "review_variances", _object, {})
     solicit_variance = _config_field(raw_bayes, "bayes", "solicit_variance", _positive, None)
     if solicit_variance is None:
         solicit_variance = _config_field(
@@ -735,15 +717,10 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 def _simulate_section(config: Mapping[str, Any], experiment: str) -> Mapping[str, Any]:
     """The ``simulate.<experiment>`` config object; empty when absent."""
-    raw = config.get("simulate", {})
-    if not isinstance(raw, dict):
-        raise _config_error("simulate: must be an object")
-    section = raw.get(experiment)
-    if section is None:
+    raw = _config_field(config, "", "simulate", _object, {})
+    if raw.get(experiment) is None:
         return {}
-    if not isinstance(section, dict):
-        raise _config_error(f"simulate.{experiment}: must be an object")
-    return section
+    return _config_field(raw, "simulate", experiment, _object)
 
 
 def _int_tuple(values: Sequence[Any]) -> tuple[int, ...]:
@@ -840,6 +817,16 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
         replicates = args.replicates
     if args.seed is not None:
         seed = args.seed
+    size = settings.cohort.n_papers
+    if not grid or grid[0] < 2 or grid[-1] > size or any(b <= a for a, b in zip(grid, grid[1:])):
+        where = "--grid" if args.grid is not None else f"config: {path}.n_cal_grid"
+        raise RecordError(
+            f"{where}: calibration sizes must be strictly increasing integers in [2, {size}], "
+            f"got {list(grid)}"
+        )
+    if replicates < 2:
+        where = "--replicates" if args.replicates is not None else f"config: {path}.replicates"
+        raise RecordError(f"{where}: must be an integer >= 2, got {replicates}")
 
     run = _Run(args.out, "simulate-threshold-error", seed, args.config, [])
     population = simulate.synthetic_calibration_population(settings)

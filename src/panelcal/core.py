@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 __all__ = [
     "RubricSchema",
@@ -26,6 +26,7 @@ __all__ = [
     "DecisionThresholds",
     "GaussianPosterior",
     "ConfusionCounts",
+    "left_sum",
 ]
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -33,6 +34,14 @@ _WEIGHT_SUM_TOL = 1e-9
 
 def _fail(field: str, message: str) -> None:
     raise ValueError(f"{field}: {message}")
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Float sum added left to right, like ``PanelTable.panel_sums`` (not 3.12's ``sum``)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def _check_finite(field: str, value: float) -> float:
@@ -216,7 +225,7 @@ class ReviewerWeights:
                 _fail(f"weights[{m}]", f"must be finite, got {w!r}")
             if w < 0:
                 _fail(f"weights[{m}]", f"must be non-negative, got {w}")
-        total = sum(weights)
+        total = left_sum(weights)
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             _fail("weights", f"must sum to 1 within {_WEIGHT_SUM_TOL}, got sum {total!r}")
         object.__setattr__(self, "weights", tuple(w / total for w in weights))
@@ -402,14 +411,6 @@ class DecisionThresholds:
         object.__setattr__(self, "target_rate", rate)
         if not isinstance(self.calibration_size, int) or self.calibration_size < 1:
             _fail("calibration_size", f"must be an integer >= 1, got {self.calibration_size!r}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tau_rate": self.tau_rate,
-            "tau_05": self.tau_05,
-            "target_rate": self.target_rate,
-            "calibration_size": self.calibration_size,
-        }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "DecisionThresholds":

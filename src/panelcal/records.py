@@ -131,9 +131,10 @@ class PanelTable:
     def panel_sums(self, values: np.ndarray, start: float = 0.0) -> np.ndarray:
         """(P,) ``start`` plus each panel's per-review ``values``, added left to right.
 
-        This is the order of a scalar accumulation loop and of Python's
-        ``sum`` (before 3.12, which compensates), so the totals match them
-        bit for bit; ``np.add.reduceat`` adds in another order.
+        This is the order of ``core.left_sum``, which ``ReviewerWeights``
+        and ``aggregate.gls_weights`` use, so the totals match them bit for
+        bit; ``np.add.reduceat`` and, from Python 3.12, builtin ``sum`` add
+        in another order.
         """
         total = np.full(len(self), start, dtype=float)
         for j in range(int(self.counts.max(initial=0))):

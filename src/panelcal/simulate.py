@@ -398,7 +398,9 @@ def threshold_bootstrap(
     """Bootstrap |tau_05(subsample) - tau_05(population)| per n_cal.
 
     Subsamples are uniform without replacement.  Replicates whose curve
-    never reaches 1/2 count as failures and are excluded from the mean.
+    never reaches 1/2 count as failures and are excluded from the mean;
+    ThresholdUnreachableError is raised when every replicate of one n_cal
+    fails.
     """
     if not population:
         raise ValueError("population: must be non-empty")
@@ -433,7 +435,7 @@ def threshold_bootstrap(
                 continue
             errors.append(abs(tau_hat - tau_true))
         if not errors:
-            raise RuntimeError(f"n_cal={n}: every replicate failed to reach 1/2")
+            raise ThresholdUnreachableError(f"n_cal={n}: every replicate failed to reach 1/2")
         mean = float(np.mean(errors))
         stderr = float(np.std(errors, ddof=1) / math.sqrt(len(errors))) if len(errors) > 1 else 0.0
         rows.append(ThresholdErrorRow(n_cal=n, mean_abs_err=mean, stderr=stderr, failures=failures))

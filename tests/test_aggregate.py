@@ -20,6 +20,7 @@ from panelcal.core import (
     RubricSchema,
     RubricVector,
     ScoringFunctional,
+    left_sum,
 )
 
 
@@ -85,6 +86,19 @@ def test_decision_consistency_enforced():
         Decision(6.0, 7.0, True, -1.0)
     with pytest.raises(ValueError, match="margin"):
         Decision(6.0, 7.0, False, -0.5)
+
+
+def test_weights_are_summed_left_to_right():
+    # builtin sum gives 1.0 here from Python 3.12 (compensated summation)
+    total = left_sum([0.1] * 10)
+    assert total == 0.9999999999999999
+    assert ReviewerWeights((0.1,) * 10).weights == (0.1 / total,) * 10
+    # six inverse variances of 1/3: here the two orders give different weights
+    inverse = [1.0 / 3.0] * 6
+    assert left_sum(inverse) != math.fsum(inverse)
+    expected = ReviewerWeights(tuple(x / left_sum(inverse) for x in inverse))
+    assert gls_weights((3.0,) * 6) == expected
+    assert expected != ReviewerWeights(tuple(x / math.fsum(inverse) for x in inverse))
 
 
 def test_gls_weights_inverse_variance():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelcal.calibrate import (
     CellQuota,
@@ -321,20 +323,35 @@ def test_fit_tau05_unreachable():
         fit_tau05(records)
 
 
-def test_tau05_from_scores_matches_record_route():
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        n = int(rng.integers(5, 60))
-        scores = np.round(rng.uniform(0.0, 10.0, n), 1)
-        prob = 1.0 / (1.0 + np.exp(-(scores - 5.0)))
-        accepts = rng.uniform(size=n) < prob
-        if not accepts.any():
-            continue
-        records = make_pool(scores, accepts=accepts.tolist())
-        try:
-            expected, _ = fit_tau05(records)
-        except ThresholdUnreachableError:
-            with pytest.raises(ThresholdUnreachableError):
-                tau05_from_scores(scores, accepts.astype(float))
-            continue
-        assert tau05_from_scores(scores, accepts.astype(float)) == expected
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.integers(0, 12), st.booleans()), min_size=1, max_size=40),
+    st.sampled_from(["drawn", "all-reject", "all-accept"]),
+)
+def test_tau05_from_scores_matches_record_route(pairs, mode):
+    # scores on a 0.5 grid, so most draws have ties
+    scores = [k / 2 for k, _ in pairs]
+    accepts = [{"drawn": a, "all-reject": False, "all-accept": True}[mode] for _, a in pairs]
+    records = make_pool(scores, accepts=accepts)
+    curve = isotonic_fit(tail_probability_points(records, sorted(set(scores))))
+    try:
+        expected = tau_05(curve)
+    except ThresholdUnreachableError as exc:
+        with pytest.raises(ThresholdUnreachableError) as got:
+            tau05_from_scores(scores, accepts)
+        assert str(got.value) == str(exc)
+        assert str(got.value).startswith("fitted curve never reaches 0.5 (max fitted value ")
+        return
+    assert tau05_from_scores(scores, accepts) == expected
+    assert tau05_from_scores(np.array(scores), np.array(accepts, dtype=float)) == expected
+
+
+def test_tau05_from_scores_rejects_bad_inputs():
+    with pytest.raises(ValueError, match="accepts: must be 0 or 1"):
+        tau05_from_scores([1.0, 2.0], [1.0, 0.5])
+    with pytest.raises(ValueError, match="accepts: must be 0 or 1"):
+        tau05_from_scores([1.0], [math.nan])
+    with pytest.raises(ValueError, match="match accepts"):
+        tau05_from_scores([1.0, 2.0], [1.0])
+    with pytest.raises(ValueError, match="non-empty"):
+        tau05_from_scores([], [])

@@ -1,9 +1,16 @@
+import collections
+import contextlib
+import io
 import json
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from panelcal import calibrate
 from panelcal.cli import main
 
 POOL = """\
@@ -20,6 +27,8 @@ PANELS = """\
 {"id": "p2", "reviews": [{"reviewer": "m1", "rubric": [3, 4], "flag": false}, {"reviewer": "m2", "rubric": [4, 4], "flag": false}]}
 {"id": "p3", "reviews": [{"reviewer": "m1", "rubric": [9, 8], "flag": true}, {"reviewer": "m3", "rubric": [8, 10], "flag": true}]}
 """
+
+STRATIFY = {"n_cal": 4, "bin_edges": [0.0, 5.0, 8.0], "status_vocabulary": ["accept", "reject"]}
 
 THRESHOLDS = '{"tau_rate": 7.0, "tau_05": 4.0, "target_rate": 0.3, "calibration_size": 6}\n'
 
@@ -172,6 +181,23 @@ def test_calibrate_stratified_deterministic(tmp_path, capsys):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+def test_calibrate_fits_and_bins_once(tmp_path, capsys, monkeypatch):
+    calls = collections.Counter()
+    for name in ("_pava", "tail_probability_points", "_cell_members"):
+
+        def counted(*args, _name=name, _original=getattr(calibrate, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(calibrate, name, counted)
+    pool = write(tmp_path, "pool.jsonl", POOL)
+    config = write_json(tmp_path, "config.json", {"target_rate": 0.33, "stratify": STRATIFY})
+    code, _, _ = run_cli(capsys, "calibrate", "--records", pool, "--config", config,
+                         "--seed", "3", "--out", str(tmp_path / "runs"))
+    assert code == 0
+    assert calls == {"_pava": 1, "tail_probability_points": 1, "_cell_members": 1}
+
+
 def test_calibrate_infeasible_exits_3(tmp_path, capsys):
     pool = write(
         tmp_path,
@@ -183,8 +209,116 @@ def test_calibrate_infeasible_exits_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "calibrate", "--records", pool, "--config", config,
                            "--out", str(tmp_path / "runs"))
     assert code == 3
-    assert "calibration infeasible" in err
-    assert "never reaches 0.5" in err
+    assert err == (
+        "error: calibration infeasible: fitted curve never reaches 0.5 (max fitted value 0)\n"
+    )
+    assert not (tmp_path / "runs").exists()
+
+
+def test_threshold_error_every_replicate_failing_exits_3(tmp_path, capsys):
+    population = dict(SMALL_POPULATION, size=2000, link_midpoint=8.5)
+    config = write_json(tmp_path, "config.json",
+                        {"simulate": {"threshold_error": {"population": population}}})
+    code, out, err = run_cli(capsys, "simulate", "threshold-error", "--config", config,
+                             "--grid", "2", "--replicates", "2", "--out", str(tmp_path / "runs"))
+    assert code == 3
+    assert out == ""
+    assert err == "error: calibration infeasible: n_cal=2: every replicate failed to reach 1/2\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    ("config", "message"),
+    [
+        ({}, "config: target_rate: required"),
+        ({"target_rate": "x"}, "config: target_rate: must lie strictly in (0, 1), got 'x'"),
+        ({"target_rate": 1.5}, "config: target_rate: must lie strictly in (0, 1), got 1.5"),
+        ({"target_rate": 0.3, "delta": 1.5}, "config: delta: must lie strictly in (0, 1), got 1.5"),
+        ({"target_rate": 0.3, "stratify": [4]}, "config: stratify: must be an object"),
+        ({"target_rate": 0.3, "stratify": dict(STRATIFY, n_cal="x")},
+         "config: stratify.n_cal: must be an integer >= 1, got 'x'"),
+        ({"target_rate": 0.3, "stratify": dict(STRATIFY, n_cal=True)},
+         "config: stratify.n_cal: must be an integer >= 1, got True"),
+        ({"target_rate": 0.3, "stratify": {"n_cal": 4, "status_vocabulary": ["accept"]}},
+         "config: stratify.bin_edges: required"),
+        ({"target_rate": 0.3, "stratify": dict(STRATIFY, bin_edges=[5.0, 0.0])},
+         "config: stratify.bin_edges: must be strictly increasing, got [5.0, 0.0]"),
+        ({"target_rate": 0.3, "stratify": dict(STRATIFY, bin_edges=[])},
+         "config: stratify.bin_edges: must be a list of at least 2 numbers, got []"),
+        ({"target_rate": 0.3, "stratify": dict(STRATIFY, status_vocabulary="accept")},
+         "config: stratify.status_vocabulary: must be a list of strings, got 'accept'"),
+    ],
+    ids=["no-rate", "rate-string", "rate-above-1", "delta-above-1", "stratify-list",
+         "n-cal-string", "n-cal-bool", "no-edges", "edges-decreasing", "edges-empty",
+         "vocabulary-string"],
+)
+def test_calibrate_bad_config_exit_2_before_run(tmp_path, capsys, config, message):
+    pool = write(tmp_path, "pool.jsonl", POOL)
+    code, _, err = run_cli(capsys, "calibrate", "--records", pool,
+                           "--config", write_json(tmp_path, "config.json", config),
+                           "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert f"error: {message}\n" == err
+    assert not (tmp_path / "runs").exists()
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-1, 9), st.floats(-1.0, 10.0), st.text(max_size=2)), max_size=4),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+def mostly(valid):
+    """``valid`` or, in a minority of draws, any JSON value."""
+    return st.integers(0, 5).flatmap(lambda k: JSON_VALUES if k == 0 else valid)
+
+
+STRATIFY_CONFIGS = st.fixed_dictionaries(
+    {
+        "n_cal": mostly(st.integers(1, 6)),
+        # POOL scores run from 2 to 7: a top edge of 6.5 leaves one record outside
+        "bin_edges": mostly(
+            st.tuples(
+                st.sampled_from([0.0, 2.0]),
+                st.lists(st.sampled_from([4.5, 6.0]), unique=True).map(sorted),
+                st.sampled_from([6.5, 8.0]),
+            ).map(lambda t: [t[0], *t[1], t[2]])
+        ),
+        "status_vocabulary": mostly(
+            st.sampled_from([["accept", "reject"], ["reject", "accept", "hold"], ["accept"], [""]])
+        ),
+    }
+)
+
+
+@settings(max_examples=150)
+@given(
+    st.fixed_dictionaries(
+        {"target_rate": mostly(st.floats(0.05, 0.95))},
+        optional={"delta": mostly(st.floats(0.01, 0.99)), "stratify": mostly(STRATIFY_CONFIGS)},
+    )
+)
+# the one record drawn is a reject: tau_05 is unreachable, exit 3
+@example({"target_rate": 0.5, "stratify": {"n_cal": 1, "bin_edges": [0.0, 8.0],
+                                            "status_vocabulary": ["reject", "accept"]}})
+def test_calibrate_config_fuzz(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        pool = write(tmp_path, "pool.jsonl", POOL)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["calibrate", "--records", pool,
+                         "--config", write_json(tmp_path, "config.json", config),
+                         "--seed", "1", "--out", str(tmp_path / "runs")])
+        assert code in (0, 2, 3)
+        assert (tmp_path / "runs").exists() == (code == 0)
+        if code:
+            assert err.getvalue().startswith("error: ")
 
 
 def test_calibrate_config_and_input_errors(tmp_path, capsys):
@@ -662,9 +796,17 @@ def test_simulate_threshold_error_flat_link_fails_checks(tmp_path, capsys):
         (["variance", "--m", "0,3"], None, "--m: panel sizes must be integers >= 1, got [0, 3]"),
         (["margins"], {"simulate": {"margins": {"m_grid": [0, 2]}}},
          "config: simulate.margins.m_grid: panel sizes must be integers >= 1, got [0, 2]"),
+        (["threshold-error"], {"simulate": {"threshold_error": {"n_cal_grid": [1, 5]}}},
+         "config: simulate.threshold_error.n_cal_grid: calibration sizes must be strictly "
+         "increasing integers in [2, 20000], got [1, 5]"),
+        (["threshold-error", "--grid", "50,50"], None,
+         "--grid: calibration sizes must be strictly increasing integers in [2, 20000], "
+         "got [50, 50]"),
+        (["threshold-error"], {"simulate": {"threshold_error": {"replicates": 1}}},
+         "config: simulate.threshold_error.replicates: must be an integer >= 2, got 1"),
     ],
     ids=["simulate-list", "section-list", "partial-spec", "partial-population", "m-zero-flag",
-         "m-zero-config"],
+         "m-zero-config", "grid-below-2", "grid-flag-repeated", "one-replicate"],
 )
 def test_simulate_bad_settings_exit_2_before_run(tmp_path, capsys, argv, config, message):
     if config is not None:
