@@ -11,19 +11,25 @@ reaches 1/2, found exactly as a level-set argmin (``tau05_from_scores``);
 the PAVA fit (``isotonic_fit``) gives the curve for ``curve.csv``.
 Stratified subsampling (score bins crossed with review status,
 largest-remainder quotas) builds the calibration set itself.
+
+A pool is either a sequence of ``CalibrationRecord``s or a
+``records.CalibrationTable``; either way the work runs on the table's
+columns, and a subsample comes back in the form the pool came in.
 """
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
 from .core import CalibrationRecord
+from .records import CalibrationTable
+
+Pool = Union[Sequence[CalibrationRecord], CalibrationTable]
 
 __all__ = [
     "ThresholdUnreachableError",
@@ -36,6 +42,7 @@ __all__ = [
     "stratify",
     "empirical_acceptance",
     "rate_matching_threshold",
+    "distinct_scores",
     "tail_probability_points",
     "isotonic_fit",
     "tau_05",
@@ -171,33 +178,53 @@ class IsotonicCurve:
         return tuple(k[2] for k in self.knots)
 
 
+def _table(pool: Pool) -> CalibrationTable:
+    return pool if isinstance(pool, CalibrationTable) else CalibrationTable.from_records(pool)
+
+
+def _subset(pool: Pool, indices: np.ndarray) -> Pool:
+    """The pool's records at ``indices``, as a table or a list like the pool."""
+    if isinstance(pool, CalibrationTable):
+        return pool.take(indices)
+    return [pool[i] for i in indices.tolist()]
+
+
 def _cell_members(
-    records: Sequence[CalibrationRecord],
+    records: Pool,
     edges: Sequence[float],
     status_vocabulary: Sequence[str],
-) -> dict[tuple[int, str], list[int]]:
+) -> dict[tuple[int, str], np.ndarray]:
     """Indices of the records in each (score bin, status) cell, in record order."""
+    table = _table(records)
     vocab = tuple(status_vocabulary)
-    members: dict[tuple[int, str], list[int]] = {}
-    for idx, rec in enumerate(records):
-        score = rec.agent_score
-        if rec.status not in vocab:
+    codes = {s: k for k, s in enumerate(vocab)}
+    status = np.array([codes.get(s, -1) for s in table.statuses], dtype=np.intp)
+    scores = table.scores
+    outside = (scores < edges[0]) | (scores > edges[-1])
+    bad = np.flatnonzero((status < 0) | outside)
+    if bad.size:
+        i = int(bad[0])
+        if status[i] < 0:
             raise ValueError(
-                f"record {rec.submission_id!r}: status {rec.status!r} not in vocabulary {vocab}"
+                f"{table.where(i)}: status {table.statuses[i]!r} not in vocabulary {vocab}"
             )
-        if score < edges[0] or score > edges[-1]:
-            raise ValueError(
-                f"record {rec.submission_id!r}: score {score} outside binning range "
-                f"[{edges[0]}, {edges[-1]}]"
-            )
-        # bins are [e_i, e_{i+1}) except the last, which includes its upper edge
-        b = min(bisect.bisect_right(edges, score) - 1, len(edges) - 2)
-        members.setdefault((b, rec.status), []).append(idx)
-    return members
+        raise ValueError(
+            f"{table.where(i)}: score {float(scores[i])} outside binning range "
+            f"[{edges[0]}, {edges[-1]}]"
+        )
+    # bins are [e_i, e_{i+1}) except the last, which includes its upper edge
+    bins = np.searchsorted(np.asarray(edges, dtype=float), scores, side="right") - 1
+    cell = np.minimum(bins, len(edges) - 2) * len(vocab) + status
+    order = np.argsort(cell, kind="stable")
+    keys, starts = np.unique(cell[order], return_index=True)
+    return {
+        (int(key) // len(vocab), vocab[int(key) % len(vocab)]): members
+        for key, members in zip(keys, np.split(order, starts[1:]))
+    }
 
 
 def cell_populations(
-    records: Sequence[CalibrationRecord],
+    records: Pool,
     bin_edges: Sequence[float],
     status_vocabulary: Sequence[str],
 ) -> dict[tuple[int, str], int]:
@@ -268,26 +295,23 @@ def allocate_quotas(
     return StratificationPlan(bin_edges=edges, status_vocabulary=vocab, cells=cells)
 
 
-def stratified_sample(
-    pool: Sequence[CalibrationRecord],
-    plan: StratificationPlan,
-    seed: int,
-) -> list[CalibrationRecord]:
+def stratified_sample(pool: Pool, plan: StratificationPlan, seed: int) -> Pool:
     """Draw each cell's quota uniformly without replacement, deterministically.
 
     Returns the selected records in pool order.  The plan must be feasible:
     every cell's quota has to fit inside the pool's actual cell population.
     """
-    return _draw(pool, _cell_members(pool, plan.bin_edges, plan.status_vocabulary), plan, seed)
+    members = _cell_members(pool, plan.bin_edges, plan.status_vocabulary)
+    return _subset(pool, _draw(members, plan, seed))
 
 
 def stratify(
-    pool: Sequence[CalibrationRecord],
+    pool: Pool,
     n_cal: int,
     bin_edges: Sequence[float],
     status_vocabulary: Sequence[str],
     seed: int,
-) -> tuple[StratificationPlan, list[CalibrationRecord]]:
+) -> tuple[StratificationPlan, Pool]:
     """Plan and draw a stratified sample; returns (plan, sample).
 
     Same as ``allocate_quotas`` on ``cell_populations``, then
@@ -296,19 +320,19 @@ def stratify(
     members = _cell_members(pool, bin_edges, status_vocabulary)
     populations = {key: len(idx) for key, idx in members.items()}
     plan = allocate_quotas(populations, n_cal, bin_edges, status_vocabulary)
-    return plan, _draw(pool, members, plan, seed)
+    return plan, _subset(pool, _draw(members, plan, seed))
 
 
 def _draw(
-    pool: Sequence[CalibrationRecord],
-    members: Mapping[tuple[int, str], list[int]],
+    members: Mapping[tuple[int, str], np.ndarray],
     plan: StratificationPlan,
     seed: int,
-) -> list[CalibrationRecord]:
+) -> np.ndarray:
+    """Sorted indices of each cell's quota of its members, drawn with ``seed``."""
     rng = np.random.default_rng(seed)
-    chosen: list[int] = []
+    chosen: list[np.ndarray] = []
     for cell in plan.cells:
-        available = members.get((cell.bin_index, cell.status), [])
+        available = members.get((cell.bin_index, cell.status), np.empty(0, dtype=np.intp))
         if cell.quota > len(available):
             raise ValueError(
                 f"cells: quota {cell.quota} exceeds pool population {len(available)} "
@@ -316,10 +340,8 @@ def _draw(
             )
         if cell.quota == 0:
             continue
-        picks = rng.choice(len(available), size=cell.quota, replace=False)
-        chosen.extend(available[i] for i in picks)
-    chosen.sort()
-    return [pool[i] for i in chosen]
+        chosen.append(available[rng.choice(len(available), size=cell.quota, replace=False)])
+    return np.sort(np.concatenate(chosen))
 
 
 def empirical_acceptance(scores: Sequence[float], threshold: float) -> float:
@@ -356,8 +378,32 @@ def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> floa
     return float(uniq[best]) if gaps[best] <= target_rate else math.inf
 
 
+def distinct_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:
+    """The distinct scores in increasing order, each as it first occurs.
+
+    Equal floats differ only in the sign of zero, so this is
+    ``sorted(set(scores))``: a pool holding 0.0 and -0.0 keeps whichever
+    comes first.
+    """
+    s = np.asarray(scores, dtype=float)
+    return s[np.unique(s, return_index=True)[1]]
+
+
+def _tail_counts(
+    scores: np.ndarray, accepted: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct scores ascending, and the records and accepts at or above each.
+
+    ``accepted`` is a boolean mask over ``scores``.
+    """
+    uniq, inverse = np.unique(scores, return_inverse=True)
+    tail_n = np.cumsum(np.bincount(inverse, minlength=uniq.size)[::-1])[::-1]
+    tail_a = np.cumsum(np.bincount(inverse[accepted], minlength=uniq.size)[::-1])[::-1]
+    return uniq, tail_n, tail_a
+
+
 def tail_probability_points(
-    records: Sequence[CalibrationRecord],
+    records: Pool,
     thresholds: Sequence[float],
 ) -> list[tuple[float, float, float]]:
     """Raw conditional acceptance estimates at candidate thresholds.
@@ -366,7 +412,8 @@ def tail_probability_points(
     records with score >= z, weighted by that tail count.  Thresholds must
     be strictly increasing and every tail must be non-empty.
     """
-    if not records:
+    table = _table(records)
+    if not len(table):
         raise ValueError("records: must be non-empty")
     cand = np.asarray(thresholds, dtype=float)
     if cand.size == 0:
@@ -375,18 +422,13 @@ def tail_probability_points(
         raise ValueError("thresholds: must be finite")
     if np.any(np.diff(cand) <= 0):
         raise ValueError("thresholds: must be strictly increasing")
-    scores = np.array([r.agent_score for r in records], dtype=float)
-    accepts = np.array([r.human_accept for r in records], dtype=float)
-    order = np.argsort(scores, kind="stable")
-    scores = scores[order]
-    accepts = accepts[order]
-    suffix = np.concatenate([np.cumsum(accepts[::-1])[::-1], [0.0]])
-    idx = np.searchsorted(scores, cand, side="left")
-    counts = scores.size - idx
+    uniq, tail_n, tail_a = _tail_counts(table.scores, table.accepts)
+    idx = np.searchsorted(uniq, cand, side="left")
+    counts = np.append(tail_n, 0)[idx]
     if np.any(counts == 0):
         bad = cand[np.nonzero(counts == 0)[0][0]]
         raise ValueError(f"thresholds: no records with score >= {bad}")
-    estimates = suffix[idx] / counts
+    estimates = np.append(tail_a, 0)[idx] / counts
     return [
         (float(t), float(p), float(c))
         for t, p, c in zip(cand, estimates, counts)
@@ -464,23 +506,20 @@ def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> floa
     accepted = a == 1
     if not np.all(accepted | (a == 0)):
         raise ValueError("accepts: must be 0 or 1")
-    uniq, inverse = np.unique(s, return_inverse=True)
-    # counted from the top: tail_n[i] and tail_a[i] are N and A at uniq[-1 - i]
-    tail_n = np.cumsum(np.bincount(inverse, minlength=uniq.size)[::-1])
-    tail_a = np.cumsum(np.bincount(inverse[accepted], minlength=uniq.size)[::-1])
-    level = np.concatenate([np.cumsum(tail_n - 2 * tail_a)[::-1], [0]])  # S_0 .. S_m
+    uniq, tail_n, tail_a = _tail_counts(s, accepted)
+    level = np.append(np.cumsum((tail_n - 2 * tail_a)[::-1])[::-1], 0)  # S_0 .. S_m
     k = int(np.argmin(level))
     if k == uniq.size:
         # the last PAVA block: the largest suffix mean of the tail curve
-        peak = float(np.max(np.cumsum(tail_a) / np.cumsum(tail_n)))
+        peak = float(np.max(np.cumsum(tail_a[::-1]) / np.cumsum(tail_n[::-1])))
         raise ThresholdUnreachableError(
             f"fitted curve never reaches 0.5 (max fitted value {peak:.6g})"
         )
     return float(uniq[k])
 
 
-def fit_tau05(records: Sequence[CalibrationRecord]) -> tuple[float, IsotonicCurve]:
+def fit_tau05(records: Pool) -> tuple[float, IsotonicCurve]:
     """tau_05 of the records, and the isotonic fit of their tail curve."""
-    scores = [r.agent_score for r in records]
-    tau = tau05_from_scores(scores, [r.human_accept for r in records])
-    return tau, isotonic_fit(tail_probability_points(records, sorted(set(scores))))
+    table = _table(records)
+    tau = tau05_from_scores(table.scores, table.accepts)
+    return tau, isotonic_fit(tail_probability_points(table, distinct_scores(table.scores)))

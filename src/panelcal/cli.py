@@ -42,7 +42,7 @@ from .core import (
     RubricSchema,
     ScoringFunctional,
 )
-from .records import PanelTable, RecordError
+from .records import CalibrationTable, PanelTable, RecordError
 
 __all__ = ["RunManifest", "build_parser", "main", "run"]
 
@@ -222,11 +222,27 @@ _non_negative = _number_check("be a finite number >= 0", lambda x: math.isfinite
 _probability = _number_check("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
-def _positive_int(value: Any) -> int:
-    """A config value parser: an integer >= 1 (JSON true/false are not integers)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"must be an integer >= 1, got {value!r}")
-    return value
+def _is_int(value: Any) -> bool:
+    """Whether ``value`` is a JSON integer (true/false are not integers)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_at_least(minimum: int) -> Callable[[Any], int]:
+    """A config value parser: an integer >= ``minimum``."""
+
+    def parse(value: Any) -> int:
+        if not _is_int(value) or value < minimum:
+            raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+        return value
+
+    return parse
+
+
+def _int_tuple(value: Any) -> tuple[int, ...]:
+    """A config value parser: a list of integers."""
+    if not isinstance(value, list) or not all(map(_is_int, value)):
+        raise ValueError(f"must be a list of integers, got {value!r}")
+    return tuple(value)
 
 
 def _object(value: Any) -> dict[str, Any]:
@@ -246,10 +262,12 @@ def _bin_edges(value: Any) -> list[float]:
     return edges
 
 
-def _string_list(value: Any) -> list[str]:
-    """A config value parser: a list of strings."""
+def _status_vocabulary(value: Any) -> list[str]:
+    """A config value parser: a list of distinct strings."""
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise ValueError(f"must be a list of strings, got {value!r}")
+    if len(set(value)) != len(value):
+        raise ValueError("entries must be unique")
     return value
 
 
@@ -333,16 +351,44 @@ def _load_thresholds(path: str) -> DecisionThresholds:
 # ---------------------------------------------------------------- calibrate
 
 
+def _check_strata(
+    pool: CalibrationTable, n_cal: int, edges: Sequence[float], vocab: Sequence[str]
+) -> None:
+    """The ``stratify`` cells must hold every pool record, and ``n_cal`` fit the pool.
+
+    ``calibrate.stratify`` checks the same; these errors name the config
+    key and the pool line.
+    """
+    known = set(vocab)
+    outside = (pool.scores < edges[0]) | (pool.scores > edges[-1])
+    if outside.any() or not known.issuperset(pool.statuses):
+        for i, status in enumerate(pool.statuses):
+            if status not in known:
+                raise RecordError(
+                    f"{pool.where(i)}: status {status!r} not in "
+                    f"stratify.status_vocabulary {list(vocab)}"
+                )
+            if outside[i]:
+                raise RecordError(
+                    f"{pool.where(i)}: score {float(pool.scores[i])} outside "
+                    f"stratify.bin_edges [{edges[0]}, {edges[-1]}]"
+                )
+    if n_cal > len(pool):
+        raise _config_error(f"stratify.n_cal: must be an integer in [1, {len(pool)}], got {n_cal}")
+
+
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     target_rate = _config_field(config, "", "target_rate", _probability)
     delta = _config_field(config, "", "delta", _probability, 0.05)
     stratify = _config_field(config, "", "stratify", _object, None)
     if stratify is not None:
-        n_cal = _config_field(stratify, "stratify", "n_cal", _positive_int)
+        n_cal = _config_field(stratify, "stratify", "n_cal", _int_at_least(1))
         edges = _config_field(stratify, "stratify", "bin_edges", _bin_edges)
-        vocab = _config_field(stratify, "stratify", "status_vocabulary", _string_list)
-    pool = records.load_calibration_records(args.records)
+        vocab = _config_field(stratify, "stratify", "status_vocabulary", _status_vocabulary)
+    pool = records.load_calibration_table(args.records)
+    if stratify is not None:
+        _check_strata(pool, n_cal, edges, vocab)
 
     run = _Run(args.out, "calibrate", args.seed, args.config, [args.records])
 
@@ -352,11 +398,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         seed = 0 if args.seed is None else args.seed
         plan, used = calibrate.stratify(pool, n_cal, edges, vocab, seed)
 
-    scores = [r.agent_score for r in used]
+    scores = used.scores
     tau_rate = calibrate.rate_matching_threshold(scores, target_rate)
     achieved = calibrate.empirical_acceptance(scores, tau_rate)
-    tau05 = calibrate.tau05_from_scores(scores, [r.human_accept for r in used])
-    points = calibrate.tail_probability_points(used, sorted(set(scores)))
+    tau05 = calibrate.tau05_from_scores(scores, used.accepts)
+    points = calibrate.tail_probability_points(used, calibrate.distinct_scores(scores))
     curve = calibrate.isotonic_fit(points)
     thresholds = DecisionThresholds(
         tau_rate=tau_rate,
@@ -723,10 +769,6 @@ def _simulate_section(config: Mapping[str, Any], experiment: str) -> Mapping[str
     return _config_field(raw, "simulate", experiment, _object)
 
 
-def _int_tuple(values: Sequence[Any]) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
-
-
 def _cohort_settings(
     config: Mapping[str, Any],
     args: argparse.Namespace,
@@ -809,12 +851,14 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
         simulate.default_population_settings(),
     )
     grid = _config_field(section, path, "n_cal_grid", _int_tuple, grid)
-    replicates = _config_field(section, path, "replicates", int, replicates)
-    seed = _config_field(section, path, "seed", int, seed)
+    replicates = _config_field(section, path, "replicates", _int_at_least(2), replicates)
+    seed = _config_field(section, path, "seed", _int_at_least(0), seed)
     if args.grid is not None:
         grid = _parse_int_list(args.grid, "--grid")
     if args.replicates is not None:
         replicates = args.replicates
+        if replicates < 2:
+            raise RecordError(f"--replicates: must be an integer >= 2, got {replicates}")
     if args.seed is not None:
         seed = args.seed
     size = settings.cohort.n_papers
@@ -824,9 +868,6 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
             f"{where}: calibration sizes must be strictly increasing integers in [2, {size}], "
             f"got {list(grid)}"
         )
-    if replicates < 2:
-        where = "--replicates" if args.replicates is not None else f"config: {path}.replicates"
-        raise RecordError(f"{where}: must be an integer >= 2, got {replicates}")
 
     run = _Run(args.out, "simulate-threshold-error", seed, args.config, [])
     population = simulate.synthetic_calibration_population(settings)

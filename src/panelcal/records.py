@@ -14,6 +14,9 @@ Calibration lines look like
 
     {"id": "c1", "score": 6.5, "accept": true, "status": "accept"}
 
+and a pool file is parsed once, into a columnar ``CalibrationTable``;
+``load_calibration_records`` builds ``CalibrationRecord`` objects from it.
+
 Malformed input raises RecordError naming the file, line, and field.
 """
 
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -36,6 +39,8 @@ __all__ = [
     "PanelTable",
     "load_panel_table",
     "load_panel_records",
+    "CalibrationTable",
+    "load_calibration_table",
     "load_calibration_records",
     "load_config",
     "read_text",
@@ -205,6 +210,62 @@ class PanelTable:
         raise AssertionError(f"{self.where(i)}: column check and object check disagree")
 
 
+@dataclass(frozen=True, eq=False)
+class CalibrationTable:
+    """A calibration pool as columns, one entry per record in file order.
+
+    A table built from records rather than read from a file has an empty
+    ``path``; its records are then named by their ids.
+    """
+
+    path: str
+    ids: tuple[str, ...]
+    lines: np.ndarray  # (N,) line number of each record
+    scores: np.ndarray  # (N,) float
+    accepts: np.ndarray  # (N,) bool
+    statuses: tuple[str, ...]
+
+    @classmethod
+    def from_records(cls, records: Sequence[CalibrationRecord]) -> CalibrationTable:
+        """The records as a table without a file."""
+        return cls(
+            path="",
+            ids=tuple(r.submission_id for r in records),
+            lines=np.arange(1, len(records) + 1),
+            scores=np.array([r.agent_score for r in records], dtype=float),
+            accepts=np.array([r.human_accept for r in records], dtype=bool),
+            statuses=tuple(r.status for r in records),
+        )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def where(self, i: int) -> str:
+        """``path:line`` of record ``i``, or ``record 'id'`` without a file."""
+        if not self.path:
+            return f"record {self.ids[i]!r}"
+        return f"{self.path}:{self.lines[i]}"
+
+    def record(self, i: int) -> CalibrationRecord:
+        """Record ``i`` as a ``CalibrationRecord``."""
+        return CalibrationRecord(
+            self.ids[i], float(self.scores[i]), bool(self.accepts[i]), self.statuses[i]
+        )
+
+    def take(self, indices: Sequence[int] | np.ndarray) -> CalibrationTable:
+        """The records at ``indices``, in that order."""
+        idx = np.asarray(indices, dtype=np.intp)
+        rows = idx.tolist()
+        return CalibrationTable(
+            path=self.path,
+            ids=tuple(self.ids[i] for i in rows),
+            lines=self.lines[idx],
+            scores=self.scores[idx],
+            accepts=self.accepts[idx],
+            statuses=tuple(self.statuses[i] for i in rows),
+        )
+
+
 def _context(path: str | Path, line_no: int, message: str) -> RecordError:
     return RecordError(f"{path}:{line_no}: {message}")
 
@@ -284,15 +345,31 @@ def read_text(path: str | Path) -> str:
         raise RecordError(f"{path}: cannot read: {exc.strerror}") from exc
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"
+
+
 def _iter_json_lines(path: str | Path):
+    """(line number, value) of each non-blank line, as ``json.loads`` parses it.
+
+    One ``raw_decode`` of the line stripped of JSON whitespace gives the
+    value; ``json.loads`` runs only when that fails, to word the error.
+    """
     text = read_text(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        value = line.strip(_JSON_SPACE)
+        if not value or value.isspace():
             continue
         try:
-            yield line_no, json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise _context(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            obj, end = _raw_decode(value)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(value):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise _context(path, line_no, f"invalid JSON: {exc.msg}") from exc
+        yield line_no, obj
 
 
 def load_panel_table(path: str | Path) -> PanelTable:
@@ -380,29 +457,92 @@ def load_panel_records(path: str | Path) -> list[PanelRecord]:
     return [table.record(i) for i in range(len(table))]
 
 
-def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
-    """Load calibration JSONL; duplicate ids are rejected."""
-    out: list[CalibrationRecord] = []
+def _all_strings(values: list[Any]) -> bool:
+    """Whether every value is a non-empty string."""
+    return set(map(type, values)) <= {str} and all(values)
+
+
+def _first_line_error(
+    path: str | Path, lines: list[int], ids: list[Any], scores: list[Any],
+    accepts: list[Any], statuses: list[Any],
+) -> RecordError:
+    """The per-line checks of a pool's fields, line by line; the first failure."""
     seen: set[str] = set()
-    for line_no, obj in _iter_json_lines(path):
-        if not isinstance(obj, dict):
-            raise _context(path, line_no, "each line must be a JSON object")
+    for line_no, submission_id, score, accept, status in zip(lines, ids, scores, accepts, statuses):
+        obj = {"id": submission_id, "score": score, "accept": accept, "status": status}
         try:
-            record = CalibrationRecord(
-                submission_id=_get_str(obj, "id"),
-                agent_score=_get_number(obj, "score"),
-                human_accept=_get_bool(obj, "accept"),
-                status=_get_str(obj, "status"),
-            )
+            _get_str(obj, "id")
+            _get_number(obj, "score")
+            _get_bool(obj, "accept")
+            _get_str(obj, "status")
         except ValueError as exc:
-            raise _context(path, line_no, str(exc)) from exc
-        if record.submission_id in seen:
-            raise _context(path, line_no, f"duplicate record id {record.submission_id!r}")
-        seen.add(record.submission_id)
-        out.append(record)
-    if not out:
+            return _context(path, line_no, str(exc))
+        if submission_id in seen:
+            return _context(path, line_no, f"duplicate record id {submission_id!r}")
+        seen.add(submission_id)
+    raise AssertionError(f"{path}: column check and line check disagree")
+
+
+def load_calibration_table(path: str | Path) -> CalibrationTable:
+    """Parse calibration JSONL into a CalibrationTable; duplicate ids are rejected.
+
+    Each line's fields go into columns, and the checks run on whole
+    columns.  When one fails, the per-line checks run over the lines in
+    order to raise the first error, worded as they word it.
+    """
+    lines: list[int] = []
+    ids: list[Any] = []
+    scores: list[Any] = []
+    accepts: list[Any] = []
+    statuses: list[Any] = []
+    stop: RecordError | None = None  # a line with no fields: raised after the lines before it
+    try:
+        for line_no, obj in _iter_json_lines(path):
+            if not isinstance(obj, dict):
+                stop = _context(path, line_no, "each line must be a JSON object")
+                break
+            lines.append(line_no)
+            ids.append(obj.get("id"))
+            scores.append(obj.get("score"))
+            accepts.append(obj.get("accept"))
+            statuses.append(obj.get("status"))
+    except RecordError as exc:
+        stop = exc
+
+    ok = (
+        _all_strings(ids)
+        and _all_strings(statuses)
+        and set(map(type, accepts)) <= {bool}
+        and set(map(type, scores)) <= _NUMBER_TYPES
+        and len(set(ids)) == len(ids)
+    )
+    if ok:
+        try:
+            score_array = np.array(scores, dtype=float)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        else:
+            ok = bool(np.isfinite(score_array).all())
+    if not ok:
+        raise _first_line_error(path, lines, ids, scores, accepts, statuses)
+    if stop is not None:
+        raise stop
+    if not ids:
         raise RecordError(f"{path}: no records found")
-    return out
+    return CalibrationTable(
+        path=str(path),
+        ids=tuple(ids),
+        lines=np.array(lines),
+        scores=score_array,
+        accepts=np.array(accepts, dtype=bool),
+        statuses=tuple(statuses),
+    )
+
+
+def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
+    """Load calibration JSONL as records; duplicate ids are rejected."""
+    table = load_calibration_table(path)
+    return [table.record(i) for i in range(len(table))]
 
 
 def load_config(path: str | Path) -> dict[str, Any]:

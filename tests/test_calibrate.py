@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 
@@ -18,11 +19,13 @@ from panelcal.calibrate import (
     isotonic_fit,
     rate_matching_threshold,
     stratified_sample,
+    stratify,
     tail_probability_points,
     tau05_from_scores,
     tau_05,
 )
 from panelcal.core import CalibrationRecord
+from panelcal.records import CalibrationTable
 
 
 def make_pool(scores, statuses=None, accepts=None):
@@ -152,6 +155,42 @@ def test_stratified_sample_deterministic_and_matches_quotas():
     assert ids == sorted(ids)  # pool order preserved
     other = stratified_sample(pool, plan, seed=43)
     assert other != first
+
+
+def record_order_sample(pool, plan, seed):
+    """The draw one record at a time: each cell's members in pool order."""
+    members = {}
+    for idx, rec in enumerate(pool):
+        b = min(bisect.bisect_right(plan.bin_edges, rec.agent_score) - 1, len(plan.bin_edges) - 2)
+        members.setdefault((b, rec.status), []).append(idx)
+    rng = np.random.default_rng(seed)
+    chosen = []
+    for cell in plan.cells:
+        if cell.quota:
+            available = members[(cell.bin_index, cell.status)]
+            picks = rng.choice(len(available), size=cell.quota, replace=False)
+            chosen.extend(available[i] for i in picks)
+    return [pool[i] for i in sorted(chosen)]
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
+def test_stratified_sample_matches_record_order_draw(size, seed, fraction):
+    rng = np.random.default_rng(seed)
+    vocab = ("accept", "reject", "hold")
+    # a 0.5 grid, so scores fall on the edges too
+    scores = rng.integers(0, 21, size) / 2
+    pool = make_pool(scores.tolist(), statuses=[vocab[k] for k in rng.integers(0, 3, size)],
+                     accepts=(rng.random(size) < 0.5).tolist())
+    edges = (0.0, 2.5, 5.0, 7.5, 10.0)
+    n_cal = max(1, round(fraction * size))
+    plan, sample = stratify(pool, n_cal, edges, vocab, seed)
+    assert plan == allocate_quotas(cell_populations(pool, edges, vocab), n_cal, edges, vocab)
+    expected = record_order_sample(pool, plan, seed)
+    assert sample == expected
+    assert stratified_sample(pool, plan, seed) == expected
+    table = CalibrationTable.from_records(pool)
+    assert stratified_sample(table, plan, seed).ids == tuple(r.submission_id for r in expected)
 
 
 def test_stratified_sample_infeasible_names_cell():

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panelcal import calibrate
+from panelcal import calibrate, metrics
 from panelcal.cli import main
+from panelcal.core import CalibrationRecord
+from panelcal.records import load_calibration_records
 
 POOL = """\
 {"id": "c1", "score": 2.0, "accept": false, "status": "reject"}
@@ -262,6 +264,81 @@ def test_calibrate_bad_config_exit_2_before_run(tmp_path, capsys, config, messag
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize(
+    ("stratify", "message"),
+    [
+        (dict(STRATIFY, n_cal=7), "config: stratify.n_cal: must be an integer in [1, 6], got 7"),
+        (dict(STRATIFY, status_vocabulary=["accept", "accept"]),
+         "config: stratify.status_vocabulary: entries must be unique"),
+        (dict(STRATIFY, status_vocabulary=["accept"]),
+         "{pool}:1: status 'reject' not in stratify.status_vocabulary ['accept']"),
+        (dict(STRATIFY, bin_edges=[0.0, 5.0, 6.5]),
+         "{pool}:6: score 7.0 outside stratify.bin_edges [0.0, 6.5]"),
+        (dict(STRATIFY, bin_edges=[2.5, 8.0], status_vocabulary=["accept", "hold"]),
+         "{pool}:1: status 'reject' not in stratify.status_vocabulary ['accept', 'hold']"),
+        (dict(STRATIFY, bin_edges=[2.5, 8.0]),
+         "{pool}:1: score 2.0 outside stratify.bin_edges [2.5, 8.0]"),
+    ],
+    ids=["n-cal-above-pool", "vocabulary-repeated", "unknown-status", "score-above-edges",
+         "status-before-score", "score-below-edges"],
+)
+def test_calibrate_stratify_errors_name_key_and_line(tmp_path, capsys, stratify, message):
+    pool = write(tmp_path, "pool.jsonl", POOL)
+    config = write_json(tmp_path, "config.json", {"target_rate": 0.3, "stratify": stratify})
+    code, _, err = run_cli(capsys, "calibrate", "--records", pool, "--config", config,
+                           "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err == f"error: {message.format(pool=pool)}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("stratified", [False, True], ids=["plain", "stratified"])
+def test_calibrate_builds_no_records(tmp_path, capsys, monkeypatch, stratified):
+    built = []
+    original = CalibrationRecord.__post_init__
+
+    def counted(self):
+        built.append(self.submission_id)
+        original(self)
+
+    monkeypatch.setattr(CalibrationRecord, "__post_init__", counted)
+    config = {"target_rate": 0.33, **({"stratify": STRATIFY} if stratified else {})}
+    code, _, _ = run_cli(capsys, "calibrate", "--records", write(tmp_path, "pool.jsonl", POOL),
+                         "--config", write_json(tmp_path, "config.json", config),
+                         "--out", str(tmp_path / "runs"))
+    assert code == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("first_zero", ["0.0", "-0.0"])
+def test_calibrate_curve_names_the_first_signed_zero(tmp_path, capsys, first_zero):
+    # 0.0 == -0.0: the curve's knot is the zero that comes first in the pool,
+    # as sorted(set(scores)) over the pool's records picks it
+    other = "0.0" if first_zero == "-0.0" else "-0.0"
+    scores = [first_zero] + [other, "1.5", "-1.0", "2.5", other, "0.5", "-2.0"] * 5
+    lines = [
+        json.dumps({"id": f"c{i}", "score": 0, "accept": i % 3 != 1, "status": "s"})
+        .replace('"score": 0', f'"score": {score}')
+        for i, score in enumerate(scores)
+    ]
+    pool = write(tmp_path, "pool.jsonl", "\n".join(lines) + "\n")
+    config = write_json(tmp_path, "config.json", {"target_rate": 0.4})
+    code, out, _ = run_cli(capsys, "calibrate", "--records", pool, "--config", config,
+                           "--out", str(tmp_path / "runs"))
+    assert code == 0
+    records = load_calibration_records(pool)
+    values = [r.agent_score for r in records]
+    points = calibrate.tail_probability_points(records, sorted(set(values)))
+    curve = calibrate.isotonic_fit(points)
+    expected = metrics.csv_text(
+        ["threshold", "raw_estimate", "fitted", "weight"],
+        [(t, raw, fit, weight) for (t, raw, weight), fit in zip(points, curve.fitted)],
+    )
+    text = (run_dir(out) / "curve.csv").read_text()
+    assert text == expected
+    assert f"\n{first_zero}," in text
+
+
 JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -310,6 +387,51 @@ def test_calibrate_config_fuzz(config):
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
         pool = write(tmp_path, "pool.jsonl", POOL)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["calibrate", "--records", pool,
+                         "--config", write_json(tmp_path, "config.json", config),
+                         "--seed", "1", "--out", str(tmp_path / "runs")])
+        assert code in (0, 2, 3)
+        assert (tmp_path / "runs").exists() == (code == 0)
+        if code:
+            assert err.getvalue().startswith("error: ")
+
+
+POOL_FIELDS = {
+    "id": st.one_of(st.sampled_from(["c0", ""]), JSON_VALUES),
+    "score": st.one_of(st.integers(-1, 9), st.just(10**400), JSON_VALUES),
+    "accept": st.one_of(st.booleans(), JSON_VALUES),
+    "status": st.one_of(st.sampled_from(["accept", "reject", "hold"]), JSON_VALUES),
+}
+# a record without its id (the test numbers it), or a line that may be broken
+GOOD_POOL_ENTRY = st.fixed_dictionaries(
+    {"score": st.one_of(st.integers(0, 8), st.floats(0.0, 8.5)), "accept": st.booleans(),
+     "status": st.sampled_from(["accept", "reject"] * 4 + ["hold"])}
+)
+POOL_ENTRY = st.integers(0, 5).flatmap(
+    lambda k: GOOD_POOL_ENTRY if k else st.one_of(
+        st.fixed_dictionaries({}, optional=POOL_FIELDS).map(json.dumps),
+        st.sampled_from(["", "  ", "[1]", "null", "{broken", '{"id": "c1"} {}', "\ufeff{}"]),
+        st.text(max_size=6),
+    )
+)
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(POOL_ENTRY, max_size=8),
+    st.sampled_from([{"target_rate": 0.4},
+                     {"target_rate": 0.4, "stratify": dict(STRATIFY, n_cal=2)}]),
+)
+def test_calibrate_pool_fuzz(entries, config):
+    lines = [
+        json.dumps({"id": f"c{i}", **entry}) if isinstance(entry, dict) else entry
+        for i, entry in enumerate(entries)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        pool = write(tmp_path, "pool.jsonl", "\n".join(lines) + "\n")
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["calibrate", "--records", pool,
@@ -804,9 +926,28 @@ def test_simulate_threshold_error_flat_link_fails_checks(tmp_path, capsys):
          "got [50, 50]"),
         (["threshold-error"], {"simulate": {"threshold_error": {"replicates": 1}}},
          "config: simulate.threshold_error.replicates: must be an integer >= 2, got 1"),
+        (["threshold-error"], {"simulate": {"threshold_error": {"n_cal_grid": [50.9, 100.7]}}},
+         "config: simulate.threshold_error.n_cal_grid: must be a list of integers, "
+         "got [50.9, 100.7]"),
+        (["threshold-error"], {"simulate": {"threshold_error": {"n_cal_grid": [50, True]}}},
+         "config: simulate.threshold_error.n_cal_grid: must be a list of integers, got [50, True]"),
+        (["threshold-error"], {"simulate": {"threshold_error": {"replicates": 2.9}}},
+         "config: simulate.threshold_error.replicates: must be an integer >= 2, got 2.9"),
+        (["threshold-error"], {"simulate": {"threshold_error": {"seed": -1}}},
+         "config: simulate.threshold_error.seed: must be an integer >= 0, got -1"),
+        (["threshold-error"], {"simulate": {"threshold_error": {"seed": 1.5}}},
+         "config: simulate.threshold_error.seed: must be an integer >= 0, got 1.5"),
+        (["margins"], {"simulate": {"margins": {"m_grid": [1.7, 3.2]}}},
+         "config: simulate.margins.m_grid: must be a list of integers, got [1.7, 3.2]"),
+        (["variance"], {"simulate": {"variance": {"m_grid": "1,3"}}},
+         "config: simulate.variance.m_grid: must be a list of integers, got '1,3'"),
+        (["threshold-error", "--replicates", "1"], None,
+         "--replicates: must be an integer >= 2, got 1"),
     ],
     ids=["simulate-list", "section-list", "partial-spec", "partial-population", "m-zero-flag",
-         "m-zero-config", "grid-below-2", "grid-flag-repeated", "one-replicate"],
+         "m-zero-config", "grid-below-2", "grid-flag-repeated", "one-replicate", "grid-floats",
+         "grid-bool", "replicates-float", "seed-negative", "seed-float", "m-grid-floats",
+         "m-grid-string", "one-replicate-flag"],
 )
 def test_simulate_bad_settings_exit_2_before_run(tmp_path, capsys, argv, config, message):
     if config is not None:
