@@ -142,8 +142,9 @@ def tau05_error_bound(eps_pi: float, c_min: float, flat_width: float) -> float:
 
     If the tail-probability curve is estimated within eps_pi, grows at
     rate at least c_min where it crosses 1/2, and is flat on a window no
-    wider than flat_width around the crossing, the fitted crossing is
-    within min(flat_width, eps_pi / c_min) of the true one.
+    wider than flat_width around the crossing, the fitted crossing can sit
+    anywhere in that window and a further eps_pi / c_min outside it, so it
+    is within flat_width + eps_pi / c_min of the true one.
     """
     eps_pi = float(eps_pi)
     if not math.isfinite(eps_pi) or eps_pi < 0:
@@ -154,4 +155,4 @@ def tau05_error_bound(eps_pi: float, c_min: float, flat_width: float) -> float:
     flat_width = float(flat_width)
     if not math.isfinite(flat_width) or flat_width < 0:
         raise ValueError(f"flat_width: must be finite and >= 0, got {flat_width!r}")
-    return min(flat_width, eps_pi / c_min)
+    return flat_width + eps_pi / c_min

@@ -37,10 +37,13 @@ from .calibrate import ThresholdUnreachableError
 from .core import (
     ConfusionCounts,
     DecisionThresholds,
+    FieldError,
     GaussianPosterior,
     NoiseProfile,
     RubricSchema,
     ScoringFunctional,
+    int_at_least,
+    is_int,
 )
 from .records import CalibrationTable, PanelTable, RecordError
 
@@ -197,6 +200,8 @@ def _config_field(
         return parse(section[key])
     except KeyError as exc:
         raise _config_error(f"{where}: missing key {exc.args[0]!r}") from exc
+    except FieldError as exc:
+        raise _config_error(f"{where}.{exc.key}: {exc.message}") from exc
     except (TypeError, ValueError) as exc:
         raise _config_error(f"{where}: {exc}") from exc
 
@@ -222,25 +227,9 @@ _non_negative = _number_check("be a finite number >= 0", lambda x: math.isfinite
 _probability = _number_check("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
-def _is_int(value: Any) -> bool:
-    """Whether ``value`` is a JSON integer (true/false are not integers)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _int_at_least(minimum: int) -> Callable[[Any], int]:
-    """A config value parser: an integer >= ``minimum``."""
-
-    def parse(value: Any) -> int:
-        if not _is_int(value) or value < minimum:
-            raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
-        return value
-
-    return parse
-
-
 def _int_tuple(value: Any) -> tuple[int, ...]:
     """A config value parser: a list of integers."""
-    if not isinstance(value, list) or not all(map(_is_int, value)):
+    if not isinstance(value, list) or not all(map(is_int, value)):
         raise ValueError(f"must be a list of integers, got {value!r}")
     return tuple(value)
 
@@ -383,7 +372,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     delta = _config_field(config, "", "delta", _probability, 0.05)
     stratify = _config_field(config, "", "stratify", _object, None)
     if stratify is not None:
-        n_cal = _config_field(stratify, "stratify", "n_cal", _int_at_least(1))
+        n_cal = _config_field(stratify, "stratify", "n_cal", int_at_least(1))
         edges = _config_field(stratify, "stratify", "bin_edges", _bin_edges)
         vocab = _config_field(stratify, "stratify", "status_vocabulary", _status_vocabulary)
     pool = records.load_calibration_table(args.records)
@@ -851,8 +840,8 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
         simulate.default_population_settings(),
     )
     grid = _config_field(section, path, "n_cal_grid", _int_tuple, grid)
-    replicates = _config_field(section, path, "replicates", _int_at_least(2), replicates)
-    seed = _config_field(section, path, "seed", _int_at_least(0), seed)
+    replicates = _config_field(section, path, "replicates", int_at_least(2), replicates)
+    seed = _config_field(section, path, "seed", int_at_least(0), seed)
     if args.grid is not None:
         grid = _parse_int_list(args.grid, "--grid")
     if args.replicates is not None:
@@ -950,6 +939,17 @@ def cmd_bound(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
+def _seed(text: str) -> int:
+    """argparse type of every ``--seed``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panelcal",
@@ -963,7 +963,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True, help="calibration JSONL pool")
     p.add_argument("--config", required=True, help="JSON config with target_rate")
     p.add_argument("--out", default="runs", help="parent directory for run outputs")
-    p.add_argument("--seed", type=int, default=None, help="stratified sampling seed")
+    p.add_argument("--seed", type=_seed, default=None, help="stratified sampling seed")
     p.set_defaults(handler=cmd_calibrate)
 
     p = sub.add_parser("review", help="score panels and report corpus metrics")
@@ -991,14 +991,14 @@ def build_parser() -> argparse.ArgumentParser:
     q = sim_sub.add_parser("margins", help="misclassification vs margin bins")
     q.add_argument("--config", default=None)
     q.add_argument("--out", default="runs")
-    q.add_argument("--seed", type=int, default=None)
+    q.add_argument("--seed", type=_seed, default=None)
     q.add_argument("--m", default=None, help="comma-separated panel sizes, e.g. 1,2,3")
     q.set_defaults(handler=cmd_simulate_margins)
 
     q = sim_sub.add_parser("threshold-error", help="tau_05 bootstrap error vs n_cal")
     q.add_argument("--config", default=None)
     q.add_argument("--out", default="runs")
-    q.add_argument("--seed", type=int, default=None)
+    q.add_argument("--seed", type=_seed, default=None)
     q.add_argument("--grid", default=None, help="comma-separated n_cal grid")
     q.add_argument("--replicates", type=int, default=None)
     q.set_defaults(handler=cmd_simulate_threshold_error)
@@ -1006,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sim_sub.add_parser("variance", help="consensus variance vs panel size")
     q.add_argument("--config", default=None)
     q.add_argument("--out", default="runs")
-    q.add_argument("--seed", type=int, default=None)
+    q.add_argument("--seed", type=_seed, default=None)
     q.add_argument("--m", default=None, help="comma-separated panel sizes, e.g. 1,2,3")
     q.set_defaults(handler=cmd_simulate_variance)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "RubricSchema",
@@ -26,6 +26,9 @@ __all__ = [
     "DecisionThresholds",
     "GaussianPosterior",
     "ConfusionCounts",
+    "FieldError",
+    "is_int",
+    "int_at_least",
     "left_sum",
 ]
 
@@ -34,6 +37,31 @@ _WEIGHT_SUM_TOL = 1e-9
 
 def _fail(field: str, message: str) -> None:
     raise ValueError(f"{field}: {message}")
+
+
+class FieldError(ValueError):
+    """A bad value at ``key`` of a config object; config errors name it ``<path>.<key>``."""
+
+    def __init__(self, key: str, message: str) -> None:
+        super().__init__(f"{key}: {message}")
+        self.key = key
+        self.message = message
+
+
+def is_int(value: Any) -> bool:
+    """Whether ``value`` is a JSON integer (true/false are not integers)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def int_at_least(minimum: int) -> Callable[[Any], int]:
+    """A config value parser: an integer >= ``minimum``."""
+
+    def parse(value: Any) -> int:
+        if not is_int(value) or value < minimum:
+            raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
+        return value
+
+    return parse
 
 
 def left_sum(values: Iterable[float]) -> float:

@@ -25,8 +25,9 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .bounds import margin_misclassification_bound, scalar_bound_inputs
-from .calibrate import ThresholdUnreachableError, tau05_from_scores
-from .core import CalibrationRecord, NoiseProfile, ReviewerWeights
+from .calibrate import Pool, ThresholdUnreachableError, _table, tau05_from_scores
+from .core import FieldError, NoiseProfile, ReviewerWeights, int_at_least
+from .records import CalibrationTable
 
 __all__ = [
     "LatentDistribution",
@@ -97,6 +98,15 @@ class LatentDistribution:
         raise ValueError(f"kind: must be 'uniform' or 'gaussian', got {kind!r}")
 
 
+def _int_key(data: Mapping[str, Any], key: str, minimum: int, default: int | None = None) -> int:
+    """``data[key]``, or ``default`` when given and absent, as an integer >= ``minimum``."""
+    value = data[key] if default is None else data.get(key, default)
+    try:
+        return int_at_least(minimum)(value)
+    except ValueError as exc:
+        raise FieldError(key, str(exc)) from None
+
+
 @dataclass(frozen=True)
 class CohortSpec:
     """Full recipe for one synthetic review cohort."""
@@ -135,12 +145,12 @@ class CohortSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "CohortSpec":
         return cls(
-            int(data["n_papers"]),
-            int(data["m_reviewers"]),
+            _int_key(data, "n_papers", 1),
+            _int_key(data, "m_reviewers", 1),
             LatentDistribution.from_dict(data["latent"]),
             NoiseProfile.from_dict(data["noise"]),
             str(data.get("clip_mode", "clip")),
-            int(data.get("seed", 0)),
+            _int_key(data, "seed", 0, default=0),
         )
 
 
@@ -215,7 +225,7 @@ class PopulationSettings:
         plus ``link_midpoint`` and ``link_slope``.
         """
         return cls(
-            CohortSpec.from_dict({**data, "n_papers": data["size"]}),
+            CohortSpec.from_dict({**data, "n_papers": _int_key(data, "size", 2)}),
             float(data["link_midpoint"]),
             float(data["link_slope"]),
         )
@@ -364,81 +374,115 @@ def margin_suite(
     return rows
 
 
-def synthetic_calibration_population(settings: PopulationSettings) -> list[CalibrationRecord]:
+def synthetic_calibration_population(settings: PopulationSettings) -> CalibrationTable:
     """Synthetic population of (agent score, human accept, status) records.
 
     The agent score is the uniform consensus of the cohort's reviewer
     scores; human accepts follow the logistic link on the latent quality
-    from an independent stream; status mirrors the human decision.
+    from an independent stream; status mirrors the human decision.  The
+    records are ``pop-1`` to ``pop-N``, zero-padded, in a table without a
+    file.
     """
     size = settings.cohort.n_papers
     cohort = generate_cohort(settings.cohort)
-    consensus = cohort.scores.mean(axis=1)
     label_rng = np.random.default_rng(np.random.SeedSequence([settings.cohort.seed, 1]))
     prob = 1.0 / (1.0 + np.exp(-settings.link_slope * (cohort.latent - settings.link_midpoint)))
     accepts = label_rng.random(size) < prob
     width = len(str(size))
-    return [
-        CalibrationRecord(
-            submission_id=f"pop-{i + 1:0{width}d}",
-            agent_score=float(consensus[i]),
-            human_accept=bool(accepts[i]),
-            status="accept" if accepts[i] else "reject",
-        )
-        for i in range(size)
-    ]
+    return CalibrationTable(
+        path="",
+        ids=tuple(map(f"pop-%0{width}d".__mod__, range(1, size + 1))),
+        lines=np.arange(1, size + 1),
+        scores=cohort.scores.mean(axis=1),
+        accepts=accepts,
+        statuses=tuple("accept" if a else "reject" for a in accepts.tolist()),
+    )
+
+
+# picked elements per block of bootstrap replicates, which bounds the
+# kernel's temporary arrays at a few MB whatever the grid and replicate count
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def _tau05_ranks(keys: np.ndarray) -> np.ndarray:
+    """Row-wise ``tau05_from_scores`` on packed keys ``rank << 1 | accept``.
+
+    Each row of ``keys`` is one sample; ``rank`` indexes the sorted distinct
+    scores.  Returns each row's tau_05 as a rank, or -1 where the curve
+    never reaches 1/2.  Sorted, a row's elements run by rank, so the suffix
+    sum T of (1 - 2 accept) at the start of each rank group is that score's
+    N - 2A, and the suffix sum of T over the group starts is the level S of
+    ``tau05_from_scores``.  The first argmin of S over the starts is tau_05
+    unless S > 0 there, where the S = 0 past the last score wins instead.
+    """
+    keys = np.sort(keys, axis=1)  # equal keys are identical integers: stability cannot matter
+    rank = keys >> 1
+    tail = np.cumsum((1 - 2 * (keys & 1))[:, ::-1], axis=1)[:, ::-1]
+    start = np.empty(keys.shape, dtype=bool)
+    start[:, 0] = True
+    np.not_equal(rank[:, 1:], rank[:, :-1], out=start[:, 1:])
+    level = np.cumsum(np.where(start, tail, 0)[:, ::-1], axis=1)[:, ::-1]
+    level[~start] = np.iinfo(np.int64).max
+    rows = np.arange(len(keys))
+    pos = np.argmin(level, axis=1)
+    return np.where(level[rows, pos] > 0, -1, rank[rows, pos])
 
 
 def threshold_bootstrap(
-    population: Sequence[CalibrationRecord],
+    population: Pool,
     n_cal_grid: Sequence[int],
     replicates: int,
     seed: int,
 ) -> list[ThresholdErrorRow]:
     """Bootstrap |tau_05(subsample) - tau_05(population)| per n_cal.
 
-    Subsamples are uniform without replacement.  Replicates whose curve
-    never reaches 1/2 count as failures and are excluded from the mean;
-    ThresholdUnreachableError is raised when every replicate of one n_cal
-    fails.
+    The population is a record list or a ``CalibrationTable``.  Subsamples
+    are uniform without replacement, one ``rng.choice`` per replicate; each
+    block of replicates is then fitted at once by the level-set rule of
+    ``tau05_from_scores``.  Replicates whose curve never reaches 1/2 count
+    as failures and are excluded from the mean; ThresholdUnreachableError
+    is raised when every replicate of one n_cal fails.
     """
-    if not population:
+    table = _table(population)
+    size = len(table)
+    if not size:
         raise ValueError("population: must be non-empty")
     grid = [int(n) for n in n_cal_grid]
     if not grid:
         raise ValueError("n_cal_grid: must be non-empty")
     for n in grid:
-        if not 2 <= n <= len(population):
-            raise ValueError(
-                f"n_cal_grid: entries must lie in [2, {len(population)}], got {n}"
-            )
+        if not 2 <= n <= size:
+            raise ValueError(f"n_cal_grid: entries must lie in [2, {size}], got {n}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_cal_grid: must be strictly increasing")
     if not isinstance(replicates, int) or replicates < 2:
         raise ValueError(f"replicates: must be an integer >= 2, got {replicates!r}")
 
-    scores = np.array([r.agent_score for r in population], dtype=float)
-    accepts = np.array([r.human_accept for r in population], dtype=float)
-    tau_true = tau05_from_scores(scores, accepts)
+    tau_true = tau05_from_scores(table.scores, table.accepts)
+    uniq, rank = np.unique(table.scores, return_inverse=True)
+    keys = (rank.astype(np.int64) << 1) | table.accepts
 
     rng = np.random.default_rng(seed)
     rows: list[ThresholdErrorRow] = []
     for n in grid:
-        errors: list[float] = []
-        failures = 0
-        for _ in range(replicates):
-            pick = rng.choice(scores.size, size=n, replace=False)
-            try:
-                tau_hat = tau05_from_scores(scores[pick], accepts[pick])
-            except ThresholdUnreachableError:
-                failures += 1
-                continue
-            errors.append(abs(tau_hat - tau_true))
-        if not errors:
+        per_block = max(1, _BLOCK_ELEMENTS // n)
+        tau_ranks = np.empty(replicates, dtype=np.int64)
+        for first in range(0, replicates, per_block):
+            picks = np.empty((min(per_block, replicates - first), n), dtype=np.intp)
+            for row in picks:
+                row[:] = rng.choice(size, size=n, replace=False)
+            tau_ranks[first:first + len(picks)] = _tau05_ranks(keys[picks])
+        reached = tau_ranks[tau_ranks >= 0]
+        if not reached.size:
             raise ThresholdUnreachableError(f"n_cal={n}: every replicate failed to reach 1/2")
+        errors = np.abs(uniq[reached] - tau_true)
         mean = float(np.mean(errors))
-        stderr = float(np.std(errors, ddof=1) / math.sqrt(len(errors))) if len(errors) > 1 else 0.0
-        rows.append(ThresholdErrorRow(n_cal=n, mean_abs_err=mean, stderr=stderr, failures=failures))
+        stderr = float(np.std(errors, ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
+        rows.append(
+            ThresholdErrorRow(
+                n_cal=n, mean_abs_err=mean, stderr=stderr, failures=replicates - reached.size
+            )
+        )
     return rows
 
 

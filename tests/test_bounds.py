@@ -128,7 +128,9 @@ def test_dkw_bound_shrinks_like_inverse_sqrt():
 
 
 def test_tau05_error_bound():
-    assert tau05_error_bound(0.1, 0.5, 1.0) == pytest.approx(0.2)
-    assert tau05_error_bound(0.4, 0.5, 0.25) == 0.25
+    assert tau05_error_bound(0.1, 0.5, 1.0) == pytest.approx(1.2)
+    assert tau05_error_bound(0.4, 0.5, 0.25) == pytest.approx(1.05)
+    # a curve with no flat spot still leaves the estimation error
+    assert tau05_error_bound(0.3, 0.1, 0.0) == pytest.approx(3.0)
     with pytest.raises(ValueError, match="c_min"):
         tau05_error_bound(0.1, 0.0, 1.0)

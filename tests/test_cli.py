@@ -45,6 +45,14 @@ SMALL_POPULATION = {
     "seed": 7,
 }
 
+COHORT_SPEC = {
+    "n_papers": 3000,
+    "m_reviewers": 3,
+    "latent": {"kind": "uniform", "lo": 4.0, "hi": 7.0},
+    "noise": {"per_reviewer_variance": [1.0, 1.0, 1.0], "scalar_bounds": [1.0, 10.0]},
+    "seed": 7,
+}
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -77,7 +85,7 @@ def test_bound_values(capsys):
         (["bound", "scalar", "--m", "3", "--gamma", "1", "--sigma-sq", "1", "--range", "9"], "0.687289"),
         (["bound", "tail", "--t", "2", "--sigma-w-sq", "0.25", "--c-max", "0.5"], "0.0324332"),
         (["bound", "margin", "--gamma", "2", "--sigma-w-sq", "0.25", "--c-max", "0.5"], "0.0324332"),
-        (["bound", "tau05", "--eps-pi", "0.1", "--c-min", "0.4", "--flat-width", "1"], "0.25"),
+        (["bound", "tau05", "--eps-pi", "0.1", "--c-min", "0.4", "--flat-width", "1"], "1.25"),
     ]
     for argv, expected in cases:
         code, out, _ = run_cli(capsys, *argv)
@@ -304,6 +312,26 @@ def test_calibrate_builds_no_records(tmp_path, capsys, monkeypatch, stratified):
     monkeypatch.setattr(CalibrationRecord, "__post_init__", counted)
     config = {"target_rate": 0.33, **({"stratify": STRATIFY} if stratified else {})}
     code, _, _ = run_cli(capsys, "calibrate", "--records", write(tmp_path, "pool.jsonl", POOL),
+                         "--config", write_json(tmp_path, "config.json", config),
+                         "--out", str(tmp_path / "runs"))
+    assert code == 0
+    assert built == []
+
+
+def test_threshold_error_builds_no_records(tmp_path, capsys, monkeypatch):
+    built = []
+    original = CalibrationRecord.__post_init__
+
+    def counted(self):
+        built.append(self.submission_id)
+        original(self)
+
+    monkeypatch.setattr(CalibrationRecord, "__post_init__", counted)
+    config = {"simulate": {"threshold_error": {
+        "population": SMALL_POPULATION, "n_cal_grid": [50, 100, 200], "replicates": 40,
+        "seed": 11,
+    }}}
+    code, _, _ = run_cli(capsys, "simulate", "threshold-error",
                          "--config", write_json(tmp_path, "config.json", config),
                          "--out", str(tmp_path / "runs"))
     assert code == 0
@@ -943,11 +971,24 @@ def test_simulate_threshold_error_flat_link_fails_checks(tmp_path, capsys):
          "config: simulate.variance.m_grid: must be a list of integers, got '1,3'"),
         (["threshold-error", "--replicates", "1"], None,
          "--replicates: must be an integer >= 2, got 1"),
+        (["threshold-error"],
+         {"simulate": {"threshold_error": {"population": dict(SMALL_POPULATION, size=3000.9)}}},
+         "config: simulate.threshold_error.population.size: must be an integer >= 2, got 3000.9"),
+        (["threshold-error"],
+         {"simulate": {"threshold_error": {"population": dict(SMALL_POPULATION, seed=7.8)}}},
+         "config: simulate.threshold_error.population.seed: must be an integer >= 0, got 7.8"),
+        (["variance"], {"simulate": {"variance": {"spec": dict(COHORT_SPEC, m_reviewers=True)}}},
+         "config: simulate.variance.spec.m_reviewers: must be an integer >= 1, got True"),
+        (["margins"], {"simulate": {"margins": {"spec": dict(COHORT_SPEC, n_papers=3000.9)}}},
+         "config: simulate.margins.spec.n_papers: must be an integer >= 1, got 3000.9"),
+        (["margins"], {"simulate": {"margins": {"spec": dict(COHORT_SPEC, seed=-2)}}},
+         "config: simulate.margins.spec.seed: must be an integer >= 0, got -2"),
     ],
     ids=["simulate-list", "section-list", "partial-spec", "partial-population", "m-zero-flag",
          "m-zero-config", "grid-below-2", "grid-flag-repeated", "one-replicate", "grid-floats",
          "grid-bool", "replicates-float", "seed-negative", "seed-float", "m-grid-floats",
-         "m-grid-string", "one-replicate-flag"],
+         "m-grid-string", "one-replicate-flag", "size-float", "population-seed-float",
+         "m-reviewers-bool", "n-papers-float", "spec-seed-negative"],
 )
 def test_simulate_bad_settings_exit_2_before_run(tmp_path, capsys, argv, config, message):
     if config is not None:
@@ -955,6 +996,21 @@ def test_simulate_bad_settings_exit_2_before_run(tmp_path, capsys, argv, config,
     code, _, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path / "runs"))
     assert code == 2
     assert f"error: {message}\n" == err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["calibrate", "--records", "pool.jsonl", "--config", "config.json"],
+     ["simulate", "margins"], ["simulate", "threshold-error"], ["simulate", "variance"]],
+    ids=["calibrate", "margins", "threshold-error", "variance"],
+)
+@pytest.mark.parametrize("seed", ["-1", "1.5", "x"])
+def test_seed_flag_names_itself(tmp_path, capsys, argv, seed):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--seed", seed, "--out", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    assert f"argument --seed: must be a non-negative integer, got {seed}\n" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from panelcal import simulate
 from panelcal.bounds import margin_misclassification_bound, scalar_bound_inputs
-from panelcal.core import NoiseProfile, ReviewerWeights
+from panelcal.calibrate import ThresholdUnreachableError, tau05_from_scores
+from panelcal.core import CalibrationRecord, NoiseProfile, ReviewerWeights
+from panelcal.records import CalibrationTable
 from panelcal.simulate import (
     Cohort,
     CohortSpec,
@@ -243,15 +248,19 @@ def test_synthetic_population_deterministic_and_labeled():
         link_slope=2.0,
     )
     pop = synthetic_calibration_population(settings)
-    assert len(pop) == 500
-    assert pop[0].submission_id == "pop-001"
-    assert pop[-1].submission_id == "pop-500"
-    assert pop == synthetic_calibration_population(settings)
-    for rec in pop:
-        assert rec.status == ("accept" if rec.human_accept else "reject")
-    high = [r.human_accept for r in pop if r.agent_score >= 7.0]
-    low = [r.human_accept for r in pop if r.agent_score <= 4.0]
-    assert np.mean(high) > 0.8 > 0.2 > np.mean(low)
+    assert isinstance(pop, CalibrationTable)
+    assert len(pop) == 500 and pop.path == ""
+    assert pop.ids[0] == "pop-001"
+    assert pop.ids[-1] == "pop-500"
+    again = synthetic_calibration_population(settings)
+    assert pop.ids == again.ids and pop.statuses == again.statuses
+    np.testing.assert_array_equal(pop.scores, again.scores)
+    np.testing.assert_array_equal(pop.accepts, again.accepts)
+    assert pop.accepts.dtype == bool
+    assert pop.statuses == tuple("accept" if a else "reject" for a in pop.accepts)
+    assert np.mean(pop.accepts[pop.scores >= 7.0]) > 0.8 > 0.2 > np.mean(
+        pop.accepts[pop.scores <= 4.0]
+    )
     with pytest.raises(ValueError, match="size"):
         PopulationSettings(small_spec(n=1), 5.5, 2.0)
 
@@ -264,8 +273,6 @@ def make_population(n=400, seed=2):
     scores = rng.uniform(0.0, 10.0, n)
     prob = 1.0 / (1.0 + np.exp(-(scores - 5.0)))
     accepts = rng.uniform(size=n) < prob
-    from panelcal.core import CalibrationRecord
-
     return [
         CalibrationRecord(f"s{i:04d}", float(s), bool(a), "accept" if a else "reject")
         for i, (s, a) in enumerate(zip(scores, accepts))
@@ -284,6 +291,83 @@ def test_threshold_bootstrap_rows():
     assert rows == again
     other = threshold_bootstrap(pop, (20, 40, 80), replicates=30, seed=5)
     assert rows != other
+
+
+def reference_bootstrap(scores, accepts, n_cal_grid, replicates, seed):
+    """The bootstrap one replicate at a time, each fitted by ``tau05_from_scores``."""
+    tau_true = tau05_from_scores(scores, accepts)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for n in n_cal_grid:
+        errors = []
+        failures = 0
+        for _ in range(replicates):
+            pick = rng.choice(scores.size, size=n, replace=False)
+            try:
+                tau_hat = tau05_from_scores(scores[pick], accepts[pick])
+            except ThresholdUnreachableError:
+                failures += 1
+                continue
+            errors.append(abs(tau_hat - tau_true))
+        if not errors:
+            raise ThresholdUnreachableError(f"n_cal={n}: every replicate failed to reach 1/2")
+        mean = float(np.mean(errors))
+        stderr = float(np.std(errors, ddof=1) / math.sqrt(len(errors))) if len(errors) > 1 else 0.0
+        rows.append(ThresholdErrorRow(n_cal=n, mean_abs_err=mean, stderr=stderr, failures=failures))
+    return rows
+
+
+def test_threshold_bootstrap_matches_reference_for_records_and_table(monkeypatch):
+    pop = make_population(n=300)
+    table = CalibrationTable.from_records(pop)
+    # 7 replicates in blocks of 2 or 1 picked rows: every n ends on a partial block
+    monkeypatch.setattr(simulate, "_BLOCK_ELEMENTS", 50)
+    want = reference_bootstrap(table.scores, table.accepts, (2, 20, 30), 7, seed=3)
+    assert want[0].failures > 0  # n = 2 often never reaches 1/2
+    assert threshold_bootstrap(pop, (2, 20, 30), 7, seed=3) == want
+    assert threshold_bootstrap(table, (2, 20, 30), 7, seed=3) == want
+
+
+def test_threshold_bootstrap_partial_default_block():
+    table = CalibrationTable.from_records(make_population(n=2500))
+    n = 2000
+    per_block = simulate._BLOCK_ELEMENTS // n
+    replicates = per_block + 3
+    want = reference_bootstrap(table.scores, table.accepts, (n,), replicates, seed=8)
+    assert threshold_bootstrap(table, (n,), replicates, seed=8) == want
+
+
+@st.composite
+def packed_rows(draw):
+    """(scores, accepts) of a few equal-length rows on a small integer grid."""
+    n = draw(st.integers(2, 10))
+    scores, accepts = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        scores.append(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+        kind = draw(st.sampled_from(("mixed", "all-accept", "all-reject")))
+        if kind == "mixed":
+            accepts.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            accepts.append([kind == "all-accept"] * n)
+    return np.array(scores, dtype=float), np.array(accepts, dtype=bool)
+
+
+@settings(max_examples=200)
+@given(packed_rows())
+@example((np.array([[1.0, 2.0], [3.0, 3.0], [0.0, 4.0]]),
+          np.array([[False, True], [True, True], [False, False]])))
+def test_level_set_kernel_matches_tau05_per_row(rows):
+    scores, accepts = rows
+    uniq, rank = np.unique(scores, return_inverse=True)
+    keys = (rank.reshape(scores.shape).astype(np.int64) << 1) | accepts
+    got = simulate._tau05_ranks(keys)
+    for i in range(len(scores)):
+        try:
+            want = tau05_from_scores(scores[i], accepts[i])
+        except ThresholdUnreachableError:
+            assert got[i] == -1
+        else:
+            assert got[i] >= 0 and uniq[got[i]] == want
 
 
 def test_threshold_bootstrap_validation():
