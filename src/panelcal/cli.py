@@ -28,23 +28,13 @@ import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import __version__, aggregate, bayes, bounds, calibrate, metrics, records, simulate
+from . import __version__, aggregate, bayes, bounds, calibrate, config, metrics, records, simulate
 from .calibrate import ThresholdUnreachableError
-from .core import (
-    ConfusionCounts,
-    DecisionThresholds,
-    FieldError,
-    GaussianPosterior,
-    NoiseProfile,
-    RubricSchema,
-    ScoringFunctional,
-    int_at_least,
-    is_int,
-)
+from .core import ConfusionCounts, DecisionThresholds, NoiseProfile, RubricSchema, ScoringFunctional
 from .records import CalibrationTable, PanelTable, RecordError
 
 __all__ = ["RunManifest", "build_parser", "main", "run"]
@@ -144,131 +134,27 @@ def _config_error(message: str) -> RecordError:
     return RecordError(f"config: {message}")
 
 
-def _load_config(path: str | None) -> dict[str, Any]:
-    if path is None:
-        return {}
-    return records.load_config(path)
-
-
-def _schema_from_config(config: Mapping[str, Any]) -> RubricSchema | None:
-    raw = config.get("schema")
-    if raw is None:
-        return None
-    try:
-        return RubricSchema.from_dict(raw)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _config_error(f"schema: {exc}") from exc
-
-
-def _functional_from_config(
-    config: Mapping[str, Any], schema: RubricSchema | None
+def _scoring(
+    schema: RubricSchema | None, functional: ScoringFunctional | None
 ) -> ScoringFunctional:
-    raw = config.get("functional")
-    if raw is None:
-        if schema is not None:
-            return ScoringFunctional.mean(schema.criteria_count)
-        raise _config_error("functional: required when no schema is given")
-    try:
-        functional = ScoringFunctional.from_dict(raw)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _config_error(f"functional: {exc}") from exc
+    """The configured functional; without one, the mean over the schema's criteria."""
+    if functional is None:
+        if schema is None:
+            raise _config_error("functional: required when no schema is given")
+        return ScoringFunctional.mean(schema.criteria_count)
     if functional.kind == "overall_pick" and (schema is None or schema.overall_index is None):
         raise _config_error("functional: overall_pick scoring needs a schema with overall_index set")
     return functional
 
 
-_REQUIRED = object()
-
-
-def _config_field(
-    section: Mapping[str, Any],
-    path: str,
-    key: str,
-    parse: Callable[[Any], Any],
-    default: Any = _REQUIRED,
-) -> Any:
-    """``parse(section[key])``, or ``default`` when absent (required without one).
-
-    Errors name the key path; ``path`` is "" for the top level.
-    """
-    where = f"{path}.{key}" if path else key
-    if key not in section:
-        if default is _REQUIRED:
-            raise _config_error(f"{where}: required")
-        return default
-    try:
-        return parse(section[key])
-    except KeyError as exc:
-        raise _config_error(f"{where}: missing key {exc.args[0]!r}") from exc
-    except FieldError as exc:
-        raise _config_error(f"{where}.{exc.key}: {exc.message}") from exc
-    except (TypeError, ValueError) as exc:
-        raise _config_error(f"{where}: {exc}") from exc
-
-
-def _number_check(requirement: str, ok: Callable[[float], bool]) -> Callable[[Any], float]:
-    """A config value parser: ``float(value)`` if ``ok`` accepts it."""
-
-    def parse(value: Any) -> float:
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            number = math.nan
-        if not ok(number):
-            raise ValueError(f"must {requirement}, got {value!r}")
-        return number
-
-    return parse
-
-
-_finite = _number_check("be a finite number", math.isfinite)
-_positive = _number_check("be a finite number > 0", lambda x: math.isfinite(x) and x > 0)
-_non_negative = _number_check("be a finite number >= 0", lambda x: math.isfinite(x) and x >= 0)
-_probability = _number_check("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
-
-
-def _int_tuple(value: Any) -> tuple[int, ...]:
-    """A config value parser: a list of integers."""
-    if not isinstance(value, list) or not all(map(is_int, value)):
-        raise ValueError(f"must be a list of integers, got {value!r}")
-    return tuple(value)
-
-
-def _object(value: Any) -> dict[str, Any]:
-    """A config value parser: a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError("must be an object")
-    return value
-
-
-def _bin_edges(value: Any) -> list[float]:
-    """A config value parser: at least two finite, strictly increasing numbers."""
-    if not isinstance(value, list) or len(value) < 2:
-        raise ValueError(f"must be a list of at least 2 numbers, got {value!r}")
-    edges = [_finite(v) for v in value]
-    if any(a >= b for a, b in zip(edges, edges[1:])):
-        raise ValueError(f"must be strictly increasing, got {value!r}")
-    return edges
-
-
-def _status_vocabulary(value: Any) -> list[str]:
-    """A config value parser: a list of distinct strings."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValueError(f"must be a list of strings, got {value!r}")
-    if len(set(value)) != len(value):
-        raise ValueError("entries must be unique")
-    return value
-
-
 def _per_reviewer(
     table: PanelTable,
-    mapping: Mapping[str, Any],
+    mapping: Mapping[str, float],
     path: str,
     noun: str,
-    parse: Callable[[Any], float],
     fallback: str | None = None,
 ) -> np.ndarray:
-    """``parse(mapping[reviewer])`` for each roster member, in roster order.
+    """``mapping[reviewer]`` for each roster member, in roster order.
 
     A reviewer missing from ``mapping`` takes ``mapping[fallback]`` when
     that key is given.  Errors name the config key path.
@@ -282,11 +168,13 @@ def _per_reviewer(
                 f"{path}.{reviewer}: no {noun} for reviewer {reviewer!r}{no_fallback} "
                 f"(first review at {table.reviewer_where(code)})"
             )
-        values[code] = _config_field(mapping, path, key, parse, None)
+        values[code] = mapping[key]
     return values
 
 
-def _review_weights(config: Mapping[str, Any], table: PanelTable) -> np.ndarray:
+def _review_weights(
+    table: PanelTable, weights: str | Mapping[str, float], gls_variances: Mapping[str, float] | None
+) -> np.ndarray:
     """(N,) each review's weight in its panel's consensus.
 
     The weights are normalized the way ``ReviewerWeights`` (and, for GLS,
@@ -296,20 +184,16 @@ def _review_weights(config: Mapping[str, Any], table: PanelTable) -> np.ndarray:
     def normalized(values: np.ndarray) -> np.ndarray:
         return values / table.panel_sums(values)[table.panel_index]
 
-    raw = config.get("weights", "uniform")
-    if raw == "uniform":
+    if weights == "uniform":
         return normalized(1.0 / table.counts[table.panel_index])
-    if raw == "gls":
-        variances = config.get("gls_variances")
-        if not isinstance(variances, dict):
+    if weights == "gls":
+        if gls_variances is None:
             raise _config_error(
                 "gls_variances: required reviewer-to-variance object when weights is 'gls'"
             )
-        inverse = 1.0 / _per_reviewer(table, variances, "gls_variances", "variance", _positive)
+        inverse = 1.0 / _per_reviewer(table, gls_variances, "gls_variances", "variance")
         return normalized(normalized(inverse[table.reviewer]))
-    if not isinstance(raw, dict):
-        raise _config_error("weights: must be 'uniform', 'gls', or a reviewer-to-weight object")
-    values = _per_reviewer(table, raw, "weights", "weight", _non_negative)[table.reviewer]
+    values = _per_reviewer(table, weights, "weights", "weight")[table.reviewer]
     totals = table.panel_sums(values)
     table.require(totals > 0, "the panel's reviewer weights from config sum to 0; must be > 0")
     return normalized(values / totals[table.panel_index])
@@ -326,58 +210,40 @@ def _check_criteria(table: PanelTable, functional: ScoringFunctional) -> None:
         table.require(wrong == 0, f"rubric length differs from the functional's {count} coefficients")
 
 
-def _load_thresholds(path: str) -> DecisionThresholds:
-    try:
-        data = json.loads(records.read_text(path))
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"{path}: invalid JSON: {exc.msg}") from exc
-    try:
-        return DecisionThresholds.from_dict(data)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise RecordError(f"{path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------- calibrate
 
 
 def _check_strata(
-    pool: CalibrationTable, n_cal: int, edges: Sequence[float], vocab: Sequence[str]
+    pool: CalibrationTable, n_cal: int, bin_edges: Sequence[float], status_vocabulary: Sequence[str]
 ) -> None:
     """The ``stratify`` cells must hold every pool record, and ``n_cal`` fit the pool.
 
     ``calibrate.stratify`` checks the same; these errors name the config
     key and the pool line.
     """
-    known = set(vocab)
-    outside = (pool.scores < edges[0]) | (pool.scores > edges[-1])
+    known = set(status_vocabulary)
+    outside = (pool.scores < bin_edges[0]) | (pool.scores > bin_edges[-1])
     if outside.any() or not known.issuperset(pool.statuses):
         for i, status in enumerate(pool.statuses):
             if status not in known:
                 raise RecordError(
                     f"{pool.where(i)}: status {status!r} not in "
-                    f"stratify.status_vocabulary {list(vocab)}"
+                    f"stratify.status_vocabulary {list(status_vocabulary)}"
                 )
             if outside[i]:
                 raise RecordError(
                     f"{pool.where(i)}: score {float(pool.scores[i])} outside "
-                    f"stratify.bin_edges [{edges[0]}, {edges[-1]}]"
+                    f"stratify.bin_edges [{bin_edges[0]}, {bin_edges[-1]}]"
                 )
     if n_cal > len(pool):
         raise _config_error(f"stratify.n_cal: must be an integer in [1, {len(pool)}], got {n_cal}")
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    target_rate = _config_field(config, "", "target_rate", _probability)
-    delta = _config_field(config, "", "delta", _probability, 0.05)
-    stratify = _config_field(config, "", "stratify", _object, None)
-    if stratify is not None:
-        n_cal = _config_field(stratify, "stratify", "n_cal", int_at_least(1))
-        edges = _config_field(stratify, "stratify", "bin_edges", _bin_edges)
-        vocab = _config_field(stratify, "stratify", "status_vocabulary", _status_vocabulary)
+    target_rate, delta, stratify = config.load(args.config, "target_rate", "delta", "stratify")
     pool = records.load_calibration_table(args.records)
     if stratify is not None:
-        _check_strata(pool, n_cal, edges, vocab)
+        _check_strata(pool, **stratify)
 
     run = _Run(args.out, "calibrate", args.seed, args.config, [args.records])
 
@@ -385,7 +251,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     plan = None
     if stratify is not None:
         seed = 0 if args.seed is None else args.seed
-        plan, used = calibrate.stratify(pool, n_cal, edges, vocab, seed)
+        plan, used = calibrate.stratify(pool, **stratify, seed=seed)
 
     scores = used.scores
     tau_rate = calibrate.rate_matching_threshold(scores, target_rate)
@@ -437,14 +303,15 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_review(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    schema = _schema_from_config(config)
-    functional = _functional_from_config(config, schema)
+    schema, functional, weights, gls_variances = config.load(
+        args.config, "schema", "functional", "weights", "gls_variances"
+    )
+    functional = _scoring(schema, functional)
     table = records.load_panel_table(args.panels)
     table.validate(schema)
     _check_criteria(table, functional)
-    thresholds = _load_thresholds(args.thresholds)
-    weights = _review_weights(config, table)
+    thresholds = config.load_thresholds(args.thresholds)
+    weights = _review_weights(table, weights, gls_variances)
     consensus = aggregate.consensus_rows(table.rubric, weights, table.counts)
     scores = aggregate.score_rows(consensus, functional, schema)
     table.require(np.isfinite(scores), "consensus score is not finite")
@@ -533,50 +400,25 @@ def cmd_review(args: argparse.Namespace) -> int:
 
 
 def cmd_bayes(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    raw_bayes = config.get("bayes")
-    if not isinstance(raw_bayes, dict):
-        raise _config_error("bayes: required object with prior_mean and prior_variance")
-    prior = GaussianPosterior(
-        _config_field(raw_bayes, "bayes", "prior_mean", _finite),
-        _config_field(raw_bayes, "bayes", "prior_variance", _positive),
-    )
-    alpha = _config_field(raw_bayes, "bayes", "alpha", _probability, 0.05)
-    review_variances = _config_field(raw_bayes, "bayes", "review_variances", _object, {})
-    solicit_variance = _config_field(raw_bayes, "bayes", "solicit_variance", _positive, None)
-    if solicit_variance is None:
-        solicit_variance = _config_field(
-            review_variances, "bayes.review_variances", "default", _positive, 1.0
-        )
-    schema = _schema_from_config(config)
-    functional = _functional_from_config(config, schema)
-
-    selector = raw_bayes.get("threshold", "tau_05")
-    if isinstance(selector, (int, float)) and not isinstance(selector, bool):
-        threshold = float(selector)
-        inputs = [args.panels]
-    elif selector in ("tau_rate", "tau_05"):
+    schema, functional, settings = config.load(args.config, "schema", "functional", "bayes")
+    functional = _scoring(schema, functional)
+    prior, alpha, threshold = settings["prior"], settings["alpha"], settings["threshold"]
+    review_variances = settings["review_variances"]
+    solicit_variance = settings["solicit_variance"] or review_variances.get("default", 1.0)
+    inputs = [args.panels]
+    if threshold in ("tau_rate", "tau_05"):
         if args.thresholds is None:
-            raise _config_error(
-                f"bayes.threshold: {selector!r} needs --thresholds"
-            )
-        loaded = _load_thresholds(args.thresholds)
-        threshold = getattr(loaded, selector)
-        inputs = [args.panels, args.thresholds]
-    else:
-        raise _config_error(
-            "bayes.threshold: must be 'tau_rate', 'tau_05', or a number"
-        )
+            raise _config_error(f"bayes.threshold: {threshold!r} needs --thresholds")
+        threshold = getattr(config.load_thresholds(args.thresholds), threshold)
+        inputs.append(args.thresholds)
     if not math.isfinite(threshold):
-        raise _config_error(
-            f"bayes.threshold: resolved threshold {threshold} is not finite"
-        )
+        raise _config_error(f"bayes.threshold: resolved threshold {threshold} is not finite")
 
     table = records.load_panel_table(args.panels)
     table.validate(schema, require_reviews=False)
     _check_criteria(table, functional)
     variances = _per_reviewer(
-        table, review_variances, "bayes.review_variances", "variance", _positive, "default"
+        table, review_variances, "bayes.review_variances", "variance", "default"
     )
     scores = aggregate.score_rows(table.rubric, functional, schema)
     means, posterior_variances = bayes.posterior_arrays(
@@ -750,31 +592,14 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _simulate_section(config: Mapping[str, Any], experiment: str) -> Mapping[str, Any]:
-    """The ``simulate.<experiment>`` config object; empty when absent."""
-    raw = _config_field(config, "", "simulate", _object, {})
-    if raw.get(experiment) is None:
-        return {}
-    return _config_field(raw, "simulate", experiment, _object)
-
-
 def _cohort_settings(
-    config: Mapping[str, Any],
-    args: argparse.Namespace,
-    experiment: str,
-    spec: simulate.CohortSpec,
-    m_grid: tuple[int, ...],
-) -> tuple[simulate.CohortSpec, tuple[int, ...], Mapping[str, Any]]:
-    """Cohort spec, panel sizes and config section of a cohort experiment.
+    args: argparse.Namespace, path: str, spec: simulate.CohortSpec, m_grid: tuple[int, ...]
+) -> tuple[simulate.CohortSpec, tuple[int, ...]]:
+    """Cohort spec and panel sizes of the cohort experiment configured at ``path``.
 
-    ``simulate.<experiment>`` in the config overrides the given defaults,
-    and ``--m`` / ``--seed`` override the config.  The cohort is resized to
-    the largest panel size, every reviewer taking the first one's variance.
+    ``--m`` / ``--seed`` override the config.  The cohort is resized to the
+    largest panel size, every reviewer taking the first one's variance.
     """
-    path = f"simulate.{experiment}"
-    section = _simulate_section(config, experiment)
-    spec = _config_field(section, path, "spec", simulate.CohortSpec.from_dict, spec)
-    m_grid = _config_field(section, path, "m_grid", _int_tuple, m_grid)
     if args.m is not None:
         m_grid = _parse_int_list(args.m, "--m")
     if not m_grid or min(m_grid) < 1:
@@ -787,18 +612,15 @@ def _cohort_settings(
         spec = replace(spec, m_reviewers=m_max, noise=noise)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
-    return spec, m_grid, section
+    return spec, m_grid
 
 
 def cmd_simulate_margins(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    spec, m_grid, threshold, edges = simulate.default_margin_settings()
-    spec, m_grid, section = _cohort_settings(config, args, "margins", spec, m_grid)
     path = "simulate.margins"
-    threshold = _config_field(section, path, "threshold", float, threshold)
-    edges = _config_field(section, path, "bin_edges", lambda v: tuple(float(e) for e in v), edges)
+    [settings] = config.load(args.config, path)
+    spec, m_grid = _cohort_settings(args, path, settings["spec"], settings["m_grid"])
     run = _Run(args.out, "simulate-margins", spec.seed, args.config, [])
-    rows = simulate.margin_suite(spec, m_grid, threshold, edges)
+    rows = simulate.margin_suite(spec, m_grid, settings["threshold"], settings["bin_edges"])
     run.write(
         "margin_bins.csv",
         metrics.csv_text(
@@ -831,25 +653,12 @@ def cmd_simulate_margins(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    grid, replicates, seed = simulate.default_bootstrap_settings()
     path = "simulate.threshold_error"
-    section = _simulate_section(config, "threshold_error")
-    settings = _config_field(
-        section, path, "population", simulate.PopulationSettings.from_dict,
-        simulate.default_population_settings(),
-    )
-    grid = _config_field(section, path, "n_cal_grid", _int_tuple, grid)
-    replicates = _config_field(section, path, "replicates", int_at_least(2), replicates)
-    seed = _config_field(section, path, "seed", int_at_least(0), seed)
-    if args.grid is not None:
-        grid = _parse_int_list(args.grid, "--grid")
-    if args.replicates is not None:
-        replicates = args.replicates
-        if replicates < 2:
-            raise RecordError(f"--replicates: must be an integer >= 2, got {replicates}")
-    if args.seed is not None:
-        seed = args.seed
+    [section] = config.load(args.config, path)
+    settings = section["population"]
+    grid = section["n_cal_grid"] if args.grid is None else _parse_int_list(args.grid, "--grid")
+    replicates = section["replicates"] if args.replicates is None else args.replicates
+    seed = section["seed"] if args.seed is None else args.seed
     size = settings.cohort.n_papers
     if not grid or grid[0] < 2 or grid[-1] > size or any(b <= a for a, b in zip(grid, grid[1:])):
         where = "--grid" if args.grid is not None else f"config: {path}.n_cal_grid"
@@ -884,9 +693,9 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate_variance(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    spec, m_grid = simulate.default_variance_settings()
-    spec, m_grid, _ = _cohort_settings(config, args, "variance", spec, m_grid)
+    path = "simulate.variance"
+    [settings] = config.load(args.config, path)
+    spec, m_grid = _cohort_settings(args, path, settings["spec"], settings["m_grid"])
 
     run = _Run(args.out, "simulate-variance", spec.seed, args.config, [])
     rows = simulate.variance_experiment(spec, m_grid)
@@ -939,15 +748,17 @@ def cmd_bound(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _seed(text: str) -> int:
-    """argparse type of every ``--seed``: a non-negative integer."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
-    return value
+def _int_flag(minimum: int) -> Callable[[str], int]:
+    """argparse type of an integer flag (``--seed``, ``--replicates``): at least ``minimum``."""
+    wanted = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+
+    def parse(text: str) -> int:
+        try:
+            return config.integer(minimum)(int(text))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}") from None
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -963,7 +774,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records", required=True, help="calibration JSONL pool")
     p.add_argument("--config", required=True, help="JSON config with target_rate")
     p.add_argument("--out", default="runs", help="parent directory for run outputs")
-    p.add_argument("--seed", type=_seed, default=None, help="stratified sampling seed")
+    p.add_argument("--seed", type=_int_flag(0), default=None, help="stratified sampling seed")
     p.set_defaults(handler=cmd_calibrate)
 
     p = sub.add_parser("review", help="score panels and report corpus metrics")
@@ -991,22 +802,22 @@ def build_parser() -> argparse.ArgumentParser:
     q = sim_sub.add_parser("margins", help="misclassification vs margin bins")
     q.add_argument("--config", default=None)
     q.add_argument("--out", default="runs")
-    q.add_argument("--seed", type=_seed, default=None)
+    q.add_argument("--seed", type=_int_flag(0), default=None)
     q.add_argument("--m", default=None, help="comma-separated panel sizes, e.g. 1,2,3")
     q.set_defaults(handler=cmd_simulate_margins)
 
     q = sim_sub.add_parser("threshold-error", help="tau_05 bootstrap error vs n_cal")
     q.add_argument("--config", default=None)
     q.add_argument("--out", default="runs")
-    q.add_argument("--seed", type=_seed, default=None)
+    q.add_argument("--seed", type=_int_flag(0), default=None)
     q.add_argument("--grid", default=None, help="comma-separated n_cal grid")
-    q.add_argument("--replicates", type=int, default=None)
+    q.add_argument("--replicates", type=_int_flag(2), default=None)
     q.set_defaults(handler=cmd_simulate_threshold_error)
 
     q = sim_sub.add_parser("variance", help="consensus variance vs panel size")
     q.add_argument("--config", default=None)
     q.add_argument("--out", default="runs")
-    q.add_argument("--seed", type=_seed, default=None)
+    q.add_argument("--seed", type=_int_flag(0), default=None)
     q.add_argument("--m", default=None, help="comma-separated panel sizes, e.g. 1,2,3")
     q.set_defaults(handler=cmd_simulate_variance)
 

@@ -2,16 +2,15 @@
 
 Every type validates its invariants at construction and raises
 ``ValueError`` with a message that names the violated field.  All types
-are immutable.  Types read from config (``RubricSchema``,
-``ScoringFunctional``, ``NoiseProfile``, ``DecisionThresholds``) parse it
-with ``from_dict``.
+are immutable.  ``panelcal.config`` builds the types read from config and
+thresholds files and reports these errors under the key path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "RubricSchema",
@@ -26,9 +25,6 @@ __all__ = [
     "DecisionThresholds",
     "GaussianPosterior",
     "ConfusionCounts",
-    "FieldError",
-    "is_int",
-    "int_at_least",
     "left_sum",
 ]
 
@@ -37,31 +33,6 @@ _WEIGHT_SUM_TOL = 1e-9
 
 def _fail(field: str, message: str) -> None:
     raise ValueError(f"{field}: {message}")
-
-
-class FieldError(ValueError):
-    """A bad value at ``key`` of a config object; config errors name it ``<path>.<key>``."""
-
-    def __init__(self, key: str, message: str) -> None:
-        super().__init__(f"{key}: {message}")
-        self.key = key
-        self.message = message
-
-
-def is_int(value: Any) -> bool:
-    """Whether ``value`` is a JSON integer (true/false are not integers)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def int_at_least(minimum: int) -> Callable[[Any], int]:
-    """A config value parser: an integer >= ``minimum``."""
-
-    def parse(value: Any) -> int:
-        if not is_int(value) or value < minimum:
-            raise ValueError(f"must be an integer >= {minimum}, got {value!r}")
-        return value
-
-    return parse
 
 
 def left_sum(values: Iterable[float]) -> float:
@@ -118,14 +89,6 @@ class RubricSchema:
     @property
     def widths(self) -> tuple[float, ...]:
         return tuple(hi - lo for lo, hi in self.bounds)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RubricSchema":
-        return cls(
-            int(data["criteria_count"]),
-            tuple((float(a), float(b)) for a, b in data["bounds"]),
-            None if data.get("overall_index") is None else int(data["overall_index"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -323,11 +286,6 @@ class ScoringFunctional:
         assert self.coefficients is not None
         return math.sqrt(sum(c * c for c in self.coefficients))
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScoringFunctional":
-        coeffs = data.get("coefficients")
-        return cls(str(data["kind"]), None if coeffs is None else tuple(float(c) for c in coeffs))
-
 
 @dataclass(frozen=True)
 class NoiseProfile:
@@ -356,14 +314,6 @@ class NoiseProfile:
     @property
     def range_width(self) -> float:
         return self.scalar_bounds[1] - self.scalar_bounds[0]
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "NoiseProfile":
-        bounds = data["scalar_bounds"]
-        return cls(
-            tuple(float(v) for v in data["per_reviewer_variance"]),
-            (float(bounds[0]), float(bounds[1])),
-        )
 
 
 @dataclass(frozen=True)
@@ -439,15 +389,6 @@ class DecisionThresholds:
         object.__setattr__(self, "target_rate", rate)
         if not isinstance(self.calibration_size, int) or self.calibration_size < 1:
             _fail("calibration_size", f"must be an integer >= 1, got {self.calibration_size!r}")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DecisionThresholds":
-        return cls(
-            float(data["tau_rate"]),
-            float(data["tau_05"]),
-            float(data["target_rate"]),
-            int(data["calibration_size"]),
-        )
 
 
 @dataclass(frozen=True)

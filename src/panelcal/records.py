@@ -546,11 +546,11 @@ def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
 
 
 def load_config(path: str | Path) -> dict[str, Any]:
-    """Load a JSON config file; the top level must be an object."""
+    """Load a JSON config or thresholds file; the top level must be an object."""
     try:
         data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise RecordError(f"{path}: invalid JSON: {exc.msg}") from exc
     if not isinstance(data, dict):
-        raise RecordError(f"{path}: config top level must be a JSON object")
+        raise RecordError(f"{path}: top level must be a JSON object")
     return data

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bounds import margin_misclassification_bound, scalar_bound_inputs
 from .calibrate import Pool, ThresholdUnreachableError, _table, tau05_from_scores
-from .core import FieldError, NoiseProfile, ReviewerWeights, int_at_least
+from .core import NoiseProfile, ReviewerWeights
 from .records import CalibrationTable
 
 __all__ = [
@@ -49,10 +49,6 @@ __all__ = [
     "check_threshold_rows",
     "check_variance_rows",
     "error_curve_slope",
-    "default_margin_settings",
-    "default_population_settings",
-    "default_bootstrap_settings",
-    "default_variance_settings",
 ]
 
 _CLIP_MODES = ("clip", "none", "reject-resample")
@@ -87,24 +83,6 @@ class LatentDistribution:
     @classmethod
     def gaussian(cls, mean: float, sd: float) -> "LatentDistribution":
         return cls("gaussian", mean, sd)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LatentDistribution":
-        kind = str(data["kind"])
-        if kind == "uniform":
-            return cls.uniform(float(data["lo"]), float(data["hi"]))
-        if kind == "gaussian":
-            return cls.gaussian(float(data["mean"]), float(data["sd"]))
-        raise ValueError(f"kind: must be 'uniform' or 'gaussian', got {kind!r}")
-
-
-def _int_key(data: Mapping[str, Any], key: str, minimum: int, default: int | None = None) -> int:
-    """``data[key]``, or ``default`` when given and absent, as an integer >= ``minimum``."""
-    value = data[key] if default is None else data.get(key, default)
-    try:
-        return int_at_least(minimum)(value)
-    except ValueError as exc:
-        raise FieldError(key, str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -141,17 +119,6 @@ class CohortSpec:
         else:
             if not lo <= self.latent.param_a <= hi:
                 raise ValueError("latent: gaussian mean must sit inside the scalar score bounds")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CohortSpec":
-        return cls(
-            _int_key(data, "n_papers", 1),
-            _int_key(data, "m_reviewers", 1),
-            LatentDistribution.from_dict(data["latent"]),
-            NoiseProfile.from_dict(data["noise"]),
-            str(data.get("clip_mode", "clip")),
-            _int_key(data, "seed", 0, default=0),
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,19 +183,6 @@ class PopulationSettings:
             raise ValueError(f"link_midpoint: must be finite, got {self.link_midpoint!r}")
         if not (math.isfinite(self.link_slope) and self.link_slope > 0):
             raise ValueError(f"link_slope: must be finite and > 0, got {self.link_slope!r}")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PopulationSettings":
-        """Parse the flat config form.
-
-        That is the cohort-spec keys, with ``size`` in place of ``n_papers``,
-        plus ``link_midpoint`` and ``link_slope``.
-        """
-        return cls(
-            CohortSpec.from_dict({**data, "n_papers": _int_key(data, "size", 2)}),
-            float(data["link_midpoint"]),
-            float(data["link_slope"]),
-        )
 
 
 def generate_cohort(spec: CohortSpec) -> Cohort:
@@ -635,45 +589,3 @@ def check_variance_rows(
         if abs(row.proxy * row.m - reference) > 1e-9 * max(1.0, abs(reference)):
             failures.append(f"m={row.m}: proxy does not scale exactly as 1/m")
     return failures
-
-
-# shared by the margins and variance presets
-_DEFAULT_COHORT = CohortSpec(
-    n_papers=5000,
-    m_reviewers=3,
-    latent=LatentDistribution.uniform(4.0, 7.0),
-    noise=NoiseProfile((1.0, 1.0, 1.0), (1.0, 10.0)),
-    clip_mode="clip",
-    seed=20260819,
-)
-
-
-def default_margin_settings() -> tuple[CohortSpec, tuple[int, ...], float, tuple[float, ...]]:
-    """Frozen margins preset: (spec, m_grid, threshold, bin_edges)."""
-    return _DEFAULT_COHORT, (1, 2, 3), 5.5, (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5)
-
-
-def default_population_settings() -> PopulationSettings:
-    """Frozen synthetic calibration population preset."""
-    return PopulationSettings(
-        cohort=CohortSpec(
-            n_papers=20000,
-            m_reviewers=3,
-            latent=LatentDistribution.uniform(2.0, 9.0),
-            noise=NoiseProfile((1.0, 1.0, 1.0), (1.0, 10.0)),
-            clip_mode="clip",
-            seed=7,
-        ),
-        link_midpoint=7.6,
-        link_slope=2.5,
-    )
-
-
-def default_bootstrap_settings() -> tuple[tuple[int, ...], int, int]:
-    """Frozen bootstrap preset: (n_cal_grid, replicates, seed)."""
-    return (50, 100, 200, 400, 800), 200, 11
-
-
-def default_variance_settings() -> tuple[CohortSpec, tuple[int, ...]]:
-    """Frozen variance preset: (spec, m_grid)."""
-    return _DEFAULT_COHORT, (1, 2, 3)

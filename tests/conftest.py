@@ -1,6 +1,9 @@
 """Test-suite settings: property tests draw the same examples on every run.
 
-``HYPOTHESIS_PROFILE=ci`` selects the same settings with more examples.
+``HYPOTHESIS_PROFILE=ci`` selects the same settings with more examples.  A
+test that asks for more examples than the active profile writes
+``max(n, settings.default.max_examples)``, so its count is a floor: it never
+draws fewer than the profile, nor fewer than ``n``.
 """
 
 import os

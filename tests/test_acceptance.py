@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from panelcal import config
 from panelcal.aggregate import decide, gls_weights, panel_variance
 from panelcal.bayes import acceptance_probability, posterior_update
 from panelcal.bounds import dkw_bound
@@ -29,10 +30,6 @@ from panelcal.simulate import (
     check_margin_ordering,
     check_threshold_rows,
     check_variance_rows,
-    default_bootstrap_settings,
-    default_margin_settings,
-    default_population_settings,
-    default_variance_settings,
     error_curve_slope,
     margin_suite,
     synthetic_calibration_population,
@@ -66,15 +63,16 @@ def test_criterion_01_dkw_bound_value(emit):
 
 
 def test_criterion_02_margin_bound_dominance_and_ordering(emit):
-    spec, m_grid, threshold, edges = default_margin_settings()
-    rows = margin_suite(spec, m_grid, threshold, edges)
+    [margins] = config.load(None, "simulate.margins")
+    rows = margin_suite(**margins)
     failures = check_margin_dominance(rows) + check_margin_ordering(rows)
     check(emit, 2, "margin bound dominates empirical error; larger panels no worse",
           not failures, failures[0] if failures else f"{len(rows)} bin rows")
 
 
 def test_criterion_03_variance_ratio_and_proxy(emit):
-    spec, m_grid = default_variance_settings()
+    [variance] = config.load(None, "simulate.variance")
+    spec, m_grid = variance["spec"], variance["m_grid"]
     rows = variance_experiment(spec, m_grid)
     failures = check_variance_rows(rows)
     by_m = {row.m: row for row in rows}
@@ -87,9 +85,11 @@ def test_criterion_03_variance_ratio_and_proxy(emit):
 
 
 def test_criterion_04_threshold_error_decay(emit):
-    population = synthetic_calibration_population(default_population_settings())
-    grid, replicates, seed = default_bootstrap_settings()
-    rows = threshold_bootstrap(population, grid, replicates, seed)
+    [bootstrap] = config.load(None, "simulate.threshold_error")
+    population = synthetic_calibration_population(bootstrap["population"])
+    rows = threshold_bootstrap(
+        population, bootstrap["n_cal_grid"], bootstrap["replicates"], bootstrap["seed"]
+    )
     failures = check_threshold_rows(rows)
     slope = error_curve_slope(rows)
     err_200 = next(row.mean_abs_err for row in rows if row.n_cal == 200)

@@ -173,7 +173,7 @@ def record_order_sample(pool, plan, seed):
     return [pool[i] for i in sorted(chosen)]
 
 
-@settings(max_examples=60)
+@settings(max_examples=max(60, settings.default.max_examples))
 @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.floats(0.01, 1.0))
 def test_stratified_sample_matches_record_order_draw(size, seed, fraction):
     rng = np.random.default_rng(seed)
@@ -362,7 +362,7 @@ def test_fit_tau05_unreachable():
         fit_tau05(records)
 
 
-@settings(max_examples=300)
+@settings(max_examples=max(300, settings.default.max_examples))
 @given(
     st.lists(st.tuples(st.integers(0, 12), st.booleans()), min_size=1, max_size=40),
     st.sampled_from(["drawn", "all-reject", "all-accept"]),

@@ -401,7 +401,7 @@ STRATIFY_CONFIGS = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=150)
+@settings(max_examples=max(150, settings.default.max_examples))
 @given(
     st.fixed_dictionaries(
         {"target_rate": mostly(st.floats(0.05, 0.95))},
@@ -446,7 +446,7 @@ POOL_ENTRY = st.integers(0, 5).flatmap(
 )
 
 
-@settings(max_examples=150)
+@settings(max_examples=max(150, settings.default.max_examples))
 @given(
     st.lists(POOL_ENTRY, max_size=8),
     st.sampled_from([{"target_rate": 0.4},
@@ -940,9 +940,9 @@ def test_simulate_threshold_error_flat_link_fails_checks(tmp_path, capsys):
         (["variance"], {"simulate": {"variance": [1, 3]}},
          "config: simulate.variance: must be an object"),
         (["margins"], {"simulate": {"margins": {"spec": {"n_papers": 100}}}},
-         "config: simulate.margins.spec: missing key 'm_reviewers'"),
+         "config: simulate.margins.spec.m_reviewers: required"),
         (["threshold-error"], {"simulate": {"threshold_error": {"population": {"n_papers": 100}}}},
-         "config: simulate.threshold_error.population: missing key 'size'"),
+         "config: simulate.threshold_error.population.n_papers: unknown key"),
         (["variance", "--m", "0,3"], None, "--m: panel sizes must be integers >= 1, got [0, 3]"),
         (["margins"], {"simulate": {"margins": {"m_grid": [0, 2]}}},
          "config: simulate.margins.m_grid: panel sizes must be integers >= 1, got [0, 2]"),
@@ -969,25 +969,23 @@ def test_simulate_threshold_error_flat_link_fails_checks(tmp_path, capsys):
          "config: simulate.margins.m_grid: must be a list of integers, got [1.7, 3.2]"),
         (["variance"], {"simulate": {"variance": {"m_grid": "1,3"}}},
          "config: simulate.variance.m_grid: must be a list of integers, got '1,3'"),
-        (["threshold-error", "--replicates", "1"], None,
-         "--replicates: must be an integer >= 2, got 1"),
         (["threshold-error"],
          {"simulate": {"threshold_error": {"population": dict(SMALL_POPULATION, size=3000.9)}}},
-         "config: simulate.threshold_error.population.size: must be an integer >= 2, got 3000.9"),
+         "config: simulate.threshold_error.population.size: must be an integer, got 3000.9"),
         (["threshold-error"],
          {"simulate": {"threshold_error": {"population": dict(SMALL_POPULATION, seed=7.8)}}},
          "config: simulate.threshold_error.population.seed: must be an integer >= 0, got 7.8"),
         (["variance"], {"simulate": {"variance": {"spec": dict(COHORT_SPEC, m_reviewers=True)}}},
-         "config: simulate.variance.spec.m_reviewers: must be an integer >= 1, got True"),
+         "config: simulate.variance.spec.m_reviewers: must be an integer, got True"),
         (["margins"], {"simulate": {"margins": {"spec": dict(COHORT_SPEC, n_papers=3000.9)}}},
-         "config: simulate.margins.spec.n_papers: must be an integer >= 1, got 3000.9"),
+         "config: simulate.margins.spec.n_papers: must be an integer, got 3000.9"),
         (["margins"], {"simulate": {"margins": {"spec": dict(COHORT_SPEC, seed=-2)}}},
          "config: simulate.margins.spec.seed: must be an integer >= 0, got -2"),
     ],
     ids=["simulate-list", "section-list", "partial-spec", "partial-population", "m-zero-flag",
          "m-zero-config", "grid-below-2", "grid-flag-repeated", "one-replicate", "grid-floats",
          "grid-bool", "replicates-float", "seed-negative", "seed-float", "m-grid-floats",
-         "m-grid-string", "one-replicate-flag", "size-float", "population-seed-float",
+         "m-grid-string", "size-float", "population-seed-float",
          "m-reviewers-bool", "n-papers-float", "spec-seed-negative"],
 )
 def test_simulate_bad_settings_exit_2_before_run(tmp_path, capsys, argv, config, message):
@@ -1011,6 +1009,17 @@ def test_seed_flag_names_itself(tmp_path, capsys, argv, seed):
         main([*argv, "--seed", seed, "--out", str(tmp_path / "runs")])
     assert exit_info.value.code == 2
     assert f"argument --seed: must be a non-negative integer, got {seed}\n" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("replicates", ["1", "2.5", "x"])
+def test_replicates_flag_names_itself(tmp_path, capsys, replicates):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["simulate", "threshold-error", "--replicates", replicates,
+              "--out", str(tmp_path / "runs")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --replicates: must be an integer >= 2, got {replicates}\n" in err
     assert not (tmp_path / "runs").exists()
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from panelcal import config
 from panelcal.core import (
     BoundInputs,
     CalibrationRecord,
@@ -197,7 +198,13 @@ def test_confusion_counts():
     ],
 )
 def test_dict_round_trip(value):
-    # a config-parsed type reads its own fields back from JSON
+    # the config spec reads a config-parsed type's own fields back from JSON
+    node = {
+        RubricSchema: config.SCHEMA,
+        ScoringFunctional: config.FUNCTIONAL,
+        NoiseProfile: config.NOISE,
+        DecisionThresholds: config.THRESHOLDS,
+    }[type(value)]
     data = json.loads(json.dumps(dataclasses.asdict(value)))
-    assert type(value).from_dict(data) == value
+    assert config.parse(node, data) == value
 

@@ -340,7 +340,7 @@ def corrupted_pool_lines(draw):
     return lines
 
 
-@settings(max_examples=200)
+@settings(max_examples=max(200, settings.default.max_examples))
 @given(corrupted_pool_lines())
 def test_calibration_table_errors_match_per_line_records(lines):
     assert_loaders_agree(lines)

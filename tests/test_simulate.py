@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panelcal import simulate
+from panelcal import config, simulate
 from panelcal.bounds import margin_misclassification_bound, scalar_bound_inputs
 from panelcal.calibrate import ThresholdUnreachableError, tau05_from_scores
 from panelcal.core import CalibrationRecord, NoiseProfile, ReviewerWeights
@@ -22,10 +22,6 @@ from panelcal.simulate import (
     check_margin_ordering,
     check_threshold_rows,
     check_variance_rows,
-    default_bootstrap_settings,
-    default_margin_settings,
-    default_population_settings,
-    default_variance_settings,
     error_curve_slope,
     generate_cohort,
     margin_experiment,
@@ -52,12 +48,12 @@ def small_spec(m=3, seed=5, clip_mode="clip", sigma=1.0, n=400):
 
 
 def test_latent_distribution_validation_and_round_trip():
-    uni = LatentDistribution.from_dict({"kind": "uniform", "lo": 2, "hi": 9.0})
+    uni = config.parse(config.LATENT, {"kind": "uniform", "lo": 2, "hi": 9.0})
     assert uni == LatentDistribution.uniform(2.0, 9.0)
-    gauss = LatentDistribution.from_dict({"kind": "gaussian", "mean": 5.0, "sd": 1.5})
+    gauss = config.parse(config.LATENT, {"kind": "gaussian", "mean": 5.0, "sd": 1.5})
     assert gauss == LatentDistribution.gaussian(5.0, 1.5)
     with pytest.raises(ValueError, match="kind"):
-        LatentDistribution.from_dict({"kind": "beta", "lo": 1, "hi": 2})
+        config.parse(config.LATENT, {"kind": "beta", "lo": 1, "hi": 2})
     with pytest.raises(ValueError, match="param_a"):
         LatentDistribution.uniform(3.0, 3.0)
     with pytest.raises(ValueError, match="param_b"):
@@ -82,9 +78,9 @@ def test_cohort_spec_validation():
         "noise": {"per_reviewer_variance": [1.0, 1.0, 1.0], "scalar_bounds": [1.0, 10.0]},
         "clip_mode": "clip", "seed": 20260819,
     }
-    assert CohortSpec.from_dict(readme) == default_margin_settings()[0]
+    assert config.parse(config.COHORT, readme) == config.load(None, "simulate.margins")[0]["spec"]
     del readme["clip_mode"], readme["seed"]
-    assert CohortSpec.from_dict(readme) == small_spec(n=5000, seed=0)
+    assert config.parse(config.COHORT, readme) == small_spec(n=5000, seed=0)
 
 
 # ---------------------------------------------------------------- cohorts
@@ -228,7 +224,8 @@ def test_margin_suite_structure():
 
 
 def test_synthetic_population_deterministic_and_labeled():
-    settings = PopulationSettings.from_dict(
+    settings = config.parse(
+        config.POPULATION,
         {
             "size": 500,
             "m_reviewers": 3,
@@ -352,7 +349,7 @@ def packed_rows(draw):
     return np.array(scores, dtype=float), np.array(accepts, dtype=bool)
 
 
-@settings(max_examples=200)
+@settings(max_examples=max(200, settings.default.max_examples))
 @given(packed_rows())
 @example((np.array([[1.0, 2.0], [3.0, 3.0], [0.0, 4.0]]),
           np.array([[False, True], [True, True], [False, False]])))
@@ -490,18 +487,19 @@ def test_check_variance_rows():
 
 
 def test_default_settings_are_consistent():
-    spec, m_grid, threshold, edges = default_margin_settings()
+    margins, bootstrap, variance = config.load(
+        None, "simulate.margins", "simulate.threshold_error", "simulate.variance"
+    )
+    spec, m_grid, threshold, edges = margins.values()
     assert max(m_grid) == spec.m_reviewers
     assert len(edges) >= 2 and edges[0] >= 0.0
     assert spec.noise.scalar_bounds[0] <= threshold <= spec.noise.scalar_bounds[1]
 
-    pop = default_population_settings()
+    pop, grid, replicates, seed = bootstrap.values()
     assert pop.cohort.n_papers >= 2
-
-    grid, replicates, seed = default_bootstrap_settings()
     assert all(2 <= n <= pop.cohort.n_papers for n in grid)
     assert replicates >= 2
 
-    var_spec, var_grid = default_variance_settings()
+    var_spec, var_grid = variance.values()
     assert max(var_grid) == var_spec.m_reviewers
     assert len(set(var_spec.noise.per_reviewer_variance)) == 1
