@@ -26,7 +26,7 @@ from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import CalibrationRecord
+from .core import CalibrationRecord, ThresholdUnreachableError
 from .records import CalibrationTable
 
 Pool = Union[Sequence[CalibrationRecord], CalibrationTable]
@@ -53,10 +53,6 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 _MONOTONE_TOL = 1e-12
-
-
-class ThresholdUnreachableError(ValueError):
-    """The fitted tail curve never reaches the requested level."""
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@
 key to its node and default, or to ``REQUIRED``.  Leaf parsers check JSON
 types strictly: a number is an int or a float but not a bool, and a string
 stays a string.  A range that a domain type's ``__post_init__`` checks is
-not declared again; its error is reported under the key path.  A JSON null
+not declared again; its error is reported under the key path, renamed
+where the type's field has another name than the key.  A JSON null
 is the same as leaving the key out.  ``load`` rejects a key that no
 command knows, naming the nearest known one, and parses only the keys the
 calling command reads, so one config file can serve several commands.
@@ -14,12 +15,20 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from . import records
-from .core import DecisionThresholds, GaussianPosterior, NoiseProfile, RubricSchema, ScoringFunctional
-from .records import RecordError
-from .simulate import CohortSpec, LatentDistribution, PopulationSettings
+from .core import (
+    DecisionThresholds,
+    GaussianPosterior,
+    NoiseProfile,
+    RecordError,
+    RubricSchema,
+    ScoringFunctional,
+)
+
+if TYPE_CHECKING:
+    from .simulate import CohortSpec, LatentDistribution, PopulationSettings
 
 __all__ = ["REQUIRED", "Section", "ReviewerMap", "SPEC", "THRESHOLDS", "parse", "load",
            "load_thresholds"]
@@ -228,14 +237,31 @@ def parse(node: Any, value: Any, path: str = "") -> Any:
 
 
 # ---------------------------------------------------------------- spec and files
+# The simulate builders import ``simulate`` only when a ``simulate.*`` key
+# is parsed, so the other commands never load it.
+
+
+def _cohort(**keys: Any) -> CohortSpec:
+    from .simulate import CohortSpec
+
+    return CohortSpec(**keys)
 
 
 def _population(size: int, link_midpoint: float, link_slope: float, **cohort: Any) -> PopulationSettings:
-    return PopulationSettings(CohortSpec(size, **cohort), link_midpoint, link_slope)
+    from .simulate import PopulationSettings
+
+    try:
+        spec = _cohort(n_papers=size, **cohort)
+    except ValueError as exc:  # the cohort calls the size n_papers
+        field, _, message = str(exc).partition(": ")
+        raise ValueError(f"size: {message}" if field == "n_papers" else str(exc)) from None
+    return PopulationSettings(spec, link_midpoint, link_slope)
 
 
 def _latent(kind: str, **params: float | None) -> LatentDistribution:
     """A uniform latent takes ``lo`` and ``hi``; a gaussian one takes ``mean`` and ``sd``."""
+    from .simulate import LatentDistribution
+
     names = {"uniform": ("lo", "hi"), "gaussian": ("mean", "sd")}.get(kind)
     if names is None:
         raise ValueError(f"kind: must be 'uniform' or 'gaussian', got {kind!r}")
@@ -243,6 +269,13 @@ def _latent(kind: str, **params: float | None) -> LatentDistribution:
         if (value is None) == (name in names):
             raise ValueError(f"{name}: {'required' if value is None else 'not a key'} of a {kind} latent")
     return LatentDistribution(kind, *(params[name] for name in names))
+
+
+def _margins(**settings: Any) -> dict[str, Any]:
+    edges = settings["bin_edges"]
+    if edges[0] < 0:
+        raise ValueError(f"bin_edges: margins are non-negative; first edge must be >= 0, got {list(edges)}")
+    return settings
 
 
 def _bayes(prior_mean: float, prior_variance: float, **settings: Any) -> dict[str, Any]:
@@ -254,7 +287,7 @@ LATENT = Section({"kind": (string, REQUIRED), **dict.fromkeys(("lo", "hi", "mean
 NOISE = Section({"per_reviewer_variance": (numbers, REQUIRED), "scalar_bounds": (pair, REQUIRED)}, NoiseProfile)
 _COHORT_KEYS = {"m_reviewers": (integer(), REQUIRED), "latent": (LATENT, REQUIRED),
                 "noise": (NOISE, REQUIRED), "clip_mode": (string, "clip"), "seed": (integer(0), 0)}
-COHORT = Section({"n_papers": (integer(), REQUIRED), **_COHORT_KEYS}, CohortSpec)
+COHORT = Section({"n_papers": (integer(), REQUIRED), **_COHORT_KEYS}, _cohort)
 # the cohort keys with size for n_papers, plus the logistic accept link
 POPULATION = Section({"size": (integer(), REQUIRED), **_COHORT_KEYS, "link_midpoint": (number, REQUIRED),
                       "link_slope": (number, REQUIRED)}, _population)
@@ -262,8 +295,9 @@ SCHEMA = Section({"criteria_count": (integer(), REQUIRED), "bounds": (_list(pair
                   "overall_index": (integer(), None)}, RubricSchema)
 FUNCTIONAL = Section({"kind": (string, REQUIRED), "coefficients": (numbers, None)}, ScoringFunctional)
 BAYES = Section({
-    "prior_mean": (number, REQUIRED),
-    "prior_variance": (number, REQUIRED),
+    # declared, not left to GaussianPosterior, whose fields are mean and variance
+    "prior_mean": (finite, REQUIRED),
+    "prior_variance": (positive, REQUIRED),
     "alpha": (probability, 0.05),
     "threshold": (threshold, "tau_05"),
     "review_variances": (ReviewerMap(positive), {}),
@@ -278,7 +312,7 @@ _POPULATION = {"size": 20000, "m_reviewers": 3, "latent": {"kind": "uniform", "l
 SIMULATE = Section({
     "margins": (Section({"spec": (COHORT, _COHORT), "m_grid": (integers, (1, 2, 3)),
                          "threshold": (finite, 5.5),
-                         "bin_edges": (bin_edges, (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5))}), {}),
+                         "bin_edges": (bin_edges, (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5))}, _margins), {}),
     "threshold_error": (Section({"population": (POPULATION, _POPULATION),
                                  "n_cal_grid": (integers, (50, 100, 200, 400, 800)),
                                  "replicates": (integer(2), 200), "seed": (integer(0), 11)}), {}),

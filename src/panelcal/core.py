@@ -3,7 +3,10 @@
 Every type validates its invariants at construction and raises
 ``ValueError`` with a message that names the violated field.  All types
 are immutable.  ``panelcal.config`` builds the types read from config and
-thresholds files and reports these errors under the key path.
+thresholds files and reports these errors under the key path.  The two
+errors the command line maps to exit codes, ``RecordError`` (2) and
+``ThresholdUnreachableError`` (3), live here too, so catching them needs no
+numpy; ``records`` and ``calibrate`` re-export them.
 """
 
 from __future__ import annotations
@@ -25,10 +28,20 @@ __all__ = [
     "DecisionThresholds",
     "GaussianPosterior",
     "ConfusionCounts",
+    "RecordError",
+    "ThresholdUnreachableError",
     "left_sum",
 ]
 
 _WEIGHT_SUM_TOL = 1e-9
+
+
+class RecordError(ValueError):
+    """Malformed input file or config; the message names the file and line or the key path."""
+
+
+class ThresholdUnreachableError(ValueError):
+    """The fitted tail curve never reaches the requested level."""
 
 
 def _fail(field: str, message: str) -> None:
@@ -263,7 +276,7 @@ class ScoringFunctional:
                 _fail("coefficients", "must not be all zero")
         else:
             if self.coefficients is not None:
-                _fail("coefficients", "must be None for the overall_pick variant")
+                _fail("coefficients", "must be absent for the overall_pick variant")
 
     @classmethod
     def linear(cls, coefficients: Sequence[float]) -> "ScoringFunctional":

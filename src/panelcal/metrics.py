@@ -196,6 +196,5 @@ def csv_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(headers)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+    writer.writerows(rows)  # the csv module writes None as ''
     return buffer.getvalue()

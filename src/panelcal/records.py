@@ -31,7 +31,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import CalibrationRecord, ReviewPanel, ReviewRecord, RubricSchema, RubricVector
+from .core import CalibrationRecord, RecordError, ReviewPanel, ReviewRecord, RubricSchema, RubricVector
 
 __all__ = [
     "RecordError",
@@ -45,10 +45,6 @@ __all__ = [
     "load_config",
     "read_text",
 ]
-
-
-class RecordError(ValueError):
-    """Malformed record file; message carries file and line context."""
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import calibrate
 from .bounds import margin_misclassification_bound, scalar_bound_inputs
-from .calibrate import Pool, ThresholdUnreachableError, _table, tau05_from_scores
+from .calibrate import Pool, ThresholdUnreachableError, _table
 from .core import NoiseProfile, ReviewerWeights
 from .records import CalibrationTable
 
@@ -412,7 +413,8 @@ def threshold_bootstrap(
     if not isinstance(replicates, int) or replicates < 2:
         raise ValueError(f"replicates: must be an integer >= 2, got {replicates!r}")
 
-    tau_true = tau05_from_scores(table.scores, table.accepts)
+    # looked up on the module at call time, so a patched calibrate.tau05_from_scores is seen
+    tau_true = calibrate.tau05_from_scores(table.scores, table.accepts)
     uniq, rank = np.unique(table.scores, return_inverse=True)
     keys = (rank.astype(np.int64) << 1) | table.accepts
 
@@ -447,6 +449,8 @@ def variance_experiment(spec: CohortSpec, m_grid: Sequence[int]) -> list[Varianc
     range-based variance surrogate (b - a)^2 / M.  Requires a homogeneous
     noise profile (equal per-reviewer variances).
     """
+    if spec.n_papers < 2:
+        raise ValueError(f"n_papers: a variance needs at least 2 papers, got {spec.n_papers}")
     variances = spec.noise.per_reviewer_variance
     if len(set(variances)) != 1:
         raise ValueError("noise: variance experiment needs equal per-reviewer variances")

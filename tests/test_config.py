@@ -110,11 +110,26 @@ def run(argv, tmp_path):
          "config: bayes.threshold: must be 'tau_rate', 'tau_05', or a number, got 'tau_50'"),
         ("review", {"schema": {"criteria_count": 2, "bounds": [[5, 1], [1, 10]]}},
          "config: schema.bounds[0]: lower bound must be strictly below upper, got (5.0, 1.0)"),
+        # checks that a domain type or an experiment makes after the walk
+        ("margins", {"simulate": {"margins": {"bin_edges": [-1, 1]}}},
+         "config: simulate.margins.bin_edges: margins are non-negative; first edge must be >= 0, "
+         "got [-1.0, 1.0]"),
+        ("bayes", {"bayes": {"prior_mean": 5.0, "prior_variance": -1},
+                   "functional": {"kind": "linear", "coefficients": [0.5, 0.5]}},
+         "config: bayes.prior_variance: must be a finite number > 0, got -1"),
+        ("threshold-error", {"simulate": {"threshold_error": {"population": dict(POPULATION, size=0)}}},
+         "config: simulate.threshold_error.population.size: must be an integer >= 1, got 0"),
+        ("review", {"schema": {"criteria_count": 2, "bounds": [[1, 10], [1, 10]], "overall_index": 1},
+                    "functional": {"kind": "overall_pick", "coefficients": [1]}},
+         "config: functional.coefficients: must be absent for the overall_pick variant"),
+        ("variance", {"simulate": {"variance": {"spec": dict(COHORT, n_papers=1)}}},
+         "config: simulate.variance.spec.n_papers: a variance needs at least 2 papers, got 1"),
     ],
     ids=["calibrate-typos", "criteria-count-float", "overall-index-bool", "bound-string",
          "coefficients-bool-and-string", "other-command-typo", "margins-threshold-bool",
          "clip-mode-typo", "link-midpoint-bool", "latent-lo-string", "latent-other-kind",
-         "bayes-threshold-word", "schema-range"],
+         "bayes-threshold-word", "schema-range", "negative-margin-edge", "prior-variance",
+         "population-size", "overall-pick-coefficients", "one-paper-variance"],
 )
 def test_bad_config_exits_2_naming_the_key_path(tmp_path, command, config_obj, message):
     argv = {

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panelcal import config, simulate
+from panelcal import calibrate, config, simulate
 from panelcal.bounds import margin_misclassification_bound, scalar_bound_inputs
 from panelcal.calibrate import ThresholdUnreachableError, tau05_from_scores
 from panelcal.core import CalibrationRecord, NoiseProfile, ReviewerWeights
@@ -325,6 +325,16 @@ def test_threshold_bootstrap_matches_reference_for_records_and_table(monkeypatch
     assert threshold_bootstrap(table, (2, 20, 30), 7, seed=3) == want
 
 
+def test_threshold_bootstrap_fits_the_truth_through_calibrate(monkeypatch):
+    # the full-population tau_05 is looked up on ``calibrate`` at call time, so a
+    # wrapper installed there after ``simulate`` was imported still sees the call
+    calls = []
+    fit = calibrate.tau05_from_scores
+    monkeypatch.setattr(calibrate, "tau05_from_scores", lambda *args: calls.append(1) or fit(*args))
+    threshold_bootstrap(make_population(n=300), (20,), 2, seed=3)
+    assert calls == [1]
+
+
 def test_threshold_bootstrap_partial_default_block():
     table = CalibrationTable.from_records(make_population(n=2500))
     n = 2000
@@ -397,6 +407,8 @@ def test_variance_experiment_scaling():
         variance_experiment(heterogeneous, (1, 2))
     with pytest.raises(ValueError, match="m_grid"):
         variance_experiment(spec, (1, 2))
+    with pytest.raises(ValueError, match="n_papers: a variance needs at least 2 papers, got 1"):
+        variance_experiment(small_spec(n=1), (1, 2, 3))
 
 
 # ---------------------------------------------------------------- checks
