@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import records
 from .core import (
     ReviewerWeights,
     ReviewPanel,
@@ -80,15 +81,15 @@ class Decision:
 
 
 def consensus_rubric(panel: ReviewPanel, weights: ReviewerWeights) -> ConsensusRubric:
-    """Weight-average the panel's rubrics criterion by criterion."""
+    """Weight-average the panel's rubrics criterion by criterion (``consensus_rows``)."""
     if len(weights) != len(panel.reviews):
         raise ValueError(
             f"weights: expected {len(panel.reviews)} entries for panel "
             f"{panel.submission_id!r}, got {len(weights)}"
         )
-    matrix = np.array([r.rubric.values for r in panel.reviews], dtype=float)
-    w = np.asarray(weights.weights, dtype=float)
-    return ConsensusRubric(tuple(w @ matrix))
+    table = records.PanelTable.from_panels([panel])
+    rows = consensus_rows(table.rubric, np.array(weights.weights), table.counts)
+    return ConsensusRubric(tuple(rows[0].tolist()))
 
 
 def score(
@@ -96,38 +97,22 @@ def score(
     functional: ScoringFunctional,
     schema: RubricSchema | None = None,
 ) -> float:
-    """Collapse a consensus rubric to a scalar via the scoring functional.
+    """Collapse a consensus rubric to a scalar via the scoring functional (``score_rows``).
 
     ``overall_pick`` requires a schema whose ``overall_index`` is set.
     """
-    if functional.kind == "linear":
-        assert functional.coefficients is not None
-        if len(functional.coefficients) != len(consensus):
-            raise ValueError(
-                f"coefficients: expected {len(consensus)} entries, "
-                f"got {len(functional.coefficients)}"
-            )
-        return float(
-            np.dot(np.asarray(functional.coefficients), np.asarray(consensus.values))
-        )
-    if schema is None or schema.overall_index is None:
-        raise ValueError("schema: overall_pick scoring needs a schema with overall_index set")
-    if schema.criteria_count != len(consensus):
-        raise ValueError(
-            f"schema: criteria_count {schema.criteria_count} does not match "
-            f"consensus length {len(consensus)}"
-        )
-    return consensus.values[schema.overall_index]
+    return float(score_rows(np.array([consensus.values]), functional, schema)[0])
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # callers check the scores
 def consensus_rows(rubric: np.ndarray, weights: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """``consensus_rubric`` of many panels at once: one (K,) row per panel.
 
     ``rubric`` (N, K) and ``weights`` (N,) hold the reviews of all panels
     back to back; ``counts`` (P,) gives each panel's number of rows (>= 1).
-    Panels of one size share a stacked ``matmul`` whose per-panel product
-    is the vector-matrix product ``consensus_rubric`` takes, so every row
-    matches it bit for bit (``np.add.reduceat`` and ``einsum`` do not).
+    Panels of one size share a stacked ``matmul``, whose rows match the
+    vector-matrix product ``w @ rubric`` of each panel bit for bit
+    (``np.add.reduceat`` and ``einsum`` do not).
     """
     starts = np.cumsum(counts) - counts
     out = np.empty((len(counts), rubric.shape[1]))
@@ -138,15 +123,16 @@ def consensus_rows(rubric: np.ndarray, weights: np.ndarray, counts: np.ndarray) 
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # callers check the scores
 def score_rows(
     rows: np.ndarray,
     functional: ScoringFunctional,
     schema: RubricSchema | None = None,
 ) -> np.ndarray:
-    """``score`` of each row of an (N, K) array of rubrics, bit for bit.
+    """``score`` of each row of an (N, K) array of rubrics.
 
-    Each row takes the 1-D dot product ``score`` takes; one
-    ``(N, K) @ coefficients`` product rounds differently.
+    Each row takes a one-dimensional dot product with the coefficients;
+    one ``(N, K) @ coefficients`` product rounds differently.
     """
     if not len(rows):
         return np.empty(0)
@@ -159,6 +145,9 @@ def score_rows(
         return np.matmul(rows[:, None, :], coefficients)[:, 0]
     if schema is None or schema.overall_index is None:
         raise ValueError("schema: overall_pick scoring needs a schema with overall_index set")
+    if schema.criteria_count != rows.shape[1]:
+        raise ValueError(f"schema: criteria_count {schema.criteria_count} does not match "
+                         f"consensus length {rows.shape[1]}")
     return rows[:, schema.overall_index].copy()
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from statistics import NormalDist
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from . import records
 from .core import GaussianPosterior
 
 __all__ = [
@@ -52,33 +53,41 @@ def posterior_update(
     prior: GaussianPosterior,
     reviews: Sequence[tuple[float, float]],
 ) -> GaussianPosterior:
-    """Precision-weighted conjugate update with (score, variance) reviews.
+    """Precision-weighted conjugate update with (score, variance) reviews (``posterior_arrays``).
 
     Posterior precision is the prior precision plus each review's
     precision; the mean is the precision-weighted average.  An empty
     review sequence returns the prior unchanged.
     """
-    precision = 1.0 / prior.variance
-    weighted = prior.mean / prior.variance
+    checked = []
     for i, (score, variance) in enumerate(reviews):
-        score = float(score)
-        variance = float(variance)
+        score, variance = float(score), float(variance)
         if not math.isfinite(score):
             raise ValueError(f"reviews[{i}]: score must be finite, got {score!r}")
         if not (math.isfinite(variance) and variance > 0):
             raise ValueError(f"reviews[{i}]: variance must be finite and > 0, got {variance!r}")
-        precision += 1.0 / variance
-        weighted += score / variance
-    # single division keeps the mean correctly rounded
-    return GaussianPosterior(mean=weighted / precision, variance=1.0 / precision)
+        checked.append((score, variance))
+    scores, variances = np.array(checked, dtype=float).reshape(-1, 2).T
+    means, variances = posterior_arrays(prior, scores, variances, np.array([len(checked)]))
+    return GaussianPosterior(mean=float(means[0]), variance=float(variances[0]))
+
+
+def _calls(posterior: GaussianPosterior, threshold: float, alpha: float, new_variance: float):
+    """``credible_calls`` of one posterior, after checking threshold and alpha."""
+    threshold = float(threshold)
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold: must be finite, got {threshold!r}")
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha: must lie strictly in (0, 1), got {alpha!r}")
+    calls = credible_calls(np.array([posterior.mean]), np.array([posterior.variance]),
+                           threshold, alpha, new_variance)
+    return [column.item() for column in calls]
 
 
 def acceptance_probability(posterior: GaussianPosterior, threshold: float) -> float:
     """Posterior probability that latent quality reaches the threshold."""
-    threshold = float(threshold)
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold: must be finite, got {threshold!r}")
-    return 1.0 - normal_cdf((threshold - posterior.mean) / posterior.std)
+    return _calls(posterior, threshold, 0.5, 1.0)[0]  # p_accept needs neither of the last two
 
 
 def credible_robust(posterior: GaussianPosterior, threshold: float, alpha: float) -> bool:
@@ -87,14 +96,7 @@ def credible_robust(posterior: GaussianPosterior, threshold: float, alpha: float
     Equivalent to |threshold - mean| >= z_{1 - alpha/2} * posterior std,
     so the accept/reject call would survive the credible band.
     """
-    threshold = float(threshold)
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold: must be finite, got {threshold!r}")
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha: must lie strictly in (0, 1), got {alpha!r}")
-    z = normal_quantile(1.0 - alpha / 2.0)
-    return abs(threshold - posterior.mean) >= z * posterior.std
+    return _calls(posterior, threshold, alpha, 1.0)[1]  # robust needs no new_review_variance
 
 
 def solicit_worthwhile(
@@ -115,33 +117,30 @@ def solicit_worthwhile(
         raise ValueError(
             f"new_review_variance: must be finite and > 0, got {new_review_variance!r}"
         )
-    if credible_robust(posterior, threshold, alpha):
-        return False
-    precision_next = 1.0 / posterior.variance + 1.0 / new_review_variance
-    std_next = math.sqrt(1.0 / precision_next)
-    z = normal_quantile(1.0 - float(alpha) / 2.0)
-    return abs(float(threshold) - posterior.mean) >= z * std_next
+    return _calls(posterior, threshold, alpha, new_review_variance)[2]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # callers check the results
 def posterior_arrays(
     prior: GaussianPosterior,
     scores: np.ndarray,
     variances: np.ndarray,
-    panel_sums: Callable[[np.ndarray, float], np.ndarray],
+    counts: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``posterior_update`` of many panels at once: (means, variances).
 
     ``scores`` and ``variances`` hold every panel's reviews back to back,
-    already checked finite (variances > 0).  ``panel_sums(values, start)``
-    adds each panel's values to ``start`` one at a time in review order,
-    the order ``posterior_update`` accumulates in, so results match it bit
-    for bit.
+    already checked finite (variances > 0); ``counts`` gives each panel's
+    number of reviews.  The prior's precision and each review's are added
+    in review order (``records.left_sums``), and the mean takes a single
+    division, so it is correctly rounded.
     """
-    precision = panel_sums(1.0 / variances, 1.0 / prior.variance)
-    weighted = panel_sums(scores / variances, prior.mean / prior.variance)
+    precision = records.left_sums(1.0 / variances, counts, 1.0 / prior.variance)
+    weighted = records.left_sums(scores / variances, counts, prior.mean / prior.variance)
     return weighted / precision, 1.0 / precision
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def credible_calls(
     means: np.ndarray,
     variances: np.ndarray,
@@ -151,11 +150,11 @@ def credible_calls(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``acceptance_probability``, ``credible_robust`` and ``solicit_worthwhile`` at once.
 
-    Takes arrays of posterior means and variances and repeats the scalar
-    functions' float operations in their order, so every entry matches
-    them bit for bit.  The caller has checked what they check: a finite
-    threshold, ``0 < alpha < 1`` and a finite ``new_review_variance > 0``.
-    Returns (p_accept, robust, solicit).
+    Takes arrays of posterior means and variances.  The caller has checked
+    what those functions check: a finite threshold, ``0 < alpha < 1`` and
+    a finite ``new_review_variance > 0``.  ``p_accept`` is one minus the
+    normal CDF of the threshold's z-score; ``solicit`` is never set where
+    ``robust`` is.  Returns (p_accept, robust, solicit).
     """
     std = np.sqrt(variances)
     arguments = -((threshold - means) / std) / math.sqrt(2.0)

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import argparse
 import math
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from . import aggregate, bayes, config, metrics, records
 from .cli import _config_error, _Run
-from .core import ConfusionCounts, RubricSchema, ScoringFunctional
+from .core import RubricSchema, ScoringFunctional
 from .records import PanelTable
 
 
@@ -66,7 +66,7 @@ def _review_weights(
     """
 
     def normalized(values: np.ndarray) -> np.ndarray:
-        return values / table.panel_sums(values)[table.panel_index]
+        return values / records.left_sums(values, table.counts)[table.panel_index]
 
     if weights == "uniform":
         return normalized(1.0 / table.counts[table.panel_index])
@@ -78,7 +78,7 @@ def _review_weights(
         inverse = 1.0 / _per_reviewer(table, gls_variances, "gls_variances", "variance")
         return normalized(normalized(inverse[table.reviewer]))
     values = _per_reviewer(table, weights, "weights", "weight")[table.reviewer]
-    totals = table.panel_sums(values)
+    totals = records.left_sums(values, table.counts)
     table.require(totals > 0, "the panel's reviewer weights from config sum to 0; must be > 0")
     return normalized(values / totals[table.panel_index])
 
@@ -90,8 +90,8 @@ def _check_criteria(table: PanelTable, functional: ScoringFunctional) -> None:
     """
     if functional.kind == "linear":
         count = len(functional.coefficients)
-        wrong = np.bincount(table.panel_index[table.criteria != count], minlength=len(table))
-        table.require(wrong == 0, f"rubric length differs from the functional's {count} coefficients")
+        table.require(~table.panel_any(table.criteria != count),
+                      f"rubric length differs from the functional's {count} coefficients")
 
 
 
@@ -115,13 +115,9 @@ def cmd_review(args: argparse.Namespace) -> int:
     n = len(table)
     taus = {"tau_rate": thresholds.tau_rate, "tau_05": thresholds.tau_05}
     accepts = {label: scores >= tau for label, tau in taus.items()}
-    any_flag = table.any_flag
-    flagged_any = int(np.count_nonzero(any_flag))
-    flagged = table.reviewer_counts(table.flags).tolist()
+    flagged, reviewed = metrics.flag_counts(table)
     names = [*table.roster, "any"]
 
-    # a validated panel has at most one review per reviewer, so review
-    # counts per reviewer are panel counts
     metric_rows: list[tuple[object, ...]] = []
     acceptance_rows = []
     for label, accept in accepts.items():
@@ -129,16 +125,13 @@ def cmd_review(args: argparse.Namespace) -> int:
         metric_rows.append(("acpt", label, k / n, k, n))
         acceptance_rows.append((label, f"{taus[label]:.6g}", metrics.rate_with_counts(k, n)))
     icr_table_rows = []
-    for name, k, total in zip(
-        names, [*flagged, flagged_any], [*table.reviewer_counts().tolist(), n]
-    ):
+    for name, k, total in zip(names, flagged, reviewed):
         metric_rows.append(("icr", name, k / total, k, total))
         icr_table_rows.append((name, metrics.rate_with_counts(k, total)))
     conflict_table_rows = []
     for label, accept in accepts.items():
-        conflicts = table.reviewer_counts(table.flags & accept[table.panel_index]).tolist()
-        conflicts.append(int(np.count_nonzero(any_flag & accept)))
-        for name, k, total in zip(names, conflicts, [*flagged, flagged_any]):
+        conflicts = metrics.conflict_counts(table, accept)
+        for name, k, total in zip(names, conflicts, flagged):
             metric_rows.append(
                 (f"conflict_{label}", name, k / total if total else None,
                  k if total else None, total)
@@ -167,7 +160,7 @@ def cmd_review(args: argparse.Namespace) -> int:
                 (scores - thresholds.tau_rate).tolist(),
                 accepts["tau_05"].tolist(),
                 (scores - thresholds.tau_05).tolist(),
-                any_flag.tolist(),
+                table.any_flag.tolist(),
             )),
         ),
     )
@@ -218,7 +211,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     )
     scores = aggregate.score_rows(table.rubric, functional, schema)
     means, posterior_variances = bayes.posterior_arrays(
-        prior, scores, variances[table.reviewer], table.panel_sums
+        prior, scores, variances[table.reviewer], table.counts
     )
     table.require(
         np.isfinite(means) & (posterior_variances > 0),
@@ -293,34 +286,14 @@ def cmd_bayes(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- detector
 
 
-def _confusion(
-    predicted: np.ndarray, truth: np.ndarray, count: Callable[[np.ndarray], np.ndarray]
-) -> list[list[int]]:
-    """[tp, fp, tn, fn], each as the list ``count`` makes of a selection mask."""
-    return [
-        count(predicted & truth).tolist(),
-        count(predicted & ~truth).tolist(),
-        count(~predicted & ~truth).tolist(),
-        count(~predicted & truth).tolist(),
-    ]
-
-
 def cmd_detector_eval(args: argparse.Namespace) -> int:
     table = records.load_panel_table(args.panels)
     table.validate(require_labels=True)
 
-    per_reviewer = _confusion(
-        table.flags, table.labels[table.panel_index], table.reviewer_counts
-    )
-    per_panel = _confusion(
-        table.any_flag, table.labels, lambda mask: np.array([np.count_nonzero(mask)])
-    )
-    table_rows = []
-    csv_rows = []
-    for name, tp, fp, tn, fn in zip(
-        [*table.roster, "any"], *(a + b for a, b in zip(per_reviewer, per_panel))
-    ):
-        counts = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    table_rows, csv_rows = [], []
+    confusion = metrics.confusion_counts(table)
+    for name, counts in zip([*table.roster, "any"], confusion):
+        tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
         m = metrics.detector_metrics(counts)
         csv_rows.append((name, tp, fp, tn, fn, m.tpr, m.fpr, m.accuracy, m.f1))
         table_rows.append(
@@ -334,8 +307,8 @@ def cmd_detector_eval(args: argparse.Namespace) -> int:
         )
 
     # fair-coin reference: TPR/FPR/Acc 50% in expectation, F1 from prevalence
-    positives = int(np.count_nonzero(table.labels))
-    negatives = len(table) - positives
+    positives = confusion[-1].tp + confusion[-1].fn
+    negatives = confusion[-1].fp + confusion[-1].tn
     baseline_f1 = 2 * positives / (3 * positives + negatives) if positives else 0.0
     csv_rows.append(("random-baseline", None, None, None, None, 0.5, 0.5, 0.5, baseline_f1))
     table_rows.append(

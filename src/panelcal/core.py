@@ -49,7 +49,7 @@ def _fail(field: str, message: str) -> None:
 
 
 def left_sum(values: Iterable[float]) -> float:
-    """Float sum added left to right, like ``PanelTable.panel_sums`` (not 3.12's ``sum``)."""
+    """Float sum added left to right, like ``records.left_sums`` (not 3.12's ``sum``)."""
     total = 0.0
     for value in values:
         total += value

@@ -13,6 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
+from . import records
 from .aggregate import Decision
 from .core import ConfusionCounts, ReviewPanel
 
@@ -23,6 +26,9 @@ __all__ = [
     "icr_any",
     "conflict_rate",
     "detector_counts",
+    "flag_counts",
+    "conflict_counts",
+    "confusion_counts",
     "detector_metrics",
     "format_percent",
     "rate_with_counts",
@@ -58,22 +64,34 @@ def acpt(decisions: Sequence[Decision]) -> float:
     return sum(1 for d in decisions if d.accept) / len(decisions)
 
 
-def icr_per_model(panels: Sequence[ReviewPanel], reviewer_id: str) -> float:
-    """Fraction of panels in which the given reviewer raised a flag."""
+def _scope(
+    panels: Sequence[ReviewPanel], reviewer_id: str | None, labeled: bool = False
+) -> tuple[records.PanelTable, int]:
+    """The panels as a table and the index of ``reviewer_id`` (None: ``any``) in its counts;
+    raises at the first panel with no label (if ``labeled``) or no review by ``reviewer_id``."""
     if not panels:
         raise ValueError("panels: must be non-empty")
-    flagged = 0
-    for panel in panels:
-        review = panel.review_by(reviewer_id)
-        flagged += int(review.integrity_flag)
-    return flagged / len(panels)
+    table = records.PanelTable.from_panels(panels)
+    scope = table.roster.index(reviewer_id) if reviewer_id in table.roster else -1
+    unlabeled = ~table.labeled & labeled
+    unreviewed = ~table.panel_any(table.reviewer == scope) & (reviewer_id is not None)
+    for i in np.flatnonzero(unlabeled | unreviewed)[:1].tolist():
+        if unlabeled[i]:
+            raise ValueError(f"panels: panel {table.ids[i]!r} has no fabrication_label")
+        panels[i].review_by(reviewer_id)  # raises its "no review by" error
+    return table, scope
+
+
+def icr_per_model(panels: Sequence[ReviewPanel], reviewer_id: str) -> float:
+    """Fraction of panels in which the given reviewer raised a flag."""
+    table, scope = _scope(panels, reviewer_id)
+    return flag_counts(table)[0][scope] / len(panels)
 
 
 def icr_any(panels: Sequence[ReviewPanel]) -> float:
     """Fraction of panels in which at least one reviewer raised a flag."""
-    if not panels:
-        raise ValueError("panels: must be non-empty")
-    return sum(1 for p in panels if p.any_flag) / len(panels)
+    table, scope = _scope(panels, None)
+    return flag_counts(table)[0][scope] / len(panels)
 
 
 def conflict_rate(
@@ -92,23 +110,17 @@ def conflict_rate(
         raise ValueError("panels: must be non-empty")
     if math.isnan(threshold):
         raise ValueError("threshold: must not be NaN")
-    flagged: list[ReviewPanel] = []
-    for panel in panels:
-        if reviewer_id is None:
-            hit = panel.any_flag
-        else:
-            hit = panel.review_by(reviewer_id).integrity_flag
-        if hit:
-            flagged.append(panel)
+    table, scope = _scope(panels, reviewer_id)
+    flagged = flag_counts(table)[0][scope]
     if not flagged:
         return None
-    conflicts = 0
-    for panel in flagged:
-        if panel.submission_id not in scores:
-            raise ValueError(f"scores: missing entry for panel {panel.submission_id!r}")
-        if scores[panel.submission_id] >= threshold:
-            conflicts += 1
-    return conflicts / len(flagged)
+    hit = table.any_flag if scope < 0 else table.panel_any(table.flags & (table.reviewer == scope))
+    values = []
+    for submission_id, flagged_here in zip(table.ids, hit.tolist()):
+        if flagged_here and submission_id not in scores:
+            raise ValueError(f"scores: missing entry for panel {submission_id!r}")
+        values.append(scores[submission_id] if flagged_here else math.nan)  # NaN never accepts
+    return conflict_counts(table, np.array(values) >= threshold)[scope] / flagged
 
 
 def detector_counts(
@@ -119,25 +131,36 @@ def detector_counts(
 
     Truth is each panel's fabrication label; every panel must be labeled.
     """
-    if not panels:
-        raise ValueError("panels: must be non-empty")
-    tp = fp = tn = fn = 0
-    for panel in panels:
-        if panel.fabrication_label is None:
-            raise ValueError(
-                f"panels: panel {panel.submission_id!r} has no fabrication_label"
-            )
-        if reviewer_id is None:
-            predicted = panel.any_flag
-        else:
-            predicted = panel.review_by(reviewer_id).integrity_flag
-        if panel.fabrication_label:
-            tp += int(predicted)
-            fn += int(not predicted)
-        else:
-            fp += int(predicted)
-            tn += int(not predicted)
-    return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+    table, scope = _scope(panels, reviewer_id, labeled=True)
+    return confusion_counts(table)[scope]
+
+
+def _per_scope(table: records.PanelTable, reviews: np.ndarray, panels: np.ndarray) -> list[int]:
+    """Per roster member its reviews ``reviews`` selects, then the panels ``panels`` selects."""
+    per_member = np.bincount(table.reviewer[reviews], minlength=len(table.roster))
+    return [*per_member.tolist(), int(np.count_nonzero(panels))]
+
+
+def flag_counts(table: records.PanelTable) -> tuple[list[int], list[int]]:
+    """Flagged and reviewed panels, per roster member and then for ``any`` (every panel);
+    a validated panel has one review per reviewer, so review counts are panel counts."""
+    reviewed = np.bincount(table.reviewer, minlength=len(table.roster))
+    return _per_scope(table, table.flags, table.any_flag), [*reviewed.tolist(), len(table)]
+
+
+def conflict_counts(table: records.PanelTable, accept: np.ndarray) -> list[int]:
+    """Flagged panels that ``accept`` (P,) selects, per roster member and then for ``any``."""
+    return _per_scope(table, table.flags & accept[table.panel_index], table.any_flag & accept)
+
+
+def confusion_counts(table: records.PanelTable) -> list[ConfusionCounts]:
+    """Flags as predictions of the panels' labels, per roster member and then for ``any``."""
+    truth = table.labels[table.panel_index]
+    tp = _per_scope(table, table.flags & truth, table.any_flag & table.labels)
+    fp = _per_scope(table, table.flags & ~truth, table.any_flag & ~table.labels)
+    tn = _per_scope(table, ~table.flags & ~truth, ~table.any_flag & ~table.labels)
+    fn = _per_scope(table, ~table.flags & truth, ~table.any_flag & table.labels)
+    return [ConfusionCounts(*counts) for counts in zip(tp, fp, tn, fn)]
 
 
 def detector_metrics(counts: ConfusionCounts) -> DetectorMetrics:

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "PanelRecord",
     "PanelTable",
     "load_panel_table",
+    "left_sums",
     "load_panel_records",
     "CalibrationTable",
     "load_calibration_table",
@@ -90,6 +91,14 @@ class PanelTable:
     flags: np.ndarray  # (N,) bool
     feedback: tuple[str, ...]  # (N,)
 
+    @classmethod
+    def from_panels(cls, panels: Sequence[ReviewPanel]) -> PanelTable:
+        """The panels as a table without a file."""
+        return _panel_columns("", (
+            (p.submission_id, line_no, p.fabrication_label,
+             [(r.reviewer_id, r.rubric.values, r.integrity_flag, r.feedback) for r in p.reviews])
+            for line_no, p in enumerate(panels, start=1)))
+
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -101,11 +110,15 @@ class PanelTable:
     @cached_property
     def any_flag(self) -> np.ndarray:
         """(P,) whether any review of the panel is flagged."""
-        return np.bincount(self.panel_index[self.flags], minlength=len(self)) > 0
+        return self.panel_any(self.flags)
+
+    def panel_any(self, reviews: np.ndarray) -> np.ndarray:
+        """(P,) whether the panel has a review that the (N,) mask ``reviews`` selects."""
+        return np.bincount(self.panel_index[reviews], minlength=len(self)) > 0
 
     def where(self, i: int) -> str:
-        """``path:line`` of panel ``i``."""
-        return f"{self.path}:{self.lines[i]}"
+        """``path:line`` of panel ``i``, or ``panel 'id'`` for a table built from panels."""
+        return f"{self.path}:{self.lines[i]}" if self.path else f"panel {self.ids[i]!r}"
 
     def error(self, i: int, message: str) -> RecordError:
         return RecordError(f"{self.where(i)}: {message}")
@@ -123,25 +136,6 @@ class PanelTable:
     def reviewer_where(self, code: int) -> str:
         """``path:line`` of the first panel reviewed by roster member ``code``."""
         return self.where(int(self.panel_index[np.argmax(self.reviewer == code)]))
-
-    def reviewer_counts(self, mask: np.ndarray | None = None) -> np.ndarray:
-        """Per roster member, how many of its reviews ``mask`` selects (all if None)."""
-        codes = self.reviewer if mask is None else self.reviewer[mask]
-        return np.bincount(codes, minlength=len(self.roster))
-
-    def panel_sums(self, values: np.ndarray, start: float = 0.0) -> np.ndarray:
-        """(P,) ``start`` plus each panel's per-review ``values``, added left to right.
-
-        This is the order of ``core.left_sum``, which ``ReviewerWeights``
-        and ``aggregate.gls_weights`` use, so the totals match them bit for
-        bit; ``np.add.reduceat`` and, from Python 3.12, builtin ``sum`` add
-        in another order.
-        """
-        total = np.full(len(self), start, dtype=float)
-        for j in range(int(self.counts.max(initial=0))):
-            panels = np.flatnonzero(self.counts > j)
-            total[panels] += values[self.offsets[panels] + j]
-        return total
 
     def record(self, i: int) -> PanelRecord:
         """Panel ``i`` as a ``PanelRecord``."""
@@ -262,6 +256,22 @@ class CalibrationTable:
         )
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # callers check the totals
+def left_sums(values: np.ndarray, counts: np.ndarray, start: float = 0.0) -> np.ndarray:
+    """(P,) ``start`` plus each of P groups of ``values``, ``counts`` long, added left to right.
+
+    This is the order of ``core.left_sum``, which ``ReviewerWeights`` and
+    ``aggregate.gls_weights`` use; ``np.add.reduceat`` and, from Python
+    3.12, builtin ``sum`` add in another order.
+    """
+    starts = np.cumsum(counts) - counts
+    total = np.full(len(counts), start, dtype=float)
+    for j in range(int(counts.max(initial=0))):
+        groups = np.flatnonzero(counts > j)
+        total[groups] += values[starts[groups] + j]
+    return total
+
+
 def _context(path: str | Path, line_no: int, message: str) -> RecordError:
     return RecordError(f"{path}:{line_no}: {message}")
 
@@ -374,16 +384,14 @@ def load_panel_table(path: str | Path) -> PanelTable:
     Only the per-line checks run here; ``PanelTable.validate`` checks the
     panels as a whole.
     """
-    ids: list[str] = []
-    lines: list[int] = []
-    counts: list[int] = []
-    labels: list[bool | None] = []
-    codes: dict[str, int] = {}  # reviewer id -> code in order of first appearance
-    reviewer: list[int] = []
-    values: list[Any] = []
-    criteria: list[int] = []
-    flags: list[bool] = []
-    feedback: list[str] = []
+    table = _panel_columns(str(path), _panel_lines(path))
+    if not len(table):
+        raise RecordError(f"{path}: no records found")
+    return table
+
+
+def _panel_lines(path: str | Path):
+    """(id, line number, label, review fields) of each panel line, checked line by line."""
     seen: set[str] = set()
     for line_no, obj in _iter_json_lines(path):
         try:
@@ -396,28 +404,36 @@ def load_panel_table(path: str | Path) -> PanelTable:
             reviews = obj.get("reviews")
             if not isinstance(reviews, list):
                 raise ValueError("field 'reviews' must be an array")
+            fields = []
             for i, raw in enumerate(reviews):
                 try:
-                    name, row, flag, text = _review_fields(raw)
+                    fields.append(_review_fields(raw))
                 except ValueError as exc:
                     raise ValueError(f"reviews[{i}]: {exc}") from exc
-                reviewer.append(codes.setdefault(name, len(codes)))
-                values.extend(row)
-                criteria.append(len(row))
-                flags.append(flag)
-                feedback.append(text)
         except ValueError as exc:
             raise _context(path, line_no, str(exc)) from exc
         if submission_id in seen:
             raise _context(path, line_no, f"duplicate panel id {submission_id!r}")
         seen.add(submission_id)
+        yield submission_id, line_no, label, fields
+
+
+def _panel_columns(path: str, panels: Iterable[tuple[str, int, Any, list[tuple]]]) -> PanelTable:
+    """The table of (id, line number, label, [(reviewer, rubric, flag, feedback)]) panels."""
+    ids, lines, counts, labels = [], [], [], []  # one entry per panel
+    reviewer, values, criteria, flags, feedback = [], [], [], [], []  # per review
+    codes: dict[str, int] = {}  # reviewer id -> code in order of first appearance
+    for submission_id, line_no, label, reviews in panels:
         ids.append(submission_id)
         lines.append(line_no)
         counts.append(len(reviews))
         labels.append(label)
-    if not ids:
-        raise RecordError(f"{path}: no records found")
-
+        for name, row, flag, text in reviews:
+            reviewer.append(codes.setdefault(name, len(codes)))
+            values.extend(row)
+            criteria.append(len(row))
+            flags.append(flag)
+            feedback.append(text)
     roster = sorted(codes)
     rank = np.empty(len(roster), dtype=np.intp)
     rank[[codes[name] for name in roster]] = np.arange(len(roster))
@@ -431,7 +447,7 @@ def load_panel_table(path: str | Path) -> PanelTable:
         rubric[np.arange(width) < widths[:, None]] = flat
     count_array = np.array(counts, dtype=np.intp)
     return PanelTable(
-        path=str(path),
+        path=path,
         ids=tuple(ids),
         lines=np.array(lines),
         counts=count_array,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,17 @@ def test_score_linear_and_overall_pick():
         score(consensus, pick)
     with pytest.raises(ValueError, match="coefficients"):
         score(consensus, ScoringFunctional.linear((1.0,)))
+
+
+def test_overflow_raises_or_scores_without_numpy_warning():
+    # seven reviews at the largest float: the uniform weights' consensus rounds up to inf
+    big = ReviewPanel("p", tuple(ReviewRecord(f"r{i}", RubricVector((1.7976931348623157e308,)))
+                                 for i in range(7)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"values\[0\]: must be finite, got inf"):
+            consensus_rubric(big, ReviewerWeights.uniform(7))
+        assert score(ConsensusRubric((1e308, 1e308)), ScoringFunctional.linear((1, 1))) == math.inf
 
 
 def test_decide_boundary_inclusive():

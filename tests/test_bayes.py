@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,19 @@ def test_posterior_update_precision_additive():
         posterior_update(prior, [(1.0, 0.0)])
 
 
+@pytest.mark.parametrize(
+    ("reviews", "message"),
+    [([(1e308, 1.0), (1e308, 1.0)], "mean: must be finite, got inf"),
+     ([(1.0, 1e-320)], "mean: must be finite, got nan")],
+    ids=["sum-overflows", "precision-overflows"],
+)
+def test_posterior_update_overflow_raises_without_numpy_warning(reviews, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            posterior_update(GaussianPosterior(5.0, 4.0), reviews)
+
+
 def test_posterior_update_order_invariant():
     rng = np.random.default_rng(13)
     reviews = [(float(rng.normal(6, 2)), float(rng.uniform(0.2, 3.0))) for _ in range(8)]
@@ -91,6 +105,8 @@ def test_credible_robust_boundary():
     assert not credible_robust(post, 6.0, 0.01)
     # mean 8, std 0.5 (variance 0.25), tau 7 is robust at alpha 0.05
     assert credible_robust(GaussianPosterior(8.0, 0.25), 7.0, 0.05)
+    # the band's edge itself counts as robust
+    assert credible_robust(GaussianPosterior(0.0, 1.0), normal_quantile(1.0 - 0.05 / 2.0), 0.05)
     with pytest.raises(ValueError, match="alpha"):
         credible_robust(post, 6.0, 0.0)
 

@@ -2,7 +2,10 @@ import collections
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -833,6 +836,35 @@ def test_panel_errors_name_the_line(tmp_path, capsys, lines, message):
                            "--config", config, "--out", str(tmp_path / "runs"))
     assert code == 2
     assert err == f"error: {message.format(panels=panels)}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    ("command", "rubric", "config", "message"),
+    [
+        ("review", [1e308, 1e308], {"functional": {"kind": "linear", "coefficients": [1, 1]}},
+         "consensus score is not finite"),
+        ("bayes", [1e308], {"bayes": panel_bayes_config({"default": 1.0})["bayes"]},
+         "posterior mean is not finite or its variance is 0"),
+    ],
+    ids=["review-score", "bayes-posterior"],
+)
+def test_overflow_exits_2_with_only_the_error_line(tmp_path, command, rubric, config, message):
+    # a fresh interpreter, so a numpy RuntimeWarning would print to stderr as it does for users
+    reviews = [{"reviewer": name, "rubric": rubric, "flag": False} for name in ("r1", "r2")]
+    panels = write(tmp_path, "panels.jsonl", json.dumps({"id": "a", "reviews": reviews}) + "\n")
+    config = {**config, "schema": {"criteria_count": len(rubric),
+                                   "bounds": [[0, 1e308]] * len(rubric)}}
+    argv = [command, "--panels", panels, "--config", write_json(tmp_path, "config.json", config),
+            "--thresholds", write(tmp_path, "thresholds.json", THRESHOLDS),
+            "--out", str(tmp_path / "runs")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "panelcal.cli", *argv], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {panels}:1: {message}\n"
     assert not (tmp_path / "runs").exists()
 
 

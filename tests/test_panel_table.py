@@ -1,25 +1,30 @@
-"""The columnar panel commands against the library's object path.
+"""The column kernels against the object loops of ``tests/reference.py``.
 
 ``review``, ``bayes`` and ``detector-eval`` compute on a ``PanelTable``.
 Here random panel files go through the CLI, and every CSV it writes must
-equal, byte for byte, the rows built from ``ReviewPanel``,
-``consensus_rubric``, ``score``, ``decide``, the ``metrics`` rates and
-``posterior_update``, the way the commands computed them one panel at a
-time.
+equal, byte for byte, the rows built one panel at a time from
+``ReviewPanel`` objects by the reference loops (consensus, score,
+posterior, credible calls and corpus rates), ``decide`` and ``acpt``.  The
+object API, which adapts single panels and panel sequences to the same
+kernels, must match the reference loops bit for bit, errors included.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference
 from panelcal import aggregate, bayes, metrics
 from panelcal.cli import main
 from panelcal.core import (
@@ -31,7 +36,7 @@ from panelcal.core import (
     RubricVector,
     ScoringFunctional,
 )
-from panelcal.records import PanelRecord, load_panel_records
+from panelcal.records import PanelRecord, PanelTable, load_panel_records, load_panel_table
 
 GRID = st.integers(100, 1000).map(lambda x: x / 100)  # rubric values on a 0.01 grid
 POSITIVE = st.integers(1, 50).map(lambda x: x / 10)
@@ -135,7 +140,7 @@ def cli(argv: list[str], out: Path) -> tuple[int, str, Path | None]:
     return code, stderr.getvalue(), Path(match.group(1)) if match else None
 
 
-# ---------------------------------------------------------------- object path
+# ---------------------------------------------------------------- reference loops
 
 
 def weights_of(panel: ReviewPanel, s: dict) -> ReviewerWeights:
@@ -151,8 +156,8 @@ def weights_of(panel: ReviewPanel, s: dict) -> ReviewerWeights:
 def expected_review(panels: list[ReviewPanel], s: dict) -> tuple[str, str]:
     schema, functional, taus = s["schema"], s["functional"], s["thresholds"]
     scores = {
-        p.submission_id: aggregate.score(
-            aggregate.consensus_rubric(p, weights_of(p, s)), functional, schema)
+        p.submission_id: reference.score(
+            reference.consensus_rubric(p, weights_of(p, s)), functional, schema)
         for p in panels
     }
     decisions = {
@@ -175,15 +180,15 @@ def expected_review(panels: list[ReviewPanel], s: dict) -> tuple[str, str]:
         rows.append(("acpt", label, value, round(value * n), n))
     for reviewer in roster:
         subset = [p for p in panels if reviewer in p.reviewer_ids]
-        value = metrics.icr_per_model(subset, reviewer)
+        value = reference.icr_per_model(subset, reviewer)
         rows.append(("icr", reviewer, value, round(value * len(subset)), len(subset)))
-    value = metrics.icr_any(panels)
+    value = reference.icr_any(panels)
     rows.append(("icr", "any", value, round(value * n), n))
     for label in ("tau_rate", "tau_05"):
         for reviewer in [*roster, None]:
             subset = panels if reviewer is None else [
                 p for p in panels if reviewer in p.reviewer_ids]
-            value = metrics.conflict_rate(subset, scores, taus[label], reviewer)
+            value = reference.conflict_rate(subset, scores, taus[label], reviewer)
             flagged = sum(
                 1 for p in subset
                 if (p.any_flag if reviewer is None else p.review_by(reviewer).integrity_flag)
@@ -205,17 +210,17 @@ def expected_bayes(records: list[PanelRecord], s: dict) -> str:
         observations = []
         for review in record.reviews:
             single = ReviewPanel(record.submission_id, (review,))
-            consensus = aggregate.consensus_rubric(single, ReviewerWeights.uniform(1))
+            consensus = reference.consensus_rubric(single, ReviewerWeights.uniform(1))
             observations.append((
-                aggregate.score(consensus, s["functional"], s["schema"]),
+                reference.score(consensus, s["functional"], s["schema"]),
                 variances.get(review.reviewer_id, variances["default"]),
             ))
-        posterior = bayes.posterior_update(prior, observations)
-        p_accept = bayes.acceptance_probability(posterior, threshold)
+        posterior = reference.posterior_update(prior, observations)
+        p_accept = reference.acceptance_probability(posterior, threshold)
         rows.append((
             record.submission_id, len(record.reviews), posterior.mean, posterior.variance,
-            p_accept, p_accept >= 0.5, bayes.credible_robust(posterior, threshold, alpha),
-            bayes.solicit_worthwhile(posterior, threshold, alpha, variances["default"]),
+            p_accept, p_accept >= 0.5, reference.credible_robust(posterior, threshold, alpha),
+            reference.solicit_worthwhile(posterior, threshold, alpha, variances["default"]),
             "" if record.reviews else "prior-only",
         ))
     header = ["id", "n_reviews", "posterior_mean", "posterior_variance", "p_accept",
@@ -228,9 +233,9 @@ def expected_detector(panels: list[ReviewPanel]) -> str:
     rows = []
     for name in [*roster, "any"]:
         if name == "any":
-            counts = metrics.detector_counts(panels, None)
+            counts = reference.detector_counts(panels, None)
         else:
-            counts = metrics.detector_counts(
+            counts = reference.detector_counts(
                 [p for p in panels if name in p.reviewer_ids], name)
         m = metrics.detector_metrics(counts)
         rows.append((name, counts.tp, counts.fp, counts.tn, counts.fn,
@@ -273,6 +278,12 @@ def test_panel_commands_match_object_path(s):
 
         assert load_panel_records(files["panels.jsonl"]) == records
         assert load_panel_records(files["bayes.jsonl"]) == bayes_records
+        loaded = load_panel_table(files["bayes.jsonl"])
+        built = PanelTable.from_panels(bayes_records)
+        for field in dataclasses.fields(PanelTable):
+            if field.name != "path":
+                assert np.array_equal(getattr(loaded, field.name), getattr(built, field.name))
+        assert built.where(0) == f"panel {bayes_records[0].submission_id!r}"
 
         code, err, run_dir = cli(["review", "--panels", files["panels.jsonl"],
                                   "--thresholds", files["thresholds.json"],
@@ -328,3 +339,83 @@ def test_large_uniform_panels_match_object_path(tmp_path):
     decisions, metric_rows = expected_review([r.to_panel() for r in records], s)
     assert (run_dir / "decisions.csv").read_text() == decisions
     assert (run_dir / "metrics.csv").read_text() == metric_rows
+
+
+# ---------------------------------------------------------------- object API
+
+ADAPTERS = {
+    aggregate: ("consensus_rubric", "score"),
+    bayes: ("posterior_update", "acceptance_probability", "credible_robust",
+            "solicit_worthwhile"),
+    metrics: ("icr_per_model", "icr_any", "conflict_rate", "detector_counts"),
+}
+
+
+def outcome(fn, *args) -> str:
+    """The repr of what ``fn(*args)`` returns, or the message of the ValueError it raises."""
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@given(scenarios(), st.sampled_from([math.inf, math.nan, 0.0, -1.0]), st.data())
+def test_object_api_matches_reference_loops(s, bad, data):
+    called = set()
+
+    def same(name, *args):
+        module = next(m for m, names in ADAPTERS.items() if name in names)
+        assert outcome(getattr(module, name), *args) == outcome(getattr(reference, name), *args)
+        called.add(name)
+
+    panels = [record.to_panel() for record, _ in s["panels"]]
+    schema, functional = s["schema"], s["functional"]
+    scores = {}
+    for panel in panels:
+        same("consensus_rubric", panel, weights_of(panel, s))
+        same("consensus_rubric", panel, ReviewerWeights.uniform(len(panel.reviews) + 1))
+        consensus = reference.consensus_rubric(panel, weights_of(panel, s))
+        same("score", consensus, functional, schema)
+        scores[panel.submission_id] = reference.score(consensus, functional, schema)
+    k = len(consensus)
+    same("score", consensus, ScoringFunctional.linear([1.0] * (k + 1)))
+    same("score", consensus, ScoringFunctional.overall_pick())
+    same("score", consensus, ScoringFunctional.overall_pick(),
+         RubricSchema.uniform(k + 1, 1.0, 10.0, k))
+
+    prior = GaussianPosterior(5.5, 4.0)
+    variances, alpha = s["review_variances"], s["alpha"]
+    for panel in [None, *panels]:
+        reviews = [] if panel is None else [
+            (r.rubric.values[0], variances.get(r.reviewer_id, variances["default"]))
+            for r in panel.reviews
+        ]
+        same("posterior_update", prior, reviews)
+        posterior = reference.posterior_update(prior, reviews)
+        for threshold in (s["bayes_threshold"], posterior.mean, bad):
+            same("acceptance_probability", posterior, threshold)
+            same("credible_robust", posterior, threshold, alpha)
+            same("solicit_worthwhile", posterior, threshold, alpha, variances["default"])
+    same("posterior_update", prior, [*reviews, (bad, 1.0)])
+    same("posterior_update", prior, [*reviews, (5.0, bad)])
+    same("credible_robust", posterior, s["bayes_threshold"], bad)
+    same("solicit_worthwhile", posterior, s["bayes_threshold"], bad, 1.0)
+    same("solicit_worthwhile", posterior, s["bayes_threshold"], alpha, bad)
+
+    # per-reviewer subsets; every panel, where some lack the reviewer; no panel
+    taus = (s["thresholds"]["tau_rate"], s["thresholds"]["tau_05"], math.nan)
+    roster = sorted({r.reviewer_id for p in panels for r in p.reviews})
+    partial = dict(scores)
+    del partial[data.draw(st.sampled_from(sorted(scores)))]
+    for name in [*roster, "absent", None]:
+        subset = [p for p in panels if name is None or name in p.reviewer_ids]
+        for group in (subset, panels, []):
+            if name is None:
+                same("icr_any", group)
+            else:
+                same("icr_per_model", group, name)
+            same("detector_counts", group, name)
+            for mapping in (scores, partial):
+                for tau in taus:
+                    same("conflict_rate", group, mapping, tau, name)
+    assert called == {name for names in ADAPTERS.values() for name in names}
