@@ -7,8 +7,9 @@ isotonic fit of the conditional tail probability
 
     pi(z) = P(human accepts | agent score >= z)
 
-reaches 1/2, found exactly as a level-set argmin (``tau05_from_scores``);
-the PAVA fit (``isotonic_fit``) gives the curve for ``curve.csv``.
+reaches 1/2, found exactly as a level-set argmin (``tau05_from_scores``,
+whose kernel ``simulate.threshold_bootstrap`` also runs on whole blocks of
+replicates); the PAVA fit (``isotonic_fit``) gives the curve for ``curve.csv``.
 Stratified subsampling (score bins crossed with review status,
 largest-remainder quotas) builds the calibration set itself.
 
@@ -19,7 +20,6 @@ columns, and a subsample comes back in the form the pool came in.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import asdict, dataclass
 from typing import Any, Mapping, Sequence, Union
@@ -49,8 +49,6 @@ __all__ = [
     "tau05_from_scores",
     "fit_tau05",
 ]
-
-logger = logging.getLogger(__name__)
 
 _MONOTONE_TOL = 1e-12
 
@@ -240,8 +238,6 @@ def allocate_quotas(
     Each cell's ideal share is its population fraction times ``n_cal``;
     cells receive the floor of their share and the leftover units go to
     the largest remainders (ties broken by bin index, then status order).
-    When a winning cell is already exhausted the unit moves to the next
-    feasible cell and a warning is logged.
     """
     edges = tuple(float(e) for e in bin_edges)
     vocab = tuple(status_vocabulary)
@@ -263,26 +259,17 @@ def allocate_quotas(
         raise ValueError(f"n_cal: must be an integer in [1, {total}], got {n_cal!r}")
 
     # integer arithmetic keeps remainder comparisons exact
-    base = [(n_cal * p) // total for p in pops]
+    quotas = [(n_cal * p) // total for p in pops]
     remainder = [(n_cal * p) % total for p in pops]
-    quotas = list(base)
-    leftover = n_cal - sum(base)
-    order = sorted(range(len(keys)), key=lambda i: (-remainder[i], i))
-    while leftover > 0:
-        placed = False
-        for i in order:
-            if quotas[i] < pops[i]:
-                if remainder[i] == 0 or quotas[i] > base[i]:
-                    logger.warning(
-                        "quota overflow: reallocating 1 unit to cell %s", keys[i]
-                    )
-                quotas[i] += 1
-                leftover -= 1
-                placed = True
-                if leftover == 0:
-                    break
-        if not placed:
-            raise ValueError("n_cal: exceeds total feasible capacity")
+    # One unit to each of the first ``leftover`` cells by (-remainder, index)
+    # always fits.  leftover = sum(remainder) / total and each remainder is
+    # below total, so fewer units are left over than there are cells with a
+    # nonzero remainder, and those cells come first.  Such a cell's share
+    # n_cal * p / total is not an integer and, as n_cal <= total, at most p,
+    # so its floor is below its population.
+    leftover = n_cal - sum(quotas)
+    for i in sorted(range(len(keys)), key=lambda i: (-remainder[i], i))[:leftover]:
+        quotas[i] += 1
 
     cells = tuple(
         CellQuota(bin_index=b, status=s, population=p, quota=q)
@@ -484,8 +471,12 @@ def tau_05(curve: IsotonicCurve, level: float = 0.5) -> float:
     )
 
 
-def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> float:
-    """Exact tau_05 of the tail curve over all distinct scores; accepts are 0/1.
+def _tau05_ranks(keys: np.ndarray) -> np.ndarray:
+    """tau_05 of each row of packed keys ``rank << 1 | accept``, as a rank.
+
+    Each row of ``keys`` is one sample; ``rank`` indexes the sorted distinct
+    scores.  Returns each row's tau_05 as a rank, or -1 where the curve
+    never reaches 1/2.
 
     {fit >= 1/2} of a weighted isotonic fit is the largest upper set that
     minimizes sum_k w_k (1/2 - y_k) (Barlow et al. 1972; Best & Chakravarti
@@ -493,7 +484,29 @@ def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> floa
     distinct score, that objective is the integer suffix sum
     S_k = sum_{j >= k} (N_j - 2 A_j), with S = 0 past the last score, so
     tau_05 is the score at the first argmin of S: unreachable when that
-    argmin is past the end.
+    argmin is past the end.  Sorted, a row's elements run by rank, so the
+    suffix sum T of (1 - 2 accept) at the start of each rank group is that
+    score's N - 2A, and the suffix sum of T over the group starts is S.  The
+    first argmin of S over the starts is tau_05 unless S > 0 there, where
+    the S = 0 past the last score wins instead.
+    """
+    keys = np.sort(keys, axis=1)  # equal keys are identical integers: stability cannot matter
+    rank = keys >> 1
+    tail = np.cumsum((1 - 2 * (keys & 1))[:, ::-1], axis=1)[:, ::-1]
+    start = np.empty(keys.shape, dtype=bool)
+    start[:, 0] = True
+    np.not_equal(rank[:, 1:], rank[:, :-1], out=start[:, 1:])
+    level = np.cumsum(np.where(start, tail, 0)[:, ::-1], axis=1)[:, ::-1]
+    level[~start] = np.iinfo(np.int64).max
+    rows = np.arange(len(keys))
+    pos = np.argmin(level, axis=1)
+    return np.where(level[rows, pos] > 0, -1, rank[rows, pos])
+
+
+def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> float:
+    """Exact tau_05 of the tail curve over all distinct scores; accepts are 0/1.
+
+    The level-set rule of ``_tau05_ranks`` on one row.
     """
     s = np.asarray(scores, dtype=float)
     a = np.asarray(accepts)
@@ -502,11 +515,11 @@ def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> floa
     accepted = a == 1
     if not np.all(accepted | (a == 0)):
         raise ValueError("accepts: must be 0 or 1")
-    uniq, tail_n, tail_a = _tail_counts(s, accepted)
-    level = np.append(np.cumsum((tail_n - 2 * tail_a)[::-1])[::-1], 0)  # S_0 .. S_m
-    k = int(np.argmin(level))
-    if k == uniq.size:
+    uniq, rank = np.unique(s, return_inverse=True)
+    k = int(_tau05_ranks(((rank.astype(np.int64) << 1) | accepted)[None, :])[0])
+    if k < 0:
         # the last PAVA block: the largest suffix mean of the tail curve
+        _, tail_n, tail_a = _tail_counts(s, accepted)
         peak = float(np.max(np.cumsum(tail_a[::-1]) / np.cumsum(tail_n[::-1])))
         raise ThresholdUnreachableError(
             f"fitted curve never reaches 0.5 (max fitted value {peak:.6g})"

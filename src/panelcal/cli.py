@@ -29,7 +29,6 @@ import argparse
 import hashlib
 import importlib
 import json
-import logging
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -40,8 +39,6 @@ from . import __version__
 from .core import BoundInputs, RecordError, ThresholdUnreachableError
 
 __all__ = ["RunManifest", "build_parser", "main", "run"]
-
-logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------- manifest
@@ -110,7 +107,13 @@ class _Run:
 
     def finish(self) -> None:
         """Create the run directory, write the outputs, then the manifest."""
-        self.out_base.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_base.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            # a file is in the way: the path itself or one of its parents
+            raise ValueError(
+                f"--out: {self.out_base}: cannot create directory ({exc.strerror})"
+            ) from None
         run_dir = self.out_base / self.name
         suffix = 1
         while run_dir.exists():
@@ -285,17 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO, format="%(levelname)s %(name)s: %(message)s", stream=sys.stderr
-    )
     try:
         return args.handler(args)
     except ThresholdUnreachableError as exc:
         print(f"error: calibration infeasible: {exc}", file=sys.stderr)
         return 3
-    except RecordError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

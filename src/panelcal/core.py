@@ -333,15 +333,12 @@ class NoiseProfile:
 class BoundInputs:
     """Sufficient statistics for the consensus tail bound.
 
-    ``sigma_w_sq`` is the weighted consensus variance proxy, ``c_max`` the
-    largest single-review influence on the consensus score, and
-    ``projected_variances`` optionally carries each reviewer's variance
-    projected through the scoring direction (used for precision weighting).
+    ``sigma_w_sq`` is the weighted consensus variance proxy and ``c_max``
+    the largest single-review influence on the consensus score.
     """
 
     sigma_w_sq: float
     c_max: float
-    projected_variances: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sigma_w_sq", _check_finite("sigma_w_sq", self.sigma_w_sq))
@@ -350,12 +347,6 @@ class BoundInputs:
             _fail("sigma_w_sq", f"must be >= 0, got {self.sigma_w_sq}")
         if self.c_max < 0:
             _fail("c_max", f"must be >= 0, got {self.c_max}")
-        if self.projected_variances is not None:
-            proj = tuple(float(v) for v in self.projected_variances)
-            object.__setattr__(self, "projected_variances", proj)
-            for m, v in enumerate(proj):
-                if not math.isfinite(v) or v < 0:
-                    _fail(f"projected_variances[{m}]", f"must be finite and >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)

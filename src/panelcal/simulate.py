@@ -359,30 +359,6 @@ def synthetic_calibration_population(settings: PopulationSettings) -> Calibratio
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _tau05_ranks(keys: np.ndarray) -> np.ndarray:
-    """Row-wise ``tau05_from_scores`` on packed keys ``rank << 1 | accept``.
-
-    Each row of ``keys`` is one sample; ``rank`` indexes the sorted distinct
-    scores.  Returns each row's tau_05 as a rank, or -1 where the curve
-    never reaches 1/2.  Sorted, a row's elements run by rank, so the suffix
-    sum T of (1 - 2 accept) at the start of each rank group is that score's
-    N - 2A, and the suffix sum of T over the group starts is the level S of
-    ``tau05_from_scores``.  The first argmin of S over the starts is tau_05
-    unless S > 0 there, where the S = 0 past the last score wins instead.
-    """
-    keys = np.sort(keys, axis=1)  # equal keys are identical integers: stability cannot matter
-    rank = keys >> 1
-    tail = np.cumsum((1 - 2 * (keys & 1))[:, ::-1], axis=1)[:, ::-1]
-    start = np.empty(keys.shape, dtype=bool)
-    start[:, 0] = True
-    np.not_equal(rank[:, 1:], rank[:, :-1], out=start[:, 1:])
-    level = np.cumsum(np.where(start, tail, 0)[:, ::-1], axis=1)[:, ::-1]
-    level[~start] = np.iinfo(np.int64).max
-    rows = np.arange(len(keys))
-    pos = np.argmin(level, axis=1)
-    return np.where(level[rows, pos] > 0, -1, rank[rows, pos])
-
-
 def threshold_bootstrap(
     population: Pool,
     n_cal_grid: Sequence[int],
@@ -393,10 +369,11 @@ def threshold_bootstrap(
 
     The population is a record list or a ``CalibrationTable``.  Subsamples
     are uniform without replacement, one ``rng.choice`` per replicate; each
-    block of replicates is then fitted at once by the level-set rule of
-    ``tau05_from_scores``.  Replicates whose curve never reaches 1/2 count
-    as failures and are excluded from the mean; ThresholdUnreachableError
-    is raised when every replicate of one n_cal fails.
+    block of replicates is then fitted at once by the level-set kernel of
+    ``calibrate.tau05_from_scores``.  Replicates whose curve never reaches
+    1/2 count as failures and are excluded from the mean;
+    ThresholdUnreachableError is raised when every replicate of one n_cal
+    fails.
     """
     table = _table(population)
     size = len(table)
@@ -427,7 +404,7 @@ def threshold_bootstrap(
             picks = np.empty((min(per_block, replicates - first), n), dtype=np.intp)
             for row in picks:
                 row[:] = rng.choice(size, size=n, replace=False)
-            tau_ranks[first:first + len(picks)] = _tau05_ranks(keys[picks])
+            tau_ranks[first:first + len(picks)] = calibrate._tau05_ranks(keys[picks])
         reached = tau_ranks[tau_ranks >= 0]
         if not reached.size:
             raise ThresholdUnreachableError(f"n_cal={n}: every replicate failed to reach 1/2")

@@ -1,4 +1,4 @@
-"""Object-loop reference implementations of the panel computations.
+"""Reference implementations that the differential tests compare against.
 
 ``panelcal`` computes consensus rubrics, scores, posteriors, credible
 calls and the corpus counts on columns; its object API (``aggregate``,
@@ -6,6 +6,12 @@ calls and the corpus counts on columns; its object API (``aggregate``,
 set of adapters over those column kernels.  The loops here compute the same
 results one object at a time, with the same argument checks and messages,
 so the differential tests compare two independent codes.
+
+The calibration references are the earlier forms of two computations:
+``tau05_from_scores`` as an integer suffix sum over the tail counts (the
+package runs a level-set kernel over packed ranks), and
+``allocate_quotas`` with its reallocation loop (the package gives out the
+leftover units in one pass).
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import numpy as np
 
 from panelcal.aggregate import ConsensusRubric
 from panelcal.bayes import normal_cdf, normal_quantile
+from panelcal.calibrate import CellQuota, StratificationPlan
 from panelcal.core import (
     ConfusionCounts,
     GaussianPosterior,
@@ -24,6 +31,7 @@ from panelcal.core import (
     ReviewPanel,
     RubricSchema,
     ScoringFunctional,
+    ThresholdUnreachableError,
 )
 
 
@@ -186,3 +194,85 @@ def detector_counts(
             fp += int(predicted)
             tn += int(not predicted)
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+
+
+def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> float:
+    """tau_05 as the first argmin of S_k = sum_{j >= k} (N_j - 2 A_j), S = 0 past the end.
+
+    N_k and A_k are the records and accepts at or above the k-th distinct score.
+    """
+    s = np.asarray(scores, dtype=float)
+    a = np.asarray(accepts)
+    if s.size == 0 or s.shape != a.shape:
+        raise ValueError("scores: must be non-empty and match accepts in length")
+    accepted = a == 1
+    if not np.all(accepted | (a == 0)):
+        raise ValueError("accepts: must be 0 or 1")
+    uniq, inverse = np.unique(s, return_inverse=True)
+    tail_n = np.cumsum(np.bincount(inverse, minlength=uniq.size)[::-1])[::-1]
+    tail_a = np.cumsum(np.bincount(inverse[accepted], minlength=uniq.size)[::-1])[::-1]
+    level = np.append(np.cumsum((tail_n - 2 * tail_a)[::-1])[::-1], 0)  # S_0 .. S_m
+    k = int(np.argmin(level))
+    if k == uniq.size:
+        peak = float(np.max(np.cumsum(tail_a[::-1]) / np.cumsum(tail_n[::-1])))
+        raise ThresholdUnreachableError(
+            f"fitted curve never reaches 0.5 (max fitted value {peak:.6g})"
+        )
+    return float(uniq[k])
+
+
+def allocate_quotas(
+    populations: Mapping[tuple[int, str], int],
+    n_cal: int,
+    bin_edges: Sequence[float],
+    status_vocabulary: Sequence[str],
+    overflows: list[tuple[int, str]] | None = None,
+) -> StratificationPlan:
+    """Largest-remainder quotas by the reallocation loop.
+
+    A unit that goes to a cell whose remainder is 0, or that already has its
+    extra unit, is a quota overflow: its cell is appended to ``overflows``.
+    """
+    edges = tuple(float(e) for e in bin_edges)
+    vocab = tuple(status_vocabulary)
+    n_bins = len(edges) - 1
+    if n_bins < 1:
+        raise ValueError("bin_edges: need at least 2 edges")
+    keys = [(b, s) for b in range(n_bins) for s in vocab]
+    key_set = set(keys)
+    for key, pop in populations.items():
+        if key not in key_set:
+            raise ValueError(f"populations: unknown cell {key!r}")
+        if not isinstance(pop, int) or pop < 0:
+            raise ValueError(f"populations: cell {key!r} count must be an integer >= 0")
+    pops = [populations.get(key, 0) for key in keys]
+    total = sum(pops)
+    if total < 1:
+        raise ValueError("populations: pool is empty")
+    if not isinstance(n_cal, int) or not 1 <= n_cal <= total:
+        raise ValueError(f"n_cal: must be an integer in [1, {total}], got {n_cal!r}")
+
+    base = [(n_cal * p) // total for p in pops]
+    remainder = [(n_cal * p) % total for p in pops]
+    quotas = list(base)
+    leftover = n_cal - sum(base)
+    order = sorted(range(len(keys)), key=lambda i: (-remainder[i], i))
+    while leftover > 0:
+        placed = False
+        for i in order:
+            if quotas[i] < pops[i]:
+                if (remainder[i] == 0 or quotas[i] > base[i]) and overflows is not None:
+                    overflows.append(keys[i])
+                quotas[i] += 1
+                leftover -= 1
+                placed = True
+                if leftover == 0:
+                    break
+        if not placed:
+            raise ValueError("n_cal: exceeds total feasible capacity")
+
+    cells = tuple(
+        CellQuota(bin_index=b, status=s, population=p, quota=q)
+        for (b, s), p, q in zip(keys, pops, quotas)
+    )
+    return StratificationPlan(bin_edges=edges, status_vocabulary=vocab, cells=cells)

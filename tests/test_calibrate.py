@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from panelcal.calibrate import (
     CellQuota,
     IsotonicCurve,
@@ -125,6 +126,27 @@ def test_allocate_quotas_properties():
             share = n_cal * pop / total
             if cell.quota < pop:
                 assert abs(cell.quota - share) < 1.0
+
+
+@st.composite
+def cell_populations_and_n_cal(draw):
+    """(populations, n_cal, edges, vocabulary) with a non-empty pool and a feasible n_cal."""
+    edges = tuple(float(e) for e in range(draw(st.integers(2, 5))))
+    vocab = ("accept", "reject", "hold")[:draw(st.integers(1, 3))]
+    keys = [(b, s) for b in range(len(edges) - 1) for s in vocab]
+    counts = draw(st.lists(st.integers(0, 60) | st.just(0), min_size=len(keys),
+                           max_size=len(keys)).filter(any))
+    n_cal = draw(st.integers(1, sum(counts)))
+    return dict(zip(keys, counts)), n_cal, edges, vocab
+
+
+@settings(max_examples=max(300, settings.default.max_examples))
+@given(cell_populations_and_n_cal())
+def test_allocate_quotas_matches_reallocation_loop(case):
+    overflows = []
+    want = reference.allocate_quotas(*case, overflows=overflows)
+    assert allocate_quotas(*case) == want
+    assert overflows == []  # the loop never moves a unit past its largest remainders
 
 
 def test_allocate_quotas_rejects_bad_inputs():
@@ -383,6 +405,27 @@ def test_tau05_from_scores_matches_record_route(pairs, mode):
         return
     assert tau05_from_scores(scores, accepts) == expected
     assert tau05_from_scores(np.array(scores), np.array(accepts, dtype=float)) == expected
+
+
+@settings(max_examples=max(300, settings.default.max_examples))
+@given(
+    st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.1, 1e-300, 2.5, 2.5000000000000004, 7.0]),
+                       st.booleans()), min_size=1, max_size=60),
+    st.sampled_from(["drawn", "all-reject", "all-accept"]),
+)
+def test_tau05_from_scores_matches_suffix_sum_reference(pairs, mode):
+    scores = np.array([score for score, _ in pairs])
+    accepts = np.array([{"drawn": a, "all-reject": False, "all-accept": True}[mode]
+                        for _, a in pairs])
+    try:
+        want = reference.tau05_from_scores(scores, accepts)
+    except ThresholdUnreachableError as exc:
+        with pytest.raises(ThresholdUnreachableError) as got:
+            tau05_from_scores(scores, accepts)
+        assert str(got.value) == str(exc)
+        return
+    got = tau05_from_scores(scores, accepts)
+    assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def test_tau05_from_scores_rejects_bad_inputs():

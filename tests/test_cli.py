@@ -654,6 +654,18 @@ def test_bayes_golden(tmp_path, capsys):
     assert "prior-only" in report
 
 
+def test_bayes_every_panel_prior_only(tmp_path, capsys):
+    panels = write(tmp_path, "panels.jsonl",
+                   '{"id": "p4", "reviews": []}\n{"id": "p5", "reviews": []}\n')
+    config = write_json(tmp_path, "config.json", bayes_config(7.0))
+    code, out, _ = run_cli(capsys, "bayes", "--panels", panels, "--config", config,
+                           "--out", str(tmp_path / "runs"))
+    assert code == 0
+    lines = (run_dir(out) / "bayes.csv").read_text().splitlines()
+    assert [line.split(",")[:4] + line.split(",")[8:] for line in lines[1:]] == [
+        ["p4", "0", "5.0", "4.0", "prior-only"], ["p5", "0", "5.0", "4.0", "prior-only"]]
+
+
 def test_bayes_numeric_threshold_without_thresholds_file(tmp_path, capsys):
     panels = write(tmp_path, "panels.jsonl", BAYES_PANELS)
     config = write_json(tmp_path, "config.json", bayes_config(7.0))
@@ -719,6 +731,25 @@ def test_directory_input_exits_2(tmp_path, capsys, option):
     assert code == 2
     assert f"error: {tmp_path}: cannot read: Is a directory" in err
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    ("out", "reason"),
+    [("afile", "File exists"), ("afile/sub", "Not a directory")],
+    ids=["out-is-file", "out-below-file"],
+)
+def test_out_blocked_by_file_exits_2(tmp_path, capsys, out, reason):
+    pool = write(tmp_path, "pool.jsonl", POOL)
+    config = write_json(tmp_path, "config.json", {"target_rate": 0.33})
+    blocker = write(tmp_path, "afile", "keep\n")
+    before = sorted(tmp_path.rglob("*"))
+    code, out_text, err = run_cli(capsys, "calibrate", "--records", pool, "--config", config,
+                                  "--out", str(tmp_path / out))
+    assert code == 2
+    assert out_text == ""
+    assert err == f"error: --out: {tmp_path / out}: cannot create directory ({reason})\n"
+    assert sorted(tmp_path.rglob("*")) == before
+    assert Path(blocker).read_text() == "keep\n"
 
 
 # ---------------------------------------------------------------- detector
@@ -796,9 +827,14 @@ def panel_bayes_config(review_variances):
          "{panels}:1: the panel's reviewer weights from config sum to 0; must be > 0"),
         ("review", {"functional": {"kind": "linear", "coefficients": [0.5, 0.5, 1.0]}},
          "{panels}:1: rubric length differs from the functional's 3 coefficients"),
+        ("review", {"functional": LINEAR, "weights": "gls"},
+         "config: gls_variances: required reviewer-to-variance object when weights is 'gls'"),
+        ("review", {"functional": {"kind": "overall_pick"}},
+         "config: functional: overall_pick scoring needs a schema with overall_index set"),
     ],
     ids=["gls-missing", "gls-not-positive", "bayes-not-numeric", "bayes-no-default",
-         "detector-unlabeled", "weights-sum-zero", "coefficient-count"],
+         "detector-unlabeled", "weights-sum-zero", "coefficient-count", "gls-no-variances",
+         "overall-pick-no-schema"],
 )
 def test_panel_commands_fail_before_run_dir(tmp_path, capsys, command, config, message):
     panels = write(tmp_path, "panels.jsonl", PANELS)
@@ -976,6 +1012,7 @@ def test_simulate_threshold_error_flat_link_fails_checks(tmp_path, capsys):
         (["threshold-error"], {"simulate": {"threshold_error": {"population": {"n_papers": 100}}}},
          "config: simulate.threshold_error.population.n_papers: unknown key"),
         (["variance", "--m", "0,3"], None, "--m: panel sizes must be integers >= 1, got [0, 3]"),
+        (["variance", "--m", ","], None, "--m: expected at least one integer"),
         (["margins"], {"simulate": {"margins": {"m_grid": [0, 2]}}},
          "config: simulate.margins.m_grid: panel sizes must be integers >= 1, got [0, 2]"),
         (["threshold-error"], {"simulate": {"threshold_error": {"n_cal_grid": [1, 5]}}},
@@ -1015,8 +1052,8 @@ def test_simulate_threshold_error_flat_link_fails_checks(tmp_path, capsys):
          "config: simulate.margins.spec.seed: must be an integer >= 0, got -2"),
     ],
     ids=["simulate-list", "section-list", "partial-spec", "partial-population", "m-zero-flag",
-         "m-zero-config", "grid-below-2", "grid-flag-repeated", "one-replicate", "grid-floats",
-         "grid-bool", "replicates-float", "seed-negative", "seed-float", "m-grid-floats",
+         "m-empty-flag", "m-zero-config", "grid-below-2", "grid-flag-repeated", "one-replicate",
+         "grid-floats", "grid-bool", "replicates-float", "seed-negative", "seed-float", "m-grid-floats",
          "m-grid-string", "size-float", "population-seed-float",
          "m-reviewers-bool", "n-papers-float", "spec-seed-negative"],
 )

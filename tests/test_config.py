@@ -117,6 +117,9 @@ def run(argv, tmp_path):
         ("bayes", {"bayes": {"prior_mean": 5.0, "prior_variance": -1},
                    "functional": {"kind": "linear", "coefficients": [0.5, 0.5]}},
          "config: bayes.prior_variance: must be a finite number > 0, got -1"),
+        ("bayes", {"bayes": {"prior_mean": 5.0, "prior_variance": -10**400},
+                   "functional": {"kind": "linear", "coefficients": [0.5, 0.5]}},
+         f"config: bayes.prior_variance: must be a finite number > 0, got {-10**400}"),
         ("threshold-error", {"simulate": {"threshold_error": {"population": dict(POPULATION, size=0)}}},
          "config: simulate.threshold_error.population.size: must be an integer >= 1, got 0"),
         ("review", {"schema": {"criteria_count": 2, "bounds": [[1, 10], [1, 10]], "overall_index": 1},
@@ -129,7 +132,8 @@ def run(argv, tmp_path):
          "coefficients-bool-and-string", "other-command-typo", "margins-threshold-bool",
          "clip-mode-typo", "link-midpoint-bool", "latent-lo-string", "latent-other-kind",
          "bayes-threshold-word", "schema-range", "negative-margin-edge", "prior-variance",
-         "population-size", "overall-pick-coefficients", "one-paper-variance"],
+         "prior-variance-beyond-float", "population-size", "overall-pick-coefficients",
+         "one-paper-variance"],
 )
 def test_bad_config_exits_2_naming_the_key_path(tmp_path, command, config_obj, message):
     argv = {

@@ -141,8 +141,8 @@ def test_noise_profile():
 
 
 def test_bound_inputs():
-    inputs = BoundInputs(0.25, 0.5, (1.0, 2.0))
-    assert inputs.projected_variances == (1.0, 2.0)
+    inputs = BoundInputs(0.25, 0.5)
+    assert (inputs.sigma_w_sq, inputs.c_max) == (0.25, 0.5)
     with pytest.raises(ValueError, match="sigma_w_sq"):
         BoundInputs(-0.1, 0.5)
     with pytest.raises(ValueError, match="c_max"):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference
 from panelcal import calibrate, config, simulate
 from panelcal.bounds import margin_misclassification_bound, scalar_bound_inputs
-from panelcal.calibrate import ThresholdUnreachableError, tau05_from_scores
+from panelcal.calibrate import ThresholdUnreachableError
 from panelcal.core import CalibrationRecord, NoiseProfile, ReviewerWeights
 from panelcal.records import CalibrationTable
 from panelcal.simulate import (
@@ -291,8 +292,8 @@ def test_threshold_bootstrap_rows():
 
 
 def reference_bootstrap(scores, accepts, n_cal_grid, replicates, seed):
-    """The bootstrap one replicate at a time, each fitted by ``tau05_from_scores``."""
-    tau_true = tau05_from_scores(scores, accepts)
+    """The bootstrap one replicate at a time, each fitted by the suffix-sum reference."""
+    tau_true = reference.tau05_from_scores(scores, accepts)
     rng = np.random.default_rng(seed)
     rows = []
     for n in n_cal_grid:
@@ -301,7 +302,7 @@ def reference_bootstrap(scores, accepts, n_cal_grid, replicates, seed):
         for _ in range(replicates):
             pick = rng.choice(scores.size, size=n, replace=False)
             try:
-                tau_hat = tau05_from_scores(scores[pick], accepts[pick])
+                tau_hat = reference.tau05_from_scores(scores[pick], accepts[pick])
             except ThresholdUnreachableError:
                 failures += 1
                 continue
@@ -326,13 +327,17 @@ def test_threshold_bootstrap_matches_reference_for_records_and_table(monkeypatch
 
 
 def test_threshold_bootstrap_fits_the_truth_through_calibrate(monkeypatch):
-    # the full-population tau_05 is looked up on ``calibrate`` at call time, so a
-    # wrapper installed there after ``simulate`` was imported still sees the call
-    calls = []
-    fit = calibrate.tau05_from_scores
+    # the full-population tau_05 and the kernel are looked up on ``calibrate`` at call
+    # time, so a wrapper installed there after ``simulate`` was imported still sees them
+    calls, shapes = [], []
+    fit, kernel = calibrate.tau05_from_scores, calibrate._tau05_ranks
     monkeypatch.setattr(calibrate, "tau05_from_scores", lambda *args: calls.append(1) or fit(*args))
+    monkeypatch.setattr(calibrate, "_tau05_ranks",
+                        lambda keys: shapes.append(keys.shape) or kernel(keys))
     threshold_bootstrap(make_population(n=300), (20,), 2, seed=3)
     assert calls == [1]
+    # one kernel: one row for the population, then one block of both replicates
+    assert shapes == [(1, 300), (2, 20)]
 
 
 def test_threshold_bootstrap_partial_default_block():
@@ -367,10 +372,10 @@ def test_level_set_kernel_matches_tau05_per_row(rows):
     scores, accepts = rows
     uniq, rank = np.unique(scores, return_inverse=True)
     keys = (rank.reshape(scores.shape).astype(np.int64) << 1) | accepts
-    got = simulate._tau05_ranks(keys)
+    got = calibrate._tau05_ranks(keys)
     for i in range(len(scores)):
         try:
-            want = tau05_from_scores(scores[i], accepts[i])
+            want = reference.tau05_from_scores(scores[i], accepts[i])
         except ThresholdUnreachableError:
             assert got[i] == -1
         else:

@@ -43,7 +43,7 @@ def test_bound_loads_no_numpy(tmp_path):
     modules = loaded(tmp_path, "bound", "dkw", "--n", "200", "--delta", "0.05")
     assert "panelcal.bounds" in modules
     unwanted = {"numpy", "panelcal.records", "panelcal.config", "panelcal.simulate",
-                "panelcal.calibrate"}
+                "panelcal.calibrate", "logging"}
     assert not modules & unwanted
 
 
@@ -64,7 +64,7 @@ def test_panel_commands_load_no_simulate_calibrate_or_bounds(tmp_path, command):
     }[command]
     modules = loaded(tmp_path, command, *argv, "--out", "runs")
     assert "panelcal.cli_panels" in modules
-    assert not modules & {"panelcal.simulate", "panelcal.calibrate", "panelcal.bounds"}
+    assert not modules & {"panelcal.simulate", "panelcal.calibrate", "panelcal.bounds", "logging"}
 
 
 def test_calibrate_loads_no_simulate_or_bayes(tmp_path):
@@ -73,7 +73,7 @@ def test_calibrate_loads_no_simulate_or_bayes(tmp_path):
     modules = loaded(tmp_path, "calibrate", "--records", "pool.jsonl", "--config", "config.json",
                      "--out", "runs")
     assert "panelcal.calibrate" in modules
-    assert not modules & {"panelcal.simulate", "panelcal.bayes"}
+    assert not modules & {"panelcal.simulate", "panelcal.bayes", "logging"}
 
 
 def test_import_panelcal_loads_no_submodule(tmp_path):
