@@ -134,7 +134,8 @@ def dkw_bound(n_cal: int, delta: float) -> float:
     delta = float(delta)
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta: must lie strictly in (0, 1), got {delta!r}")
-    return math.sqrt(math.log(4.0 / delta) / (2.0 * n_cal))
+    # log(4) - log(delta), not log(4 / delta): 4 / delta overflows for a subnormal delta
+    return math.sqrt((math.log(4.0) - math.log(delta)) / (2.0 * n_cal))
 
 
 def tau05_error_bound(eps_pi: float, c_min: float, flat_width: float) -> float:

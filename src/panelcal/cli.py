@@ -26,9 +26,11 @@ only when its command runs, so a command loads just the modules it uses
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import importlib
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
@@ -56,6 +58,25 @@ class RunManifest:
     config_digest: str | None
     input_digests: dict[str, str]
     output_digests: dict[str, str]
+
+
+def _out_error(out_base: Path, code: int) -> ValueError:
+    """The ``--out`` error when a file blocks ``out_base``, worded as ``mkdir`` fails with ``code``."""
+    return ValueError(f"--out: {out_base}: cannot create directory ({os.strerror(code)})")
+
+
+def _check_out(out: str) -> None:
+    """Raise the ``--out`` error unless ``out`` is, or ``mkdir`` can make it, a directory.
+
+    Nothing is created: the nearest existing path of ``out`` and its
+    parents must be a directory.
+    """
+    out_base = Path(out)
+    for path in (out_base, *out_base.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise _out_error(out_base, errno.EEXIST if path == out_base else errno.ENOTDIR)
+            return
 
 
 def _utc_now() -> str:
@@ -111,9 +132,7 @@ class _Run:
             self.out_base.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError) as exc:
             # a file is in the way: the path itself or one of its parents
-            raise ValueError(
-                f"--out: {self.out_base}: cannot create directory ({exc.strerror})"
-            ) from None
+            raise _out_error(self.out_base, exc.errno) from None
         run_dir = self.out_base / self.name
         suffix = 1
         while run_dir.exists():
@@ -289,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)  # before the command reads anything
         return args.handler(args)
     except ThresholdUnreachableError as exc:
         print(f"error: calibration infeasible: {exc}", file=sys.stderr)

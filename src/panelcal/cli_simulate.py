@@ -3,25 +3,12 @@
 from __future__ import annotations
 
 import argparse
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from typing import Sequence
 
 from . import config, metrics, simulate
 from .cli import _Run
 from .core import NoiseProfile, RecordError
-
-
-def _checks_text(named: Sequence[tuple[str, list[str]]]) -> tuple[str, bool]:
-    lines = []
-    ok = True
-    for name, failures in named:
-        if failures:
-            ok = False
-            lines.append(f"FAIL: {name}")
-            lines.extend(f"  {f}" for f in failures)
-        else:
-            lines.append(f"PASS: {name}")
-    return "\n".join(lines) + "\n", ok
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -57,41 +44,38 @@ def _cohort_settings(
     return spec, m_grid
 
 
+def _finish(
+    run: _Run, name: str, row_type: type, rows: Sequence[object],
+    checks: Sequence[tuple[str, list[str]]], head: str = "",
+) -> int:
+    """Write ``rows`` and the checks, finish the run and echo the checks; 0, or 4 if one failed.
+
+    The rows go to CSV ``name`` under a header of ``row_type``'s field
+    names.  ``checks.txt`` holds ``head``, then a PASS or FAIL line per
+    named check with its failures indented below it.
+    """
+    headers = [field.name for field in fields(row_type)]
+    run.write(name, metrics.csv_text(headers, [astuple(r) for r in rows]))
+    text = head + "".join(
+        f"{'FAIL' if failures else 'PASS'}: {check}\n" + "".join(f"  {f}\n" for f in failures)
+        for check, failures in checks
+    )
+    run.write("checks.txt", text)
+    run.finish()
+    print(text, end="")
+    return 4 if any(failures for _, failures in checks) else 0
+
+
 def cmd_simulate_margins(args: argparse.Namespace) -> int:
     path = "simulate.margins"
     [settings] = config.load(args.config, path)
     spec, m_grid = _cohort_settings(args, path, settings["spec"], settings["m_grid"])
     run = _Run(args.out, "simulate-margins", spec.seed, args.config, [])
     rows = simulate.margin_suite(spec, m_grid, settings["threshold"], settings["bin_edges"])
-    run.write(
-        "margin_bins.csv",
-        metrics.csv_text(
-            ["gamma_lo", "gamma_hi", "gamma_mid", "empirical", "stderr", "bound", "count", "m"],
-            [
-                (
-                    r.gamma_lo,
-                    r.gamma_hi,
-                    r.gamma_mid,
-                    r.empirical,
-                    r.stderr,
-                    r.bound,
-                    r.count,
-                    r.m,
-                )
-                for r in rows
-            ],
-        ),
-    )
-    text, ok = _checks_text(
-        [
-            ("empirical misclassification within bound (3 SE slack)", simulate.check_margin_dominance(rows)),
-            ("larger panels no worse per bin (count >= 50)", simulate.check_margin_ordering(rows)),
-        ]
-    )
-    run.write("checks.txt", text)
-    run.finish()
-    print(text, end="")
-    return 0 if ok else 4
+    return _finish(run, "margin_bins.csv", simulate.MarginBinRow, rows, [
+        ("empirical misclassification within bound (3 SE slack)", simulate.check_margin_dominance(rows)),
+        ("larger panels no worse per bin (count >= 50)", simulate.check_margin_ordering(rows)),
+    ])
 
 
 def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
@@ -112,26 +96,13 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
     run = _Run(args.out, "simulate-threshold-error", seed, args.config, [])
     population = simulate.synthetic_calibration_population(settings)
     rows = simulate.threshold_bootstrap(population, grid, replicates, seed)
-    run.write(
-        "threshold_error.csv",
-        metrics.csv_text(
-            ["n_cal", "mean_abs_err", "stderr", "failures"],
-            [(r.n_cal, r.mean_abs_err, r.stderr, r.failures) for r in rows],
-        ),
-    )
-    slope = simulate.error_curve_slope(rows)
+    head = f"log-log slope: {simulate.error_curve_slope(rows):.4f}\n"
     reference = [r for r in rows if r.n_cal == 200]
-    lines = [f"log-log slope: {slope:.4f}"]
     if reference:
-        lines.append(f"mean abs error at n_cal=200: {reference[0].mean_abs_err:.4f}")
-    text, ok = _checks_text(
-        [("error decays like 1/sqrt(n_cal), near-monotone", simulate.check_threshold_rows(rows))]
-    )
-    body = "\n".join(lines) + "\n" + text
-    run.write("checks.txt", body)
-    run.finish()
-    print(body, end="")
-    return 0 if ok else 4
+        head += f"mean abs error at n_cal=200: {reference[0].mean_abs_err:.4f}\n"
+    return _finish(run, "threshold_error.csv", simulate.ThresholdErrorRow, rows, [
+        ("error decays like 1/sqrt(n_cal), near-monotone", simulate.check_threshold_rows(rows)),
+    ], head)
 
 
 def cmd_simulate_variance(args: argparse.Namespace) -> int:
@@ -145,24 +116,7 @@ def cmd_simulate_variance(args: argparse.Namespace) -> int:
 
     run = _Run(args.out, "simulate-variance", spec.seed, args.config, [])
     rows = simulate.variance_experiment(spec, m_grid)
-    run.write(
-        "variance.csv",
-        metrics.csv_text(
-            ["m", "var_empirical", "proxy"],
-            [(r.m, r.var_empirical, r.proxy) for r in rows],
-        ),
-    )
     low, high = min(m_grid), max(m_grid)
-    text, ok = _checks_text(
-        [
-            (
-                "consensus variance scales like 1/M",
-                simulate.check_variance_rows(rows, m_low=low, m_high=high),
-            )
-        ]
-    )
-    run.write("checks.txt", text)
-    run.finish()
-    print(text, end="")
-    return 0 if ok else 4
-
+    return _finish(run, "variance.csv", simulate.VarianceRow, rows, [
+        ("consensus variance scales like 1/M", simulate.check_variance_rows(rows, m_low=low, m_high=high)),
+    ])

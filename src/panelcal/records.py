@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,14 +55,6 @@ class PanelRecord:
     submission_id: str
     reviews: tuple[ReviewRecord, ...]
     fabrication_label: bool | None = None
-
-    def to_panel(self) -> ReviewPanel:
-        """Promote to a validated ReviewPanel; requires at least one review."""
-        return ReviewPanel(
-            submission_id=self.submission_id,
-            reviews=self.reviews,
-            fabrication_label=self.fabrication_label,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,10 +153,12 @@ class PanelTable:
     ) -> None:
         """Check every panel as ``ReviewPanel`` and ``validate_schema`` check one.
 
-        Panels without reviews fail when ``require_reviews`` is set and are
-        skipped otherwise.  The checks run on the columns; the first failing
-        panel is then rebuilt as an object, whose own error is raised with
-        the panel's ``path:line`` in front.
+        The rules run in turn, each over all panels: reviews present (when
+        ``require_reviews``; panels without reviews are skipped otherwise),
+        distinct reviewers with rubrics of one length, the schema, labels
+        present (when ``require_labels``).  The first panel that breaks a
+        rule raises the object check's message with its ``path:line`` in
+        front.
         """
         if require_reviews:
             self.require(self.counts > 0, "panel {id} has no reviews")
@@ -173,31 +167,43 @@ class PanelTable:
         order = np.argsort(key, kind="stable")
         repeated = np.zeros(len(key), dtype=bool)
         repeated[order[1:][key[order][1:] == key[order][:-1]]] = True
-        ragged = self.criteria != self.criteria[self.offsets[panel_of]]
-        self._raise_first(repeated | ragged, lambda panel: None)
+        first = self.offsets[panel_of]  # (N,) the first review row of each review's panel
+        bad = np.flatnonzero(repeated | (self.criteria != self.criteria[first]))
+        if bad.size:
+            j = int(bad[0])
+            i, start = int(panel_of[j]), int(first[j])
+            # ReviewPanel looks for a repeated reviewer in the whole panel first
+            dup = np.flatnonzero(repeated[start : self.offsets[i + 1]])
+            if dup.size:
+                raise self.error(i, f"reviews: duplicate reviewer_id {self._name(start + int(dup[0]))!r}")
+            raise self.error(i, (
+                f"reviews: rubric length mismatch: {self._name(j)!r} has "
+                f"{int(self.criteria[j])}, expected {int(self.criteria[start])}"
+            ))
         if schema is not None:
             k = schema.criteria_count
             fits = self.criteria == k
-            if self.rubric.shape[1] >= k:
+            if self.rubric.shape[1] >= k:  # else no review has k criteria
                 lo, hi = np.array(schema.bounds).T
-                values = self.rubric[:, :k]
-                fits &= ((values >= lo) & (values <= hi)).all(axis=1)
-            else:
-                fits[:] = False
-            self._raise_first(~fits, lambda panel: panel.validate_schema(schema))
+                inside = (self.rubric[:, :k] >= lo) & (self.rubric[:, :k] <= hi)
+                fits &= inside.all(axis=1)
+            bad = np.flatnonzero(~fits)
+            if bad.size:
+                j = int(bad[0])
+                if self.criteria[j] != k:
+                    message = f"values: expected {k} criteria, got {int(self.criteria[j])}"
+                else:
+                    c = int(np.argmin(inside[j]))
+                    low, high = schema.bounds[c]
+                    message = f"values[{c}]: score {float(self.rubric[j, c])} outside bounds [{low}, {high}]"
+                i = int(panel_of[j])
+                raise self.error(i, f"panel {self.ids[i]!r}, reviewer {self._name(j)!r}: {message}")
         if require_labels:
             self.require(self.labeled, "panel {id} has no fabrication_label")
 
-    def _raise_first(self, bad_reviews: np.ndarray, check: Callable[[ReviewPanel], None]) -> None:
-        bad = np.flatnonzero(bad_reviews)
-        if not bad.size:
-            return
-        i = int(self.panel_index[bad[0]])
-        try:
-            check(self.record(i).to_panel())
-        except ValueError as exc:
-            raise self.error(i, str(exc)) from None
-        raise AssertionError(f"{self.where(i)}: column check and object check disagree")
+    def _name(self, j: int) -> str:
+        """The reviewer id of review row ``j``."""
+        return self.roster[self.reviewer[j]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,11 +350,17 @@ def _review_fields(obj: Any) -> tuple[str, list[Any], bool, str]:
 
 
 def read_text(path: str | Path) -> str:
-    """Read a UTF-8 input file; an unreadable path raises RecordError."""
+    """Read a UTF-8 input file; an unreadable path or a non-UTF-8 byte raises RecordError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise RecordError(f"{path}: cannot read: {exc.strerror}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, counted as the loaders split lines
+        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
+        raise RecordError(f"{path}:{line_no}: not valid UTF-8") from None
 
 
 _raw_decode = json.JSONDecoder().raw_decode

@@ -283,21 +283,26 @@ def margin_experiment(
         count = int(sel.sum())
         mid = 0.5 * (edges[b] + edges[b + 1])
         bound = margin_misclassification_bound(mid, inputs)
-        if count:
-            p = float(mismatch[sel].mean())
-            se = math.sqrt(p * (1.0 - p) / count)
-            rows.append(
-                MarginBinRow(
-                    float(edges[b]), float(edges[b + 1]), float(mid), p, se, bound, count, spec.m_reviewers
-                )
+        p = float(mismatch[sel].mean()) if count else None
+        se = math.sqrt(p * (1.0 - p) / count) if count else None
+        rows.append(
+            MarginBinRow(
+                float(edges[b]), float(edges[b + 1]), float(mid), p, se, bound, count, spec.m_reviewers
             )
-        else:
-            rows.append(
-                MarginBinRow(
-                    float(edges[b]), float(edges[b + 1]), float(mid), None, None, bound, 0, spec.m_reviewers
-                )
-            )
+        )
     return rows
+
+
+def _panel_sizes(spec: CohortSpec, m_grid: Sequence[int]) -> list[int]:
+    """The distinct panel sizes of ``m_grid``, ascending; the largest must be the cohort's."""
+    sizes = sorted({int(m) for m in m_grid})
+    if not sizes:
+        raise ValueError("m_grid: must be non-empty")
+    if sizes[-1] != spec.m_reviewers:
+        raise ValueError(
+            f"m_grid: largest entry must equal spec.m_reviewers={spec.m_reviewers}"
+        )
+    return sizes
 
 
 def margin_suite(
@@ -312,13 +317,7 @@ def margin_suite(
     column slices of it, so per-bin comparisons across M are paired on
     the same papers.
     """
-    sizes = sorted({int(m) for m in m_grid})
-    if not sizes:
-        raise ValueError("m_grid: must be non-empty")
-    if sizes[-1] != spec.m_reviewers:
-        raise ValueError(
-            f"m_grid: largest entry must equal spec.m_reviewers={spec.m_reviewers}"
-        )
+    sizes = _panel_sizes(spec, m_grid)
     cohort = generate_cohort(spec)
     rows: list[MarginBinRow] = []
     for m in sizes:
@@ -431,13 +430,7 @@ def variance_experiment(spec: CohortSpec, m_grid: Sequence[int]) -> list[Varianc
     variances = spec.noise.per_reviewer_variance
     if len(set(variances)) != 1:
         raise ValueError("noise: variance experiment needs equal per-reviewer variances")
-    sizes = sorted({int(m) for m in m_grid})
-    if not sizes:
-        raise ValueError("m_grid: must be non-empty")
-    if sizes[-1] != spec.m_reviewers:
-        raise ValueError(
-            f"m_grid: largest entry must equal spec.m_reviewers={spec.m_reviewers}"
-        )
+    sizes = _panel_sizes(spec, m_grid)
     cohort = generate_cohort(spec)
     width = spec.noise.range_width
     rows: list[VarianceRow] = []

@@ -7,6 +7,10 @@ set of adapters over those column kernels.  The loops here compute the same
 results one object at a time, with the same argument checks and messages,
 so the differential tests compare two independent codes.
 
+``validate_panels`` checks a panel file's panels as ``ReviewPanel``
+objects and ``validate_schema``; ``PanelTable.validate`` checks the
+columns and words the same errors.
+
 The calibration references are the earlier forms of two computations:
 ``tau05_from_scores`` as an integer suffix sum over the tail counts (the
 package runs a level-set kernel over packed ranks), and
@@ -29,6 +33,7 @@ from panelcal.core import (
     GaussianPosterior,
     ReviewerWeights,
     ReviewPanel,
+    ReviewRecord,
     RubricSchema,
     ScoringFunctional,
     ThresholdUnreachableError,
@@ -194,6 +199,42 @@ def detector_counts(
             fp += int(predicted)
             tn += int(not predicted)
     return ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+
+
+def validate_panels(
+    panels: Sequence[tuple[str, str, tuple[ReviewRecord, ...], bool | None]],
+    schema: RubricSchema | None = None,
+    *,
+    require_reviews: bool = True,
+    require_labels: bool = False,
+) -> None:
+    """The first error of ``PanelTable.validate``, found one ``ReviewPanel`` at a time.
+
+    ``panels`` holds (where, id, reviews, label) with ``where`` the panel's
+    ``path:line``.  Each rule runs over all panels before the next: reviews
+    present, the ``ReviewPanel`` checks, ``validate_schema``, labels present.
+    """
+    if require_reviews:
+        for where, submission_id, reviews, _ in panels:
+            if not reviews:
+                raise ValueError(f"{where}: panel {submission_id!r} has no reviews")
+    objects = []
+    for where, submission_id, reviews, label in panels:
+        if reviews:
+            try:
+                objects.append((where, ReviewPanel(submission_id, reviews, label)))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    if schema is not None:
+        for where, panel in objects:
+            try:
+                panel.validate_schema(schema)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+    if require_labels:
+        for where, submission_id, _, label in panels:
+            if label is None:
+                raise ValueError(f"{where}: panel {submission_id!r} has no fabrication_label")
 
 
 def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> float:

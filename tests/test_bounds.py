@@ -117,6 +117,9 @@ def test_dkw_bound_frozen_value():
         math.sqrt(math.log(80.0) / 400.0), rel=1e-12
     )
     assert abs(dkw_bound(200, 0.05) - 0.104666) < 1e-6
+    # 4 / delta overflows to inf for a subnormal delta; log(4) - log(delta) does not
+    assert f"{dkw_bound(5, 1e-320):.6g}" == "8.59194"
+    assert f"{dkw_bound(1, 5e-324):.6g}" == "19.311"
     with pytest.raises(ValueError, match="n_cal"):
         dkw_bound(0, 0.05)
     with pytest.raises(ValueError, match="delta"):

@@ -85,6 +85,7 @@ def run_dir(out_text):
 def test_bound_values(capsys):
     cases = [
         (["bound", "dkw", "--n", "200", "--delta", "0.05"], "0.104666"),
+        (["bound", "dkw", "--n", "5", "--delta", "1e-320"], "8.59194"),
         (["bound", "scalar", "--m", "3", "--gamma", "1", "--sigma-sq", "1", "--range", "9"], "0.687289"),
         (["bound", "tail", "--t", "2", "--sigma-w-sq", "0.25", "--c-max", "0.5"], "0.0324332"),
         (["bound", "margin", "--gamma", "2", "--sigma-w-sq", "0.25", "--c-max", "0.5"], "0.0324332"),
@@ -750,6 +751,52 @@ def test_out_blocked_by_file_exits_2(tmp_path, capsys, out, reason):
     assert err == f"error: --out: {tmp_path / out}: cannot create directory ({reason})\n"
     assert sorted(tmp_path.rglob("*")) == before
     assert Path(blocker).read_text() == "keep\n"
+
+
+@pytest.mark.parametrize(
+    ("out", "reason"),
+    [("afile", "File exists"), ("afile/sub", "Not a directory")],
+    ids=["out-is-file", "out-below-file"],
+)
+def test_out_blocked_by_file_fails_before_the_command_runs(tmp_path, capsys, monkeypatch,
+                                                           out, reason):
+    import panelcal.simulate
+
+    def unexpected(*args):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(panelcal.simulate, "synthetic_calibration_population", unexpected)
+    write(tmp_path, "afile", "keep\n")
+    before = sorted(tmp_path.rglob("*"))
+    code, out_text, err = run_cli(capsys, "simulate", "threshold-error",
+                                  "--out", str(tmp_path / out))
+    assert code == 2
+    assert out_text == ""
+    assert err == f"error: --out: {tmp_path / out}: cannot create directory ({reason})\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("option", ["--records", "--panels", "--config", "--thresholds"])
+def test_non_utf8_input_exits_2_naming_file_and_line(tmp_path, capsys, option):
+    files = {
+        "--records": write(tmp_path, "pool.jsonl", POOL),
+        "--panels": write(tmp_path, "panels.jsonl", PANELS),
+        "--thresholds": write(tmp_path, "thresholds.json", THRESHOLDS),
+    }
+    files["--config"] = write_json(tmp_path, "config.json",
+                                   {"target_rate": 0.33, "functional": LINEAR})
+    bad = Path(files[option])
+    lines = bad.read_bytes().splitlines(keepends=True)
+    bad.write_bytes(b"".join(lines[:1]) + b"\xff" + b"".join(lines[1:]))
+    if option == "--records":
+        argv = ["calibrate", "--records", files["--records"], "--config", files["--config"]]
+    else:
+        argv = ["review", "--panels", files["--panels"], "--thresholds", files["--thresholds"],
+                "--config", files["--config"]]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err == f"error: {bad}:2: not valid UTF-8\n"
+    assert not (tmp_path / "runs").exists()
 
 
 # ---------------------------------------------------------------- detector

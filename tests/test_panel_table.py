@@ -6,7 +6,9 @@ equal, byte for byte, the rows built one panel at a time from
 ``ReviewPanel`` objects by the reference loops (consensus, score,
 posterior, credible calls and corpus rates), ``decide`` and ``acpt``.  The
 object API, which adapts single panels and panel sequences to the same
-kernels, must match the reference loops bit for bit, errors included.
+kernels, must match the reference loops bit for bit, errors included.  On
+random invalid panel files ``PanelTable.validate`` must raise the first
+error that ``reference.validate_panels`` finds with ``ReviewPanel`` objects.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -90,6 +92,10 @@ def scenarios(draw):
         "bayes_threshold": draw(GRID),
         "alpha": draw(st.sampled_from([0.05, 0.2])),
     }
+
+
+def as_panel(record: PanelRecord) -> ReviewPanel:
+    return ReviewPanel(record.submission_id, record.reviews, record.fabrication_label)
 
 
 def panel_line(record: PanelRecord, label) -> str:
@@ -261,7 +267,7 @@ def test_panel_commands_match_object_path(s):
         empty = PanelRecord(f"q{n}", ())
         bayes_records.insert(position, empty)
         bayes_lines.insert(position, panel_line(empty, "absent"))
-    panels = [record.to_panel() for record in records]
+    panels = [as_panel(record) for record in records]
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -336,7 +342,7 @@ def test_large_uniform_panels_match_object_path(tmp_path):
                               "--thresholds", files["thresholds.json"],
                               "--config", files["config.json"]], tmp_path / "runs")
     assert code == 0, err
-    decisions, metric_rows = expected_review([r.to_panel() for r in records], s)
+    decisions, metric_rows = expected_review([as_panel(r) for r in records], s)
     assert (run_dir / "decisions.csv").read_text() == decisions
     assert (run_dir / "metrics.csv").read_text() == metric_rows
 
@@ -368,7 +374,7 @@ def test_object_api_matches_reference_loops(s, bad, data):
         assert outcome(getattr(module, name), *args) == outcome(getattr(reference, name), *args)
         called.add(name)
 
-    panels = [record.to_panel() for record, _ in s["panels"]]
+    panels = [as_panel(record) for record, _ in s["panels"]]
     schema, functional = s["schema"], s["functional"]
     scores = {}
     for panel in panels:
@@ -419,3 +425,94 @@ def test_object_api_matches_reference_loops(s, bad, data):
                 for tau in taus:
                     same("conflict_rate", group, mapping, tau, name)
     assert called == {name for names in ADAPTERS.values() for name in names}
+
+
+# ---------------------------------------------------------------- validate
+
+ROSTER = ("a", "b", "c", "d", "e")
+CORRUPTIONS = ("duplicate", "ragged", "count", "bounds", "empty", "unlabeled")
+
+
+@st.composite
+def invalid_panel_files(draw):
+    """A schema, and panels that break it and the panel rules in 1 to 3 places.
+
+    Returns (lines, panels, schema) with ``panels`` as (line, id, reviews,
+    label) and ``lines`` the file's lines, blank lines among them.
+    """
+    k = draw(st.integers(1, 3))
+    lows = draw(st.lists(st.integers(-2, 4), min_size=k, max_size=k))
+    widths = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    schema = RubricSchema(k, tuple((lo, lo + w) for lo, w in zip(lows, widths)))
+
+    def inside(c):
+        lo, hi = schema.bounds[c]
+        return draw(st.integers(int(2 * lo), int(2 * hi))) / 2
+
+    panels = []
+    for i in range(draw(st.integers(1, 6))):
+        names = draw(st.lists(st.sampled_from(ROSTER), min_size=1, max_size=3, unique=True))
+        rubrics = [[inside(c) for c in range(k)] for _ in names]
+        label = draw(st.sampled_from([True, False]))
+        panels.append([f"p{i}", names, rubrics, label])
+    for _ in range(draw(st.integers(1, 3))):
+        panel = draw(st.sampled_from(panels))
+        _, names, rubrics, _ = panel
+        kind = draw(st.sampled_from(CORRUPTIONS))
+        if kind == "duplicate" and names:
+            at = draw(st.integers(0, len(names)))
+            names.insert(at, draw(st.sampled_from(names)))
+            rubrics.insert(at, [inside(c) for c in range(k)])
+        elif kind == "ragged" and names:
+            j = draw(st.integers(0, len(names) - 1))
+            length = draw(st.integers(1, k + 1).filter(lambda n: n != len(rubrics[j])))
+            rubrics[j] = (rubrics[j] + [inside(0)] * length)[:length]
+        elif kind == "count":
+            length = draw(st.integers(1, k + 1).filter(lambda n: n != k))
+            rubrics[:] = [(row + [inside(0)] * length)[:length] for row in rubrics]
+        elif kind == "bounds" and names:
+            j = draw(st.integers(0, len(names) - 1))
+            c = draw(st.integers(0, len(rubrics[j]) - 1))
+            lo, hi = schema.bounds[min(c, k - 1)]
+            step = draw(st.integers(1, 4)) / 2
+            rubrics[j][c] = draw(st.sampled_from([lo - step, hi + step]))
+        elif kind == "empty":
+            names.clear()
+            rubrics.clear()
+        elif kind == "unlabeled":
+            panel[3] = None
+
+    lines, out = [], []
+    for submission_id, names, rubrics, label in panels:
+        if draw(st.booleans()):
+            lines.append("")
+        obj: dict = {"id": submission_id}
+        if label is not None or draw(st.booleans()):
+            obj["label"] = label
+        raw_reviews = []
+        for name, row in zip(names, rubrics):
+            values = [int(v) if v == int(v) and draw(st.booleans()) else v for v in row]
+            if len(values) == 1 and draw(st.booleans()):
+                raw_reviews.append({"reviewer": name, "overall": values[0], "flag": False})
+            else:
+                raw_reviews.append({"reviewer": name, "rubric": values, "flag": False})
+        obj["reviews"] = raw_reviews
+        lines.append(json.dumps(obj))
+        reviews = tuple(ReviewRecord(n, RubricVector(tuple(r))) for n, r in zip(names, rubrics))
+        out.append((len(lines), submission_id, reviews, label))
+    return lines, out, schema
+
+
+@settings(max_examples=max(200, settings.default.max_examples))
+@given(invalid_panel_files(), st.booleans(), st.booleans(), st.booleans())
+def test_validate_errors_match_object_reference(case, use_schema, require_reviews, require_labels):
+    lines, panels, schema = case
+    schema = schema if use_schema else None
+    flags = {"require_reviews": require_reviews, "require_labels": require_labels}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panels.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        table = load_panel_table(path)
+        where = [(f"{path}:{line}", *panel) for line, *panel in panels]
+        expected = outcome(lambda: reference.validate_panels(where, schema, **flags))
+        assert outcome(lambda: table.validate(schema, **flags)) == expected

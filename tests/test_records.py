@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from panelcal.core import CalibrationRecord, ReviewRecord, RubricVector
+from panelcal.core import CalibrationRecord, ReviewPanel, ReviewRecord, RubricVector
 from panelcal.records import (
     PanelRecord,
     RecordError,
@@ -15,6 +15,7 @@ from panelcal.records import (
     load_calibration_table,
     load_config,
     load_panel_records,
+    load_panel_table,
 )
 
 PANEL_LINES = """\
@@ -41,7 +42,7 @@ def test_load_panel_records(tmp_path):
     assert records[1].fabrication_label is None
     assert records[1].reviews[0].rubric.values == (7.5,)
     assert records[2].reviews == ()
-    panel = records[0].to_panel()
+    panel = ReviewPanel(records[0].submission_id, records[0].reviews, records[0].fabrication_label)
     assert panel.any_flag
 
 
@@ -371,3 +372,26 @@ def test_calibration_table_names_the_first_bad_line(tmp_path, line, message):
     with pytest.raises(RecordError) as got:
         load_calibration_table(path)
     assert str(got.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize(
+    ("load", "data"),
+    [
+        (load_calibration_table,
+         b'{"id": "c1", "score": 2.5, "accept": false, "status": "s\xc3\xa9"}\n\n'
+         b'{"id": "c9", "score": 1, "accept": true, "status": "\xff"}\n'),
+        (load_panel_table,
+         b'{"id": "p1", "reviews": []}\r\n\r\n'
+         b'{"id": "p2", "reviews": [{"reviewer": "m1", "overall": 5, "flag": false, '
+         b'"feedback": "\xff"}]}\n'),
+        (load_config, b'{\n  "target_rate": 0.3,\n  "seed": "\xff"\n}\n'),
+        (load_config, b'{"tau_rate": 7.0,\n"tau_05": 4.0,\n"\xff": 1}\n'),
+    ],
+    ids=["pool", "panel", "config", "thresholds"],
+)
+def test_non_utf8_byte_names_its_line(tmp_path, load, data):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    with pytest.raises(RecordError) as got:
+        load(path)
+    assert str(got.value) == f"{path}:3: not valid UTF-8"
