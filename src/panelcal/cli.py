@@ -190,12 +190,13 @@ def _int_flag(minimum: int) -> Callable[[str], int]:
     wanted = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
 
     def parse(text: str) -> int:
-        from . import config
-
         try:
-            return config.integer(minimum)(int(text))
+            value = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}") from None
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
 
     return parse
 

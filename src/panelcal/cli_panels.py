@@ -220,19 +220,9 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     p_accept, robust, solicit = bayes.credible_calls(
         means, posterior_variances, threshold, alpha, solicit_variance
     )
-    rows = list(
-        zip(
-            table.ids,
-            table.counts.tolist(),
-            means.tolist(),
-            posterior_variances.tolist(),
-            p_accept.tolist(),
-            (p_accept >= 0.5).tolist(),
-            robust.tolist(),
-            solicit.tolist(),
-            ["" if count else "prior-only" for count in table.counts.tolist()],
-        )
-    )
+    counts = table.counts.tolist()
+    notes = ["" if count else "prior-only" for count in counts]
+    floats = [means.tolist(), posterior_variances.tolist(), p_accept.tolist()]
 
     run = _Run(args.out, "bayes", None, args.config, inputs)
     run.write(
@@ -249,26 +239,28 @@ def cmd_bayes(args: argparse.Namespace) -> int:
                 "solicit",
                 "note",
             ],
-            rows,
+            list(zip(
+                table.ids,
+                counts,
+                *floats,
+                (p_accept >= 0.5).tolist(),
+                robust.tolist(),
+                solicit.tolist(),
+                notes,
+            )),
         ),
     )
-    table_rows = [
-        (
-            r[0],
-            str(r[1]),
-            f"{r[2]:.4f}",
-            f"{r[3]:.4f}",
-            f"{r[4]:.4f}",
-            "yes" if r[6] else "no",
-            "yes" if r[7] else "no",
-            r[8],
-        )
-        for r in rows
-    ]
+    table_rows = list(zip(
+        table.ids,
+        map(str, counts),
+        *(map("{:.4f}".format, column) for column in floats),
+        *(np.where(calls, "yes", "no").tolist() for calls in (robust, solicit)),
+        notes,
+    ))
     report = [
         "credible decision report",
         "",
-        f"panels:     {len(rows)}",
+        f"panels:     {len(table)}",
         f"prior:      mean {prior.mean:.6g}, variance {prior.variance:.6g}",
         f"threshold:  {threshold:.6g}",
         f"alpha:      {alpha:.6g}",

@@ -86,7 +86,7 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
     replicates = section["replicates"] if args.replicates is None else args.replicates
     seed = section["seed"] if args.seed is None else args.seed
     size = settings.cohort.n_papers
-    if not grid or grid[0] < 2 or grid[-1] > size or any(b <= a for a, b in zip(grid, grid[1:])):
+    if len(grid) < 2 or grid[0] < 2 or grid[-1] > size or any(b <= a for a, b in zip(grid, grid[1:])):
         where = "--grid" if args.grid is not None else f"config: {path}.n_cal_grid"
         raise RecordError(
             f"{where}: calibration sizes must be strictly increasing integers in [2, {size}], "

@@ -11,6 +11,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -196,21 +197,19 @@ def rate_with_counts(numerator: int, denominator: int) -> str:
 
 
 def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Fixed-width text table: first column left-aligned, rest right-aligned."""
-    table = [list(map(str, headers))] + [list(map(str, r)) for r in rows]
-    n_cols = max(len(r) for r in table)
-    for r in table:
-        r.extend("" for _ in range(n_cols - len(r)))
-    widths = [max(len(r[c]) for r in table) for c in range(n_cols)]
-    lines = []
-    for i, r in enumerate(table):
-        cells = [
-            r[c].ljust(widths[c]) if c == 0 else r[c].rjust(widths[c])
-            for c in range(n_cols)
-        ]
-        lines.append("  ".join(cells).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
+    """Fixed-width text table: first column left-aligned, rest right-aligned.
+
+    The header and rows shorter than the longest of them are padded with
+    empty cells.
+    """
+    # widths column by column; a table without cells has one empty column
+    columns = list(zip_longest(headers, *rows, fillvalue="")) or [("",) * (len(rows) + 1)]
+    widths = [max(map(len, map(str, column))) for column in columns]
+    # then each row in one call, with one field per column: the first left-aligned, the rest
+    # right-aligned; padded cells are never held at once, only the finished lines
+    template = "  ".join(("%%%ds" if c else "%%-%ds") % width for c, width in enumerate(widths))
+    lines = [(template % row).rstrip() for row in zip(*columns)]
+    lines.insert(1, "  ".join("-" * width for width in widths))
     return "\n".join(lines) + "\n"
 
 

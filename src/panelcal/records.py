@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -86,10 +86,20 @@ class PanelTable:
     @classmethod
     def from_panels(cls, panels: Sequence[ReviewPanel]) -> PanelTable:
         """The panels as a table without a file."""
-        return _panel_columns("", (
-            (p.submission_id, line_no, p.fabrication_label,
-             [(r.reviewer_id, r.rubric.values, r.integrity_flag, r.feedback) for r in p.reviews])
-            for line_no, p in enumerate(panels, start=1)))
+        reviews = [r for p in panels for r in p.reviews]
+        rubrics = [r.rubric.values for r in reviews]
+        return _panel_table(
+            "",
+            ids=[p.submission_id for p in panels],
+            lines=list(range(1, len(panels) + 1)),
+            counts=[len(p.reviews) for p in panels],
+            labels=[p.fabrication_label for p in panels],
+            reviewer=[r.reviewer_id for r in reviews],
+            values=np.array([v for row in rubrics for v in row], dtype=float),
+            criteria=list(map(len, rubrics)),
+            flags=[r.integrity_flag for r in reviews],
+            feedback=[r.feedback for r in reviews],
+        )
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -319,15 +329,15 @@ def _all_finite(values: list[Any] | tuple[Any, ...]) -> bool:
 _NUMBER_TYPES = {int, float}  # JSON numbers; bool is not among them
 
 
-def _review_fields(obj: Any) -> tuple[str, list[Any], bool, str]:
-    """Reviewer, rubric values, flag and feedback of one review object.
+def _check_review(obj: Any) -> None:
+    """Check one review object as ``ReviewRecord`` and ``RubricVector`` check it.
 
-    Checks what ``ReviewRecord`` and ``RubricVector`` check, with their
-    messages; an ``overall`` number becomes a one-criterion rubric.
+    The messages are theirs; an ``overall`` number stands for a
+    one-criterion rubric.
     """
     if not isinstance(obj, dict):
         raise ValueError("each review must be a JSON object")
-    reviewer = _get_str(obj, "reviewer")
+    _get_str(obj, "reviewer")
     if "rubric" in obj:
         values = obj["rubric"]
         if not isinstance(values, list) or not values:
@@ -339,14 +349,12 @@ def _review_fields(obj: Any) -> tuple[str, list[Any], bool, str]:
             k = next(k for k, v in enumerate(values) if not _all_finite((v,)))
             raise ValueError(f"values[{k}]: must be finite, got {values[k]!r}")
     elif "overall" in obj:
-        values = [_get_number(obj, "overall")]
+        _get_number(obj, "overall")
     else:
         raise ValueError("each review needs a 'rubric' array or an 'overall' number")
-    flag = _get_bool(obj, "flag")
-    feedback = obj.get("feedback", "")
-    if not isinstance(feedback, str):
+    _get_bool(obj, "flag")
+    if not isinstance(obj.get("feedback", ""), str):
         raise ValueError("field 'feedback' must be a string")
-    return reviewer, values, flag, feedback
 
 
 def read_text(path: str | Path) -> str:
@@ -363,15 +371,15 @@ def read_text(path: str | Path) -> str:
         raise RecordError(f"{path}:{line_no}: not valid UTF-8") from None
 
 
-_raw_decode = json.JSONDecoder().raw_decode
+_scan = json.JSONDecoder().scan_once  # raw_decode's scanner, without its whitespace match
 _JSON_SPACE = " \t\n\r"
 
 
 def _iter_json_lines(path: str | Path):
     """(line number, value) of each non-blank line, as ``json.loads`` parses it.
 
-    One ``raw_decode`` of the line stripped of JSON whitespace gives the
-    value; ``json.loads`` runs only when that fails, to word the error.
+    One scan of the line stripped of JSON whitespace gives the value;
+    ``json.loads`` runs only when that fails, to word the error.
     """
     text = read_text(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -379,8 +387,8 @@ def _iter_json_lines(path: str | Path):
         if not value or value.isspace():
             continue
         try:
-            obj, end = _raw_decode(value)
-        except json.JSONDecodeError:
+            obj, end = _scan(value, 0)
+        except (json.JSONDecodeError, StopIteration):  # StopIteration: no value starts there
             end = -1
         if end != len(value):
             try:
@@ -393,17 +401,97 @@ def _iter_json_lines(path: str | Path):
 def load_panel_table(path: str | Path) -> PanelTable:
     """Parse panel JSONL into a PanelTable; duplicate panel ids are rejected.
 
-    Only the per-line checks run here; ``PanelTable.validate`` checks the
+    Each line's fields go into columns, and the checks run on whole
+    columns.  When one fails, the per-line checks run over the lines in
+    order to raise the first error, worded as they word it.  Only the
+    checks of single lines run here; ``PanelTable.validate`` checks the
     panels as a whole.
     """
-    table = _panel_columns(str(path), _panel_lines(path))
+    table = _checked_columns(path)
+    if table is None:
+        _check_panel_lines(path)  # raises the first error
+        raise AssertionError(f"{path}: column check and line check disagree")
     if not len(table):
         raise RecordError(f"{path}: no records found")
     return table
 
 
-def _panel_lines(path: str | Path):
-    """(id, line number, label, review fields) of each panel line, checked line by line."""
+_BLOCK = 64  # decoded lines held at once: their fields go into the columns a block at a time
+
+
+def _checked_columns(path: str | Path) -> PanelTable | None:
+    """The table of a panel file whose fields pass the column checks; None if one fails.
+
+    A block of lines is checked as far as taking its fields apart needs
+    (objects, arrays) and flattened into the columns; the checks of the
+    fields' values run on the whole columns at the end.
+    """
+    lines, ids, labels, counts = [], [], [], []  # one entry per panel
+    reviewer, criteria, flags, feedback = [], [], [], []  # one entry per review
+    values: list[Any] = []  # the rubrics back to back
+    names: dict[str, str] = {}  # one string per reviewer name, so the decoded copies are freed
+    block: list[dict] = []  # decoded lines whose fields are not in the columns yet
+
+    def take() -> bool:
+        panel_reviews = [obj.get("reviews") for obj in block]
+        if not set(map(type, panel_reviews)) <= {list}:
+            return False
+        reviews = [review for rows in panel_reviews for review in rows]
+        if not set(map(type, reviews)) <= {dict}:
+            return False
+        rubrics = [
+            r["rubric"] if "rubric" in r else [r["overall"]] if "overall" in r else None
+            for r in reviews
+        ]
+        reviewers = [r.get("reviewer") for r in reviews]
+        if not set(map(type, rubrics)) <= {list} or not set(map(type, reviewers)) <= {str}:
+            return False
+        ids.extend([obj.get("id") for obj in block])
+        labels.extend([obj.get("label") for obj in block])
+        counts.extend(map(len, panel_reviews))
+        reviewer.extend(map(names.setdefault, reviewers, reviewers))
+        criteria.extend(map(len, rubrics))
+        flags.extend([r.get("flag") for r in reviews])
+        feedback.extend([r.get("feedback", "") for r in reviews])
+        values.extend([v for row in rubrics for v in row])
+        block.clear()
+        return True
+
+    try:
+        for line_no, obj in _iter_json_lines(path):
+            if type(obj) is not dict:
+                return None
+            lines.append(line_no)
+            block.append(obj)
+            if len(block) == _BLOCK and not take():
+                return None
+    except RecordError:
+        return None
+    if not take():
+        return None
+    ok = (
+        _all_strings(ids)
+        and len(set(ids)) == len(ids)
+        and set(map(type, labels)) <= {bool, type(None)}
+        and "" not in names
+        and set(map(type, flags)) <= {bool}
+        and set(map(type, feedback)) <= {str}
+        and 0 not in criteria
+        and set(map(type, values)) <= _NUMBER_TYPES
+    )
+    if not ok:
+        return None
+    try:
+        flat = np.array(values, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return _panel_table(str(path), ids, lines, counts, labels, reviewer, flat, criteria, flags, feedback)
+
+
+def _check_panel_lines(path: str | Path) -> None:
+    """The per-line checks of a panel file, line by line; the first failure raises."""
     seen: set[str] = set()
     for line_no, obj in _iter_json_lines(path):
         try:
@@ -416,10 +504,9 @@ def _panel_lines(path: str | Path):
             reviews = obj.get("reviews")
             if not isinstance(reviews, list):
                 raise ValueError("field 'reviews' must be an array")
-            fields = []
-            for i, raw in enumerate(reviews):
+            for i, review in enumerate(reviews):
                 try:
-                    fields.append(_review_fields(raw))
+                    _check_review(review)
                 except ValueError as exc:
                     raise ValueError(f"reviews[{i}]: {exc}") from exc
         except ValueError as exc:
@@ -427,36 +514,26 @@ def _panel_lines(path: str | Path):
         if submission_id in seen:
             raise _context(path, line_no, f"duplicate panel id {submission_id!r}")
         seen.add(submission_id)
-        yield submission_id, line_no, label, fields
 
 
-def _panel_columns(path: str, panels: Iterable[tuple[str, int, Any, list[tuple]]]) -> PanelTable:
-    """The table of (id, line number, label, [(reviewer, rubric, flag, feedback)]) panels."""
-    ids, lines, counts, labels = [], [], [], []  # one entry per panel
-    reviewer, values, criteria, flags, feedback = [], [], [], [], []  # per review
-    codes: dict[str, int] = {}  # reviewer id -> code in order of first appearance
-    for submission_id, line_no, label, reviews in panels:
-        ids.append(submission_id)
-        lines.append(line_no)
-        counts.append(len(reviews))
-        labels.append(label)
-        for name, row, flag, text in reviews:
-            reviewer.append(codes.setdefault(name, len(codes)))
-            values.extend(row)
-            criteria.append(len(row))
-            flags.append(flag)
-            feedback.append(text)
-    roster = sorted(codes)
-    rank = np.empty(len(roster), dtype=np.intp)
-    rank[[codes[name] for name in roster]] = np.arange(len(roster))
+def _panel_table(
+    path: str, ids: list[str], lines: list[int], counts: list[int], labels: list[bool | None],
+    reviewer: list[str], values: np.ndarray, criteria: list[int], flags: list[bool],
+    feedback: list[str],
+) -> PanelTable:
+    """The table of checked columns, per panel and then per review.
+
+    ``values`` holds the rubrics back to back, ``criteria`` their lengths.
+    """
+    roster = sorted(set(reviewer))
+    code = {name: k for k, name in enumerate(roster)}
     widths = np.array(criteria, dtype=np.intp)
     width = int(widths.max(initial=0))
-    flat = np.array(values, dtype=float)
     if (widths == width).all():
-        rubric = flat.reshape(len(widths), width)
+        rubric = values.reshape(len(widths), width)
     else:
         rubric = np.full((len(widths), width), np.nan)
-        rubric[np.arange(width) < widths[:, None]] = flat
+        rubric[np.arange(width) < widths[:, None]] = values
     count_array = np.array(counts, dtype=np.intp)
     return PanelTable(
         path=path,
@@ -467,7 +544,7 @@ def _panel_columns(path: str, panels: Iterable[tuple[str, int, Any, list[tuple]]
         labels=np.array([label is True for label in labels]),
         labeled=np.array([label is not None for label in labels]),
         roster=tuple(roster),
-        reviewer=rank[np.array(reviewer, dtype=np.intp)],
+        reviewer=np.array(list(map(code.__getitem__, reviewer)), dtype=np.intp),
         rubric=rubric,
         criteria=widths,
         flags=np.array(flags, dtype=bool),

@@ -16,12 +16,19 @@ The calibration references are the earlier forms of two computations:
 package runs a level-set kernel over packed ranks), and
 ``allocate_quotas`` with its reallocation loop (the package gives out the
 leftover units in one pass).
+
+``load_panel_table`` reads a panel file one line at a time, checking each
+field of each review as it goes (the package checks whole columns and
+words an error line by line only when a check fails).  ``aligned_table``
+lays out a report table row by row (the package works column by column).
 """
 
 from __future__ import annotations
 
+import json
 import math
-from typing import Mapping, Sequence
+from pathlib import Path
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -38,6 +45,7 @@ from panelcal.core import (
     ScoringFunctional,
     ThresholdUnreachableError,
 )
+from panelcal.records import PanelTable, RecordError, read_text
 
 
 def consensus_rubric(panel: ReviewPanel, weights: ReviewerWeights) -> ConsensusRubric:
@@ -317,3 +325,150 @@ def allocate_quotas(
         for (b, s), p, q in zip(keys, pops, quotas)
     )
     return StratificationPlan(bin_edges=edges, status_vocabulary=vocab, cells=cells)
+
+
+def _get_str(obj: Mapping[str, Any], key: str) -> str:
+    value = obj.get(key)
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"field {key!r} must be a non-empty string")
+    return value
+
+
+def _get_bool(obj: Mapping[str, Any], key: str) -> bool:
+    value = obj.get(key)
+    if not isinstance(value, bool):
+        raise ValueError(f"field {key!r} must be a boolean")
+    return value
+
+
+def _finite(value: Any) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _review_fields(obj: Any) -> tuple[str, list[Any], bool, str]:
+    """Reviewer, rubric values, flag and feedback of one review object."""
+    if not isinstance(obj, dict):
+        raise ValueError("each review must be a JSON object")
+    reviewer = _get_str(obj, "reviewer")
+    if "rubric" in obj:
+        values = obj["rubric"]
+        if not isinstance(values, list) or not values:
+            raise ValueError("field 'rubric' must be a non-empty array of numbers")
+        for k, v in enumerate(values):
+            if type(v) not in (int, float):
+                raise ValueError(f"field 'rubric[{k}]' must be a number")
+        for k, v in enumerate(values):
+            if not _finite(v):
+                raise ValueError(f"values[{k}]: must be finite, got {v!r}")
+    elif "overall" in obj:
+        value = obj.get("overall")
+        if type(value) not in (int, float):
+            raise ValueError("field 'overall' must be a number")
+        if not _finite(value):
+            raise ValueError("field 'overall' must be finite")
+        values = [value]
+    else:
+        raise ValueError("each review needs a 'rubric' array or an 'overall' number")
+    flag = _get_bool(obj, "flag")
+    feedback = obj.get("feedback", "")
+    if not isinstance(feedback, str):
+        raise ValueError("field 'feedback' must be a string")
+    return reviewer, values, flag, feedback
+
+
+def load_panel_table(path: str | Path) -> PanelTable:
+    """A panel file read one line at a time; the first bad line raises RecordError.
+
+    Each non-blank line goes through ``json.loads``; then its id, label,
+    reviews and each review's fields are checked in order, and a repeated
+    panel id is rejected.
+    """
+    ids, lines, counts, labels = [], [], [], []  # one entry per panel
+    reviewer, values, criteria, flags, feedback = [], [], [], [], []  # per review
+    codes: dict[str, int] = {}  # reviewer id -> code in order of first appearance
+    seen: set[str] = set()
+    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RecordError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from None
+        try:
+            if not isinstance(obj, dict):
+                raise ValueError("each line must be a JSON object")
+            submission_id = _get_str(obj, "id")
+            label = obj.get("label")
+            if label is not None and not isinstance(label, bool):
+                raise ValueError("field 'label' must be a boolean or null")
+            reviews = obj.get("reviews")
+            if not isinstance(reviews, list):
+                raise ValueError("field 'reviews' must be an array")
+            fields = []
+            for i, raw in enumerate(reviews):
+                try:
+                    fields.append(_review_fields(raw))
+                except ValueError as exc:
+                    raise ValueError(f"reviews[{i}]: {exc}") from None
+        except ValueError as exc:
+            raise RecordError(f"{path}:{line_no}: {exc}") from None
+        if submission_id in seen:
+            raise RecordError(f"{path}:{line_no}: duplicate panel id {submission_id!r}")
+        seen.add(submission_id)
+        ids.append(submission_id)
+        lines.append(line_no)
+        counts.append(len(fields))
+        labels.append(label)
+        for name, row, flag, text in fields:
+            reviewer.append(codes.setdefault(name, len(codes)))
+            values.extend(row)
+            criteria.append(len(row))
+            flags.append(flag)
+            feedback.append(text)
+    if not ids:
+        raise RecordError(f"{path}: no records found")
+    roster = sorted(codes)
+    rank = np.empty(len(roster), dtype=np.intp)
+    rank[[codes[name] for name in roster]] = np.arange(len(roster))
+    widths = np.array(criteria, dtype=np.intp)
+    width = int(widths.max(initial=0))
+    rubric = np.full((len(widths), width), np.nan)
+    rubric[np.arange(width) < widths[:, None]] = np.array(values, dtype=float)
+    count_array = np.array(counts, dtype=np.intp)
+    return PanelTable(
+        path=str(path),
+        ids=tuple(ids),
+        lines=np.array(lines),
+        counts=count_array,
+        offsets=np.concatenate(([0], np.cumsum(count_array))),
+        labels=np.array([label is True for label in labels]),
+        labeled=np.array([label is not None for label in labels]),
+        roster=tuple(roster),
+        reviewer=rank[np.array(reviewer, dtype=np.intp)],
+        rubric=rubric,
+        criteria=widths,
+        flags=np.array(flags, dtype=bool),
+        feedback=tuple(feedback),
+    )
+
+
+def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Fixed-width text table laid out row by row: first column left-aligned, rest right-aligned."""
+    table = [list(map(str, headers))] + [list(map(str, r)) for r in rows]
+    n_cols = max(len(r) for r in table)
+    for r in table:
+        r.extend("" for _ in range(n_cols - len(r)))
+    widths = [max(len(r[c]) for r in table) for c in range(n_cols)]
+    lines = []
+    for i, r in enumerate(table):
+        cells = [
+            r[c].ljust(widths[c]) if c == 0 else r[c].rjust(widths[c])
+            for c in range(n_cols)
+        ]
+        lines.append("  ".join(cells).rstrip())
+        if i == 0:
+            lines.append("  ".join("-" * w for w in widths))
+    return "\n".join(lines) + "\n"

@@ -234,7 +234,7 @@ def test_threshold_error_every_replicate_failing_exits_3(tmp_path, capsys):
     config = write_json(tmp_path, "config.json",
                         {"simulate": {"threshold_error": {"population": population}}})
     code, out, err = run_cli(capsys, "simulate", "threshold-error", "--config", config,
-                             "--grid", "2", "--replicates", "2", "--out", str(tmp_path / "runs"))
+                             "--grid", "2,3", "--replicates", "2", "--out", str(tmp_path / "runs"))
     assert code == 3
     assert out == ""
     assert err == "error: calibration infeasible: n_cal=2: every replicate failed to reach 1/2\n"
@@ -1110,6 +1110,32 @@ def test_simulate_bad_settings_exit_2_before_run(tmp_path, capsys, argv, config,
     code, _, err = run_cli(capsys, "simulate", *argv, "--out", str(tmp_path / "runs"))
     assert code == 2
     assert f"error: {message}\n" == err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    ("argv", "config", "where"),
+    [(["--grid", "50"], None, "--grid"),
+     ([], {"simulate": {"threshold_error": {"n_cal_grid": [50]}}},
+      "config: simulate.threshold_error.n_cal_grid")],
+    ids=["flag", "config"],
+)
+def test_threshold_error_one_point_grid_fails_before_the_bootstrap(tmp_path, capsys, monkeypatch,
+                                                                   argv, config, where):
+    from panelcal import simulate
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the grid is checked before any simulation work")
+
+    monkeypatch.setattr(simulate, "synthetic_calibration_population", no_work)
+    monkeypatch.setattr(simulate, "threshold_bootstrap", no_work)
+    if config is not None:
+        argv = [*argv, "--config", write_json(tmp_path, "config.json", config)]
+    code, _, err = run_cli(capsys, "simulate", "threshold-error", *argv,
+                           "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err == (f"error: {where}: calibration sizes must be strictly increasing integers "
+                   "in [2, 20000], got [50]\n")
     assert not (tmp_path / "runs").exists()
 
 

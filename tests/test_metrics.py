@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import reference
 from panelcal.aggregate import decide
 from panelcal.core import ConfusionCounts, ReviewPanel, ReviewRecord, RubricVector
 from panelcal.metrics import (
@@ -128,6 +131,23 @@ def test_aligned_table():
     assert lines[2] == "m1     66.7%"
     assert lines[3] == "any   100.0%"
     assert text.endswith("\n")
+
+
+CELLS = st.one_of(
+    st.text(alphabet=st.sampled_from("ab -%.\u00e9\u4e00"), max_size=3),
+    st.text(alphabet="xy", min_size=30, max_size=60),  # wider than any header
+    st.integers(-5, 500),
+)
+
+
+@example(headers=[], rows=[])
+@example(headers=[], rows=[[], []])
+@example(headers=["id"], rows=[])
+@example(headers=["a", "b"], rows=[["x" * 80], ["y", "", "z"], []])
+@given(st.lists(CELLS, max_size=4), st.lists(st.lists(CELLS, max_size=5), max_size=6))
+def test_aligned_table_matches_row_by_row_layout(headers, rows):
+    # ragged rows, no rows, wide cells, and cells that are not strings
+    assert aligned_table(headers, rows) == reference.aligned_table(headers, rows)
 
 
 def test_csv_text():

@@ -1,15 +1,19 @@
+import dataclasses
 import json
 import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from panelcal.core import CalibrationRecord, ReviewPanel, ReviewRecord, RubricVector
 from panelcal.records import (
     PanelRecord,
+    PanelTable,
     RecordError,
     load_calibration_records,
     load_calibration_table,
@@ -395,3 +399,229 @@ def test_non_utf8_byte_names_its_line(tmp_path, load, data):
     with pytest.raises(RecordError) as got:
         load(path)
     assert str(got.value) == f"{path}:3: not valid UTF-8"
+
+
+# ------------------------------------------- the columnar panel file against the per-line path
+
+
+def panel_outcome(load, path):
+    try:
+        return load(path)
+    except RecordError as exc:
+        return str(exc)
+
+
+def assert_panel_loaders_agree(text):
+    """Load ``text`` with the package and the reference; the first error or every column agrees."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panels.jsonl"
+        path.write_text(text, encoding="utf-8")
+        expected = panel_outcome(reference.load_panel_table, path)
+        table = panel_outcome(load_panel_table, path)
+    if isinstance(expected, str):
+        assert table == expected
+        return expected
+    assert not isinstance(table, str), table
+    for field in dataclasses.fields(PanelTable):
+        got, want = getattr(table, field.name), getattr(expected, field.name)
+        if isinstance(want, np.ndarray):
+            # the bytes, so that -0.0 differs from 0.0 and NaN equals NaN
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), field.name
+        else:
+            assert got == want, field.name
+    return None
+
+
+# rubric numbers, with integers beyond the 53 bits a float keeps
+RUBRIC_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([0.0, -0.0, 0, 2**53 + 1]),
+)
+# feedback with the line breaks of str.splitlines that JSON does not escape
+FEEDBACK = st.text(alphabet=st.sampled_from("ab \u2028\u0085\u00e9\"\\\x0c"), max_size=4)
+# blank to str.strip, and so skipped; "\x0c" also ends a line for str.splitlines
+PANEL_BLANKS = st.sampled_from(["", " ", "   ", "\t", "\x0c", "\u00a0", " \u3000 "])
+
+
+@st.composite
+def panel_review(draw):
+    review = {"reviewer": draw(st.sampled_from(["r1", "r2", "r10", "Z", "\u00e9"]))}
+    if draw(st.booleans()):
+        review["rubric"] = draw(st.lists(RUBRIC_NUMBERS, min_size=1, max_size=4))
+    else:
+        review["overall"] = draw(RUBRIC_NUMBERS)
+    review["flag"] = draw(st.booleans())
+    if draw(st.booleans()):
+        review["feedback"] = draw(FEEDBACK)
+    return review
+
+
+@st.composite
+def panel_objects(draw):
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    panels = []
+    for submission_id in ids:
+        panel = {"id": submission_id}
+        label = draw(st.sampled_from([True, False, None, MISSING]))
+        if label is not MISSING:
+            panel["label"] = label
+        panel["reviews"] = draw(st.lists(panel_review(), max_size=3))  # [] is a prior-only panel
+        panels.append(panel)
+    return panels
+
+
+@st.composite
+def panel_text(draw, panels, ensure_ascii=True):
+    """JSONL of ``panels``, padded with JSON whitespace, blank lines between."""
+    lines = []
+    for obj in panels:
+        pad = draw(st.sampled_from(["", " ", "\t ", "\r"]))
+        lines.append(pad + json.dumps(obj, ensure_ascii=ensure_ascii) + pad[::-1])
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(PANEL_BLANKS))
+    return "\n".join(lines) + "\n"
+
+
+def filler_lines(n):
+    """``n`` good panel lines, their ids longer than any drawn id."""
+    return "".join(
+        json.dumps({"id": f"fill{i}", "label": i % 3 == 0,
+                    "reviews": [{"reviewer": f"f{i % 4}", "rubric": [i, 1.5], "flag": i % 5 == 0}]})
+        + "\n"
+        for i in range(n)
+    )
+
+
+# good lines in front of the drawn ones: none, either side of a 64-line block's end, or two blocks
+FILLER = st.sampled_from([0, 0, 63, 64, 65, 130])
+
+
+@given(FILLER, panel_objects().flatmap(panel_text))
+def test_panel_table_matches_per_line_loader(filler, text):
+    assert assert_panel_loaders_agree(filler_lines(filler) + text) is None
+
+
+PANEL_FIELD_BREAKS = {
+    "id": ["", 5, None, ["p"], True, MISSING],
+    "label": ["yes", 1, 0, [True]],
+    "reviews": [None, {}, "r", 3, MISSING],
+}
+REVIEW_FIELD_BREAKS = {
+    "reviewer": ["", 3, None, ["r1"], MISSING],
+    "rubric": [[], "7", None, {}, [True], [1, "2"], [1, None], [10**400], [math.nan], [2.0, math.inf],
+               [-math.inf]],
+    "overall": [True, "7", None, [7], 10**400, math.nan, math.inf],
+    "flag": [1, None, "false", MISSING],
+    "feedback": [None, 3, ["x"]],
+}
+PANEL_LINE_BREAKS = ["[1, 2]", '"panel"', "3", "null", "{broken", '{"id": "x",}', "{", ":", "]",
+                     "\ufeff{}", '\ufeff{"id": "b", "reviews": []}']
+# (kind, key, value): one break of one line
+PANEL_BREAKS = [
+    *(("panel", key, value) for key, values in PANEL_FIELD_BREAKS.items() for value in values),
+    *(("review", key, value) for key, values in REVIEW_FIELD_BREAKS.items() for value in values),
+    *(("review", None, value) for value in [5, "r", None, [1], True]),  # not an object
+    ("review", "neither", None),  # neither a rubric nor an overall
+    *(("line", None, line) for line in PANEL_LINE_BREAKS),
+    *(("trailing", None, trailer) for trailer in TRAILERS),
+    ("unescaped", None, "\u2028"), ("unescaped", None, "\u0085"),  # str.splitlines ends a line there
+    ("duplicate", None, None), ("split", None, None), ("merge", None, None),
+]
+
+
+def break_line(panels, i, kind, key, value, other=0, cut=1):
+    """Panel ``i`` as a JSON line with one break; ``other`` is the panel a duplicate id or a
+    merged line comes from, and ``cut`` where a split line ends."""
+    text = json.dumps(panels[i])
+    if kind == "line":
+        return value
+    if kind == "trailing":
+        return text + value
+    if kind == "split":  # one object over two lines
+        cut = min(cut, len(text) - 1)
+        return text[:cut] + "\n" + text[cut:]
+    if kind == "merge":  # two objects on one line
+        return text + " " + json.dumps(panels[other])
+    obj = json.loads(text)
+    if kind == "duplicate":
+        obj["id"] = panels[other]["id"]
+    elif kind == "panel":
+        obj[key] = value
+        if value is MISSING:
+            del obj[key]
+    else:  # a break of the last review, or its feedback
+        if not obj["reviews"]:
+            obj["reviews"].append({"reviewer": "r1", "overall": 6, "flag": False})
+        review = obj["reviews"][-1]
+        if kind == "unescaped":
+            review["feedback"] = f"a{value}b"
+        elif key is None:
+            obj["reviews"][-1] = value
+        elif key == "neither":
+            review.pop("rubric", None)
+            review.pop("overall", None)
+        else:
+            review[key] = value
+            if value is MISSING:
+                del review[key]
+    # NaN and Infinity are written as their literals
+    return json.dumps(obj, ensure_ascii=kind != "unescaped")
+
+
+@st.composite
+def corrupted_panel_text(draw):
+    panels = draw(panel_objects())
+    lines = [json.dumps(obj) for obj in panels]
+    for _ in range(draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind, key, value = draw(st.sampled_from(PANEL_BREAKS))
+        other = draw(st.integers(0, len(lines) - 1))
+        lines[i] = break_line(panels, i, kind, key, value, other, draw(st.integers(1, 200)))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(PANEL_BLANKS))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=max(200, settings.default.max_examples))
+@given(FILLER, corrupted_panel_text())
+def test_panel_table_errors_match_per_line_loader(filler, text):
+    assert_panel_loaders_agree(filler_lines(filler) + text)
+
+
+@pytest.mark.parametrize(("kind", "key", "value"), PANEL_BREAKS)
+def test_panel_table_agrees_on_each_break_in_a_later_block(kind, key, value):
+    # line 101 of 150 is broken: alone, and with a bad line after it
+    panels = [{"id": f"p{i}", "label": i % 2 == 0,
+               "reviews": [{"reviewer": "r1", "rubric": [i, 2.5], "flag": False},
+                           {"reviewer": "r2", "overall": 6, "flag": True, "feedback": "ok"}]}
+              for i in range(150)]
+    lines = [json.dumps(obj) for obj in panels]
+    lines[100] = break_line(panels, 100, kind, key, value, other=3, cut=25)
+    text = "\n".join(lines) + "\n"
+    assert_panel_loaders_agree(text)
+    assert assert_panel_loaders_agree(text + '{"id": "p200", "label": "no", "reviews": []}\n')
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        (":", "invalid JSON: Expecting value"),
+        ('{"id": "p9", "reviews": [3]}', "reviews[0]: each review must be a JSON object"),
+        ('{"id": "p9", "reviews": [{"reviewer": "r1", "overall": NaN, "flag": true}]}',
+         "reviews[0]: field 'overall' must be finite"),
+        ('{"id": "p1", "reviews": []}', "duplicate panel id 'p1'"),
+    ],
+    ids=["scanner-stop", "review-not-object", "nan-overall", "duplicate-id"],
+)
+def test_panel_table_names_a_bad_line_in_a_later_block(tmp_path, line, message):
+    good = [json.dumps({"id": f"p{i}", "reviews": [{"reviewer": "r1", "rubric": [i, 2], "flag": False}]})
+            for i in range(1, 150)]
+    later = '{"id": "p200", "label": "no", "reviews": []}'  # a bad line after the first
+    text = "\n".join([*good[:100], line, *good[100:], later]) + "\n"
+    path = write(tmp_path, "panels.jsonl", text)
+    with pytest.raises(RecordError) as got:
+        load_panel_table(path)
+    assert str(got.value) == f"{path}:101: {message}"
+    assert assert_panel_loaders_agree(text).endswith(f":101: {message}")

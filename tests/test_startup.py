@@ -28,14 +28,15 @@ PROBE = (
 )
 
 
-def loaded(cwd, *argv):
-    """The modules a fresh interpreter has loaded after running ``panelcal argv``."""
+def loaded(cwd, *argv, code=0):
+    """The modules a fresh interpreter has loaded after running ``panelcal argv``,
+    which must exit with ``code``."""
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
-    assert code == 0, proc.stderr
+    exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == code, proc.stderr
     return set(modules)
 
 
@@ -45,6 +46,14 @@ def test_bound_loads_no_numpy(tmp_path):
     unwanted = {"numpy", "panelcal.records", "panelcal.config", "panelcal.simulate",
                 "panelcal.calibrate", "logging"}
     assert not modules & unwanted
+
+
+def test_integer_flags_load_no_numpy(tmp_path):
+    # --seed and --replicates are parsed before --out is found blocked by a file
+    (tmp_path / "blocked").write_text("", encoding="utf-8")
+    modules = loaded(tmp_path, "simulate", "threshold-error", "--seed", "3", "--replicates", "5",
+                     "--out", "blocked", code=2)
+    assert not modules & {"numpy", "panelcal.config", "panelcal.cli_simulate"}
 
 
 @pytest.mark.parametrize("command", ["review", "bayes", "detector-eval"])
