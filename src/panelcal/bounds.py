@@ -39,15 +39,20 @@ def tail_bound(t: float, inputs: BoundInputs) -> float:
 
     Returns exp(-t^2 / (2 sigma_w^2 + (2/3) c_max t)).  When both variance
     and influence are zero the consensus is deterministic, so the tail
-    probability is 0 by convention.
+    probability is 0 by convention.  Where the denominator underflows to 0,
+    or it and t^2 overflow, the exponent is computed with both divided by t.
     """
     t = float(t)
     if not math.isfinite(t) or t <= 0:
         raise ValueError(f"t: must be finite and > 0, got {t!r}")
-    denominator = 2.0 * inputs.sigma_w_sq + (2.0 / 3.0) * inputs.c_max * t
-    if denominator == 0.0:
+    sigma_w_sq, c_max = inputs.sigma_w_sq, inputs.c_max
+    if sigma_w_sq == 0.0 and c_max == 0.0:
         return 0.0
-    return math.exp(-(t * t) / denominator)
+    denominator = 2.0 * sigma_w_sq + (2.0 / 3.0) * c_max * t
+    exponent = (t * t) / denominator if denominator else math.nan
+    if math.isnan(exponent):  # the denominator underflows, or it and t * t overflow
+        exponent = t / (2.0 * (sigma_w_sq / t) + (2.0 / 3.0) * c_max)  # both divided by t
+    return math.exp(-exponent)
 
 
 def margin_misclassification_bound(gamma: float, inputs: BoundInputs) -> float:
@@ -80,7 +85,10 @@ def scalar_uniform_bound(m: int, gamma: float, sigma_sq: float, range_width: flo
     if not math.isfinite(range_width) or range_width <= 0:
         raise ValueError(f"range_width: must be finite and > 0, got {range_width!r}")
     denominator = 2.0 * sigma_sq + (2.0 / 3.0) * range_width * gamma
-    return math.exp(-(m * gamma * gamma) / denominator)
+    exponent = (m * gamma * gamma) / denominator if denominator else math.nan
+    if math.isnan(exponent):  # under- or overflow, as in tail_bound
+        exponent = m * gamma / (2.0 * (sigma_sq / gamma) + (2.0 / 3.0) * range_width)
+    return math.exp(-exponent)
 
 
 def scalar_bound_inputs(weights: ReviewerWeights, noise: NoiseProfile) -> BoundInputs:

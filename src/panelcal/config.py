@@ -39,21 +39,11 @@ REQUIRED = object()  # the default of a key that must be given
 # ---------------------------------------------------------------- leaves
 
 
-def _float(value: Any) -> float | None:
-    """A JSON number as a float (a huge integer is infinite); None for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 def _number(requirement: str, ok: Callable[[float], bool]) -> Callable[[Any], float]:
     """A leaf parser: a JSON number that ``ok`` accepts, as a float."""
 
     def parse(value: Any) -> float:
-        number = _float(value)
+        number = records._float(value)  # the JSON-number rule of the record loaders
         if number is None or not ok(number):
             raise ValueError(f"must {requirement}, got {value!r}")
         return number

@@ -17,7 +17,11 @@ Calibration lines look like
 and a pool file is parsed once, into a columnar ``CalibrationTable``;
 ``load_calibration_records`` builds ``CalibrationRecord`` objects from it.
 
-Malformed input raises RecordError naming the file, line, and field.
+Every JSON file the package reads (panel and pool JSONL, config and
+thresholds files) is decoded here, and malformed input raises RecordError
+naming the file, line, and field.  Both JSONL loaders run one shell: a
+column pass that checks whole columns, and only when a check fails, a
+pass over the lines in order that raises the first error.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -288,10 +292,6 @@ def left_sums(values: np.ndarray, counts: np.ndarray, start: float = 0.0) -> np.
     return total
 
 
-def _context(path: str | Path, line_no: int, message: str) -> RecordError:
-    return RecordError(f"{path}:{line_no}: {message}")
-
-
 def _get_str(obj: Mapping[str, Any], key: str) -> str:
     value = obj.get(key)
     if not isinstance(value, str) or not value:
@@ -306,24 +306,32 @@ def _get_bool(obj: Mapping[str, Any], key: str) -> bool:
     return value
 
 
-def _get_number(obj: Mapping[str, Any], key: str) -> float:
-    value = obj.get(key)
+def _float(value: Any) -> float | None:
+    """A JSON number as a float (a huge integer is infinite); None for anything else."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"field {key!r} must be a number")
+        return None
     try:
-        value = float(value)
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _get_number(obj: Mapping[str, Any], key: str) -> float:
+    value = _float(obj.get(key))
+    if value is None:
+        raise ValueError(f"field {key!r} must be a number")
     if not math.isfinite(value):
         raise ValueError(f"field {key!r} must be finite")
     return value
 
 
-def _all_finite(values: list[Any] | tuple[Any, ...]) -> bool:
+def _finite_array(values: list[Any]) -> np.ndarray | None:
+    """JSON numbers as a float array; None if one is not finite (or beyond the float range)."""
     try:
-        return all(map(math.isfinite, values))
+        array = np.array(values, dtype=float)
     except OverflowError:  # an integer beyond the float range
-        return False
+        return None
+    return array if np.isfinite(array).all() else None
 
 
 _NUMBER_TYPES = {int, float}  # JSON numbers; bool is not among them
@@ -345,8 +353,8 @@ def _check_review(obj: Any) -> None:
         if not set(map(type, values)) <= _NUMBER_TYPES:
             k = next(k for k, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
             raise ValueError(f"field 'rubric[{k}]' must be a number")
-        if not _all_finite(values):
-            k = next(k for k, v in enumerate(values) if not _all_finite((v,)))
+        k = next((k for k, v in enumerate(values) if not math.isfinite(_float(v))), None)
+        if k is not None:
             raise ValueError(f"values[{k}]: must be finite, got {values[k]!r}")
     elif "overall" in obj:
         _get_number(obj, "overall")
@@ -375,11 +383,25 @@ _scan = json.JSONDecoder().scan_once  # raw_decode's scanner, without its whites
 _JSON_SPACE = " \t\n\r"
 
 
+def _decode(text: str, where: str) -> Any:
+    """``text`` as ``json.loads`` parses it; a RecordError ``where: invalid JSON: ...`` if it fails.
+
+    This is the one place a JSON error is worded, a value nested too deep
+    for the decoder included.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise RecordError(f"{where}: invalid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise RecordError(f"{where}: invalid JSON: nested too deeply") from None
+
+
 def _iter_json_lines(path: str | Path):
     """(line number, value) of each non-blank line, as ``json.loads`` parses it.
 
     One scan of the line stripped of JSON whitespace gives the value;
-    ``json.loads`` runs only when that fails, to word the error.
+    ``_decode`` runs only when that fails, to word the error.
     """
     text = read_text(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -388,38 +410,55 @@ def _iter_json_lines(path: str | Path):
             continue
         try:
             obj, end = _scan(value, 0)
-        except (json.JSONDecodeError, StopIteration):  # StopIteration: no value starts there
+        except (json.JSONDecodeError, StopIteration, RecursionError):  # StopIteration: no value starts there
             end = -1
         if end != len(value):
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise _context(path, line_no, f"invalid JSON: {exc.msg}") from exc
+            obj = _decode(line, f"{path}:{line_no}")
         yield line_no, obj
 
 
-def load_panel_table(path: str | Path) -> PanelTable:
-    """Parse panel JSONL into a PanelTable; duplicate panel ids are rejected.
+def _load(
+    path: str | Path, columns: Callable[[str | Path], Any], check_line: Callable[[dict], str], noun: str
+) -> Any:
+    """The table ``columns`` builds from the JSONL file at ``path``, or its first error.
 
-    Each line's fields go into columns, and the checks run on whole
-    columns.  When one fails, the per-line checks run over the lines in
-    order to raise the first error, worded as they word it.  Only the
-    checks of single lines run here; ``PanelTable.validate`` checks the
-    panels as a whole.
+    ``columns`` takes each line's fields into columns and checks whole
+    columns; it returns None when a check fails.  The lines are then
+    checked in order, each by ``check_line``, which returns the line's id,
+    so the first bad line raises with its ``path:line``.
     """
-    table = _checked_columns(path)
+    table = columns(path)
     if table is None:
-        _check_panel_lines(path)  # raises the first error
+        seen: set[str] = set()
+        for line_no, obj in _iter_json_lines(path):
+            try:
+                if not isinstance(obj, dict):
+                    raise ValueError("each line must be a JSON object")
+                key = check_line(obj)
+                if key in seen:
+                    raise ValueError(f"duplicate {noun} id {key!r}")
+            except ValueError as exc:
+                raise RecordError(f"{path}:{line_no}: {exc}") from exc
+            seen.add(key)
         raise AssertionError(f"{path}: column check and line check disagree")
     if not len(table):
         raise RecordError(f"{path}: no records found")
     return table
 
 
+def load_panel_table(path: str | Path) -> PanelTable:
+    """Parse panel JSONL into a PanelTable; duplicate panel ids are rejected.
+
+    Only the checks of single lines run here; ``PanelTable.validate``
+    checks the panels as a whole.
+    """
+    return _load(path, _panel_columns, _check_panel_line, "panel")
+
+
 _BLOCK = 64  # decoded lines held at once: their fields go into the columns a block at a time
 
 
-def _checked_columns(path: str | Path) -> PanelTable | None:
+def _panel_columns(path: str | Path) -> PanelTable | None:
     """The table of a panel file whose fields pass the column checks; None if one fails.
 
     A block of lines is checked as far as taking its fields apart needs
@@ -479,41 +518,27 @@ def _checked_columns(path: str | Path) -> PanelTable | None:
         and 0 not in criteria
         and set(map(type, values)) <= _NUMBER_TYPES
     )
-    if not ok:
-        return None
-    try:
-        flat = np.array(values, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    if not np.isfinite(flat).all():
+    flat = _finite_array(values) if ok else None
+    if flat is None:
         return None
     return _panel_table(str(path), ids, lines, counts, labels, reviewer, flat, criteria, flags, feedback)
 
 
-def _check_panel_lines(path: str | Path) -> None:
-    """The per-line checks of a panel file, line by line; the first failure raises."""
-    seen: set[str] = set()
-    for line_no, obj in _iter_json_lines(path):
+def _check_panel_line(obj: dict) -> str:
+    """The id of a panel line whose fields pass the per-line checks; ValueError otherwise."""
+    submission_id = _get_str(obj, "id")
+    label = obj.get("label")
+    if label is not None and not isinstance(label, bool):
+        raise ValueError("field 'label' must be a boolean or null")
+    reviews = obj.get("reviews")
+    if not isinstance(reviews, list):
+        raise ValueError("field 'reviews' must be an array")
+    for i, review in enumerate(reviews):
         try:
-            if not isinstance(obj, dict):
-                raise ValueError("each line must be a JSON object")
-            submission_id = _get_str(obj, "id")
-            label = obj.get("label")
-            if label is not None and not isinstance(label, bool):
-                raise ValueError("field 'label' must be a boolean or null")
-            reviews = obj.get("reviews")
-            if not isinstance(reviews, list):
-                raise ValueError("field 'reviews' must be an array")
-            for i, review in enumerate(reviews):
-                try:
-                    _check_review(review)
-                except ValueError as exc:
-                    raise ValueError(f"reviews[{i}]: {exc}") from exc
+            _check_review(review)
         except ValueError as exc:
-            raise _context(path, line_no, str(exc)) from exc
-        if submission_id in seen:
-            raise _context(path, line_no, f"duplicate panel id {submission_id!r}")
-        seen.add(submission_id)
+            raise ValueError(f"reviews[{i}]: {exc}") from exc
+    return submission_id
 
 
 def _panel_table(
@@ -563,53 +588,25 @@ def _all_strings(values: list[Any]) -> bool:
     return set(map(type, values)) <= {str} and all(values)
 
 
-def _first_line_error(
-    path: str | Path, lines: list[int], ids: list[Any], scores: list[Any],
-    accepts: list[Any], statuses: list[Any],
-) -> RecordError:
-    """The per-line checks of a pool's fields, line by line; the first failure."""
-    seen: set[str] = set()
-    for line_no, submission_id, score, accept, status in zip(lines, ids, scores, accepts, statuses):
-        obj = {"id": submission_id, "score": score, "accept": accept, "status": status}
-        try:
-            _get_str(obj, "id")
-            _get_number(obj, "score")
-            _get_bool(obj, "accept")
-            _get_str(obj, "status")
-        except ValueError as exc:
-            return _context(path, line_no, str(exc))
-        if submission_id in seen:
-            return _context(path, line_no, f"duplicate record id {submission_id!r}")
-        seen.add(submission_id)
-    raise AssertionError(f"{path}: column check and line check disagree")
-
-
 def load_calibration_table(path: str | Path) -> CalibrationTable:
-    """Parse calibration JSONL into a CalibrationTable; duplicate ids are rejected.
+    """Parse calibration JSONL into a CalibrationTable; duplicate ids are rejected."""
+    return _load(path, _pool_columns, _check_pool_line, "record")
 
-    Each line's fields go into columns, and the checks run on whole
-    columns.  When one fails, the per-line checks run over the lines in
-    order to raise the first error, worded as they word it.
-    """
-    lines: list[int] = []
-    ids: list[Any] = []
-    scores: list[Any] = []
-    accepts: list[Any] = []
-    statuses: list[Any] = []
-    stop: RecordError | None = None  # a line with no fields: raised after the lines before it
+
+def _pool_columns(path: str | Path) -> CalibrationTable | None:
+    """The table of a pool file whose fields pass the column checks; None if one fails."""
+    lines, ids, scores, accepts, statuses = [], [], [], [], []  # one entry per record
     try:
         for line_no, obj in _iter_json_lines(path):
-            if not isinstance(obj, dict):
-                stop = _context(path, line_no, "each line must be a JSON object")
-                break
+            if type(obj) is not dict:
+                return None
             lines.append(line_no)
             ids.append(obj.get("id"))
             scores.append(obj.get("score"))
             accepts.append(obj.get("accept"))
             statuses.append(obj.get("status"))
-    except RecordError as exc:
-        stop = exc
-
+    except RecordError:
+        return None
     ok = (
         _all_strings(ids)
         and _all_strings(statuses)
@@ -617,19 +614,9 @@ def load_calibration_table(path: str | Path) -> CalibrationTable:
         and set(map(type, scores)) <= _NUMBER_TYPES
         and len(set(ids)) == len(ids)
     )
-    if ok:
-        try:
-            score_array = np.array(scores, dtype=float)
-        except OverflowError:  # an integer beyond the float range
-            ok = False
-        else:
-            ok = bool(np.isfinite(score_array).all())
-    if not ok:
-        raise _first_line_error(path, lines, ids, scores, accepts, statuses)
-    if stop is not None:
-        raise stop
-    if not ids:
-        raise RecordError(f"{path}: no records found")
+    score_array = _finite_array(scores) if ok else None
+    if score_array is None:
+        return None
     return CalibrationTable(
         path=str(path),
         ids=tuple(ids),
@@ -640,6 +627,15 @@ def load_calibration_table(path: str | Path) -> CalibrationTable:
     )
 
 
+def _check_pool_line(obj: dict) -> str:
+    """The id of a pool line whose fields pass the per-line checks; ValueError otherwise."""
+    submission_id = _get_str(obj, "id")
+    _get_number(obj, "score")
+    _get_bool(obj, "accept")
+    _get_str(obj, "status")
+    return submission_id
+
+
 def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
     """Load calibration JSONL as records; duplicate ids are rejected."""
     table = load_calibration_table(path)
@@ -648,10 +644,7 @@ def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
 
 def load_config(path: str | Path) -> dict[str, Any]:
     """Load a JSON config or thresholds file; the top level must be an object."""
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"{path}: invalid JSON: {exc.msg}") from exc
+    data = _decode(read_text(path), str(path))
     if not isinstance(data, dict):
         raise RecordError(f"{path}: top level must be a JSON object")
     return data

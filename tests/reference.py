@@ -397,6 +397,8 @@ def load_panel_table(path: str | Path) -> PanelTable:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RecordError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise RecordError(f"{path}:{line_no}: invalid JSON: nested too deeply") from None
         try:
             if not isinstance(obj, dict):
                 raise ValueError("each line must be a JSON object")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from panelcal.bounds import (
     dkw_bound,
@@ -41,6 +43,20 @@ def test_tail_bound_monotone_in_deviation_and_variance():
     grown = [tail_bound(1.0, BoundInputs(s, 0.4)) for s in np.linspace(0.01, 2.0, 40)]
     assert all(a <= b for a, b in zip(grown, grown[1:]))
     assert all(0.0 < v < 1.0 for v in values)
+
+
+FINITE = st.floats(min_value=0.0, max_value=1.7976931348623157e308)
+
+
+@given(FINITE.filter(lambda t: t > 0), FINITE, FINITE, st.integers(1, 10**6))
+def test_bounds_stay_probabilities_for_huge_inputs(t, sigma_sq, c_max, m):
+    # near the ends of the float range the denominator underflows to 0, or it and t * t
+    # overflow to inf / inf
+    value = tail_bound(t, BoundInputs(sigma_sq, c_max))
+    assert 0.0 <= value <= 1.0
+    if c_max > 0:
+        value = scalar_uniform_bound(m, t, sigma_sq, c_max)
+        assert 0.0 <= value <= 1.0
 
 
 def test_margin_bound_equals_tail_at_gamma():

@@ -90,6 +90,15 @@ def test_bound_values(capsys):
         (["bound", "tail", "--t", "2", "--sigma-w-sq", "0.25", "--c-max", "0.5"], "0.0324332"),
         (["bound", "margin", "--gamma", "2", "--sigma-w-sq", "0.25", "--c-max", "0.5"], "0.0324332"),
         (["bound", "tau05", "--eps-pi", "0.1", "--c-min", "0.4", "--flat-width", "1"], "1.25"),
+        # t * t and the denominator both overflow: exp(-1.5), not nan
+        (["bound", "tail", "--t", "1e308", "--sigma-w-sq", "1e308", "--c-max", "1e308"], "0.22313"),
+        (["bound", "margin", "--gamma", "1e308", "--sigma-w-sq", "0", "--c-max", "1e308"], "0.22313"),
+        (["bound", "scalar", "--m", "1", "--gamma", "1e308", "--sigma-sq", "1e308", "--range", "1e308"],
+         "0.22313"),
+        # the denominator underflows to 0: exp(-1.5), not 0 or a ZeroDivisionError
+        (["bound", "tail", "--t", "1e-200", "--sigma-w-sq", "0", "--c-max", "1e-200"], "0.22313"),
+        (["bound", "scalar", "--m", "1", "--gamma", "1e-200", "--sigma-sq", "0", "--range", "1e-200"],
+         "0.22313"),
     ]
     for argv, expected in cases:
         code, out, _ = run_cli(capsys, *argv)
@@ -948,6 +957,35 @@ def test_overflow_exits_2_with_only_the_error_line(tmp_path, command, rubric, co
     )
     assert proc.returncode == 2
     assert proc.stderr == f"error: {panels}:1: {message}\n"
+    assert not (tmp_path / "runs").exists()
+
+
+DEEP = "[" * 100_000 + "]" * 100_000  # nested deeper than the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize("command", ["detector-eval", "calibrate-records", "calibrate-config"])
+def test_too_deep_json_exits_2_with_only_the_error_line(tmp_path, command):
+    deep_pool = '{"id": "c1", "score": ' + DEEP + ', "accept": true, "status": "s"}\n'
+    if command == "detector-eval":
+        bad = write(tmp_path, "panels.jsonl", DET_PANELS + DEEP + "\n")
+        argv, where = ["detector-eval", "--panels", bad], f"{bad}:5"
+    elif command == "calibrate-records":
+        bad = write(tmp_path, "pool.jsonl", deep_pool)
+        argv = ["calibrate", "--records", bad,
+                "--config", write_json(tmp_path, "config.json", {"target_rate": 0.3})]
+        where = f"{bad}:1"
+    else:
+        bad = write(tmp_path, "config.json", '{"target_rate": ' + DEEP + "}\n")
+        argv = ["calibrate", "--records", write(tmp_path, "pool.jsonl", POOL), "--config", bad]
+        where = bad
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "panelcal.cli", *argv, "--out", str(tmp_path / "runs")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {where}: invalid JSON: nested too deeply\n"
     assert not (tmp_path / "runs").exists()
 
 

@@ -30,6 +30,10 @@ PANEL_LINES = """\
 """
 
 
+# a JSON value nested deeper than the decoder's recursion limit
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -157,6 +161,10 @@ def test_load_config(tmp_path):
         load_config(write(tmp_path, "list.json", "[1, 2]"))
     with pytest.raises(RecordError, match="invalid JSON"):
         load_config(write(tmp_path, "broken.json", "{"))
+    deep = write(tmp_path, "deep.json", '{"target_rate": ' + DEEP + "}")
+    with pytest.raises(RecordError) as got:
+        load_config(deep)
+    assert str(got.value) == f"{deep}: invalid JSON: nested too deeply"
 
 
 # ------------------------------------------- the columnar pool against the per-line path
@@ -208,6 +216,8 @@ def per_line_records(path):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise RecordError(f"{where}: invalid JSON: {exc.msg}") from exc
+        except RecursionError:
+            raise RecordError(f"{where}: invalid JSON: nested too deeply") from None
         if not isinstance(obj, dict):
             raise RecordError(f"{where}: each line must be a JSON object")
         try:
@@ -365,9 +375,11 @@ def test_calibration_table_errors_match_per_line_records(lines):
         ('{"id": "c9", "score": 1, "accept": true, "status": ""}',
          "field 'status' must be a non-empty string"),
         ('{"id": "c1", "score": 1, "accept": true, "status": "s"}', "duplicate record id 'c1'"),
+        ('{"id": "c9", "score": ' + DEEP + ', "accept": true, "status": "s"}',
+         "invalid JSON: nested too deeply"),
     ],
     ids=["non-object", "invalid-json", "trailing-data", "huge-int", "string-score", "empty-id",
-         "empty-status", "duplicate-id"],
+         "empty-status", "duplicate-id", "too-deep"],
 )
 def test_calibration_table_names_the_first_bad_line(tmp_path, line, message):
     good = '{"id": "c1", "score": 2.5, "accept": false, "status": "s"}'
@@ -376,6 +388,39 @@ def test_calibration_table_names_the_first_bad_line(tmp_path, line, message):
     with pytest.raises(RecordError) as got:
         load_calibration_table(path)
     assert str(got.value) == f"{path}:3: {message}"
+
+
+@settings(max_examples=max(100, settings.default.max_examples))
+@given(pool_records().filter(lambda records: len(records) >= 2), st.data())
+def test_calibration_table_bad_field_wins_over_a_later_bad_line(records, data):
+    # a bad field, then a non-object or invalid line: the column pass stops at the later
+    # line, and the line pass must still name the earlier one (the pool loader once kept
+    # such a line aside until the fields before it were checked)
+    lines = [json.dumps(obj) for obj in records]
+    i = data.draw(st.integers(0, len(lines) - 2))
+    key = data.draw(st.sampled_from(sorted(FIELD_BREAKS)))
+    value = data.draw(st.sampled_from(FIELD_BREAKS[key]))
+    obj = {k: v for k, v in records[i].items() if k != key}
+    if value is not MISSING:
+        obj[key] = value
+    lines[i] = json.dumps(obj)
+    lines[data.draw(st.integers(i + 1, len(lines) - 1))] = data.draw(st.sampled_from(LINE_BREAKS))
+    message = assert_loaders_agree(lines)
+    assert message is not None and f":{i + 1}: " in message
+
+
+@pytest.mark.parametrize(
+    "load", [load_calibration_table, load_panel_table], ids=["pool", "panel"]
+)
+def test_field_error_wins_over_a_later_too_deep_line(tmp_path, load):
+    bad = {load_calibration_table: '{"id": "c1", "score": "1", "accept": true, "status": "s"}',
+           load_panel_table: '{"id": "p1", "label": "yes", "reviews": []}'}[load]
+    message = {load_calibration_table: "field 'score' must be a number",
+               load_panel_table: "field 'label' must be a boolean or null"}[load]
+    path = write(tmp_path, "input.jsonl", f"{bad}\n{DEEP}\n")
+    with pytest.raises(RecordError) as got:
+        load(path)
+    assert str(got.value) == f"{path}:1: {message}"
 
 
 @pytest.mark.parametrize(
@@ -612,8 +657,9 @@ def test_panel_table_agrees_on_each_break_in_a_later_block(kind, key, value):
         ('{"id": "p9", "reviews": [{"reviewer": "r1", "overall": NaN, "flag": true}]}',
          "reviews[0]: field 'overall' must be finite"),
         ('{"id": "p1", "reviews": []}', "duplicate panel id 'p1'"),
+        (DEEP, "invalid JSON: nested too deeply"),
     ],
-    ids=["scanner-stop", "review-not-object", "nan-overall", "duplicate-id"],
+    ids=["scanner-stop", "review-not-object", "nan-overall", "duplicate-id", "too-deep"],
 )
 def test_panel_table_names_a_bad_line_in_a_later_block(tmp_path, line, message):
     good = [json.dumps({"id": f"p{i}", "reviews": [{"reviewer": "r1", "rubric": [i, 2], "flag": False}]})
