@@ -20,7 +20,10 @@ from .core import (
     ReviewPanel,
     RubricSchema,
     ScoringFunctional,
+    finite,
     left_sum,
+    non_negative,
+    positive,
 )
 
 __all__ = [
@@ -44,13 +47,10 @@ class ConsensusRubric:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
+        values = finite.each("values", self.values)
         object.__setattr__(self, "values", values)
         if not values:
             raise ValueError("values: must contain at least one criterion")
-        for k, v in enumerate(values):
-            if not math.isfinite(v):
-                raise ValueError(f"values[{k}]: must be finite, got {v!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -163,12 +163,9 @@ def gls_weights(projected_variances: Sequence[float]) -> ReviewerWeights:
     These minimize the weighted consensus variance sum(w_m^2 c_m) subject
     to the weights summing to one.  Every variance must be > 0.
     """
-    variances = [float(v) for v in projected_variances]
+    variances = positive.each("projected_variances", projected_variances)
     if not variances:
         raise ValueError("projected_variances: must contain at least one variance")
-    for m, v in enumerate(variances):
-        if not math.isfinite(v) or v <= 0:
-            raise ValueError(f"projected_variances[{m}]: must be finite and > 0, got {v!r}")
     inverse = [1.0 / v for v in variances]
     total = left_sum(inverse)
     return ReviewerWeights(tuple(x / total for x in inverse))
@@ -181,9 +178,7 @@ def panel_variance(weights: ReviewerWeights, projected_variances: Sequence[float
         raise ValueError(
             f"projected_variances: expected {len(weights)} entries, got {len(variances)}"
         )
-    for m, v in enumerate(variances):
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"projected_variances[{m}]: must be finite and >= 0, got {v!r}")
+    non_negative.each("projected_variances", variances)
     return sum(w * w * v for w, v in zip(weights.weights, variances))
 
 
@@ -198,7 +193,5 @@ def projected_variance(variance_diagonal: Sequence[float], coefficients: Sequenc
         raise ValueError(
             f"variance_diagonal: expected {len(coeffs)} entries, got {len(diag)}"
         )
-    for k, d in enumerate(diag):
-        if not math.isfinite(d) or d < 0:
-            raise ValueError(f"variance_diagonal[{k}]: must be finite and >= 0, got {d!r}")
+    non_negative.each("variance_diagonal", diag)
     return sum(c * c * d for c, d in zip(coeffs, diag))

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import records
-from .core import GaussianPosterior
+from .core import GaussianPosterior, finite, open_unit, positive
 
 __all__ = [
     "normal_cdf",
@@ -43,10 +43,7 @@ def normal_cdf(z: float) -> float:
 
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p strictly inside (0, 1)."""
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p: must lie strictly in (0, 1), got {p!r}")
-    return _STD_NORMAL.inv_cdf(p)
+    return _STD_NORMAL.inv_cdf(open_unit("p", p))
 
 
 def posterior_update(
@@ -74,14 +71,8 @@ def posterior_update(
 
 def _calls(posterior: GaussianPosterior, threshold: float, alpha: float, new_variance: float):
     """``credible_calls`` of one posterior, after checking threshold and alpha."""
-    threshold = float(threshold)
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold: must be finite, got {threshold!r}")
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha: must lie strictly in (0, 1), got {alpha!r}")
     calls = credible_calls(np.array([posterior.mean]), np.array([posterior.variance]),
-                           threshold, alpha, new_variance)
+                           finite("threshold", threshold), open_unit("alpha", alpha), new_variance)
     return [column.item() for column in calls]
 
 
@@ -112,11 +103,7 @@ def solicit_worthwhile(
     worthwhile only if the current margin would clear the credible band
     at that tighter std (best case: the new review confirms the mean).
     """
-    new_review_variance = float(new_review_variance)
-    if not (math.isfinite(new_review_variance) and new_review_variance > 0):
-        raise ValueError(
-            f"new_review_variance: must be finite and > 0, got {new_review_variance!r}"
-        )
+    new_review_variance = positive("new_review_variance", new_review_variance)
     return _calls(posterior, threshold, alpha, new_review_variance)[2]
 
 

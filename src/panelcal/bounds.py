@@ -18,6 +18,7 @@ import math
 from typing import Sequence
 
 from .core import BoundInputs, NoiseProfile, ReviewerWeights, RubricSchema, ScoringFunctional
+from .core import non_negative, open_unit, positive
 
 __all__ = [
     "tail_bound",
@@ -34,25 +35,30 @@ def _weighted_square_sum(weights: Sequence[float], values: Sequence[float]) -> f
     return sum(w * w * v for w, v in zip(weights, values))
 
 
+def _bernstein(scale: float, t: float, variance: float, influence: float) -> float:
+    """exp(-scale t^2 / (2 variance + (2/3) influence t)), for t > 0.
+
+    When both variance and influence are zero the deviation is
+    deterministic, so the probability is 0 by convention.  Where the
+    denominator underflows to 0, or it and t^2 overflow, the exponent is
+    computed with both divided by t.
+    """
+    if variance == 0.0 and influence == 0.0:
+        return 0.0
+    denominator = 2.0 * variance + (2.0 / 3.0) * influence * t
+    exponent = (scale * t * t) / denominator if denominator else math.nan
+    if math.isnan(exponent):  # the denominator underflows, or it and t * t overflow
+        exponent = scale * t / (2.0 * (variance / t) + (2.0 / 3.0) * influence)
+    return math.exp(-exponent)
+
+
 def tail_bound(t: float, inputs: BoundInputs) -> float:
     """One-sided deviation probability bound at deviation ``t`` > 0.
 
-    Returns exp(-t^2 / (2 sigma_w^2 + (2/3) c_max t)).  When both variance
-    and influence are zero the consensus is deterministic, so the tail
-    probability is 0 by convention.  Where the denominator underflows to 0,
-    or it and t^2 overflow, the exponent is computed with both divided by t.
+    Returns exp(-t^2 / (2 sigma_w^2 + (2/3) c_max t)), or 0 when both
+    variance and influence are zero.
     """
-    t = float(t)
-    if not math.isfinite(t) or t <= 0:
-        raise ValueError(f"t: must be finite and > 0, got {t!r}")
-    sigma_w_sq, c_max = inputs.sigma_w_sq, inputs.c_max
-    if sigma_w_sq == 0.0 and c_max == 0.0:
-        return 0.0
-    denominator = 2.0 * sigma_w_sq + (2.0 / 3.0) * c_max * t
-    exponent = (t * t) / denominator if denominator else math.nan
-    if math.isnan(exponent):  # the denominator underflows, or it and t * t overflow
-        exponent = t / (2.0 * (sigma_w_sq / t) + (2.0 / 3.0) * c_max)  # both divided by t
-    return math.exp(-exponent)
+    return _bernstein(1, positive("t", t), inputs.sigma_w_sq, inputs.c_max)
 
 
 def margin_misclassification_bound(gamma: float, inputs: BoundInputs) -> float:
@@ -61,10 +67,7 @@ def margin_misclassification_bound(gamma: float, inputs: BoundInputs) -> float:
     A thresholded decision flips only when the consensus deviates by at
     least the margin, so this is the tail bound evaluated at gamma.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma <= 0:
-        raise ValueError(f"gamma: must be finite and > 0, got {gamma!r}")
-    return tail_bound(gamma, inputs)
+    return tail_bound(positive("gamma", gamma), inputs)
 
 
 def scalar_uniform_bound(m: int, gamma: float, sigma_sq: float, range_width: float) -> float:
@@ -75,20 +78,9 @@ def scalar_uniform_bound(m: int, gamma: float, sigma_sq: float, range_width: flo
     """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m: must be an integer >= 1, got {m!r}")
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma <= 0:
-        raise ValueError(f"gamma: must be finite and > 0, got {gamma!r}")
-    sigma_sq = float(sigma_sq)
-    if not math.isfinite(sigma_sq) or sigma_sq < 0:
-        raise ValueError(f"sigma_sq: must be finite and >= 0, got {sigma_sq!r}")
-    range_width = float(range_width)
-    if not math.isfinite(range_width) or range_width <= 0:
-        raise ValueError(f"range_width: must be finite and > 0, got {range_width!r}")
-    denominator = 2.0 * sigma_sq + (2.0 / 3.0) * range_width * gamma
-    exponent = (m * gamma * gamma) / denominator if denominator else math.nan
-    if math.isnan(exponent):  # under- or overflow, as in tail_bound
-        exponent = m * gamma / (2.0 * (sigma_sq / gamma) + (2.0 / 3.0) * range_width)
-    return math.exp(-exponent)
+    gamma = positive("gamma", gamma)
+    sigma_sq = non_negative("sigma_sq", sigma_sq)
+    return _bernstein(m, gamma, sigma_sq, positive("range_width", range_width))
 
 
 def scalar_bound_inputs(weights: ReviewerWeights, noise: NoiseProfile) -> BoundInputs:
@@ -121,9 +113,7 @@ def rubric_bound_inputs(
     lambdas = [float(v) for v in lambda_max]
     if len(lambdas) != len(weights):
         raise ValueError(f"lambda_max: expected {len(weights)} entries, got {len(lambdas)}")
-    for m, v in enumerate(lambdas):
-        if not math.isfinite(v) or v < 0:
-            raise ValueError(f"lambda_max[{m}]: must be finite and >= 0, got {v!r}")
+    non_negative.each("lambda_max", lambdas)
     lipschitz = functional.lipschitz_constant
     width_norm = math.sqrt(sum(w * w for w in schema.widths))
     sigma_w_sq = lipschitz * lipschitz * _weighted_square_sum(weights.weights, lambdas)
@@ -139,9 +129,7 @@ def dkw_bound(n_cal: int, delta: float) -> float:
     """
     if not isinstance(n_cal, int) or n_cal < 1:
         raise ValueError(f"n_cal: must be an integer >= 1, got {n_cal!r}")
-    delta = float(delta)
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"delta: must lie strictly in (0, 1), got {delta!r}")
+    delta = open_unit("delta", delta)
     # log(4) - log(delta), not log(4 / delta): 4 / delta overflows for a subnormal delta
     return math.sqrt((math.log(4.0) - math.log(delta)) / (2.0 * n_cal))
 
@@ -155,13 +143,6 @@ def tau05_error_bound(eps_pi: float, c_min: float, flat_width: float) -> float:
     anywhere in that window and a further eps_pi / c_min outside it, so it
     is within flat_width + eps_pi / c_min of the true one.
     """
-    eps_pi = float(eps_pi)
-    if not math.isfinite(eps_pi) or eps_pi < 0:
-        raise ValueError(f"eps_pi: must be finite and >= 0, got {eps_pi!r}")
-    c_min = float(c_min)
-    if not math.isfinite(c_min) or c_min <= 0:
-        raise ValueError(f"c_min: must be finite and > 0, got {c_min!r}")
-    flat_width = float(flat_width)
-    if not math.isfinite(flat_width) or flat_width < 0:
-        raise ValueError(f"flat_width: must be finite and >= 0, got {flat_width!r}")
-    return flat_width + eps_pi / c_min
+    eps_pi = non_negative("eps_pi", eps_pi)
+    c_min = positive("c_min", c_min)
+    return non_negative("flat_width", flat_width) + eps_pi / c_min

@@ -26,7 +26,7 @@ from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import CalibrationRecord, ThresholdUnreachableError
+from .core import CalibrationRecord, ThresholdUnreachableError, finite, open_unit
 from .records import CalibrationTable
 
 Pool = Union[Sequence[CalibrationRecord], CalibrationTable]
@@ -88,9 +88,7 @@ class StratificationPlan:
         object.__setattr__(self, "bin_edges", edges)
         if len(edges) < 2:
             raise ValueError(f"bin_edges: need at least 2 edges, got {len(edges)}")
-        for i, e in enumerate(edges):
-            if not math.isfinite(e):
-                raise ValueError(f"bin_edges[{i}]: must be finite, got {e!r}")
+        finite.each("bin_edges", edges)
         if any(a >= b for a, b in zip(edges, edges[1:])):
             raise ValueError("bin_edges: must be strictly increasing")
         vocab = tuple(self.status_vocabulary)
@@ -348,9 +346,7 @@ def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> floa
         raise ValueError("scores: must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("scores: must be finite")
-    target_rate = float(target_rate)
-    if not 0.0 < target_rate < 1.0:
-        raise ValueError(f"target_rate: must lie strictly in (0, 1), got {target_rate!r}")
+    target_rate = open_unit("target_rate", target_rate)
     ordered = np.sort(arr)
     n = ordered.size
     uniq, first = np.unique(ordered, return_index=True)
@@ -460,9 +456,7 @@ def tau_05(curve: IsotonicCurve, level: float = 0.5) -> float:
     No interpolation between knots.  Raises ThresholdUnreachableError when
     the curve stays below the level everywhere.
     """
-    level = float(level)
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level: must lie strictly in (0, 1), got {level!r}")
+    level = open_unit("level", level)
     for t, v, _ in curve.knots:
         if v >= level:
             return t

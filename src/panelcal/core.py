@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "RubricSchema",
@@ -31,6 +31,10 @@ __all__ = [
     "RecordError",
     "ThresholdUnreachableError",
     "left_sum",
+    "finite",
+    "positive",
+    "non_negative",
+    "open_unit",
 ]
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -56,11 +60,32 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _check_finite(field: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        _fail(field, f"must be finite, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class NumberRule:
+    """A check of one number: ``rule(field, value)`` returns ``float(value)`` or raises
+    ``ValueError("field: must <requirement>, got <value as a float>")``."""
+
+    requirement: str
+    ok: Callable[[float], bool]
+
+    def __call__(self, field: str, value: float) -> float:
+        value = float(value)
+        if not self.ok(value):
+            _fail(field, f"must {self.requirement}, got {value!r}")
+        return value
+
+    def each(self, field: str, values: Iterable[float]) -> tuple[float, ...]:
+        """Every value as a float; all are converted before ``field[k]`` is checked."""
+        values = tuple(map(float, values))
+        for k, value in enumerate(values):
+            self(f"{field}[{k}]", value)
+        return values
+
+
+finite = NumberRule("be finite", math.isfinite)
+positive = NumberRule("be finite and > 0", lambda x: math.isfinite(x) and x > 0)
+non_negative = NumberRule("be finite and >= 0", lambda x: math.isfinite(x) and x >= 0)
+open_unit = NumberRule("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
 @dataclass(frozen=True)
@@ -111,13 +136,10 @@ class RubricVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
+        values = finite.each("values", self.values)
         object.__setattr__(self, "values", values)
         if not values:
             _fail("values", "must contain at least one criterion score")
-        for k, v in enumerate(values):
-            if not math.isfinite(v):
-                _fail(f"values[{k}]", f"must be finite, got {v!r}")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -265,13 +287,10 @@ class ScoringFunctional:
         if self.kind == "linear":
             if self.coefficients is None:
                 _fail("coefficients", "required for the linear variant")
-            coeffs = tuple(float(c) for c in self.coefficients)
+            coeffs = finite.each("coefficients", self.coefficients)
             object.__setattr__(self, "coefficients", coeffs)
             if not coeffs:
                 _fail("coefficients", "must contain at least one coefficient")
-            for k, c in enumerate(coeffs):
-                if not math.isfinite(c):
-                    _fail(f"coefficients[{k}]", f"must be finite, got {c!r}")
             if not any(c != 0.0 for c in coeffs):
                 _fail("coefficients", "must not be all zero")
         else:
@@ -308,13 +327,10 @@ class NoiseProfile:
     scalar_bounds: tuple[float, float]
 
     def __post_init__(self) -> None:
-        variances = tuple(float(v) for v in self.per_reviewer_variance)
+        variances = non_negative.each("per_reviewer_variance", self.per_reviewer_variance)
         object.__setattr__(self, "per_reviewer_variance", variances)
         if not variances:
             _fail("per_reviewer_variance", "must contain at least one variance")
-        for m, v in enumerate(variances):
-            if not math.isfinite(v) or v < 0:
-                _fail(f"per_reviewer_variance[{m}]", f"must be finite and >= 0, got {v!r}")
         lo, hi = (float(self.scalar_bounds[0]), float(self.scalar_bounds[1]))
         object.__setattr__(self, "scalar_bounds", (lo, hi))
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -341,8 +357,8 @@ class BoundInputs:
     c_max: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_w_sq", _check_finite("sigma_w_sq", self.sigma_w_sq))
-        object.__setattr__(self, "c_max", _check_finite("c_max", self.c_max))
+        object.__setattr__(self, "sigma_w_sq", finite("sigma_w_sq", self.sigma_w_sq))
+        object.__setattr__(self, "c_max", finite("c_max", self.c_max))
         if self.sigma_w_sq < 0:
             _fail("sigma_w_sq", f"must be >= 0, got {self.sigma_w_sq}")
         if self.c_max < 0:
@@ -361,7 +377,7 @@ class CalibrationRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.submission_id, str) or not self.submission_id:
             _fail("submission_id", "must be a non-empty string")
-        object.__setattr__(self, "agent_score", _check_finite("agent_score", self.agent_score))
+        object.__setattr__(self, "agent_score", finite("agent_score", self.agent_score))
         if not isinstance(self.human_accept, bool):
             _fail("human_accept", "must be a bool")
         if not isinstance(self.status, str) or not self.status:
@@ -386,11 +402,8 @@ class DecisionThresholds:
         if math.isnan(tau_rate):
             _fail("tau_rate", "must not be NaN")
         object.__setattr__(self, "tau_rate", tau_rate)
-        object.__setattr__(self, "tau_05", _check_finite("tau_05", self.tau_05))
-        rate = float(self.target_rate)
-        if not (math.isfinite(rate) and 0.0 < rate < 1.0):
-            _fail("target_rate", f"must lie strictly in (0, 1), got {rate!r}")
-        object.__setattr__(self, "target_rate", rate)
+        object.__setattr__(self, "tau_05", finite("tau_05", self.tau_05))
+        object.__setattr__(self, "target_rate", open_unit("target_rate", self.target_rate))
         if not isinstance(self.calibration_size, int) or self.calibration_size < 1:
             _fail("calibration_size", f"must be an integer >= 1, got {self.calibration_size!r}")
 
@@ -403,8 +416,8 @@ class GaussianPosterior:
     variance: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", _check_finite("mean", self.mean))
-        object.__setattr__(self, "variance", _check_finite("variance", self.variance))
+        object.__setattr__(self, "mean", finite("mean", self.mean))
+        object.__setattr__(self, "variance", finite("variance", self.variance))
         if self.variance <= 0:
             _fail("variance", f"must be > 0, got {self.variance}")
 

@@ -27,7 +27,7 @@ import numpy as np
 from . import calibrate
 from .bounds import margin_misclassification_bound, scalar_bound_inputs
 from .calibrate import Pool, ThresholdUnreachableError, _table
-from .core import NoiseProfile, ReviewerWeights
+from .core import NoiseProfile, ReviewerWeights, finite
 from .records import CalibrationTable
 
 __all__ = [
@@ -225,8 +225,8 @@ def generate_cohort(spec: CohortSpec) -> Cohort:
             redraw = noise_rng.standard_normal(int(mask.sum())) * sd_full[mask]
             scores[mask] = latent_full[mask] + redraw
         else:
-            raise RuntimeError(
-                f"reject-resample did not converge in {_RESAMPLE_ROUNDS} rounds"
+            raise ValueError(
+                f"clip_mode: reject-resample did not converge in {_RESAMPLE_ROUNDS} rounds"
             )
     return Cohort(latent=latent, scores=scores, spec=spec)
 
@@ -261,9 +261,7 @@ def margin_experiment(
         raise ValueError(
             f"weights: expected {spec.m_reviewers} entries, got {len(weights)}"
         )
-    threshold = float(threshold)
-    if not math.isfinite(threshold):
-        raise ValueError(f"threshold: must be finite, got {threshold!r}")
+    threshold = finite("threshold", threshold)
     edges = np.asarray(bin_edges, dtype=float)
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("bin_edges: need at least 2 strictly increasing edges")
@@ -340,7 +338,8 @@ def synthetic_calibration_population(settings: PopulationSettings) -> Calibratio
     size = settings.cohort.n_papers
     cohort = generate_cohort(settings.cohort)
     label_rng = np.random.default_rng(np.random.SeedSequence([settings.cohort.seed, 1]))
-    prob = 1.0 / (1.0 + np.exp(-settings.link_slope * (cohort.latent - settings.link_midpoint)))
+    with np.errstate(over="ignore"):  # a steep link overflows to probabilities of exactly 0 or 1
+        prob = 1.0 / (1.0 + np.exp(-settings.link_slope * (cohort.latent - settings.link_midpoint)))
     accepts = label_rng.random(size) < prob
     width = len(str(size))
     return CalibrationTable(

@@ -11,6 +11,9 @@ so the differential tests compare two independent codes.
 objects and ``validate_schema``; ``PanelTable.validate`` checks the
 columns and words the same errors.
 
+``scalar_uniform_bound`` computes its Bernstein exponent itself, as the
+package did before ``tail_bound`` and it shared one exponent function.
+
 The calibration references are the earlier forms of two computations:
 ``tau05_from_scores`` as an integer suffix sum over the tail counts (the
 package runs a level-set kernel over packed ranks), and
@@ -243,6 +246,26 @@ def validate_panels(
         for where, submission_id, _, label in panels:
             if label is None:
                 raise ValueError(f"{where}: panel {submission_id!r} has no fabrication_label")
+
+
+def scalar_uniform_bound(m: int, gamma: float, sigma_sq: float, range_width: float) -> float:
+    """exp(-M gamma^2 / (2 sigma_sq + (2/3)(b - a) gamma)), divided through by gamma on under/overflow."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"m: must be an integer >= 1, got {m!r}")
+    gamma = float(gamma)
+    if not math.isfinite(gamma) or gamma <= 0:
+        raise ValueError(f"gamma: must be finite and > 0, got {gamma!r}")
+    sigma_sq = float(sigma_sq)
+    if not math.isfinite(sigma_sq) or sigma_sq < 0:
+        raise ValueError(f"sigma_sq: must be finite and >= 0, got {sigma_sq!r}")
+    range_width = float(range_width)
+    if not math.isfinite(range_width) or range_width <= 0:
+        raise ValueError(f"range_width: must be finite and > 0, got {range_width!r}")
+    denominator = 2.0 * sigma_sq + (2.0 / 3.0) * range_width * gamma
+    exponent = (m * gamma * gamma) / denominator if denominator else math.nan
+    if math.isnan(exponent):  # the denominator underflows, or it and m * gamma^2 overflow
+        exponent = m * gamma / (2.0 * (sigma_sq / gamma) + (2.0 / 3.0) * range_width)
+    return math.exp(-exponent)
 
 
 def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> float:

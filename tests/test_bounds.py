@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+import reference
 from panelcal.bounds import (
     dkw_bound,
     margin_misclassification_bound,
@@ -72,6 +73,28 @@ def test_scalar_uniform_bound_frozen_value():
         math.exp(-0.375), rel=1e-12
     )
     assert f"{scalar_uniform_bound(3, 1.0, 1.0, 9.0):.6g}" == "0.687289"
+
+
+MAX = 1.7976931348623157e308
+TINY = 5e-324  # the smallest subnormal
+
+
+@given(
+    st.integers(1, 50),
+    st.floats(min_value=TINY, max_value=MAX),
+    st.floats(min_value=0.0, max_value=MAX),
+    st.floats(min_value=TINY, max_value=MAX),
+)
+@example(1, TINY, 0.0, TINY)  # the denominator underflows to 0
+@example(50, 1e-160, 1e-320, 1e-170)
+@example(3, MAX, MAX, MAX)  # m gamma^2 and the denominator overflow
+@example(50, 1e308, 0.0, 1e-10)
+@example(7, 1e154, 1e308, 1e-300)
+def test_shared_exponent_matches_the_scalar_formula_bit_for_bit(m, gamma, sigma_sq, width):
+    expected = reference.scalar_uniform_bound(m, gamma, sigma_sq, width)
+    assert scalar_uniform_bound(m, gamma, sigma_sq, width).hex() == expected.hex()
+    expected = reference.scalar_uniform_bound(1, gamma, sigma_sq, width)  # tail_bound's formula
+    assert tail_bound(gamma, BoundInputs(sigma_sq, width)).hex() == expected.hex()
 
 
 def test_scalar_uniform_bound_decreases_with_panel_size():

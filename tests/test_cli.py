@@ -1064,6 +1064,37 @@ def test_simulate_threshold_error_small_config(tmp_path, capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["50", "100", "200"]
 
 
+INFEASIBLE_NOISE = {"per_reviewer_variance": [1e6] * 3, "scalar_bounds": [1, 10]}
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("margins", {"spec": dict(COHORT_SPEC, n_papers=200, noise=INFEASIBLE_NOISE,
+                                  clip_mode="reject-resample")}),
+        ("variance", {"spec": dict(COHORT_SPEC, n_papers=200, noise=INFEASIBLE_NOISE,
+                                   clip_mode="reject-resample")}),
+        ("threshold-error", {"population": dict(SMALL_POPULATION, size=200, noise=INFEASIBLE_NOISE,
+                                                clip_mode="reject-resample"),
+                             "n_cal_grid": [50, 100]}),
+    ],
+)
+def test_reject_resample_that_cannot_converge_exits_2(tmp_path, command, section):
+    # a fresh interpreter, so what a user would see on stderr is what the test reads
+    config = write_json(tmp_path, "config.json",
+                        {"simulate": {command.replace("-", "_"): section}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "panelcal.cli", "simulate", command, "--config", config,
+         "--out", str(tmp_path / "runs")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: clip_mode: reject-resample did not converge in 1000 rounds\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_simulate_threshold_error_flat_link_fails_checks(tmp_path, capsys):
     population = dict(SMALL_POPULATION, link_midpoint=5.5, link_slope=0.4)
     config = write_json(

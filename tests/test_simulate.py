@@ -143,8 +143,16 @@ def test_reject_resample_gives_up_when_infeasible():
         clip_mode="reject-resample",
         seed=1,
     )
-    with pytest.raises(RuntimeError, match="did not converge"):
+    with pytest.raises(ValueError, match="did not converge"):
         generate_cohort(spec)
+
+
+def test_steep_link_gives_exact_probabilities_without_warnings():
+    # a slope of 1e308 overflows the logistic's exponent; RuntimeWarnings fail tests
+    settings = PopulationSettings(small_spec(n=300), link_midpoint=5.5, link_slope=1e308)
+    pop = synthetic_calibration_population(settings)
+    latent = generate_cohort(settings.cohort).latent
+    np.testing.assert_array_equal(pop.accepts, latent > 5.5)
 
 
 def test_slice_cohort():
