@@ -71,11 +71,12 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     if plan is not None:
         run.write("plan.json", json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n")
 
+    t, raw, weight = zip(*points)
     run.write(
         "curve.csv",
         metrics.csv_text(
             ["threshold", "raw_estimate", "fitted", "weight"],
-            [(t, raw, fit, weight) for (t, raw, weight), fit in zip(points, curve.fitted)],
+            [t, raw, curve.fitted, weight],
         ),
     )
 

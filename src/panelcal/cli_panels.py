@@ -153,7 +153,7 @@ def cmd_review(args: argparse.Namespace) -> int:
                 "margin_tau_05",
                 "any_flag",
             ],
-            list(zip(
+            [
                 table.ids,
                 scores.tolist(),
                 accepts["tau_rate"].tolist(),
@@ -161,12 +161,14 @@ def cmd_review(args: argparse.Namespace) -> int:
                 accepts["tau_05"].tolist(),
                 (scores - thresholds.tau_05).tolist(),
                 table.any_flag.tolist(),
-            )),
+            ],
         ),
     )
     run.write(
         "metrics.csv",
-        metrics.csv_text(["metric", "scope", "value", "numerator", "denominator"], metric_rows),
+        metrics.csv_text(
+            ["metric", "scope", "value", "numerator", "denominator"], list(zip(*metric_rows))
+        ),
     )
     report = [
         "review report",
@@ -174,11 +176,13 @@ def cmd_review(args: argparse.Namespace) -> int:
         f"panels: {n}",
         "",
         "acceptance",
-        metrics.aligned_table(["threshold", "value", "acpt"], acceptance_rows),
+        metrics.aligned_table(["threshold", "value", "acpt"], list(zip(*acceptance_rows))),
         "integrity flags",
-        metrics.aligned_table(["reviewer", "icr"], icr_table_rows),
+        metrics.aligned_table(["reviewer", "icr"], list(zip(*icr_table_rows))),
         "conflicts (flagged but scored at acceptance level)",
-        metrics.aligned_table(["reviewer", "threshold", "conflict"], conflict_table_rows),
+        metrics.aligned_table(
+            ["reviewer", "threshold", "conflict"], list(zip(*conflict_table_rows))
+        ),
     ]
     run.write("review_report.txt", "\n".join(report))
     run.finish()
@@ -220,8 +224,8 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     p_accept, robust, solicit = bayes.credible_calls(
         means, posterior_variances, threshold, alpha, solicit_variance
     )
-    counts = table.counts.tolist()
-    notes = ["" if count else "prior-only" for count in counts]
+    counts = list(map(str, table.counts.tolist()))
+    notes = ["" if count else "prior-only" for count in table.counts.tolist()]
     floats = [means.tolist(), posterior_variances.tolist(), p_accept.tolist()]
 
     run = _Run(args.out, "bayes", None, args.config, inputs)
@@ -239,7 +243,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
                 "solicit",
                 "note",
             ],
-            list(zip(
+            [
                 table.ids,
                 counts,
                 *floats,
@@ -247,16 +251,16 @@ def cmd_bayes(args: argparse.Namespace) -> int:
                 robust.tolist(),
                 solicit.tolist(),
                 notes,
-            )),
+            ],
         ),
     )
-    table_rows = list(zip(
+    table_columns = [
         table.ids,
-        map(str, counts),
-        *(map("{:.4f}".format, column) for column in floats),
-        *(np.where(calls, "yes", "no").tolist() for calls in (robust, solicit)),
+        counts,
+        *(list(map("{:.4f}".format, column)) for column in floats),
+        *([("no", "yes")[call] for call in calls.tolist()] for calls in (robust, solicit)),
         notes,
-    ))
+    ]
     report = [
         "credible decision report",
         "",
@@ -267,7 +271,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
         "",
         metrics.aligned_table(
             ["id", "reviews", "post_mean", "post_var", "p_accept", "robust", "solicit", "note"],
-            table_rows,
+            table_columns,
         ),
     ]
     run.write("bayes_report.txt", "\n".join(report))
@@ -312,7 +316,7 @@ def cmd_detector_eval(args: argparse.Namespace) -> int:
         "detector.csv",
         metrics.csv_text(
             ["reviewer", "tp", "fp", "tn", "fn", "tpr", "fpr", "accuracy", "f1"],
-            csv_rows,
+            list(zip(*csv_rows)),
         ),
     )
     report = [
@@ -320,7 +324,7 @@ def cmd_detector_eval(args: argparse.Namespace) -> int:
         "",
         f"labeled panels: {len(table)}",
         "",
-        metrics.aligned_table(["reviewer", "tpr", "fpr", "accuracy", "f1"], table_rows),
+        metrics.aligned_table(["reviewer", "tpr", "fpr", "accuracy", "f1"], list(zip(*table_rows))),
     ]
     run.write("detector_report.txt", "\n".join(report))
     run.finish()

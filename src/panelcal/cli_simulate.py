@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-from dataclasses import astuple, fields, replace
+from dataclasses import fields, replace
 from typing import Sequence
 
 from . import config, metrics, simulate
@@ -55,7 +55,7 @@ def _finish(
     named check with its failures indented below it.
     """
     headers = [field.name for field in fields(row_type)]
-    run.write(name, metrics.csv_text(headers, [astuple(r) for r in rows]))
+    run.write(name, metrics.csv_text(headers, [[getattr(r, h) for r in rows] for h in headers]))
     text = head + "".join(
         f"{'FAIL' if failures else 'PASS'}: {check}\n" + "".join(f"  {f}\n" for f in failures)
         for check, failures in checks

@@ -196,27 +196,65 @@ def rate_with_counts(numerator: int, denominator: int) -> str:
     return f"{format_percent(numerator / denominator)} ({numerator}/{denominator})"
 
 
-def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    """Fixed-width text table: first column left-aligned, rest right-aligned.
+def aligned_table(headers: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
+    """Fixed-width text table of ``columns``: the first left-aligned, the rest right-aligned.
 
-    The header and rows shorter than the longest of them are padded with
+    Columns shorter than the longest, and missing headers, are padded with
     empty cells.
     """
-    # widths column by column; a table without cells has one empty column
-    columns = list(zip_longest(headers, *rows, fillvalue="")) or [("",) * (len(rows) + 1)]
-    widths = [max(map(len, map(str, column))) for column in columns]
+    n_rows = max(map(len, columns), default=0)
+    # a table without cells has one empty column
+    headers = [*headers, *[""] * (max(len(columns), 1) - len(headers))]
+    table = [
+        [header, *column, *[""] * (n_rows - len(column))]
+        for header, column in zip_longest(headers, columns, fillvalue=())
+    ]
+    widths = [max(map(len, map(str, column))) for column in table]
     # then each row in one call, with one field per column: the first left-aligned, the rest
     # right-aligned; padded cells are never held at once, only the finished lines
     template = "  ".join(("%%%ds" if c else "%%-%ds") % width for c, width in enumerate(widths))
-    lines = [(template % row).rstrip() for row in zip(*columns)]
+    lines = [(template % row).rstrip() for row in zip(*table)]
     lines.insert(1, "  ".join("-" * width for width in widths))
     return "\n".join(lines) + "\n"
 
 
-def csv_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """CSV serialization with a header row and '' for absent values."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)  # the csv module writes None as ''
-    return buffer.getvalue()
+_CSV_BLOCK = 1024  # rows that csv_text converts at a time
+
+
+def _csv_cells(column: Sequence[object], alone: bool) -> list[str]:
+    """A column's cells as ``csv.writer`` writes them; ``alone``: the table's only column.
+
+    None becomes '' and anything else its ``str`` (for a float, its
+    ``repr``).  A column whose text needs quoting has each cell quoted by
+    ``csv`` itself, so the quoting rules stay those of the running Python.
+    """
+    cells = ["" if cell is None else str(cell) for cell in column]
+    text = "".join(cells)
+    # csv quotes an empty field only when it is its row's one field
+    if any(mark in text for mark in ',"\r\n') or (alone and "" in cells):
+        rest = () if alone else ("",)
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        for i, cell in enumerate(cells):
+            buffer.seek(0)
+            buffer.truncate()
+            writer.writerow((cell, *rest))
+            cells[i] = buffer.getvalue()[: -1 - len(rest)]  # cut the rest of the row
+    return cells
+
+
+def csv_text(headers: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
+    """CSV text of a header row and equal-length ``columns``, as ``csv.writer`` writes it.
+
+    Absent values (None) are written as ''.
+    """
+    if len(set(map(len, columns))) > 1:
+        raise ValueError(f"columns: must have equal lengths, got {list(map(len, columns))}")
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(headers)
+    texts = [header.getvalue()]
+    # a block of rows at a time: its cell strings are built, joined and dropped
+    for start in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
+        block = [_csv_cells(column[start:start + _CSV_BLOCK], len(columns) == 1) for column in columns]
+        texts.append("\n".join(map(",".join, zip(*block))) + "\n")
+    return "".join(texts)

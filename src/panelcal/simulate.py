@@ -263,6 +263,8 @@ def margin_experiment(
         )
     threshold = finite("threshold", threshold)
     edges = np.asarray(bin_edges, dtype=float)
+    if not np.all(np.isfinite(edges)):
+        raise ValueError(f"bin_edges: must be finite, got {edges.tolist()}")
     if edges.size < 2 or np.any(np.diff(edges) <= 0):
         raise ValueError("bin_edges: need at least 2 strictly increasing edges")
     if edges[0] < 0:

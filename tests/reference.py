@@ -23,11 +23,14 @@ leftover units in one pass).
 ``load_panel_table`` reads a panel file one line at a time, checking each
 field of each review as it goes (the package checks whole columns and
 words an error line by line only when a check fails).  ``aligned_table``
-lays out a report table row by row (the package works column by column).
+lays out a report table row by row, and ``csv_text`` writes CSV rows with
+``csv.writer`` (the package writes both from columns).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -497,3 +500,12 @@ def aligned_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
+
+
+def csv_text(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """CSV text of a header row and ``rows``, written by ``csv.writer`` (None as '')."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return buffer.getvalue()

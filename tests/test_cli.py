@@ -13,7 +13,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panelcal import calibrate, metrics
+import reference
+from panelcal import calibrate
 from panelcal.cli import main
 from panelcal.core import CalibrationRecord
 from panelcal.records import load_calibration_records
@@ -371,7 +372,7 @@ def test_calibrate_curve_names_the_first_signed_zero(tmp_path, capsys, first_zer
     values = [r.agent_score for r in records]
     points = calibrate.tail_probability_points(records, sorted(set(values)))
     curve = calibrate.isotonic_fit(points)
-    expected = metrics.csv_text(
+    expected = reference.csv_text(
         ["threshold", "raw_estimate", "fitted", "weight"],
         [(t, raw, fit, weight) for (t, raw, weight), fit in zip(points, curve.fitted)],
     )
@@ -538,10 +539,24 @@ def test_review_golden(tmp_path, capsys):
     assert rows[("icr", "any")] == ("0.6666666666666666", "2", "3")
     assert rows[("conflict_tau_rate", "any")] == ("1.0", "2", "2")
 
-    report = (d / "review_report.txt").read_text()
-    assert "tau_rate       7  66.7% (2/3)" in report
-    assert "m1         33.3% (1/3)" in report
-    assert "any        66.7% (2/3)" in report
+    conflicts = [(name, label, "100.0% (1/1)" if name != "any" else "100.0% (2/2)")
+                 for label in ("tau_rate", "tau_05") for name in ("m1", "m2", "m3", "any")]
+    assert (d / "review_report.txt").read_text() == "\n".join([
+        "review report",
+        "",
+        "panels: 3",
+        "",
+        "acceptance",
+        reference.aligned_table(["threshold", "value", "acpt"],
+                                [("tau_rate", "7", "66.7% (2/3)"), ("tau_05", "4", "66.7% (2/3)")]),
+        "integrity flags",
+        reference.aligned_table(["reviewer", "icr"], [
+            ("m1", "33.3% (1/3)"), ("m2", "50.0% (1/2)"), ("m3", "100.0% (1/1)"),
+            ("any", "66.7% (2/3)"),
+        ]),
+        "conflicts (flagged but scored at acceptance level)",
+        reference.aligned_table(["reviewer", "threshold", "conflict"], conflicts),
+    ])
 
 
 def test_review_weight_config_modes(tmp_path, capsys):
@@ -659,9 +674,20 @@ def test_bayes_golden(tmp_path, capsys):
     assert float(p4[4]) == pytest.approx(0.6914624612740131, abs=1e-12)
     assert p4[8] == "prior-only"
 
-    report = (d / "bayes_report.txt").read_text()
-    assert "threshold:  4" in report
-    assert "prior-only" in report
+    assert (d / "bayes_report.txt").read_text() == "\n".join([
+        "credible decision report",
+        "",
+        "panels:     2",
+        "prior:      mean 5, variance 4",
+        "threshold:  4",
+        "alpha:      0.05",
+        "",
+        reference.aligned_table(
+            ["id", "reviews", "post_mean", "post_var", "p_accept", "robust", "solicit", "note"],
+            [("p1", "2", "6.7778", "0.4444", "1.0000", "yes", "no", ""),
+             ("p4", "0", "5.0000", "4.0000", "0.6915", "no", "no", "prior-only")],
+        ),
+    ])
 
 
 def test_bayes_every_panel_prior_only(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -124,7 +125,7 @@ def test_rate_with_counts():
 
 
 def test_aligned_table():
-    text = aligned_table(["name", "rate"], [["m1", "66.7%"], ["any", "100.0%"]])
+    text = aligned_table(["name", "rate"], [["m1", "any"], ["66.7%", "100.0%"]])
     lines = text.splitlines()
     assert lines[0] == "name    rate"
     assert lines[1] == "----  ------"
@@ -146,10 +147,64 @@ CELLS = st.one_of(
 @example(headers=["a", "b"], rows=[["x" * 80], ["y", "", "z"], []])
 @given(st.lists(CELLS, max_size=4), st.lists(st.lists(CELLS, max_size=5), max_size=6))
 def test_aligned_table_matches_row_by_row_layout(headers, rows):
-    # ragged rows, no rows, wide cells, and cells that are not strings
-    assert aligned_table(headers, rows) == reference.aligned_table(headers, rows)
+    # ragged rows become columns, each cut after the last row that has its cell, so the
+    # table pads short columns as the reference pads short rows
+    width = max(map(len, rows), default=0)
+    columns = [[row[c] if c < len(row) else "" for row in rows] for c in range(width)]
+    for c, column in enumerate(columns):
+        del column[1 + max(i for i, row in enumerate(rows) if c < len(row)):]
+    # rows after the last cell have no cell to be counted by, nor has a table without columns
+    n_rows = max(map(len, columns), default=0)
+    assert aligned_table(headers, columns) == reference.aligned_table(headers, rows[:n_rows])
 
 
 def test_csv_text():
-    text = csv_text(["a", "b"], [[1, None], ["x,y", 0.5]])
+    text = csv_text(["a", "b"], [[1, "x,y"], [None, 0.5]])
     assert text == 'a,b\n1,\n"x,y",0.5\n'
+
+
+CSV_CELLS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(10**400), 10**400),  # beyond the float range
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324]),
+    st.text(alphabet=st.sampled_from('ab,"\r\n \u2028\u00e9'), max_size=4),
+)
+
+
+def csv_tables():
+    """Headers and one to five rectangular columns."""
+    return st.integers(1, 5).flatmap(lambda k: st.tuples(
+        st.lists(st.text(alphabet=st.sampled_from('h,"\n'), max_size=2), min_size=k, max_size=k),
+        st.integers(0, 6).flatmap(lambda n: st.lists(
+            st.lists(CSV_CELLS, min_size=n, max_size=n), min_size=k, max_size=k)),
+    ))
+
+
+@example(table=(["a", "b"], [[], []]))
+@example(table=(["", ""], [["", None], [None, ""]]))
+@example(table=(["id", "x"], [["a,b", 'q"x', "r\rs", "n\nt"], [1.5, -0.0, 10**400, True]]))
+@example(table=(["a"], [["", None, "x"]]))  # an empty cell alone on its row is quoted
+@example(table=(["a", "b"], [[np.float64(0.1), np.int64(3)], [np.str_("s"), np.bool_(True)]]))
+@given(csv_tables())
+def test_csv_text_matches_csv_writer_row_by_row(table):
+    headers, columns = table
+    assert csv_text(headers, columns) == reference.csv_text(headers, list(zip(*columns)))
+
+
+def test_csv_text_spans_blocks_of_rows():
+    # more rows than one block converts; a cell that needs quoting only in a later block
+    ids = [f"p{i}" for i in range(2500)]
+    ids[2000] = 'a,"b"'
+    mixed = [[None, 1.5, "", True, 10**20, "r\rs", "n\nl"][i % 7] for i in range(2500)]
+    assert csv_text(["id", "x"], [ids, mixed]) == reference.csv_text(["id", "x"], zip(ids, mixed))
+    lone = ["x"] * 2500
+    lone[1500] = ""
+    assert csv_text(["a"], [lone]) == reference.csv_text(["a"], [[cell] for cell in lone])
+
+
+def test_csv_text_rejects_columns_of_unequal_length():
+    with pytest.raises(ValueError, match=r"^columns: must have equal lengths, got \[2, 1\]$"):
+        csv_text(["a", "b"], [[1, 2], [3]])

@@ -63,7 +63,11 @@ def scenarios(draw):
             for name in names
         )
         label = draw(st.sampled_from(["absent", None, True, False]))
-        panels.append((PanelRecord(f"p{i}", reviews, None if label == "absent" else label), label))
+        # ids that csv quotes: the commands' writers must quote them as csv.writer does
+        submission_id = f"p{i}" + draw(st.sampled_from(["", ",a", 'q"', "\n"]))
+        panels.append(
+            (PanelRecord(submission_id, reviews, None if label == "absent" else label), label)
+        )
     prior_only = draw(st.lists(st.integers(0, len(panels)), max_size=2))
 
     if draw(st.booleans()):
@@ -203,8 +207,8 @@ def expected_review(panels: list[ReviewPanel], s: dict) -> tuple[str, str]:
                          round(value * flagged) if flagged else None, flagged))
     header = ["id", "score", "accept_tau_rate", "margin_tau_rate", "accept_tau_05",
               "margin_tau_05", "any_flag"]
-    return (metrics.csv_text(header, decision_rows),
-            metrics.csv_text(["metric", "scope", "value", "numerator", "denominator"], rows))
+    return (reference.csv_text(header, decision_rows),
+            reference.csv_text(["metric", "scope", "value", "numerator", "denominator"], rows))
 
 
 def expected_bayes(records: list[PanelRecord], s: dict) -> str:
@@ -231,7 +235,7 @@ def expected_bayes(records: list[PanelRecord], s: dict) -> str:
         ))
     header = ["id", "n_reviews", "posterior_mean", "posterior_variance", "p_accept",
               "accept", "robust", "solicit", "note"]
-    return metrics.csv_text(header, rows)
+    return reference.csv_text(header, rows)
 
 
 def expected_detector(panels: list[ReviewPanel]) -> str:
@@ -250,7 +254,7 @@ def expected_detector(panels: list[ReviewPanel]) -> str:
     negatives = len(panels) - positives
     f1 = 2 * positives / (3 * positives + negatives) if positives else 0.0
     rows.append(("random-baseline", None, None, None, None, 0.5, 0.5, 0.5, f1))
-    return metrics.csv_text(
+    return reference.csv_text(
         ["reviewer", "tp", "fp", "tn", "fn", "tpr", "fpr", "accuracy", "f1"], rows)
 
 

@@ -216,6 +216,17 @@ def test_margin_experiment_excludes_out_of_range():
         margin_experiment(cohort, ReviewerWeights.uniform(1), 5.5, (-1.0, 1.0))
 
 
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_margin_experiment_rejects_non_finite_edges(value, position):
+    # named before the order and sign checks, never as the bound's gamma
+    cohort = generate_cohort(small_spec(m=2, n=50))
+    edges = [0.0, 1.0, 2.0]
+    edges[position] = value
+    with pytest.raises(ValueError, match=r"^bin_edges: must be finite, got \["):
+        margin_experiment(cohort, ReviewerWeights.uniform(2), 5.0, edges)
+
+
 def test_margin_suite_structure():
     spec = small_spec(m=3, seed=7)
     edges = (0.0, 0.5, 1.0, 1.5)
