@@ -116,7 +116,7 @@ def consensus_rows(rubric: np.ndarray, weights: np.ndarray, counts: np.ndarray) 
     """
     starts = np.cumsum(counts) - counts
     out = np.empty((len(counts), rubric.shape[1]))
-    for m in np.unique(counts):
+    for m in np.flatnonzero(np.bincount(counts)):  # the sizes in use; np.unique imports numpy.ma
         panels = np.flatnonzero(counts == m)
         rows = starts[panels, None] + np.arange(m)
         out[panels] = np.matmul(weights[rows][:, None, :], rubric[rows])[:, 0, :]

@@ -83,8 +83,15 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+_HASH_BLOCK = 1 << 20  # bytes read at once, so no file is held whole to hash it
+
+
 def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with path.open("rb") as file:
+        for block in iter(lambda: file.read(_HASH_BLOCK), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 class _Run:

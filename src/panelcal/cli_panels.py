@@ -1,7 +1,8 @@
 """``panelcal review``, ``bayes`` and ``detector-eval``: score and count panels.
 
 All three parse a panel file once into a ``PanelTable`` and work on its
-columns; none of them imports ``simulate``, ``calibrate`` or ``bounds``.
+columns; none of them imports ``simulate``, ``calibrate`` or ``bounds``,
+and only ``bayes`` imports ``panelcal.bayes``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import aggregate, bayes, config, metrics, records
+from . import aggregate, config, metrics, records
 from .cli import _config_error, _Run
 from .core import RubricSchema, ScoringFunctional
 from .records import PanelTable
@@ -193,6 +194,8 @@ def cmd_review(args: argparse.Namespace) -> int:
 
 
 def cmd_bayes(args: argparse.Namespace) -> int:
+    from . import bayes  # here, so review and detector-eval do not load it and statistics
+
     schema, functional, settings = config.load(args.config, "schema", "functional", "bayes")
     functional = _scoring(schema, functional)
     prior, alpha, threshold = settings["prior"], settings["alpha"], settings["threshold"]

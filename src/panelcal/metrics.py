@@ -12,13 +12,15 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from . import records
-from .aggregate import Decision
 from .core import ConfusionCounts, ReviewPanel
+
+if TYPE_CHECKING:
+    from .aggregate import Decision
 
 __all__ = [
     "DetectorMetrics",

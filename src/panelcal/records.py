@@ -397,14 +397,32 @@ def _decode(text: str, where: str) -> Any:
         raise RecordError(f"{where}: invalid JSON: nested too deeply") from None
 
 
+_CHUNK = 1 << 16  # characters split into lines at once
+
+
+def _split_lines(text: str, chunk: int = _CHUNK):
+    """``enumerate(text.splitlines(), 1)``, split about ``chunk`` characters at a time.
+
+    Each piece ends just after a ``\n`` (or at the end of ``text``), so no
+    ``\r\n`` pair is cut in two and every piece ends a line: the lines and
+    their numbers are those of the whole text, without a list of them all.
+    """
+    line_no = 0
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + chunk - 1) + 1 or len(text)
+        for line_no, line in enumerate(text[start:end].splitlines(), line_no + 1):
+            yield line_no, line
+        start = end
+
+
 def _iter_json_lines(path: str | Path):
     """(line number, value) of each non-blank line, as ``json.loads`` parses it.
 
     One scan of the line stripped of JSON whitespace gives the value;
     ``_decode`` runs only when that fails, to word the error.
     """
-    text = read_text(path)
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in _split_lines(read_text(path)):
         value = line.strip(_JSON_SPACE)
         if not value or value.isspace():
             continue
@@ -510,7 +528,7 @@ def _panel_columns(path: str | Path) -> PanelTable | None:
         return None
     ok = (
         _all_strings(ids)
-        and len(set(ids)) == len(ids)
+        and _distinct(ids)
         and set(map(type, labels)) <= {bool, type(None)}
         and "" not in names
         and set(map(type, flags)) <= {bool}
@@ -588,31 +606,61 @@ def _all_strings(values: list[Any]) -> bool:
     return set(map(type, values)) <= {str} and all(values)
 
 
+def _distinct(ids: list[str]) -> bool:
+    """Whether no id is repeated.
+
+    Sorted hashes take 8 bytes an id where a set of the ids takes up to
+    130; the set is built only when two hashes are equal.
+    """
+    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+    hashes.sort()
+    return not (hashes[1:] == hashes[:-1]).any() or len(set(ids)) == len(ids)
+
+
 def load_calibration_table(path: str | Path) -> CalibrationTable:
     """Parse calibration JSONL into a CalibrationTable; duplicate ids are rejected."""
     return _load(path, _pool_columns, _check_pool_line, "record")
 
 
 def _pool_columns(path: str | Path) -> CalibrationTable | None:
-    """The table of a pool file whose fields pass the column checks; None if one fails."""
+    """The table of a pool file whose fields pass the column checks; None if one fails.
+
+    The fields go into the columns a block of lines at a time, as in
+    ``_panel_columns``.
+    """
     lines, ids, scores, accepts, statuses = [], [], [], [], []  # one entry per record
+    vocabulary: dict[str, str] = {}  # one string per status, so the decoded copies are freed
+    block: list[dict] = []  # decoded lines whose fields are not in the columns yet
+
+    def take() -> bool:
+        status = [obj.get("status") for obj in block]
+        if not set(map(type, status)) <= {str}:
+            return False
+        ids.extend([obj.get("id") for obj in block])
+        scores.extend([obj.get("score") for obj in block])
+        accepts.extend([obj.get("accept") for obj in block])
+        statuses.extend(map(vocabulary.setdefault, status, status))
+        block.clear()
+        return True
+
     try:
         for line_no, obj in _iter_json_lines(path):
             if type(obj) is not dict:
                 return None
             lines.append(line_no)
-            ids.append(obj.get("id"))
-            scores.append(obj.get("score"))
-            accepts.append(obj.get("accept"))
-            statuses.append(obj.get("status"))
+            block.append(obj)
+            if len(block) == _BLOCK and not take():
+                return None
     except RecordError:
+        return None
+    if not take():
         return None
     ok = (
         _all_strings(ids)
-        and _all_strings(statuses)
+        and "" not in vocabulary
         and set(map(type, accepts)) <= {bool}
         and set(map(type, scores)) <= _NUMBER_TYPES
-        and len(set(ids)) == len(ids)
+        and _distinct(ids)
     )
     score_array = _finite_array(scores) if ok else None
     if score_array is None:

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import reference
 from panelcal import calibrate
-from panelcal.cli import main
+from panelcal.cli import _sha256_file, main
 from panelcal.core import CalibrationRecord
 from panelcal.records import load_calibration_records
 
@@ -168,6 +169,13 @@ def test_calibrate_run_dir_and_manifest(tmp_path, capsys):
     assert manifest["finished_at"] >= manifest["started_at"]
     on_disk = {p.name for p in d.iterdir() if p.name != "manifest.json"}
     assert set(manifest["output_digests"]) == on_disk
+
+
+@pytest.mark.parametrize("size", [0, 1 << 20, (5 << 19) + 3])
+def test_sha256_file_hashes_in_blocks(tmp_path, size):
+    path = tmp_path / "input"
+    path.write_bytes(bytes(i * 7 % 251 for i in range(size)))
+    assert _sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_calibrate_stratified_deterministic(tmp_path, capsys):

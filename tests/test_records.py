@@ -1,15 +1,18 @@
 import dataclasses
 import json
 import math
+import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from panelcal import records as records_module
 from panelcal.core import CalibrationRecord, ReviewPanel, ReviewRecord, RubricVector
 from panelcal.records import (
     PanelRecord,
@@ -312,9 +315,19 @@ def pool_lines(draw, records):
     return lines
 
 
-@given(pool_records().flatmap(pool_lines))
-def test_calibration_table_matches_per_line_records(lines):
-    assert assert_loaders_agree(lines) is None
+# good lines in front of the drawn ones: none, either side of a 64-line block's end, or two blocks
+FILLER = st.sampled_from([0, 0, 63, 64, 65, 130])
+
+
+def pool_filler(n):
+    """``n`` good pool lines, their ids longer than any drawn id."""
+    return [json.dumps({"id": f"fill{i}", "score": i / 8, "accept": i % 3 == 0,
+                        "status": "accept" if i % 3 == 0 else "reject"}) for i in range(n)]
+
+
+@given(FILLER, pool_records().flatmap(pool_lines))
+def test_calibration_table_matches_per_line_records(filler, lines):
+    assert assert_loaders_agree(pool_filler(filler) + lines) is None
 
 
 FIELD_BREAKS = {
@@ -356,9 +369,9 @@ def corrupted_pool_lines(draw):
 
 
 @settings(max_examples=max(200, settings.default.max_examples))
-@given(corrupted_pool_lines())
-def test_calibration_table_errors_match_per_line_records(lines):
-    assert_loaders_agree(lines)
+@given(FILLER, corrupted_pool_lines())
+def test_calibration_table_errors_match_per_line_records(filler, lines):
+    assert_loaders_agree(pool_filler(filler) + lines)
 
 
 @pytest.mark.parametrize(
@@ -444,6 +457,49 @@ def test_non_utf8_byte_names_its_line(tmp_path, load, data):
     with pytest.raises(RecordError) as got:
         load(path)
     assert str(got.value) == f"{path}:3: not valid UTF-8"
+
+
+# every line terminator of str.splitlines, \r\n as one piece and as two, and line content
+LINE_PIECES = st.sampled_from([
+    "\r", "\n", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+    "a", "{}", " ", "\t", "\u00a0",
+])
+
+
+@settings(max_examples=max(200, settings.default.max_examples))
+@given(st.lists(LINE_PIECES, max_size=40).map("".join), st.integers(1, 12))
+@example("ab\r\ncd", 3)  # the third character is the \r of a \r\n
+@example("\n\n \n", 1)
+def test_split_lines_is_splitlines_a_piece_at_a_time(text, chunk):
+    assert list(records_module._split_lines(text, chunk)) == list(enumerate(text.splitlines(), 1))
+
+
+def test_bad_line_after_the_first_piece_names_its_line(tmp_path):
+    lines = pool_filler(3000)  # about 215 KiB with CRLF: four pieces
+    lines[2500] = '{"id": "c1", "score": "1", "accept": true, "status": "s"}'
+    path = write(tmp_path, "pool.jsonl", "\r\n".join(lines) + "\r\n")
+    assert path.stat().st_size > 2 * records_module._CHUNK
+    with pytest.raises(RecordError) as got:
+        load_calibration_table(path)
+    assert str(got.value) == f"{path}:2501: field 'score' must be a number"
+
+
+def test_pool_load_holds_under_four_times_the_file(tmp_path):
+    # the benchmark pool's line shape: the load keeps no list of every line and one string per status
+    path = write(tmp_path, "pool.jsonl", "".join(
+        json.dumps({"id": f"c{i:06d}", "score": round(1 + (i * 7919 % 9000) / 1000, 3),
+                    "accept": i % 3 == 0, "status": "accept" if i % 3 == 0 else "reject"}) + "\n"
+        for i in range(20_000)
+    ))
+    tracemalloc.start()
+    try:
+        table = load_calibration_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table) == 20_000
+    assert peak <= 4 * os.path.getsize(path)
+    assert len(set(map(id, table.statuses))) == len(set(table.statuses)) == 2
 
 
 # ------------------------------------------- the columnar panel file against the per-line path
@@ -537,10 +593,6 @@ def filler_lines(n):
         + "\n"
         for i in range(n)
     )
-
-
-# good lines in front of the drawn ones: none, either side of a 64-line block's end, or two blocks
-FILLER = st.sampled_from([0, 0, 63, 64, 65, 130])
 
 
 @given(FILLER, panel_objects().flatmap(panel_text))

@@ -73,7 +73,10 @@ def test_panel_commands_load_no_simulate_calibrate_or_bounds(tmp_path, command):
     }[command]
     modules = loaded(tmp_path, command, *argv, "--out", "runs")
     assert "panelcal.cli_panels" in modules
-    assert not modules & {"panelcal.simulate", "panelcal.calibrate", "panelcal.bounds", "logging"}
+    assert not modules & {"panelcal.simulate", "panelcal.calibrate", "panelcal.bounds", "logging",
+                          "numpy.ma"}
+    if command != "bayes":
+        assert not modules & {"panelcal.bayes", "statistics"}
 
 
 def test_calibrate_loads_no_simulate_or_bayes(tmp_path):
@@ -82,7 +85,15 @@ def test_calibrate_loads_no_simulate_or_bayes(tmp_path):
     modules = loaded(tmp_path, "calibrate", "--records", "pool.jsonl", "--config", "config.json",
                      "--out", "runs")
     assert "panelcal.calibrate" in modules
-    assert not modules & {"panelcal.simulate", "panelcal.bayes", "logging"}
+    assert not modules & {"panelcal.simulate", "panelcal.bayes", "panelcal.aggregate", "logging"}
+
+
+def test_threshold_error_loads_no_aggregate(tmp_path):
+    # two replicates fail the slope check (exit 4) after the whole experiment has run
+    modules = loaded(tmp_path, "simulate", "threshold-error", "--grid", "50,100", "--replicates", "2",
+                     "--out", "runs", code=4)
+    assert "panelcal.simulate" in modules
+    assert not modules & {"panelcal.aggregate", "panelcal.bayes"}
 
 
 def test_import_panelcal_loads_no_submodule(tmp_path):
