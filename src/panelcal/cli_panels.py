@@ -15,7 +15,7 @@ import numpy as np
 
 from . import aggregate, config, metrics, records
 from .cli import _config_error, _Run
-from .core import RubricSchema, ScoringFunctional
+from .core import RecordError, RubricSchema, ScoringFunctional
 from .records import PanelTable
 
 
@@ -84,6 +84,14 @@ def _review_weights(
     return normalized(values / totals[table.panel_index])
 
 
+def _check_roster(table: PanelTable) -> None:
+    """No reviewer may take the name of a summary row of ``metrics.csv`` or ``detector.csv``."""
+    for code, name in enumerate(table.roster):
+        if name in ("any", "random-baseline"):
+            where = table.reviewer_where(code)
+            raise RecordError(f"{where}: reviewer name {name!r} is reserved for the summary row")
+
+
 def _check_criteria(table: PanelTable, functional: ScoringFunctional) -> None:
     """Every rubric needs one criterion per coefficient of a linear functional.
 
@@ -105,6 +113,7 @@ def cmd_review(args: argparse.Namespace) -> int:
     )
     functional = _scoring(schema, functional)
     table = records.load_panel_table(args.panels)
+    _check_roster(table)
     table.validate(schema)
     _check_criteria(table, functional)
     thresholds = config.load_thresholds(args.thresholds)
@@ -287,6 +296,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
 
 def cmd_detector_eval(args: argparse.Namespace) -> int:
     table = records.load_panel_table(args.panels)
+    _check_roster(table)
     table.validate(require_labels=True)
 
     table_rows, csv_rows = [], []

@@ -19,9 +19,11 @@ and a pool file is parsed once, into a columnar ``CalibrationTable``;
 
 Every JSON file the package reads (panel and pool JSONL, config and
 thresholds files) is decoded here, and malformed input raises RecordError
-naming the file, line, and field.  Both JSONL loaders run one shell: a
-column pass that checks whole columns, and only when a check fails, a
-pass over the lines in order that raises the first error.
+naming the file, line, and field.  Both JSONL loaders run one shell over
+one pass of the file: the fields go into columns, and each loader has one
+ordered list of line rules, each a whole-column check that finds its first
+broken line (or review) and words its message.  The error raised is the
+break with the smallest (line, review row, rule position).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Container, Sequence
 
 import numpy as np
 
@@ -292,20 +294,6 @@ def left_sums(values: np.ndarray, counts: np.ndarray, start: float = 0.0) -> np.
     return total
 
 
-def _get_str(obj: Mapping[str, Any], key: str) -> str:
-    value = obj.get(key)
-    if not isinstance(value, str) or not value:
-        raise ValueError(f"field {key!r} must be a non-empty string")
-    return value
-
-
-def _get_bool(obj: Mapping[str, Any], key: str) -> bool:
-    value = obj.get(key)
-    if not isinstance(value, bool):
-        raise ValueError(f"field {key!r} must be a boolean")
-    return value
-
-
 def _float(value: Any) -> float | None:
     """A JSON number as a float (a huge integer is infinite); None for anything else."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -316,53 +304,7 @@ def _float(value: Any) -> float | None:
         return math.inf if value > 0 else -math.inf
 
 
-def _get_number(obj: Mapping[str, Any], key: str) -> float:
-    value = _float(obj.get(key))
-    if value is None:
-        raise ValueError(f"field {key!r} must be a number")
-    if not math.isfinite(value):
-        raise ValueError(f"field {key!r} must be finite")
-    return value
-
-
-def _finite_array(values: list[Any]) -> np.ndarray | None:
-    """JSON numbers as a float array; None if one is not finite (or beyond the float range)."""
-    try:
-        array = np.array(values, dtype=float)
-    except OverflowError:  # an integer beyond the float range
-        return None
-    return array if np.isfinite(array).all() else None
-
-
 _NUMBER_TYPES = {int, float}  # JSON numbers; bool is not among them
-
-
-def _check_review(obj: Any) -> None:
-    """Check one review object as ``ReviewRecord`` and ``RubricVector`` check it.
-
-    The messages are theirs; an ``overall`` number stands for a
-    one-criterion rubric.
-    """
-    if not isinstance(obj, dict):
-        raise ValueError("each review must be a JSON object")
-    _get_str(obj, "reviewer")
-    if "rubric" in obj:
-        values = obj["rubric"]
-        if not isinstance(values, list) or not values:
-            raise ValueError("field 'rubric' must be a non-empty array of numbers")
-        if not set(map(type, values)) <= _NUMBER_TYPES:
-            k = next(k for k, v in enumerate(values) if type(v) not in _NUMBER_TYPES)
-            raise ValueError(f"field 'rubric[{k}]' must be a number")
-        k = next((k for k, v in enumerate(values) if not math.isfinite(_float(v))), None)
-        if k is not None:
-            raise ValueError(f"values[{k}]: must be finite, got {values[k]!r}")
-    elif "overall" in obj:
-        _get_number(obj, "overall")
-    else:
-        raise ValueError("each review needs a 'rubric' array or an 'overall' number")
-    _get_bool(obj, "flag")
-    if not isinstance(obj.get("feedback", ""), str):
-        raise ValueError("field 'feedback' must be a string")
 
 
 def read_text(path: str | Path) -> str:
@@ -435,33 +377,115 @@ def _iter_json_lines(path: str | Path):
         yield line_no, obj
 
 
-def _load(
-    path: str | Path, columns: Callable[[str | Path], Any], check_line: Callable[[dict], str], noun: str
-) -> Any:
+_BLOCK = 64  # decoded lines held at once: their fields go into the columns a block at a time
+
+_Break = tuple[Any, str] | None  # a rule's first break: (its row, its message), or None
+
+
+def _load(path: str | Path, columns: _PanelColumns | _PoolColumns) -> Any:
     """The table ``columns`` builds from the JSONL file at ``path``, or its first error.
 
-    ``columns`` takes each line's fields into columns and checks whole
-    columns; it returns None when a check fails.  The lines are then
-    checked in order, each by ``check_line``, which returns the line's id,
-    so the first bad line raises with its ``path:line``.
+    ``columns.rules()`` gives each line rule's first break as ((line index,
+    review row), message), in order on a line.  A line that is not a JSON
+    object ends the pass, but a rule broken on an earlier line comes first.
     """
-    table = columns(path)
-    if table is None:
-        seen: set[str] = set()
+    lines: list[int] = []
+    block: list[dict] = []  # decoded lines whose fields are not in the columns yet
+    stop = None
+    try:
         for line_no, obj in _iter_json_lines(path):
-            try:
-                if not isinstance(obj, dict):
-                    raise ValueError("each line must be a JSON object")
-                key = check_line(obj)
-                if key in seen:
-                    raise ValueError(f"duplicate {noun} id {key!r}")
-            except ValueError as exc:
-                raise RecordError(f"{path}:{line_no}: {exc}") from exc
-            seen.add(key)
-        raise AssertionError(f"{path}: column check and line check disagree")
-    if not len(table):
+            if type(obj) is not dict:
+                raise RecordError(f"{path}:{line_no}: each line must be a JSON object")
+            lines.append(line_no)
+            block.append(obj)
+            if len(block) == _BLOCK:
+                columns.take(block)
+                block.clear()
+    except RecordError as exc:
+        stop = exc
+    columns.take(block)
+    broken = [(hit[0], position, hit[1]) for position, hit in enumerate(columns.rules()) if hit]
+    if broken:
+        (i, _), _, message = min(broken)
+        raise RecordError(f"{path}:{lines[i]}: {message}")
+    if stop is not None:
+        raise stop
+    if not lines:
         raise RecordError(f"{path}: no records found")
-    return table
+    return columns.table(str(path), lines)
+
+
+def _fit(column: list[Any], kinds: set[type], placeholder: Any, marks: list[int] | None = None,
+         start: int = 0) -> list[Any]:
+    """``column`` with ``placeholder`` for each entry whose type is not in ``kinds``.
+
+    Their indices, counted from ``start``, go to ``marks``.
+    """
+    if set(map(type, column)) <= kinds:
+        return column
+    if marks is not None:
+        marks.extend(k for k, value in enumerate(column, start) if type(value) not in kinds)
+    return [value if type(value) in kinds else placeholder for value in column]
+
+
+def _typed(column: list[Any], kinds: set[type], message: str) -> _Break:
+    """The first entry whose type is not in ``kinds``, and ``message``."""
+    if set(map(type, column)) <= kinds:
+        return None
+    return next(k for k, value in enumerate(column) if type(value) not in kinds), message
+
+
+def _text(key: str, column: list[str], present: Container[str]) -> _Break:
+    """The first "" in ``column``, which holds "" for each field ``key`` that is not a string.
+
+    ``present`` holds the strings of ``column``, or is ``column``.
+    """
+    return (column.index(""), f"field {key!r} must be a non-empty string") if "" in present else None
+
+
+def _numbers(values: list[Any]) -> tuple[np.ndarray | None, int | None, int | None]:
+    """(float array, None, None) if each value is a finite JSON number.
+
+    Otherwise None, the index of the first value that is not a JSON number
+    (``_float`` is None) and that of the first number that is not finite.
+    """
+    try:
+        flat = np.array(values, dtype=float) if set(map(type, values)) <= _NUMBER_TYPES else None
+    except OverflowError:  # an integer beyond the float range
+        flat = None
+    if flat is not None and np.isfinite(flat).all():
+        return flat, None, None
+    floats = list(map(_float, values))
+    not_number = next((k for k, f in enumerate(floats) if f is None), None)
+    not_finite = next((k for k, f in enumerate(floats) if f is not None and not math.isfinite(f)), None)
+    return None, not_number, not_finite
+
+
+def _owner(sizes: list[int], j: int) -> tuple[int, int]:
+    """(i, k): entry ``j`` of groups ``sizes`` long, laid back to back, is entry ``k`` of group ``i``."""
+    ends = np.cumsum(sizes)
+    i = int(np.searchsorted(ends, j, side="right"))
+    return i, j - int(ends[i]) + sizes[i]
+
+
+def _duplicate(noun: str, ids: list[str]) -> _Break:
+    """The first id that an earlier line holds too."""
+    if _distinct(ids):
+        return None
+    first: dict[str, int] = {}
+    i = next(i for i, key in enumerate(ids) if first.setdefault(key, i) != i)
+    return i, f"duplicate {noun} id {ids[i]!r}"
+
+
+def _distinct(ids: list[str]) -> bool:
+    """Whether no id is repeated.
+
+    Sorted hashes take 8 bytes an id where a set of the ids takes up to
+    130; the set is built only when two hashes are equal.
+    """
+    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
+    hashes.sort()
+    return not (hashes[1:] == hashes[:-1]).any() or len(set(ids)) == len(ids)
 
 
 def load_panel_table(path: str | Path) -> PanelTable:
@@ -470,93 +494,101 @@ def load_panel_table(path: str | Path) -> PanelTable:
     Only the checks of single lines run here; ``PanelTable.validate``
     checks the panels as a whole.
     """
-    return _load(path, _panel_columns, _check_panel_line, "panel")
+    return _load(path, _PanelColumns())
 
 
-_BLOCK = 64  # decoded lines held at once: their fields go into the columns a block at a time
+class _PanelColumns:
+    """A panel file's fields in columns, one entry per panel and one per review.
 
-
-def _panel_columns(path: str | Path) -> PanelTable | None:
-    """The table of a panel file whose fields pass the column checks; None if one fails.
-
-    A block of lines is checked as far as taking its fields apart needs
-    (objects, arrays) and flattened into the columns; the checks of the
-    fields' values run on the whole columns at the end.
+    A field that cannot go into its column as it is takes a placeholder
+    that breaks its rule: "" for an id or a reviewer that is not a string,
+    [] for a rubric that is not an array.  The rows whose break no
+    placeholder shows are marked as the fields are taken: ``not_arrays``
+    (panels), ``not_objects`` and ``neither`` (reviews with neither a rubric
+    nor an overall); ``single`` marks the reviews given by an ``overall``.
     """
-    lines, ids, labels, counts = [], [], [], []  # one entry per panel
-    reviewer, criteria, flags, feedback = [], [], [], []  # one entry per review
-    values: list[Any] = []  # the rubrics back to back
-    names: dict[str, str] = {}  # one string per reviewer name, so the decoded copies are freed
-    block: list[dict] = []  # decoded lines whose fields are not in the columns yet
 
-    def take() -> bool:
-        panel_reviews = [obj.get("reviews") for obj in block]
-        if not set(map(type, panel_reviews)) <= {list}:
-            return False
-        reviews = [review for rows in panel_reviews for review in rows]
-        if not set(map(type, reviews)) <= {dict}:
-            return False
+    def __init__(self) -> None:
+        self.ids, self.labels, self.counts = [], [], []  # one entry per panel
+        self.reviewer, self.criteria, self.flags, self.feedback = [], [], [], []  # one entry per review
+        self.values: list[Any] = []  # the rubrics back to back
+        self.names: dict[str, str] = {}  # one string per reviewer name, so the decoded copies are freed
+        self.not_arrays, self.not_objects, self.neither, self.single = [], [], [], []
+
+    def take(self, block: list[dict]) -> None:
+        """Put a block of decoded lines into the columns; only a failed type-set check goes entry by entry."""
+        rows = len(self.reviewer)
+        panel_reviews = _fit([obj.get("reviews") for obj in block], {list}, [], self.not_arrays, len(self.ids))
+        reviews = _fit([r for each in panel_reviews for r in each], {dict}, {}, self.not_objects, rows)
         rubrics = [
-            r["rubric"] if "rubric" in r else [r["overall"]] if "overall" in r else None
-            for r in reviews
+            r["rubric"] if "rubric" in r else (r["overall"],) if "overall" in r else () for r in reviews
         ]
-        reviewers = [r.get("reviewer") for r in reviews]
-        if not set(map(type, rubrics)) <= {list} or not set(map(type, reviewers)) <= {str}:
-            return False
-        ids.extend([obj.get("id") for obj in block])
-        labels.extend([obj.get("label") for obj in block])
-        counts.extend(map(len, panel_reviews))
-        reviewer.extend(map(names.setdefault, reviewers, reviewers))
-        criteria.extend(map(len, rubrics))
-        flags.extend([r.get("flag") for r in reviews])
-        feedback.extend([r.get("feedback", "") for r in reviews])
-        values.extend([v for row in rubrics for v in row])
-        block.clear()
-        return True
+        if not set(map(type, rubrics)) <= {list}:  # an overall, neither field, or a bad rubric
+            for j, rubric in enumerate(rubrics, rows):
+                if type(rubric) is tuple:
+                    (self.single if rubric else self.neither).append(j)
+            rubrics = _fit(rubrics, {list, tuple}, [])
+        reviewers = _fit([r.get("reviewer") for r in reviews], {str}, "")
+        self.ids.extend(_fit([obj.get("id") for obj in block], {str}, ""))
+        self.labels.extend([obj.get("label") for obj in block])
+        self.counts.extend(map(len, panel_reviews))
+        self.reviewer.extend(map(self.names.setdefault, reviewers, reviewers))
+        self.criteria.extend(map(len, rubrics))
+        self.flags.extend([r.get("flag") for r in reviews])
+        self.feedback.extend([r.get("feedback", "") for r in reviews])
+        self.values.extend([v for rubric in rubrics for v in rubric])
 
-    try:
-        for line_no, obj in _iter_json_lines(path):
-            if type(obj) is not dict:
-                return None
-            lines.append(line_no)
-            block.append(obj)
-            if len(block) == _BLOCK and not take():
-                return None
-    except RecordError:
-        return None
-    if not take():
-        return None
-    ok = (
-        _all_strings(ids)
-        and _distinct(ids)
-        and set(map(type, labels)) <= {bool, type(None)}
-        and "" not in names
-        and set(map(type, flags)) <= {bool}
-        and set(map(type, feedback)) <= {str}
-        and 0 not in criteria
-        and set(map(type, values)) <= _NUMBER_TYPES
-    )
-    flat = _finite_array(values) if ok else None
-    if flat is None:
-        return None
-    return _panel_table(str(path), ids, lines, counts, labels, reviewer, flat, criteria, flags, feedback)
+    def rules(self) -> list[_Break]:
+        """The first break of each line rule: the panel's own fields, each review in turn, the id's repeat."""
+        self.flat, not_number, not_finite = _numbers(self.values)
+        panel = [
+            _text("id", self.ids, self.ids),
+            _typed(self.labels, {bool, type(None)}, "field 'label' must be a boolean or null"),
+            (self.not_arrays[0], "field 'reviews' must be an array") if self.not_arrays else None,
+        ]
+        review = [
+            (self.not_objects[0], "each review must be a JSON object") if self.not_objects else None,
+            _text("reviewer", self.reviewer, self.names),
+            (self.neither[0], "each review needs a 'rubric' array or an 'overall' number")
+            if self.neither else None,
+            (self.criteria.index(0), "field 'rubric' must be a non-empty array of numbers")
+            if 0 in self.criteria else None,
+            self._value(not_number, number=True),
+            self._value(not_finite, number=False),
+            _typed(self.flags, {bool}, "field 'flag' must be a boolean"),
+            _typed(self.feedback, {str}, "field 'feedback' must be a string"),
+        ]
+        repeat = _duplicate("panel", self.ids)
+        return [
+            *(hit and ((hit[0], -1), hit[1]) for hit in panel),
+            *map(self._review, review),
+            repeat and ((repeat[0], len(self.reviewer)), repeat[1]),
+        ]
 
+    def _review(self, hit: _Break) -> _Break:
+        """A break of review row ``j``, which its panel calls ``reviews[k]``."""
+        if hit is None:
+            return None
+        j, message = hit
+        i, k = _owner(self.counts, j)
+        return (i, j), f"reviews[{k}]: {message}"
 
-def _check_panel_line(obj: dict) -> str:
-    """The id of a panel line whose fields pass the per-line checks; ValueError otherwise."""
-    submission_id = _get_str(obj, "id")
-    label = obj.get("label")
-    if label is not None and not isinstance(label, bool):
-        raise ValueError("field 'label' must be a boolean or null")
-    reviews = obj.get("reviews")
-    if not isinstance(reviews, list):
-        raise ValueError("field 'reviews' must be an array")
-    for i, review in enumerate(reviews):
-        try:
-            _check_review(review)
-        except ValueError as exc:
-            raise ValueError(f"reviews[{i}]: {exc}") from exc
-    return submission_id
+    def _value(self, v: int | None, number: bool) -> _Break:
+        """A break of rubric value ``v``: not a number (``number``), or not finite."""
+        if v is None:
+            return None
+        j, k = _owner(self.criteria, v)
+        if j in self.single:
+            message = "field 'overall' must be a number" if number else "field 'overall' must be finite"
+        elif number:
+            message = f"field 'rubric[{k}]' must be a number"
+        else:
+            message = f"values[{k}]: must be finite, got {self.values[v]!r}"
+        return j, message
+
+    def table(self, path: str, lines: list[int]) -> PanelTable:
+        return _panel_table(path, self.ids, lines, self.counts, self.labels, self.reviewer, self.flat,
+                            self.criteria, self.flags, self.feedback)
 
 
 def _panel_table(
@@ -601,87 +633,41 @@ def load_panel_records(path: str | Path) -> list[PanelRecord]:
     return [table.record(i) for i in range(len(table))]
 
 
-def _all_strings(values: list[Any]) -> bool:
-    """Whether every value is a non-empty string."""
-    return set(map(type, values)) <= {str} and all(values)
-
-
-def _distinct(ids: list[str]) -> bool:
-    """Whether no id is repeated.
-
-    Sorted hashes take 8 bytes an id where a set of the ids takes up to
-    130; the set is built only when two hashes are equal.
-    """
-    hashes = np.fromiter(map(hash, ids), np.int64, len(ids))
-    hashes.sort()
-    return not (hashes[1:] == hashes[:-1]).any() or len(set(ids)) == len(ids)
-
-
 def load_calibration_table(path: str | Path) -> CalibrationTable:
     """Parse calibration JSONL into a CalibrationTable; duplicate ids are rejected."""
-    return _load(path, _pool_columns, _check_pool_line, "record")
+    return _load(path, _PoolColumns())
 
 
-def _pool_columns(path: str | Path) -> CalibrationTable | None:
-    """The table of a pool file whose fields pass the column checks; None if one fails.
+class _PoolColumns:
+    """A pool file's fields in columns, one entry per line; "" stands for an id or a status that is not a string."""
 
-    The fields go into the columns a block of lines at a time, as in
-    ``_panel_columns``.
-    """
-    lines, ids, scores, accepts, statuses = [], [], [], [], []  # one entry per record
-    vocabulary: dict[str, str] = {}  # one string per status, so the decoded copies are freed
-    block: list[dict] = []  # decoded lines whose fields are not in the columns yet
+    def __init__(self) -> None:
+        self.ids, self.scores, self.accepts, self.statuses = [], [], [], []
+        self.vocabulary: dict[str, str] = {}  # one string per status, so the decoded copies are freed
 
-    def take() -> bool:
-        status = [obj.get("status") for obj in block]
-        if not set(map(type, status)) <= {str}:
-            return False
-        ids.extend([obj.get("id") for obj in block])
-        scores.extend([obj.get("score") for obj in block])
-        accepts.extend([obj.get("accept") for obj in block])
-        statuses.extend(map(vocabulary.setdefault, status, status))
-        block.clear()
-        return True
+    def take(self, block: list[dict]) -> None:
+        status = _fit([obj.get("status") for obj in block], {str}, "")
+        self.ids.extend(_fit([obj.get("id") for obj in block], {str}, ""))
+        self.scores.extend([obj.get("score") for obj in block])
+        self.accepts.extend([obj.get("accept") for obj in block])
+        self.statuses.extend(map(self.vocabulary.setdefault, status, status))
 
-    try:
-        for line_no, obj in _iter_json_lines(path):
-            if type(obj) is not dict:
-                return None
-            lines.append(line_no)
-            block.append(obj)
-            if len(block) == _BLOCK and not take():
-                return None
-    except RecordError:
-        return None
-    if not take():
-        return None
-    ok = (
-        _all_strings(ids)
-        and "" not in vocabulary
-        and set(map(type, accepts)) <= {bool}
-        and set(map(type, scores)) <= _NUMBER_TYPES
-        and _distinct(ids)
-    )
-    score_array = _finite_array(scores) if ok else None
-    if score_array is None:
-        return None
-    return CalibrationTable(
-        path=str(path),
-        ids=tuple(ids),
-        lines=np.array(lines),
-        scores=score_array,
-        accepts=np.array(accepts, dtype=bool),
-        statuses=tuple(statuses),
-    )
+    def rules(self) -> list[_Break]:
+        """The first break of each line rule, in order on a line."""
+        self.flat, not_number, not_finite = _numbers(self.scores)
+        hits = [
+            _text("id", self.ids, self.ids),
+            None if not_number is None else (not_number, "field 'score' must be a number"),
+            None if not_finite is None else (not_finite, "field 'score' must be finite"),
+            _typed(self.accepts, {bool}, "field 'accept' must be a boolean"),
+            _text("status", self.statuses, self.vocabulary),
+            _duplicate("record", self.ids),
+        ]
+        return [hit and ((hit[0], 0), hit[1]) for hit in hits]
 
-
-def _check_pool_line(obj: dict) -> str:
-    """The id of a pool line whose fields pass the per-line checks; ValueError otherwise."""
-    submission_id = _get_str(obj, "id")
-    _get_number(obj, "score")
-    _get_bool(obj, "accept")
-    _get_str(obj, "status")
-    return submission_id
+    def table(self, path: str, lines: list[int]) -> CalibrationTable:
+        accepts = np.array(self.accepts, dtype=bool)
+        return CalibrationTable(path, tuple(self.ids), np.array(lines), self.flat, accepts, tuple(self.statuses))
 
 
 def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:

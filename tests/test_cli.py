@@ -939,6 +939,28 @@ def test_panel_commands_fail_before_run_dir(tmp_path, capsys, command, config, m
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("name", ["any", "random-baseline"])
+@pytest.mark.parametrize("command", ["review", "detector-eval"])
+def test_reserved_reviewer_name_exits_2_before_run_dir(tmp_path, capsys, command, name):
+    # a reviewer named as a summary row would give metrics.csv or detector.csv two rows of that name
+    panels = [
+        {"id": "p1", "label": True, "reviews": [{"reviewer": "m1", "overall": 5, "flag": True}]},
+        {"id": "p2", "label": False, "reviews": [{"reviewer": "m1", "overall": 6, "flag": False},
+                                                 {"reviewer": name, "overall": 4, "flag": True}]},
+        {"id": "p3", "label": True, "reviews": [{"reviewer": name, "overall": 7, "flag": False}]},
+    ]
+    path = write(tmp_path, "panels.jsonl", "".join(json.dumps(p) + "\n" for p in panels))
+    argv = [command, "--panels", path]
+    if command == "review":
+        argv += ["--thresholds", write(tmp_path, "thresholds.json", THRESHOLDS),
+                 "--config", write_json(tmp_path, "config.json",
+                                        {"functional": {"kind": "linear", "coefficients": [1]}})]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err == f"error: {path}:2: reviewer name {name!r} is reserved for the summary row\n"
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize(
     ("lines", "message"),
     [

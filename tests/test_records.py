@@ -422,6 +422,42 @@ def test_calibration_table_bad_field_wins_over_a_later_bad_line(records, data):
     assert message is not None and f":{i + 1}: " in message
 
 
+def stack_breaks(draw, obj, breaks, count):
+    """``obj`` with ``count`` of its fields broken, each set to a value of ``breaks`` or removed."""
+    for key in draw(st.lists(st.sampled_from(sorted(breaks)), min_size=count, max_size=count, unique=True)):
+        value = draw(st.sampled_from(breaks[key]))
+        obj.pop(key, None)
+        if value is not MISSING:
+            obj[key] = value
+    return obj
+
+
+def break_lines(draw, count):
+    """(a, b): line ``a`` of ``count`` takes value breaks and the later line ``b`` a structural one.
+
+    ``a`` lies in ``b``'s block of 64 lines or in the block before.
+    """
+    b = draw(st.integers(65, count - 1))
+    a = draw(st.integers(64, b - 1) if draw(st.booleans()) else st.integers(0, 63))
+    return a, b
+
+
+@st.composite
+def stacked_pool_lines(draw):
+    """130 pool lines: 2-3 field breaks on one line, a status that is not a string on a later one."""
+    lines = pool_filler(130)
+    a, b = break_lines(draw, len(lines))
+    lines[a] = json.dumps(stack_breaks(draw, json.loads(lines[a]), FIELD_BREAKS, draw(st.integers(2, 3))))
+    lines[b] = json.dumps({**json.loads(lines[b]), "status": 3})
+    return lines
+
+
+@settings(max_examples=max(200, settings.default.max_examples))
+@given(stacked_pool_lines())
+def test_calibration_table_orders_the_rules_of_one_line(lines):
+    assert assert_loaders_agree(lines) is not None
+
+
 @pytest.mark.parametrize(
     "load", [load_calibration_table, load_panel_table], ids=["pool", "panel"]
 )
@@ -723,3 +759,73 @@ def test_panel_table_names_a_bad_line_in_a_later_block(tmp_path, line, message):
         load_panel_table(path)
     assert str(got.value) == f"{path}:101: {message}"
     assert assert_panel_loaders_agree(text).endswith(f":101: {message}")
+
+
+# a review that is not an object, or that has neither a rubric nor an overall, beside its field breaks
+REVIEW_BREAKS = {**REVIEW_FIELD_BREAKS, "object": [5, "r", None, [1], True], "neither": [None]}
+# breaks that send a block of 64 lines down the entry-by-entry path
+STRUCTURAL_BREAKS = [("reviews", "r"), ("review", 5), ("rubric", "7"), ("reviewer", 3)]
+
+
+def break_review(draw, review):
+    """``review`` with one break of REVIEW_BREAKS."""
+    key = draw(st.sampled_from(sorted(REVIEW_BREAKS)))
+    if key == "object":
+        return draw(st.sampled_from(REVIEW_BREAKS[key]))
+    if key == "neither":
+        return {k: v for k, v in review.items() if k not in ("rubric", "overall")}
+    return stack_breaks(draw, review, {key: REVIEW_FIELD_BREAKS[key]}, 1)
+
+
+@st.composite
+def stacked_panel_text(draw):
+    """130 panel lines: one line with both reviews broken and perhaps a third break, of a panel
+    field or a review, and a structural break on a later line."""
+    panels = [{"id": f"p{i}", "label": i % 2 == 0,
+               "reviews": [{"reviewer": "r1", "rubric": [i, 2.5], "flag": False},
+                           {"reviewer": "r2", "overall": 6, "flag": True, "feedback": "ok"}]}
+              for i in range(130)]
+    a, b = break_lines(draw, len(panels))
+    reviews = panels[a]["reviews"]
+    third = draw(st.sampled_from([None, "panel", 0, 1]))
+    for k in range(2):
+        reviews[k] = break_review(draw, reviews[k])
+        if third == k and isinstance(reviews[k], dict):
+            reviews[k] = break_review(draw, reviews[k])
+    if third == "panel":
+        stack_breaks(draw, panels[a], PANEL_FIELD_BREAKS, 1)
+    key, value = draw(st.sampled_from(STRUCTURAL_BREAKS))
+    k = draw(st.integers(0, 1))
+    if key == "reviews":
+        panels[b]["reviews"] = value
+    elif key == "review":
+        panels[b]["reviews"][k] = value
+    else:
+        panels[b]["reviews"][k][key] = value
+    return "".join(json.dumps(panel) + "\n" for panel in panels)
+
+
+@settings(max_examples=max(200, settings.default.max_examples))
+@given(stacked_panel_text())
+def test_panel_table_orders_the_rules_of_one_line(text):
+    assert assert_panel_loaders_agree(text) is not None
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "bad-last-line"])
+@pytest.mark.parametrize("load", [load_panel_table, load_calibration_table], ids=["panel", "pool"])
+def test_a_file_is_read_once(tmp_path, monkeypatch, load, bad):
+    read = []
+    read_text = records_module.read_text
+    monkeypatch.setattr(records_module, "read_text", lambda path: read.append(path) or read_text(path))
+    if load is load_panel_table:
+        text = filler_lines(100) + ('{"id": "p200", "label": "no", "reviews": []}\n' if bad else "")
+    else:
+        text = "".join(line + "\n" for line in pool_filler(100))
+        text += '{"id": "c200", "score": "1", "accept": true, "status": "s"}\n' if bad else ""
+    path = write(tmp_path, "input.jsonl", text)
+    if bad:
+        with pytest.raises(RecordError, match=":101: "):
+            load(path)
+    else:
+        assert len(load(path)) == 100
+    assert read == [path]
