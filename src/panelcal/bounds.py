@@ -15,10 +15,12 @@ error bounds for calibration live here too.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .core import BoundInputs, NoiseProfile, ReviewerWeights, RubricSchema, ScoringFunctional
-from .core import non_negative, open_unit, positive
+from .rules import non_negative, open_unit, positive
+
+if TYPE_CHECKING:
+    from .core import BoundInputs, NoiseProfile, ReviewerWeights, RubricSchema, ScoringFunctional
 
 __all__ = [
     "tail_bound",
@@ -88,6 +90,8 @@ def scalar_bound_inputs(weights: ReviewerWeights, noise: NoiseProfile) -> BoundI
 
     sigma_w^2 = sum_m w_m^2 sigma_m^2 and c_max = max_m w_m (b - a).
     """
+    from .core import BoundInputs  # here, so the bounds that take no objects load no core
+
     if len(weights) != noise.reviewer_count:
         raise ValueError(
             f"weights: expected {noise.reviewer_count} entries, got {len(weights)}"
@@ -110,6 +114,8 @@ def rubric_bound_inputs(
     the variance proxy is sigma_w^2 = L^2 sum_m w_m^2 lambda_m, where
     lambda_m bounds the top eigenvalue of reviewer m's rubric covariance.
     """
+    from .core import BoundInputs
+
     lambdas = [float(v) for v in lambda_max]
     if len(lambdas) != len(weights):
         raise ValueError(f"lambda_max: expected {len(weights)} entries, got {len(lambdas)}")

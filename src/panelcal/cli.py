@@ -16,48 +16,32 @@ A command that stops on an error creates no directory.  Exit codes:
 0 success, 2 input or config error, 3 calibration infeasible, 4
 simulation property-check failure (its run directory is still written).
 
-This module holds the parser, the run directory and ``bound``, and
-imports only the standard library and ``core``.  The data commands live
-in ``cli_calibrate``, ``cli_panels`` and ``cli_simulate``, each imported
-only when its command runs, so a command loads just the modules it uses
-(``bound`` loads no numpy).
+This module holds the parser, ``main``, the ``--out`` check, the file
+digest and ``bound``, and imports only ``rules``, argparse and small
+standard modules.  The data commands live in ``cli_calibrate``,
+``cli_panels`` and ``cli_simulate``, each imported only when its command
+runs, with the run directory and its manifest in ``rundir``.  So a command
+loads just the modules it uses: ``bound dkw``, ``scalar`` and ``tau05``
+load no numpy, ``core``, ``dataclasses``, ``hashlib`` or ``json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import errno
-import hashlib
 import importlib
-import json
 import os
 import sys
-import time
-from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .core import BoundInputs, RecordError, ThresholdUnreachableError
+from .rules import RecordError, ThresholdUnreachableError
 
-__all__ = ["RunManifest", "build_parser", "main", "run"]
-
-
-# ---------------------------------------------------------------- manifest
+__all__ = ["build_parser", "main", "run"]
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance for one run directory, written as ``manifest.json``."""
-
-    command: str
-    tool_version: str
-    started_at: str
-    finished_at: str | None
-    seed: int | None
-    config_digest: str | None
-    input_digests: dict[str, str]
-    output_digests: dict[str, str]
+# ---------------------------------------------------------------- --out and digests
 
 
 def _out_error(out_base: Path, code: int) -> ValueError:
@@ -79,83 +63,17 @@ def _check_out(out: str) -> None:
             return
 
 
-def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-
 _HASH_BLOCK = 1 << 20  # bytes read at once, so no file is held whole to hash it
 
 
 def _sha256_file(path: Path) -> str:
+    import hashlib  # here: OpenSSL costs bound, which hashes nothing, a few ms of start-up
+
     digest = hashlib.sha256()
     with path.open("rb") as file:
         for block in iter(lambda: file.read(_HASH_BLOCK), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-class _Run:
-    """One run's manifest and outputs, kept in memory until ``finish`` writes them."""
-
-    def __init__(
-        self,
-        out_base: str,
-        command: str,
-        seed: int | None,
-        config_path: str | None,
-        input_paths: Sequence[str],
-    ) -> None:
-        input_digests = {str(p): _sha256_file(Path(p)) for p in input_paths}
-        config_digest = None if config_path is None else _sha256_file(Path(config_path))
-        ident = hashlib.sha256(
-            json.dumps(
-                [command, seed, config_digest, sorted(input_digests.items())],
-                sort_keys=True,
-            ).encode()
-        ).hexdigest()[:8]
-        stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
-        self.out_base = Path(out_base)
-        self.name = f"{command}-{stamp}-{ident}"
-        self.outputs: dict[str, str] = {}
-        self.manifest = RunManifest(
-            command=command,
-            tool_version=__version__,
-            started_at=_utc_now(),
-            finished_at=None,
-            seed=seed,
-            config_digest=config_digest,
-            input_digests=input_digests,
-            output_digests={},
-        )
-
-    def write(self, name: str, text: str) -> None:
-        if name in self.outputs:
-            raise RuntimeError(f"refusing to overwrite {name}")
-        self.outputs[name] = text
-
-    def finish(self) -> None:
-        """Create the run directory, write the outputs, then the manifest."""
-        try:
-            self.out_base.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
-            # a file is in the way: the path itself or one of its parents
-            raise _out_error(self.out_base, exc.errno) from None
-        run_dir = self.out_base / self.name
-        suffix = 1
-        while run_dir.exists():
-            suffix += 1
-            run_dir = self.out_base / f"{self.name}-{suffix}"
-        run_dir.mkdir()
-        for name, text in self.outputs.items():
-            (run_dir / name).write_text(text, encoding="utf-8")
-        manifest = replace(
-            self.manifest,
-            finished_at=_utc_now(),
-            output_digests={name: _sha256_file(run_dir / name) for name in sorted(self.outputs)},
-        )
-        text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-        (run_dir / "manifest.json").write_text(text, encoding="utf-8")
-        print(f"run directory: {run_dir}")
 
 
 # ---------------------------------------------------------------- config
@@ -171,14 +89,14 @@ def _config_error(message: str) -> RecordError:
 def cmd_bound(args: argparse.Namespace) -> int:
     from . import bounds
 
-    if args.bound_kind == "tail":
-        value = bounds.tail_bound(
-            args.t, BoundInputs(sigma_w_sq=args.sigma_w_sq, c_max=args.c_max)
-        )
-    elif args.bound_kind == "margin":
-        value = bounds.margin_misclassification_bound(
-            args.gamma, BoundInputs(sigma_w_sq=args.sigma_w_sq, c_max=args.c_max)
-        )
+    if args.bound_kind in ("tail", "margin"):
+        from .core import BoundInputs  # only these two kinds load core and its dataclasses
+
+        inputs = BoundInputs(sigma_w_sq=args.sigma_w_sq, c_max=args.c_max)
+        if args.bound_kind == "tail":
+            value = bounds.tail_bound(args.t, inputs)
+        else:
+            value = bounds.margin_misclassification_bound(args.gamma, inputs)
     elif args.bound_kind == "scalar":
         value = bounds.scalar_uniform_bound(args.m, args.gamma, args.sigma_sq, args.range_width)
     elif args.bound_kind == "dkw":

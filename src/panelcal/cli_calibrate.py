@@ -8,9 +8,10 @@ from dataclasses import asdict
 from typing import Sequence
 
 from . import bounds, calibrate, config, metrics, records
-from .cli import _config_error, _Run
+from .cli import _config_error
 from .core import DecisionThresholds, RecordError
 from .records import CalibrationTable
+from .rundir import _Run
 
 
 def _check_strata(

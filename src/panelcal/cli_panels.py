@@ -14,9 +14,10 @@ from typing import Mapping
 import numpy as np
 
 from . import aggregate, config, metrics, records
-from .cli import _config_error, _Run
+from .cli import _config_error
 from .core import RecordError, RubricSchema, ScoringFunctional
 from .records import PanelTable
+from .rundir import _Run
 
 
 def _scoring(

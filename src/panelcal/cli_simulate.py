@@ -7,8 +7,8 @@ from dataclasses import fields, replace
 from typing import Sequence
 
 from . import config, metrics, simulate
-from .cli import _Run
 from .core import NoiseProfile, RecordError
+from .rundir import _Run
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:

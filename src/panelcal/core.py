@@ -5,15 +5,28 @@ Every type validates its invariants at construction and raises
 are immutable.  ``panelcal.config`` builds the types read from config and
 thresholds files and reports these errors under the key path.  The two
 errors the command line maps to exit codes, ``RecordError`` (2) and
-``ThresholdUnreachableError`` (3), live here too, so catching them needs no
-numpy; ``records`` and ``calibrate`` re-export them.
+``ThresholdUnreachableError`` (3), and the number rules (``finite``,
+``positive``, ``non_negative``, ``open_unit``) live in ``panelcal.rules``,
+which loads no numpy and no ``dataclasses``; ``core`` re-exports them, as
+``records`` and ``calibrate`` re-export the errors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
+
+from .rules import (
+    NumberRule,
+    RecordError,
+    ThresholdUnreachableError,
+    _fail,
+    finite,
+    non_negative,
+    open_unit,
+    positive,
+)
 
 __all__ = [
     "RubricSchema",
@@ -40,52 +53,12 @@ __all__ = [
 _WEIGHT_SUM_TOL = 1e-9
 
 
-class RecordError(ValueError):
-    """Malformed input file or config; the message names the file and line or the key path."""
-
-
-class ThresholdUnreachableError(ValueError):
-    """The fitted tail curve never reaches the requested level."""
-
-
-def _fail(field: str, message: str) -> None:
-    raise ValueError(f"{field}: {message}")
-
-
 def left_sum(values: Iterable[float]) -> float:
     """Float sum added left to right, like ``records.left_sums`` (not 3.12's ``sum``)."""
     total = 0.0
     for value in values:
         total += value
     return total
-
-
-@dataclass(frozen=True)
-class NumberRule:
-    """A check of one number: ``rule(field, value)`` returns ``float(value)`` or raises
-    ``ValueError("field: must <requirement>, got <value as a float>")``."""
-
-    requirement: str
-    ok: Callable[[float], bool]
-
-    def __call__(self, field: str, value: float) -> float:
-        value = float(value)
-        if not self.ok(value):
-            _fail(field, f"must {self.requirement}, got {value!r}")
-        return value
-
-    def each(self, field: str, values: Iterable[float]) -> tuple[float, ...]:
-        """Every value as a float; all are converted before ``field[k]`` is checked."""
-        values = tuple(map(float, values))
-        for k, value in enumerate(values):
-            self(f"{field}[{k}]", value)
-        return values
-
-
-finite = NumberRule("be finite", math.isfinite)
-positive = NumberRule("be finite and > 0", lambda x: math.isfinite(x) and x > 0)
-non_negative = NumberRule("be finite and >= 0", lambda x: math.isfinite(x) and x >= 0)
-open_unit = NumberRule("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -329,7 +330,8 @@ def _decode(text: str, where: str) -> Any:
     """``text`` as ``json.loads`` parses it; a RecordError ``where: invalid JSON: ...`` if it fails.
 
     This is the one place a JSON error is worded, a value nested too deep
-    for the decoder included.
+    for the decoder and an integer longer than the interpreter converts
+    (``sys.set_int_max_str_digits``) included.
     """
     try:
         return json.loads(text)
@@ -337,6 +339,9 @@ def _decode(text: str, where: str) -> Any:
         raise RecordError(f"{where}: invalid JSON: {exc.msg}") from exc
     except RecursionError:
         raise RecordError(f"{where}: invalid JSON: nested too deeply") from None
+    except ValueError:  # the scanner's int() refused an integer past the digit limit
+        limit = sys.get_int_max_str_digits()
+        raise RecordError(f"{where}: invalid JSON: integer has more than {limit} digits") from None
 
 
 _CHUNK = 1 << 16  # characters split into lines at once
@@ -370,7 +375,7 @@ def _iter_json_lines(path: str | Path):
             continue
         try:
             obj, end = _scan(value, 0)
-        except (json.JSONDecodeError, StopIteration, RecursionError):  # StopIteration: no value starts there
+        except (ValueError, StopIteration, RecursionError):  # StopIteration: no value starts there
             end = -1
         if end != len(value):
             obj = _decode(line, f"{path}:{line_no}")

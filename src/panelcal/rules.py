@@ -1,0 +1,66 @@
+"""The exit-code errors and the number rules, with no numpy and no dataclasses.
+
+``RecordError`` (exit 2) and ``ThresholdUnreachableError`` (exit 3) are
+the two errors the command line maps to exit codes.  The four number rules
+check the number arguments of ``core``, ``aggregate``, ``bayes``,
+``bounds``, ``calibrate`` and ``simulate``.  ``core`` re-exports every name
+here, so ``bound``, which needs only these, loads neither ``core`` nor
+``dataclasses``.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable, Iterable
+
+__all__ = [
+    "RecordError",
+    "ThresholdUnreachableError",
+    "NumberRule",
+    "finite",
+    "positive",
+    "non_negative",
+    "open_unit",
+]
+
+
+class RecordError(ValueError):
+    """Malformed input file or config; the message names the file and line or the key path."""
+
+
+class ThresholdUnreachableError(ValueError):
+    """The fitted tail curve never reaches the requested level."""
+
+
+def _fail(field: str, message: str) -> None:
+    raise ValueError(f"{field}: {message}")
+
+
+class NumberRule:
+    """A check of one number: ``rule(field, value)`` returns ``float(value)`` or raises
+    ``ValueError("field: must <requirement>, got <value as a float>")``."""
+
+    __slots__ = ("requirement", "ok")
+
+    def __init__(self, requirement: str, ok: Callable[[float], bool]) -> None:
+        self.requirement = requirement
+        self.ok = ok
+
+    def __call__(self, field: str, value: float) -> float:
+        value = float(value)
+        if not self.ok(value):
+            _fail(field, f"must {self.requirement}, got {value!r}")
+        return value
+
+    def each(self, field: str, values: Iterable[float]) -> tuple[float, ...]:
+        """Every value as a float; all are converted before ``field[k]`` is checked."""
+        values = tuple(map(float, values))
+        for k, value in enumerate(values):
+            self(f"{field}[{k}]", value)
+        return values
+
+
+finite = NumberRule("be finite", math.isfinite)
+positive = NumberRule("be finite and > 0", lambda x: math.isfinite(x) and x > 0)
+non_negative = NumberRule("be finite and >= 0", lambda x: math.isfinite(x) and x >= 0)
+open_unit = NumberRule("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)

@@ -1045,6 +1045,37 @@ def test_too_deep_json_exits_2_with_only_the_error_line(tmp_path, command):
     assert not (tmp_path / "runs").exists()
 
 
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # from 3.10.7 on; 0: no limit
+HUGE = "9" * (DIGIT_LIMIT + 1)  # one digit longer than json.loads converts
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts integers of any length")
+@pytest.mark.parametrize("kind", ["panels", "pool", "config", "thresholds"])
+def test_over_long_integer_exits_2_naming_the_file(tmp_path, capsys, kind):
+    pool = write(tmp_path, "pool.jsonl", POOL)
+    config = write_json(tmp_path, "config.json", {"target_rate": 0.3})
+    if kind == "panels":
+        line = '{"id": "p5", "label": true, "reviews": [{"reviewer": "m1", "rubric": [6, %s]}]}\n'
+        bad = write(tmp_path, "panels.jsonl", DET_PANELS + line % HUGE)
+        argv, where = ["detector-eval", "--panels", bad], f"{bad}:5"
+    elif kind == "pool":
+        bad = write(tmp_path, "pool.jsonl", POOL.replace("3.0", HUGE, 1))
+        argv, where = ["calibrate", "--records", bad, "--config", config], f"{bad}:2"
+    elif kind == "config":
+        bad = write(tmp_path, "config.json", '{"target_rate": ' + HUGE + "}\n")
+        argv, where = ["calibrate", "--records", pool, "--config", bad], bad
+    else:
+        bad = write(tmp_path, "thresholds.json", THRESHOLDS.replace("6}", HUGE + "}"))
+        schema = {"schema": {"criteria_count": 2, "bounds": [[0, 10], [0, 10]]}}
+        argv = ["review", "--panels", write(tmp_path, "panels.jsonl", PANELS), "--thresholds", bad,
+                "--config", write_json(tmp_path, "review.json", schema)]
+        where = bad
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err == f"error: {where}: invalid JSON: integer has more than {DIGIT_LIMIT} digits\n"
+    assert not (tmp_path / "runs").exists()
+
+
 def test_bayes_settings_checked_before_run_dir(tmp_path, capsys):
     panels = write(tmp_path, "panels.jsonl", BAYES_PANELS)
     for key, value, message in [

@@ -3,9 +3,11 @@
 Fresh interpreters run one command each on the ``test_cli`` fixtures and
 report the modules they loaded.  In-process tests cover the lazy
 ``panelcal`` package: submodules resolve on first attribute access, and
-the two exit-code errors live in numpy-free ``core``.
+the two exit-code errors and the number rules live in ``rules``, which
+``core`` re-exports.
 """
 
+import functools
 import json
 import os
 import subprocess
@@ -16,28 +18,80 @@ import pytest
 
 import panelcal
 from panelcal import calibrate, core, records
-from test_cli import BAYES_PANELS, DET_PANELS, PANELS, POOL, THRESHOLDS, bayes_config
+from test_cli import (
+    BAYES_PANELS,
+    COHORT_SPEC,
+    DET_PANELS,
+    PANELS,
+    POOL,
+    THRESHOLDS,
+    bayes_config,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# runs the command like the console script, then prints its exit code and sys.modules
+# runs the command like the console script, then prints its exit code and the modules it
+# loaded; json is imported only after sys.modules is read
 PROBE = (
-    "import json, sys\n"
+    "import sys\n"
     "from panelcal.cli import main\n"
-    "code = main(sys.argv[1:])\n"
-    "print(json.dumps([code, sorted(sys.modules)]))\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "modules = sorted(sys.modules)\n"
+    "import json\n"
+    "print(json.dumps([code, modules]))\n"
 )
 
 
-def loaded(cwd, *argv, code=0):
-    """The modules a fresh interpreter has loaded after running ``panelcal argv``,
-    which must exit with ``code``."""
+def _env():
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=env,
+    return {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
+
+
+def fresh(cwd, *argv, code=0):
+    """The modules a fresh interpreter has loaded after running ``panelcal argv``,
+    which must exit with ``code``, and what the command printed."""
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=_env(),
                           capture_output=True, text=True, check=True)
-    exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
+    printed, _, probe = proc.stdout.rstrip("\n").rpartition("\n")
+    exit_code, modules = json.loads(probe)
     assert exit_code == code, proc.stderr
-    return set(modules)
+    return set(modules), printed
+
+
+def loaded(cwd, *argv, code=0):
+    return fresh(cwd, *argv, code=code)[0]
+
+
+@functools.cache
+def interpreter_modules():
+    """The modules ``python -c pass`` has loaded in this environment, site hooks included."""
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(*sorted(sys.modules))"],
+                          env=_env(), capture_output=True, text=True, check=True)
+    return frozenset(proc.stdout.split())
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "dkw", "--n", "200", "--delta", "0.05"],
+    ["bound", "scalar", "--m", "3", "--gamma", "1", "--sigma-sq", "1", "--range", "9"],
+    ["bound", "tau05", "--eps-pi", "0.1", "--c-min", "0.4", "--flat-width", "1"],
+    ["--version"],
+], ids=["dkw", "scalar", "tau05", "version"])
+def test_bound_and_version_load_no_core_dataclasses_hashlib_or_json(tmp_path, argv):
+    modules = loaded(tmp_path, *argv) - interpreter_modules()
+    assert not modules & {"dataclasses", "hashlib", "json", "panelcal.core"}
+    assert not modules & {"numpy", "panelcal.rundir"}
+
+
+@pytest.mark.parametrize(("argv", "expected"), [
+    (["bound", "tail", "--t", "2", "--sigma-w-sq", "0.25", "--c-max", "0.5"], "0.0324332"),
+    (["bound", "margin", "--gamma", "2", "--sigma-w-sq", "0.25", "--c-max", "0.5"], "0.0324332"),
+])
+def test_tail_and_margin_build_their_bound_inputs(tmp_path, argv, expected):
+    modules, printed = fresh(tmp_path, *argv)
+    assert printed == expected
+    assert "panelcal.core" in modules
 
 
 def test_bound_loads_no_numpy(tmp_path):
@@ -72,7 +126,7 @@ def test_panel_commands_load_no_simulate_calibrate_or_bounds(tmp_path, command):
         "detector-eval": ["--panels", write("panels.jsonl", DET_PANELS)],
     }[command]
     modules = loaded(tmp_path, command, *argv, "--out", "runs")
-    assert "panelcal.cli_panels" in modules
+    assert {"panelcal.cli_panels", "panelcal.rundir"} <= modules
     assert not modules & {"panelcal.simulate", "panelcal.calibrate", "panelcal.bounds", "logging",
                           "numpy.ma"}
     if command != "bayes":
@@ -84,7 +138,7 @@ def test_calibrate_loads_no_simulate_or_bayes(tmp_path):
     (tmp_path / "config.json").write_text('{"target_rate": 0.33}', encoding="utf-8")
     modules = loaded(tmp_path, "calibrate", "--records", "pool.jsonl", "--config", "config.json",
                      "--out", "runs")
-    assert "panelcal.calibrate" in modules
+    assert {"panelcal.calibrate", "panelcal.rundir"} <= modules
     assert not modules & {"panelcal.simulate", "panelcal.bayes", "panelcal.aggregate", "logging"}
 
 
@@ -92,8 +146,17 @@ def test_threshold_error_loads_no_aggregate(tmp_path):
     # two replicates fail the slope check (exit 4) after the whole experiment has run
     modules = loaded(tmp_path, "simulate", "threshold-error", "--grid", "50,100", "--replicates", "2",
                      "--out", "runs", code=4)
-    assert "panelcal.simulate" in modules
+    assert {"panelcal.simulate", "panelcal.rundir"} <= modules
     assert not modules & {"panelcal.aggregate", "panelcal.bayes"}
+
+
+@pytest.mark.parametrize("experiment", ["margins", "variance"])
+def test_cohort_experiments_load_the_run_directory(tmp_path, experiment):
+    config = {"simulate": {experiment: {"spec": COHORT_SPEC}}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    modules = loaded(tmp_path, "simulate", experiment, "--config", "config.json", "--m", "1,2",
+                     "--out", "runs")
+    assert {"panelcal.cli_simulate", "panelcal.rundir"} <= modules
 
 
 def test_import_panelcal_loads_no_submodule(tmp_path):
@@ -120,7 +183,12 @@ def test_lazy_package_resolves_every_public_name():
 
 
 def test_exit_code_errors_are_reexported():
-    assert records.RecordError is core.RecordError
-    assert calibrate.ThresholdUnreachableError is core.ThresholdUnreachableError
-    assert issubclass(core.RecordError, ValueError)
-    assert issubclass(core.ThresholdUnreachableError, ValueError)
+    from panelcal import rules
+
+    for name in ("RecordError", "ThresholdUnreachableError", "NumberRule", "finite", "positive",
+                 "non_negative", "open_unit"):
+        assert getattr(core, name) is getattr(rules, name)
+    assert records.RecordError is rules.RecordError
+    assert calibrate.ThresholdUnreachableError is rules.ThresholdUnreachableError
+    assert issubclass(rules.RecordError, ValueError)
+    assert issubclass(rules.ThresholdUnreachableError, ValueError)
