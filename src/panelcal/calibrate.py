@@ -7,9 +7,11 @@ isotonic fit of the conditional tail probability
 
     pi(z) = P(human accepts | agent score >= z)
 
-reaches 1/2, found exactly as a level-set argmin (``tau05_from_scores``,
-whose kernel ``simulate.threshold_bootstrap`` also runs on whole blocks of
-replicates); the PAVA fit (``isotonic_fit``) gives the curve for ``curve.csv``.
+reaches 1/2, found exactly as a level-set argmin over the tail counts.
+One sort of the pool (``TailCounts``) gives both thresholds and the curve
+points; ``_tau05_ranks`` runs the same rule on whole blocks of bootstrap
+replicates, and the PAVA fit (``isotonic_fit``) gives the curve for
+``curve.csv``.
 Stratified subsampling (score bins crossed with review status,
 largest-remainder quotas) builds the calibration set itself.
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping, Sequence, Union
+from typing import Any, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -36,6 +38,7 @@ __all__ = [
     "CellQuota",
     "StratificationPlan",
     "IsotonicCurve",
+    "TailCounts",
     "cell_populations",
     "allocate_quotas",
     "stratified_sample",
@@ -140,22 +143,26 @@ class IsotonicCurve:
     def __post_init__(self) -> None:
         if not self.knots:
             raise ValueError("knots: must contain at least one knot")
-        cleaned = []
-        for i, (t, v, w) in enumerate(self.knots):
-            t, v, w = float(t), float(v), float(w)
-            if not math.isfinite(t):
-                raise ValueError(f"knots[{i}]: threshold must be finite, got {t!r}")
-            if not -_MONOTONE_TOL <= v <= 1.0 + _MONOTONE_TOL:
-                raise ValueError(f"knots[{i}]: fitted value must lie in [0, 1], got {v!r}")
-            if not (math.isfinite(w) and w > 0):
-                raise ValueError(f"knots[{i}]: weight must be finite and > 0, got {w!r}")
-            cleaned.append((t, min(max(v, 0.0), 1.0), w))
-        for i in range(1, len(cleaned)):
-            if cleaned[i][0] <= cleaned[i - 1][0]:
+        t, v, w = np.array(self.knots, dtype=float).T
+        bad_t = ~np.isfinite(t)
+        bad_v = ~((v >= -_MONOTONE_TOL) & (v <= 1.0 + _MONOTONE_TOL))
+        bad_w = ~(np.isfinite(w) & (w > 0))
+        bad = np.flatnonzero(bad_t | bad_v | bad_w)
+        if bad.size:
+            i = int(bad[0])
+            if bad_t[i]:
+                raise ValueError(f"knots[{i}]: threshold must be finite, got {float(t[i])!r}")
+            if bad_v[i]:
+                raise ValueError(f"knots[{i}]: fitted value must lie in [0, 1], got {float(v[i])!r}")
+            raise ValueError(f"knots[{i}]: weight must be finite and > 0, got {float(w[i])!r}")
+        v = np.clip(v, 0.0, 1.0)
+        rising = np.diff(t) > 0
+        bad = np.flatnonzero(~rising | (np.diff(v) < -_MONOTONE_TOL))
+        if bad.size:
+            if not rising[bad[0]]:
                 raise ValueError("knots: thresholds must be strictly increasing")
-            if cleaned[i][1] < cleaned[i - 1][1] - _MONOTONE_TOL:
-                raise ValueError("knots: fitted values must be non-decreasing")
-        object.__setattr__(self, "knots", tuple(cleaned))
+            raise ValueError("knots: fitted values must be non-decreasing")
+        object.__setattr__(self, "knots", tuple(zip(t.tolist(), v.tolist(), w.tolist())))
 
     @property
     def thresholds(self) -> tuple[float, ...]:
@@ -335,6 +342,59 @@ def empirical_acceptance(scores: Sequence[float], threshold: float) -> float:
     return float(np.mean(arr >= threshold))
 
 
+class TailCounts(NamedTuple):
+    """A pool's scores after one sort: the distinct scores, and the records and accepts at or above each.
+
+    ``scores`` are ascending, each as it first occurs in the pool (equal
+    floats differ only in the sign of zero, so a pool holding 0.0 and -0.0
+    keeps whichever comes first); ``records`` and ``accepts`` are the tail
+    counts N_k and A_k; ``keys`` packs each record as ``rank << 1 | accept``,
+    its rank indexing ``scores``.  ``rate_matching_threshold``,
+    ``tau05_from_scores``, ``distinct_scores`` and ``tail_probability_points``
+    are views of it.
+    """
+
+    scores: np.ndarray
+    records: np.ndarray
+    accepts: np.ndarray
+    keys: np.ndarray
+
+    @classmethod
+    def of(cls, scores: np.ndarray, accepted: np.ndarray | None = None) -> TailCounts:
+        """The tail counts of ``scores``; ``accepted`` masks the accepted ones (none without it)."""
+        uniq, inverse = np.unique(scores, return_inverse=True)
+        zero = np.flatnonzero(uniq == 0)
+        if zero.size:  # the only equal floats that differ: 0.0 and -0.0; keep the first
+            uniq[zero] = scores[np.argmax(scores == 0)]
+        if accepted is None:
+            accepted = np.zeros(inverse.size, dtype=bool)
+        records, accepts = (
+            np.cumsum(np.bincount(rows, minlength=uniq.size)[::-1])[::-1]
+            for rows in (inverse, inverse[accepted])
+        )
+        return cls(uniq, records, accepts, (inverse.astype(np.int64) << 1) | accepted)
+
+    def rate_threshold(self, target_rate: float) -> float:
+        """Smallest distinct score whose acceptance is closest to ``target_rate``, or +inf.
+
+        The accept-nothing sentinel +inf has acceptance 0, so its gap is
+        ``target_rate``; a finite score wins a tie with it.
+        """
+        target_rate = open_unit("target_rate", target_rate)
+        gaps = np.abs(self.records / self.records[0] - target_rate)  # records[0]: the whole pool
+        best = int(np.argmin(gaps))  # the first, so the smallest of tied thresholds
+        return float(self.scores[best]) if gaps[best] <= target_rate else math.inf
+
+    def tau05(self) -> float:
+        """tau_05 by the level-set rule of ``_tau05_ranks``, run on the pool as one row."""
+        k = int(_tau05_ranks(self.keys[None, :])[0])
+        if k < 0:
+            # the last PAVA block: the largest suffix mean of the tail curve
+            peak = float(np.max(np.cumsum(self.accepts[::-1]) / np.cumsum(self.records[::-1])))
+            raise ThresholdUnreachableError(f"fitted curve never reaches 0.5 (max fitted value {peak:.6g})")
+        return float(self.scores[k])
+
+
 def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> float:
     """Smallest threshold whose empirical acceptance is closest to the target.
 
@@ -346,15 +406,7 @@ def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> floa
         raise ValueError("scores: must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("scores: must be finite")
-    target_rate = open_unit("target_rate", target_rate)
-    ordered = np.sort(arr)
-    n = ordered.size
-    uniq, first = np.unique(ordered, return_index=True)
-    rates = (n - first) / n
-    gaps = np.abs(rates - target_rate)
-    best = int(np.argmin(gaps))  # the first, so the smallest of tied thresholds
-    # the sentinel's acceptance is 0, so its gap is target_rate; finite wins ties
-    return float(uniq[best]) if gaps[best] <= target_rate else math.inf
+    return TailCounts.of(arr).rate_threshold(target_rate)
 
 
 def distinct_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -364,36 +416,27 @@ def distinct_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:
     ``sorted(set(scores))``: a pool holding 0.0 and -0.0 keeps whichever
     comes first.
     """
-    s = np.asarray(scores, dtype=float)
-    return s[np.unique(s, return_index=True)[1]]
-
-
-def _tail_counts(
-    scores: np.ndarray, accepted: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct scores ascending, and the records and accepts at or above each.
-
-    ``accepted`` is a boolean mask over ``scores``.
-    """
-    uniq, inverse = np.unique(scores, return_inverse=True)
-    tail_n = np.cumsum(np.bincount(inverse, minlength=uniq.size)[::-1])[::-1]
-    tail_a = np.cumsum(np.bincount(inverse[accepted], minlength=uniq.size)[::-1])[::-1]
-    return uniq, tail_n, tail_a
+    return TailCounts.of(np.asarray(scores, dtype=float)).scores
 
 
 def tail_probability_points(
-    records: Pool,
+    records: Pool | TailCounts,
     thresholds: Sequence[float],
 ) -> list[tuple[float, float, float]]:
     """Raw conditional acceptance estimates at candidate thresholds.
 
     For each threshold z the estimate is the accepted fraction among
     records with score >= z, weighted by that tail count.  Thresholds must
-    be strictly increasing and every tail must be non-empty.
+    be strictly increasing and every tail must be non-empty.  ``records``
+    may be the pool's ``TailCounts``, which saves sorting it again.
     """
-    table = _table(records)
-    if not len(table):
-        raise ValueError("records: must be non-empty")
+    if isinstance(records, TailCounts):
+        tails = records
+    else:
+        table = _table(records)
+        if not len(table):
+            raise ValueError("records: must be non-empty")
+        tails = TailCounts.of(table.scores, table.accepts)
     cand = np.asarray(thresholds, dtype=float)
     if cand.size == 0:
         raise ValueError("thresholds: must be non-empty")
@@ -401,17 +444,13 @@ def tail_probability_points(
         raise ValueError("thresholds: must be finite")
     if np.any(np.diff(cand) <= 0):
         raise ValueError("thresholds: must be strictly increasing")
-    uniq, tail_n, tail_a = _tail_counts(table.scores, table.accepts)
-    idx = np.searchsorted(uniq, cand, side="left")
-    counts = np.append(tail_n, 0)[idx]
+    idx = np.searchsorted(tails.scores, cand, side="left")
+    counts = np.append(tails.records, 0)[idx]
     if np.any(counts == 0):
         bad = cand[np.nonzero(counts == 0)[0][0]]
         raise ValueError(f"thresholds: no records with score >= {bad}")
-    estimates = np.append(tail_a, 0)[idx] / counts
-    return [
-        (float(t), float(p), float(c))
-        for t, p, c in zip(cand, estimates, counts)
-    ]
+    estimates = np.append(tails.accepts, 0)[idx] / counts
+    return list(zip(cand.tolist(), estimates.tolist(), counts.astype(float).tolist()))
 
 
 def _pava(values: Sequence[float], weights: Sequence[float]) -> np.ndarray:
@@ -435,19 +474,19 @@ def _pava(values: Sequence[float], weights: Sequence[float]) -> np.ndarray:
 
 def isotonic_fit(points: Sequence[tuple[float, float, float]]) -> IsotonicCurve:
     """Weighted least-squares non-decreasing fit of (t, value, weight) points."""
-    if not points:
+    if not len(points):
         raise ValueError("points: must be non-empty")
-    ts = [float(p[0]) for p in points]
-    values = [float(p[1]) for p in points]
-    weights = [float(p[2]) for p in points]
-    for i, v in enumerate(values):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"points[{i}]: value must lie in [0, 1], got {v!r}")
-    for i, w in enumerate(weights):
-        if not (math.isfinite(w) and w > 0):
-            raise ValueError(f"points[{i}]: weight must be finite and > 0, got {w!r}")
-    fitted = _pava(values, weights)
-    return IsotonicCurve(tuple(zip(ts, fitted.tolist(), weights)))
+    ts, values, weights = np.array(points, dtype=float).T
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"points[{i}]: value must lie in [0, 1], got {float(values[i])!r}")
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"points[{i}]: weight must be finite and > 0, got {float(weights[i])!r}")
+    fitted = _pava(values.tolist(), weights.tolist())
+    return IsotonicCurve(tuple(zip(ts.tolist(), fitted.tolist(), weights.tolist())))
 
 
 def tau_05(curve: IsotonicCurve, level: float = 0.5) -> float:
@@ -500,7 +539,7 @@ def _tau05_ranks(keys: np.ndarray) -> np.ndarray:
 def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> float:
     """Exact tau_05 of the tail curve over all distinct scores; accepts are 0/1.
 
-    The level-set rule of ``_tau05_ranks`` on one row.
+    The level-set rule of ``_tau05_ranks`` on the pool's ``TailCounts``.
     """
     s = np.asarray(scores, dtype=float)
     a = np.asarray(accepts)
@@ -509,16 +548,7 @@ def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> floa
     accepted = a == 1
     if not np.all(accepted | (a == 0)):
         raise ValueError("accepts: must be 0 or 1")
-    uniq, rank = np.unique(s, return_inverse=True)
-    k = int(_tau05_ranks(((rank.astype(np.int64) << 1) | accepted)[None, :])[0])
-    if k < 0:
-        # the last PAVA block: the largest suffix mean of the tail curve
-        _, tail_n, tail_a = _tail_counts(s, accepted)
-        peak = float(np.max(np.cumsum(tail_a[::-1]) / np.cumsum(tail_n[::-1])))
-        raise ThresholdUnreachableError(
-            f"fitted curve never reaches 0.5 (max fitted value {peak:.6g})"
-        )
-    return float(uniq[k])
+    return TailCounts.of(s, accepted).tau05()
 
 
 def fit_tau05(records: Pool) -> tuple[float, IsotonicCurve]:

@@ -54,11 +54,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         seed = 0 if args.seed is None else args.seed
         plan, used = calibrate.stratify(pool, **stratify, seed=seed)
 
-    scores = used.scores
-    tau_rate = calibrate.rate_matching_threshold(scores, target_rate)
-    achieved = calibrate.empirical_acceptance(scores, tau_rate)
-    tau05 = calibrate.tau05_from_scores(scores, used.accepts)
-    points = calibrate.tail_probability_points(used, calibrate.distinct_scores(scores))
+    tails = calibrate.TailCounts.of(used.scores, used.accepts)
+    tau_rate = tails.rate_threshold(target_rate)
+    achieved = calibrate.empirical_acceptance(used.scores, tau_rate)
+    tau05 = tails.tau05()
+    points = calibrate.tail_probability_points(tails, tails.scores)
     curve = calibrate.isotonic_fit(points)
     thresholds = DecisionThresholds(
         tau_rate=tau_rate,

@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Container, Sequence
+from typing import Any, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -344,32 +344,69 @@ def _decode(text: str, where: str) -> Any:
         raise RecordError(f"{where}: invalid JSON: integer has more than {limit} digits") from None
 
 
-_CHUNK = 1 << 16  # characters split into lines at once
+_CHUNK = 1 << 14  # characters decoded at once: few enough objects that a load runs no GC collection
 
 
-def _split_lines(text: str, chunk: int = _CHUNK):
-    """``enumerate(text.splitlines(), 1)``, split about ``chunk`` characters at a time.
+def _pieces(text: str, chunk: int):
+    """(number of the first line, lines) of each piece of ``text``, about ``chunk`` characters long.
 
     Each piece ends just after a ``\n`` (or at the end of ``text``), so no
     ``\r\n`` pair is cut in two and every piece ends a line: the lines and
-    their numbers are those of the whole text, without a list of them all.
+    their numbers are those of ``text.splitlines()``, without a list of them all.
     """
-    line_no = 0
+    line_no = 1
     start = 0
     while start < len(text):
         end = text.find("\n", start + chunk - 1) + 1 or len(text)
-        for line_no, line in enumerate(text[start:end].splitlines(), line_no + 1):
-            yield line_no, line
+        lines = text[start:end].splitlines()
+        yield line_no, lines
+        line_no += len(lines)
         start = end
 
 
-def _iter_json_lines(path: str | Path):
-    """(line number, value) of each non-blank line, as ``json.loads`` parses it.
+_NAN = json.decoder.NaN  # the one float the decoder gives for each NaN token
 
-    One scan of the line stripped of JSON whitespace gives the value;
-    ``_decode`` runs only when that fails, to word the error.
+
+def _joined(lines: list[str]) -> list[dict] | None:
+    """The objects of ``lines`` from one scan, or None unless each line is exactly one JSON object.
+
+    The k lines are scanned as one array, ``[line,NaN,line,...,NaN,line]``.
+    When the text holds no NaN but the k - 1 separators, the scan ends at
+    its end, and the array has 2k - 1 items, each odd one the decoder's NaN
+    and each even one a dict, then every separator is an item of the outer
+    array: each line is one JSON object between JSON whitespace, decoded as
+    ``json.loads`` decodes it alone.
     """
-    for line_no, line in _split_lines(read_text(path)):
+    text = "[" + ",NaN,".join(lines) + "]"
+    k = len(lines)
+    if text.count("NaN") != k - 1:
+        return None
+    try:
+        items, end = _scan(text, 0)
+    except (ValueError, StopIteration, RecursionError):  # the per-line path words the error
+        return None
+    objects = items[::2]
+    if end != len(text) or len(items) != 2 * k - 1 or items[1::2].count(_NAN) != k - 1:
+        return None
+    return objects if set(map(type, objects)) <= {dict} else None
+
+
+def _line_objects(
+    path: str | Path, first: int, lines: list[str]
+) -> tuple[list[int], list[dict], RecordError | None]:
+    """Numbers and objects of the non-blank lines, one scan a line, then the error that stops them.
+
+    The line stripped of JSON whitespace is scanned; ``_decode`` runs only
+    when that fails, to word the error.  The lines stop at the first that is
+    not a JSON object, whose RecordError comes last (None if every line is
+    one).  A function, not a generator, so that a line is scanned at the
+    depth at which ``_joined`` scans its piece: there the line sits one
+    level further in, so a line at the decoder's limit fails there and
+    loads here.
+    """
+    numbers: list[int] = []
+    objects: list[dict] = []
+    for line_no, line in enumerate(lines, first):
         value = line.strip(_JSON_SPACE)
         if not value or value.isspace():
             continue
@@ -377,12 +414,35 @@ def _iter_json_lines(path: str | Path):
             obj, end = _scan(value, 0)
         except (ValueError, StopIteration, RecursionError):  # StopIteration: no value starts there
             end = -1
-        if end != len(value):
-            obj = _decode(line, f"{path}:{line_no}")
-        yield line_no, obj
+        try:
+            if end != len(value):
+                obj = _decode(line, f"{path}:{line_no}")
+            if type(obj) is not dict:
+                raise RecordError(f"{path}:{line_no}: each line must be a JSON object")
+        except RecordError as exc:
+            return numbers, objects, exc
+        numbers.append(line_no)
+        objects.append(obj)
+    return numbers, objects, None
 
 
-_BLOCK = 64  # decoded lines held at once: their fields go into the columns a block at a time
+def _json_objects(path: str | Path):
+    """(line numbers, objects) of the non-blank lines of the JSONL file at ``path``, a piece at a time.
+
+    ``_joined`` decodes a piece in one scan; a piece it does not take goes
+    a line at a time.  A line that is not a JSON object raises RecordError
+    once the objects of the lines before it in its piece are yielded.
+    """
+    for first, lines in _pieces(read_text(path), _CHUNK):
+        objects = _joined(lines)
+        if objects is not None:
+            yield range(first, first + len(lines)), objects
+            continue
+        numbers, objects, stop = _line_objects(path, first, lines)
+        yield numbers, objects
+        if stop is not None:
+            raise stop
+
 
 _Break = tuple[Any, str] | None  # a rule's first break: (its row, its message), or None
 
@@ -395,20 +455,14 @@ def _load(path: str | Path, columns: _PanelColumns | _PoolColumns) -> Any:
     object ends the pass, but a rule broken on an earlier line comes first.
     """
     lines: list[int] = []
-    block: list[dict] = []  # decoded lines whose fields are not in the columns yet
     stop = None
     try:
-        for line_no, obj in _iter_json_lines(path):
-            if type(obj) is not dict:
-                raise RecordError(f"{path}:{line_no}: each line must be a JSON object")
-            lines.append(line_no)
-            block.append(obj)
-            if len(block) == _BLOCK:
-                columns.take(block)
-                block.clear()
+        for numbers, objects in _json_objects(path):
+            lines.extend(numbers)
+            columns.take(objects)
+            objects.clear()  # the piece is freed before the next is decoded
     except RecordError as exc:
         stop = exc
-    columns.take(block)
     broken = [(hit[0], position, hit[1]) for position, hit in enumerate(columns.rules()) if hit]
     if broken:
         (i, _), _, message = min(broken)
@@ -446,6 +500,22 @@ def _text(key: str, column: list[str], present: Container[str]) -> _Break:
     ``present`` holds the strings of ``column``, or is ``column``.
     """
     return (column.index(""), f"field {key!r} must be a non-empty string") if "" in present else None
+
+
+def _one_line(key: str, column: list[str], present: Iterable[str]) -> _Break:
+    """The first entry of ``column`` that holds a line break; a written row of it would read back as two.
+
+    ``present`` holds the strings of ``column``, or is ``column``.
+    """
+    if not _breaks("".join(present)):
+        return None
+    k = next(k for k, value in enumerate(column) if _breaks(value))
+    return k, f"field {key!r} must not contain a line break"
+
+
+def _breaks(text: str) -> bool:
+    """Whether ``text`` holds a character that ``str.splitlines`` splits at."""
+    return text.splitlines() not in ([text], [])
 
 
 def _numbers(values: list[Any]) -> tuple[np.ndarray | None, int | None, int | None]:
@@ -520,10 +590,10 @@ class _PanelColumns:
         self.names: dict[str, str] = {}  # one string per reviewer name, so the decoded copies are freed
         self.not_arrays, self.not_objects, self.neither, self.single = [], [], [], []
 
-    def take(self, block: list[dict]) -> None:
-        """Put a block of decoded lines into the columns; only a failed type-set check goes entry by entry."""
+    def take(self, piece: list[dict]) -> None:
+        """Put a piece's decoded lines into the columns; only a failed type-set check goes entry by entry."""
         rows = len(self.reviewer)
-        panel_reviews = _fit([obj.get("reviews") for obj in block], {list}, [], self.not_arrays, len(self.ids))
+        panel_reviews = _fit([obj.get("reviews") for obj in piece], {list}, [], self.not_arrays, len(self.ids))
         reviews = _fit([r for each in panel_reviews for r in each], {dict}, {}, self.not_objects, rows)
         rubrics = [
             r["rubric"] if "rubric" in r else (r["overall"],) if "overall" in r else () for r in reviews
@@ -534,8 +604,8 @@ class _PanelColumns:
                     (self.single if rubric else self.neither).append(j)
             rubrics = _fit(rubrics, {list, tuple}, [])
         reviewers = _fit([r.get("reviewer") for r in reviews], {str}, "")
-        self.ids.extend(_fit([obj.get("id") for obj in block], {str}, ""))
-        self.labels.extend([obj.get("label") for obj in block])
+        self.ids.extend(_fit([obj.get("id") for obj in piece], {str}, ""))
+        self.labels.extend([obj.get("label") for obj in piece])
         self.counts.extend(map(len, panel_reviews))
         self.reviewer.extend(map(self.names.setdefault, reviewers, reviewers))
         self.criteria.extend(map(len, rubrics))
@@ -548,12 +618,14 @@ class _PanelColumns:
         self.flat, not_number, not_finite = _numbers(self.values)
         panel = [
             _text("id", self.ids, self.ids),
+            _one_line("id", self.ids, self.ids),
             _typed(self.labels, {bool, type(None)}, "field 'label' must be a boolean or null"),
             (self.not_arrays[0], "field 'reviews' must be an array") if self.not_arrays else None,
         ]
         review = [
             (self.not_objects[0], "each review must be a JSON object") if self.not_objects else None,
             _text("reviewer", self.reviewer, self.names),
+            _one_line("reviewer", self.reviewer, self.names),
             (self.neither[0], "each review needs a 'rubric' array or an 'overall' number")
             if self.neither else None,
             (self.criteria.index(0), "field 'rubric' must be a non-empty array of numbers")
@@ -650,11 +722,11 @@ class _PoolColumns:
         self.ids, self.scores, self.accepts, self.statuses = [], [], [], []
         self.vocabulary: dict[str, str] = {}  # one string per status, so the decoded copies are freed
 
-    def take(self, block: list[dict]) -> None:
-        status = _fit([obj.get("status") for obj in block], {str}, "")
-        self.ids.extend(_fit([obj.get("id") for obj in block], {str}, ""))
-        self.scores.extend([obj.get("score") for obj in block])
-        self.accepts.extend([obj.get("accept") for obj in block])
+    def take(self, piece: list[dict]) -> None:
+        status = _fit([obj.get("status") for obj in piece], {str}, "")
+        self.ids.extend(_fit([obj.get("id") for obj in piece], {str}, ""))
+        self.scores.extend([obj.get("score") for obj in piece])
+        self.accepts.extend([obj.get("accept") for obj in piece])
         self.statuses.extend(map(self.vocabulary.setdefault, status, status))
 
     def rules(self) -> list[_Break]:

@@ -21,8 +21,9 @@ package runs a level-set kernel over packed ranks), and
 leftover units in one pass).
 
 ``load_panel_table`` reads a panel file one line at a time, checking each
-field of each review as it goes (the package checks whole columns and
-words an error line by line only when a check fails).  ``aligned_table``
+field of each review as it goes (the package decodes a piece of lines in
+one scan, and each of its line rules checks a whole column and words its
+own first break).  ``aligned_table``
 lays out a report table row by row, and ``csv_text`` writes CSV rows with
 ``csv.writer`` (the package writes both from columns).
 """
@@ -33,6 +34,7 @@ import csv
 import io
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -353,10 +355,13 @@ def allocate_quotas(
     return StratificationPlan(bin_edges=edges, status_vocabulary=vocab, cells=cells)
 
 
-def _get_str(obj: Mapping[str, Any], key: str) -> str:
+def _get_name(obj: Mapping[str, Any], key: str) -> str:
+    """A non-empty string without a line break (a character ``str.splitlines`` splits at)."""
     value = obj.get(key)
     if not isinstance(value, str) or not value:
         raise ValueError(f"field {key!r} must be a non-empty string")
+    if value.splitlines() != [value]:
+        raise ValueError(f"field {key!r} must not contain a line break")
     return value
 
 
@@ -378,7 +383,7 @@ def _review_fields(obj: Any) -> tuple[str, list[Any], bool, str]:
     """Reviewer, rubric values, flag and feedback of one review object."""
     if not isinstance(obj, dict):
         raise ValueError("each review must be a JSON object")
-    reviewer = _get_str(obj, "reviewer")
+    reviewer = _get_name(obj, "reviewer")
     if "rubric" in obj:
         values = obj["rubric"]
         if not isinstance(values, list) or not values:
@@ -425,10 +430,13 @@ def load_panel_table(path: str | Path) -> PanelTable:
             raise RecordError(f"{path}:{line_no}: invalid JSON: {exc.msg}") from None
         except RecursionError:
             raise RecordError(f"{path}:{line_no}: invalid JSON: nested too deeply") from None
+        except ValueError:  # an integer past the interpreter's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise RecordError(f"{path}:{line_no}: invalid JSON: integer has more than {limit} digits") from None
         try:
             if not isinstance(obj, dict):
                 raise ValueError("each line must be a JSON object")
-            submission_id = _get_str(obj, "id")
+            submission_id = _get_name(obj, "id")
             label = obj.get("label")
             if label is not None and not isinstance(label, bool):
                 raise ValueError("field 'label' must be a boolean or null")

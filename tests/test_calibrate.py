@@ -358,6 +358,50 @@ def test_isotonic_curve_validation():
         IsotonicCurve(((1.0, 0.75, 1.0), (2.0, 0.25, 1.0)))
 
 
+@pytest.mark.parametrize(
+    ("points", "message"),
+    [
+        ([(1.0, 0.5, 1.0), (2.0, math.nan, 1.0)], "points[1]: value must lie in [0, 1], got nan"),
+        ([(1.0, 0.5, 1.0), (2, -0.5, 1)], "points[1]: value must lie in [0, 1], got -0.5"),
+        ([(1.0, 0.5, math.inf)], "points[0]: weight must be finite and > 0, got inf"),
+        # every value is checked before any weight
+        ([(1.0, 0.5, 0.0), (2.0, 0.6, 1.0), (3.0, 1.5, 1.0)], "points[2]: value must lie in [0, 1], got 1.5"),
+    ],
+)
+def test_isotonic_fit_names_the_first_bad_point(points, message):
+    with pytest.raises(ValueError) as got:
+        isotonic_fit(points)
+    assert str(got.value) == message
+
+
+@pytest.mark.parametrize(
+    ("knots", "message"),
+    [
+        (((1.0, 0.2, 1.0), (math.inf, 0.5, 1.0)), "knots[1]: threshold must be finite, got inf"),
+        (((1.0, 0.2, 1.0), (2.0, 1.5, 1.0)), "knots[1]: fitted value must lie in [0, 1], got 1.5"),
+        (((1.0, -0.1, 1.0), (2.0, 0.5, 1.0)), "knots[0]: fitted value must lie in [0, 1], got -0.1"),
+        (((1.0, 0.2, 1.0), (2.0, 0.5, 0.0)), "knots[1]: weight must be finite and > 0, got 0.0"),
+        # the first bad knot wins, and on one knot the threshold comes before the value
+        (((1.0, 0.2, -1.0), (math.nan, 2.0, 1.0)), "knots[0]: weight must be finite and > 0, got -1.0"),
+        (((math.nan, 2.0, 1.0),), "knots[0]: threshold must be finite, got nan"),
+        # each knot is checked before the order of the knots
+        (((2.0, 0.2, 1.0), (1.0, 0.5, 1.0), (3.0, 0.5, 0.0)), "knots[2]: weight must be finite and > 0, got 0.0"),
+        (((1.0, 0.6, 1.0), (2.0, 0.5, 1.0), (2.0, 0.7, 1.0)), "knots: fitted values must be non-decreasing"),
+        (((1.0, 0.5, 1.0), (1.0, 0.4, 1.0)), "knots: thresholds must be strictly increasing"),
+    ],
+)
+def test_isotonic_curve_names_the_first_bad_knot(knots, message):
+    with pytest.raises(ValueError) as got:
+        IsotonicCurve(knots)
+    assert str(got.value) == message
+
+
+def test_isotonic_curve_clips_values_within_tolerance():
+    curve = IsotonicCurve(((1, -1e-13, 2), (2, 0.5, 1), (3, 1 + 1e-13, 1)))
+    assert curve.knots == ((1.0, 0.0, 2.0), (2.0, 0.5, 1.0), (3.0, 1.0, 1.0))
+    assert all(type(x) is float for knot in curve.knots for x in knot)
+
+
 def test_tau_05_first_crossing():
     curve = IsotonicCurve(((1.0, 0.2, 1.0), (2.0, 0.5, 1.0), (3.0, 0.9, 1.0)))
     assert tau_05(curve) == 2.0

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -387,6 +388,35 @@ def test_calibrate_curve_names_the_first_signed_zero(tmp_path, capsys, first_zer
     text = (run_dir(out) / "curve.csv").read_text()
     assert text == expected
     assert f"\n{first_zero}," in text
+
+
+@pytest.mark.parametrize("first_zero", ["0.0", "-0.0"])
+def test_calibrate_thresholds_name_the_first_signed_zero(tmp_path, capsys, first_zero):
+    # both thresholds fall on the zero score, and every output writes it with the sign
+    # of the zero that comes first in the pool; a pool this size is sorted by quicksort
+    # in a way that does not keep the order of equal scores
+    other = "0.0" if first_zero == "-0.0" else "-0.0"
+    scores = [other] * 599 + ["1.5"] * 400 + ["-1.0"] * 2000 + ["-2.0"] * 1000
+    random.Random(1).shuffle(scores)
+    scores.insert(0, first_zero)
+    lines = [
+        json.dumps({"id": f"c{i}", "score": 0, "accept": float(score) >= 0, "status": "s"})
+        .replace('"score": 0', f'"score": {score}')
+        for i, score in enumerate(scores)
+    ]
+    pool = write(tmp_path, "pool.jsonl", "\n".join(lines) + "\n")
+    config = write_json(tmp_path, "config.json", {"target_rate": 0.25})  # 1,000 of 4,000 at or above 0
+    code, out, _ = run_cli(capsys, "calibrate", "--records", pool, "--config", config,
+                           "--out", str(tmp_path / "runs"))
+    assert code == 0
+    d = run_dir(out)
+    thresholds = json.loads((d / "thresholds.json").read_text())
+    assert [repr(thresholds[key]) for key in ("tau_rate", "tau_05")] == [first_zero, first_zero]
+    report = (d / "calibration_report.txt").read_text()
+    shown = f"{float(first_zero):.6g}"
+    assert f"\ntau_rate:            {shown}\n" in report
+    assert f"\ntau_05:              {shown}\n" in report
+    assert f"\n{first_zero}," in (d / "curve.csv").read_text()
 
 
 JSON_VALUES = st.one_of(
@@ -958,6 +988,37 @@ def test_reserved_reviewer_name_exits_2_before_run_dir(tmp_path, capsys, command
     code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "runs"))
     assert code == 2
     assert err == f"error: {path}:2: reviewer name {name!r} is reserved for the summary row\n"
+    assert not (tmp_path / "runs").exists()
+
+
+LINEAR_1 = {"kind": "linear", "coefficients": [1]}
+
+
+@pytest.mark.parametrize(
+    ("field", "name", "message"),
+    [("id", "a\rb", "field 'id'"), ("reviewer", "m\r1", "reviews[0]: field 'reviewer'")],
+    ids=["id", "reviewer"],
+)
+@pytest.mark.parametrize("command", ["review", "bayes", "detector-eval"])
+def test_name_with_a_line_break_exits_2_before_run_dir(tmp_path, capsys, command, field, name, message):
+    # before Python 3.13 csv.writer leaves a bare \r unquoted: the row would read back as two
+    panels = [
+        {"id": "p1", "label": True, "reviews": [{"reviewer": "m1", "overall": 5, "flag": True}]},
+        {"id": "p2", "label": False, "reviews": [{"reviewer": "m2", "overall": 6, "flag": False}]},
+    ]
+    if field == "id":
+        panels[1]["id"] = name
+    else:
+        panels[1]["reviews"][0]["reviewer"] = name
+    path = write(tmp_path, "panels.jsonl", "".join(json.dumps(p) + "\n" for p in panels))
+    argv = [command, "--panels", path]
+    if command != "detector-eval":
+        config = bayes_config("tau_05") if command == "bayes" else {"functional": LINEAR_1}
+        argv += ["--thresholds", write(tmp_path, "thresholds.json", THRESHOLDS),
+                 "--config", write_json(tmp_path, "config.json", config)]
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err == f"error: {path}:2: {message} must not contain a line break\n"
     assert not (tmp_path / "runs").exists()
 
 

@@ -64,7 +64,8 @@ def scenarios(draw):
         )
         label = draw(st.sampled_from(["absent", None, True, False]))
         # ids that csv quotes: the commands' writers must quote them as csv.writer does
-        submission_id = f"p{i}" + draw(st.sampled_from(["", ",a", 'q"', "\n"]))
+        # (an id with a line break is an input error)
+        submission_id = f"p{i}" + draw(st.sampled_from(["", ",a", 'q"']))
         panels.append(
             (PanelRecord(submission_id, reviews, None if label == "absent" else label), label)
         )

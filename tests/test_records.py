@@ -1,10 +1,13 @@
 import dataclasses
+import gc
 import json
 import math
 import os
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -221,6 +224,9 @@ def per_line_records(path):
             raise RecordError(f"{where}: invalid JSON: {exc.msg}") from exc
         except RecursionError:
             raise RecordError(f"{where}: invalid JSON: nested too deeply") from None
+        except ValueError:  # an integer past the interpreter's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise RecordError(f"{where}: invalid JSON: integer has more than {limit} digits") from None
         if not isinstance(obj, dict):
             raise RecordError(f"{where}: each line must be a JSON object")
         try:
@@ -256,9 +262,14 @@ def outcome(load, path):
 
 
 def assert_loaders_agree(lines):
+    return assert_pool_loaders_agree("\n".join(lines) + "\n")
+
+
+def assert_pool_loaders_agree(text):
+    """Load ``text`` with the package and per line; the first error or every record agrees."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "pool.jsonl"
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(text, encoding="utf-8")
         expected = outcome(per_line_records, path)
         table = outcome(load_calibration_table, path)
         records = outcome(load_calibration_records, path)
@@ -315,7 +326,7 @@ def pool_lines(draw, records):
     return lines
 
 
-# good lines in front of the drawn ones: none, either side of a 64-line block's end, or two blocks
+# good lines in front of the drawn ones, so that the drawn lines start at different places
 FILLER = st.sampled_from([0, 0, 63, 64, 65, 130])
 
 
@@ -406,9 +417,9 @@ def test_calibration_table_names_the_first_bad_line(tmp_path, line, message):
 @settings(max_examples=max(100, settings.default.max_examples))
 @given(pool_records().filter(lambda records: len(records) >= 2), st.data())
 def test_calibration_table_bad_field_wins_over_a_later_bad_line(records, data):
-    # a bad field, then a non-object or invalid line: the column pass stops at the later
-    # line, and the line pass must still name the earlier one (the pool loader once kept
-    # such a line aside until the fields before it were checked)
+    # a bad field, then a non-object or invalid line: the pass over the file stops at the
+    # later line, and the line rules over the columns taken before it must still name the
+    # earlier one
     lines = [json.dumps(obj) for obj in records]
     i = data.draw(st.integers(0, len(lines) - 2))
     key = data.draw(st.sampled_from(sorted(FIELD_BREAKS)))
@@ -435,7 +446,7 @@ def stack_breaks(draw, obj, breaks, count):
 def break_lines(draw, count):
     """(a, b): line ``a`` of ``count`` takes value breaks and the later line ``b`` a structural one.
 
-    ``a`` lies in ``b``'s block of 64 lines or in the block before.
+    ``a`` lies among the lines from 64 up to ``b``, or among the first 64.
     """
     b = draw(st.integers(65, count - 1))
     a = draw(st.integers(64, b - 1) if draw(st.booleans()) else st.integers(0, 63))
@@ -506,8 +517,11 @@ LINE_PIECES = st.sampled_from([
 @given(st.lists(LINE_PIECES, max_size=40).map("".join), st.integers(1, 12))
 @example("ab\r\ncd", 3)  # the third character is the \r of a \r\n
 @example("\n\n \n", 1)
-def test_split_lines_is_splitlines_a_piece_at_a_time(text, chunk):
-    assert list(records_module._split_lines(text, chunk)) == list(enumerate(text.splitlines(), 1))
+def test_pieces_are_splitlines_a_piece_at_a_time(text, chunk):
+    pieces = list(records_module._pieces(text, chunk))
+    numbered = [(first + k, line) for first, lines in pieces for k, line in enumerate(lines)]
+    assert numbered == list(enumerate(text.splitlines(), 1))
+    assert all(lines for _, lines in pieces)
 
 
 def test_bad_line_after_the_first_piece_names_its_line(tmp_path):
@@ -581,6 +595,10 @@ FEEDBACK = st.text(alphabet=st.sampled_from("ab \u2028\u0085\u00e9\"\\\x0c"), ma
 PANEL_BLANKS = st.sampled_from(["", " ", "   ", "\t", "\x0c", "\u00a0", " \u3000 "])
 
 
+# panel ids: a line break in one is a break of its line
+ONE_LINE_NAMES = st.text(min_size=1, max_size=3).filter(lambda name: name.splitlines() == [name])
+
+
 @st.composite
 def panel_review(draw):
     review = {"reviewer": draw(st.sampled_from(["r1", "r2", "r10", "Z", "\u00e9"]))}
@@ -597,7 +615,7 @@ def panel_review(draw):
 @st.composite
 def panel_objects(draw):
     n = draw(st.integers(1, 12))
-    ids = draw(st.lists(st.text(min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    ids = draw(st.lists(ONE_LINE_NAMES, min_size=n, max_size=n, unique=True))
     panels = []
     for submission_id in ids:
         panel = {"id": submission_id}
@@ -661,6 +679,9 @@ PANEL_BREAKS = [
     *(("trailing", None, trailer) for trailer in TRAILERS),
     ("unescaped", None, "\u2028"), ("unescaped", None, "\u0085"),  # str.splitlines ends a line there
     ("duplicate", None, None), ("split", None, None), ("merge", None, None),
+    # names with a line break, which a written row would split in two
+    *(("panel", "id", name) for name in ["a\rb", "\n", "p\u2028", "\x1c"]),
+    *(("review", "reviewer", name) for name in ["m\r1", "m\r\n", "\x85"]),
 ]
 
 
@@ -763,7 +784,7 @@ def test_panel_table_names_a_bad_line_in_a_later_block(tmp_path, line, message):
 
 # a review that is not an object, or that has neither a rubric nor an overall, beside its field breaks
 REVIEW_BREAKS = {**REVIEW_FIELD_BREAKS, "object": [5, "r", None, [1], True], "neither": [None]}
-# breaks that send a block of 64 lines down the entry-by-entry path
+# breaks that send a piece's lines down the entry-by-entry path
 STRUCTURAL_BREAKS = [("reviews", "r"), ("review", 5), ("rubric", "7"), ("reviewer", 3)]
 
 
@@ -829,3 +850,173 @@ def test_a_file_is_read_once(tmp_path, monkeypatch, load, bad):
     else:
         assert len(load(path)) == 100
     assert read == [path]
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ('{"id": "a\\rb", "label": "yes", "reviews": 3}', "field 'id' must not contain a line break"),
+        ('{"id": 5, "label": true, "reviews": [{"reviewer": "m\\r1"}]}', "field 'id' must be a non-empty string"),
+        ('{"id": "p3", "label": "yes", "reviews": [{"reviewer": "m\\r1"}]}',
+         "field 'label' must be a boolean or null"),
+        ('{"id": "p3", "reviews": [{"reviewer": "m\\u20281", "rubric": "7", "flag": 1}]}',
+         "reviews[0]: field 'reviewer' must not contain a line break"),
+        ('{"id": "p3", "reviews": [{"reviewer": "m1", "overall": 5, "flag": 1}, '
+         '{"reviewer": "m\\r\\n", "overall": 5, "flag": false}]}', "reviews[0]: field 'flag' must be a boolean"),
+    ],
+    ids=["id-before-label", "not-a-string-first", "label-before-reviewer", "reviewer-before-rubric",
+         "earlier-review-first"],
+)
+def test_a_name_with_a_line_break_breaks_its_line(line, message):
+    text = filler_lines(2) + line + "\n" + '{"id": "p9", "label": "no", "reviews": []}\n'
+    assert assert_panel_loaders_agree(text).endswith(f":3: {message}")
+
+
+# ------------------------------------------- the piece decoder against per-line decoding
+
+
+def test_a_load_runs_no_gc_collection(tmp_path):
+    # each piece's objects are freed before the next piece is decoded, so the containers
+    # alive at once stay below the threshold of a first-generation collection
+    panels = write(tmp_path, "panels.jsonl", "".join(
+        json.dumps({"id": f"p{i}", "label": i % 5 == 0,
+                    "reviews": [{"reviewer": f"r{(i + k) % 5}", "rubric": [5.25, 6.5, 7.75, 4.0],
+                                 "flag": (i + k) % 10 == 0} for k in range(4)]}) + "\n"
+        for i in range(5000)
+    ))
+    pool = write(tmp_path, "pool.jsonl", "".join(line + "\n" for line in pool_filler(5000)))
+    assert gc.isenabled()
+    for load, path in ((load_panel_table, panels), (load_calibration_table, pool)):
+        gc.collect()
+        before = [generation["collections"] for generation in gc.get_stats()]
+        assert len(load(path)) == 5000
+        assert [generation["collections"] for generation in gc.get_stats()] == before
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300  # from 3.10.7 on; 0: no limit
+
+
+def with_field(line, value):
+    """``line``, a JSON object, with one more field ``"x"`` whose JSON text is ``value``."""
+    return line[:-1] + ', "x": ' + value + "}"
+
+
+# (name, lines): a line of the file turned into lines that a join into one array can misread
+JOIN_BREAKS = [
+    ("good", lambda line, other: [line]),
+    ("padded", lambda line, other: [" \t" + line + "\r "]),
+    ("two-objects", lambda line, other: [line + "," + other]),
+    ("glued", lambda line, other: [line + other]),
+    ("array-over-two-lines", lambda line, other: [with_field(line, "[1")[:-1], "2]}"]),
+    ("string-over-two-lines", lambda line, other: [with_field(line, '"a')[:-1], 'b"}']),
+    ("object-then-comma", lambda line, other: [line + ",", other]),
+    ("closes-the-array", lambda line, other: [line + "],[" + other]),
+    ("array-of-the-line", lambda line, other: ["[" + line + "]"]),
+    ("null", lambda line, other: ["null"]),
+    # a NaN of the line's own as a separator, and a separator swallowed by the next line
+    ("nan-separator-then-split", lambda line, other: [line + ",NaN," + with_field(other, "[1")[:-1], "2]}"]),
+    # a swallowed separator, and an object where the next separator's NaN would be
+    ("split-then-two-objects", lambda line, other: [with_field(line, "[1")[:-1], "2]}," + other + ', {"y": 1}']),
+    ("nan", lambda line, other: [with_field(line, "NaN")]),
+    ("infinity", lambda line, other: [with_field(line, "[Infinity, -Infinity, null]")]),
+    ("nan-in-a-string", lambda line, other: [with_field(line, '",NaN,"')]),
+    ("unescaped-separator", lambda line, other: [with_field(line, '"a\u2028b"')]),
+    ("deep", lambda line, other: [with_field(line, "[" * 50 + "]" * 50)]),
+    ("too-deep", lambda line, other: [with_field(line, DEEP)]),
+    ("digit-limit", lambda line, other: [with_field(line, "9" * DIGIT_LIMIT)]),
+    ("past-the-digit-limit", lambda line, other: [with_field(line, "9" * (DIGIT_LIMIT + 1))]),
+    ("blank", lambda line, other: [""]),
+    ("spaces", lambda line, other: [" \t "]),
+    ("no-break-space", lambda line, other: ["\u00a0"]),
+    ("ideographic-space", lambda line, other: [" \u3000 "]),
+]
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r", "\u2028", "\x0c"])
+PIECE_SIZES = st.sampled_from([1, 3, 64, 512, 1 << 14])
+
+
+@st.composite
+def join_breaking_text(draw, good):
+    """Lines ``good(i)``, one in three turned by a break of JOIN_BREAKS, with mixed line ends.
+
+    Most breaks end the load, so a break is the first one often only when breaks are few.
+    """
+    lines = []
+    for i in range(draw(st.integers(1, 12))):
+        _, turn = draw(st.sampled_from(JOIN_BREAKS)) if draw(st.integers(0, 2)) == 0 else JOIN_BREAKS[0]
+        lines.extend(turn(good(i), good(i + 100)))
+    return "".join(line + draw(LINE_ENDS) for line in lines)
+
+
+def pool_line(i):
+    return pool_filler(i + 1)[i]
+
+
+def panel_line(i):
+    return json.dumps({"id": f"p{i}", "label": i % 2 == 0,
+                       "reviews": [{"reviewer": "r1", "rubric": [i, 2.5], "flag": False},
+                                   {"reviewer": "r2", "overall": 6, "flag": True, "feedback": "ok"}]})
+
+
+def joined_traps(good):
+    """Texts whose pieces only the NaN count or the NaN items of ``_joined`` tell from good ones."""
+    breaks = dict(JOIN_BREAKS)
+    return ["".join(line + "\n" for line in breaks[name](good(0), good(100)) + [good(1)])
+            for name in ("nan-separator-then-split", "split-then-two-objects")]
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(PIECE_SIZES, st.integers(0, 40), join_breaking_text(pool_line))
+@example(1 << 14, 0, joined_traps(pool_line)[0])
+@example(1 << 14, 0, joined_traps(pool_line)[1])
+def test_piece_decoder_matches_per_line_on_a_pool(size, filler, text):
+    with mock.patch.object(records_module, "_CHUNK", size):
+        assert_pool_loaders_agree("".join(line + "\n" for line in pool_filler(filler)) + text)
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(PIECE_SIZES, st.integers(0, 40), join_breaking_text(panel_line))
+@example(1 << 14, 0, joined_traps(panel_line)[0])
+@example(1 << 14, 0, joined_traps(panel_line)[1])
+def test_piece_decoder_matches_per_line_on_panels(size, filler, text):
+    with mock.patch.object(records_module, "_CHUNK", size):
+        assert_panel_loaders_agree(filler_lines(filler) + text)
+
+
+def table_bytes(table):
+    """Every column of ``table``, arrays as bytes so that -0.0 differs from 0.0."""
+    return [(value.dtype, value.tobytes()) if isinstance(value, np.ndarray) else value
+            for value in dataclasses.astuple(table)]
+
+
+@pytest.mark.parametrize("kind", ["pool", "panel"])
+def test_a_line_nested_to_the_decoder_limit_loads(tmp_path, kind):
+    # one scan of a piece nests each line one level deeper than the line alone: the deepest
+    # line the per-line path decodes must fall back to it, and load as it loads there
+    good, load = {"pool": (pool_line, load_calibration_table), "panel": (panel_line, load_panel_table)}[kind]
+    joined = records_module._joined
+
+    def outcome_at(depth, piece_decoder):
+        deep = with_field(good(0), "[" * depth + "]" * depth)
+        path = write(tmp_path, "input.jsonl", deep + "\n" + good(1) + "\n")
+        with mock.patch.object(records_module, "_joined", piece_decoder):
+            try:
+                return table_bytes(load(path))
+            except RecordError as exc:
+                return str(exc)
+
+    def per_line(lines):
+        return None
+
+    low, high = 1, 100_000  # the per-line path decodes a line this deep, and not this deep
+    while high - low > 1:
+        middle = (low + high) // 2
+        low, high = (low, middle) if isinstance(outcome_at(middle, per_line), str) else (middle, high)
+    taken = []
+
+    def spy(lines):
+        taken.append(joined(lines))
+        return taken[-1]
+
+    assert outcome_at(low, spy) == outcome_at(low, per_line)
+    assert taken == [None]  # the piece went line by line
+    assert outcome_at(high, spy).endswith(":1: invalid JSON: nested too deeply")
