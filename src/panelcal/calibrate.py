@@ -8,10 +8,10 @@ isotonic fit of the conditional tail probability
     pi(z) = P(human accepts | agent score >= z)
 
 reaches 1/2, found exactly as a level-set argmin over the tail counts.
-One sort of the pool (``TailCounts``) gives both thresholds and the curve
-points; ``_tau05_ranks`` runs the same rule on whole blocks of bootstrap
-replicates, and the PAVA fit (``isotonic_fit``) gives the curve for
-``curve.csv``.
+One sort of the pool (``TailCounts``) gives both thresholds, the curve
+points and the packed keys of the bootstrap; ``_tau05_ranks`` runs the
+same rule on whole blocks of bootstrap replicates, and the PAVA fit
+(``isotonic_fit``) gives the curve for ``curve.csv``.
 Stratified subsampling (score bins crossed with review status,
 largest-remainder quotas) builds the calibration set itself.
 
@@ -350,8 +350,8 @@ class TailCounts(NamedTuple):
     keeps whichever comes first); ``records`` and ``accepts`` are the tail
     counts N_k and A_k; ``keys`` packs each record as ``rank << 1 | accept``,
     its rank indexing ``scores``.  ``rate_matching_threshold``,
-    ``tau05_from_scores``, ``distinct_scores`` and ``tail_probability_points``
-    are views of it.
+    ``tau05_from_scores``, ``distinct_scores``, ``tail_probability_points``
+    and ``fit_tau05`` are views of it.
     """
 
     scores: np.ndarray
@@ -394,6 +394,11 @@ class TailCounts(NamedTuple):
             raise ThresholdUnreachableError(f"fitted curve never reaches 0.5 (max fitted value {peak:.6g})")
         return float(self.scores[k])
 
+    def points(self) -> list[tuple[float, float, float]]:
+        """``tail_probability_points`` at the pool's own distinct scores."""
+        return list(zip(self.scores.tolist(), (self.accepts / self.records).tolist(),
+                        self.records.astype(float).tolist()))
+
 
 def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> float:
     """Smallest threshold whose empirical acceptance is closest to the target.
@@ -420,23 +425,19 @@ def distinct_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def tail_probability_points(
-    records: Pool | TailCounts,
+    records: Pool,
     thresholds: Sequence[float],
 ) -> list[tuple[float, float, float]]:
     """Raw conditional acceptance estimates at candidate thresholds.
 
     For each threshold z the estimate is the accepted fraction among
     records with score >= z, weighted by that tail count.  Thresholds must
-    be strictly increasing and every tail must be non-empty.  ``records``
-    may be the pool's ``TailCounts``, which saves sorting it again.
+    be strictly increasing and every tail must be non-empty.
     """
-    if isinstance(records, TailCounts):
-        tails = records
-    else:
-        table = _table(records)
-        if not len(table):
-            raise ValueError("records: must be non-empty")
-        tails = TailCounts.of(table.scores, table.accepts)
+    table = _table(records)
+    if not len(table):
+        raise ValueError("records: must be non-empty")
+    tails = TailCounts.of(table.scores, table.accepts)
     cand = np.asarray(thresholds, dtype=float)
     if cand.size == 0:
         raise ValueError("thresholds: must be non-empty")
@@ -536,11 +537,8 @@ def _tau05_ranks(keys: np.ndarray) -> np.ndarray:
     return np.where(level[rows, pos] > 0, -1, rank[rows, pos])
 
 
-def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> float:
-    """Exact tau_05 of the tail curve over all distinct scores; accepts are 0/1.
-
-    The level-set rule of ``_tau05_ranks`` on the pool's ``TailCounts``.
-    """
+def _tails(scores: Sequence[float], accepts: Sequence[float]) -> TailCounts:
+    """The ``TailCounts`` of a non-empty pool whose accepts are 0/1."""
     s = np.asarray(scores, dtype=float)
     a = np.asarray(accepts)
     if s.size == 0 or s.shape != a.shape:
@@ -548,11 +546,16 @@ def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> floa
     accepted = a == 1
     if not np.all(accepted | (a == 0)):
         raise ValueError("accepts: must be 0 or 1")
-    return TailCounts.of(s, accepted).tau05()
+    return TailCounts.of(s, accepted)
+
+
+def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> float:
+    """Exact tau_05 of the tail curve over all distinct scores (``TailCounts.tau05``); accepts are 0/1."""
+    return _tails(scores, accepts).tau05()
 
 
 def fit_tau05(records: Pool) -> tuple[float, IsotonicCurve]:
-    """tau_05 of the records, and the isotonic fit of their tail curve."""
+    """tau_05 of the records, and the isotonic fit of their tail curve, from one sort."""
     table = _table(records)
-    tau = tau05_from_scores(table.scores, table.accepts)
-    return tau, isotonic_fit(tail_probability_points(table, distinct_scores(table.scores)))
+    tails = _tails(table.scores, table.accepts)
+    return tails.tau05(), isotonic_fit(tails.points())

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import __version__
-from .rules import RecordError, ThresholdUnreachableError
+from .rules import ThresholdUnreachableError
 
 __all__ = ["build_parser", "main", "run"]
 
@@ -74,13 +74,6 @@ def _sha256_file(path: Path) -> str:
         for block in iter(lambda: file.read(_HASH_BLOCK), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-# ---------------------------------------------------------------- config
-
-
-def _config_error(message: str) -> RecordError:
-    return RecordError(f"config: {message}")
 
 
 # ---------------------------------------------------------------- bound

@@ -8,7 +8,6 @@ from dataclasses import asdict
 from typing import Sequence
 
 from . import bounds, calibrate, config, metrics, records
-from .cli import _config_error
 from .core import DecisionThresholds, RecordError
 from .records import CalibrationTable
 from .rundir import _Run
@@ -37,7 +36,7 @@ def _check_strata(
                     f"stratify.bin_edges [{bin_edges[0]}, {bin_edges[-1]}]"
                 )
     if n_cal > len(pool):
-        raise _config_error(f"stratify.n_cal: must be an integer in [1, {len(pool)}], got {n_cal}")
+        raise config.error(f"stratify.n_cal: must be an integer in [1, {len(pool)}], got {n_cal}")
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -58,7 +57,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     tau_rate = tails.rate_threshold(target_rate)
     achieved = calibrate.empirical_acceptance(used.scores, tau_rate)
     tau05 = tails.tau05()
-    points = calibrate.tail_probability_points(tails, tails.scores)
+    points = tails.points()
     curve = calibrate.isotonic_fit(points)
     thresholds = DecisionThresholds(
         tau_rate=tau_rate,

@@ -14,7 +14,6 @@ from typing import Mapping
 import numpy as np
 
 from . import aggregate, config, metrics, records
-from .cli import _config_error
 from .core import RecordError, RubricSchema, ScoringFunctional
 from .records import PanelTable
 from .rundir import _Run
@@ -26,10 +25,10 @@ def _scoring(
     """The configured functional; without one, the mean over the schema's criteria."""
     if functional is None:
         if schema is None:
-            raise _config_error("functional: required when no schema is given")
+            raise config.error("functional: required when no schema is given")
         return ScoringFunctional.mean(schema.criteria_count)
     if functional.kind == "overall_pick" and (schema is None or schema.overall_index is None):
-        raise _config_error("functional: overall_pick scoring needs a schema with overall_index set")
+        raise config.error("functional: overall_pick scoring needs a schema with overall_index set")
     return functional
 
 
@@ -50,7 +49,7 @@ def _per_reviewer(
         key = reviewer if reviewer in mapping else fallback
         if key not in mapping:
             no_fallback = "" if fallback is None else f" and no {fallback}"
-            raise _config_error(
+            raise config.error(
                 f"{path}.{reviewer}: no {noun} for reviewer {reviewer!r}{no_fallback} "
                 f"(first review at {table.reviewer_where(code)})"
             )
@@ -74,7 +73,7 @@ def _review_weights(
         return normalized(1.0 / table.counts[table.panel_index])
     if weights == "gls":
         if gls_variances is None:
-            raise _config_error(
+            raise config.error(
                 "gls_variances: required reviewer-to-variance object when weights is 'gls'"
             )
         inverse = 1.0 / _per_reviewer(table, gls_variances, "gls_variances", "variance")
@@ -214,11 +213,11 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     inputs = [args.panels]
     if threshold in ("tau_rate", "tau_05"):
         if args.thresholds is None:
-            raise _config_error(f"bayes.threshold: {threshold!r} needs --thresholds")
+            raise config.error(f"bayes.threshold: {threshold!r} needs --thresholds")
         threshold = getattr(config.load_thresholds(args.thresholds), threshold)
         inputs.append(args.thresholds)
     if not math.isfinite(threshold):
-        raise _config_error(f"bayes.threshold: resolved threshold {threshold} is not finite")
+        raise config.error(f"bayes.threshold: resolved threshold {threshold} is not finite")
 
     table = records.load_panel_table(args.panels)
     table.validate(schema, require_reviews=False)

@@ -32,8 +32,9 @@ def _cohort_settings(
     if args.m is not None:
         m_grid = _parse_int_list(args.m, "--m")
     if not m_grid or min(m_grid) < 1:
-        where = "--m" if args.m is not None else f"config: {path}.m_grid"
-        raise RecordError(f"{where}: panel sizes must be integers >= 1, got {list(m_grid)}")
+        message = f"panel sizes must be integers >= 1, got {list(m_grid)}"
+        raise (RecordError(f"--m: {message}") if args.m is not None
+               else config.error(f"{path}.m_grid: {message}"))
     m_max = max(m_grid)
     if m_max != spec.m_reviewers:
         sigma = spec.noise.per_reviewer_variance[0]
@@ -87,11 +88,9 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
     seed = section["seed"] if args.seed is None else args.seed
     size = settings.cohort.n_papers
     if len(grid) < 2 or grid[0] < 2 or grid[-1] > size or any(b <= a for a, b in zip(grid, grid[1:])):
-        where = "--grid" if args.grid is not None else f"config: {path}.n_cal_grid"
-        raise RecordError(
-            f"{where}: calibration sizes must be strictly increasing integers in [2, {size}], "
-            f"got {list(grid)}"
-        )
+        message = f"calibration sizes must be strictly increasing integers in [2, {size}], got {list(grid)}"
+        raise (RecordError(f"--grid: {message}") if args.grid is not None
+               else config.error(f"{path}.n_cal_grid: {message}"))
 
     run = _Run(args.out, "simulate-threshold-error", seed, args.config, [])
     population = simulate.synthetic_calibration_population(settings)
@@ -109,13 +108,14 @@ def cmd_simulate_variance(args: argparse.Namespace) -> int:
     path = "simulate.variance"
     [settings] = config.load(args.config, path)
     spec, m_grid = _cohort_settings(args, path, settings["spec"], settings["m_grid"])
-    if spec.n_papers < 2:
-        raise RecordError(
-            f"config: {path}.spec.n_papers: a variance needs at least 2 papers, got {spec.n_papers}"
-        )
-
     run = _Run(args.out, "simulate-variance", spec.seed, args.config, [])
-    rows = simulate.variance_experiment(spec, m_grid)
+    try:
+        rows = simulate.variance_experiment(spec, m_grid)
+    except ValueError as exc:
+        key, _, message = str(exc).partition(": ")
+        if key not in ("n_papers", "noise"):  # the spec checks; a failed reject-resample keeps its words
+            raise
+        raise config.error(f"{path}.spec.{key}: {message}") from None
     low, high = min(m_grid), max(m_grid)
     return _finish(run, "variance.csv", simulate.VarianceRow, rows, [
         ("consensus variance scales like 1/M", simulate.check_variance_rows(rows, m_low=low, m_high=high)),

@@ -30,7 +30,7 @@ from .core import (
 if TYPE_CHECKING:
     from .simulate import CohortSpec, LatentDistribution, PopulationSettings
 
-__all__ = ["REQUIRED", "Section", "ReviewerMap", "SPEC", "THRESHOLDS", "parse", "load",
+__all__ = ["REQUIRED", "Section", "ReviewerMap", "SPEC", "THRESHOLDS", "parse", "error", "load",
            "load_thresholds"]
 
 REQUIRED = object()  # the default of a key that must be given
@@ -332,6 +332,11 @@ THRESHOLDS = Section({
 }, lambda stratified, seed, **fields: DecisionThresholds(**fields))
 
 
+def error(message: str) -> RecordError:
+    """The error of a ``--config`` file: ``message``, which names the key path, after ``config: ``."""
+    return RecordError(f"config: {message}")
+
+
 def load(path: str | None, *keys: str) -> list[Any]:
     """The values of the dotted ``keys`` in the config file at ``path`` (none: ``{}``).
 
@@ -343,7 +348,7 @@ def load(path: str | None, *keys: str) -> list[Any]:
         _check_names(SPEC, data)
         return [_field(SPEC, data, key, "") for key in keys]
     except RecordError as exc:
-        raise RecordError(f"config: {exc}") from None
+        raise error(str(exc)) from None
 
 
 def load_thresholds(path: str) -> DecisionThresholds:

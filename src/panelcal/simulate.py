@@ -367,9 +367,10 @@ def threshold_bootstrap(
 ) -> list[ThresholdErrorRow]:
     """Bootstrap |tau_05(subsample) - tau_05(population)| per n_cal.
 
-    The population is a record list or a ``CalibrationTable``.  Subsamples
+    The population, a record list or a ``CalibrationTable``, is sorted once
+    (``calibrate.TailCounts``) for its tau_05 and packed keys.  Subsamples
     are uniform without replacement, one ``rng.choice`` per replicate; each
-    block of replicates is then fitted at once by the level-set kernel of
+    block of replicates' keys is fitted at once by the level-set kernel of
     ``calibrate.tau05_from_scores``.  Replicates whose curve never reaches
     1/2 count as failures and are excluded from the mean;
     ThresholdUnreachableError is raised when every replicate of one n_cal
@@ -390,10 +391,8 @@ def threshold_bootstrap(
     if not isinstance(replicates, int) or replicates < 2:
         raise ValueError(f"replicates: must be an integer >= 2, got {replicates!r}")
 
-    # looked up on the module at call time, so a patched calibrate.tau05_from_scores is seen
-    tau_true = calibrate.tau05_from_scores(table.scores, table.accepts)
-    uniq, rank = np.unique(table.scores, return_inverse=True)
-    keys = (rank.astype(np.int64) << 1) | table.accepts
+    tails = calibrate.TailCounts.of(table.scores, table.accepts)
+    tau_true = tails.tau05()
 
     rng = np.random.default_rng(seed)
     rows: list[ThresholdErrorRow] = []
@@ -404,11 +403,11 @@ def threshold_bootstrap(
             picks = np.empty((min(per_block, replicates - first), n), dtype=np.intp)
             for row in picks:
                 row[:] = rng.choice(size, size=n, replace=False)
-            tau_ranks[first:first + len(picks)] = calibrate._tau05_ranks(keys[picks])
+            tau_ranks[first:first + len(picks)] = calibrate._tau05_ranks(tails.keys[picks])
         reached = tau_ranks[tau_ranks >= 0]
         if not reached.size:
             raise ThresholdUnreachableError(f"n_cal={n}: every replicate failed to reach 1/2")
-        errors = np.abs(uniq[reached] - tau_true)
+        errors = np.abs(tails.scores[reached] - tau_true)
         mean = float(np.mean(errors))
         stderr = float(np.std(errors, ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
         rows.append(

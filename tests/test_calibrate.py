@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -12,9 +12,11 @@ from panelcal.calibrate import (
     CellQuota,
     IsotonicCurve,
     StratificationPlan,
+    TailCounts,
     ThresholdUnreachableError,
     allocate_quotas,
     cell_populations,
+    distinct_scores,
     empirical_acceptance,
     fit_tau05,
     isotonic_fit,
@@ -426,6 +428,53 @@ def test_fit_tau05_unreachable():
     records = make_pool([1.0, 2.0, 3.0], accepts=[False, False, False])
     with pytest.raises(ThresholdUnreachableError):
         fit_tau05(records)
+
+
+def test_fit_tau05_ranks_the_pool_once(monkeypatch):
+    calls = []
+    rank = TailCounts.of
+    monkeypatch.setattr(TailCounts, "of", classmethod(lambda cls, *args: calls.append(1) or rank(*args)))
+    records = make_pool([1.0, 2.0, 2.0, 3.0], accepts=[False, True, False, True])
+    for pool in (records, CalibrationTable.from_records(records)):
+        calls.clear()
+        fit_tau05(pool)
+        assert calls == [1]
+
+
+def three_rankings(pool):
+    """``fit_tau05`` as ``tau05_from_scores`` and the points at ``distinct_scores``, each ranking the pool."""
+    table = pool if isinstance(pool, CalibrationTable) else CalibrationTable.from_records(pool)
+    tau = tau05_from_scores(table.scores, table.accepts)
+    return tau, isotonic_fit(tail_probability_points(pool, distinct_scores(table.scores)))
+
+
+def outcome(fit, pool):
+    try:
+        return repr(fit(pool))
+    except ValueError as exc:  # ThresholdUnreachableError included
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=max(300, settings.default.max_examples))
+@given(
+    st.lists(st.tuples(st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.5, 7.0]), st.booleans()), max_size=30),
+    st.sampled_from(["drawn", "all-reject", "all-accept"]),
+    st.booleans(),
+)
+@example([], "drawn", False)
+@example([], "drawn", True)
+@example([(1.0, True)], "drawn", False)
+@example([(1.0, False)], "drawn", True)
+@example([(0.0, False), (-0.0, True), (0.5, True)], "drawn", False)
+@example([(-0.0, True), (0.0, False), (0.5, True)], "drawn", True)
+@example([(0.5, False), (1.0, True), (1.5, False), (1.5, False)], "drawn", False)
+def test_fit_tau05_matches_three_rankings(pairs, mode, as_table):
+    # a 0.5 grid holding 0.0 and -0.0: ties, signed zeros, one record, an empty and an unreachable pool
+    accepts = [{"drawn": a, "all-reject": False, "all-accept": True}[mode] for _, a in pairs]
+    pool = make_pool([score for score, _ in pairs], accepts=accepts)
+    if as_table:
+        pool = CalibrationTable.from_records(pool)
+    assert outcome(fit_tau05, pool) == outcome(three_rankings, pool)
 
 
 @settings(max_examples=max(300, settings.default.max_examples))

@@ -216,19 +216,23 @@ def test_calibrate_stratified_deterministic(tmp_path, capsys):
 
 def test_calibrate_fits_and_bins_once(tmp_path, capsys, monkeypatch):
     calls = collections.Counter()
-    for name in ("_pava", "tail_probability_points", "_cell_members"):
+    for name in ("_pava", "_cell_members"):
 
         def counted(*args, _name=name, _original=getattr(calibrate, name)):
             calls[_name] += 1
             return _original(*args)
 
         monkeypatch.setattr(calibrate, name, counted)
+    rank = calibrate.TailCounts.of
+    monkeypatch.setattr(calibrate.TailCounts, "of",
+                        classmethod(lambda cls, *args: calls.update(["TailCounts.of"]) or rank(*args)))
     pool = write(tmp_path, "pool.jsonl", POOL)
     config = write_json(tmp_path, "config.json", {"target_rate": 0.33, "stratify": STRATIFY})
     code, _, _ = run_cli(capsys, "calibrate", "--records", pool, "--config", config,
                          "--seed", "3", "--out", str(tmp_path / "runs"))
     assert code == 0
-    assert calls == {"_pava": 1, "tail_probability_points": 1, "_cell_members": 1}
+    # one ranking of the calibration set gives tau_rate, tau_05 and the curve points
+    assert calls == {"_pava": 1, "TailCounts.of": 1, "_cell_members": 1}
 
 
 def test_calibrate_infeasible_exits_3(tmp_path, capsys):
@@ -1189,6 +1193,26 @@ def test_simulate_variance_cli(tmp_path, capsys):
     assert lines[0] == "m,var_empirical,proxy"
     proxies = [line.split(",")[2] for line in lines[1:]]
     assert proxies == ["81.0", "40.5", "27.0"]
+
+
+def test_simulate_variance_unequal_variances_name_the_config_key(tmp_path, capsys):
+    noise = {"per_reviewer_variance": [1, 2, 3], "scalar_bounds": [1, 10]}
+    config = write_json(tmp_path, "config.json",
+                        {"simulate": {"variance": {"spec": dict(COHORT_SPEC, noise=noise)}}})
+    out = str(tmp_path / "runs")
+    # the config's m_grid, or an --m whose largest size keeps the 3 reviewers and their variances
+    for m_flag in ([], ["--m", "1,3"]):
+        code, _, err = run_cli(capsys, "simulate", "variance", "--config", config, "--out", out, *m_flag)
+        assert code == 2
+        assert err == ("error: config: simulate.variance.spec.noise: variance experiment needs "
+                       "equal per-reviewer variances\n")
+        assert not (tmp_path / "runs").exists()
+    # an --m that resizes the cohort gives every reviewer the first one's variance
+    code, stdout, _ = run_cli(capsys, "simulate", "variance", "--config", config, "--m", "1,2,4",
+                              "--out", out)
+    assert code == 0
+    lines = (run_dir(stdout) / "variance.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "4"]
 
 
 def test_simulate_threshold_error_small_config(tmp_path, capsys):

@@ -346,14 +346,16 @@ def test_threshold_bootstrap_matches_reference_for_records_and_table(monkeypatch
 
 
 def test_threshold_bootstrap_fits_the_truth_through_calibrate(monkeypatch):
-    # the full-population tau_05 and the kernel are looked up on ``calibrate`` at call
-    # time, so a wrapper installed there after ``simulate`` was imported still sees them
+    # the population is ranked by ``calibrate.TailCounts`` and the kernel is looked up on
+    # ``calibrate`` at call time, so wrappers installed after ``simulate`` was imported see both
     calls, shapes = [], []
-    fit, kernel = calibrate.tau05_from_scores, calibrate._tau05_ranks
-    monkeypatch.setattr(calibrate, "tau05_from_scores", lambda *args: calls.append(1) or fit(*args))
+    rank, kernel = calibrate.TailCounts.of, calibrate._tau05_ranks
+    monkeypatch.setattr(calibrate.TailCounts, "of",
+                        classmethod(lambda cls, *args: calls.append(1) or rank(*args)))
     monkeypatch.setattr(calibrate, "_tau05_ranks",
                         lambda keys: shapes.append(keys.shape) or kernel(keys))
     threshold_bootstrap(make_population(n=300), (20,), 2, seed=3)
+    # one ranking of the population gives its tau_05 and the replicates' keys
     assert calls == [1]
     # one kernel: one row for the population, then one block of both replicates
     assert shapes == [(1, 300), (2, 20)]
