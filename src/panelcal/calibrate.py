@@ -195,7 +195,7 @@ def _cell_members(
 ) -> dict[tuple[int, str], np.ndarray]:
     """Indices of the records in each (score bin, status) cell, in record order."""
     table = _table(records)
-    vocab = tuple(status_vocabulary)
+    vocab = list(status_vocabulary)
     codes = {s: k for k, s in enumerate(vocab)}
     status = np.array([codes.get(s, -1) for s in table.statuses], dtype=np.intp)
     scores = table.scores
@@ -204,13 +204,8 @@ def _cell_members(
     if bad.size:
         i = int(bad[0])
         if status[i] < 0:
-            raise ValueError(
-                f"{table.where(i)}: status {table.statuses[i]!r} not in vocabulary {vocab}"
-            )
-        raise ValueError(
-            f"{table.where(i)}: score {float(scores[i])} outside binning range "
-            f"[{edges[0]}, {edges[-1]}]"
-        )
+            raise ValueError(f"{table.where(i)}: status {table.statuses[i]!r} not in status_vocabulary {vocab}")
+        raise ValueError(f"{table.where(i)}: score {float(scores[i])} outside bin_edges [{edges[0]}, {edges[-1]}]")
     # bins are [e_i, e_{i+1}) except the last, which includes its upper edge
     bins = np.searchsorted(np.asarray(edges, dtype=float), scores, side="right") - 1
     cell = np.minimum(bins, len(edges) - 2) * len(vocab) + status
@@ -260,7 +255,7 @@ def allocate_quotas(
     total = sum(pops)
     if total < 1:
         raise ValueError("populations: pool is empty")
-    if not isinstance(n_cal, int) or not 1 <= n_cal <= total:
+    if isinstance(n_cal, bool) or not isinstance(n_cal, int) or not 1 <= n_cal <= total:
         raise ValueError(f"n_cal: must be an integer in [1, {total}], got {n_cal!r}")
 
     # integer arithmetic keeps remainder comparisons exact

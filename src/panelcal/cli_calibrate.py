@@ -5,53 +5,23 @@ from __future__ import annotations
 import argparse
 import json
 from dataclasses import asdict
-from typing import Sequence
 
 from . import bounds, calibrate, config, metrics, records
-from .core import DecisionThresholds, RecordError
-from .records import CalibrationTable
+from .core import DecisionThresholds
 from .rundir import _Run
-
-
-def _check_strata(
-    pool: CalibrationTable, n_cal: int, bin_edges: Sequence[float], status_vocabulary: Sequence[str]
-) -> None:
-    """The ``stratify`` cells must hold every pool record, and ``n_cal`` fit the pool.
-
-    ``calibrate.stratify`` checks the same; these errors name the config
-    key and the pool line.
-    """
-    known = set(status_vocabulary)
-    outside = (pool.scores < bin_edges[0]) | (pool.scores > bin_edges[-1])
-    if outside.any() or not known.issuperset(pool.statuses):
-        for i, status in enumerate(pool.statuses):
-            if status not in known:
-                raise RecordError(
-                    f"{pool.where(i)}: status {status!r} not in "
-                    f"stratify.status_vocabulary {list(status_vocabulary)}"
-                )
-            if outside[i]:
-                raise RecordError(
-                    f"{pool.where(i)}: score {float(pool.scores[i])} outside "
-                    f"stratify.bin_edges [{bin_edges[0]}, {bin_edges[-1]}]"
-                )
-    if n_cal > len(pool):
-        raise config.error(f"stratify.n_cal: must be an integer in [1, {len(pool)}], got {n_cal}")
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     target_rate, delta, stratify = config.load(args.config, "target_rate", "delta", "stratify")
     pool = records.load_calibration_table(args.records)
+    plan, used = None, pool
     if stratify is not None:
-        _check_strata(pool, **stratify)
+        try:
+            plan, used = calibrate.stratify(pool, **stratify, seed=0 if args.seed is None else args.seed)
+        except ValueError as exc:  # a pool record's error names its line
+            raise config.rename(exc, {"n_cal": config.key_name("stratify.n_cal")}) from None
 
     run = _Run(args.out, "calibrate", args.seed, args.config, [args.records])
-
-    used = pool
-    plan = None
-    if stratify is not None:
-        seed = 0 if args.seed is None else args.seed
-        plan, used = calibrate.stratify(pool, **stratify, seed=seed)
 
     tails = calibrate.TailCounts.of(used.scores, used.accepts)
     tau_rate = tails.rate_threshold(target_rate)

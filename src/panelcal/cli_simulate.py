@@ -31,11 +31,11 @@ def _cohort_settings(
     """
     if args.m is not None:
         m_grid = _parse_int_list(args.m, "--m")
-    if not m_grid or min(m_grid) < 1:
-        message = f"panel sizes must be integers >= 1, got {list(m_grid)}"
-        raise (RecordError(f"--m: {message}") if args.m is not None
-               else config.error(f"{path}.m_grid: {message}"))
-    m_max = max(m_grid)
+    try:
+        m_max = max(simulate.panel_sizes(m_grid))
+    except ValueError as exc:
+        name = "--m" if args.m is not None else config.key_name(f"{path}.m_grid")
+        raise config.rename(exc, {"m_grid": name}) from None
     if m_max != spec.m_reviewers:
         sigma = spec.noise.per_reviewer_variance[0]
         noise = NoiseProfile((sigma,) * m_max, spec.noise.scalar_bounds)
@@ -86,11 +86,12 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
     grid = section["n_cal_grid"] if args.grid is None else _parse_int_list(args.grid, "--grid")
     replicates = section["replicates"] if args.replicates is None else args.replicates
     seed = section["seed"] if args.seed is None else args.seed
-    size = settings.cohort.n_papers
-    if len(grid) < 2 or grid[0] < 2 or grid[-1] > size or any(b <= a for a, b in zip(grid, grid[1:])):
-        message = f"calibration sizes must be strictly increasing integers in [2, {size}], got {list(grid)}"
-        raise (RecordError(f"--grid: {message}") if args.grid is not None
-               else config.error(f"{path}.n_cal_grid: {message}"))
+    try:
+        if len(simulate.calibration_sizes(grid, settings.cohort.n_papers)) < 2:
+            raise ValueError(f"n_cal_grid: the error curve needs at least 2 calibration sizes, got {list(grid)}")
+    except ValueError as exc:
+        names = {"n_cal_grid": "--grid" if args.grid is not None else config.key_name(f"{path}.n_cal_grid")}
+        raise config.rename(exc, names) from None
 
     run = _Run(args.out, "simulate-threshold-error", seed, args.config, [])
     population = simulate.synthetic_calibration_population(settings)
@@ -111,11 +112,9 @@ def cmd_simulate_variance(args: argparse.Namespace) -> int:
     run = _Run(args.out, "simulate-variance", spec.seed, args.config, [])
     try:
         rows = simulate.variance_experiment(spec, m_grid)
-    except ValueError as exc:
-        key, _, message = str(exc).partition(": ")
-        if key not in ("n_papers", "noise"):  # the spec checks; a failed reject-resample keeps its words
-            raise
-        raise config.error(f"{path}.spec.{key}: {message}") from None
+    except ValueError as exc:  # the spec checks; a failed reject-resample keeps its words
+        names = {key: config.key_name(f"{path}.spec.{key}") for key in ("n_papers", "noise")}
+        raise config.rename(exc, names) from None
     low, high = min(m_grid), max(m_grid)
     return _finish(run, "variance.csv", simulate.VarianceRow, rows, [
         ("consensus variance scales like 1/M", simulate.check_variance_rows(rows, m_low=low, m_high=high)),

@@ -3,9 +3,9 @@
 ``SPEC`` (``--config``) and ``THRESHOLDS`` (``thresholds.json``) map each
 key to its node and default, or to ``REQUIRED``.  Leaf parsers check JSON
 types strictly: a number is an int or a float but not a bool, and a string
-stays a string.  A range that a domain type's ``__post_init__`` checks is
-not declared again; its error is reported under the key path, renamed
-where the type's field has another name than the key.  A JSON null
+stays a string.  A range that the library checks is stated there only;
+``rename`` words its ``field: message`` under the key path, flag or
+``config: key`` that the field is given as.  A JSON null
 is the same as leaving the key out.  ``load`` rejects a key that no
 command knows, naming the nearest known one, and parses only the keys the
 calling command reads, so one config file can serve several commands.
@@ -30,8 +30,8 @@ from .core import (
 if TYPE_CHECKING:
     from .simulate import CohortSpec, LatentDistribution, PopulationSettings
 
-__all__ = ["REQUIRED", "Section", "ReviewerMap", "SPEC", "THRESHOLDS", "parse", "error", "load",
-           "load_thresholds"]
+__all__ = ["REQUIRED", "Section", "ReviewerMap", "SPEC", "THRESHOLDS", "parse", "key_name", "error", "rename",
+           "load", "load_thresholds"]
 
 REQUIRED = object()  # the default of a key that must be given
 
@@ -208,11 +208,8 @@ def parse(node: Any, value: Any, path: str = "") -> Any:
         try:
             return node.build(**values)
         except ValueError as exc:
-            # a domain type names the field first: "bounds[0]: ..."
-            key, _, message = str(exc).partition(": ")
-            if key.partition("[")[0] in node.keys:
-                raise _fail(_at(path, key), message) from None
-            raise _fail(path, str(exc)) from None
+            keyed = rename(exc, {key: _at(path, key) for key in node.keys})
+            raise (_fail(path, str(exc)) if keyed is exc else keyed) from None
     if isinstance(node, ReviewerMap):
         if value in node.words:
             return value
@@ -243,8 +240,7 @@ def _population(size: int, link_midpoint: float, link_slope: float, **cohort: An
     try:
         spec = _cohort(n_papers=size, **cohort)
     except ValueError as exc:  # the cohort calls the size n_papers
-        field, _, message = str(exc).partition(": ")
-        raise ValueError(f"size: {message}" if field == "n_papers" else str(exc)) from None
+        raise rename(exc, {"n_papers": "size"}) from None
     return PopulationSettings(spec, link_midpoint, link_slope)
 
 
@@ -258,13 +254,16 @@ def _latent(kind: str, **params: float | None) -> LatentDistribution:
     for name, value in params.items():
         if (value is None) == (name in names):
             raise ValueError(f"{name}: {'required' if value is None else 'not a key'} of a {kind} latent")
-    return LatentDistribution(kind, *(params[name] for name in names))
+    try:
+        return LatentDistribution(kind, *(params[name] for name in names))
+    except ValueError as exc:
+        raise rename(exc, dict(zip(("param_a", "param_b"), names))) from None
 
 
 def _margins(**settings: Any) -> dict[str, Any]:
-    edges = settings["bin_edges"]
-    if edges[0] < 0:
-        raise ValueError(f"bin_edges: margins are non-negative; first edge must be >= 0, got {list(edges)}")
+    from .simulate import margin_bin_edges
+
+    margin_bin_edges(settings["bin_edges"])
     return settings
 
 
@@ -332,9 +331,27 @@ THRESHOLDS = Section({
 }, lambda stratified, seed, **fields: DecisionThresholds(**fields))
 
 
+def key_name(path: str) -> str:
+    """How an error names the config key at the dotted ``path``: after ``config: ``."""
+    return f"config: {path}"
+
+
 def error(message: str) -> RecordError:
     """The error of a ``--config`` file: ``message``, which names the key path, after ``config: ``."""
-    return RecordError(f"config: {message}")
+    return RecordError(key_name(message))
+
+
+def rename(exc: ValueError, names: Mapping[str, str]) -> ValueError:
+    """``exc``, a library ``ValueError("field: message")``, as ``RecordError("names[field]: message")``.
+
+    An index after the field (``bounds[0]``) is kept.  An error whose field
+    ``names`` does not hold is returned as it is.
+    """
+    field, _, message = str(exc).partition(": ")
+    name, bracket, index = field.partition("[")
+    if name not in names:
+        return exc
+    return RecordError(f"{names[name]}{bracket}{index}: {message}")
 
 
 def load(path: str | None, *keys: str) -> list[Any]:

@@ -41,8 +41,11 @@ __all__ = [
     "generate_cohort",
     "slice_cohort",
     "margin_experiment",
+    "margin_bin_edges",
+    "panel_sizes",
     "margin_suite",
     "synthetic_calibration_population",
+    "calibration_sizes",
     "threshold_bootstrap",
     "variance_experiment",
     "check_margin_dominance",
@@ -67,11 +70,9 @@ class LatentDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "gaussian"):
             raise ValueError(f"kind: must be 'uniform' or 'gaussian', got {self.kind!r}")
-        a, b = float(self.param_a), float(self.param_b)
+        a, b = finite("param_a", self.param_a), finite("param_b", self.param_b)
         object.__setattr__(self, "param_a", a)
         object.__setattr__(self, "param_b", b)
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("param_a: distribution parameters must be finite")
         if self.kind == "uniform" and not a < b:
             raise ValueError(f"param_a: uniform needs lo < hi, got ({a}, {b})")
         if self.kind == "gaussian" and not b > 0:
@@ -262,13 +263,7 @@ def margin_experiment(
             f"weights: expected {spec.m_reviewers} entries, got {len(weights)}"
         )
     threshold = finite("threshold", threshold)
-    edges = np.asarray(bin_edges, dtype=float)
-    if not np.all(np.isfinite(edges)):
-        raise ValueError(f"bin_edges: must be finite, got {edges.tolist()}")
-    if edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin_edges: need at least 2 strictly increasing edges")
-    if edges[0] < 0:
-        raise ValueError("bin_edges: margins are non-negative; first edge must be >= 0")
+    edges = margin_bin_edges(bin_edges)
 
     consensus = cohort.scores @ np.asarray(weights.weights)
     gamma = np.abs(cohort.latent - threshold)
@@ -293,15 +288,36 @@ def margin_experiment(
     return rows
 
 
+def margin_bin_edges(bin_edges: Sequence[float]) -> np.ndarray:
+    """``bin_edges`` as margin bins: at least 2 finite, strictly increasing edges, the first >= 0."""
+    edges = np.asarray(bin_edges, dtype=float)
+    if not np.all(np.isfinite(edges)):
+        raise ValueError(f"bin_edges: must be finite, got {edges.tolist()}")
+    if edges.size < 2 or np.any(np.diff(edges) <= 0):
+        raise ValueError("bin_edges: need at least 2 strictly increasing edges")
+    if edges[0] < 0:
+        raise ValueError(f"bin_edges: margins are non-negative; first edge must be >= 0, got {edges.tolist()}")
+    return edges
+
+
+def _integers(values: Sequence[int]) -> bool:
+    """Whether every value is an integer, a bool not counted as one."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
+def panel_sizes(m_grid: Sequence[int]) -> list[int]:
+    """The distinct panel sizes of ``m_grid``, ascending; it must hold integers >= 1, at least one."""
+    grid = list(m_grid)
+    if not grid or not _integers(grid) or min(grid) < 1:
+        raise ValueError(f"m_grid: panel sizes must be integers >= 1, got {grid}")
+    return sorted(set(map(int, grid)))
+
+
 def _panel_sizes(spec: CohortSpec, m_grid: Sequence[int]) -> list[int]:
-    """The distinct panel sizes of ``m_grid``, ascending; the largest must be the cohort's."""
-    sizes = sorted({int(m) for m in m_grid})
-    if not sizes:
-        raise ValueError("m_grid: must be non-empty")
+    """``panel_sizes(m_grid)``, whose largest must be the cohort's."""
+    sizes = panel_sizes(m_grid)
     if sizes[-1] != spec.m_reviewers:
-        raise ValueError(
-            f"m_grid: largest entry must equal spec.m_reviewers={spec.m_reviewers}"
-        )
+        raise ValueError(f"m_grid: largest entry must equal spec.m_reviewers={spec.m_reviewers}")
     return sizes
 
 
@@ -354,6 +370,15 @@ def synthetic_calibration_population(settings: PopulationSettings) -> Calibratio
     )
 
 
+def calibration_sizes(n_cal_grid: Sequence[int], size: int) -> list[int]:
+    """``n_cal_grid`` as ints: at least one, strictly increasing, each in [2, ``size``]."""
+    grid = list(n_cal_grid)
+    if not (grid and _integers(grid) and grid == sorted(set(grid)) and 2 <= grid[0] and grid[-1] <= size):
+        raise ValueError(f"n_cal_grid: calibration sizes must be strictly increasing integers in [2, {size}], "
+                         f"got {grid}")
+    return [int(n) for n in grid]
+
+
 # picked elements per block of bootstrap replicates, which bounds the
 # kernel's temporary arrays at a few MB whatever the grid and replicate count
 _BLOCK_ELEMENTS = 1 << 16
@@ -380,14 +405,7 @@ def threshold_bootstrap(
     size = len(table)
     if not size:
         raise ValueError("population: must be non-empty")
-    grid = [int(n) for n in n_cal_grid]
-    if not grid:
-        raise ValueError("n_cal_grid: must be non-empty")
-    for n in grid:
-        if not 2 <= n <= size:
-            raise ValueError(f"n_cal_grid: entries must lie in [2, {size}], got {n}")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("n_cal_grid: must be strictly increasing")
+    grid = calibration_sizes(n_cal_grid, size)
     if not isinstance(replicates, int) or replicates < 2:
         raise ValueError(f"replicates: must be an integer >= 2, got {replicates!r}")
 

@@ -1,6 +1,7 @@
 import bisect
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,9 +86,9 @@ def test_cell_populations_bins_top_edge_inclusive():
     pool = make_pool([0.0, 4.9, 5.0, 10.0])
     counts = cell_populations(pool, (0.0, 5.0, 10.0), ("accept",))
     assert counts == {(0, "accept"): 2, (1, "accept"): 2}
-    with pytest.raises(ValueError, match="outside binning range"):
+    with pytest.raises(ValueError, match=re.escape("score 10.5 outside bin_edges [0.0, 10.0]")):
         cell_populations(make_pool([10.5]), (0.0, 5.0, 10.0), ("accept",))
-    with pytest.raises(ValueError, match="not in vocabulary"):
+    with pytest.raises(ValueError, match=re.escape("status 'hold' not in status_vocabulary ['accept']")):
         cell_populations(make_pool([1.0], statuses=["hold"]), (0.0, 10.0), ("accept",))
 
 
@@ -103,6 +104,14 @@ def test_allocate_quotas_remainder_tie_prefers_first_cell():
     plan = allocate_quotas(pops, 4, (0.0, 1.0, 2.0, 3.0), ("a",))
     # shares 1.6 / 1.6 / 0.8; the last leftover goes to the tied earlier bin
     assert [c.quota for c in plan.cells] == [2, 1, 1]
+
+
+@pytest.mark.parametrize("n_cal", [True, 2.0, 0, 26])
+def test_allocate_quotas_takes_an_integer_n_cal_within_the_pool(n_cal):
+    pops = {(0, "a"): 20, (1, "a"): 5}
+    with pytest.raises(ValueError) as info:
+        allocate_quotas(pops, n_cal, (0.0, 1.0, 2.0), ("a",))
+    assert str(info.value) == f"n_cal: must be an integer in [1, 25], got {n_cal!r}"
 
 
 def test_allocate_quotas_properties():

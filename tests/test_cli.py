@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from panelcal import calibrate
+from panelcal import calibrate, simulate
 from panelcal.cli import _sha256_file, main
 from panelcal.core import CalibrationRecord
 from panelcal.records import load_calibration_records
@@ -306,13 +306,13 @@ def test_calibrate_bad_config_exit_2_before_run(tmp_path, capsys, config, messag
         (dict(STRATIFY, status_vocabulary=["accept", "accept"]),
          "config: stratify.status_vocabulary: entries must be unique"),
         (dict(STRATIFY, status_vocabulary=["accept"]),
-         "{pool}:1: status 'reject' not in stratify.status_vocabulary ['accept']"),
+         "{pool}:1: status 'reject' not in status_vocabulary ['accept']"),
         (dict(STRATIFY, bin_edges=[0.0, 5.0, 6.5]),
-         "{pool}:6: score 7.0 outside stratify.bin_edges [0.0, 6.5]"),
+         "{pool}:6: score 7.0 outside bin_edges [0.0, 6.5]"),
         (dict(STRATIFY, bin_edges=[2.5, 8.0], status_vocabulary=["accept", "hold"]),
-         "{pool}:1: status 'reject' not in stratify.status_vocabulary ['accept', 'hold']"),
+         "{pool}:1: status 'reject' not in status_vocabulary ['accept', 'hold']"),
         (dict(STRATIFY, bin_edges=[2.5, 8.0]),
-         "{pool}:1: score 2.0 outside stratify.bin_edges [2.5, 8.0]"),
+         "{pool}:1: score 2.0 outside bin_edges [2.5, 8.0]"),
     ],
     ids=["n-cal-above-pool", "vocabulary-repeated", "unknown-status", "score-above-edges",
          "status-before-score", "score-below-edges"],
@@ -1354,6 +1354,17 @@ def test_simulate_bad_settings_exit_2_before_run(tmp_path, capsys, argv, config,
     assert not (tmp_path / "runs").exists()
 
 
+def forbid_simulation_work(monkeypatch):
+    """Make every simulation step fail, so a command that reaches one fails its test."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the arguments are checked before any simulation work")
+
+    for name in ("generate_cohort", "margin_suite", "variance_experiment",
+                 "synthetic_calibration_population", "threshold_bootstrap"):
+        monkeypatch.setattr(simulate, name, no_work)
+
+
 @pytest.mark.parametrize(
     ("argv", "config", "where"),
     [(["--grid", "50"], None, "--grid"),
@@ -1363,21 +1374,69 @@ def test_simulate_bad_settings_exit_2_before_run(tmp_path, capsys, argv, config,
 )
 def test_threshold_error_one_point_grid_fails_before_the_bootstrap(tmp_path, capsys, monkeypatch,
                                                                    argv, config, where):
-    from panelcal import simulate
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("the grid is checked before any simulation work")
-
-    monkeypatch.setattr(simulate, "synthetic_calibration_population", no_work)
-    monkeypatch.setattr(simulate, "threshold_bootstrap", no_work)
+    forbid_simulation_work(monkeypatch)
     if config is not None:
         argv = [*argv, "--config", write_json(tmp_path, "config.json", config)]
     code, _, err = run_cli(capsys, "simulate", "threshold-error", *argv,
                            "--out", str(tmp_path / "runs"))
     assert code == 2
-    assert err == (f"error: {where}: calibration sizes must be strictly increasing integers "
-                   "in [2, 20000], got [50]\n")
+    assert err == f"error: {where}: the error curve needs at least 2 calibration sizes, got [50]\n"
     assert not (tmp_path / "runs").exists()
+
+
+GRID_POPULATION = 30  # the population size the n_cal grids are checked against
+
+
+@settings(max_examples=max(100, settings.default.max_examples))
+@given(st.sampled_from(["m_grid", "n_cal_grid"]),
+       st.one_of(st.just([]), st.lists(st.integers(-2, GRID_POPULATION + 3), min_size=1, max_size=4)))
+@example("m_grid", [])
+@example("m_grid", [0])
+@example("m_grid", [-2, 3])
+@example("m_grid", [3, 3, 1])
+@example("n_cal_grid", [])
+@example("n_cal_grid", [0, 5])
+@example("n_cal_grid", [5, 5])
+@example("n_cal_grid", [9, 5])
+@example("n_cal_grid", [5, GRID_POPULATION + 1])
+@example("n_cal_grid", [5])
+@example("n_cal_grid", [1])
+@example("n_cal_grid", [2, GRID_POPULATION])
+def test_grid_rule_reads_the_same_at_every_door(key, grid):
+    """The library, the flag and the config key word a grid's rule alike, and no bad grid runs."""
+    if key == "m_grid":
+        command, flag, section = "variance", "--m", {}
+        rule = simulate.panel_sizes
+    else:
+        command, flag = "threshold-error", "--grid"
+        section = {"population": dict(SMALL_POPULATION, size=GRID_POPULATION)}
+        rule = lambda grid: simulate.calibration_sizes(grid, GRID_POPULATION)  # noqa: E731
+    try:
+        sizes = rule(grid)
+    except ValueError as exc:
+        field, _, message = str(exc).partition(": ")
+        assert field == key
+    else:
+        assert sizes == sorted(set(grid))
+        if key == "m_grid" or len(grid) > 1:
+            return
+        message = f"the error curve needs at least 2 calibration sizes, got {grid}"  # the command's own rule
+
+    path = f"simulate.{command.replace('-', '_')}"
+    doors = [([], {**section, key: grid}, f"config: {path}.{key}")]
+    if grid:  # a flag holds at least one size
+        doors.append(([f"{flag}={','.join(map(str, grid))}"], section, flag))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as monkeypatch:
+        forbid_simulation_work(monkeypatch)
+        tmp_path = Path(tmp)
+        for argv, settings_obj, name in doors:
+            config = write_json(tmp_path, "config.json", {"simulate": {command.replace("-", "_"): settings_obj}})
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["simulate", command, *argv, "--config", config, "--out", str(tmp_path / "runs")])
+            assert code == 2
+            assert err.getvalue() == f"error: {name}: {message}\n"
+            assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize(

@@ -150,6 +150,25 @@ def test_bad_config_exits_2_naming_the_key_path(tmp_path, command, config_obj, m
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    ("latent", "message"),
+    [
+        ('{"kind": "uniform", "lo": 7, "hi": 4}', "lo: uniform needs lo < hi, got (7.0, 4.0)"),
+        ('{"kind": "uniform", "lo": 4, "hi": 1e400}', "hi: must be finite, got inf"),
+        ('{"kind": "gaussian", "mean": -1e400, "sd": 1}', "mean: must be finite, got -inf"),
+        ('{"kind": "gaussian", "mean": 5, "sd": 0}', "sd: gaussian needs sd > 0, got 0.0"),
+    ],
+    ids=["uniform-reversed", "uniform-hi-overflows", "gaussian-mean-overflows", "gaussian-sd-zero"],
+)
+def test_latent_errors_name_the_bad_key(tmp_path, latent, message):
+    # these once named the dataclass field param_a, and blamed lo for a bad hi
+    text = json.dumps({"simulate": {"variance": {"spec": dict(COHORT, latent=None)}}})
+    config_file = write(tmp_path, "config.json", text.replace('"latent": null', f'"latent": {latent}') + "\n")
+    code, err = run(["simulate", "variance", "--config", config_file], tmp_path)
+    assert code == 2
+    assert err == f"error: config: simulate.variance.spec.latent.{message}\n"
+
+
 def test_strict_thresholds_file(tmp_path):
     panels = write(tmp_path, "panels.jsonl", PANELS)
     cfg = write_json(tmp_path, "config.json", {"functional": {"kind": "linear", "coefficients": [0.5, 0.5]}})

@@ -413,6 +413,15 @@ def test_threshold_bootstrap_validation():
         threshold_bootstrap(pop, (10, 20), replicates=1, seed=1)
 
 
+@pytest.mark.parametrize("grid", [(20.7,), (20, 30.0), (True, 20), ()], ids=["float", "float-last", "bool", "empty"])
+def test_threshold_bootstrap_takes_integer_sizes_only(grid):
+    # a float size once ran truncated: (20.7,) as n_cal=20
+    message = f"n_cal_grid: calibration sizes must be strictly increasing integers in [2, 50], got {list(grid)}"
+    with pytest.raises(ValueError) as info:
+        threshold_bootstrap(make_population(n=50), grid, replicates=10, seed=1)
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------- variance
 
 
@@ -435,6 +444,20 @@ def test_variance_experiment_scaling():
         variance_experiment(spec, (1, 2))
     with pytest.raises(ValueError, match="n_papers: a variance needs at least 2 papers, got 1"):
         variance_experiment(small_spec(n=1), (1, 2, 3))
+
+
+@pytest.mark.parametrize("m_grid", [(0, 3), (-2, 3), (1.5, 3), (True, 3), ()],
+                         ids=["zero", "negative", "float", "bool", "empty"])
+@pytest.mark.parametrize("experiment", ["variance", "margins"])
+def test_experiments_take_panel_sizes_of_at_least_1(experiment, m_grid):
+    # once (0, 3) divided by zero, (-2, 3) gave a row with m=-2 and (1.5, 3) ran as m=1
+    spec = small_spec(m=3, n=50)
+    with pytest.raises(ValueError) as info:
+        if experiment == "variance":
+            variance_experiment(spec, m_grid)
+        else:
+            margin_suite(spec, m_grid, 5.5, (0.0, 1.0))
+    assert str(info.value) == f"m_grid: panel sizes must be integers >= 1, got {list(m_grid)}"
 
 
 # ---------------------------------------------------------------- checks
