@@ -11,8 +11,10 @@ Subcommands:
 
 Every data-producing run that completes writes into a fresh directory
 under ``--out``: its outputs, then a ``manifest.json`` (command, seed,
-input and output digests, UTC timestamps); nothing is ever overwritten.
-A command that stops on an error creates no directory.  Exit codes:
+input and output digests, UTC timestamps); no run directory is ever
+overwritten.  ``--out`` also keeps the column cache of the JSONL inputs
+(``.panelcal-cache``, see ``rundir``).  A command that stops on an error
+creates nothing under ``--out``.  Exit codes:
 0 success, 2 input or config error, 3 calibration infeasible, 4
 simulation property-check failure (its run directory is still written).
 

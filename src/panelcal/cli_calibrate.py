@@ -6,22 +6,21 @@ import argparse
 import json
 from dataclasses import asdict
 
-from . import bounds, calibrate, config, metrics, records
+from . import bounds, calibrate, config, metrics
 from .core import DecisionThresholds
 from .rundir import _Run
 
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     target_rate, delta, stratify = config.load(args.config, "target_rate", "delta", "stratify")
-    pool = records.load_calibration_table(args.records)
+    run = _Run(args.out, "calibrate", args.seed, args.config, [])
+    pool = run.load("pool", args.records)
     plan, used = None, pool
     if stratify is not None:
         try:
             plan, used = calibrate.stratify(pool, **stratify, seed=0 if args.seed is None else args.seed)
         except ValueError as exc:  # a pool record's error names its line
             raise config.rename(exc, {"n_cal": config.key_name("stratify.n_cal")}) from None
-
-    run = _Run(args.out, "calibrate", args.seed, args.config, [args.records])
 
     tails = calibrate.TailCounts.of(used.scores, used.accepts)
     tau_rate = tails.rate_threshold(target_rate)

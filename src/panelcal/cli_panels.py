@@ -112,7 +112,8 @@ def cmd_review(args: argparse.Namespace) -> int:
         args.config, "schema", "functional", "weights", "gls_variances"
     )
     functional = _scoring(schema, functional)
-    table = records.load_panel_table(args.panels)
+    run = _Run(args.out, "review", None, args.config, [args.thresholds])
+    table = run.load("panel", args.panels)
     _check_roster(table)
     table.validate(schema)
     _check_criteria(table, functional)
@@ -150,7 +151,6 @@ def cmd_review(args: argparse.Namespace) -> int:
                 (name, label, metrics.rate_with_counts(k, total) if total else "- (no flags)")
             )
 
-    run = _Run(args.out, "review", None, args.config, [args.panels, args.thresholds])
     run.write(
         "decisions.csv",
         metrics.csv_text(
@@ -210,7 +210,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     prior, alpha, threshold = settings["prior"], settings["alpha"], settings["threshold"]
     review_variances = settings["review_variances"]
     solicit_variance = settings["solicit_variance"] or review_variances.get("default", 1.0)
-    inputs = [args.panels]
+    inputs = []
     if threshold in ("tau_rate", "tau_05"):
         if args.thresholds is None:
             raise config.error(f"bayes.threshold: {threshold!r} needs --thresholds")
@@ -219,7 +219,8 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     if not math.isfinite(threshold):
         raise config.error(f"bayes.threshold: resolved threshold {threshold} is not finite")
 
-    table = records.load_panel_table(args.panels)
+    run = _Run(args.out, "bayes", None, args.config, inputs)
+    table = run.load("panel", args.panels)
     table.validate(schema, require_reviews=False)
     _check_criteria(table, functional)
     variances = _per_reviewer(
@@ -240,7 +241,6 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     notes = ["" if count else "prior-only" for count in table.counts.tolist()]
     floats = [means.tolist(), posterior_variances.tolist(), p_accept.tolist()]
 
-    run = _Run(args.out, "bayes", None, args.config, inputs)
     run.write(
         "bayes.csv",
         metrics.csv_text(
@@ -295,7 +295,8 @@ def cmd_bayes(args: argparse.Namespace) -> int:
 
 
 def cmd_detector_eval(args: argparse.Namespace) -> int:
-    table = records.load_panel_table(args.panels)
+    run = _Run(args.out, "detector-eval", None, None, [])
+    table = run.load("panel", args.panels)
     _check_roster(table)
     table.validate(require_labels=True)
 
@@ -324,7 +325,6 @@ def cmd_detector_eval(args: argparse.Namespace) -> int:
         ("random-baseline", "50.0%", "50.0%", "50.0%", metrics.format_percent(baseline_f1))
     )
 
-    run = _Run(args.out, "detector-eval", None, None, [args.panels])
     run.write(
         "detector.csv",
         metrics.csv_text(

@@ -34,7 +34,7 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Container, Iterable, Sequence
+from typing import Any, Callable, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -310,10 +310,19 @@ _NUMBER_TYPES = {int, float}  # JSON numbers; bool is not among them
 
 def read_text(path: str | Path) -> str:
     """Read a UTF-8 input file; an unreadable path or a non-UTF-8 byte raises RecordError."""
+    return _decode_text(path, _read_bytes(path))
+
+
+def _read_bytes(path: str | Path) -> bytes:
+    """The bytes of an input file; an unreadable path raises RecordError."""
     try:
-        data = Path(path).read_bytes()
+        return Path(path).read_bytes()
     except OSError as exc:
         raise RecordError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
+def _decode_text(path: str | Path, data: bytes) -> str:
+    """``data``, the bytes of the file at ``path``, as UTF-8 text; a non-UTF-8 byte raises RecordError."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -426,17 +435,26 @@ def _line_objects(
     return numbers, objects, None
 
 
-def _json_objects(path: str | Path):
-    """(line numbers, objects) of the non-blank lines of the JSONL file at ``path``, a piece at a time.
+def _json_objects(path: str | Path, text: str):
+    """(line numbers, objects) of the non-blank lines of ``text``, the JSONL file at ``path``, a piece at a time.
 
-    ``_joined`` decodes a piece in one scan; a piece it does not take goes
-    a line at a time.  A line that is not a JSON object raises RecordError
-    once the objects of the lines before it in its piece are yielded.
+    ``_joined`` decodes a piece in one scan.  A blank line (empty or
+    whitespace only, which the per-line path skips) breaks that scan, so a
+    piece that holds one is joined again without its blank lines, and its
+    line numbers are those of the lines kept.  A piece that ``_joined``
+    does not take goes a line at a time.  A line that is not a JSON object
+    raises RecordError once the objects of the lines before it in its piece
+    are yielded.
     """
-    for first, lines in _pieces(read_text(path), _CHUNK):
-        objects = _joined(lines)
+    for first, lines in _pieces(text, _CHUNK):
+        numbers = range(first, first + len(lines))
+        objects = None if "" in lines else _joined(lines)  # an empty line would stop the scan part way
+        if objects is None:
+            numbers = [n for n, line in zip(numbers, lines) if line and not line.isspace()]
+            if len(numbers) < len(lines):
+                objects = _joined([lines[n - first] for n in numbers]) if numbers else []
         if objects is not None:
-            yield range(first, first + len(lines)), objects
+            yield numbers, objects
             continue
         numbers, objects, stop = _line_objects(path, first, lines)
         yield numbers, objects
@@ -447,17 +465,25 @@ def _json_objects(path: str | Path):
 _Break = tuple[Any, str] | None  # a rule's first break: (its row, its message), or None
 
 
-def _load(path: str | Path, columns: _PanelColumns | _PoolColumns) -> Any:
+def _load(path: str | Path, columns: _PanelColumns | _PoolColumns, cached: Callable[[bytes], Any] | None) -> Any:
     """The table ``columns`` builds from the JSONL file at ``path``, or its first error.
 
+    The file is read once.  ``cached``, when given, sees its bytes first,
+    and a table it returns is the result: the bytes are then not parsed.
     ``columns.rules()`` gives each line rule's first break as ((line index,
     review row), message), in order on a line.  A line that is not a JSON
     object ends the pass, but a rule broken on an earlier line comes first.
     """
+    data = _read_bytes(path)
+    table = None if cached is None else cached(data)
+    if table is not None:
+        return table
+    pieces = _json_objects(path, _decode_text(path, data))
+    del data  # only the pieces hold the text, so it is freed before the table is built
     lines: list[int] = []
     stop = None
     try:
-        for numbers, objects in _json_objects(path):
+        for numbers, objects in pieces:
             lines.extend(numbers)
             columns.take(objects)
             objects.clear()  # the piece is freed before the next is decoded
@@ -563,13 +589,15 @@ def _distinct(ids: list[str]) -> bool:
     return not (hashes[1:] == hashes[:-1]).any() or len(set(ids)) == len(ids)
 
 
-def load_panel_table(path: str | Path) -> PanelTable:
+def load_panel_table(path: str | Path, cached: Callable[[bytes], PanelTable | None] | None = None) -> PanelTable:
     """Parse panel JSONL into a PanelTable; duplicate panel ids are rejected.
 
-    Only the checks of single lines run here; ``PanelTable.validate``
-    checks the panels as a whole.
+    ``cached``, when given, is called with the file's bytes before they are
+    parsed, and a table it returns is taken in place of the parse.  Only
+    the checks of single lines run here; ``PanelTable.validate`` checks the
+    panels as a whole.
     """
-    return _load(path, _PanelColumns())
+    return _load(path, _PanelColumns(), cached)
 
 
 class _PanelColumns:
@@ -710,9 +738,14 @@ def load_panel_records(path: str | Path) -> list[PanelRecord]:
     return [table.record(i) for i in range(len(table))]
 
 
-def load_calibration_table(path: str | Path) -> CalibrationTable:
-    """Parse calibration JSONL into a CalibrationTable; duplicate ids are rejected."""
-    return _load(path, _PoolColumns())
+def load_calibration_table(
+    path: str | Path, cached: Callable[[bytes], CalibrationTable | None] | None = None
+) -> CalibrationTable:
+    """Parse calibration JSONL into a CalibrationTable; duplicate ids are rejected.
+
+    ``cached`` is as for ``load_panel_table``.
+    """
+    return _load(path, _PoolColumns(), cached)
 
 
 class _PoolColumns:

@@ -4,21 +4,35 @@ A run keeps its outputs in memory until ``finish`` creates a fresh
 directory under ``--out``, writes them, then writes the manifest (command,
 seed, input and output digests, UTC timestamps).  Only the data commands
 import this module; ``bound`` writes no run directory.
+
+``--out`` also holds the column cache, ``.panelcal-cache``: one entry per
+JSONL input (by its resolved path and table kind) with the table that its
+bytes parse to (see ``panelcal.cache``).  ``_Run.load`` reads each JSONL
+input once, hashes those bytes for the manifest, and parses them only
+when no entry holds them; ``finish`` writes the entries of the inputs it
+parsed, so a run that stops on an error leaves nothing under ``--out``,
+and removes the entries whose input file is gone.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
 from .cli import _out_error, _sha256_file
 
+if TYPE_CHECKING:
+    from .records import CalibrationTable, PanelTable
+
 __all__ = ["RunManifest"]
+
+CACHE_DIR = ".panelcal-cache"
 
 
 @dataclass(frozen=True)
@@ -40,7 +54,11 @@ def _utc_now() -> str:
 
 
 class _Run:
-    """One run's manifest and outputs, kept in memory until ``finish`` writes them."""
+    """One run's manifest and outputs, kept in memory until ``finish`` writes them.
+
+    ``input_paths`` are JSON inputs, hashed by ``finish``; each JSONL input
+    is read through ``load``.
+    """
 
     def __init__(
         self,
@@ -50,28 +68,40 @@ class _Run:
         config_path: str | None,
         input_paths: Sequence[str],
     ) -> None:
-        input_digests = {str(p): _sha256_file(Path(p)) for p in input_paths}
-        config_digest = None if config_path is None else _sha256_file(Path(config_path))
-        ident = hashlib.sha256(
-            json.dumps(
-                [command, seed, config_digest, sorted(input_digests.items())],
-                sort_keys=True,
-            ).encode()
-        ).hexdigest()[:8]
-        stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
         self.out_base = Path(out_base)
-        self.name = f"{command}-{stamp}-{ident}"
+        self.command = command
+        self.seed = seed
+        self.config_path = config_path
+        self.input_paths = list(input_paths)
+        self.stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+        self.started_at = _utc_now()
+        self.input_digests: dict[str, str] = {}  # of the JSONL inputs, from the bytes ``load`` parsed
+        self.entries: list[Callable[[], None]] = []  # the cache writes of the tables parsed
         self.outputs: dict[str, str] = {}
-        self.manifest = RunManifest(
-            command=command,
-            tool_version=__version__,
-            started_at=_utc_now(),
-            finished_at=None,
-            seed=seed,
-            config_digest=config_digest,
-            input_digests=input_digests,
-            output_digests={},
-        )
+
+    def load(self, kind: str, path: str) -> PanelTable | CalibrationTable:
+        """The ``kind`` ("panel" or "pool") table of the JSONL file at ``path``.
+
+        The file is read once.  Its sha256, taken from those bytes, goes
+        into the manifest; the bytes are parsed only when the cache holds
+        no table for them under this interpreter key.
+        """
+        from . import cache  # here: the simulate commands read no JSONL
+
+        _, parse = cache.KINDS[kind]
+        entry = self.out_base / CACHE_DIR / cache.entry_name(kind, path)
+        hit = None
+
+        def cached(data: bytes) -> PanelTable | CalibrationTable | None:
+            nonlocal hit
+            self.input_digests[str(path)] = hashlib.sha256(data).hexdigest()
+            hit = cache.read(entry, kind, self.input_digests[str(path)], str(path))
+            return hit
+
+        table = parse(path, cached)
+        if hit is None:
+            self.entries.append(functools.partial(cache.write, entry, kind, self.input_digests[str(path)], table))
+        return table
 
     def write(self, name: str, text: str) -> None:
         if name in self.outputs:
@@ -79,25 +109,48 @@ class _Run:
         self.outputs[name] = text
 
     def finish(self) -> None:
-        """Create the run directory, write the outputs, then the manifest."""
+        """Create the run directory, write the outputs, the manifest, then the cache entries.
+
+        A run that loaded a JSONL input then prunes the cache of entries whose input is gone.
+        """
+        input_digests = {**self.input_digests, **{str(p): _sha256_file(Path(p)) for p in self.input_paths}}
+        config_digest = None if self.config_path is None else _sha256_file(Path(self.config_path))
+        ident = hashlib.sha256(
+            json.dumps(
+                [self.command, self.seed, config_digest, sorted(input_digests.items())],
+                sort_keys=True,
+            ).encode()
+        ).hexdigest()[:8]
         try:
             self.out_base.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError) as exc:
             # a file is in the way: the path itself or one of its parents
             raise _out_error(self.out_base, exc.errno) from None
-        run_dir = self.out_base / self.name
+        name = f"{self.command}-{self.stamp}-{ident}"
+        run_dir = self.out_base / name
         suffix = 1
         while run_dir.exists():
             suffix += 1
-            run_dir = self.out_base / f"{self.name}-{suffix}"
+            run_dir = self.out_base / f"{name}-{suffix}"
         run_dir.mkdir()
-        for name, text in self.outputs.items():
-            (run_dir / name).write_text(text, encoding="utf-8")
-        manifest = replace(
-            self.manifest,
+        for output, text in self.outputs.items():
+            (run_dir / output).write_text(text, encoding="utf-8")
+        manifest = RunManifest(
+            command=self.command,
+            tool_version=__version__,
+            started_at=self.started_at,
             finished_at=_utc_now(),
-            output_digests={name: _sha256_file(run_dir / name) for name in sorted(self.outputs)},
+            seed=self.seed,
+            config_digest=config_digest,
+            input_digests=input_digests,
+            output_digests={output: _sha256_file(run_dir / output) for output in sorted(self.outputs)},
         )
         text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
         (run_dir / "manifest.json").write_text(text, encoding="utf-8")
         print(f"run directory: {run_dir}")
+        for write_entry in self.entries:
+            write_entry()
+        if self.input_digests:
+            from . import cache
+
+            cache.prune(self.out_base / CACHE_DIR)

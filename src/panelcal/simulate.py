@@ -87,6 +87,11 @@ class LatentDistribution:
         return cls("gaussian", mean, sd)
 
 
+def _integers(values: Sequence[int]) -> bool:
+    """Whether every value is an integer, a bool not counted as one."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
+
+
 @dataclass(frozen=True)
 class CohortSpec:
     """Full recipe for one synthetic review cohort."""
@@ -99,9 +104,9 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n_papers, int) or self.n_papers < 1:
+        if not _integers([self.n_papers]) or self.n_papers < 1:
             raise ValueError(f"n_papers: must be an integer >= 1, got {self.n_papers!r}")
-        if not isinstance(self.m_reviewers, int) or self.m_reviewers < 1:
+        if not _integers([self.m_reviewers]) or self.m_reviewers < 1:
             raise ValueError(f"m_reviewers: must be an integer >= 1, got {self.m_reviewers!r}")
         if self.noise.reviewer_count != self.m_reviewers:
             raise ValueError(
@@ -110,7 +115,7 @@ class CohortSpec:
             )
         if self.clip_mode not in _CLIP_MODES:
             raise ValueError(f"clip_mode: must be one of {_CLIP_MODES}, got {self.clip_mode!r}")
-        if not isinstance(self.seed, int):
+        if not _integers([self.seed]):
             raise ValueError(f"seed: must be an integer, got {self.seed!r}")
         lo, hi = self.noise.scalar_bounds
         if self.latent.kind == "uniform":
@@ -235,7 +240,7 @@ def generate_cohort(spec: CohortSpec) -> Cohort:
 def slice_cohort(cohort: Cohort, m: int) -> Cohort:
     """Restrict a cohort to its first ``m`` reviewers (same papers)."""
     spec = cohort.spec
-    if not isinstance(m, int) or not 1 <= m <= spec.m_reviewers:
+    if not _integers([m]) or not 1 <= m <= spec.m_reviewers:
         raise ValueError(f"m: must be an integer in [1, {spec.m_reviewers}], got {m!r}")
     sub_noise = NoiseProfile(
         spec.noise.per_reviewer_variance[:m], spec.noise.scalar_bounds
@@ -298,11 +303,6 @@ def margin_bin_edges(bin_edges: Sequence[float]) -> np.ndarray:
     if edges[0] < 0:
         raise ValueError(f"bin_edges: margins are non-negative; first edge must be >= 0, got {edges.tolist()}")
     return edges
-
-
-def _integers(values: Sequence[int]) -> bool:
-    """Whether every value is an integer, a bool not counted as one."""
-    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
 
 
 def panel_sizes(m_grid: Sequence[int]) -> list[int]:

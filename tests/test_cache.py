@@ -1,0 +1,158 @@
+"""The column cache: an entry gives back, byte for byte, the table it was written from.
+
+Tables are loaded from drawn JSONL files, so they hold what a load gives:
+ragged rubrics padded with NaN, -0.0, reviews and statuses that repeat,
+and strings that hold line breaks, NULs and lone surrogates.  Anything
+that is not an entry of this table's bytes reads as a miss.
+"""
+
+import dataclasses
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from panelcal import cache, records
+from panelcal.records import load_calibration_table, load_panel_table
+
+# any character, a lone surrogate, and the separators a string column could be split at
+TEXT = st.text(st.characters() | st.sampled_from(["\ud800", "\udfff", "\n", "\x00", "\u2028"]), max_size=5)
+NAME = st.text(st.characters(blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+               | st.just("\ud800"), min_size=1, max_size=4)
+NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-(10**30), 10**30))
+
+
+@st.composite
+def panel_file(draw):
+    names = draw(st.lists(NAME, min_size=1, max_size=4, unique=True))
+    panels = []
+    for i in range(draw(st.integers(1, 6))):
+        reviewers = draw(st.lists(st.sampled_from(names), max_size=len(names), unique=True))
+        width = draw(st.integers(1, 3))
+        panel = {"id": f"p{i}" + draw(NAME), "reviews": [
+            {"reviewer": name, "rubric": draw(st.lists(NUMBER, min_size=width, max_size=width)),
+             "flag": draw(st.booleans()), **({"feedback": draw(TEXT)} if draw(st.booleans()) else {})}
+            for name in reviewers]}
+        label = draw(st.sampled_from([True, False, None, "absent"]))
+        if label != "absent":
+            panel["label"] = label
+        panels.append(panel)
+    return "".join(json.dumps(panel) + "\n" for panel in panels)
+
+
+@st.composite
+def pool_file(draw):
+    statuses = draw(st.lists(TEXT.filter(bool), min_size=1, max_size=3))
+    return "".join(json.dumps({"id": f"c{i}" + draw(NAME), "score": draw(NUMBER), "accept": draw(st.booleans()),
+                               "status": draw(st.sampled_from(statuses))}) + "\n"
+                   for i in range(draw(st.integers(1, 8))))
+
+
+def table_bytes(table):
+    """Every column of ``table``, arrays as (dtype, shape, bytes) so that -0.0 differs from 0.0."""
+    return [(value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
+            for value in dataclasses.astuple(table)]
+
+
+def round_trip(tmp_path, kind, text):
+    path = tmp_path / "input.jsonl"
+    path.write_text(text, encoding="utf-8")
+    table = {"panel": load_panel_table, "pool": load_calibration_table}[kind](path)
+    entry = tmp_path / "entry"
+    cache.write(entry, kind, "digest", table)
+    restored = cache.read(entry, kind, "digest", str(path))
+    assert restored is not None
+    assert table_bytes(restored) == table_bytes(table)
+    assert all(value.flags.writeable for value in dataclasses.astuple(restored) if isinstance(value, np.ndarray))
+    return entry
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(panel_file())
+@example('{"id": "p1", "reviews": []}\n')  # no reviews: empty review columns
+@example('{"id": "p1", "reviews": [{"reviewer": "r", "rubric": [-0.0, 1], "flag": true, "feedback": "a\\nb"},'
+         ' {"reviewer": "s", "overall": 2, "flag": false}]}\n')
+def test_a_panel_table_comes_back_from_its_entry(tmp_path_factory, text):
+    round_trip(tmp_path_factory.mktemp("panel"), "panel", text)
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(pool_file())
+def test_a_pool_table_comes_back_from_its_entry(tmp_path_factory, text):
+    round_trip(tmp_path_factory.mktemp("pool"), "pool", text)
+
+
+POOL = '{"id": "c1", "score": 2.0, "accept": false, "status": "reject"}\n'
+
+
+@pytest.mark.parametrize("spoil", ["other-digest", "other-kind", "empty", "no-header", "foreign-json",
+                                   "deep-header", "header-only", "directory", "missing"])
+def test_anything_but_this_tables_entry_is_a_miss(tmp_path, spoil):
+    entry = round_trip(tmp_path, "pool", POOL)
+    digest, kind = "digest", "pool"
+    if spoil == "other-digest":
+        digest = "other"
+    elif spoil == "other-kind":
+        kind = "panel"
+    elif spoil == "directory":
+        entry.unlink()
+        entry.mkdir()
+    elif spoil == "missing":
+        entry.unlink()
+    else:
+        header = entry.read_bytes().split(b"\n")[0] + b"\n"
+        entry.write_bytes({"empty": b"", "no-header": b"\x00" * 64, "foreign-json": b"[1, 2]\n" + b"\x00" * 32,
+                           "deep-header": b"[" * 100_000 + b"\n", "header-only": header}[spoil])
+    assert cache.read(entry, kind, digest, "pool.jsonl") is None
+
+
+def test_an_entry_that_cannot_be_written_leaves_nothing(tmp_path):
+    (tmp_path / "pool.jsonl").write_text(POOL, encoding="utf-8")
+    table = load_calibration_table(tmp_path / "pool.jsonl")
+    entry = tmp_path / "entry"
+    entry.mkdir()  # os.replace cannot put a file over a directory
+    cache.write(entry, "pool", "digest", table)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["entry", "pool.jsonl"]
+    assert list(entry.iterdir()) == []
+
+
+def test_the_key_holds_the_loader_source():
+    source = Path(records.__file__).read_bytes() + Path(cache.__file__).read_bytes()
+    assert cache.interpreter_key()["loader"] == hashlib.sha256(source).hexdigest()
+
+
+def test_without_the_loader_source_no_entry_is_used_or_written(tmp_path, monkeypatch):
+    entry = round_trip(tmp_path, "pool", POOL)
+    monkeypatch.setattr(cache, "_loader_digest", lambda: None)
+    assert cache.read(entry, "pool", "digest", "pool.jsonl") is None
+    entry.unlink()
+    cache.write(entry, "pool", "digest", load_calibration_table(tmp_path / "input.jsonl"))
+    assert not entry.exists()
+
+
+def test_prune_removes_only_the_entries_of_inputs_that_are_gone(tmp_path):
+    directory = tmp_path / "entries"
+    directory.mkdir()
+    for name in ("kept", "gone"):
+        (tmp_path / name).mkdir()
+        round_trip(tmp_path / name, "pool", POOL).rename(directory / name)
+    (tmp_path / "gone" / "input.jsonl").unlink()
+    (directory / "foreign").write_bytes(b'{"source": 1}\n')
+    (directory / "no-header").write_bytes(b"\x00" * 64)
+    (directory / "a-directory").mkdir()
+    cache.prune(directory)
+    assert sorted(p.name for p in directory.iterdir()) == ["a-directory", "foreign", "kept", "no-header"]
+    cache.prune(tmp_path / "missing")  # no cache yet: nothing to do
+
+
+def test_a_column_that_repeats_early_comes_back_as_one_string_per_value(tmp_path):
+    text = "".join(json.dumps({"id": f"c{i}", "score": i, "accept": i % 2 == 0, "status": "ab"[i % 2]}) + "\n"
+                   for i in range(300))
+    entry = round_trip(tmp_path, "pool", text)
+    restored = cache.read(entry, "pool", "digest", "pool.jsonl")
+    assert len(set(map(id, restored.statuses))) == 2
+    assert len(set(map(id, restored.ids))) == 300

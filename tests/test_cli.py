@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import pytest
@@ -1496,3 +1497,209 @@ def test_calibrate_byte_reproducible(tmp_path, capsys):
     for key in ("command", "tool_version", "seed", "config_digest",
                 "input_digests", "output_digests"):
         assert ma[key] == mb[key]
+
+
+# ---------------------------------------------------------------- column cache
+
+
+def cached_command(tmp_path, command):
+    """(argv without --out, the JSONL input) of ``command`` on the small fixtures."""
+    thresholds = write(tmp_path, "thresholds.json", THRESHOLDS)
+    if command == "review":
+        panels = write(tmp_path, "panels.jsonl", PANELS)
+        config = write_json(tmp_path, "config.json", {"schema": {"criteria_count": 2, "bounds": [[1, 10], [1, 10]]}})
+        return ["review", "--panels", panels, "--thresholds", thresholds, "--config", config], panels
+    if command == "bayes":
+        panels = write(tmp_path, "panels.jsonl", BAYES_PANELS)
+        config = write_json(tmp_path, "config.json", bayes_config("tau_05"))
+        return ["bayes", "--panels", panels, "--thresholds", thresholds, "--config", config], panels
+    if command == "detector-eval":
+        panels = write(tmp_path, "panels.jsonl", DET_PANELS)
+        return ["detector-eval", "--panels", panels], panels
+    pool = write(tmp_path, "pool.jsonl", POOL)
+    return ["calibrate", "--records", pool, "--config", write_json(tmp_path, "config.json", {"target_rate": 0.33})], pool
+
+
+def run_outputs(capsys, argv, out):
+    """The bytes of each output of a run that must succeed, and its manifest without the timestamps."""
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0, err
+    d = run_dir(stdout)
+    manifest = json.loads((d / "manifest.json").read_text())
+    del manifest["started_at"], manifest["finished_at"]
+    return {p.name: p.read_bytes() for p in d.iterdir() if p.name != "manifest.json"}, manifest
+
+
+def entries(out):
+    return sorted((out / ".panelcal-cache").iterdir())
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths of the JSONL files parsed, one entry a parse."""
+    from panelcal import records
+
+    paths = []
+    parse = records._json_objects
+    monkeypatch.setattr(records, "_json_objects", lambda path, text: paths.append(str(path)) or parse(path, text))
+    return paths
+
+
+@pytest.mark.parametrize("command", ["review", "bayes", "detector-eval", "calibrate"])
+def test_a_cache_hit_gives_the_outputs_of_a_parse(tmp_path, capsys, parses, command):
+    argv, source = cached_command(tmp_path, command)
+    miss = run_outputs(capsys, argv, tmp_path / "runs")
+    hit = run_outputs(capsys, argv, tmp_path / "runs")
+    fresh = run_outputs(capsys, argv, tmp_path / "fresh")
+    assert parses == [source, source]  # the second run parsed nothing
+    assert hit == miss
+    assert fresh == miss
+    assert miss[1]["input_digests"][source] == hashlib.sha256(Path(source).read_bytes()).hexdigest()
+    assert len(entries(tmp_path / "runs")) == 1
+
+
+def test_panel_commands_share_one_entry(tmp_path, capsys, parses):
+    argv, panels = cached_command(tmp_path, "detector-eval")
+    run_outputs(capsys, argv, tmp_path / "runs")
+    config = write_json(tmp_path, "review.json", {"functional": {"kind": "linear", "coefficients": [1.0]}})
+    thresholds = write(tmp_path, "thresholds.json", THRESHOLDS)
+    run_outputs(capsys, ["review", "--panels", panels, "--thresholds", thresholds, "--config", config],
+                tmp_path / "runs")
+    assert parses == [panels]
+    assert len(entries(tmp_path / "runs")) == 1
+
+
+@pytest.mark.parametrize("command", ["review", "bayes", "detector-eval", "calibrate"])
+def test_each_jsonl_input_is_read_and_hashed_once(tmp_path, capsys, monkeypatch, parses, command):
+    from panelcal import records, rundir
+
+    argv, source = cached_command(tmp_path, command)
+    data = Path(source).read_bytes()
+    reads, hashes, files_hashed = [], [], []
+    read_bytes, sha256, sha256_file = records._read_bytes, hashlib.sha256, rundir._sha256_file
+    monkeypatch.setattr(records, "_read_bytes", lambda path: reads.append(str(path)) or read_bytes(path))
+    monkeypatch.setattr(rundir, "hashlib", types.SimpleNamespace(
+        sha256=lambda *data_: hashes.extend(d for d in data_ if d == data) or sha256(*data_)))
+    monkeypatch.setattr(rundir, "_sha256_file", lambda path: files_hashed.append(str(path)) or sha256_file(path))
+    for parsed in ([source], []):  # a miss, then a hit
+        for seen in (reads, hashes, files_hashed, parses):
+            seen.clear()
+        run_outputs(capsys, argv, tmp_path / "runs")
+        assert reads.count(source) == 1
+        assert len(hashes) == 1
+        assert parses == parsed
+        assert source not in files_hashed
+
+
+def spoil_entry(entry, how):
+    data = bytearray(entry.read_bytes())
+    if how == "truncated":
+        del data[-1]
+    else:  # a byte of the first column, which only the trailing sha256 covers
+        data[data.index(b"\n") + 1] ^= 1
+    entry.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("spoil", ["truncated", "flipped-byte", "format", "version", "loader"])
+def test_a_spoiled_entry_is_a_miss_and_is_rewritten(tmp_path, capsys, monkeypatch, parses, spoil):
+    from panelcal import cache
+
+    argv, source = cached_command(tmp_path, "review")
+    out = tmp_path / "runs"
+    with monkeypatch.context() as patch:
+        if spoil == "format":
+            patch.setattr(cache, "FORMAT", cache.FORMAT + 1)
+        elif spoil == "version":
+            patch.setattr(cache, "__version__", "0.0.0")
+        elif spoil == "loader":  # the entry was written by other loader code
+            patch.setattr(cache, "_loader_digest", lambda: "0" * 64)
+        expected = run_outputs(capsys, argv, out)
+    (entry,) = entries(out)
+    if spoil in ("truncated", "flipped-byte"):
+        spoil_entry(entry, spoil)
+    spoiled = entry.read_bytes()
+    assert run_outputs(capsys, argv, out) == expected
+    assert parses == [source, source]
+    assert entries(out) == [entry]
+    assert entry.read_bytes() != spoiled
+    assert run_outputs(capsys, argv, out) == expected
+    assert parses == [source, source]  # the rewritten entry is a hit
+
+
+def test_an_edited_input_replaces_its_entry(tmp_path, capsys, parses):
+    argv, panels = cached_command(tmp_path, "review")
+    out = tmp_path / "runs"
+    before = run_outputs(capsys, argv, out)
+    (entry,) = entries(out)
+    with open(panels, "a", encoding="utf-8") as file:
+        file.write('{"id": "p9", "reviews": [{"reviewer": "m1", "rubric": [9, 9], "flag": false}]}\n')
+    after = run_outputs(capsys, argv, out)
+    assert after[0] != before[0]
+    assert after[1]["input_digests"] != before[1]["input_digests"]
+    assert entries(out) == [entry]
+    assert run_outputs(capsys, argv, out) == after
+    assert parses == [panels, panels]
+
+
+def test_the_entry_of_a_deleted_input_is_removed(tmp_path, capsys, parses):
+    argv, panels = cached_command(tmp_path, "detector-eval")
+    other = tmp_path / "other"
+    other.mkdir()
+    other_argv, other_panels = cached_command(other, "detector-eval")
+    out = tmp_path / "runs"
+    run_outputs(capsys, argv, out)
+    (entry,) = entries(out)
+    expected = run_outputs(capsys, other_argv, out)
+    assert len(entries(out)) == 2
+    Path(panels).unlink()
+    assert run_outputs(capsys, other_argv, out) == expected  # a hit, which prunes the other entry
+    assert entry not in entries(out)
+    assert len(entries(out)) == 1
+    assert parses == [panels, other_panels]
+
+
+def test_an_entry_that_cannot_be_written_does_not_fail_the_run(tmp_path, capsys, parses):
+    argv, pool = cached_command(tmp_path, "calibrate")
+    out = tmp_path / "runs"
+    blocker = out / ".panelcal-cache"
+    out.mkdir()
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    expected = run_outputs(capsys, argv, tmp_path / "fresh")
+    assert run_outputs(capsys, argv, out) == expected
+    assert run_outputs(capsys, argv, out) == expected
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+    assert parses == [pool] * 3
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python converts integers of any length")
+def test_an_entry_cached_without_a_digit_limit_is_not_used_under_one(tmp_path, capsys):
+    argv, panels = cached_command(tmp_path, "review")
+    lines = PANELS.splitlines(keepends=True)
+    lines[1] = lines[1][:-2] + ', "x": ' + "9" * 5000 + "}\n"  # a field no command reads
+    Path(panels).write_text("".join(lines), encoding="utf-8")
+    sys.set_int_max_str_digits(0)
+    try:
+        run_outputs(capsys, argv, tmp_path / "runs")
+    finally:
+        sys.set_int_max_str_digits(DIGIT_LIMIT)
+    assert len(entries(tmp_path / "runs")) == 1
+    code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "runs"))
+    assert code == 2
+    assert err == f"error: {panels}:2: invalid JSON: integer has more than {DIGIT_LIMIT} digits\n"
+
+
+@pytest.mark.parametrize("code", [2, 3])
+def test_a_failed_run_leaves_no_cache(tmp_path, capsys, parses, code):
+    if code == 2:  # the file parses, and its scores break the schema
+        argv, source = cached_command(tmp_path, "review")
+        write_json(tmp_path, "config.json", {"schema": {"criteria_count": 2, "bounds": [[1, 5], [1, 5]]}})
+    else:
+        argv, source = cached_command(tmp_path, "calibrate")
+        write(tmp_path, "pool.jsonl", POOL.replace("true", "false"))
+    out = tmp_path / "runs"
+    assert run_cli(capsys, *argv, "--out", str(out))[0] == code
+    assert not out.exists()
+    out.mkdir()
+    assert run_cli(capsys, *argv, "--out", str(out))[0] == code
+    assert list(out.iterdir()) == []
+    assert parses == [source, source]

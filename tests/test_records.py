@@ -836,8 +836,8 @@ def test_panel_table_orders_the_rules_of_one_line(text):
 @pytest.mark.parametrize("load", [load_panel_table, load_calibration_table], ids=["panel", "pool"])
 def test_a_file_is_read_once(tmp_path, monkeypatch, load, bad):
     read = []
-    read_text = records_module.read_text
-    monkeypatch.setattr(records_module, "read_text", lambda path: read.append(path) or read_text(path))
+    read_bytes = records_module._read_bytes
+    monkeypatch.setattr(records_module, "_read_bytes", lambda path: read.append(path) or read_bytes(path))
     if load is load_panel_table:
         text = filler_lines(100) + ('{"id": "p200", "label": "no", "reviews": []}\n' if bad else "")
     else:
@@ -964,22 +964,49 @@ def joined_traps(good):
             for name in ("nan-separator-then-split", "split-then-two-objects")]
 
 
-@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
-@given(PIECE_SIZES, st.integers(0, 40), join_breaking_text(pool_line))
-@example(1 << 14, 0, joined_traps(pool_line)[0])
-@example(1 << 14, 0, joined_traps(pool_line)[1])
-def test_piece_decoder_matches_per_line_on_a_pool(size, filler, text):
-    with mock.patch.object(records_module, "_CHUNK", size):
-        assert_pool_loaders_agree("".join(line + "\n" for line in pool_filler(filler)) + text)
+BLANK_LINES = ["", " ", " \t ", "\u00a0", " \u3000 "]  # lines the loaders skip
+# blank lines to spread through a text: (where, as a share of its lines in millionths, line, line end)
+SPREAD_BLANKS = st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(BLANK_LINES), LINE_ENDS), max_size=12)
+
+
+def spread(text, blanks):
+    """``text`` with the blank lines of ``blanks`` put between its lines."""
+    lines = text.splitlines(keepends=True)
+    for where, blank, end in blanks:
+        lines.insert(where * len(lines) // 10**6, blank + end)
+    return "".join(lines)
 
 
 @settings(max_examples=max(100, settings.default.max_examples), deadline=None)
-@given(PIECE_SIZES, st.integers(0, 40), join_breaking_text(panel_line))
-@example(1 << 14, 0, joined_traps(panel_line)[0])
-@example(1 << 14, 0, joined_traps(panel_line)[1])
-def test_piece_decoder_matches_per_line_on_panels(size, filler, text):
+@given(PIECE_SIZES, st.integers(0, 40), join_breaking_text(pool_line), SPREAD_BLANKS)
+@example(1 << 14, 0, joined_traps(pool_line)[0], [])
+@example(1 << 14, 0, joined_traps(pool_line)[1], [])
+def test_piece_decoder_matches_per_line_on_a_pool(size, filler, text, blanks):
     with mock.patch.object(records_module, "_CHUNK", size):
-        assert_panel_loaders_agree(filler_lines(filler) + text)
+        assert_pool_loaders_agree(spread("".join(line + "\n" for line in pool_filler(filler)) + text, blanks))
+
+
+@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
+@given(PIECE_SIZES, st.integers(0, 40), join_breaking_text(panel_line), SPREAD_BLANKS)
+@example(1 << 14, 0, joined_traps(panel_line)[0], [])
+@example(1 << 14, 0, joined_traps(panel_line)[1], [])
+def test_piece_decoder_matches_per_line_on_panels(size, filler, text, blanks):
+    with mock.patch.object(records_module, "_CHUNK", size):
+        assert_panel_loaders_agree(spread(filler_lines(filler) + text, blanks))
+
+
+@pytest.mark.parametrize("size", [1, 64, 1 << 14])
+@pytest.mark.parametrize("kind", ["pool", "panel"])
+def test_blank_lines_keep_their_piece_on_the_one_scan_path(tmp_path, kind, size):
+    good, load = {"pool": (pool_line, load_calibration_table), "panel": (panel_line, load_panel_table)}[kind]
+    text = "".join(good(i) + "\n" + (BLANK_LINES[i % 5] + "\r\n" if i % 7 == 0 else "") for i in range(300))
+    path = write(tmp_path, "input.jsonl", " \n" + text + "\n\n")
+    with mock.patch.object(records_module, "_CHUNK", size):
+        with mock.patch.object(records_module, "_line_objects", side_effect=AssertionError("decoded per line")):
+            table = load(path)
+        with mock.patch.object(records_module, "_joined", lambda lines: None):
+            assert table_bytes(table) == table_bytes(load(path))
+    assert table.lines[:3].tolist() == [2, 4, 5]
 
 
 def table_bytes(table):

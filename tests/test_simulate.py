@@ -166,6 +166,27 @@ def test_slice_cohort():
         slice_cohort(cohort, 4)
 
 
+@pytest.mark.parametrize(("field", "message"), [
+    ("n_papers", "n_papers: must be an integer >= 1, got True"),
+    ("m_reviewers", "m_reviewers: must be an integer >= 1, got True"),
+    ("seed", "seed: must be an integer, got True"),
+], ids=["n_papers", "m_reviewers", "seed"])
+def test_cohort_spec_takes_no_bool_as_an_integer(field, message):
+    # True == 1, so every other check of a one-reviewer spec passes
+    fields = dict(n_papers=4, m_reviewers=1, latent=LatentDistribution.uniform(4.0, 7.0),
+                  noise=NoiseProfile((1.0,), (1.0, 10.0)), seed=0)
+    with pytest.raises(ValueError) as info:
+        CohortSpec(**{**fields, field: True})
+    assert str(info.value) == message
+
+
+def test_slice_cohort_takes_no_bool_as_a_panel_size():
+    cohort = generate_cohort(small_spec(m=3, seed=7))
+    with pytest.raises(ValueError) as info:
+        slice_cohort(cohort, True)
+    assert str(info.value) == "m: must be an integer in [1, 3], got True"
+
+
 # ---------------------------------------------------------------- margins
 
 

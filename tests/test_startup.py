@@ -148,6 +148,32 @@ def test_threshold_error_loads_no_aggregate(tmp_path):
                      "--out", "runs", code=4)
     assert {"panelcal.simulate", "panelcal.rundir"} <= modules
     assert not modules & {"panelcal.aggregate", "panelcal.bayes"}
+    # it reads no JSONL, so it loads no column cache
+    assert {m for m in modules if m.startswith("panelcal")} == {
+        "panelcal", "panelcal.bounds", "panelcal.calibrate", "panelcal.cli", "panelcal.cli_simulate",
+        "panelcal.config", "panelcal.core", "panelcal.metrics", "panelcal.records", "panelcal.rules",
+        "panelcal.rundir", "panelcal.simulate",
+    }
+
+
+@functools.cache
+def numpy_modules():
+    """The modules ``python -c "import numpy"`` has loaded."""
+    proc = subprocess.run([sys.executable, "-c", "import sys, numpy; print(*sorted(sys.modules))"],
+                          env=_env(), capture_output=True, text=True, check=True)
+    return frozenset(proc.stdout.split())
+
+
+@pytest.mark.parametrize("command", ["review", "bayes", "detector-eval", "calibrate"])
+def test_the_column_cache_loads_no_serializer_beyond_numpy(tmp_path, command):
+    from test_cli import cached_command
+
+    argv, _ = cached_command(tmp_path, command)
+    for _ in ("miss", "hit"):
+        modules = loaded(tmp_path, *argv, "--out", "runs")
+        assert "panelcal.cache" in modules
+        assert modules & {"pickle", "zipfile", "numpy.lib._npyio_impl"} <= numpy_modules()
+    assert len(list((tmp_path / "runs" / ".panelcal-cache").iterdir())) == 1
 
 
 @pytest.mark.parametrize("experiment", ["margins", "variance"])
