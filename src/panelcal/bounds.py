@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .rules import non_negative, open_unit, positive
+from .rules import integer, non_negative, open_unit, positive
 
 if TYPE_CHECKING:
     from .core import BoundInputs, NoiseProfile, ReviewerWeights, RubricSchema, ScoringFunctional
@@ -78,8 +78,7 @@ def scalar_uniform_bound(m: int, gamma: float, sigma_sq: float, range_width: flo
     Equal weights 1/M with common variance sigma_sq and score range width
     (b - a) give exp(-M gamma^2 / (2 sigma_sq + (2/3)(b - a) gamma)).
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m: must be an integer >= 1, got {m!r}")
+    m = integer("m", m, 1)
     gamma = positive("gamma", gamma)
     sigma_sq = non_negative("sigma_sq", sigma_sq)
     return _bernstein(m, gamma, sigma_sq, positive("range_width", range_width))
@@ -133,8 +132,7 @@ def dkw_bound(n_cal: int, delta: float) -> float:
     With n_cal calibration points, sup_tau |est(tau) - true(tau)| is at
     most sqrt(log(4 / delta) / (2 n_cal)) with probability >= 1 - delta.
     """
-    if not isinstance(n_cal, int) or n_cal < 1:
-        raise ValueError(f"n_cal: must be an integer >= 1, got {n_cal!r}")
+    n_cal = integer("n_cal", n_cal, 1)
     delta = open_unit("delta", delta)
     # log(4) - log(delta), not log(4 / delta): 4 / delta overflows for a subnormal delta
     return math.sqrt((math.log(4.0) - math.log(delta)) / (2.0 * n_cal))

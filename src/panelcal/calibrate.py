@@ -28,7 +28,7 @@ from typing import Any, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .core import CalibrationRecord, ThresholdUnreachableError, finite, open_unit
+from .core import CalibrationRecord, ThresholdUnreachableError, finite, integer, open_unit
 from .records import CalibrationTable
 
 Pool = Union[Sequence[CalibrationRecord], CalibrationTable]
@@ -66,16 +66,11 @@ class CellQuota:
     quota: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.bin_index, int) or self.bin_index < 0:
-            raise ValueError(f"bin_index: must be an integer >= 0, got {self.bin_index!r}")
+        object.__setattr__(self, "bin_index", integer("bin_index", self.bin_index, 0))
         if not isinstance(self.status, str) or not self.status:
             raise ValueError("status: must be a non-empty string")
-        if not isinstance(self.population, int) or self.population < 0:
-            raise ValueError(f"population: must be an integer >= 0, got {self.population!r}")
-        if not isinstance(self.quota, int) or not 0 <= self.quota <= self.population:
-            raise ValueError(
-                f"quota: must be an integer in [0, population={self.population}], got {self.quota!r}"
-            )
+        object.__setattr__(self, "population", integer("population", self.population, 0))
+        object.__setattr__(self, "quota", integer("quota", self.quota, 0, self.population))
 
 
 @dataclass(frozen=True)
@@ -246,17 +241,14 @@ def allocate_quotas(
         raise ValueError("bin_edges: need at least 2 edges")
     keys = [(b, s) for b in range(n_bins) for s in vocab]
     key_set = set(keys)
-    for key, pop in populations.items():
+    for key in populations:
         if key not in key_set:
             raise ValueError(f"populations: unknown cell {key!r}")
-        if not isinstance(pop, int) or pop < 0:
-            raise ValueError(f"populations: cell {key!r} count must be an integer >= 0")
-    pops = [populations.get(key, 0) for key in keys]
+    pops = [integer(f"populations[{key!r}]", populations.get(key, 0), 0) for key in keys]
     total = sum(pops)
     if total < 1:
         raise ValueError("populations: pool is empty")
-    if isinstance(n_cal, bool) or not isinstance(n_cal, int) or not 1 <= n_cal <= total:
-        raise ValueError(f"n_cal: must be an integer in [1, {total}], got {n_cal!r}")
+    n_cal = integer("n_cal", n_cal, 1, total)
 
     # integer arithmetic keeps remainder comparisons exact
     quotas = [(n_cal * p) // total for p in pops]
@@ -311,8 +303,8 @@ def _draw(
     plan: StratificationPlan,
     seed: int,
 ) -> np.ndarray:
-    """Sorted indices of each cell's quota of its members, drawn with ``seed``."""
-    rng = np.random.default_rng(seed)
+    """Sorted indices of each cell's quota of its members, drawn with ``seed``, an integer >= 0."""
+    rng = np.random.default_rng(integer("seed", seed, 0))
     chosen: list[np.ndarray] = []
     for cell in plan.cells:
         available = members.get((cell.bin_index, cell.status), np.empty(0, dtype=np.intp))

@@ -87,8 +87,7 @@ def cmd_simulate_threshold_error(args: argparse.Namespace) -> int:
     replicates = section["replicates"] if args.replicates is None else args.replicates
     seed = section["seed"] if args.seed is None else args.seed
     try:
-        if len(simulate.calibration_sizes(grid, settings.cohort.n_papers)) < 2:
-            raise ValueError(f"n_cal_grid: the error curve needs at least 2 calibration sizes, got {list(grid)}")
+        simulate.error_curve_sizes(simulate.calibration_sizes(grid, settings.cohort.n_papers))
     except ValueError as exc:
         names = {"n_cal_grid": "--grid" if args.grid is not None else config.key_name(f"{path}.n_cal_grid")}
         raise config.rename(exc, names) from None

@@ -17,7 +17,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
-from . import records
+from . import records, rules
 from .core import (
     DecisionThresholds,
     GaussianPosterior,
@@ -60,16 +60,8 @@ probability = _number("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
 
 @functools.cache  # one parser per minimum, so equal leaves of a spec are one object
 def integer(minimum: int | None = None) -> Callable[[Any], int]:
-    """A leaf parser: a JSON integer (not a bool) of at least ``minimum``."""
-    floor = -math.inf if minimum is None else minimum
-    wanted = "an integer" if minimum is None else f"an integer >= {minimum}"
-
-    def parse(value: Any) -> int:
-        if isinstance(value, bool) or not isinstance(value, int) or value < floor:
-            raise ValueError(f"must be {wanted}, got {value!r}")
-        return value
-
-    return parse
+    """A leaf parser: the library's integer rule (no bool) of at least ``minimum``, worded without a field."""
+    return functools.partial(rules.integer, "", minimum=minimum)
 
 
 def _typed(kind: type, wanted: str) -> Callable[[Any], Any]:

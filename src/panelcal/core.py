@@ -5,8 +5,9 @@ Every type validates its invariants at construction and raises
 are immutable.  ``panelcal.config`` builds the types read from config and
 thresholds files and reports these errors under the key path.  The two
 errors the command line maps to exit codes, ``RecordError`` (2) and
-``ThresholdUnreachableError`` (3), and the number rules (``finite``,
-``positive``, ``non_negative``, ``open_unit``) live in ``panelcal.rules``,
+``ThresholdUnreachableError`` (3), and the number rules (the float rules
+``finite``, ``positive``, ``non_negative`` and ``open_unit``, and
+``integer``, which stores a plain ``int``) live in ``panelcal.rules``,
 which loads no numpy and no ``dataclasses``; ``core`` re-exports them, as
 ``records`` and ``calibrate`` re-export the errors.
 """
@@ -23,6 +24,7 @@ from .rules import (
     ThresholdUnreachableError,
     _fail,
     finite,
+    integer,
     non_negative,
     open_unit,
     positive,
@@ -48,6 +50,7 @@ __all__ = [
     "positive",
     "non_negative",
     "open_unit",
+    "integer",
 ]
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -70,8 +73,7 @@ class RubricSchema:
     overall_index: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.criteria_count, int) or self.criteria_count < 1:
-            _fail("criteria_count", f"must be an integer >= 1, got {self.criteria_count!r}")
+        object.__setattr__(self, "criteria_count", integer("criteria_count", self.criteria_count, 1))
         bounds = tuple((float(a), float(b)) for a, b in self.bounds)
         object.__setattr__(self, "bounds", bounds)
         if len(bounds) != self.criteria_count:
@@ -82,8 +84,7 @@ class RubricSchema:
             if not lo < hi:
                 _fail(f"bounds[{k}]", f"lower bound must be strictly below upper, got ({lo}, {hi})")
         if self.overall_index is not None:
-            if not isinstance(self.overall_index, int):
-                _fail("overall_index", "must be an integer or None")
+            object.__setattr__(self, "overall_index", integer("overall_index", self.overall_index))
             if not 0 <= self.overall_index < self.criteria_count:
                 _fail("overall_index", f"must lie in [0, {self.criteria_count}), got {self.overall_index}")
 
@@ -231,8 +232,7 @@ class ReviewerWeights:
 
     @classmethod
     def uniform(cls, count: int) -> "ReviewerWeights":
-        if count < 1:
-            _fail("count", f"must be >= 1, got {count}")
+        count = integer("count", count, 1)
         return cls((1.0 / count,) * count)
 
     def __len__(self) -> int:
@@ -276,8 +276,7 @@ class ScoringFunctional:
 
     @classmethod
     def mean(cls, criteria_count: int) -> "ScoringFunctional":
-        if criteria_count < 1:
-            _fail("criteria_count", f"must be >= 1, got {criteria_count}")
+        criteria_count = integer("criteria_count", criteria_count, 1)
         return cls("linear", (1.0 / criteria_count,) * criteria_count)
 
     @classmethod
@@ -377,8 +376,7 @@ class DecisionThresholds:
         object.__setattr__(self, "tau_rate", tau_rate)
         object.__setattr__(self, "tau_05", finite("tau_05", self.tau_05))
         object.__setattr__(self, "target_rate", open_unit("target_rate", self.target_rate))
-        if not isinstance(self.calibration_size, int) or self.calibration_size < 1:
-            _fail("calibration_size", f"must be an integer >= 1, got {self.calibration_size!r}")
+        object.__setattr__(self, "calibration_size", integer("calibration_size", self.calibration_size, 1))
 
 
 @dataclass(frozen=True)
@@ -410,9 +408,7 @@ class ConfusionCounts:
 
     def __post_init__(self) -> None:
         for name in ("tp", "fp", "tn", "fn"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 0:
-                _fail(name, f"must be an integer >= 0, got {value!r}")
+            object.__setattr__(self, name, integer(name, getattr(self, name), 0))
         if self.total < 1:
             _fail("tp", "counts must sum to at least 1")
 

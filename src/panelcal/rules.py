@@ -1,17 +1,20 @@
 """The exit-code errors and the number rules, with no numpy and no dataclasses.
 
 ``RecordError`` (exit 2) and ``ThresholdUnreachableError`` (exit 3) are
-the two errors the command line maps to exit codes.  The four number rules
-check the number arguments of ``core``, ``aggregate``, ``bayes``,
-``bounds``, ``calibrate`` and ``simulate``.  ``core`` re-exports every name
-here, so ``bound``, which needs only these, loads neither ``core`` nor
+the two errors the command line maps to exit codes.  The four float rules
+(``finite``, ``positive``, ``non_negative``, ``open_unit``) and the
+integer rule (``integer``) check the number arguments of ``core``,
+``aggregate``, ``bayes``, ``bounds``, ``calibrate`` and ``simulate``, and
+``config``'s integer leaves.  ``core`` re-exports every name here, so
+``bound``, which needs only these, loads neither ``core`` nor
 ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable
+import operator
+from typing import Any, Callable, Iterable
 
 __all__ = [
     "RecordError",
@@ -21,6 +24,7 @@ __all__ = [
     "positive",
     "non_negative",
     "open_unit",
+    "integer",
 ]
 
 
@@ -33,7 +37,7 @@ class ThresholdUnreachableError(ValueError):
 
 
 def _fail(field: str, message: str) -> None:
-    raise ValueError(f"{field}: {message}")
+    raise ValueError(f"{field}: {message}" if field else message)
 
 
 class NumberRule:
@@ -64,3 +68,18 @@ finite = NumberRule("be finite", math.isfinite)
 positive = NumberRule("be finite and > 0", lambda x: math.isfinite(x) and x > 0)
 non_negative = NumberRule("be finite and >= 0", lambda x: math.isfinite(x) and x >= 0)
 open_unit = NumberRule("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
+
+
+def integer(field: str, value: Any, minimum: int | None = None, maximum: int | None = None) -> int:
+    """``value`` as a plain ``int`` in [``minimum``, ``maximum``] (``None``: open; a maximum comes with a
+    minimum), or ``ValueError("field: must be an integer[ >= minimum | in [minimum, maximum]], got <value>")``.
+    A bool fails, whatever ``operator.index`` takes passes; an empty ``field`` words the message alone."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    low = -math.inf if minimum is None else minimum
+    if number is None or not low <= number <= (math.inf if maximum is None else maximum):
+        bound = "" if minimum is None else f" >= {minimum}" if maximum is None else f" in [{minimum}, {maximum}]"
+        _fail(field, f"must be an integer{bound}, got {value!r}")
+    return number

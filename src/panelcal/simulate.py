@@ -27,7 +27,7 @@ import numpy as np
 from . import calibrate
 from .bounds import margin_misclassification_bound, scalar_bound_inputs
 from .calibrate import Pool, ThresholdUnreachableError, _table
-from .core import NoiseProfile, ReviewerWeights, finite
+from .core import NoiseProfile, ReviewerWeights, finite, integer, positive
 from .records import CalibrationTable
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "check_margin_ordering",
     "check_threshold_rows",
     "check_variance_rows",
+    "error_curve_sizes",
     "error_curve_slope",
 ]
 
@@ -87,11 +88,6 @@ class LatentDistribution:
         return cls("gaussian", mean, sd)
 
 
-def _integers(values: Sequence[int]) -> bool:
-    """Whether every value is an integer, a bool not counted as one."""
-    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in values)
-
-
 @dataclass(frozen=True)
 class CohortSpec:
     """Full recipe for one synthetic review cohort."""
@@ -104,10 +100,8 @@ class CohortSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not _integers([self.n_papers]) or self.n_papers < 1:
-            raise ValueError(f"n_papers: must be an integer >= 1, got {self.n_papers!r}")
-        if not _integers([self.m_reviewers]) or self.m_reviewers < 1:
-            raise ValueError(f"m_reviewers: must be an integer >= 1, got {self.m_reviewers!r}")
+        for name in ("n_papers", "m_reviewers"):
+            object.__setattr__(self, name, integer(name, getattr(self, name), 1))
         if self.noise.reviewer_count != self.m_reviewers:
             raise ValueError(
                 f"noise: expected {self.m_reviewers} per-reviewer variances, "
@@ -115,8 +109,7 @@ class CohortSpec:
             )
         if self.clip_mode not in _CLIP_MODES:
             raise ValueError(f"clip_mode: must be one of {_CLIP_MODES}, got {self.clip_mode!r}")
-        if not _integers([self.seed]):
-            raise ValueError(f"seed: must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", integer("seed", self.seed, 0))
         lo, hi = self.noise.scalar_bounds
         if self.latent.kind == "uniform":
             if self.latent.param_a < lo or self.latent.param_b > hi:
@@ -186,10 +179,8 @@ class PopulationSettings:
     def __post_init__(self) -> None:
         if self.cohort.n_papers < 2:
             raise ValueError(f"size: must be >= 2, got {self.cohort.n_papers}")
-        if not math.isfinite(self.link_midpoint):
-            raise ValueError(f"link_midpoint: must be finite, got {self.link_midpoint!r}")
-        if not (math.isfinite(self.link_slope) and self.link_slope > 0):
-            raise ValueError(f"link_slope: must be finite and > 0, got {self.link_slope!r}")
+        object.__setattr__(self, "link_midpoint", finite("link_midpoint", self.link_midpoint))
+        object.__setattr__(self, "link_slope", positive("link_slope", self.link_slope))
 
 
 def generate_cohort(spec: CohortSpec) -> Cohort:
@@ -240,8 +231,7 @@ def generate_cohort(spec: CohortSpec) -> Cohort:
 def slice_cohort(cohort: Cohort, m: int) -> Cohort:
     """Restrict a cohort to its first ``m`` reviewers (same papers)."""
     spec = cohort.spec
-    if not _integers([m]) or not 1 <= m <= spec.m_reviewers:
-        raise ValueError(f"m: must be an integer in [1, {spec.m_reviewers}], got {m!r}")
+    m = integer("m", m, 1, spec.m_reviewers)
     sub_noise = NoiseProfile(
         spec.noise.per_reviewer_variance[:m], spec.noise.scalar_bounds
     )
@@ -308,9 +298,12 @@ def margin_bin_edges(bin_edges: Sequence[float]) -> np.ndarray:
 def panel_sizes(m_grid: Sequence[int]) -> list[int]:
     """The distinct panel sizes of ``m_grid``, ascending; it must hold integers >= 1, at least one."""
     grid = list(m_grid)
-    if not grid or not _integers(grid) or min(grid) < 1:
-        raise ValueError(f"m_grid: panel sizes must be integers >= 1, got {grid}")
-    return sorted(set(map(int, grid)))
+    try:
+        if grid:
+            return sorted({integer("m_grid", m, 1) for m in grid})
+    except ValueError:
+        pass
+    raise ValueError(f"m_grid: panel sizes must be integers >= 1, got {grid}")
 
 
 def _panel_sizes(spec: CohortSpec, m_grid: Sequence[int]) -> list[int]:
@@ -373,10 +366,14 @@ def synthetic_calibration_population(settings: PopulationSettings) -> Calibratio
 def calibration_sizes(n_cal_grid: Sequence[int], size: int) -> list[int]:
     """``n_cal_grid`` as ints: at least one, strictly increasing, each in [2, ``size``]."""
     grid = list(n_cal_grid)
-    if not (grid and _integers(grid) and grid == sorted(set(grid)) and 2 <= grid[0] and grid[-1] <= size):
-        raise ValueError(f"n_cal_grid: calibration sizes must be strictly increasing integers in [2, {size}], "
-                         f"got {grid}")
-    return [int(n) for n in grid]
+    try:
+        sizes = [integer("n_cal_grid", n, 2, size) for n in grid]
+        if sizes and sizes == sorted(set(sizes)):
+            return sizes
+    except ValueError:
+        pass
+    raise ValueError(f"n_cal_grid: calibration sizes must be strictly increasing integers in [2, {size}], "
+                     f"got {grid}")
 
 
 # picked elements per block of bootstrap replicates, which bounds the
@@ -394,20 +391,20 @@ def threshold_bootstrap(
 
     The population, a record list or a ``CalibrationTable``, is sorted once
     (``calibrate.TailCounts``) for its tau_05 and packed keys.  Subsamples
-    are uniform without replacement, one ``rng.choice`` per replicate; each
-    block of replicates' keys is fitted at once by the level-set kernel of
-    ``calibrate.tau05_from_scores``.  Replicates whose curve never reaches
-    1/2 count as failures and are excluded from the mean;
-    ThresholdUnreachableError is raised when every replicate of one n_cal
-    fails.
+    are uniform without replacement, one ``rng.choice`` per replicate, drawn
+    with ``seed``, an integer >= 0; each block of replicates is fitted at
+    once by ``calibrate._tau05_ranks`` on the picked ``TailCounts.keys``.
+    Replicates whose curve never reaches 1/2 count as failures and are
+    excluded from the mean; ThresholdUnreachableError is raised when every
+    replicate of one n_cal fails.
     """
     table = _table(population)
     size = len(table)
     if not size:
         raise ValueError("population: must be non-empty")
     grid = calibration_sizes(n_cal_grid, size)
-    if not isinstance(replicates, int) or replicates < 2:
-        raise ValueError(f"replicates: must be an integer >= 2, got {replicates!r}")
+    replicates = integer("replicates", replicates, 2)
+    seed = integer("seed", seed, 0)
 
     tails = calibrate.TailCounts.of(table.scores, table.accepts)
     tau_true = tails.tau05()
@@ -510,11 +507,17 @@ def check_margin_ordering(rows: Sequence[MarginBinRow], min_count: int = 50) -> 
     return failures
 
 
+def error_curve_sizes(sizes: Sequence[int], field: str = "n_cal_grid") -> list[int]:
+    """``sizes`` as a list, which must hold at least the 2 calibration sizes of an error curve's slope."""
+    sizes = list(sizes)
+    if len(sizes) < 2:
+        raise ValueError(f"{field}: the error curve needs at least 2 calibration sizes, got {sizes}")
+    return sizes
+
+
 def error_curve_slope(rows: Sequence[ThresholdErrorRow]) -> float:
     """Least-squares slope of log mean error against log n_cal."""
-    if len(rows) < 2:
-        raise ValueError("rows: need at least 2 grid points for a slope")
-    x = np.log([row.n_cal for row in rows])
+    x = np.log(error_curve_sizes([row.n_cal for row in rows], "rows"))
     y = np.log([row.mean_abs_err for row in rows])
     return float(np.polyfit(x, y, 1)[0])
 

@@ -1,20 +1,27 @@
-"""Exact messages of the number arguments the ``core`` rules check.
+"""Exact messages of the number arguments the ``rules`` rules check.
 
 One row per checked argument: a call and the ``ValueError`` message it
-must raise, word for word.  Each rule converts with ``float`` first, so an
-``int`` or ``np.float64`` argument shows as a float in the message, and a
-NaN fails every "strictly in (0, 1)" check.
+must raise, word for word.  Each float rule converts with ``float`` first,
+so an ``int`` or ``np.float64`` argument shows as a float in the message,
+and a NaN fails every "strictly in (0, 1)" check.  The integer rule
+refuses a bool and a float, takes a numpy integer and stores a plain
+``int``; the config's integer leaves apply the same rule.
 """
 
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from panelcal import aggregate, bayes, bounds, calibrate, simulate
+from panelcal import aggregate, bayes, bounds, calibrate, config, rules, simulate
 from panelcal.core import (
     BoundInputs,
     CalibrationRecord,
+    ConfusionCounts,
     DecisionThresholds,
     GaussianPosterior,
     NoiseProfile,
@@ -148,6 +155,10 @@ CASES = {
     "tau_05.level.nan": (lambda: calibrate.tau_05(CURVE, NAN),
                          "level: must lie strictly in (0, 1), got nan"),
     # simulate
+    "PopulationSettings.link_midpoint": (lambda: simulate.PopulationSettings(COHORT.spec, INF, 1.0),
+                                         "link_midpoint: must be finite, got inf"),
+    "PopulationSettings.link_slope": (lambda: simulate.PopulationSettings(COHORT.spec, 5.0, 0),
+                                      "link_slope: must be finite and > 0, got 0.0"),
     "margin_experiment.threshold": (
         lambda: simulate.margin_experiment(COHORT, WEIGHTS, NAN, [0.0, 1.0]),
         "threshold: must be finite, got nan",
@@ -161,3 +172,161 @@ def test_number_argument_message(call, message):
         call()
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+# ---------------------------------------------------------------- integers
+
+POOL = [CalibrationRecord(f"c{i}", float(i), i % 2 == 0, "accept") for i in range(6)]
+PLAN = calibrate.allocate_quotas({(0, "accept"): 6}, 3, (0.0, 10.0), ("accept",))
+POPULATION = simulate.synthetic_calibration_population(simulate.PopulationSettings(
+    simulate.CohortSpec(n_papers=60, m_reviewers=1, latent=simulate.LatentDistribution.uniform(2.0, 9.0),
+                        noise=NoiseProfile((1.0,), (1.0, 10.0)), seed=7),
+    link_midpoint=5.5, link_slope=2.5,
+))
+COHORT_FIELDS = dict(n_papers=4, m_reviewers=1, latent=simulate.LatentDistribution.uniform(4.0, 7.0),
+                     noise=NoiseProfile((1.0,), (1.0, 10.0)), seed=0)
+COUNTS = dict(tp=1, fp=1, tn=1, fn=1)
+
+
+def stored(name):
+    return lambda result: getattr(result, name)
+
+
+# One row per integer argument: a call of the value, the field its message
+# names, the least and greatest values it takes (None: no greatest), a
+# value it takes, and where the result keeps that value (None: nowhere).
+INTEGERS = {
+    # bounds
+    "scalar_uniform_bound.m": (lambda v: bounds.scalar_uniform_bound(v, 1.0, 1.0, 1.0), "m", 1, None, 2, None),
+    "dkw_bound.n_cal": (lambda v: bounds.dkw_bound(v, 0.05), "n_cal", 1, None, 10, None),
+    # calibrate
+    "CellQuota.bin_index": (lambda v: calibrate.CellQuota(v, "a", 5, 2), "bin_index", 0, None, 0,
+                            stored("bin_index")),
+    "CellQuota.population": (lambda v: calibrate.CellQuota(0, "a", v, 0), "population", 0, None, 0,
+                             stored("population")),
+    "CellQuota.quota": (lambda v: calibrate.CellQuota(0, "a", 5, v), "quota", 0, 5, 5, stored("quota")),
+    "allocate_quotas.populations": (
+        lambda v: calibrate.allocate_quotas({(0, "a"): v, (0, "b"): 2}, 1, (0.0, 1.0), ("a", "b")),
+        "populations[(0, 'a')]", 0, None, 0, lambda plan: plan.cells[0].population,
+    ),
+    "allocate_quotas.n_cal": (lambda v: calibrate.allocate_quotas({(0, "a"): 3}, v, (0.0, 1.0), ("a",)),
+                              "n_cal", 1, 3, 3, lambda plan: plan.cells[0].quota),
+    "stratified_sample.seed": (lambda v: calibrate.stratified_sample(POOL, PLAN, v), "seed", 0, None, 0, None),
+    "stratify.seed": (lambda v: calibrate.stratify(POOL, 3, (0.0, 10.0), ("accept",), v), "seed", 0, None, 0,
+                      None),
+    # core
+    "RubricSchema.criteria_count": (lambda v: RubricSchema(v, ((0, 1),)), "criteria_count", 1, None, 1,
+                                    stored("criteria_count")),
+    "DecisionThresholds.calibration_size": (
+        lambda v: DecisionThresholds(1.0, 1.0, 0.5, v), "calibration_size", 1, None, 5, stored("calibration_size"),
+    ),
+    **{f"ConfusionCounts.{name}": (lambda v, name=name: ConfusionCounts(**{**COUNTS, name: v}), name, 0, None, 0,
+                                   stored(name)) for name in COUNTS},
+    "ReviewerWeights.uniform.count": (ReviewerWeights.uniform, "count", 1, None, 2, None),
+    "ScoringFunctional.mean.criteria_count": (ScoringFunctional.mean, "criteria_count", 1, None, 2, None),
+    # simulate
+    **{f"CohortSpec.{name}": (lambda v, name=name: simulate.CohortSpec(**{**COHORT_FIELDS, name: v}), name,
+                              least, None, least, stored(name))
+       for name, least in (("n_papers", 1), ("m_reviewers", 1), ("seed", 0))},
+    "slice_cohort.m": (lambda v: simulate.slice_cohort(COHORT, v), "m", 1, 2, 1,
+                       lambda cohort: cohort.spec.m_reviewers),
+    "threshold_bootstrap.replicates": (lambda v: simulate.threshold_bootstrap(POPULATION, (10, 20), v, 3),
+                                       "replicates", 2, None, 2, None),
+    "threshold_bootstrap.seed": (lambda v: simulate.threshold_bootstrap(POPULATION, (10, 20), 2, v),
+                                 "seed", 0, None, 0, None),
+}
+
+
+def refusals():
+    for name, (call, field, least, most, _, _) in INTEGERS.items():
+        bound = f" >= {least}" if most is None else f" in [{least}, {most}]"
+        for label, value in (("bool", True), ("float", 2.5), ("below", least - 1)):
+            yield pytest.param(call, value, f"{field}: must be an integer{bound}, got {value!r}",
+                               id=f"{name}.{label}")
+        if most is not None:
+            yield pytest.param(call, most + 1, f"{field}: must be an integer{bound}, got {most + 1}",
+                               id=f"{name}.above")
+
+
+@pytest.mark.parametrize("call, value, message", refusals())
+def test_integer_argument_refuses(call, value, message):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("call, _field, _least, _most, value, kept", INTEGERS.values(), ids=INTEGERS.keys())
+def test_integer_argument_takes_a_numpy_integer_as_an_int(call, _field, _least, _most, value, kept):
+    result = call(np.int64(value))
+    assert repr(result) == repr(call(value))  # a cohort holds arrays, which compare elementwise
+    if kept is not None:
+        assert type(kept(result)) is int and kept(result) == value
+
+
+# The arguments whose rule keeps its own words at one edge: an index below
+# its count, and the grids, whose message names the whole grid; then the
+# one statement that an error curve needs 2 calibration sizes.
+INTEGER_WORDS = {
+    "RubricSchema.overall_index.bool": (lambda: RubricSchema(2, ((0, 1),) * 2, True),
+                                        "overall_index: must be an integer, got True"),
+    "RubricSchema.overall_index.float": (lambda: RubricSchema(2, ((0, 1),) * 2, 1.0),
+                                         "overall_index: must be an integer, got 1.0"),
+    "RubricSchema.overall_index.below": (lambda: RubricSchema(2, ((0, 1),) * 2, -1),
+                                         "overall_index: must lie in [0, 2), got -1"),
+    "RubricSchema.overall_index.above": (lambda: RubricSchema(2, ((0, 1),) * 2, np.int64(2)),
+                                         "overall_index: must lie in [0, 2), got 2"),
+    **{f"panel_sizes.{label}": (lambda grid=grid: simulate.panel_sizes(grid),
+                                f"m_grid: panel sizes must be integers >= 1, got {grid}")
+       for label, grid in (("bool", [2, True]), ("float", [2.5]), ("below", [0, 3]), ("empty", []))},
+    **{f"calibration_sizes.{label}": (
+        lambda grid=grid: simulate.calibration_sizes(grid, 10),
+        f"n_cal_grid: calibration sizes must be strictly increasing integers in [2, 10], got {grid}",
+    ) for label, grid in (("bool", [True, 5]), ("float", [2.5]), ("below", [1, 5]), ("above", [5, 11]),
+                          ("unsorted", [5, 3]), ("empty", []))},
+    "error_curve_sizes": (lambda: simulate.error_curve_sizes(simulate.calibration_sizes([np.int64(5)], 10)),
+                          "n_cal_grid: the error curve needs at least 2 calibration sizes, got [5]"),
+    "error_curve_slope": (lambda: simulate.error_curve_slope([simulate.ThresholdErrorRow(5, 0.1, 0.0, 0)]),
+                          "rows: the error curve needs at least 2 calibration sizes, got [5]"),
+}
+
+
+@pytest.mark.parametrize("call, message", INTEGER_WORDS.values(), ids=INTEGER_WORDS.keys())
+def test_integer_argument_message(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_numpy_integers_are_kept_as_ints():
+    thresholds = DecisionThresholds(1.0, 1.0, 0.5, calibration_size=np.int64(5))
+    assert json.dumps(asdict(thresholds)) == (
+        '{"tau_rate": 1.0, "tau_05": 1.0, "target_rate": 0.5, "calibration_size": 5}'
+    )
+    assert type(RubricSchema(2, ((0, 1),) * 2, np.int64(1)).overall_index) is int
+    sizes = simulate.panel_sizes([np.int64(3), np.int64(1)]) + simulate.calibration_sizes([np.int64(2)], 10)
+    assert sizes == [1, 3, 2] and {type(n) for n in sizes} == {int}
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=5,
+)
+
+
+def outcome(call):
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(JSON, st.none() | st.integers(-2, 3))
+def test_config_integer_leaf_is_the_rule(value, least):
+    """For any JSON value, a config key and a library field take and word it alike."""
+    leaf = outcome(lambda: config.parse(config.integer(least), value, "a.key"))
+    rule = outcome(lambda: rules.integer("a.key", value, least))
+    assert leaf == rule
+    assert type(leaf) in (int, str)

@@ -169,7 +169,7 @@ def test_slice_cohort():
 @pytest.mark.parametrize(("field", "message"), [
     ("n_papers", "n_papers: must be an integer >= 1, got True"),
     ("m_reviewers", "m_reviewers: must be an integer >= 1, got True"),
-    ("seed", "seed: must be an integer, got True"),
+    ("seed", "seed: must be an integer >= 0, got True"),
 ], ids=["n_papers", "m_reviewers", "seed"])
 def test_cohort_spec_takes_no_bool_as_an_integer(field, message):
     # True == 1, so every other check of a one-reviewer spec passes
