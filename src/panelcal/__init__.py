@@ -7,10 +7,12 @@ and validates the whole stack with a deterministic Monte-Carlo harness.
 
 ``import panelcal`` loads no submodule: each one is imported on first
 attribute access (``panelcal.simulate``), so a command pays only for the
-modules it runs.
+modules it runs.  ``core``, ``records``, ``calibrate`` and ``simulate``
+export names defined in modules of their own the same way (``_lazy``).
 """
 
 import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -37,3 +39,26 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted(set(globals()) | _SUBMODULES)
+
+
+def _lazy(module: str, homes: dict[str, tuple[str, ...]]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``module``, which exports the names of ``homes``.
+
+    ``homes`` maps a submodule to the names it defines.  Each name is
+    imported from its submodule on first access and kept in ``module``.
+    Any other name, a dunder such as ``__path__`` included, raises
+    AttributeError and imports nothing.
+    """
+    home = {name: submodule for submodule, names in homes.items() for name in names}
+
+    def __getattr__(name: str):
+        if name not in home:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{__name__}.{home[name]}"), name)
+        setattr(sys.modules[module], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(vars(sys.modules[module])) | set(home))
+
+    return __getattr__, __dir__

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from . import records
 from .core import (
     ReviewerWeights,
-    ReviewPanel,
     RubricSchema,
     ScoringFunctional,
     finite,
@@ -25,6 +23,10 @@ from .core import (
     non_negative,
     positive,
 )
+from .tables import PanelTable
+
+if TYPE_CHECKING:
+    from .objects import ReviewPanel
 
 __all__ = [
     "ConsensusRubric",
@@ -87,7 +89,7 @@ def consensus_rubric(panel: ReviewPanel, weights: ReviewerWeights) -> ConsensusR
             f"weights: expected {len(panel.reviews)} entries for panel "
             f"{panel.submission_id!r}, got {len(weights)}"
         )
-    table = records.PanelTable.from_panels([panel])
+    table = PanelTable.from_panels([panel])
     rows = consensus_rows(table.rubric, np.array(weights.weights), table.counts)
     return ConsensusRubric(tuple(rows[0].tolist()))
 

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import records
 from .core import GaussianPosterior, finite, open_unit, positive
+from .tables import left_sums
 
 __all__ = [
     "normal_cdf",
@@ -119,11 +119,11 @@ def posterior_arrays(
     ``scores`` and ``variances`` hold every panel's reviews back to back,
     already checked finite (variances > 0); ``counts`` gives each panel's
     number of reviews.  The prior's precision and each review's are added
-    in review order (``records.left_sums``), and the mean takes a single
+    in review order (``tables.left_sums``), and the mean takes a single
     division, so it is correctly rounded.
     """
-    precision = records.left_sums(1.0 / variances, counts, 1.0 / prior.variance)
-    weighted = records.left_sums(scores / variances, counts, prior.mean / prior.variance)
+    precision = left_sums(1.0 / variances, counts, 1.0 / prior.variance)
+    weighted = left_sums(scores / variances, counts, prior.mean / prior.variance)
     return weighted / precision, 1.0 / precision
 
 

@@ -106,8 +106,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def _int_flag(minimum: int) -> Callable[[str], int]:
-    """argparse type of an integer flag (``--seed``, ``--replicates``): at least ``minimum``."""
-    wanted = "a non-negative integer" if minimum == 0 else f"an integer >= {minimum}"
+    """argparse type of an integer flag (``--seed``, ``--replicates``): at least ``minimum``, worded as
+    ``rules.integer`` words it."""
 
     def parse(text: str) -> int:
         try:
@@ -115,7 +115,7 @@ def _int_flag(minimum: int) -> Callable[[str], int]:
         except ValueError:
             value = None
         if value is None or value < minimum:
-            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text}")
         return value
 
     return parse

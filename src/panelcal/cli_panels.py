@@ -13,10 +13,10 @@ from typing import Mapping
 
 import numpy as np
 
-from . import aggregate, config, metrics, records
+from . import aggregate, config, metrics
 from .core import RecordError, RubricSchema, ScoringFunctional
-from .records import PanelTable
 from .rundir import _Run
+from .tables import PanelTable, left_sums
 
 
 def _scoring(
@@ -67,7 +67,7 @@ def _review_weights(
     """
 
     def normalized(values: np.ndarray) -> np.ndarray:
-        return values / records.left_sums(values, table.counts)[table.panel_index]
+        return values / left_sums(values, table.counts)[table.panel_index]
 
     if weights == "uniform":
         return normalized(1.0 / table.counts[table.panel_index])
@@ -79,7 +79,7 @@ def _review_weights(
         inverse = 1.0 / _per_reviewer(table, gls_variances, "gls_variances", "variance")
         return normalized(normalized(inverse[table.reviewer]))
     values = _per_reviewer(table, weights, "weights", "weight")[table.reviewer]
-    totals = records.left_sums(values, table.counts)
+    totals = left_sums(values, table.counts)
     table.require(totals > 0, "the panel's reviewer weights from config sum to 0; must be > 0")
     return normalized(values / totals[table.panel_index])
 

@@ -17,7 +17,7 @@ import functools
 import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
-from . import records, rules
+from . import rules
 from .core import (
     DecisionThresholds,
     GaussianPosterior,
@@ -43,7 +43,7 @@ def _number(requirement: str, ok: Callable[[float], bool]) -> Callable[[Any], fl
     """A leaf parser: a JSON number that ``ok`` accepts, as a float."""
 
     def parse(value: Any) -> float:
-        number = records._float(value)  # the JSON-number rule of the record loaders
+        number = rules.json_number(value)  # the JSON-number rule of the record loaders
         if number is None or not ok(number):
             raise ValueError(f"must {requirement}, got {value!r}")
         return number
@@ -253,7 +253,7 @@ def _latent(kind: str, **params: float | None) -> LatentDistribution:
 
 
 def _margins(**settings: Any) -> dict[str, Any]:
-    from .simulate import margin_bin_edges
+    from .experiments import margin_bin_edges
 
     margin_bin_edges(settings["bin_edges"])
     return settings
@@ -346,13 +346,20 @@ def rename(exc: ValueError, names: Mapping[str, str]) -> ValueError:
     return RecordError(f"{names[name]}{bracket}{index}: {message}")
 
 
+def _read(path: str) -> dict[str, Any]:
+    """The JSON object in the file at ``path``; the JSON reader is imported only to read one."""
+    from .records import load_config
+
+    return load_config(path)
+
+
 def load(path: str | None, *keys: str) -> list[Any]:
     """The values of the dotted ``keys`` in the config file at ``path`` (none: ``{}``).
 
     Every key in the file must be one some command knows.  Only ``keys``
     are parsed: a key that another command reads is not checked here.
     """
-    data = {} if path is None else records.load_config(path)
+    data = {} if path is None else _read(path)
     try:
         _check_names(SPEC, data)
         return [_field(SPEC, data, key, "") for key in keys]
@@ -362,7 +369,7 @@ def load(path: str | None, *keys: str) -> list[Any]:
 
 def load_thresholds(path: str) -> DecisionThresholds:
     """A ``thresholds.json`` written by calibrate; errors name the file and the key."""
-    data = records.load_config(path)
+    data = _read(path)
     try:
         return parse(THRESHOLDS, data)
     except RecordError as exc:

@@ -10,6 +10,10 @@ errors the command line maps to exit codes, ``RecordError`` (2) and
 ``integer``, which stores a plain ``int``) live in ``panelcal.rules``,
 which loads no numpy and no ``dataclasses``; ``core`` re-exports them, as
 ``records`` and ``calibrate`` re-export the errors.
+
+The record objects ``RubricVector``, ``ReviewRecord``, ``ReviewPanel``
+and ``CalibrationRecord`` are defined in ``panelcal.objects``, which
+``core`` imports on first use of one of them: the commands build none.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import _lazy
 from .rules import (
     NumberRule,
     RecordError,
@@ -53,11 +58,15 @@ __all__ = [
     "integer",
 ]
 
+__getattr__, __dir__ = _lazy(__name__, {
+    "objects": ("RubricVector", "ReviewRecord", "ReviewPanel", "CalibrationRecord"),
+})
+
 _WEIGHT_SUM_TOL = 1e-9
 
 
 def left_sum(values: Iterable[float]) -> float:
-    """Float sum added left to right, like ``records.left_sums`` (not 3.12's ``sum``)."""
+    """Float sum added left to right, like ``tables.left_sums`` (not 3.12's ``sum``)."""
     total = 0.0
     for value in values:
         total += value
@@ -104,109 +113,6 @@ class RubricSchema:
 
 
 @dataclass(frozen=True)
-class RubricVector:
-    """One reviewer's per-criterion scores."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        values = finite.each("values", self.values)
-        object.__setattr__(self, "values", values)
-        if not values:
-            _fail("values", "must contain at least one criterion score")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def check_schema(self, schema: RubricSchema) -> None:
-        """Raise ValueError if the vector does not fit ``schema``."""
-        if len(self.values) != schema.criteria_count:
-            _fail("values", f"expected {schema.criteria_count} criteria, got {len(self.values)}")
-        for k, (v, (lo, hi)) in enumerate(zip(self.values, schema.bounds)):
-            if not lo <= v <= hi:
-                _fail(f"values[{k}]", f"score {v} outside bounds [{lo}, {hi}]")
-
-
-@dataclass(frozen=True)
-class ReviewRecord:
-    """A single review: who wrote it, the rubric scores, flag, feedback."""
-
-    reviewer_id: str
-    rubric: RubricVector
-    integrity_flag: bool = False
-    feedback: str = ""
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.reviewer_id, str) or not self.reviewer_id:
-            _fail("reviewer_id", "must be a non-empty string")
-        if not isinstance(self.rubric, RubricVector):
-            _fail("rubric", f"must be a RubricVector, got {type(self.rubric).__name__}")
-        if not isinstance(self.integrity_flag, bool):
-            _fail("integrity_flag", "must be a bool")
-        if not isinstance(self.feedback, str):
-            _fail("feedback", "must be a string")
-
-
-@dataclass(frozen=True)
-class ReviewPanel:
-    """All reviews of one submission, with an optional ground-truth label."""
-
-    submission_id: str
-    reviews: tuple[ReviewRecord, ...]
-    fabrication_label: bool | None = None
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.submission_id, str) or not self.submission_id:
-            _fail("submission_id", "must be a non-empty string")
-        reviews = tuple(self.reviews)
-        object.__setattr__(self, "reviews", reviews)
-        if not reviews:
-            _fail("reviews", "panel must contain at least one review")
-        seen: set[str] = set()
-        for r in reviews:
-            if not isinstance(r, ReviewRecord):
-                _fail("reviews", f"entries must be ReviewRecord, got {type(r).__name__}")
-            if r.reviewer_id in seen:
-                _fail("reviews", f"duplicate reviewer_id {r.reviewer_id!r}")
-            seen.add(r.reviewer_id)
-        first = len(reviews[0].rubric)
-        for r in reviews[1:]:
-            if len(r.rubric) != first:
-                _fail(
-                    "reviews",
-                    f"rubric length mismatch: {r.reviewer_id!r} has {len(r.rubric)}, expected {first}",
-                )
-        if self.fabrication_label is not None and not isinstance(self.fabrication_label, bool):
-            _fail("fabrication_label", "must be a bool or None")
-
-    @property
-    def reviewer_ids(self) -> tuple[str, ...]:
-        return tuple(r.reviewer_id for r in self.reviews)
-
-    @property
-    def criteria_count(self) -> int:
-        return len(self.reviews[0].rubric)
-
-    @property
-    def any_flag(self) -> bool:
-        return any(r.integrity_flag for r in self.reviews)
-
-    def review_by(self, reviewer_id: str) -> ReviewRecord:
-        for r in self.reviews:
-            if r.reviewer_id == reviewer_id:
-                return r
-        _fail("reviewer_id", f"no review by {reviewer_id!r} in panel {self.submission_id!r}")
-        raise AssertionError  # unreachable
-
-    def validate_schema(self, schema: RubricSchema) -> None:
-        for r in self.reviews:
-            try:
-                r.rubric.check_schema(schema)
-            except ValueError as exc:
-                raise ValueError(f"panel {self.submission_id!r}, reviewer {r.reviewer_id!r}: {exc}") from exc
-
-
-@dataclass(frozen=True)
 class ReviewerWeights:
     """Non-negative reviewer weights; stored renormalized to sum exactly 1.
 
@@ -217,14 +123,9 @@ class ReviewerWeights:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.weights)
+        weights = non_negative.each("weights", self.weights)
         if not weights:
             _fail("weights", "must contain at least one weight")
-        for m, w in enumerate(weights):
-            if not math.isfinite(w):
-                _fail(f"weights[{m}]", f"must be finite, got {w!r}")
-            if w < 0:
-                _fail(f"weights[{m}]", f"must be non-negative, got {w}")
         total = left_sum(weights)
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             _fail("weights", f"must sum to 1 within {_WEIGHT_SUM_TOL}, got sum {total!r}")
@@ -329,31 +230,8 @@ class BoundInputs:
     c_max: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_w_sq", finite("sigma_w_sq", self.sigma_w_sq))
-        object.__setattr__(self, "c_max", finite("c_max", self.c_max))
-        if self.sigma_w_sq < 0:
-            _fail("sigma_w_sq", f"must be >= 0, got {self.sigma_w_sq}")
-        if self.c_max < 0:
-            _fail("c_max", f"must be >= 0, got {self.c_max}")
-
-
-@dataclass(frozen=True)
-class CalibrationRecord:
-    """One calibration observation: agent score, human accept/reject, status."""
-
-    submission_id: str
-    agent_score: float
-    human_accept: bool
-    status: str
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.submission_id, str) or not self.submission_id:
-            _fail("submission_id", "must be a non-empty string")
-        object.__setattr__(self, "agent_score", finite("agent_score", self.agent_score))
-        if not isinstance(self.human_accept, bool):
-            _fail("human_accept", "must be a bool")
-        if not isinstance(self.status, str) or not self.status:
-            _fail("status", "must be a non-empty string")
+        object.__setattr__(self, "sigma_w_sq", non_negative("sigma_w_sq", self.sigma_w_sq))
+        object.__setattr__(self, "c_max", non_negative("c_max", self.c_max))
 
 
 @dataclass(frozen=True)
@@ -388,9 +266,7 @@ class GaussianPosterior:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean", finite("mean", self.mean))
-        object.__setattr__(self, "variance", finite("variance", self.variance))
-        if self.variance <= 0:
-            _fail("variance", f"must be > 0, got {self.variance}")
+        object.__setattr__(self, "variance", positive("variance", self.variance))
 
     @property
     def std(self) -> float:

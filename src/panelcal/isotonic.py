@@ -1,0 +1,162 @@
+"""The isotonic fit of a pool's tail curve, and tau_05 read off it.
+
+``tail_probability_points`` gives the raw estimates of
+
+    pi(z) = P(human accepts | agent score >= z)
+
+at candidate thresholds, ``isotonic_fit`` their weighted PAVA fit and
+``tau_05`` the smallest knot where the fit reaches a level.  ``calibrate``
+exports these names and imports this module on first use of one: the
+``calibrate`` command writes the fitted curve, and ``simulate
+threshold-error``, which needs only ``calibrate.TailCounts``, loads none
+of this.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .calibrate import Pool, TailCounts, _table, _tails
+from .rules import ThresholdUnreachableError, open_unit
+
+__all__ = ["IsotonicCurve", "tail_probability_points", "isotonic_fit", "tau_05", "fit_tau05"]
+
+_MONOTONE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class IsotonicCurve:
+    """Non-decreasing step fit of tail probabilities at score knots.
+
+    Knots are (threshold, fitted value, weight) triples with strictly
+    increasing thresholds and fitted values in [0, 1].
+    """
+
+    knots: tuple[tuple[float, float, float], ...]
+
+    def __post_init__(self) -> None:
+        if not self.knots:
+            raise ValueError("knots: must contain at least one knot")
+        t, v, w = np.array(self.knots, dtype=float).T
+        bad_t = ~np.isfinite(t)
+        bad_v = ~((v >= -_MONOTONE_TOL) & (v <= 1.0 + _MONOTONE_TOL))
+        bad_w = ~(np.isfinite(w) & (w > 0))
+        bad = np.flatnonzero(bad_t | bad_v | bad_w)
+        if bad.size:
+            i = int(bad[0])
+            if bad_t[i]:
+                raise ValueError(f"knots[{i}]: threshold must be finite, got {float(t[i])!r}")
+            if bad_v[i]:
+                raise ValueError(f"knots[{i}]: fitted value must lie in [0, 1], got {float(v[i])!r}")
+            raise ValueError(f"knots[{i}]: weight must be finite and > 0, got {float(w[i])!r}")
+        v = np.clip(v, 0.0, 1.0)
+        rising = np.diff(t) > 0
+        bad = np.flatnonzero(~rising | (np.diff(v) < -_MONOTONE_TOL))
+        if bad.size:
+            if not rising[bad[0]]:
+                raise ValueError("knots: thresholds must be strictly increasing")
+            raise ValueError("knots: fitted values must be non-decreasing")
+        object.__setattr__(self, "knots", tuple(zip(t.tolist(), v.tolist(), w.tolist())))
+
+    @property
+    def thresholds(self) -> tuple[float, ...]:
+        return tuple(k[0] for k in self.knots)
+
+    @property
+    def fitted(self) -> tuple[float, ...]:
+        return tuple(k[1] for k in self.knots)
+
+    @property
+    def weights(self) -> tuple[float, ...]:
+        return tuple(k[2] for k in self.knots)
+
+
+def tail_probability_points(
+    records: Pool,
+    thresholds: Sequence[float],
+) -> list[tuple[float, float, float]]:
+    """Raw conditional acceptance estimates at candidate thresholds.
+
+    For each threshold z the estimate is the accepted fraction among
+    records with score >= z, weighted by that tail count.  Thresholds must
+    be strictly increasing and every tail must be non-empty.
+    """
+    table = _table(records)
+    if not len(table):
+        raise ValueError("records: must be non-empty")
+    tails = TailCounts.of(table.scores, table.accepts)
+    cand = np.asarray(thresholds, dtype=float)
+    if cand.size == 0:
+        raise ValueError("thresholds: must be non-empty")
+    if not np.all(np.isfinite(cand)):
+        raise ValueError("thresholds: must be finite")
+    if np.any(np.diff(cand) <= 0):
+        raise ValueError("thresholds: must be strictly increasing")
+    idx = np.searchsorted(tails.scores, cand, side="left")
+    counts = np.append(tails.records, 0)[idx]
+    if np.any(counts == 0):
+        bad = cand[np.nonzero(counts == 0)[0][0]]
+        raise ValueError(f"thresholds: no records with score >= {bad}")
+    estimates = np.append(tails.accepts, 0)[idx] / counts
+    return list(zip(cand.tolist(), estimates.tolist(), counts.astype(float).tolist()))
+
+
+def _pava(values: Sequence[float], weights: Sequence[float]) -> np.ndarray:
+    """Weighted pool-adjacent-violators fit (non-decreasing)."""
+    swv: list[float] = []  # per-block sum of weight * value
+    sw: list[float] = []   # per-block sum of weight
+    cnt: list[int] = []
+    for v, w in zip(values, weights):
+        swv.append(v * w)
+        sw.append(w)
+        cnt.append(1)
+        # merge while the previous block mean exceeds the last one;
+        # cross-multiplied form avoids division (weights are positive)
+        while len(swv) > 1 and swv[-2] * sw[-1] > swv[-1] * sw[-2]:
+            top_swv, top_sw, top_cnt = swv.pop(), sw.pop(), cnt.pop()
+            swv[-1] += top_swv
+            sw[-1] += top_sw
+            cnt[-1] += top_cnt
+    return np.repeat(np.divide(swv, sw), cnt)
+
+
+def isotonic_fit(points: Sequence[tuple[float, float, float]]) -> IsotonicCurve:
+    """Weighted least-squares non-decreasing fit of (t, value, weight) points."""
+    if not len(points):
+        raise ValueError("points: must be non-empty")
+    ts, values, weights = np.array(points, dtype=float).T
+    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"points[{i}]: value must lie in [0, 1], got {float(values[i])!r}")
+    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"points[{i}]: weight must be finite and > 0, got {float(weights[i])!r}")
+    fitted = _pava(values.tolist(), weights.tolist())
+    return IsotonicCurve(tuple(zip(ts.tolist(), fitted.tolist(), weights.tolist())))
+
+
+def tau_05(curve: IsotonicCurve, level: float = 0.5) -> float:
+    """Smallest knot threshold whose fitted value reaches ``level``.
+
+    No interpolation between knots.  Raises ThresholdUnreachableError when
+    the curve stays below the level everywhere.
+    """
+    level = open_unit("level", level)
+    for t, v, _ in curve.knots:
+        if v >= level:
+            return t
+    raise ThresholdUnreachableError(
+        f"fitted curve never reaches {level} (max fitted value {curve.fitted[-1]:.6g})"
+    )
+
+
+def fit_tau05(records: Pool) -> tuple[float, IsotonicCurve]:
+    """tau_05 of the records, and the isotonic fit of their tail curve, from one sort."""
+    table = _table(records)
+    tails = _tails(table.scores, table.accepts)
+    return tails.tau05(), isotonic_fit(tails.points())

@@ -16,11 +16,12 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from . import records
-from .core import ConfusionCounts, ReviewPanel
+from .core import ConfusionCounts
+from .tables import PanelTable
 
 if TYPE_CHECKING:
     from .aggregate import Decision
+    from .objects import ReviewPanel
 
 __all__ = [
     "DetectorMetrics",
@@ -69,12 +70,12 @@ def acpt(decisions: Sequence[Decision]) -> float:
 
 def _scope(
     panels: Sequence[ReviewPanel], reviewer_id: str | None, labeled: bool = False
-) -> tuple[records.PanelTable, int]:
+) -> tuple[PanelTable, int]:
     """The panels as a table and the index of ``reviewer_id`` (None: ``any``) in its counts;
     raises at the first panel with no label (if ``labeled``) or no review by ``reviewer_id``."""
     if not panels:
         raise ValueError("panels: must be non-empty")
-    table = records.PanelTable.from_panels(panels)
+    table = PanelTable.from_panels(panels)
     scope = table.roster.index(reviewer_id) if reviewer_id in table.roster else -1
     unlabeled = ~table.labeled & labeled
     unreviewed = ~table.panel_any(table.reviewer == scope) & (reviewer_id is not None)
@@ -138,25 +139,25 @@ def detector_counts(
     return confusion_counts(table)[scope]
 
 
-def _per_scope(table: records.PanelTable, reviews: np.ndarray, panels: np.ndarray) -> list[int]:
+def _per_scope(table: PanelTable, reviews: np.ndarray, panels: np.ndarray) -> list[int]:
     """Per roster member its reviews ``reviews`` selects, then the panels ``panels`` selects."""
     per_member = np.bincount(table.reviewer[reviews], minlength=len(table.roster))
     return [*per_member.tolist(), int(np.count_nonzero(panels))]
 
 
-def flag_counts(table: records.PanelTable) -> tuple[list[int], list[int]]:
+def flag_counts(table: PanelTable) -> tuple[list[int], list[int]]:
     """Flagged and reviewed panels, per roster member and then for ``any`` (every panel);
     a validated panel has one review per reviewer, so review counts are panel counts."""
     reviewed = np.bincount(table.reviewer, minlength=len(table.roster))
     return _per_scope(table, table.flags, table.any_flag), [*reviewed.tolist(), len(table)]
 
 
-def conflict_counts(table: records.PanelTable, accept: np.ndarray) -> list[int]:
+def conflict_counts(table: PanelTable, accept: np.ndarray) -> list[int]:
     """Flagged panels that ``accept`` (P,) selects, per roster member and then for ``any``."""
     return _per_scope(table, table.flags & accept[table.panel_index], table.any_flag & accept)
 
 
-def confusion_counts(table: records.PanelTable) -> list[ConfusionCounts]:
+def confusion_counts(table: PanelTable) -> list[ConfusionCounts]:
     """Flags as predictions of the panels' labels, per roster member and then for ``any``."""
     truth = table.labels[table.panel_index]
     tp = _per_scope(table, table.flags & truth, table.any_flag & table.labels)

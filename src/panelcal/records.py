@@ -9,7 +9,9 @@ One JSON object per line.  Panel lines look like
 where "label" and "feedback" are optional and a review may carry a
 scalar "overall" instead of a "rubric" (it becomes a one-criterion
 rubric).  A panel file is parsed once, into a columnar ``PanelTable``;
-``load_panel_records`` builds ``PanelRecord`` objects from it.
+``load_panel_records`` builds ``PanelRecord`` objects from it.  The tables
+are defined in ``panelcal.tables`` and ``PanelRecord`` in
+``panelcal.objects``; this module exports them.
 Calibration lines look like
 
     {"id": "c1", "score": 6.5, "accept": true, "status": "accept"}
@@ -31,14 +33,17 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Container, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Container, Iterable
 
 import numpy as np
 
-from .core import CalibrationRecord, RecordError, ReviewPanel, ReviewRecord, RubricSchema, RubricVector
+from . import _lazy
+from .rules import RecordError, json_number
+from .tables import CalibrationTable, PanelTable, left_sums
+
+if TYPE_CHECKING:
+    from .objects import CalibrationRecord, PanelRecord
 
 __all__ = [
     "RecordError",
@@ -54,255 +59,7 @@ __all__ = [
     "read_text",
 ]
 
-
-@dataclass(frozen=True)
-class PanelRecord:
-    """One panel line as loaded; reviews may be empty (prior-only rows)."""
-
-    submission_id: str
-    reviews: tuple[ReviewRecord, ...]
-    fabrication_label: bool | None = None
-
-
-@dataclass(frozen=True, eq=False)
-class PanelTable:
-    """A panel file as columns: one entry per panel, one row per review.
-
-    The reviews of all panels lie back to back in file order; panel ``i``
-    owns review rows ``offsets[i]:offsets[i + 1]``.  ``rubric`` has one
-    column per criterion of the longest rubric and is NaN past each
-    review's ``criteria`` count.  Reviewers are codes into ``roster``, the
-    sorted distinct reviewer ids.  Labels absent from the file are False in
-    ``labels`` and False in ``labeled``.
-    """
-
-    path: str
-    ids: tuple[str, ...]
-    lines: np.ndarray  # (P,) line number of each panel
-    counts: np.ndarray  # (P,) reviews per panel
-    offsets: np.ndarray  # (P + 1,) first review row of each panel, then N
-    labels: np.ndarray  # (P,) bool
-    labeled: np.ndarray  # (P,) bool
-    roster: tuple[str, ...]
-    reviewer: np.ndarray  # (N,) roster codes
-    rubric: np.ndarray  # (N, K) float
-    criteria: np.ndarray  # (N,) rubric length of each review
-    flags: np.ndarray  # (N,) bool
-    feedback: tuple[str, ...]  # (N,)
-
-    @classmethod
-    def from_panels(cls, panels: Sequence[ReviewPanel]) -> PanelTable:
-        """The panels as a table without a file."""
-        reviews = [r for p in panels for r in p.reviews]
-        rubrics = [r.rubric.values for r in reviews]
-        return _panel_table(
-            "",
-            ids=[p.submission_id for p in panels],
-            lines=list(range(1, len(panels) + 1)),
-            counts=[len(p.reviews) for p in panels],
-            labels=[p.fabrication_label for p in panels],
-            reviewer=[r.reviewer_id for r in reviews],
-            values=np.array([v for row in rubrics for v in row], dtype=float),
-            criteria=list(map(len, rubrics)),
-            flags=[r.integrity_flag for r in reviews],
-            feedback=[r.feedback for r in reviews],
-        )
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    @cached_property
-    def panel_index(self) -> np.ndarray:
-        """(N,) the panel each review belongs to."""
-        return np.repeat(np.arange(len(self)), self.counts)
-
-    @cached_property
-    def any_flag(self) -> np.ndarray:
-        """(P,) whether any review of the panel is flagged."""
-        return self.panel_any(self.flags)
-
-    def panel_any(self, reviews: np.ndarray) -> np.ndarray:
-        """(P,) whether the panel has a review that the (N,) mask ``reviews`` selects."""
-        return np.bincount(self.panel_index[reviews], minlength=len(self)) > 0
-
-    def where(self, i: int) -> str:
-        """``path:line`` of panel ``i``, or ``panel 'id'`` for a table built from panels."""
-        return f"{self.path}:{self.lines[i]}" if self.path else f"panel {self.ids[i]!r}"
-
-    def error(self, i: int, message: str) -> RecordError:
-        return RecordError(f"{self.where(i)}: {message}")
-
-    def require(self, ok: np.ndarray, message: str) -> None:
-        """Raise ``path:line: message`` at the first panel where ``ok`` is false.
-
-        ``{id}`` in ``message`` becomes that panel's quoted id.
-        """
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            i = int(bad[0])
-            raise self.error(i, message.format(id=repr(self.ids[i])))
-
-    def reviewer_where(self, code: int) -> str:
-        """``path:line`` of the first panel reviewed by roster member ``code``."""
-        return self.where(int(self.panel_index[np.argmax(self.reviewer == code)]))
-
-    def record(self, i: int) -> PanelRecord:
-        """Panel ``i`` as a ``PanelRecord``."""
-        rows = range(self.offsets[i], self.offsets[i + 1])
-        reviews = tuple(
-            ReviewRecord(
-                self.roster[self.reviewer[j]],
-                RubricVector(tuple(self.rubric[j, : self.criteria[j]].tolist())),
-                bool(self.flags[j]),
-                self.feedback[j],
-            )
-            for j in rows
-        )
-        label = bool(self.labels[i]) if self.labeled[i] else None
-        return PanelRecord(self.ids[i], reviews, label)
-
-    def validate(
-        self,
-        schema: RubricSchema | None = None,
-        *,
-        require_reviews: bool = True,
-        require_labels: bool = False,
-    ) -> None:
-        """Check every panel as ``ReviewPanel`` and ``validate_schema`` check one.
-
-        The rules run in turn, each over all panels: reviews present (when
-        ``require_reviews``; panels without reviews are skipped otherwise),
-        distinct reviewers with rubrics of one length, the schema, labels
-        present (when ``require_labels``).  The first panel that breaks a
-        rule raises the object check's message with its ``path:line`` in
-        front.
-        """
-        if require_reviews:
-            self.require(self.counts > 0, "panel {id} has no reviews")
-        panel_of = self.panel_index
-        key = panel_of * len(self.roster) + self.reviewer
-        order = np.argsort(key, kind="stable")
-        repeated = np.zeros(len(key), dtype=bool)
-        repeated[order[1:][key[order][1:] == key[order][:-1]]] = True
-        first = self.offsets[panel_of]  # (N,) the first review row of each review's panel
-        bad = np.flatnonzero(repeated | (self.criteria != self.criteria[first]))
-        if bad.size:
-            j = int(bad[0])
-            i, start = int(panel_of[j]), int(first[j])
-            # ReviewPanel looks for a repeated reviewer in the whole panel first
-            dup = np.flatnonzero(repeated[start : self.offsets[i + 1]])
-            if dup.size:
-                raise self.error(i, f"reviews: duplicate reviewer_id {self._name(start + int(dup[0]))!r}")
-            raise self.error(i, (
-                f"reviews: rubric length mismatch: {self._name(j)!r} has "
-                f"{int(self.criteria[j])}, expected {int(self.criteria[start])}"
-            ))
-        if schema is not None:
-            k = schema.criteria_count
-            fits = self.criteria == k
-            if self.rubric.shape[1] >= k:  # else no review has k criteria
-                lo, hi = np.array(schema.bounds).T
-                inside = (self.rubric[:, :k] >= lo) & (self.rubric[:, :k] <= hi)
-                fits &= inside.all(axis=1)
-            bad = np.flatnonzero(~fits)
-            if bad.size:
-                j = int(bad[0])
-                if self.criteria[j] != k:
-                    message = f"values: expected {k} criteria, got {int(self.criteria[j])}"
-                else:
-                    c = int(np.argmin(inside[j]))
-                    low, high = schema.bounds[c]
-                    message = f"values[{c}]: score {float(self.rubric[j, c])} outside bounds [{low}, {high}]"
-                i = int(panel_of[j])
-                raise self.error(i, f"panel {self.ids[i]!r}, reviewer {self._name(j)!r}: {message}")
-        if require_labels:
-            self.require(self.labeled, "panel {id} has no fabrication_label")
-
-    def _name(self, j: int) -> str:
-        """The reviewer id of review row ``j``."""
-        return self.roster[self.reviewer[j]]
-
-
-@dataclass(frozen=True, eq=False)
-class CalibrationTable:
-    """A calibration pool as columns, one entry per record in file order.
-
-    A table built from records rather than read from a file has an empty
-    ``path``; its records are then named by their ids.
-    """
-
-    path: str
-    ids: tuple[str, ...]
-    lines: np.ndarray  # (N,) line number of each record
-    scores: np.ndarray  # (N,) float
-    accepts: np.ndarray  # (N,) bool
-    statuses: tuple[str, ...]
-
-    @classmethod
-    def from_records(cls, records: Sequence[CalibrationRecord]) -> CalibrationTable:
-        """The records as a table without a file."""
-        return cls(
-            path="",
-            ids=tuple(r.submission_id for r in records),
-            lines=np.arange(1, len(records) + 1),
-            scores=np.array([r.agent_score for r in records], dtype=float),
-            accepts=np.array([r.human_accept for r in records], dtype=bool),
-            statuses=tuple(r.status for r in records),
-        )
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def where(self, i: int) -> str:
-        """``path:line`` of record ``i``, or ``record 'id'`` without a file."""
-        if not self.path:
-            return f"record {self.ids[i]!r}"
-        return f"{self.path}:{self.lines[i]}"
-
-    def record(self, i: int) -> CalibrationRecord:
-        """Record ``i`` as a ``CalibrationRecord``."""
-        return CalibrationRecord(
-            self.ids[i], float(self.scores[i]), bool(self.accepts[i]), self.statuses[i]
-        )
-
-    def take(self, indices: Sequence[int] | np.ndarray) -> CalibrationTable:
-        """The records at ``indices``, in that order."""
-        idx = np.asarray(indices, dtype=np.intp)
-        rows = idx.tolist()
-        return CalibrationTable(
-            path=self.path,
-            ids=tuple(self.ids[i] for i in rows),
-            lines=self.lines[idx],
-            scores=self.scores[idx],
-            accepts=self.accepts[idx],
-            statuses=tuple(self.statuses[i] for i in rows),
-        )
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # callers check the totals
-def left_sums(values: np.ndarray, counts: np.ndarray, start: float = 0.0) -> np.ndarray:
-    """(P,) ``start`` plus each of P groups of ``values``, ``counts`` long, added left to right.
-
-    This is the order of ``core.left_sum``, which ``ReviewerWeights`` and
-    ``aggregate.gls_weights`` use; ``np.add.reduceat`` and, from Python
-    3.12, builtin ``sum`` add in another order.
-    """
-    starts = np.cumsum(counts) - counts
-    total = np.full(len(counts), start, dtype=float)
-    for j in range(int(counts.max(initial=0))):
-        groups = np.flatnonzero(counts > j)
-        total[groups] += values[starts[groups] + j]
-    return total
-
-
-def _float(value: Any) -> float | None:
-    """A JSON number as a float (a huge integer is infinite); None for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
+__getattr__, __dir__ = _lazy(__name__, {"objects": ("PanelRecord",)})
 
 
 _NUMBER_TYPES = {int, float}  # JSON numbers; bool is not among them
@@ -548,7 +305,7 @@ def _numbers(values: list[Any]) -> tuple[np.ndarray | None, int | None, int | No
     """(float array, None, None) if each value is a finite JSON number.
 
     Otherwise None, the index of the first value that is not a JSON number
-    (``_float`` is None) and that of the first number that is not finite.
+    (``json_number`` is None) and that of the first number that is not finite.
     """
     try:
         flat = np.array(values, dtype=float) if set(map(type, values)) <= _NUMBER_TYPES else None
@@ -556,7 +313,7 @@ def _numbers(values: list[Any]) -> tuple[np.ndarray | None, int | None, int | No
         flat = None
     if flat is not None and np.isfinite(flat).all():
         return flat, None, None
-    floats = list(map(_float, values))
+    floats = list(map(json_number, values))
     not_number = next((k for k, f in enumerate(floats) if f is None), None)
     not_finite = next((k for k, f in enumerate(floats) if f is not None and not math.isfinite(f)), None)
     return None, not_number, not_finite

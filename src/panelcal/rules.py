@@ -5,9 +5,10 @@ the two errors the command line maps to exit codes.  The four float rules
 (``finite``, ``positive``, ``non_negative``, ``open_unit``) and the
 integer rule (``integer``) check the number arguments of ``core``,
 ``aggregate``, ``bayes``, ``bounds``, ``calibrate`` and ``simulate``, and
-``config``'s integer leaves.  ``core`` re-exports every name here, so
-``bound``, which needs only these, loads neither ``core`` nor
-``dataclasses``.
+``config``'s integer leaves.  ``json_number`` is the JSON-number rule of
+the record loaders and of ``config``'s number leaves.  ``core``
+re-exports every name of ``__all__``, so ``bound``, which needs only
+these, loads neither ``core`` nor ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -83,3 +84,13 @@ def integer(field: str, value: Any, minimum: int | None = None, maximum: int | N
         bound = "" if minimum is None else f" >= {minimum}" if maximum is None else f" in [{minimum}, {maximum}]"
         _fail(field, f"must be an integer{bound}, got {value!r}")
     return number
+
+
+def json_number(value: Any) -> float | None:
+    """A JSON number as a float (a huge integer is infinite); None for anything else, a bool included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf

@@ -28,7 +28,7 @@ from . import __version__
 from .cli import _out_error, _sha256_file
 
 if TYPE_CHECKING:
-    from .records import CalibrationTable, PanelTable
+    from .tables import CalibrationTable, PanelTable
 
 __all__ = ["RunManifest"]
 

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from panelcal import calibrate, simulate
+from panelcal import calibrate, isotonic, simulate, strata
 from panelcal.cli import _sha256_file, main
 from panelcal.core import CalibrationRecord
 from panelcal.records import load_calibration_records
@@ -114,6 +114,18 @@ def test_bound_rejects_bad_delta(capsys):
     code, _, err = run_cli(capsys, "bound", "dkw", "--n", "200", "--delta", "1.5")
     assert code == 2
     assert "delta" in err
+
+
+@pytest.mark.parametrize(("argv", "message"), [
+    (["tail", "--t", "1", "--sigma-w-sq", "-1", "--c-max", "1"], "sigma_w_sq: must be finite and >= 0, got -1.0"),
+    (["tail", "--t", "1", "--sigma-w-sq", "1", "--c-max", "inf"], "c_max: must be finite and >= 0, got inf"),
+    (["margin", "--gamma", "1", "--sigma-w-sq", "nan", "--c-max", "1"], "sigma_w_sq: must be finite and >= 0, got nan"),
+    (["margin", "--gamma", "1", "--sigma-w-sq", "1", "--c-max", "-0.5"], "c_max: must be finite and >= 0, got -0.5"),
+], ids=["tail-sigma", "tail-c-max", "margin-sigma", "margin-c-max"])
+def test_bound_inputs_exit_2_with_the_number_rule(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bound", *argv)
+    assert code == 2
+    assert (out, err) == ("", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------- calibrate
@@ -217,13 +229,13 @@ def test_calibrate_stratified_deterministic(tmp_path, capsys):
 
 def test_calibrate_fits_and_bins_once(tmp_path, capsys, monkeypatch):
     calls = collections.Counter()
-    for name in ("_pava", "_cell_members"):
+    for module, name in ((isotonic, "_pava"), (strata, "_cell_members")):
 
-        def counted(*args, _name=name, _original=getattr(calibrate, name)):
+        def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(calibrate, name, counted)
+        monkeypatch.setattr(module, name, counted)
     rank = calibrate.TailCounts.of
     monkeypatch.setattr(calibrate.TailCounts, "of",
                         classmethod(lambda cls, *args: calls.update(["TailCounts.of"]) or rank(*args)))
@@ -1450,7 +1462,7 @@ def test_seed_flag_names_itself(tmp_path, capsys, argv, seed):
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--seed", seed, "--out", str(tmp_path / "runs")])
     assert exit_info.value.code == 2
-    assert f"argument --seed: must be a non-negative integer, got {seed}\n" in capsys.readouterr().err
+    assert f"argument --seed: must be an integer >= 0, got {seed}\n" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
 
 

@@ -116,14 +116,39 @@ CASES = {
                                            "target_rate: must lie strictly in (0, 1), got nan"),
     "DecisionThresholds.tau_05": (lambda: thresholds(tau_05=INF),
                                   "tau_05: must be finite, got inf"),
-    "BoundInputs.sigma_w_sq": (lambda: BoundInputs(NAN, 1.0), "sigma_w_sq: must be finite, got nan"),
-    "BoundInputs.c_max": (lambda: BoundInputs(1, -INF), "c_max: must be finite, got -inf"),
+    "BoundInputs.sigma_w_sq": (lambda: BoundInputs(NAN, 1.0),
+                               "sigma_w_sq: must be finite and >= 0, got nan"),
+    "BoundInputs.sigma_w_sq.negative": (lambda: BoundInputs(-1, 1.0),
+                                        "sigma_w_sq: must be finite and >= 0, got -1.0"),
+    "BoundInputs.sigma_w_sq.inf": (lambda: BoundInputs(INF, 1.0),
+                                   "sigma_w_sq: must be finite and >= 0, got inf"),
+    "BoundInputs.c_max": (lambda: BoundInputs(1, -INF), "c_max: must be finite and >= 0, got -inf"),
+    "BoundInputs.c_max.negative": (lambda: BoundInputs(1, np.float64(-0.5)),
+                                   "c_max: must be finite and >= 0, got -0.5"),
+    "BoundInputs.c_max.nan": (lambda: BoundInputs(1, NAN), "c_max: must be finite and >= 0, got nan"),
+    "BoundInputs.c_max.inf": (lambda: BoundInputs(1, INF), "c_max: must be finite and >= 0, got inf"),
     "CalibrationRecord.agent_score": (lambda: CalibrationRecord("c1", INF, True, "accept"),
                                       "agent_score: must be finite, got inf"),
     "GaussianPosterior.mean": (lambda: GaussianPosterior(np.float64(NAN), 1.0),
                                "mean: must be finite, got nan"),
     "GaussianPosterior.variance": (lambda: GaussianPosterior(0, INF),
-                                   "variance: must be finite, got inf"),
+                                   "variance: must be finite and > 0, got inf"),
+    "GaussianPosterior.variance.zero": (lambda: GaussianPosterior(0, 0),
+                                        "variance: must be finite and > 0, got 0.0"),
+    "GaussianPosterior.variance.negative": (lambda: GaussianPosterior(0, np.float64(-1)),
+                                            "variance: must be finite and > 0, got -1.0"),
+    "GaussianPosterior.variance.nan": (lambda: GaussianPosterior(0, NAN),
+                                       "variance: must be finite and > 0, got nan"),
+    "GaussianPosterior.variance.-inf": (lambda: GaussianPosterior(0, -INF),
+                                        "variance: must be finite and > 0, got -inf"),
+    "ReviewerWeights.weights": (lambda: ReviewerWeights((1.5, -0.5)),
+                                "weights[1]: must be finite and >= 0, got -0.5"),
+    "ReviewerWeights.weights.nan": (lambda: ReviewerWeights((0.5, NAN)),
+                                    "weights[1]: must be finite and >= 0, got nan"),
+    "ReviewerWeights.weights.inf": (lambda: ReviewerWeights((np.float64(INF), 0.5)),
+                                    "weights[0]: must be finite and >= 0, got inf"),
+    "ReviewerWeights.weights.-inf": (lambda: ReviewerWeights((-INF, 1)),
+                                     "weights[0]: must be finite and >= 0, got -inf"),
     # aggregate
     "ConsensusRubric.values": (lambda: aggregate.ConsensusRubric((1, 2, -INF)),
                                "values[2]: must be finite, got -inf"),

@@ -2,12 +2,15 @@
 
 Fresh interpreters run one command each on the ``test_cli`` fixtures and
 report the modules they loaded.  In-process tests cover the lazy
-``panelcal`` package: submodules resolve on first attribute access, and
-the two exit-code errors and the number rules live in ``rules``, which
-``core`` re-exports.
+``panelcal`` package: submodules resolve on first attribute access, the
+two exit-code errors and the number rules live in ``rules``, which
+``core`` re-exports, and every name that ``core``, ``records``,
+``calibrate`` and ``simulate`` export from a module of its own is one
+object wherever it is exported.
 """
 
 import functools
+import importlib
 import json
 import os
 import subprocess
@@ -24,6 +27,7 @@ from test_cli import (
     DET_PANELS,
     PANELS,
     POOL,
+    STRATIFY,
     THRESHOLDS,
     bayes_config,
 )
@@ -129,17 +133,30 @@ def test_panel_commands_load_no_simulate_calibrate_or_bounds(tmp_path, command):
     assert {"panelcal.cli_panels", "panelcal.rundir"} <= modules
     assert not modules & {"panelcal.simulate", "panelcal.calibrate", "panelcal.bounds", "logging",
                           "numpy.ma"}
+    # they work on the table's columns: the record objects are never built
+    assert "panelcal.objects" not in modules
     if command != "bayes":
         assert not modules & {"panelcal.bayes", "statistics"}
 
 
-def test_calibrate_loads_no_simulate_or_bayes(tmp_path):
+def calibrate_modules(tmp_path, config):
     (tmp_path / "pool.jsonl").write_text(POOL, encoding="utf-8")
-    (tmp_path / "config.json").write_text('{"target_rate": 0.33}', encoding="utf-8")
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     modules = loaded(tmp_path, "calibrate", "--records", "pool.jsonl", "--config", "config.json",
                      "--out", "runs")
-    assert {"panelcal.calibrate", "panelcal.rundir"} <= modules
-    assert not modules & {"panelcal.simulate", "panelcal.bayes", "panelcal.aggregate", "logging"}
+    assert {"panelcal.calibrate", "panelcal.isotonic", "panelcal.rundir"} <= modules
+    assert not modules & {"panelcal.simulate", "panelcal.bayes", "panelcal.aggregate", "logging",
+                          "panelcal.objects"}
+    return modules
+
+
+def test_calibrate_loads_no_simulate_or_bayes(tmp_path):
+    # the stratification code is loaded only to draw a stratified calibration set
+    assert "panelcal.strata" not in calibrate_modules(tmp_path, {"target_rate": 0.33})
+
+
+def test_stratified_calibrate_loads_the_stratification_code(tmp_path):
+    assert "panelcal.strata" in calibrate_modules(tmp_path, {"target_rate": 0.33, "stratify": STRATIFY})
 
 
 def test_threshold_error_loads_no_aggregate(tmp_path):
@@ -148,11 +165,12 @@ def test_threshold_error_loads_no_aggregate(tmp_path):
                      "--out", "runs", code=4)
     assert {"panelcal.simulate", "panelcal.rundir"} <= modules
     assert not modules & {"panelcal.aggregate", "panelcal.bayes"}
-    # it reads no JSONL, so it loads no column cache
+    # it reads no JSONL, so it loads neither the loaders nor the column cache; it runs no margin or
+    # variance experiment (nor bounds), no stratification, no isotonic fit, and builds no record object
     assert {m for m in modules if m.startswith("panelcal")} == {
-        "panelcal", "panelcal.bounds", "panelcal.calibrate", "panelcal.cli", "panelcal.cli_simulate",
-        "panelcal.config", "panelcal.core", "panelcal.metrics", "panelcal.records", "panelcal.rules",
-        "panelcal.rundir", "panelcal.simulate",
+        "panelcal", "panelcal.calibrate", "panelcal.cli", "panelcal.cli_simulate", "panelcal.config",
+        "panelcal.core", "panelcal.metrics", "panelcal.rules", "panelcal.rundir", "panelcal.simulate",
+        "panelcal.tables",
     }
 
 
@@ -182,7 +200,7 @@ def test_cohort_experiments_load_the_run_directory(tmp_path, experiment):
     (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
     modules = loaded(tmp_path, "simulate", experiment, "--config", "config.json", "--m", "1,2",
                      "--out", "runs")
-    assert {"panelcal.cli_simulate", "panelcal.rundir"} <= modules
+    assert {"panelcal.cli_simulate", "panelcal.rundir", "panelcal.experiments", "panelcal.bounds"} <= modules
 
 
 def test_import_panelcal_loads_no_submodule(tmp_path):
@@ -218,3 +236,60 @@ def test_exit_code_errors_are_reexported():
     assert calibrate.ThresholdUnreachableError is rules.ThresholdUnreachableError
     assert issubclass(rules.RecordError, ValueError)
     assert issubclass(rules.ThresholdUnreachableError, ValueError)
+
+
+# the modules that core, records, calibrate and simulate export names from, each imported on first use
+LAZY_MODULES = ("panelcal.objects", "panelcal.isotonic", "panelcal.strata", "panelcal.experiments")
+EXPORTERS = ("core", "records", "calibrate", "simulate", "rules", "tables", "objects", "isotonic", "strata",
+             "experiments")
+
+
+def test_import_panelcal_core_builds_no_record_class(tmp_path):
+    probe = ("import json, sys, panelcal.core as core\n"
+             "names = ('RubricVector', 'ReviewRecord', 'ReviewPanel', 'CalibrationRecord')\n"
+             "print(json.dumps(['panelcal.objects' in sys.modules, [n for n in names if n in vars(core)]]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_env(), capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == [False, []]
+
+
+def test_from_imports_and_dunder_lookups_load_no_lazy_module(tmp_path):
+    # a from-import looks up the module's __path__; a __getattr__ that resolved dunder names would
+    # load its lazy modules on every one
+    probe = ("import json, sys\n"
+             "from panelcal.core import RecordError, NoiseProfile\n"
+             "from panelcal.records import PanelTable\n"
+             "from panelcal.calibrate import TailCounts\n"
+             "from panelcal.simulate import generate_cohort\n"
+             "import panelcal.core, panelcal.records, panelcal.calibrate, panelcal.simulate\n"
+             "modules = [panelcal.core, panelcal.records, panelcal.calibrate, panelcal.simulate]\n"
+             "paths = [hasattr(m, '__path__') for m in modules]\n"
+             "print(json.dumps([paths, sorted(sys.modules)]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_env(), capture_output=True,
+                          text=True, check=True)
+    paths, modules = json.loads(proc.stdout)
+    assert paths == [False] * 4
+    assert not set(modules) & {*LAZY_MODULES, "panelcal.bounds"}
+
+
+def test_every_exported_name_is_one_object_wherever_it_is_exported():
+    seen = {}
+    for name in EXPORTERS:
+        module = importlib.import_module(f"panelcal.{name}")
+        assert set(module.__all__) <= set(dir(module))
+        for export in module.__all__:
+            value = getattr(module, export)
+            assert seen.setdefault(export, value) is value, f"panelcal.{name}.{export}"
+    assert seen["ReviewPanel"] is sys.modules["panelcal.objects"].ReviewPanel
+    assert seen["IsotonicCurve"] is sys.modules["panelcal.isotonic"].IsotonicCurve
+    assert seen["CellQuota"] is sys.modules["panelcal.strata"].CellQuota
+    assert seen["MarginBinRow"] is sys.modules["panelcal.experiments"].MarginBinRow
+    assert seen["PanelTable"] is sys.modules["panelcal.tables"].PanelTable
+
+
+@pytest.mark.parametrize("name", ["core", "records", "calibrate", "simulate"])
+def test_lazy_exporters_refuse_unknown_and_dunder_names(name):
+    module = importlib.import_module(f"panelcal.{name}")
+    assert not hasattr(module, "__path__")
+    with pytest.raises(AttributeError, match=f"module 'panelcal.{name}' has no attribute 'nope'"):
+        module.nope
