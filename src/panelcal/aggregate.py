@@ -8,7 +8,6 @@ variance) and the weighted consensus variance live here as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -21,6 +20,7 @@ from .core import (
     finite,
     left_sum,
     non_negative,
+    not_nan,
     positive,
 )
 from .tables import PanelTable
@@ -38,7 +38,6 @@ __all__ = [
     "decide",
     "gls_weights",
     "panel_variance",
-    "projected_variance",
 ]
 
 
@@ -72,10 +71,8 @@ class Decision:
     margin: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.score):
-            raise ValueError(f"score: must be finite, got {self.score!r}")
-        if math.isnan(self.threshold):
-            raise ValueError("threshold: must not be NaN")
+        finite("score", self.score)
+        not_nan("threshold", self.threshold)
         if self.accept != (self.score >= self.threshold):
             raise ValueError("accept: inconsistent with score >= threshold")
         if self.margin != self.score - self.threshold:
@@ -182,18 +179,3 @@ def panel_variance(weights: ReviewerWeights, projected_variances: Sequence[float
         )
     non_negative.each("projected_variances", variances)
     return sum(w * w * v for w, v in zip(weights.weights, variances))
-
-
-def projected_variance(variance_diagonal: Sequence[float], coefficients: Sequence[float]) -> float:
-    """Project a diagonal rubric covariance through a scoring direction.
-
-    Computes v' diag(d) v = sum_k v_k^2 d_k for one reviewer.
-    """
-    diag = [float(d) for d in variance_diagonal]
-    coeffs = [float(c) for c in coefficients]
-    if len(diag) != len(coeffs):
-        raise ValueError(
-            f"variance_diagonal: expected {len(coeffs)} entries, got {len(diag)}"
-        )
-    non_negative.each("variance_diagonal", diag)
-    return sum(c * c * d for c, d in zip(coeffs, diag))

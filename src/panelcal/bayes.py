@@ -20,7 +20,6 @@ from .core import GaussianPosterior, finite, open_unit, positive
 from .tables import left_sums
 
 __all__ = [
-    "normal_cdf",
     "normal_quantile",
     "posterior_update",
     "acceptance_probability",
@@ -31,14 +30,6 @@ __all__ = [
 ]
 
 _STD_NORMAL = NormalDist()
-
-
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    z = float(z)
-    if math.isnan(z):
-        raise ValueError("z: must not be NaN")
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def normal_quantile(p: float) -> float:
@@ -56,14 +47,8 @@ def posterior_update(
     precision; the mean is the precision-weighted average.  An empty
     review sequence returns the prior unchanged.
     """
-    checked = []
-    for i, (score, variance) in enumerate(reviews):
-        score, variance = float(score), float(variance)
-        if not math.isfinite(score):
-            raise ValueError(f"reviews[{i}]: score must be finite, got {score!r}")
-        if not (math.isfinite(variance) and variance > 0):
-            raise ValueError(f"reviews[{i}]: variance must be finite and > 0, got {variance!r}")
-        checked.append((score, variance))
+    checked = [(finite(f"reviews[{i}].score", score), positive(f"reviews[{i}].variance", variance))
+               for i, (score, variance) in enumerate(reviews)]
     scores, variances = np.array(checked, dtype=float).reshape(-1, 2).T
     means, variances = posterior_arrays(prior, scores, variances, np.array([len(checked)]))
     return GaussianPosterior(mean=float(means[0]), variance=float(variances[0]))

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 import numpy as np
 
 from . import _lazy
-from .rules import ThresholdUnreachableError, open_unit
+from .rules import ThresholdUnreachableError, not_nan, open_unit
 from .tables import CalibrationTable
 
 if TYPE_CHECKING:
@@ -50,7 +50,6 @@ __all__ = [
     "stratify",
     "empirical_acceptance",
     "rate_matching_threshold",
-    "distinct_scores",
     "tail_probability_points",
     "isotonic_fit",
     "tau_05",
@@ -74,9 +73,7 @@ def empirical_acceptance(scores: Sequence[float], threshold: float) -> float:
     arr = np.asarray(scores, dtype=float)
     if arr.size == 0:
         raise ValueError("scores: must be non-empty")
-    if np.isnan(threshold):
-        raise ValueError("threshold: must not be NaN")
-    return float(np.mean(arr >= threshold))
+    return float(np.mean(arr >= not_nan("threshold", threshold)))
 
 
 class TailCounts(NamedTuple):
@@ -87,8 +84,8 @@ class TailCounts(NamedTuple):
     keeps whichever comes first); ``records`` and ``accepts`` are the tail
     counts N_k and A_k; ``keys`` packs each record as ``rank << 1 | accept``,
     its rank indexing ``scores``.  ``rate_matching_threshold``,
-    ``tau05_from_scores``, ``distinct_scores``, ``tail_probability_points``
-    and ``fit_tau05`` are views of it.
+    ``tau05_from_scores``, ``tail_probability_points`` and ``fit_tau05``
+    are views of it.
     """
 
     scores: np.ndarray
@@ -149,16 +146,6 @@ def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> floa
     if not np.all(np.isfinite(arr)):
         raise ValueError("scores: must be finite")
     return TailCounts.of(arr).rate_threshold(target_rate)
-
-
-def distinct_scores(scores: Sequence[float] | np.ndarray) -> np.ndarray:
-    """The distinct scores in increasing order, each as it first occurs.
-
-    Equal floats differ only in the sign of zero, so this is
-    ``sorted(set(scores))``: a pool holding 0.0 and -0.0 keeps whichever
-    comes first.
-    """
-    return TailCounts.of(np.asarray(scores, dtype=float)).scores
 
 
 def _tau05_ranks(keys: np.ndarray) -> np.ndarray:

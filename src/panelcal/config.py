@@ -2,10 +2,12 @@
 
 ``SPEC`` (``--config``) and ``THRESHOLDS`` (``thresholds.json``) map each
 key to its node and default, or to ``REQUIRED``.  Leaf parsers check JSON
-types strictly: a number is an int or a float but not a bool, and a string
-stays a string.  A range that the library checks is stated there only;
-``rename`` words its ``field: message`` under the key path, flag or
-``config: key`` that the field is given as.  A JSON null
+types strictly: a string stays a string, and a number leaf is a
+``rules`` number rule worded without a field (``rules.json_number``: an
+int or a float but not a bool).  A range that the library checks is
+stated there only, and ``Section.build`` runs it; ``rename`` words
+its ``field: message`` under the key path, flag or ``config: key`` that
+the field is given as.  A JSON null
 is the same as leaving the key out.  ``load`` rejects a key that no
 command knows, naming the nearest known one, and parses only the keys the
 calling command reads, so one config file can serve several commands.
@@ -39,23 +41,13 @@ REQUIRED = object()  # the default of a key that must be given
 # ---------------------------------------------------------------- leaves
 
 
-def _number(requirement: str, ok: Callable[[float], bool]) -> Callable[[Any], float]:
-    """A leaf parser: a JSON number that ``ok`` accepts, as a float."""
-
-    def parse(value: Any) -> float:
-        number = rules.json_number(value)  # the JSON-number rule of the record loaders
-        if number is None or not ok(number):
-            raise ValueError(f"must {requirement}, got {value!r}")
-        return number
-
-    return parse
+def _rule(rule: rules.NumberRule) -> Callable[[Any], float]:
+    """A leaf parser: the library's number ``rule``, worded without a field."""
+    return functools.partial(rule, "")
 
 
-number = _number("be a number", lambda x: True)
-finite = _number("be a finite number", math.isfinite)
-positive = _number("be a finite number > 0", lambda x: math.isfinite(x) and x > 0)
-non_negative = _number("be a finite number >= 0", lambda x: math.isfinite(x) and x >= 0)
-probability = _number("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
+number, finite, positive, non_negative, probability = map(
+    _rule, (rules.number, rules.finite, rules.positive, rules.non_negative, rules.open_unit))
 
 
 @functools.cache  # one parser per minimum, so equal leaves of a spec are one object
@@ -98,30 +90,16 @@ def _list(
 integers = _list(integer(), "integers")
 numbers = _list(number, "numbers")
 pair = _list(number, "2 numbers", 2, 2)
-
-
-def bin_edges(value: Any) -> tuple[float, ...]:
-    """A leaf parser: at least two finite, strictly increasing numbers."""
-    edges = _list(finite, "at least 2 numbers", 2)(value)
-    if any(a >= b for a, b in zip(edges, edges[1:])):
-        raise ValueError(f"must be strictly increasing, got {value!r}")
-    return edges
-
-
-def vocabulary(value: Any) -> tuple[str, ...]:
-    """A leaf parser: a list of distinct strings."""
-    words = _list(string, "strings")(value)
-    if len(set(words)) != len(words):
-        raise ValueError("entries must be unique")
-    return words
-
-
-_threshold_number = _number("be 'tau_rate', 'tau_05', or a number", lambda x: True)
+strings = _list(string, "strings")
 
 
 def threshold(value: Any) -> str | float:
     """A leaf parser: ``"tau_rate"``, ``"tau_05"`` or a number."""
-    return value if value in ("tau_rate", "tau_05") else _threshold_number(value)
+    if not isinstance(value, str):
+        return number(value)
+    if value not in ("tau_rate", "tau_05"):
+        raise ValueError(f"must be 'tau_rate', 'tau_05', or a number, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------- nodes and walk
@@ -259,6 +237,14 @@ def _margins(**settings: Any) -> dict[str, Any]:
     return settings
 
 
+def _stratify(**settings: Any) -> dict[str, Any]:
+    from .strata import vocabulary  # only a config with a stratify object loads strata
+
+    rules.increasing_edges("bin_edges", settings["bin_edges"])
+    vocabulary(settings["status_vocabulary"])
+    return settings
+
+
 def _bayes(prior_mean: float, prior_variance: float, **settings: Any) -> dict[str, Any]:
     return {"prior": GaussianPosterior(prior_mean, prior_variance), **settings}
 
@@ -293,7 +279,7 @@ _POPULATION = {"size": 20000, "m_reviewers": 3, "latent": {"kind": "uniform", "l
 SIMULATE = Section({
     "margins": (Section({"spec": (COHORT, _COHORT), "m_grid": (integers, (1, 2, 3)),
                          "threshold": (finite, 5.5),
-                         "bin_edges": (bin_edges, (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5))}, _margins), {}),
+                         "bin_edges": (numbers, (0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5))}, _margins), {}),
     "threshold_error": (Section({"population": (POPULATION, _POPULATION),
                                  "n_cal_grid": (integers, (50, 100, 200, 400, 800)),
                                  "replicates": (integer(2), 200), "seed": (integer(0), 11)}), {}),
@@ -303,8 +289,8 @@ SPEC = Section({
     # calibrate
     "target_rate": (probability, REQUIRED),
     "delta": (probability, 0.05),
-    "stratify": (Section({"n_cal": (integer(1), REQUIRED), "bin_edges": (bin_edges, REQUIRED),
-                          "status_vocabulary": (vocabulary, REQUIRED)}), None),
+    "stratify": (Section({"n_cal": (integer(1), REQUIRED), "bin_edges": (numbers, REQUIRED),
+                          "status_vocabulary": (strings, REQUIRED)}, _stratify), None),
     # review and bayes
     "schema": (SCHEMA, None),
     "functional": (FUNCTIONAL, None),

@@ -5,11 +5,10 @@ Every type validates its invariants at construction and raises
 are immutable.  ``panelcal.config`` builds the types read from config and
 thresholds files and reports these errors under the key path.  The two
 errors the command line maps to exit codes, ``RecordError`` (2) and
-``ThresholdUnreachableError`` (3), and the number rules (the float rules
-``finite``, ``positive``, ``non_negative`` and ``open_unit``, and
-``integer``, which stores a plain ``int``) live in ``panelcal.rules``,
-which loads no numpy and no ``dataclasses``; ``core`` re-exports them, as
-``records`` and ``calibrate`` re-export the errors.
+``ThresholdUnreachableError`` (3), and the number rules live in
+``panelcal.rules``, which loads no numpy and no ``dataclasses``; ``core``
+re-exports every name of its ``__all__``, as ``records`` and
+``calibrate`` re-export the errors.
 
 The record objects ``RubricVector``, ``ReviewRecord``, ``ReviewPanel``
 and ``CalibrationRecord`` are defined in ``panelcal.objects``, which
@@ -22,18 +21,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import _lazy
-from .rules import (
-    NumberRule,
-    RecordError,
-    ThresholdUnreachableError,
-    _fail,
-    finite,
-    integer,
-    non_negative,
-    open_unit,
-    positive,
-)
+from . import _lazy, rules
+from .rules import *  # noqa: F403 -- core re-exports every name of rules.__all__
+from .rules import _fail
 
 __all__ = [
     "RubricSchema",
@@ -48,14 +38,8 @@ __all__ = [
     "DecisionThresholds",
     "GaussianPosterior",
     "ConfusionCounts",
-    "RecordError",
-    "ThresholdUnreachableError",
     "left_sum",
-    "finite",
-    "positive",
-    "non_negative",
-    "open_unit",
-    "integer",
+    *rules.__all__,
 ]
 
 __getattr__, __dir__ = _lazy(__name__, {
@@ -83,13 +67,11 @@ class RubricSchema:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "criteria_count", integer("criteria_count", self.criteria_count, 1))
-        bounds = tuple((float(a), float(b)) for a, b in self.bounds)
+        bounds = tuple(finite.each(f"bounds[{k}]", pair) for k, pair in enumerate(self.bounds))
         object.__setattr__(self, "bounds", bounds)
         if len(bounds) != self.criteria_count:
             _fail("bounds", f"expected {self.criteria_count} pairs, got {len(bounds)}")
         for k, (lo, hi) in enumerate(bounds):
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                _fail(f"bounds[{k}]", "endpoints must be finite")
             if not lo < hi:
                 _fail(f"bounds[{k}]", f"lower bound must be strictly below upper, got ({lo}, {hi})")
         if self.overall_index is not None:
@@ -204,10 +186,10 @@ class NoiseProfile:
         object.__setattr__(self, "per_reviewer_variance", variances)
         if not variances:
             _fail("per_reviewer_variance", "must contain at least one variance")
-        lo, hi = (float(self.scalar_bounds[0]), float(self.scalar_bounds[1]))
-        object.__setattr__(self, "scalar_bounds", (lo, hi))
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            _fail("scalar_bounds", f"must satisfy lo < hi with finite endpoints, got ({lo}, {hi})")
+        bounds = finite.each("scalar_bounds", self.scalar_bounds)
+        object.__setattr__(self, "scalar_bounds", bounds)
+        if len(bounds) != 2 or not bounds[0] < bounds[1]:
+            _fail("scalar_bounds", f"must be a pair lo < hi, got {bounds}")
 
     @property
     def reviewer_count(self) -> int:
@@ -248,10 +230,7 @@ class DecisionThresholds:
     calibration_size: int
 
     def __post_init__(self) -> None:
-        tau_rate = float(self.tau_rate)
-        if math.isnan(tau_rate):
-            _fail("tau_rate", "must not be NaN")
-        object.__setattr__(self, "tau_rate", tau_rate)
+        object.__setattr__(self, "tau_rate", not_nan("tau_rate", self.tau_rate))
         object.__setattr__(self, "tau_05", finite("tau_05", self.tau_05))
         object.__setattr__(self, "target_rate", open_unit("target_rate", self.target_rate))
         object.__setattr__(self, "calibration_size", integer("calibration_size", self.calibration_size, 1))

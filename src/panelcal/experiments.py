@@ -25,7 +25,7 @@ import numpy as np
 from . import simulate
 from .bounds import margin_misclassification_bound, scalar_bound_inputs
 from .core import NoiseProfile, ReviewerWeights
-from .rules import finite, integer
+from .rules import finite, increasing_edges, integer
 from .simulate import Cohort, CohortSpec
 
 __all__ = [
@@ -122,12 +122,8 @@ def margin_experiment(
 
 
 def margin_bin_edges(bin_edges: Sequence[float]) -> np.ndarray:
-    """``bin_edges`` as margin bins: at least 2 finite, strictly increasing edges, the first >= 0."""
-    edges = np.asarray(bin_edges, dtype=float)
-    if not np.all(np.isfinite(edges)):
-        raise ValueError(f"bin_edges: must be finite, got {edges.tolist()}")
-    if edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("bin_edges: need at least 2 strictly increasing edges")
+    """``bin_edges`` as margin bins: ``rules.increasing_edges``, the first >= 0."""
+    edges = np.array(increasing_edges("bin_edges", bin_edges))
     if edges[0] < 0:
         raise ValueError(f"bin_edges: margins are non-negative; first edge must be >= 0, got {edges.tolist()}")
     return edges

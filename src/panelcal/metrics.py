@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .core import ConfusionCounts
+from .core import ConfusionCounts, not_nan
 from .tables import PanelTable
 
 if TYPE_CHECKING:
@@ -112,8 +112,7 @@ def conflict_rate(
     """
     if not panels:
         raise ValueError("panels: must be non-empty")
-    if math.isnan(threshold):
-        raise ValueError("threshold: must not be NaN")
+    threshold = not_nan("threshold", threshold)
     table, scope = _scope(panels, reviewer_id)
     flagged = flag_counts(table)[0][scope]
     if not flagged:

@@ -449,44 +449,8 @@ class _PanelColumns:
         return j, message
 
     def table(self, path: str, lines: list[int]) -> PanelTable:
-        return _panel_table(path, self.ids, lines, self.counts, self.labels, self.reviewer, self.flat,
-                            self.criteria, self.flags, self.feedback)
-
-
-def _panel_table(
-    path: str, ids: list[str], lines: list[int], counts: list[int], labels: list[bool | None],
-    reviewer: list[str], values: np.ndarray, criteria: list[int], flags: list[bool],
-    feedback: list[str],
-) -> PanelTable:
-    """The table of checked columns, per panel and then per review.
-
-    ``values`` holds the rubrics back to back, ``criteria`` their lengths.
-    """
-    roster = sorted(set(reviewer))
-    code = {name: k for k, name in enumerate(roster)}
-    widths = np.array(criteria, dtype=np.intp)
-    width = int(widths.max(initial=0))
-    if (widths == width).all():
-        rubric = values.reshape(len(widths), width)
-    else:
-        rubric = np.full((len(widths), width), np.nan)
-        rubric[np.arange(width) < widths[:, None]] = values
-    count_array = np.array(counts, dtype=np.intp)
-    return PanelTable(
-        path=path,
-        ids=tuple(ids),
-        lines=np.array(lines),
-        counts=count_array,
-        offsets=np.concatenate(([0], np.cumsum(count_array))),
-        labels=np.array([label is True for label in labels]),
-        labeled=np.array([label is not None for label in labels]),
-        roster=tuple(roster),
-        reviewer=np.array(list(map(code.__getitem__, reviewer)), dtype=np.intp),
-        rubric=rubric,
-        criteria=widths,
-        flags=np.array(flags, dtype=bool),
-        feedback=tuple(feedback),
-    )
+        return PanelTable.from_columns(path, self.ids, lines, self.counts, self.labels, self.reviewer,
+                                       self.flat, self.criteria, self.flags, self.feedback)
 
 
 def load_panel_records(path: str | Path) -> list[PanelRecord]:

@@ -85,13 +85,12 @@ class LatentDistribution:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "gaussian"):
             raise ValueError(f"kind: must be 'uniform' or 'gaussian', got {self.kind!r}")
-        a, b = finite("param_a", self.param_a), finite("param_b", self.param_b)
+        a = finite("param_a", self.param_a)
+        b = (positive if self.kind == "gaussian" else finite)("param_b", self.param_b)  # a gaussian's sd
         object.__setattr__(self, "param_a", a)
         object.__setattr__(self, "param_b", b)
         if self.kind == "uniform" and not a < b:
             raise ValueError(f"param_a: uniform needs lo < hi, got ({a}, {b})")
-        if self.kind == "gaussian" and not b > 0:
-            raise ValueError(f"param_b: gaussian needs sd > 0, got {b}")
 
     @classmethod
     def uniform(cls, lo: float, hi: float) -> "LatentDistribution":

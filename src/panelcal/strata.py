@@ -1,7 +1,9 @@
 """Stratified subsampling of a calibration pool: score bins crossed with review status.
 
 A plan gives each (score bin, status) cell a quota by largest remainders;
-each cell's quota is drawn uniformly without replacement.  ``calibrate``
+each cell's quota is drawn uniformly without replacement.  Every function
+checks its bin edges (``rules.increasing_edges``) and its status
+vocabulary (``vocabulary``) before it bins a record.  ``calibrate``
 exports these names and imports this module on first use of one, which
 only a ``calibrate`` run with a ``stratify`` config makes.
 """
@@ -9,12 +11,12 @@ only a ``calibrate`` run with a ``stratify`` config makes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .calibrate import Pool, _table
-from .rules import finite, integer
+from .rules import _fail, increasing_edges, integer
 from .tables import CalibrationTable
 
 __all__ = [
@@ -25,6 +27,18 @@ __all__ = [
     "stratified_sample",
     "stratify",
 ]
+
+
+def vocabulary(words: Iterable[Any]) -> tuple[str, ...]:
+    """``words`` as a status vocabulary: at least one, each a non-empty string, no two equal."""
+    words = tuple(words)
+    if not words:
+        _fail("status_vocabulary", "must be non-empty")
+    if not all(isinstance(word, str) and word for word in words):
+        _fail("status_vocabulary", "entries must be non-empty strings")
+    if len(set(words)) != len(words):
+        _fail("status_vocabulary", "entries must be unique")
+    return words
 
 
 @dataclass(frozen=True)
@@ -53,21 +67,10 @@ class StratificationPlan:
     cells: tuple[CellQuota, ...]
 
     def __post_init__(self) -> None:
-        edges = tuple(float(e) for e in self.bin_edges)
+        edges = increasing_edges("bin_edges", self.bin_edges)
+        vocab = vocabulary(self.status_vocabulary)
         object.__setattr__(self, "bin_edges", edges)
-        if len(edges) < 2:
-            raise ValueError(f"bin_edges: need at least 2 edges, got {len(edges)}")
-        finite.each("bin_edges", edges)
-        if any(a >= b for a, b in zip(edges, edges[1:])):
-            raise ValueError("bin_edges: must be strictly increasing")
-        vocab = tuple(self.status_vocabulary)
-        if not vocab:
-            raise ValueError("status_vocabulary: must be non-empty")
-        if len(set(vocab)) != len(vocab):
-            raise ValueError("status_vocabulary: entries must be unique")
-        for s in vocab:
-            if not isinstance(s, str) or not s:
-                raise ValueError("status_vocabulary: entries must be non-empty strings")
+        object.__setattr__(self, "status_vocabulary", vocab)
         n_bins = len(edges) - 1
         seen: set[tuple[int, str]] = set()
         for cell in self.cells:
@@ -109,8 +112,9 @@ def _cell_members(
     status_vocabulary: Sequence[str],
 ) -> dict[tuple[int, str], np.ndarray]:
     """Indices of the records in each (score bin, status) cell, in record order."""
+    edges = increasing_edges("bin_edges", edges)
+    vocab = list(vocabulary(status_vocabulary))
     table = _table(records)
-    vocab = list(status_vocabulary)
     codes = {s: k for k, s in enumerate(vocab)}
     status = np.array([codes.get(s, -1) for s in table.statuses], dtype=np.intp)
     scores = table.scores
@@ -154,11 +158,9 @@ def allocate_quotas(
     cells receive the floor of their share and the leftover units go to
     the largest remainders (ties broken by bin index, then status order).
     """
-    edges = tuple(float(e) for e in bin_edges)
-    vocab = tuple(status_vocabulary)
+    edges = increasing_edges("bin_edges", bin_edges)
+    vocab = vocabulary(status_vocabulary)
     n_bins = len(edges) - 1
-    if n_bins < 1:
-        raise ValueError("bin_edges: need at least 2 edges")
     keys = [(b, s) for b in range(n_bins) for s in vocab]
     key_set = set(keys)
     for key in populations:

@@ -3,7 +3,8 @@
 ``records`` parses JSONL into these tables and exports them, but the code
 that only works on columns (``calibrate``, ``simulate``, ``metrics``, the
 commands) imports them from here, so ``simulate threshold-error``, which
-reads no file, loads no JSONL loader.  ``left_sums`` adds the values of a
+reads no file, loads no JSONL loader, and neither does a table built from
+record objects (``PanelTable.from_panels``).  ``left_sums`` adds the values of a
 group of rows in the order of ``core.left_sum``.
 """
 
@@ -51,13 +52,47 @@ class PanelTable:
     feedback: tuple[str, ...]  # (N,)
 
     @classmethod
-    def from_panels(cls, panels: Sequence[ReviewPanel]) -> PanelTable:
-        """The panels as a table without a file, built as the panel loader builds one."""
-        from .records import _panel_table
+    def from_columns(
+        cls, path: str, ids: list[str], lines: list[int], counts: list[int], labels: list[bool | None],
+        reviewer: list[str], values: np.ndarray, criteria: list[int], flags: list[bool],
+        feedback: list[str],
+    ) -> PanelTable:
+        """The table of checked columns, per panel and then per review, as the panel loader builds it.
 
+        ``values`` holds the rubrics back to back, ``criteria`` their lengths.
+        """
+        roster = sorted(set(reviewer))
+        code = {name: k for k, name in enumerate(roster)}
+        widths = np.array(criteria, dtype=np.intp)
+        width = int(widths.max(initial=0))
+        if (widths == width).all():
+            rubric = values.reshape(len(widths), width)
+        else:
+            rubric = np.full((len(widths), width), np.nan)
+            rubric[np.arange(width) < widths[:, None]] = values
+        count_array = np.array(counts, dtype=np.intp)
+        return cls(
+            path=path,
+            ids=tuple(ids),
+            lines=np.array(lines),
+            counts=count_array,
+            offsets=np.concatenate(([0], np.cumsum(count_array))),
+            labels=np.array([label is True for label in labels]),
+            labeled=np.array([label is not None for label in labels]),
+            roster=tuple(roster),
+            reviewer=np.array(list(map(code.__getitem__, reviewer)), dtype=np.intp),
+            rubric=rubric,
+            criteria=widths,
+            flags=np.array(flags, dtype=bool),
+            feedback=tuple(feedback),
+        )
+
+    @classmethod
+    def from_panels(cls, panels: Sequence[ReviewPanel]) -> PanelTable:
+        """The panels as a table without a file (``from_columns``)."""
         reviews = [r for p in panels for r in p.reviews]
         rubrics = [r.rubric.values for r in reviews]
-        return _panel_table(
+        return cls.from_columns(
             "",
             ids=[p.submission_id for p in panels],
             lines=list(range(1, len(panels) + 1)),

@@ -41,7 +41,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from panelcal.aggregate import ConsensusRubric
-from panelcal.bayes import normal_cdf, normal_quantile
+from panelcal.bayes import normal_quantile
 from panelcal.calibrate import CellQuota, StratificationPlan
 from panelcal.core import (
     ConfusionCounts,
@@ -102,12 +102,17 @@ def posterior_update(
         score = float(score)
         variance = float(variance)
         if not math.isfinite(score):
-            raise ValueError(f"reviews[{i}]: score must be finite, got {score!r}")
+            raise ValueError(f"reviews[{i}].score: must be finite, got {score!r}")
         if not (math.isfinite(variance) and variance > 0):
-            raise ValueError(f"reviews[{i}]: variance must be finite and > 0, got {variance!r}")
+            raise ValueError(f"reviews[{i}].variance: must be finite and > 0, got {variance!r}")
         precision += 1.0 / variance
         weighted += score / variance
     return GaussianPosterior(mean=weighted / precision, variance=1.0 / precision)
+
+
+def normal_cdf(z: float) -> float:
+    """Standard normal CDF via the complementary error function."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def acceptance_probability(posterior: GaussianPosterior, threshold: float) -> float:
@@ -172,7 +177,7 @@ def conflict_rate(
     if not panels:
         raise ValueError("panels: must be non-empty")
     if math.isnan(threshold):
-        raise ValueError("threshold: must not be NaN")
+        raise ValueError("threshold: must not be NaN, got nan")
     flagged: list[ReviewPanel] = []
     for panel in panels:
         if reviewer_id is None:

@@ -11,7 +11,6 @@ from panelcal.aggregate import (
     decide,
     gls_weights,
     panel_variance,
-    projected_variance,
     score,
 )
 from panelcal.core import (
@@ -137,9 +136,3 @@ def test_panel_variance_matches_definition():
     assert panel_variance(weights, variances) == pytest.approx(expected, rel=1e-12)
     with pytest.raises(ValueError, match="projected_variances"):
         panel_variance(weights, (1.0,))
-
-
-def test_projected_variance():
-    assert projected_variance((1.0, 4.0), (0.5, 0.25)) == pytest.approx(0.5)
-    with pytest.raises(ValueError, match="variance_diagonal"):
-        projected_variance((1.0,), (0.5, 0.5))

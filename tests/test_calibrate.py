@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from panelcal.calibrate import (
     ThresholdUnreachableError,
     allocate_quotas,
     cell_populations,
-    distinct_scores,
     empirical_acceptance,
     fit_tau05,
     isotonic_fit,
@@ -237,6 +237,37 @@ def test_stratified_sample_infeasible_names_cell():
         stratified_sample(pool, plan, seed=1)
 
 
+# a pool whose last record binning would blame, as its status is in no vocabulary below: the edge
+# and vocabulary rules must fail first
+STRATA_POOL = make_pool([1.0, 2.0, 3.0, 4.0], statuses=["accept", "accept", "accept", "hold"])
+STRATA_CALLS = {
+    "cell_populations": lambda pool, edges, vocabulary: cell_populations(pool, edges, vocabulary),
+    "stratify": lambda pool, edges, vocabulary: stratify(pool, 2, edges, vocabulary, 0),
+    # a plan built by hand, past StratificationPlan's own checks
+    "stratified_sample": lambda pool, edges, vocabulary: stratified_sample(
+        pool, SimpleNamespace(bin_edges=edges, status_vocabulary=vocabulary, cells=()), 0),
+}
+STRATA_FAULTS = {
+    "edges-empty": ((), ("accept",), "bin_edges: need at least 2 edges, got 0"),
+    "edges-one": ((0.0,), ("accept",), "bin_edges: need at least 2 edges, got 1"),
+    "edges-decreasing": ((10.0, 0.0), ("accept",), "bin_edges: must be strictly increasing, got [10.0, 0.0]"),
+    "edges-nan": ((0.0, math.nan, 10.0), ("accept",), "bin_edges[1]: must be finite, got nan"),
+    "vocabulary-repeated": ((0.0, 10.0), ("accept", "accept"), "status_vocabulary: entries must be unique"),
+    "vocabulary-empty": ((0.0, 10.0), (), "status_vocabulary: must be non-empty"),
+}
+
+
+@pytest.mark.parametrize("call", STRATA_CALLS.values(), ids=STRATA_CALLS.keys())
+@pytest.mark.parametrize("edges, vocabulary, message", STRATA_FAULTS.values(), ids=STRATA_FAULTS.keys())
+@pytest.mark.parametrize("form", ["records", "table"])
+def test_stratification_checks_edges_and_vocabulary_before_binning(call, edges, vocabulary, message, form):
+    pool = STRATA_POOL if form == "records" else CalibrationTable.from_records(STRATA_POOL)
+    with pytest.raises(ValueError) as info:
+        call(pool, edges, vocabulary)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------- thresholds
 
 
@@ -451,10 +482,10 @@ def test_fit_tau05_ranks_the_pool_once(monkeypatch):
 
 
 def three_rankings(pool):
-    """``fit_tau05`` as ``tau05_from_scores`` and the points at ``distinct_scores``, each ranking the pool."""
+    """``fit_tau05`` as ``tau05_from_scores`` and the points at the distinct scores, each ranking the pool."""
     table = pool if isinstance(pool, CalibrationTable) else CalibrationTable.from_records(pool)
     tau = tau05_from_scores(table.scores, table.accepts)
-    return tau, isotonic_fit(tail_probability_points(pool, distinct_scores(table.scores)))
+    return tau, isotonic_fit(tail_probability_points(pool, TailCounts.of(table.scores).scores))
 
 
 def outcome(fit, pool):

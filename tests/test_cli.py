@@ -294,7 +294,7 @@ def test_threshold_error_every_replicate_failing_exits_3(tmp_path, capsys):
         ({"target_rate": 0.3, "stratify": dict(STRATIFY, bin_edges=[5.0, 0.0])},
          "config: stratify.bin_edges: must be strictly increasing, got [5.0, 0.0]"),
         ({"target_rate": 0.3, "stratify": dict(STRATIFY, bin_edges=[])},
-         "config: stratify.bin_edges: must be a list of at least 2 numbers, got []"),
+         "config: stratify.bin_edges: need at least 2 edges, got 0"),
         ({"target_rate": 0.3, "stratify": dict(STRATIFY, status_vocabulary="accept")},
          "config: stratify.status_vocabulary: must be a list of strings, got 'accept'"),
     ],
@@ -953,9 +953,9 @@ def panel_bayes_config(review_variances):
          "config: gls_variances.m3: no variance for reviewer 'm3' (first review at {panels}:3)"),
         ("review", {"functional": LINEAR, "weights": "gls",
                     "gls_variances": {"m1": 1.0, "m2": 0, "m3": 1.0}},
-         "config: gls_variances.m2: must be a finite number > 0, got 0"),
+         "config: gls_variances.m2: must be finite and > 0, got 0.0"),
         ("bayes", panel_bayes_config({"m1": "abc", "default": 1.0}),
-         "config: bayes.review_variances.m1: must be a finite number > 0, got 'abc'"),
+         "config: bayes.review_variances.m1: must be finite and > 0, got 'abc'"),
         ("bayes", panel_bayes_config({"m1": 1.0, "m2": 1.0}),
          "config: bayes.review_variances.m3: no variance for reviewer 'm3' and no default "
          "(first review at {panels}:3)"),
@@ -1158,7 +1158,7 @@ def test_bayes_settings_checked_before_run_dir(tmp_path, capsys):
     panels = write(tmp_path, "panels.jsonl", BAYES_PANELS)
     for key, value, message in [
         ("alpha", 1.5, "config: bayes.alpha: must lie strictly in (0, 1), got 1.5"),
-        ("solicit_variance", -1, "config: bayes.solicit_variance: must be a finite number > 0, got -1"),
+        ("solicit_variance", -1, "config: bayes.solicit_variance: must be finite and > 0, got -1.0"),
     ]:
         config = bayes_config(7.0)
         config["bayes"][key] = value

@@ -91,7 +91,7 @@ def run(argv, tmp_path):
                     "bayes": {"prior_meen": 5.0}},
          "config: bayes.prior_meen: unknown key (did you mean 'prior_mean'?)"),
         ("margins", {"simulate": {"margins": {"threshold": True, "m_grid": [1, 2]}}},
-         "config: simulate.margins.threshold: must be a finite number, got True"),
+         "config: simulate.margins.threshold: must be finite, got True"),
         ("threshold-error",
          {"simulate": {"threshold_error": {"population": dict(POPULATION, clip_modee="clip")}}},
          "config: simulate.threshold_error.population.clip_modee: unknown key "
@@ -116,10 +116,10 @@ def run(argv, tmp_path):
          "got [-1.0, 1.0]"),
         ("bayes", {"bayes": {"prior_mean": 5.0, "prior_variance": -1},
                    "functional": {"kind": "linear", "coefficients": [0.5, 0.5]}},
-         "config: bayes.prior_variance: must be a finite number > 0, got -1"),
+         "config: bayes.prior_variance: must be finite and > 0, got -1.0"),
         ("bayes", {"bayes": {"prior_mean": 5.0, "prior_variance": -10**400},
                    "functional": {"kind": "linear", "coefficients": [0.5, 0.5]}},
-         f"config: bayes.prior_variance: must be a finite number > 0, got {-10**400}"),
+         "config: bayes.prior_variance: must be finite and > 0, got -inf"),
         ("threshold-error", {"simulate": {"threshold_error": {"population": dict(POPULATION, size=0)}}},
          "config: simulate.threshold_error.population.size: must be an integer >= 1, got 0"),
         ("review", {"schema": {"criteria_count": 2, "bounds": [[1, 10], [1, 10]], "overall_index": 1},
@@ -156,7 +156,7 @@ def test_bad_config_exits_2_naming_the_key_path(tmp_path, command, config_obj, m
         ('{"kind": "uniform", "lo": 7, "hi": 4}', "lo: uniform needs lo < hi, got (7.0, 4.0)"),
         ('{"kind": "uniform", "lo": 4, "hi": 1e400}', "hi: must be finite, got inf"),
         ('{"kind": "gaussian", "mean": -1e400, "sd": 1}', "mean: must be finite, got -inf"),
-        ('{"kind": "gaussian", "mean": 5, "sd": 0}', "sd: gaussian needs sd > 0, got 0.0"),
+        ('{"kind": "gaussian", "mean": 5, "sd": 0}', "sd: must be finite and > 0, got 0.0"),
     ],
     ids=["uniform-reversed", "uniform-hi-overflows", "gaussian-mean-overflows", "gaussian-sd-zero"],
 )
@@ -281,8 +281,7 @@ LEAVES = {
     config.integers: st.lists(st.integers(1, 4), min_size=1, max_size=3),
     config.numbers: st.lists(st.floats(0.1, 2.0), min_size=1, max_size=3),
     config.pair: st.tuples(st.floats(1.0, 3.0), st.floats(8.0, 10.0)).map(list),
-    config.bin_edges: st.lists(st.floats(0.0, 2.0), min_size=2, max_size=4, unique=True).map(sorted),
-    config.vocabulary: st.lists(st.sampled_from(["accept", "reject", "hold"]), min_size=1, unique=True),
+    config.strings: st.lists(st.text(max_size=4), max_size=3),
     config.threshold: st.one_of(st.sampled_from(["tau_rate", "tau_05"]), SCORES),
 }
 # key-path suffix -> valid values
@@ -308,6 +307,8 @@ OVERRIDES = {
     "clip_mode": st.sampled_from(["clip", "none", "reject-resample"]),
     "n_cal_grid": st.lists(st.integers(2, 150), min_size=2, max_size=3, unique=True).map(sorted),
     "replicates": st.integers(2, 8),
+    "bin_edges": st.lists(st.floats(0.0, 2.0), min_size=2, max_size=4, unique=True).map(sorted),
+    "status_vocabulary": st.lists(st.sampled_from(["accept", "reject", "hold"]), min_size=1, unique=True),
 }
 # always drawn, so a run never falls back to the large reference cohort or population
 ALWAYS = ("spec", "population")

@@ -1,11 +1,13 @@
 """Exact messages of the number arguments the ``rules`` rules check.
 
 One row per checked argument: a call and the ``ValueError`` message it
-must raise, word for word.  Each float rule converts with ``float`` first,
-so an ``int`` or ``np.float64`` argument shows as a float in the message,
-and a NaN fails every "strictly in (0, 1)" check.  The integer rule
-refuses a bool and a float, takes a numpy integer and stores a plain
-``int``; the config's integer leaves apply the same rule.
+must raise, word for word.  Each float rule converts with
+``rules.json_number`` first, so an ``int`` or a numpy number shows as a
+float in the message, an integer beyond the float range as an infinity,
+and a bool or a string as it was given; a NaN fails every "strictly in
+(0, 1)" check.  The integer rule refuses a bool and a float, takes a numpy
+integer and stores a plain ``int``.  The config's number leaves are the
+same rules worded without a field.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from panelcal import aggregate, bayes, bounds, calibrate, config, rules, simulate
+from panelcal import aggregate, bayes, bounds, calibrate, config, metrics, rules, simulate
 from panelcal.core import (
     BoundInputs,
     CalibrationRecord,
@@ -26,6 +28,8 @@ from panelcal.core import (
     GaussianPosterior,
     NoiseProfile,
     ReviewerWeights,
+    ReviewPanel,
+    ReviewRecord,
     RubricSchema,
     RubricVector,
     ScoringFunctional,
@@ -48,9 +52,12 @@ COHORT = simulate.generate_cohort(simulate.CohortSpec(
 ))
 
 
-def plan(edges):
+PANEL = ReviewPanel("p1", (ReviewRecord("m1", RubricVector((5.0,)), integrity_flag=True),))
+
+
+def plan(edges, vocabulary=("accept",)):
     return calibrate.StratificationPlan(
-        edges, ("accept",), (calibrate.CellQuota(0, "accept", 1, 1),)
+        edges, vocabulary, (calibrate.CellQuota(0, "accept", 1, 1),)
     )
 
 
@@ -81,6 +88,8 @@ CASES = {
     "dkw.delta": (lambda: bounds.dkw_bound(10, 1), "delta: must lie strictly in (0, 1), got 1.0"),
     "dkw.delta.nan": (lambda: bounds.dkw_bound(10, NAN),
                       "delta: must lie strictly in (0, 1), got nan"),
+    "dkw.delta.huge": (lambda: bounds.dkw_bound(10, 10**400),
+                       "delta: must lie strictly in (0, 1), got inf"),
     "tau05.eps_pi": (lambda: bounds.tau05_error_bound(-1, 1.0, 0.0),
                      "eps_pi: must be finite and >= 0, got -1.0"),
     "tau05.c_min": (lambda: bounds.tau05_error_bound(0.1, 0, 0.0),
@@ -100,10 +109,28 @@ CASES = {
                         "alpha: must lie strictly in (0, 1), got nan"),
     "solicit.new_review_variance": (lambda: bayes.solicit_worthwhile(PRIOR, 5.0, 0.05, 0),
                                     "new_review_variance: must be finite and > 0, got 0.0"),
+    "posterior_update.score": (lambda: bayes.posterior_update(PRIOR, [(1.0, 1.0), (NAN, 1.0)]),
+                               "reviews[1].score: must be finite, got nan"),
+    "posterior_update.score.string": (lambda: bayes.posterior_update(PRIOR, [("5", 1.0)]),
+                                      "reviews[0].score: must be finite, got '5'"),
+    "posterior_update.variance": (lambda: bayes.posterior_update(PRIOR, [(1.0, 0)]),
+                                  "reviews[0].variance: must be finite and > 0, got 0.0"),
+    "posterior_update.variance.bool": (lambda: bayes.posterior_update(PRIOR, [(1.0, True)]),
+                                       "reviews[0].variance: must be finite and > 0, got True"),
     # core
     "RubricVector.values": (lambda: RubricVector((1, NAN)), "values[1]: must be finite, got nan"),
-    "RubricVector.values.conversion": (lambda: RubricVector((INF, "x")),
-                                       "could not convert string to float: 'x'"),
+    "RubricVector.values.conversion": (lambda: RubricVector((1, "x")),
+                                       "values[1]: must be finite, got 'x'"),
+    "RubricSchema.bounds": (lambda: RubricSchema(2, ((0, 1), (0, INF))),
+                            "bounds[1][1]: must be finite, got inf"),
+    "RubricSchema.bounds.bool": (lambda: RubricSchema(1, ((False, 1),)),
+                                 "bounds[0][0]: must be finite, got False"),
+    "NoiseProfile.scalar_bounds": (lambda: NoiseProfile((1.0,), (NAN, 10.0)),
+                                   "scalar_bounds[0]: must be finite, got nan"),
+    "NoiseProfile.scalar_bounds.order": (lambda: NoiseProfile((1.0,), (10, 1)),
+                                         "scalar_bounds: must be a pair lo < hi, got (10.0, 1.0)"),
+    "NoiseProfile.scalar_bounds.length": (lambda: NoiseProfile((1.0,), (1, 10, 20)),
+                                          "scalar_bounds: must be a pair lo < hi, got (1.0, 10.0, 20.0)"),
     "ScoringFunctional.coefficients": (lambda: ScoringFunctional.linear((np.float64(INF), 1)),
                                        "coefficients[0]: must be finite, got inf"),
     "NoiseProfile.per_reviewer_variance": (
@@ -116,6 +143,10 @@ CASES = {
                                            "target_rate: must lie strictly in (0, 1), got nan"),
     "DecisionThresholds.tau_05": (lambda: thresholds(tau_05=INF),
                                   "tau_05: must be finite, got inf"),
+    "DecisionThresholds.tau_rate": (lambda: DecisionThresholds(NAN, 5.0, 0.3, 10),
+                                    "tau_rate: must not be NaN, got nan"),
+    "DecisionThresholds.tau_rate.string": (lambda: DecisionThresholds("inf", 5.0, 0.3, 10),
+                                           "tau_rate: must not be NaN, got 'inf'"),
     "BoundInputs.sigma_w_sq": (lambda: BoundInputs(NAN, 1.0),
                                "sigma_w_sq: must be finite and >= 0, got nan"),
     "BoundInputs.sigma_w_sq.negative": (lambda: BoundInputs(-1, 1.0),
@@ -131,6 +162,10 @@ CASES = {
                                       "agent_score: must be finite, got inf"),
     "GaussianPosterior.mean": (lambda: GaussianPosterior(np.float64(NAN), 1.0),
                                "mean: must be finite, got nan"),
+    "GaussianPosterior.mean.bool": (lambda: GaussianPosterior(True, 1.0), "mean: must be finite, got True"),
+    "GaussianPosterior.mean.string": (lambda: GaussianPosterior("1.5", 1.0),
+                                      "mean: must be finite, got '1.5'"),
+    "GaussianPosterior.mean.huge": (lambda: GaussianPosterior(10**400, 1.0), "mean: must be finite, got inf"),
     "GaussianPosterior.variance": (lambda: GaussianPosterior(0, INF),
                                    "variance: must be finite and > 0, got inf"),
     "GaussianPosterior.variance.zero": (lambda: GaussianPosterior(0, 0),
@@ -150,6 +185,11 @@ CASES = {
     "ReviewerWeights.weights.-inf": (lambda: ReviewerWeights((-INF, 1)),
                                      "weights[0]: must be finite and >= 0, got -inf"),
     # aggregate
+    "Decision.score": (lambda: aggregate.Decision(INF, 1.0, True, INF), "score: must be finite, got inf"),
+    "Decision.score.bool": (lambda: aggregate.Decision(True, 1.0, True, 0.0),
+                            "score: must be finite, got True"),
+    "Decision.threshold": (lambda: aggregate.Decision(1.0, NAN, False, NAN),
+                           "threshold: must not be NaN, got nan"),
     "ConsensusRubric.values": (lambda: aggregate.ConsensusRubric((1, 2, -INF)),
                                "values[2]: must be finite, got -inf"),
     "gls_weights": (lambda: aggregate.gls_weights([1, 0]),
@@ -158,15 +198,35 @@ CASES = {
                        "projected_variances[0]: must be finite and >= 0, got -1.0"),
     "panel_variance.length": (lambda: aggregate.panel_variance(WEIGHTS, [-1]),
                               "projected_variances: expected 2 entries, got 1"),
-    "projected_variance": (lambda: aggregate.projected_variance([1, NAN], [1, 1]),
-                           "variance_diagonal[1]: must be finite and >= 0, got nan"),
-    "projected_variance.length": (lambda: aggregate.projected_variance([NAN], [1, 1]),
-                                  "variance_diagonal: expected 2 entries, got 1"),
+    # metrics
+    "conflict_rate.threshold": (lambda: metrics.conflict_rate([PANEL], {"p1": 5.0}, NAN),
+                                "threshold: must not be NaN, got nan"),
     # calibrate
     "StratificationPlan.bin_edges": (lambda: plan((0, INF)),
                                      "bin_edges[1]: must be finite, got inf"),
     "StratificationPlan.bin_edges.count": (lambda: plan((INF,)),
                                            "bin_edges: need at least 2 edges, got 1"),
+    "StratificationPlan.bin_edges.nan": (lambda: plan((0, NAN, 1)), "bin_edges[1]: must be finite, got nan"),
+    "StratificationPlan.bin_edges.decreasing": (lambda: plan((1, 0)),
+                                                "bin_edges: must be strictly increasing, got [1.0, 0.0]"),
+    "StratificationPlan.status_vocabulary": (lambda: plan((0, 1), ("accept", "accept")),
+                                             "status_vocabulary: entries must be unique"),
+    "StratificationPlan.status_vocabulary.empty": (lambda: plan((0, 1), ()),
+                                                   "status_vocabulary: must be non-empty"),
+    "StratificationPlan.status_vocabulary.unhashable": (
+        lambda: plan((0, 1), ("accept", ["accept"])),
+        "status_vocabulary: entries must be non-empty strings",
+    ),
+    "allocate_quotas.bin_edges": (lambda: calibrate.allocate_quotas({}, 1, (), ("accept",)),
+                                  "bin_edges: need at least 2 edges, got 0"),
+    "allocate_quotas.bin_edges.decreasing": (
+        lambda: calibrate.allocate_quotas({}, 1, (2.0, 1.0), ("accept",)),
+        "bin_edges: must be strictly increasing, got [2.0, 1.0]",
+    ),
+    "allocate_quotas.status_vocabulary": (lambda: calibrate.allocate_quotas({}, 1, (0, 1), ("a", "a")),
+                                          "status_vocabulary: entries must be unique"),
+    "empirical_acceptance.threshold": (lambda: calibrate.empirical_acceptance([1.0, 2.0], NAN),
+                                       "threshold: must not be NaN, got nan"),
     "rate_matching_threshold.target_rate": (
         lambda: calibrate.rate_matching_threshold([1.0, 2.0], 0),
         "target_rate: must lie strictly in (0, 1), got 0.0",
@@ -188,6 +248,17 @@ CASES = {
         lambda: simulate.margin_experiment(COHORT, WEIGHTS, NAN, [0.0, 1.0]),
         "threshold: must be finite, got nan",
     ),
+    "margin_bin_edges.count": (lambda: simulate.margin_bin_edges([0.5]), "bin_edges: need at least 2 edges, got 1"),
+    "margin_bin_edges.decreasing": (lambda: simulate.margin_bin_edges([1, 0.5]),
+                                    "bin_edges: must be strictly increasing, got [1.0, 0.5]"),
+    "margin_bin_edges.first": (lambda: simulate.margin_bin_edges([-1, 1]),
+                               "bin_edges: margins are non-negative; first edge must be >= 0, got [-1.0, 1.0]"),
+    "LatentDistribution.gaussian.sd": (lambda: simulate.LatentDistribution.gaussian(5.0, 0),
+                                       "param_b: must be finite and > 0, got 0.0"),
+    "LatentDistribution.gaussian.sd.-inf": (lambda: simulate.LatentDistribution.gaussian(5.0, -INF),
+                                            "param_b: must be finite and > 0, got -inf"),
+    "LatentDistribution.uniform.hi": (lambda: simulate.LatentDistribution.uniform(1.0, "9"),
+                                      "param_b: must be finite, got '9'"),
 }
 
 
@@ -355,3 +426,46 @@ def test_config_integer_leaf_is_the_rule(value, least):
     rule = outcome(lambda: rules.integer("a.key", value, least))
     assert leaf == rule
     assert type(leaf) in (int, str)
+
+
+# ---------------------------------------------------------------- one conversion
+
+FLOAT_RULES = {"number": rules.number, "finite": rules.finite, "not_nan": rules.not_nan,
+               "positive": rules.positive, "non_negative": rules.non_negative, "open_unit": rules.open_unit}
+# each config number leaf and the rule it is
+CONFIG_LEAVES = {config.number: rules.number, config.finite: rules.finite, config.positive: rules.positive,
+                 config.non_negative: rules.non_negative, config.probability: rules.open_unit}
+HUGE = st.integers(2**1024, 10**400)
+ODD_NUMBERS = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    HUGE,
+    HUGE.map(lambda n: -n),
+    st.sampled_from([NAN, INF, -INF]),
+    st.floats(),
+    st.integers(),
+    st.sampled_from([np.float64(NAN), np.float64(-INF), np.float32(0.5), np.int64(-3), np.uint8(7),
+                     np.bool_(True), np.bool_(False), np.float16(INF)]),
+    st.none(),
+    st.lists(st.floats(), max_size=2),
+)
+
+
+@given(ODD_NUMBERS)
+def test_float_rules_raise_only_value_error(value):
+    """Each float rule returns a float or raises a ValueError; a config leaf words the rule's message."""
+    for name, rule in FLOAT_RULES.items():
+        got = outcome(lambda: rule("a.key", value))
+        assert type(got) in (float, str), name
+        if isinstance(value, (bool, np.bool_, str)):
+            assert got == f"a.key: must {rule.requirement}, got {value!r}"
+    for leaf, rule in CONFIG_LEAVES.items():
+        assert repr(outcome(lambda: leaf(value))) == repr(outcome(lambda: rule("", value)))
+        assert repr(outcome(lambda: config.parse(leaf, value, "a.key"))) == repr(outcome(lambda: rule("a.key", value)))
+    assert type(outcome(lambda: rules.increasing_edges("edges", [0.0, value]))) in (tuple, str)
+
+
+def test_a_huge_integer_is_an_infinity():
+    assert rules.number("x", 10**400) == INF and rules.number("x", -(10**400)) == -INF
+    assert rules.json_number(np.int64(3)) == 3.0 and type(rules.json_number(np.float32(0.5))) is float
+    assert rules.json_number(np.bool_(True)) is None and rules.json_number(np.array([1.0])) is None

@@ -244,7 +244,7 @@ def test_margin_experiment_rejects_non_finite_edges(value, position):
     cohort = generate_cohort(small_spec(m=2, n=50))
     edges = [0.0, 1.0, 2.0]
     edges[position] = value
-    with pytest.raises(ValueError, match=r"^bin_edges: must be finite, got \["):
+    with pytest.raises(ValueError, match=rf"^bin_edges\[{position}\]: must be finite, got {value}$"):
         margin_experiment(cohort, ReviewerWeights.uniform(2), 5.0, edges)
 
 

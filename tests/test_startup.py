@@ -229,9 +229,9 @@ def test_lazy_package_resolves_every_public_name():
 def test_exit_code_errors_are_reexported():
     from panelcal import rules
 
-    for name in ("RecordError", "ThresholdUnreachableError", "NumberRule", "finite", "positive",
-                 "non_negative", "open_unit"):
+    for name in rules.__all__:
         assert getattr(core, name) is getattr(rules, name)
+    assert set(rules.__all__) <= set(core.__all__)
     assert records.RecordError is rules.RecordError
     assert calibrate.ThresholdUnreachableError is rules.ThresholdUnreachableError
     assert issubclass(rules.RecordError, ValueError)
@@ -251,6 +251,19 @@ def test_import_panelcal_core_builds_no_record_class(tmp_path):
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_env(), capture_output=True,
                           text=True, check=True)
     assert json.loads(proc.stdout) == [False, []]
+
+
+def test_object_adapters_load_no_jsonl_loader(tmp_path):
+    # PanelTable.from_panels builds its columns in tables, where the table class lives
+    probe = ("import json, sys\n"
+             "from panelcal import metrics\n"
+             "from panelcal.core import ReviewPanel, ReviewRecord, RubricVector\n"
+             "panel = ReviewPanel('p1', (ReviewRecord('m1', RubricVector((5.0,)), True),))\n"
+             "rate = metrics.icr_any([panel])\n"
+             "print(json.dumps([rate, 'panelcal.records' in sys.modules]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_env(), capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == [1.0, False]
 
 
 def test_from_imports_and_dunder_lookups_load_no_lazy_module(tmp_path):
