@@ -151,9 +151,12 @@ def score_rows(
 
 
 def decide(value: float, threshold: float) -> Decision:
-    """Accept iff ``value >= threshold``; the boundary accepts."""
-    accept = value >= threshold
-    return Decision(score=value, threshold=threshold, accept=accept, margin=value - threshold)
+    """Accept iff ``value >= threshold``; the boundary accepts.
+
+    ``Decision``'s rules run on both numbers before they are compared.
+    """
+    value, threshold = finite("score", value), not_nan("threshold", threshold)
+    return Decision(score=value, threshold=threshold, accept=value >= threshold, margin=value - threshold)
 
 
 def gls_weights(projected_variances: Sequence[float]) -> ReviewerWeights:

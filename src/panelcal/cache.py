@@ -23,8 +23,10 @@ entry to check out; anything else, an entry that is missing, torn,
 foreign or unreadable included, is a miss.  Whether a line parses depends
 on the interpreter's digit and recursion limits, and what a line parses
 to on the loader's code, so the key holds those limits and the sha256 of
-the source of every module a parse runs (``LOADER``).  An entry whose
-input file is gone is removed by ``prune``.
+the source of every module a parse runs (``LOADER``).  This module does
+not import the loaders (``records``): a hit parses nothing, and ``rundir``
+imports them only on a miss.  An entry whose input file is gone is removed
+by ``prune``.
 """
 
 from __future__ import annotations
@@ -40,20 +42,21 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, records, rules, tables
-from .records import CalibrationTable, PanelTable, load_calibration_table, load_panel_table
+from . import __version__
+from .tables import CalibrationTable, PanelTable
 
 FORMAT = 2  # the entry layout; a new layout makes every old entry a miss
-# each table kind: its class, and the loader that parses its file on a miss
-KINDS = {"panel": (PanelTable, load_panel_table), "pool": (CalibrationTable, load_calibration_table)}
+# each table kind: its class, and the name of the ``records`` loader that parses its file on a miss
+KINDS = {"panel": (PanelTable, "load_panel_table"), "pool": (CalibrationTable, "load_calibration_table")}
 # the dtypes an entry is read with: bool, intp (32 bits on some platforms), float64, codes
 _DTYPES = frozenset({"|b1", "<i4", "<i8", "<u4", "<f8"})
 _ALIGN = 8  # every column starts at a multiple of 8 bytes, so np.frombuffer gives aligned arrays
 _CODES = np.dtype("<u4")
 _PROBE = 256  # a string column that repeats within its first _PROBE entries is stored with codes
 _HEADER_LIMIT = 1 << 20  # prune reads at most this much of a file for its header
-# the modules whose code a parse runs, this one included; the package's own version is in the key
-LOADER = (records, tables, rules, sys.modules[__name__])
+# the source files, beside this one, of the modules a parse runs, this one included; the package's own
+# version is in the key
+LOADER = ("records.py", "reader.py", "tables.py", "rules.py", "cache.py")
 
 
 def interpreter_key() -> dict[str, object]:
@@ -70,15 +73,15 @@ def interpreter_key() -> dict[str, object]:
 
 @functools.cache
 def _loader_digest() -> str | None:
-    """The sha256 of the source of the ``LOADER`` modules, or None when one cannot be read.
+    """The sha256 of the ``LOADER`` source files, or None when one cannot be read.
 
     A new line rule or column build changes it, so entries written by
     other loader code are misses.  Without it, no entry is written.
     """
     check = hashlib.sha256()
     try:
-        for module in LOADER:
-            check.update(Path(module.__file__).read_bytes())
+        for name in LOADER:
+            check.update(Path(__file__).with_name(name).read_bytes())
     except (OSError, TypeError):  # no file: a frozen or zipped install
         return None
     return check.hexdigest()

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 import numpy as np
 
 from . import _lazy
-from .rules import ThresholdUnreachableError, not_nan, open_unit
+from .rules import ThresholdUnreachableError, not_nan, number, open_unit
 from .tables import CalibrationTable
 
 if TYPE_CHECKING:
@@ -68,9 +68,22 @@ def _table(pool: Pool) -> CalibrationTable:
     return pool if isinstance(pool, CalibrationTable) else CalibrationTable.from_records(pool)
 
 
+def _scores(scores: Sequence[float]) -> np.ndarray:
+    """``scores`` as a float array: integers and floats, told by the array's dtype, with no pass over them.
+
+    An array of anything else (strings, bools) is refused as ``rules.number``
+    refuses its first entry that is not a number, ``scores[k]: must be a
+    number, got <value>``.
+    """
+    arr = np.asarray(scores)
+    if arr.dtype.kind not in "iuf":
+        arr = np.array(number.each("scores", scores))  # raises unless each is a number (huge integers: dtype object)
+    return arr.astype(float, copy=False)
+
+
 def empirical_acceptance(scores: Sequence[float], threshold: float) -> float:
     """Fraction of scores at or above the threshold."""
-    arr = np.asarray(scores, dtype=float)
+    arr = _scores(scores)
     if arr.size == 0:
         raise ValueError("scores: must be non-empty")
     return float(np.mean(arr >= not_nan("threshold", threshold)))
@@ -140,7 +153,7 @@ def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> floa
     Candidates are the distinct observed scores plus an accept-nothing
     sentinel (+inf); among equally close candidates the smallest wins.
     """
-    arr = np.asarray(scores, dtype=float)
+    arr = _scores(scores)
     if arr.size == 0:
         raise ValueError("scores: must be non-empty")
     if not np.all(np.isfinite(arr)):
@@ -182,7 +195,7 @@ def _tau05_ranks(keys: np.ndarray) -> np.ndarray:
 
 def _tails(scores: Sequence[float], accepts: Sequence[float]) -> TailCounts:
     """The ``TailCounts`` of a non-empty pool whose accepts are 0/1."""
-    s = np.asarray(scores, dtype=float)
+    s = _scores(scores)
     a = np.asarray(accepts)
     if s.size == 0 or s.shape != a.shape:
         raise ValueError("scores: must be non-empty and match accepts in length")

@@ -21,10 +21,11 @@ simulation property-check failure (its run directory is still written).
 This module holds the parser, ``main``, the ``--out`` check, the file
 digest and ``bound``, and imports only ``rules``, argparse and small
 standard modules.  The data commands live in ``cli_calibrate``,
-``cli_panels`` and ``cli_simulate``, each imported only when its command
-runs, with the run directory and its manifest in ``rundir``.  So a command
-loads just the modules it uses: ``bound dkw``, ``scalar`` and ``tau05``
-load no numpy, ``core``, ``dataclasses``, ``hashlib`` or ``json``.
+``cli_panels``, ``cli_detector`` and ``cli_simulate``, each imported only
+when its command runs, with the run directory and its manifest in
+``rundir``.  So a command loads just the modules it uses: ``bound dkw``,
+``scalar`` and ``tau05`` load no numpy, ``core``, ``dataclasses``,
+``hashlib`` or ``json``.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detector-eval", help="flag-vs-label detection metrics")
     p.add_argument("--panels", required=True, help="labeled panel JSONL file")
     p.add_argument("--out", default="runs")
-    p.set_defaults(handler=_command("cli_panels", "cmd_detector_eval"))
+    p.set_defaults(handler=_command("cli_detector", "cmd_detector_eval"))
 
     p = sub.add_parser("simulate", help="Monte-Carlo validation experiments")
     sim_sub = p.add_subparsers(dest="experiment", required=True)

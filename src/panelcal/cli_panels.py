@@ -1,20 +1,21 @@
-"""``panelcal review``, ``bayes`` and ``detector-eval``: score and count panels.
+"""``panelcal review`` and ``bayes``: score panels.
 
-All three parse a panel file once into a ``PanelTable`` and work on its
-columns; none of them imports ``simulate``, ``calibrate`` or ``bounds``,
-and only ``bayes`` imports ``panelcal.bayes``.
+Both parse a panel file once into a ``PanelTable`` and work on its
+columns; neither imports ``simulate``, ``calibrate`` or ``bounds``, and
+only ``bayes`` imports ``panelcal.bayes``.  ``detector-eval``, which
+scores nothing, lives in ``cli_detector``.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 from typing import Mapping
 
 import numpy as np
 
-from . import aggregate, config, metrics
-from .core import RecordError, RubricSchema, ScoringFunctional
+from . import aggregate, config, metrics, rules
+from .cli_detector import _check_roster
+from .core import RubricSchema, ScoringFunctional
 from .rundir import _Run
 from .tables import PanelTable, left_sums
 
@@ -82,14 +83,6 @@ def _review_weights(
     totals = left_sums(values, table.counts)
     table.require(totals > 0, "the panel's reviewer weights from config sum to 0; must be > 0")
     return normalized(values / totals[table.panel_index])
-
-
-def _check_roster(table: PanelTable) -> None:
-    """No reviewer may take the name of a summary row of ``metrics.csv`` or ``detector.csv``."""
-    for code, name in enumerate(table.roster):
-        if name in ("any", "random-baseline"):
-            where = table.reviewer_where(code)
-            raise RecordError(f"{where}: reviewer name {name!r} is reserved for the summary row")
 
 
 def _check_criteria(table: PanelTable, functional: ScoringFunctional) -> None:
@@ -216,8 +209,10 @@ def cmd_bayes(args: argparse.Namespace) -> int:
             raise config.error(f"bayes.threshold: {threshold!r} needs --thresholds")
         threshold = getattr(config.load_thresholds(args.thresholds), threshold)
         inputs.append(args.thresholds)
-    if not math.isfinite(threshold):
-        raise config.error(f"bayes.threshold: resolved threshold {threshold} is not finite")
+    try:
+        threshold = rules.finite("threshold", threshold)
+    except ValueError as exc:
+        raise config.rename(exc, {"threshold": config.key_name("bayes.threshold")}) from None
 
     run = _Run(args.out, "bayes", None, args.config, inputs)
     table = run.load("panel", args.panels)
@@ -289,57 +284,3 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     run.write("bayes_report.txt", "\n".join(report))
     run.finish()
     return 0
-
-
-# ---------------------------------------------------------------- detector
-
-
-def cmd_detector_eval(args: argparse.Namespace) -> int:
-    run = _Run(args.out, "detector-eval", None, None, [])
-    table = run.load("panel", args.panels)
-    _check_roster(table)
-    table.validate(require_labels=True)
-
-    table_rows, csv_rows = [], []
-    confusion = metrics.confusion_counts(table)
-    for name, counts in zip([*table.roster, "any"], confusion):
-        tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
-        m = metrics.detector_metrics(counts)
-        csv_rows.append((name, tp, fp, tn, fn, m.tpr, m.fpr, m.accuracy, m.f1))
-        table_rows.append(
-            (
-                name,
-                f"{metrics.format_percent(m.tpr)} ({tp}/{tp + fn})",
-                f"{metrics.format_percent(m.fpr)} ({fp}/{fp + tn})",
-                f"{metrics.format_percent(m.accuracy)} ({tp + tn}/{counts.total})",
-                metrics.format_percent(m.f1),
-            )
-        )
-
-    # fair-coin reference: TPR/FPR/Acc 50% in expectation, F1 from prevalence
-    positives = confusion[-1].tp + confusion[-1].fn
-    negatives = confusion[-1].fp + confusion[-1].tn
-    baseline_f1 = 2 * positives / (3 * positives + negatives) if positives else 0.0
-    csv_rows.append(("random-baseline", None, None, None, None, 0.5, 0.5, 0.5, baseline_f1))
-    table_rows.append(
-        ("random-baseline", "50.0%", "50.0%", "50.0%", metrics.format_percent(baseline_f1))
-    )
-
-    run.write(
-        "detector.csv",
-        metrics.csv_text(
-            ["reviewer", "tp", "fp", "tn", "fn", "tpr", "fpr", "accuracy", "f1"],
-            list(zip(*csv_rows)),
-        ),
-    )
-    report = [
-        "detector evaluation",
-        "",
-        f"labeled panels: {len(table)}",
-        "",
-        metrics.aligned_table(["reviewer", "tpr", "fpr", "accuracy", "f1"], list(zip(*table_rows))),
-    ]
-    run.write("detector_report.txt", "\n".join(report))
-    run.finish()
-    return 0
-

@@ -333,8 +333,8 @@ def rename(exc: ValueError, names: Mapping[str, str]) -> ValueError:
 
 
 def _read(path: str) -> dict[str, Any]:
-    """The JSON object in the file at ``path``; the JSON reader is imported only to read one."""
-    from .records import load_config
+    """The JSON object in the file at ``path``; the file reader is imported only to read one."""
+    from .reader import load_config
 
     return load_config(path)
 

@@ -13,6 +13,9 @@ re-exports every name of its ``__all__``, as ``records`` and
 The record objects ``RubricVector``, ``ReviewRecord``, ``ReviewPanel``
 and ``CalibrationRecord`` are defined in ``panelcal.objects``, which
 ``core`` imports on first use of one of them: the commands build none.
+``ConfusionCounts`` is defined in ``panelcal.metrics``, which counts
+them, and exported here the same way, so ``detector-eval`` loads no
+``core``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
 
 __getattr__, __dir__ = _lazy(__name__, {
     "objects": ("RubricVector", "ReviewRecord", "ReviewPanel", "CalibrationRecord"),
+    "metrics": ("ConfusionCounts",),
 })
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -250,23 +254,3 @@ class GaussianPosterior:
     @property
     def std(self) -> float:
         return math.sqrt(self.variance)
-
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    """Binary-detection outcome counts."""
-
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self) -> None:
-        for name in ("tp", "fp", "tn", "fn"):
-            object.__setattr__(self, name, integer(name, getattr(self, name), 0))
-        if self.total < 1:
-            _fail("tp", "counts must sum to at least 1")
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .core import ConfusionCounts, not_nan
+from .rules import _fail, integer, not_nan
 from .tables import PanelTable
 
 if TYPE_CHECKING:
@@ -24,6 +24,7 @@ if TYPE_CHECKING:
     from .objects import ReviewPanel
 
 __all__ = [
+    "ConfusionCounts",
     "DetectorMetrics",
     "acpt",
     "icr_per_model",
@@ -39,6 +40,26 @@ __all__ = [
     "aligned_table",
     "csv_text",
 ]
+
+
+@dataclass(frozen=True)
+class ConfusionCounts:
+    """Binary-detection outcome counts."""
+
+    tp: int
+    fp: int
+    tn: int
+    fn: int
+
+    def __post_init__(self) -> None:
+        for name in ("tp", "fp", "tn", "fn"):
+            object.__setattr__(self, name, integer(name, getattr(self, name), 0))
+        if self.total < 1:
+            _fail("tp", "counts must sum to at least 1")
+
+    @property
+    def total(self) -> int:
+        return self.tp + self.fp + self.tn + self.fn
 
 
 @dataclass(frozen=True)

@@ -19,26 +19,27 @@ Calibration lines look like
 and a pool file is parsed once, into a columnar ``CalibrationTable``;
 ``load_calibration_records`` builds ``CalibrationRecord`` objects from it.
 
-Every JSON file the package reads (panel and pool JSONL, config and
-thresholds files) is decoded here, and malformed input raises RecordError
-naming the file, line, and field.  Both JSONL loaders run one shell over
-one pass of the file: the fields go into columns, and each loader has one
-ordered list of line rules, each a whole-column check that finds its first
-broken line (or review) and words its message.  The error raised is the
-break with the smallest (line, review row, rule position).
+Files are read, decoded and their JSON errors worded by
+``panelcal.reader``; this module exports its ``read_text`` and
+``load_config``.  Malformed input raises RecordError naming the file,
+line, and field.  Both JSONL loaders run one shell over one pass of the
+file: the fields go into columns, and each loader has one ordered list of
+line rules, each a whole-column check that finds its first broken line
+(or review) and words its message.  The error raised is the break with
+the smallest (line, review row, rule position).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Container, Iterable
+from typing import TYPE_CHECKING, Any, Container, Iterable
 
 import numpy as np
 
 from . import _lazy
+from .reader import _decode, _decode_text, _read_bytes, load_config, read_text
 from .rules import RecordError, json_number
 from .tables import CalibrationTable, PanelTable, left_sums
 
@@ -65,49 +66,8 @@ __getattr__, __dir__ = _lazy(__name__, {"objects": ("PanelRecord",)})
 _NUMBER_TYPES = {int, float}  # JSON numbers; bool is not among them
 
 
-def read_text(path: str | Path) -> str:
-    """Read a UTF-8 input file; an unreadable path or a non-UTF-8 byte raises RecordError."""
-    return _decode_text(path, _read_bytes(path))
-
-
-def _read_bytes(path: str | Path) -> bytes:
-    """The bytes of an input file; an unreadable path raises RecordError."""
-    try:
-        return Path(path).read_bytes()
-    except OSError as exc:
-        raise RecordError(f"{path}: cannot read: {exc.strerror}") from exc
-
-
-def _decode_text(path: str | Path, data: bytes) -> str:
-    """``data``, the bytes of the file at ``path``, as UTF-8 text; a non-UTF-8 byte raises RecordError."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the line of the first bad byte, counted as the loaders split lines
-        line_no = len((data[: exc.start].decode("utf-8") + "?").splitlines())
-        raise RecordError(f"{path}:{line_no}: not valid UTF-8") from None
-
-
 _scan = json.JSONDecoder().scan_once  # raw_decode's scanner, without its whitespace match
 _JSON_SPACE = " \t\n\r"
-
-
-def _decode(text: str, where: str) -> Any:
-    """``text`` as ``json.loads`` parses it; a RecordError ``where: invalid JSON: ...`` if it fails.
-
-    This is the one place a JSON error is worded, a value nested too deep
-    for the decoder and an integer longer than the interpreter converts
-    (``sys.set_int_max_str_digits``) included.
-    """
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise RecordError(f"{where}: invalid JSON: {exc.msg}") from exc
-    except RecursionError:
-        raise RecordError(f"{where}: invalid JSON: nested too deeply") from None
-    except ValueError:  # the scanner's int() refused an integer past the digit limit
-        limit = sys.get_int_max_str_digits()
-        raise RecordError(f"{where}: invalid JSON: integer has more than {limit} digits") from None
 
 
 _CHUNK = 1 << 14  # characters decoded at once: few enough objects that a load runs no GC collection
@@ -222,21 +182,20 @@ def _json_objects(path: str | Path, text: str):
 _Break = tuple[Any, str] | None  # a rule's first break: (its row, its message), or None
 
 
-def _load(path: str | Path, columns: _PanelColumns | _PoolColumns, cached: Callable[[bytes], Any] | None) -> Any:
-    """The table ``columns`` builds from the JSONL file at ``path``, or its first error.
+def _pieces_of(path: str | Path, data: bytes | None):
+    """``_json_objects`` of the JSONL file at ``path``, whose bytes are ``data`` or, without it, read here."""
+    return _json_objects(path, _decode_text(path, _read_bytes(path) if data is None else data))
 
-    The file is read once.  ``cached``, when given, sees its bytes first,
-    and a table it returns is the result: the bytes are then not parsed.
-    ``columns.rules()`` gives each line rule's first break as ((line index,
-    review row), message), in order on a line.  A line that is not a JSON
-    object ends the pass, but a rule broken on an earlier line comes first.
+
+def _load(path: str | Path, columns: _PanelColumns | _PoolColumns, pieces) -> Any:
+    """The table ``columns`` builds from ``pieces``, the JSONL file at ``path``, or its first error.
+
+    Only the pieces hold the file's text, so it is freed before the table
+    is built.  ``columns.rules()`` gives each line rule's first break as
+    ((line index, review row), message), in order on a line.  A line that
+    is not a JSON object ends the pass, but a rule broken on an earlier
+    line comes first.
     """
-    data = _read_bytes(path)
-    table = None if cached is None else cached(data)
-    if table is not None:
-        return table
-    pieces = _json_objects(path, _decode_text(path, data))
-    del data  # only the pieces hold the text, so it is freed before the table is built
     lines: list[int] = []
     stop = None
     try:
@@ -346,15 +305,16 @@ def _distinct(ids: list[str]) -> bool:
     return not (hashes[1:] == hashes[:-1]).any() or len(set(ids)) == len(ids)
 
 
-def load_panel_table(path: str | Path, cached: Callable[[bytes], PanelTable | None] | None = None) -> PanelTable:
+def load_panel_table(path: str | Path, data: bytes | None = None) -> PanelTable:
     """Parse panel JSONL into a PanelTable; duplicate panel ids are rejected.
 
-    ``cached``, when given, is called with the file's bytes before they are
-    parsed, and a table it returns is taken in place of the parse.  Only
-    the checks of single lines run here; ``PanelTable.validate`` checks the
+    ``data``, when given, is the file's bytes, already read.  Only the
+    checks of single lines run here; ``PanelTable.validate`` checks the
     panels as a whole.
     """
-    return _load(path, _PanelColumns(), cached)
+    pieces = _pieces_of(path, data)
+    del data  # the pieces hold the only copy of the file, as text: it is freed before the table is built
+    return _load(path, _PanelColumns(), pieces)
 
 
 class _PanelColumns:
@@ -459,14 +419,14 @@ def load_panel_records(path: str | Path) -> list[PanelRecord]:
     return [table.record(i) for i in range(len(table))]
 
 
-def load_calibration_table(
-    path: str | Path, cached: Callable[[bytes], CalibrationTable | None] | None = None
-) -> CalibrationTable:
+def load_calibration_table(path: str | Path, data: bytes | None = None) -> CalibrationTable:
     """Parse calibration JSONL into a CalibrationTable; duplicate ids are rejected.
 
-    ``cached`` is as for ``load_panel_table``.
+    ``data`` is as for ``load_panel_table``.
     """
-    return _load(path, _PoolColumns(), cached)
+    pieces = _pieces_of(path, data)
+    del data
+    return _load(path, _PoolColumns(), pieces)
 
 
 class _PoolColumns:
@@ -505,11 +465,3 @@ def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:
     """Load calibration JSONL as records; duplicate ids are rejected."""
     table = load_calibration_table(path)
     return [table.record(i) for i in range(len(table))]
-
-
-def load_config(path: str | Path) -> dict[str, Any]:
-    """Load a JSON config or thresholds file; the top level must be an object."""
-    data = _decode(read_text(path), str(path))
-    if not isinstance(data, dict):
-        raise RecordError(f"{path}: top level must be a JSON object")
-    return data

@@ -9,7 +9,8 @@ import this module; ``bound`` writes no run directory.
 JSONL input (by its resolved path and table kind) with the table that its
 bytes parse to (see ``panelcal.cache``).  ``_Run.load`` reads each JSONL
 input once, hashes those bytes for the manifest, and parses them only
-when no entry holds them; ``finish`` writes the entries of the inputs it
+when no entry holds them: it imports the loaders (``records``) only then,
+so a hit loads no parser.  ``finish`` writes the entries of the inputs it
 parsed, so a run that stops on an error leaves nothing under ``--out``,
 and removes the entries whose input file is gone.
 """
@@ -86,21 +87,18 @@ class _Run:
         into the manifest; the bytes are parsed only when the cache holds
         no table for them under this interpreter key.
         """
-        from . import cache  # here: the simulate commands read no JSONL
+        from . import cache, reader  # here: the simulate commands read no JSONL
 
-        _, parse = cache.KINDS[kind]
+        held = [reader._read_bytes(path)]  # popped into a parse, which then holds the only reference
+        digest = self.input_digests[str(path)] = hashlib.sha256(held[0]).hexdigest()
         entry = self.out_base / CACHE_DIR / cache.entry_name(kind, path)
-        hit = None
+        table = cache.read(entry, kind, digest, str(path))
+        if table is None:
+            from . import records  # here: a hit loads no parser
 
-        def cached(data: bytes) -> PanelTable | CalibrationTable | None:
-            nonlocal hit
-            self.input_digests[str(path)] = hashlib.sha256(data).hexdigest()
-            hit = cache.read(entry, kind, self.input_digests[str(path)], str(path))
-            return hit
-
-        table = parse(path, cached)
-        if hit is None:
-            self.entries.append(functools.partial(cache.write, entry, kind, self.input_digests[str(path)], table))
+            # the loader frees the bytes once it has decoded them
+            table = getattr(records, cache.KINDS[kind][1])(path, held.pop())
+            self.entries.append(functools.partial(cache.write, entry, kind, digest, table))
         return table
 
     def write(self, name: str, text: str) -> None:

@@ -92,6 +92,17 @@ def test_decide_boundary_inclusive():
     assert not unreachable.accept and unreachable.margin == -math.inf
 
 
+@pytest.mark.parametrize(("value", "threshold", "message"), [
+    ("1", 2.0, "score: must be finite, got '1'"),
+    (1.0, "2", "threshold: must not be NaN, got '2'"),
+], ids=["score", "threshold"])
+def test_decide_refuses_a_string_before_comparing(value, threshold, message):
+    # the rules run before value >= threshold, which would raise TypeError
+    with pytest.raises(ValueError) as raised:
+        decide(value, threshold)
+    assert str(raised.value) == message
+
+
 def test_decision_consistency_enforced():
     with pytest.raises(ValueError, match="accept"):
         Decision(6.0, 7.0, True, -1.0)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from panelcal import cache, records, rules, tables
+from panelcal import cache, reader, records, rules, tables
 from panelcal.records import load_calibration_table, load_panel_table
 
 # any character, a lone surrogate, and the separators a string column could be split at
@@ -124,7 +124,7 @@ def test_an_entry_that_cannot_be_written_leaves_nothing(tmp_path):
 
 
 def test_the_key_holds_the_loader_source():
-    source = b"".join(Path(module.__file__).read_bytes() for module in (records, tables, rules, cache))
+    source = b"".join(Path(module.__file__).read_bytes() for module in (records, reader, tables, rules, cache))
     assert cache.interpreter_key()["loader"] == hashlib.sha256(source).hexdigest()
 
 
@@ -135,17 +135,17 @@ def test_the_key_covers_every_module_a_parse_runs(tmp_path):
         '{"id": "p1", "label": true, "reviews": [{"reviewer": "m1", "overall": 5, "flag": false}]}\n')
     (tmp_path / "pool.jsonl").write_text(POOL)
     probe = ("import json, sys\n"
-             "from panelcal import cache\n"
+             "from panelcal import cache, records\n"
              "for kind, path in (('panel', 'panels.jsonl'), ('pool', 'pool.jsonl')):\n"
-             "    cache.KINDS[kind][1](path)\n"
+             "    getattr(records, cache.KINDS[kind][1])(path)\n"
              "loaded = sorted(name for name in sys.modules if name.startswith('panelcal.'))\n"
-             "print(json.dumps([loaded, [module.__name__ for module in cache.LOADER]]))\n")
+             "print(json.dumps([loaded, ['panelcal.' + name.removesuffix('.py') for name in cache.LOADER]]))\n")
     src = str(Path(cache.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env, capture_output=True,
                           text=True, check=True)
     loaded, hashed = json.loads(proc.stdout)
-    assert "panelcal.records" in loaded
+    assert {"panelcal.records", "panelcal.reader"} <= set(loaded)
     assert set(loaded) <= set(hashed)
 
 

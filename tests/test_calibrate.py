@@ -276,6 +276,23 @@ def test_empirical_acceptance():
     assert empirical_acceptance([1.0], math.inf) == 0.0
     with pytest.raises(ValueError, match="scores"):
         empirical_acceptance([], 3.0)
+    assert empirical_acceptance(np.arange(4), 2) == 0.5  # integer scores pass as they are
+
+
+@pytest.mark.parametrize(("scores", "shown"), [
+    (["1"], "'1'"), ([2.0, "1"], "'1'"), ([True, False], "True"), (np.array([False]), "np.False_"),
+], ids=["string", "string-after-a-number", "bools", "numpy-bools"])
+@pytest.mark.parametrize("fit", [
+    lambda scores: empirical_acceptance(scores, 0.5),
+    lambda scores: rate_matching_threshold(scores, 0.5),
+    lambda scores: tau05_from_scores(scores, [1] * len(scores)),
+], ids=["empirical_acceptance", "rate_matching_threshold", "tau05_from_scores"])
+def test_scores_that_are_not_numbers_are_refused_as_the_number_rule_words_it(fit, scores, shown):
+    # numpy would convert each of these to a float; the array's dtype tells them apart
+    k = next(k for k, score in enumerate(scores) if not isinstance(score, float))
+    with pytest.raises(ValueError) as raised:
+        fit(scores)
+    assert str(raised.value) == f"scores[{k}]: must be a number, got {shown}"
 
 
 def test_rate_matching_exact_hit():

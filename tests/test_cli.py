@@ -791,7 +791,7 @@ def test_bayes_config_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bayes", "--panels", panels, "--thresholds", inf_thresholds,
                            "--config", selector_no_file, "--out", str(tmp_path / "runs"))
     assert code == 2
-    assert "not finite" in err
+    assert err == "error: config: bayes.threshold: must be finite, got inf\n"
 
 
 def test_bayes_review_variances_must_be_object(tmp_path, capsys):
@@ -1582,13 +1582,13 @@ def test_panel_commands_share_one_entry(tmp_path, capsys, parses):
 
 @pytest.mark.parametrize("command", ["review", "bayes", "detector-eval", "calibrate"])
 def test_each_jsonl_input_is_read_and_hashed_once(tmp_path, capsys, monkeypatch, parses, command):
-    from panelcal import records, rundir
+    from panelcal import reader, rundir
 
     argv, source = cached_command(tmp_path, command)
     data = Path(source).read_bytes()
     reads, hashes, files_hashed = [], [], []
-    read_bytes, sha256, sha256_file = records._read_bytes, hashlib.sha256, rundir._sha256_file
-    monkeypatch.setattr(records, "_read_bytes", lambda path: reads.append(str(path)) or read_bytes(path))
+    read_bytes, sha256, sha256_file = reader._read_bytes, hashlib.sha256, rundir._sha256_file
+    monkeypatch.setattr(reader, "_read_bytes", lambda path: reads.append(str(path)) or read_bytes(path))
     monkeypatch.setattr(rundir, "hashlib", types.SimpleNamespace(
         sha256=lambda *data_: hashes.extend(d for d in data_ if d == data) or sha256(*data_)))
     monkeypatch.setattr(rundir, "_sha256_file", lambda path: files_hashed.append(str(path)) or sha256_file(path))

@@ -130,7 +130,8 @@ def test_panel_commands_load_no_simulate_calibrate_or_bounds(tmp_path, command):
         "detector-eval": ["--panels", write("panels.jsonl", DET_PANELS)],
     }[command]
     modules = loaded(tmp_path, command, *argv, "--out", "runs")
-    assert {"panelcal.cli_panels", "panelcal.rundir"} <= modules
+    module = "panelcal.cli_detector" if command == "detector-eval" else "panelcal.cli_panels"
+    assert {module, "panelcal.rundir"} <= modules
     assert not modules & {"panelcal.simulate", "panelcal.calibrate", "panelcal.bounds", "logging",
                           "numpy.ma"}
     # they work on the table's columns: the record objects are never built
@@ -194,6 +195,29 @@ def test_the_column_cache_loads_no_serializer_beyond_numpy(tmp_path, command):
     assert len(list((tmp_path / "runs" / ".panelcal-cache").iterdir())) == 1
 
 
+# the panelcal modules, besides the package, each JSONL command loads on a column-cache hit
+HIT_MODULES = {
+    "detector-eval": {"cli", "rules", "cli_detector", "metrics", "tables", "rundir", "cache", "reader"},
+    "review": {"cli", "rules", "cli_detector", "metrics", "tables", "rundir", "cache", "reader", "cli_panels",
+               "aggregate", "config", "core"},
+    "calibrate": {"cli", "rules", "cli_calibrate", "metrics", "tables", "rundir", "cache", "reader", "bounds",
+                  "calibrate", "isotonic", "config", "core"},
+}
+HIT_MODULES["bayes"] = HIT_MODULES["review"] | {"bayes"}
+
+
+@pytest.mark.parametrize("command", ["review", "bayes", "detector-eval", "calibrate"])
+def test_a_cache_hit_loads_no_parser(tmp_path, command):
+    # the second run into one --out finds its input in the column cache; only a miss imports records
+    from test_cli import cached_command
+
+    argv, _ = cached_command(tmp_path, command)
+    miss, hit = (loaded(tmp_path, *argv, "--out", "runs") for _ in range(2))
+    expected = {"panelcal", *(f"panelcal.{name}" for name in HIT_MODULES[command])}
+    assert {m for m in hit if m.startswith("panelcal")} == expected
+    assert {m for m in miss if m.startswith("panelcal")} == expected | {"panelcal.records"}
+
+
 @pytest.mark.parametrize("experiment", ["margins", "variance"])
 def test_cohort_experiments_load_the_run_directory(tmp_path, experiment):
     config = {"simulate": {experiment: {"spec": COHORT_SPEC}}}
@@ -241,7 +265,7 @@ def test_exit_code_errors_are_reexported():
 # the modules that core, records, calibrate and simulate export names from, each imported on first use
 LAZY_MODULES = ("panelcal.objects", "panelcal.isotonic", "panelcal.strata", "panelcal.experiments")
 EXPORTERS = ("core", "records", "calibrate", "simulate", "rules", "tables", "objects", "isotonic", "strata",
-             "experiments")
+             "experiments", "metrics", "reader")
 
 
 def test_import_panelcal_core_builds_no_record_class(tmp_path):
@@ -298,6 +322,8 @@ def test_every_exported_name_is_one_object_wherever_it_is_exported():
     assert seen["CellQuota"] is sys.modules["panelcal.strata"].CellQuota
     assert seen["MarginBinRow"] is sys.modules["panelcal.experiments"].MarginBinRow
     assert seen["PanelTable"] is sys.modules["panelcal.tables"].PanelTable
+    assert seen["ConfusionCounts"] is sys.modules["panelcal.metrics"].ConfusionCounts
+    assert seen["load_config"] is sys.modules["panelcal.reader"].load_config
 
 
 @pytest.mark.parametrize("name", ["core", "records", "calibrate", "simulate"])
