@@ -69,16 +69,16 @@ def _table(pool: Pool) -> CalibrationTable:
 
 
 def _scores(scores: Sequence[float]) -> np.ndarray:
-    """``scores`` as a float array: integers and floats, told by the array's dtype, with no pass over them.
+    """``scores`` as a float array; each entry that is not a number is refused as ``rules.number`` words it.
 
-    An array of anything else (strings, bools) is refused as ``rules.number``
-    refuses its first entry that is not a number, ``scores[k]: must be a
-    number, got <value>``.
+    An ndarray of integers or floats is taken by its dtype, with no pass
+    over it; any other array, and every list or tuple, is checked entry by
+    entry (numpy would make ``[True, 0.5]`` a float array), failing with
+    ``scores[k]: must be a number, got <value>``.
     """
-    arr = np.asarray(scores)
-    if arr.dtype.kind not in "iuf":
-        arr = np.array(number.each("scores", scores))  # raises unless each is a number (huge integers: dtype object)
-    return arr.astype(float, copy=False)
+    if isinstance(scores, np.ndarray) and scores.dtype.kind in "iuf":
+        return scores.astype(float, copy=False)
+    return np.array(number.each("scores", scores), dtype=float)
 
 
 def empirical_acceptance(scores: Sequence[float], threshold: float) -> float:
@@ -96,7 +96,8 @@ class TailCounts(NamedTuple):
     floats differ only in the sign of zero, so a pool holding 0.0 and -0.0
     keeps whichever comes first); ``records`` and ``accepts`` are the tail
     counts N_k and A_k; ``keys`` packs each record as ``rank << 1 | accept``,
-    its rank indexing ``scores``.  ``rate_matching_threshold``,
+    its rank indexing ``scores``, in 32 bits below 2^30 distinct scores
+    and in 64 above.  ``rate_matching_threshold``,
     ``tau05_from_scores``, ``tail_probability_points`` and ``fit_tau05``
     are views of it.
     """
@@ -119,7 +120,8 @@ class TailCounts(NamedTuple):
             np.cumsum(np.bincount(rows, minlength=uniq.size)[::-1])[::-1]
             for rows in (inverse, inverse[accepted])
         )
-        return cls(uniq, records, accepts, (inverse.astype(np.int64) << 1) | accepted)
+        packed = np.int32 if uniq.size < 1 << 30 else np.int64  # rank << 1 | 1 fits the key
+        return cls(uniq, records, accepts, (inverse.astype(packed) << 1) | accepted)
 
     def rate_threshold(self, target_rate: float) -> float:
         """Smallest distinct score whose acceptance is closest to ``target_rate``, or +inf.
@@ -179,15 +181,21 @@ def _tau05_ranks(keys: np.ndarray) -> np.ndarray:
     score's N - 2A, and the suffix sum of T over the group starts is S.  The
     first argmin of S over the starts is tau_05 unless S > 0 there, where
     the S = 0 past the last score wins instead.
+
+    The keys sort in their own width.  A row of n elements has |T| <= n and
+    |S| <= n(n+1)/2, so both suffix sums run in int32 while that bound is
+    below 2^31 (every bootstrap row) and in int64 above it (a whole pool).
     """
     keys = np.sort(keys, axis=1)  # equal keys are identical integers: stability cannot matter
+    n = keys.shape[1]
+    acc = np.int32 if n * (n + 1) // 2 < 1 << 31 else np.int64
     rank = keys >> 1
-    tail = np.cumsum((1 - 2 * (keys & 1))[:, ::-1], axis=1)[:, ::-1]
+    tail = np.cumsum((1 - 2 * (keys & 1))[:, ::-1], axis=1, dtype=acc)[:, ::-1]
     start = np.empty(keys.shape, dtype=bool)
     start[:, 0] = True
     np.not_equal(rank[:, 1:], rank[:, :-1], out=start[:, 1:])
-    level = np.cumsum(np.where(start, tail, 0)[:, ::-1], axis=1)[:, ::-1]
-    level[~start] = np.iinfo(np.int64).max
+    level = np.cumsum(np.where(start, tail, 0)[:, ::-1], axis=1, dtype=acc)[:, ::-1]
+    level[~start] = np.iinfo(acc).max
     rows = np.arange(len(keys))
     pos = np.argmin(level, axis=1)
     return np.where(level[rows, pos] > 0, -1, rank[rows, pos])

@@ -6,7 +6,7 @@ import argparse
 import json
 from dataclasses import asdict
 
-from . import bounds, calibrate, config, metrics
+from . import bounds, calibrate, config, writers
 from .core import DecisionThresholds
 from .rundir import _Run
 
@@ -43,7 +43,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     t, raw, weight = zip(*points)
     run.write(
         "curve.csv",
-        metrics.csv_text(
+        writers.csv_text(
             ["threshold", "raw_estimate", "fitted", "weight"],
             [t, raw, curve.fitted, weight],
         ),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 
-from . import metrics
+from . import metrics, writers
 from .rules import RecordError
 from .rundir import _Run
 from .tables import PanelTable
@@ -38,10 +38,10 @@ def cmd_detector_eval(args: argparse.Namespace) -> int:
         table_rows.append(
             (
                 name,
-                f"{metrics.format_percent(m.tpr)} ({tp}/{tp + fn})",
-                f"{metrics.format_percent(m.fpr)} ({fp}/{fp + tn})",
-                f"{metrics.format_percent(m.accuracy)} ({tp + tn}/{counts.total})",
-                metrics.format_percent(m.f1),
+                f"{writers.format_percent(m.tpr)} ({tp}/{tp + fn})",
+                f"{writers.format_percent(m.fpr)} ({fp}/{fp + tn})",
+                f"{writers.format_percent(m.accuracy)} ({tp + tn}/{counts.total})",
+                writers.format_percent(m.f1),
             )
         )
 
@@ -51,12 +51,12 @@ def cmd_detector_eval(args: argparse.Namespace) -> int:
     baseline_f1 = 2 * positives / (3 * positives + negatives) if positives else 0.0
     csv_rows.append(("random-baseline", None, None, None, None, 0.5, 0.5, 0.5, baseline_f1))
     table_rows.append(
-        ("random-baseline", "50.0%", "50.0%", "50.0%", metrics.format_percent(baseline_f1))
+        ("random-baseline", "50.0%", "50.0%", "50.0%", writers.format_percent(baseline_f1))
     )
 
     run.write(
         "detector.csv",
-        metrics.csv_text(
+        writers.csv_text(
             ["reviewer", "tp", "fp", "tn", "fn", "tpr", "fpr", "accuracy", "f1"],
             list(zip(*csv_rows)),
         ),
@@ -66,7 +66,7 @@ def cmd_detector_eval(args: argparse.Namespace) -> int:
         "",
         f"labeled panels: {len(table)}",
         "",
-        metrics.aligned_table(["reviewer", "tpr", "fpr", "accuracy", "f1"], list(zip(*table_rows))),
+        writers.aligned_table(["reviewer", "tpr", "fpr", "accuracy", "f1"], list(zip(*table_rows))),
     ]
     run.write("detector_report.txt", "\n".join(report))
     run.finish()

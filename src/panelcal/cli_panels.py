@@ -13,7 +13,7 @@ from typing import Mapping
 
 import numpy as np
 
-from . import aggregate, config, metrics, rules
+from . import aggregate, config, metrics, rules, writers
 from .cli_detector import _check_roster
 from .core import RubricSchema, ScoringFunctional
 from .rundir import _Run
@@ -127,11 +127,11 @@ def cmd_review(args: argparse.Namespace) -> int:
     for label, accept in accepts.items():
         k = int(np.count_nonzero(accept))
         metric_rows.append(("acpt", label, k / n, k, n))
-        acceptance_rows.append((label, f"{taus[label]:.6g}", metrics.rate_with_counts(k, n)))
+        acceptance_rows.append((label, f"{taus[label]:.6g}", writers.rate_with_counts(k, n)))
     icr_table_rows = []
     for name, k, total in zip(names, flagged, reviewed):
         metric_rows.append(("icr", name, k / total, k, total))
-        icr_table_rows.append((name, metrics.rate_with_counts(k, total)))
+        icr_table_rows.append((name, writers.rate_with_counts(k, total)))
     conflict_table_rows = []
     for label, accept in accepts.items():
         conflicts = metrics.conflict_counts(table, accept)
@@ -141,12 +141,12 @@ def cmd_review(args: argparse.Namespace) -> int:
                  k if total else None, total)
             )
             conflict_table_rows.append(
-                (name, label, metrics.rate_with_counts(k, total) if total else "- (no flags)")
+                (name, label, writers.rate_with_counts(k, total) if total else "- (no flags)")
             )
 
     run.write(
         "decisions.csv",
-        metrics.csv_text(
+        writers.csv_text(
             [
                 "id",
                 "score",
@@ -169,7 +169,7 @@ def cmd_review(args: argparse.Namespace) -> int:
     )
     run.write(
         "metrics.csv",
-        metrics.csv_text(
+        writers.csv_text(
             ["metric", "scope", "value", "numerator", "denominator"], list(zip(*metric_rows))
         ),
     )
@@ -179,11 +179,11 @@ def cmd_review(args: argparse.Namespace) -> int:
         f"panels: {n}",
         "",
         "acceptance",
-        metrics.aligned_table(["threshold", "value", "acpt"], list(zip(*acceptance_rows))),
+        writers.aligned_table(["threshold", "value", "acpt"], list(zip(*acceptance_rows))),
         "integrity flags",
-        metrics.aligned_table(["reviewer", "icr"], list(zip(*icr_table_rows))),
+        writers.aligned_table(["reviewer", "icr"], list(zip(*icr_table_rows))),
         "conflicts (flagged but scored at acceptance level)",
-        metrics.aligned_table(
+        writers.aligned_table(
             ["reviewer", "threshold", "conflict"], list(zip(*conflict_table_rows))
         ),
     ]
@@ -238,7 +238,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
 
     run.write(
         "bayes.csv",
-        metrics.csv_text(
+        writers.csv_text(
             [
                 "id",
                 "n_reviews",
@@ -276,7 +276,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
         f"threshold:  {threshold:.6g}",
         f"alpha:      {alpha:.6g}",
         "",
-        metrics.aligned_table(
+        writers.aligned_table(
             ["id", "reviews", "post_mean", "post_var", "p_accept", "robust", "solicit", "note"],
             table_columns,
         ),

@@ -6,7 +6,7 @@ import argparse
 from dataclasses import fields, replace
 from typing import Sequence
 
-from . import config, metrics, simulate
+from . import config, simulate, writers
 from .core import NoiseProfile, RecordError
 from .rundir import _Run
 
@@ -56,7 +56,7 @@ def _finish(
     named check with its failures indented below it.
     """
     headers = [field.name for field in fields(row_type)]
-    run.write(name, metrics.csv_text(headers, [[getattr(r, h) for r in rows] for h in headers]))
+    run.write(name, writers.csv_text(headers, [[getattr(r, h) for r in rows] for h in headers]))
     text = head + "".join(
         f"{'FAIL' if failures else 'PASS'}: {check}\n" + "".join(f"  {f}\n" for f in failures)
         for check, failures in checks

@@ -33,7 +33,6 @@ import numpy as np
 from . import _lazy, calibrate
 from .calibrate import Pool, ThresholdUnreachableError, _table
 from .rules import finite, integer, positive
-from .tables import CalibrationTable
 
 if TYPE_CHECKING:
     from .core import NoiseProfile
@@ -46,6 +45,7 @@ __all__ = [
     "ThresholdErrorRow",
     "VarianceRow",
     "PopulationSettings",
+    "Population",
     "generate_cohort",
     "slice_cohort",
     "margin_experiment",
@@ -173,6 +173,17 @@ class PopulationSettings:
         object.__setattr__(self, "link_slope", positive("link_slope", self.link_slope))
 
 
+@dataclass(frozen=True, eq=False)
+class Population:
+    """A synthetic calibration population as its two columns: agent scores (N,) and human accepts (N,) bool."""
+
+    scores: np.ndarray
+    accepts: np.ndarray
+
+    def __len__(self) -> int:
+        return self.scores.size
+
+
 def generate_cohort(spec: CohortSpec) -> Cohort:
     """Draw a cohort deterministically from the spec's seed.
 
@@ -218,30 +229,20 @@ def generate_cohort(spec: CohortSpec) -> Cohort:
     return Cohort(latent=latent, scores=scores, spec=spec)
 
 
-def synthetic_calibration_population(settings: PopulationSettings) -> CalibrationTable:
-    """Synthetic population of (agent score, human accept, status) records.
+def synthetic_calibration_population(settings: PopulationSettings) -> Population:
+    """Synthetic population of (agent score, human accept) pairs, one per paper of the cohort.
 
     The agent score is the uniform consensus of the cohort's reviewer
     scores; human accepts follow the logistic link on the latent quality
-    from an independent stream; status mirrors the human decision.  The
-    records are ``pop-1`` to ``pop-N``, zero-padded, in a table without a
-    file.
+    from an independent stream.  Only these two columns are built: the
+    bootstrap reads nothing else.
     """
     size = settings.cohort.n_papers
     cohort = generate_cohort(settings.cohort)
     label_rng = np.random.default_rng(np.random.SeedSequence([settings.cohort.seed, 1]))
     with np.errstate(over="ignore"):  # a steep link overflows to probabilities of exactly 0 or 1
         prob = 1.0 / (1.0 + np.exp(-settings.link_slope * (cohort.latent - settings.link_midpoint)))
-    accepts = label_rng.random(size) < prob
-    width = len(str(size))
-    return CalibrationTable(
-        path="",
-        ids=tuple(map(f"pop-%0{width}d".__mod__, range(1, size + 1))),
-        lines=np.arange(1, size + 1),
-        scores=cohort.scores.mean(axis=1),
-        accepts=accepts,
-        statuses=tuple("accept" if a else "reject" for a in accepts.tolist()),
-    )
+    return Population(scores=cohort.scores.mean(axis=1), accepts=label_rng.random(size) < prob)
 
 
 def calibration_sizes(n_cal_grid: Sequence[int], size: int) -> list[int]:
@@ -263,14 +264,15 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def threshold_bootstrap(
-    population: Pool,
+    population: Pool | Population,
     n_cal_grid: Sequence[int],
     replicates: int,
     seed: int,
 ) -> list[ThresholdErrorRow]:
     """Bootstrap |tau_05(subsample) - tau_05(population)| per n_cal.
 
-    The population, a record list or a ``CalibrationTable``, is sorted once
+    The population, a ``Population``, a record list or a
+    ``CalibrationTable``, is read for its scores and accepts only, sorted once
     (``calibrate.TailCounts``) for its tau_05 and packed keys.  Subsamples
     are uniform without replacement, one ``rng.choice`` per replicate, drawn
     with ``seed``, an integer >= 0; each block of replicates is fitted at
@@ -279,15 +281,15 @@ def threshold_bootstrap(
     excluded from the mean; ThresholdUnreachableError is raised when every
     replicate of one n_cal fails.
     """
-    table = _table(population)
-    size = len(table)
+    columns = population if isinstance(population, Population) else _table(population)
+    size = len(columns)
     if not size:
         raise ValueError("population: must be non-empty")
     grid = calibration_sizes(n_cal_grid, size)
     replicates = integer("replicates", replicates, 2)
     seed = integer("seed", seed, 0)
 
-    tails = calibrate.TailCounts.of(table.scores, table.accepts)
+    tails = calibrate.TailCounts.of(columns.scores, columns.accepts)
     tau_true = tails.tau05()
 
     rng = np.random.default_rng(seed)
@@ -323,8 +325,10 @@ def error_curve_sizes(sizes: Sequence[int], field: str = "n_cal_grid") -> list[i
 
 
 def error_curve_slope(rows: Sequence[ThresholdErrorRow]) -> float:
-    """Least-squares slope of log mean error against log n_cal."""
+    """Least-squares slope of log mean error against log n_cal; nan if a mean error is 0 (no log)."""
     x = np.log(error_curve_sizes([row.n_cal for row in rows], "rows"))
+    if any(row.mean_abs_err == 0 for row in rows):
+        return math.nan
     y = np.log([row.mean_abs_err for row in rows])
     return float(np.polyfit(x, y, 1)[0])
 
@@ -337,12 +341,15 @@ def check_threshold_rows(
 
     Near-monotone: non-increasing in n_cal, allowing at most one
     inversion, and any inversion must stay within the two rows' combined
-    standard errors.
+    standard errors.  A row whose mean error is exactly 0 (n_cal equal to
+    the population's size draws the whole population) has no logarithm, so
+    it fails in place of the slope.
     """
-    failures = []
+    failures = [f"n_cal={row.n_cal}: mean error 0 has no logarithm, so the log-log slope is undefined"
+                for row in rows if row.mean_abs_err == 0]
     slope = error_curve_slope(rows)
     lo, hi = slope_window
-    if not lo <= slope <= hi:
+    if not failures and not lo <= slope <= hi:
         failures.append(f"log-log slope {slope:.4f} outside [{lo}, {hi}]")
     inversions = 0
     for prev, cur in zip(rows, rows[1:]):

@@ -281,14 +281,15 @@ def test_empirical_acceptance():
 
 @pytest.mark.parametrize(("scores", "shown"), [
     (["1"], "'1'"), ([2.0, "1"], "'1'"), ([True, False], "True"), (np.array([False]), "np.False_"),
-], ids=["string", "string-after-a-number", "bools", "numpy-bools"])
+    ([True, 0.5], "True"),
+], ids=["string", "string-after-a-number", "bools", "numpy-bools", "bool-with-a-float"])
 @pytest.mark.parametrize("fit", [
     lambda scores: empirical_acceptance(scores, 0.5),
     lambda scores: rate_matching_threshold(scores, 0.5),
     lambda scores: tau05_from_scores(scores, [1] * len(scores)),
 ], ids=["empirical_acceptance", "rate_matching_threshold", "tau05_from_scores"])
 def test_scores_that_are_not_numbers_are_refused_as_the_number_rule_words_it(fit, scores, shown):
-    # numpy would convert each of these to a float; the array's dtype tells them apart
+    # numpy would convert each of these to a float; a list is checked entry by entry, an array by its dtype
     k = next(k for k, score in enumerate(scores) if not isinstance(score, float))
     with pytest.raises(ValueError) as raised:
         fit(scores)

@@ -1378,6 +1378,25 @@ def forbid_simulation_work(monkeypatch):
         monkeypatch.setattr(simulate, name, no_work)
 
 
+def test_threshold_error_zero_mean_error_fails_its_check_without_a_warning(tmp_path):
+    # n_cal equal to the reference population's size draws all of it: a mean error of exactly 0, which
+    # has no log; a fresh interpreter, so a numpy RuntimeWarning would print to stderr as it does for users
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "panelcal.cli", "simulate", "threshold-error",
+         "--grid", "50,20000", "--replicates", "2", "--out", str(tmp_path / "runs")],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")},
+    )
+    assert proc.returncode == 4
+    assert proc.stderr == ""
+    assert "\nlog-log slope: nan\n" in proc.stdout
+    assert proc.stdout.endswith(
+        "FAIL: error decays like 1/sqrt(n_cal), near-monotone\n"
+        "  n_cal=20000: mean error 0 has no logarithm, so the log-log slope is undefined\n")
+    assert (run_dir(proc.stdout) / "threshold_error.csv").read_text().splitlines()[2] == "20000,0.0,0.0,0"
+
+
 @pytest.mark.parametrize(
     ("argv", "config", "where"),
     [(["--grid", "50"], None, "--grid"),

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from panelcal.simulate import (
     CohortSpec,
     LatentDistribution,
     MarginBinRow,
+    Population,
     PopulationSettings,
     ThresholdErrorRow,
     VarianceRow,
@@ -286,16 +288,17 @@ def test_synthetic_population_deterministic_and_labeled():
         link_slope=2.0,
     )
     pop = synthetic_calibration_population(settings)
-    assert isinstance(pop, CalibrationTable)
-    assert len(pop) == 500 and pop.path == ""
-    assert pop.ids[0] == "pop-001"
-    assert pop.ids[-1] == "pop-500"
+    # the two columns the bootstrap reads, and no ids or statuses
+    assert isinstance(pop, Population)
+    assert [field.name for field in fields(pop)] == ["scores", "accepts"]
+    assert len(pop) == 500 and pop.scores.shape == pop.accepts.shape == (500,)
     again = synthetic_calibration_population(settings)
-    assert pop.ids == again.ids and pop.statuses == again.statuses
     np.testing.assert_array_equal(pop.scores, again.scores)
     np.testing.assert_array_equal(pop.accepts, again.accepts)
     assert pop.accepts.dtype == bool
-    assert pop.statuses == tuple("accept" if a else "reject" for a in pop.accepts)
+    records = [CalibrationRecord(f"p{i}", s, a, "accept" if a else "reject")
+               for i, (s, a) in enumerate(zip(pop.scores.tolist(), pop.accepts.tolist()))]
+    assert threshold_bootstrap(pop, (50, 100), 5, seed=1) == threshold_bootstrap(records, (50, 100), 5, seed=1)
     assert np.mean(pop.accepts[pop.scores >= 7.0]) > 0.8 > 0.2 > np.mean(
         pop.accepts[pop.scores <= 4.0]
     )
@@ -415,6 +418,8 @@ def test_level_set_kernel_matches_tau05_per_row(rows):
     uniq, rank = np.unique(scores, return_inverse=True)
     keys = (rank.reshape(scores.shape).astype(np.int64) << 1) | accepts
     got = calibrate._tau05_ranks(keys)
+    # TailCounts packs fewer than 2^30 distinct scores in 32 bits: the width changes no rank
+    np.testing.assert_array_equal(calibrate._tau05_ranks(keys.astype(np.int32)), got)
     for i in range(len(scores)):
         try:
             want = reference.tau05_from_scores(scores[i], accepts[i])
@@ -422,6 +427,30 @@ def test_level_set_kernel_matches_tau05_per_row(rows):
             assert got[i] == -1
         else:
             assert got[i] >= 0 and uniq[got[i]] == want
+
+
+def reference_ranks(keys):
+    """Each row's tau_05 as a rank, or -1, from ``reference.tau05_from_scores``, which sums in int64."""
+    ranks = []
+    for row in keys.astype(np.int64):
+        try:
+            ranks.append(int(reference.tau05_from_scores(row >> 1, row & 1)))
+        except ThresholdUnreachableError:
+            ranks.append(-1)
+    return ranks
+
+
+@pytest.mark.parametrize("n", [65_535, 65_536], ids=["int32-sums", "int64-sums"])
+@pytest.mark.parametrize("width", [np.int32, np.int64])
+def test_level_set_kernel_at_the_accumulator_switch(n, width):
+    # an all-reject row of n distinct ranks has the largest level a row of n can reach, n(n+1)/2:
+    # 2,147,450,880 at n = 65,535, the most that int32 sums hold; at n = 65,536 it would wrap
+    # negative and the row would return rank 0.  The second row accepts its top third.
+    ranks = np.arange(n, dtype=width)
+    keys = np.stack([ranks << 1, (ranks << 1) | (ranks >= 2 * n // 3)])
+    got = calibrate._tau05_ranks(keys).tolist()
+    assert got == reference_ranks(keys)
+    assert got[0] == -1 and got[1] > 0
 
 
 def test_threshold_bootstrap_validation():
@@ -545,6 +574,15 @@ def test_check_threshold_rows():
         ThresholdErrorRow(400, 0.104, 0.02, 0),
     ]
     assert not any("rose past" in f for f in check_threshold_rows(follows))
+
+
+def test_a_zero_mean_error_fails_in_place_of_the_slope():
+    # n_cal equal to the population's size draws the whole population every time: its error is 0,
+    # whose log would be -inf (and a RuntimeWarning, which fails tests here)
+    rows = [ThresholdErrorRow(50, 0.3, 0.01, 0), ThresholdErrorRow(20000, 0.0, 0.0, 0)]
+    assert math.isnan(error_curve_slope(rows))
+    assert check_threshold_rows(rows) == [
+        "n_cal=20000: mean error 0 has no logarithm, so the log-log slope is undefined"]
 
 
 def test_check_variance_rows():

@@ -152,8 +152,11 @@ def calibrate_modules(tmp_path, config):
 
 
 def test_calibrate_loads_no_simulate_or_bayes(tmp_path):
+    modules = calibrate_modules(tmp_path, {"target_rate": 0.33})
     # the stratification code is loaded only to draw a stratified calibration set
-    assert "panelcal.strata" not in calibrate_modules(tmp_path, {"target_rate": 0.33})
+    assert "panelcal.strata" not in modules
+    # it computes no rate: its CSV and report go through the writers alone
+    assert "panelcal.writers" in modules and "panelcal.metrics" not in modules
 
 
 def test_stratified_calibrate_loads_the_stratification_code(tmp_path):
@@ -167,11 +170,12 @@ def test_threshold_error_loads_no_aggregate(tmp_path):
     assert {"panelcal.simulate", "panelcal.rundir"} <= modules
     assert not modules & {"panelcal.aggregate", "panelcal.bayes"}
     # it reads no JSONL, so it loads neither the loaders nor the column cache; it runs no margin or
-    # variance experiment (nor bounds), no stratification, no isotonic fit, and builds no record object
+    # variance experiment (nor bounds), no stratification, no isotonic fit, builds no record object,
+    # and computes no rate: its CSV goes through the writers, not metrics
     assert {m for m in modules if m.startswith("panelcal")} == {
         "panelcal", "panelcal.calibrate", "panelcal.cli", "panelcal.cli_simulate", "panelcal.config",
-        "panelcal.core", "panelcal.metrics", "panelcal.rules", "panelcal.rundir", "panelcal.simulate",
-        "panelcal.tables",
+        "panelcal.core", "panelcal.rules", "panelcal.rundir", "panelcal.simulate", "panelcal.tables",
+        "panelcal.writers",
     }
 
 
@@ -197,10 +201,11 @@ def test_the_column_cache_loads_no_serializer_beyond_numpy(tmp_path, command):
 
 # the panelcal modules, besides the package, each JSONL command loads on a column-cache hit
 HIT_MODULES = {
-    "detector-eval": {"cli", "rules", "cli_detector", "metrics", "tables", "rundir", "cache", "reader"},
-    "review": {"cli", "rules", "cli_detector", "metrics", "tables", "rundir", "cache", "reader", "cli_panels",
-               "aggregate", "config", "core"},
-    "calibrate": {"cli", "rules", "cli_calibrate", "metrics", "tables", "rundir", "cache", "reader", "bounds",
+    "detector-eval": {"cli", "rules", "cli_detector", "metrics", "writers", "tables", "rundir", "cache",
+                      "reader"},
+    "review": {"cli", "rules", "cli_detector", "metrics", "writers", "tables", "rundir", "cache", "reader",
+               "cli_panels", "aggregate", "config", "core"},
+    "calibrate": {"cli", "rules", "cli_calibrate", "writers", "tables", "rundir", "cache", "reader", "bounds",
                   "calibrate", "isotonic", "config", "core"},
 }
 HIT_MODULES["bayes"] = HIT_MODULES["review"] | {"bayes"}
@@ -265,7 +270,7 @@ def test_exit_code_errors_are_reexported():
 # the modules that core, records, calibrate and simulate export names from, each imported on first use
 LAZY_MODULES = ("panelcal.objects", "panelcal.isotonic", "panelcal.strata", "panelcal.experiments")
 EXPORTERS = ("core", "records", "calibrate", "simulate", "rules", "tables", "objects", "isotonic", "strata",
-             "experiments", "metrics", "reader")
+             "experiments", "metrics", "reader", "writers")
 
 
 def test_import_panelcal_core_builds_no_record_class(tmp_path):
@@ -324,6 +329,7 @@ def test_every_exported_name_is_one_object_wherever_it_is_exported():
     assert seen["PanelTable"] is sys.modules["panelcal.tables"].PanelTable
     assert seen["ConfusionCounts"] is sys.modules["panelcal.metrics"].ConfusionCounts
     assert seen["load_config"] is sys.modules["panelcal.reader"].load_config
+    assert seen["csv_text"] is sys.modules["panelcal.writers"].csv_text
 
 
 @pytest.mark.parametrize("name", ["core", "records", "calibrate", "simulate"])
