@@ -175,10 +175,10 @@ def gls_weights(projected_variances: Sequence[float]) -> ReviewerWeights:
 
 def panel_variance(weights: ReviewerWeights, projected_variances: Sequence[float]) -> float:
     """Weighted consensus variance sum_m w_m^2 c_m."""
-    variances = [float(v) for v in projected_variances]
+    variances = tuple(projected_variances)
     if len(variances) != len(weights):
         raise ValueError(
             f"projected_variances: expected {len(weights)} entries, got {len(variances)}"
         )
-    non_negative.each("projected_variances", variances)
+    variances = non_negative.each("projected_variances", variances)
     return sum(w * w * v for w, v in zip(weights.weights, variances))

@@ -115,10 +115,10 @@ def rubric_bound_inputs(
     """
     from .core import BoundInputs
 
-    lambdas = [float(v) for v in lambda_max]
+    lambdas = tuple(lambda_max)
     if len(lambdas) != len(weights):
         raise ValueError(f"lambda_max: expected {len(weights)} entries, got {len(lambdas)}")
-    non_negative.each("lambda_max", lambdas)
+    lambdas = non_negative.each("lambda_max", lambdas)
     lipschitz = functional.lipschitz_constant
     width_norm = math.sqrt(sum(w * w for w in schema.widths))
     sigma_w_sq = lipschitz * lipschitz * _weighted_square_sum(weights.weights, lambdas)

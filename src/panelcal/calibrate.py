@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 import numpy as np
 
 from . import _lazy
-from .rules import ThresholdUnreachableError, not_nan, number, open_unit
+from .rules import ThresholdUnreachableError, not_nan, numbers, open_unit
 from .tables import CalibrationTable
 
 if TYPE_CHECKING:
@@ -68,22 +68,9 @@ def _table(pool: Pool) -> CalibrationTable:
     return pool if isinstance(pool, CalibrationTable) else CalibrationTable.from_records(pool)
 
 
-def _scores(scores: Sequence[float]) -> np.ndarray:
-    """``scores`` as a float array; each entry that is not a number is refused as ``rules.number`` words it.
-
-    An ndarray of integers or floats is taken by its dtype, with no pass
-    over it; any other array, and every list or tuple, is checked entry by
-    entry (numpy would make ``[True, 0.5]`` a float array), failing with
-    ``scores[k]: must be a number, got <value>``.
-    """
-    if isinstance(scores, np.ndarray) and scores.dtype.kind in "iuf":
-        return scores.astype(float, copy=False)
-    return np.array(number.each("scores", scores), dtype=float)
-
-
 def empirical_acceptance(scores: Sequence[float], threshold: float) -> float:
     """Fraction of scores at or above the threshold."""
-    arr = _scores(scores)
+    arr = numbers("scores", scores)
     if arr.size == 0:
         raise ValueError("scores: must be non-empty")
     return float(np.mean(arr >= not_nan("threshold", threshold)))
@@ -155,7 +142,7 @@ def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> floa
     Candidates are the distinct observed scores plus an accept-nothing
     sentinel (+inf); among equally close candidates the smallest wins.
     """
-    arr = _scores(scores)
+    arr = numbers("scores", scores)
     if arr.size == 0:
         raise ValueError("scores: must be non-empty")
     if not np.all(np.isfinite(arr)):
@@ -203,7 +190,7 @@ def _tau05_ranks(keys: np.ndarray) -> np.ndarray:
 
 def _tails(scores: Sequence[float], accepts: Sequence[float]) -> TailCounts:
     """The ``TailCounts`` of a non-empty pool whose accepts are 0/1."""
-    s = _scores(scores)
+    s = numbers("scores", scores)
     a = np.asarray(accepts)
     if s.size == 0 or s.shape != a.shape:
         raise ValueError("scores: must be non-empty and match accepts in length")

@@ -14,9 +14,9 @@ under ``--out``: its outputs, then a ``manifest.json`` (command, seed,
 input and output digests, UTC timestamps); no run directory is ever
 overwritten.  ``--out`` also keeps the column cache of the JSONL inputs
 (``.panelcal-cache``, see ``rundir``).  A command that stops on an error
-creates nothing under ``--out``.  Exit codes:
-0 success, 2 input or config error, 3 calibration infeasible, 4
-simulation property-check failure (its run directory is still written).
+creates nothing under ``--out``, nor does one whose writes fail.  Exit
+codes: 0 success, 2 input, config or file error, 3 calibration infeasible,
+4 simulation property-check failure (its run directory is still written).
 
 This module holds the parser, ``main``, the ``--out`` check, the file
 digest and ``bound``, and imports only ``rules``, argparse and small
@@ -236,8 +236,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ThresholdUnreachableError as exc:
         print(f"error: calibration infeasible: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OSError as exc:  # a file the command reads or writes: its path and the reason, as one line
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

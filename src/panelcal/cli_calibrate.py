@@ -38,7 +38,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     payload = {**asdict(thresholds), "stratified": plan is not None, "seed": args.seed}
     run.write("thresholds.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if plan is not None:
-        run.write("plan.json", json.dumps(plan.to_dict(), indent=2, sort_keys=True) + "\n")
+        run.write("plan.json", json.dumps(asdict(plan), indent=2, sort_keys=True) + "\n")
 
     t, raw, weight = zip(*points)
     run.write(

@@ -20,11 +20,25 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import Pool, TailCounts, _table, _tails
-from .rules import ThresholdUnreachableError, open_unit
+from .rules import ThresholdUnreachableError, _fail, numbers, open_unit
 
 __all__ = ["IsotonicCurve", "tail_probability_points", "isotonic_fit", "tau_05", "fit_tau05"]
 
 _MONOTONE_TOL = 1e-12
+
+
+def _columns(field: str, rows: Sequence[Sequence[float]]) -> list[np.ndarray]:
+    """The columns of ``rows``, (threshold, value, weight) triples, each converted by ``rules.numbers``."""
+    if not all(isinstance(row, (tuple, list, np.ndarray)) and len(row) == 3 for row in rows):
+        _fail(field, "each entry must be a (threshold, value, weight) triple")
+    return [numbers(field, column) for column in zip(*rows)]
+
+
+def _first_bad(field: str, checks: list[tuple[np.ndarray, np.ndarray, str]]) -> None:
+    """Raise ``field[i]: <rule>, got <value>`` at the first row ``i`` failing a (column, passes, rule) check."""
+    for i in np.flatnonzero(~np.logical_and.reduce([passes for _, passes, _ in checks]))[:1].tolist():
+        column, _, rule = next(check for check in checks if not check[1][i])
+        _fail(f"{field}[{i}]", f"{rule}, got {float(column[i])!r}")
 
 
 @dataclass(frozen=True)
@@ -40,18 +54,12 @@ class IsotonicCurve:
     def __post_init__(self) -> None:
         if not self.knots:
             raise ValueError("knots: must contain at least one knot")
-        t, v, w = np.array(self.knots, dtype=float).T
-        bad_t = ~np.isfinite(t)
-        bad_v = ~((v >= -_MONOTONE_TOL) & (v <= 1.0 + _MONOTONE_TOL))
-        bad_w = ~(np.isfinite(w) & (w > 0))
-        bad = np.flatnonzero(bad_t | bad_v | bad_w)
-        if bad.size:
-            i = int(bad[0])
-            if bad_t[i]:
-                raise ValueError(f"knots[{i}]: threshold must be finite, got {float(t[i])!r}")
-            if bad_v[i]:
-                raise ValueError(f"knots[{i}]: fitted value must lie in [0, 1], got {float(v[i])!r}")
-            raise ValueError(f"knots[{i}]: weight must be finite and > 0, got {float(w[i])!r}")
+        t, v, w = _columns("knots", self.knots)
+        _first_bad("knots", [
+            (t, np.isfinite(t), "threshold must be finite"),
+            (v, (v >= -_MONOTONE_TOL) & (v <= 1.0 + _MONOTONE_TOL), "fitted value must lie in [0, 1]"),
+            (w, np.isfinite(w) & (w > 0), "weight must be finite and > 0"),
+        ])
         v = np.clip(v, 0.0, 1.0)
         rising = np.diff(t) > 0
         bad = np.flatnonzero(~rising | (np.diff(v) < -_MONOTONE_TOL))
@@ -88,7 +96,7 @@ def tail_probability_points(
     if not len(table):
         raise ValueError("records: must be non-empty")
     tails = TailCounts.of(table.scores, table.accepts)
-    cand = np.asarray(thresholds, dtype=float)
+    cand = numbers("thresholds", thresholds)
     if cand.size == 0:
         raise ValueError("thresholds: must be non-empty")
     if not np.all(np.isfinite(cand)):
@@ -127,15 +135,9 @@ def isotonic_fit(points: Sequence[tuple[float, float, float]]) -> IsotonicCurve:
     """Weighted least-squares non-decreasing fit of (t, value, weight) points."""
     if not len(points):
         raise ValueError("points: must be non-empty")
-    ts, values, weights = np.array(points, dtype=float).T
-    bad = np.flatnonzero(~((values >= 0.0) & (values <= 1.0)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"points[{i}]: value must lie in [0, 1], got {float(values[i])!r}")
-    bad = np.flatnonzero(~(np.isfinite(weights) & (weights > 0)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"points[{i}]: weight must be finite and > 0, got {float(weights[i])!r}")
+    ts, values, weights = _columns("points", points)
+    _first_bad("points", [(values, (values >= 0.0) & (values <= 1.0), "value must lie in [0, 1]")])
+    _first_bad("points", [(weights, np.isfinite(weights) & (weights > 0), "weight must be finite and > 0")])
     fitted = _pava(values.tolist(), weights.tolist())
     return IsotonicCurve(tuple(zip(ts.tolist(), fitted.tolist(), weights.tolist())))
 

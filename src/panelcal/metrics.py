@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .rules import _fail, integer, not_nan
+from .rules import _fail, finite, integer, not_nan, unit
 from .tables import PanelTable
 from .writers import aligned_table, csv_text, format_percent, rate_with_counts
 
@@ -71,14 +71,9 @@ class DetectorMetrics:
     f1: float
 
     def __post_init__(self) -> None:
-        for name in ("tpr", "fpr"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}: must lie in [0, 1] or be None, got {value!r}")
-        for name in ("accuracy", "f1"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name}: must lie in [0, 1], got {value!r}")
+        for name in ("tpr", "fpr", "accuracy", "f1"):
+            if getattr(self, name) is not None or name in ("accuracy", "f1"):  # tpr and fpr may be absent
+                object.__setattr__(self, name, unit(name, getattr(self, name)))
 
 
 def acpt(decisions: Sequence[Decision]) -> float:
@@ -142,7 +137,8 @@ def conflict_rate(
     for submission_id, flagged_here in zip(table.ids, hit.tolist()):
         if flagged_here and submission_id not in scores:
             raise ValueError(f"scores: missing entry for panel {submission_id!r}")
-        values.append(scores[submission_id] if flagged_here else math.nan)  # NaN never accepts
+        values.append(finite(f"scores[{submission_id!r}]", scores[submission_id]) if flagged_here
+                      else math.nan)  # NaN never accepts
     return conflict_counts(table, np.array(values) >= threshold)[scope] / flagged
 
 

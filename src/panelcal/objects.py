@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .rules import _fail, finite
+from .rules import _fail, finite, text
 
 if TYPE_CHECKING:
     from .core import RubricSchema
@@ -55,8 +55,7 @@ class ReviewRecord:
     feedback: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.reviewer_id, str) or not self.reviewer_id:
-            _fail("reviewer_id", "must be a non-empty string")
+        text("reviewer_id", self.reviewer_id)
         if not isinstance(self.rubric, RubricVector):
             _fail("rubric", f"must be a RubricVector, got {type(self.rubric).__name__}")
         if not isinstance(self.integrity_flag, bool):
@@ -74,8 +73,7 @@ class ReviewPanel:
     fabrication_label: bool | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.submission_id, str) or not self.submission_id:
-            _fail("submission_id", "must be a non-empty string")
+        text("submission_id", self.submission_id)
         reviews = tuple(self.reviews)
         object.__setattr__(self, "reviews", reviews)
         if not reviews:
@@ -143,10 +141,8 @@ class CalibrationRecord:
     status: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.submission_id, str) or not self.submission_id:
-            _fail("submission_id", "must be a non-empty string")
+        text("submission_id", self.submission_id)
         object.__setattr__(self, "agent_score", finite("agent_score", self.agent_score))
         if not isinstance(self.human_accept, bool):
             _fail("human_accept", "must be a bool")
-        if not isinstance(self.status, str) or not self.status:
-            _fail("status", "must be a non-empty string")
+        text("status", self.status)

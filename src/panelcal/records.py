@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _lazy
 from .reader import _decode, _decode_text, _read_bytes, load_config, read_text
-from .rules import RecordError, json_number
+from .rules import RecordError, json_number, numbers
 from .tables import CalibrationTable, PanelTable, left_sums
 
 if TYPE_CHECKING:
@@ -61,9 +61,6 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy(__name__, {"objects": ("PanelRecord",)})
-
-
-_NUMBER_TYPES = {int, float}  # JSON numbers; bool is not among them
 
 
 _scan = json.JSONDecoder().scan_once  # raw_decode's scanner, without its whitespace match
@@ -261,14 +258,11 @@ def _breaks(text: str) -> bool:
 
 
 def _numbers(values: list[Any]) -> tuple[np.ndarray | None, int | None, int | None]:
-    """(float array, None, None) if each value is a finite JSON number.
-
-    Otherwise None, the index of the first value that is not a JSON number
-    (``json_number`` is None) and that of the first number that is not finite.
-    """
+    """(``rules.numbers(values)``, None, None) if each value is a finite JSON number, else None, the index of
+    the first value that is not a JSON number (``json_number`` is None) and that of the first that is not finite."""
     try:
-        flat = np.array(values, dtype=float) if set(map(type, values)) <= _NUMBER_TYPES else None
-    except OverflowError:  # an integer beyond the float range
+        flat = numbers("values", values)
+    except ValueError:
         flat = None
     if flat is not None and np.isfinite(flat).all():
         return flat, None, None

@@ -3,21 +3,24 @@
 ``RecordError`` (exit 2) and ``ThresholdUnreachableError`` (exit 3) are
 the two errors the command line maps to exit codes.  The float rules
 (``number``, ``finite``, ``not_nan``, ``positive``, ``non_negative``,
-``open_unit``), the edge rule (``increasing_edges``) and the integer rule
-(``integer``) are the only statements of a number rule in the package:
-the library checks its number arguments with them, and ``config``'s
-number leaves are the same rules worded without a field.  Every rule
-raises only ``ValueError``.  ``json_number`` is the one conversion: the
-record loaders and the float rules take a number through it.  ``core``
-re-exports every name of ``__all__``, so ``bound``, which needs only
-these, loads neither ``core`` nor ``dataclasses``.
+``open_unit``, ``unit``), the edge rule (``increasing_edges``) and the
+integer rule (``integer``) are the only statements of a number rule in
+the package: the library checks its number arguments with them, and
+``config``'s number leaves are the same rules worded without a field;
+``text`` is the one string rule.  Every rule raises only ``ValueError``.
+``json_number`` converts a number and ``numbers`` an array of them, for
+the loaders, the rules and every array argument.  ``core`` re-exports
+``__all__``, so ``bound`` loads neither ``core``, ``dataclasses`` nor numpy.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RecordError",
@@ -29,8 +32,11 @@ __all__ = [
     "positive",
     "non_negative",
     "open_unit",
+    "unit",
+    "numbers",
     "increasing_edges",
     "integer",
+    "text",
 ]
 
 
@@ -74,6 +80,22 @@ not_nan = NumberRule("not be NaN", lambda x: x == x)
 positive = NumberRule("be finite and > 0", lambda x: math.isfinite(x) and x > 0)
 non_negative = NumberRule("be finite and >= 0", lambda x: math.isfinite(x) and x >= 0)
 open_unit = NumberRule("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
+unit = NumberRule("lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+
+
+def numbers(field: str, values: Iterable[Any]) -> np.ndarray:
+    """``number.each`` as a float ndarray: a 1-d int or float ndarray by its dtype, a list or tuple of plain ints
+    and floats by one type pass and one ``np.array``, anything else entry by entry; numpy is imported only here."""
+    import numpy as np
+
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf":
+        return values.astype(float, copy=False)
+    if isinstance(values, (list, tuple)) and set(map(type, values)) <= {int, float}:
+        try:
+            return np.array(values, dtype=float)
+        except OverflowError:
+            pass
+    return np.array(number.each(field, values), dtype=float)
 
 
 def increasing_edges(field: str, values: Iterable[Any]) -> tuple[float, ...]:
@@ -100,6 +122,12 @@ def integer(field: str, value: Any, minimum: int | None = None, maximum: int | N
         bound = "" if minimum is None else f" >= {minimum}" if maximum is None else f" in [{minimum}, {maximum}]"
         _fail(field, f"must be an integer{bound}, got {value!r}")
     return number
+
+
+def text(field: str, value: Any) -> None:
+    """``ValueError("field: must be a non-empty string")`` unless ``value`` is a non-empty ``str``."""
+    if not isinstance(value, str) or not value:
+        _fail(field, "must be a non-empty string")
 
 
 def json_number(value: Any) -> float | None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import shutil
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -131,20 +132,24 @@ class _Run:
             suffix += 1
             run_dir = self.out_base / f"{name}-{suffix}"
         run_dir.mkdir()
-        for output, text in self.outputs.items():
-            (run_dir / output).write_text(text, encoding="utf-8")
-        manifest = RunManifest(
-            command=self.command,
-            tool_version=__version__,
-            started_at=self.started_at,
-            finished_at=_utc_now(),
-            seed=self.seed,
-            config_digest=config_digest,
-            input_digests=input_digests,
-            output_digests={output: _sha256_file(run_dir / output) for output in sorted(self.outputs)},
-        )
-        text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-        (run_dir / "manifest.json").write_text(text, encoding="utf-8")
+        try:
+            for output, text in self.outputs.items():
+                (run_dir / output).write_text(text, encoding="utf-8")
+            manifest = RunManifest(
+                command=self.command,
+                tool_version=__version__,
+                started_at=self.started_at,
+                finished_at=_utc_now(),
+                seed=self.seed,
+                config_digest=config_digest,
+                input_digests=input_digests,
+                output_digests={output: _sha256_file(run_dir / output) for output in sorted(self.outputs)},
+            )
+            text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
+            (run_dir / "manifest.json").write_text(text, encoding="utf-8")
+        except OSError:  # no run directory without its manifest; ``cli.main`` words the error
+            shutil.rmtree(run_dir, ignore_errors=True)
+            raise
         print(f"run directory: {run_dir}")
         for write_entry in self.entries:
             write_entry()

@@ -10,13 +10,13 @@ only a ``calibrate`` run with a ``stratify`` config makes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .calibrate import Pool, _table
-from .rules import _fail, increasing_edges, integer
+from .rules import _fail, increasing_edges, integer, text
 from .tables import CalibrationTable
 
 __all__ = [
@@ -52,8 +52,7 @@ class CellQuota:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "bin_index", integer("bin_index", self.bin_index, 0))
-        if not isinstance(self.status, str) or not self.status:
-            raise ValueError("status: must be a non-empty string")
+        text("status", self.status)
         object.__setattr__(self, "population", integer("population", self.population, 0))
         object.__setattr__(self, "quota", integer("quota", self.quota, 0, self.population))
 
@@ -90,13 +89,6 @@ class StratificationPlan:
     @property
     def n_cal(self) -> int:
         return sum(cell.quota for cell in self.cells)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "bin_edges": list(self.bin_edges),
-            "status_vocabulary": list(self.status_vocabulary),
-            "cells": [asdict(c) for c in self.cells],
-        }
 
 
 def _subset(pool: Pool, indices: np.ndarray) -> Pool:

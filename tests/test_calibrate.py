@@ -1,7 +1,9 @@
 import bisect
 import itertools
+import json
 import math
 import re
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,7 +64,8 @@ def test_plan_validation_and_round_trip():
         ),
     )
     assert plan.n_cal == 5
-    assert plan.to_dict() == {
+    # plan.json is ``asdict(plan)`` as JSON
+    assert json.loads(json.dumps(asdict(plan))) == {
         "bin_edges": [0.0, 5.0, 10.0],
         "status_vocabulary": ["accept", "reject"],
         "cells": [

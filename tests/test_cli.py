@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -932,6 +933,43 @@ def test_detector_eval_requires_labels(tmp_path, capsys):
                            "--out", str(tmp_path / "runs"))
     assert code == 2
     assert "no fabrication_label" in err
+
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["fresh-out", "out-with-a-run"])
+@pytest.mark.parametrize(
+    ("method", "name", "code"),
+    [
+        ("write_text", "detector.csv", errno.ENOSPC),
+        ("write_text", "manifest.json", errno.ENOSPC),
+        ("mkdir", "detector-eval-", errno.EACCES),
+    ],
+    ids=["first-output", "manifest", "run-directory"],
+)
+def test_a_failed_write_exits_2_and_leaves_no_run_directory(tmp_path, capsys, monkeypatch, held, method, name,
+                                                            code):
+    panels = write(tmp_path, "panels.jsonl", DET_PANELS)
+    out = tmp_path / "runs"
+    if held:
+        assert run_cli(capsys, "detector-eval", "--panels", panels, "--out", str(out))[0] == 0
+
+    def kept():  # what --out holds besides the column cache
+        return sorted(p for p in out.rglob("*") if ".panelcal-cache" not in p.relative_to(out).parts)
+
+    before, failed, original = kept(), [], getattr(Path, method)
+
+    def fail(path, *args, **kwargs):  # fails as the OS does: an OSError with the errno and the path
+        if path.name.startswith(name):
+            failed.append(path)
+            raise OSError(code, os.strerror(code), str(path))
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, method, fail)
+    exit_code, out_text, err = run_cli(capsys, "detector-eval", "--panels", panels, "--out", str(out))
+    assert exit_code == 2
+    assert out_text == ""
+    assert err == f"error: {failed[0]}: {os.strerror(code)}\n"
+    assert kept() == before
 
 
 # ---------------------------------------------------------------- fail closed

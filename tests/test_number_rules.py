@@ -53,6 +53,7 @@ COHORT = simulate.generate_cohort(simulate.CohortSpec(
 
 
 PANEL = ReviewPanel("p1", (ReviewRecord("m1", RubricVector((5.0,)), integrity_flag=True),))
+ONE = [CalibrationRecord("c1", 1.0, True, "accept")]
 
 
 def plan(edges, vocabulary=("accept",)):
@@ -81,6 +82,8 @@ CASES = {
                            "range_width: must be finite and > 0, got 0.0"),
     "rubric.lambda_max": (lambda: bounds.rubric_bound_inputs(WEIGHTS, SCHEMA, LINEAR, [1, -2]),
                           "lambda_max[1]: must be finite and >= 0, got -2.0"),
+    "rubric.lambda_max.string": (lambda: bounds.rubric_bound_inputs(WEIGHTS, SCHEMA, LINEAR, ["2", True]),
+                                 "lambda_max[0]: must be finite and >= 0, got '2'"),
     "rubric.lambda_max.length": (
         lambda: bounds.rubric_bound_inputs(WEIGHTS, SCHEMA, LINEAR, [NAN]),
         "lambda_max: expected 2 entries, got 1",
@@ -198,9 +201,23 @@ CASES = {
                        "projected_variances[0]: must be finite and >= 0, got -1.0"),
     "panel_variance.length": (lambda: aggregate.panel_variance(WEIGHTS, [-1]),
                               "projected_variances: expected 2 entries, got 1"),
+    "panel_variance.string": (lambda: aggregate.panel_variance(WEIGHTS, ["1", True]),
+                              "projected_variances[0]: must be finite and >= 0, got '1'"),
+    "panel_variance.bool": (lambda: aggregate.panel_variance(WEIGHTS, [1.0, True]),
+                            "projected_variances[1]: must be finite and >= 0, got True"),
     # metrics
     "conflict_rate.threshold": (lambda: metrics.conflict_rate([PANEL], {"p1": 5.0}, NAN),
                                 "threshold: must not be NaN, got nan"),
+    "conflict_rate.scores": (lambda: metrics.conflict_rate([PANEL], {"p1": "7"}, 5.0),
+                             "scores['p1']: must be finite, got '7'"),
+    "conflict_rate.scores.nan": (lambda: metrics.conflict_rate([PANEL], {"p1": NAN}, 5.0),
+                                 "scores['p1']: must be finite, got nan"),
+    "DetectorMetrics.tpr": (lambda: metrics.DetectorMetrics(1.5, None, 0.5, 0.5),
+                            "tpr: must lie in [0, 1], got 1.5"),
+    "DetectorMetrics.tpr.string": (lambda: metrics.DetectorMetrics("0.5", None, 0.5, 0.5),
+                                   "tpr: must lie in [0, 1], got '0.5'"),
+    "DetectorMetrics.accuracy.bool": (lambda: metrics.DetectorMetrics(None, None, True, 0.5),
+                                      "accuracy: must lie in [0, 1], got True"),
     # calibrate
     "StratificationPlan.bin_edges": (lambda: plan((0, INF)),
                                      "bin_edges[1]: must be finite, got inf"),
@@ -235,6 +252,22 @@ CASES = {
         lambda: calibrate.rate_matching_threshold([1.0, 2.0], NAN),
         "target_rate: must lie strictly in (0, 1), got nan",
     ),
+    "tail_probability_points.thresholds.bool": (lambda: calibrate.tail_probability_points(ONE, [True]),
+                                                "thresholds[0]: must be a number, got True"),
+    "tail_probability_points.thresholds.string": (lambda: calibrate.tail_probability_points(ONE, [1.0, "2"]),
+                                                  "thresholds[1]: must be a number, got '2'"),
+    "isotonic_fit.points.string": (lambda: calibrate.isotonic_fit([("1", 0.5, 1.0)]),
+                                   "points[0]: must be a number, got '1'"),
+    "isotonic_fit.points.bool": (lambda: calibrate.isotonic_fit([(1.0, 0.5, 1.0), (2.0, True, 1.0)]),
+                                 "points[1]: must be a number, got True"),
+    "isotonic_fit.points.pair": (lambda: calibrate.isotonic_fit([(1.0, 0.5)]),
+                                 "points: each entry must be a (threshold, value, weight) triple"),
+    "IsotonicCurve.knots.bool": (lambda: calibrate.IsotonicCurve(((True, 0.5, "1"),)),
+                                 "knots[0]: must be a number, got True"),
+    "IsotonicCurve.knots.string": (lambda: calibrate.IsotonicCurve(((1.0, 0.5, 1.0), (2.0, 0.5, "1"))),
+                                   "knots[1]: must be a number, got '1'"),
+    "IsotonicCurve.knots.ragged": (lambda: calibrate.IsotonicCurve(((1.0, 0.5, 1.0), (2.0, 0.5, 1.0, 1.0))),
+                                   "knots: each entry must be a (threshold, value, weight) triple"),
     "tau_05.level": (lambda: calibrate.tau_05(CURVE, np.float64(1)),
                      "level: must lie strictly in (0, 1), got 1.0"),
     "tau_05.level.nan": (lambda: calibrate.tau_05(CURVE, NAN),
@@ -469,3 +502,64 @@ def test_a_huge_integer_is_an_infinity():
     assert rules.number("x", 10**400) == INF and rules.number("x", -(10**400)) == -INF
     assert rules.json_number(np.int64(3)) == 3.0 and type(rules.json_number(np.float32(0.5))) is float
     assert rules.json_number(np.bool_(True)) is None and rules.json_number(np.array([1.0])) is None
+
+
+# numbers is number.each as an array: plain floats (NaN, infinities, -0.0), ints to 2**1100, bools, numpy
+# scalars, strings and None, in lists, tuples and arrays of numpy's integer, float, bool and object dtypes
+ENTRIES = st.one_of(
+    st.floats(),
+    st.integers(-(2**1100), 2**1100),
+    st.booleans(),
+    st.sampled_from([-0.0, np.float64(NAN), np.float32(-0.0), np.int64(-3), np.uint64(2**64 - 1),
+                     np.bool_(True), np.float16(INF)]),
+    st.text(max_size=2),
+    st.none(),
+)
+ARRAYS = st.sampled_from([np.float64, np.float32, np.float16, np.int64, np.int8, np.uint64, np.bool_, object])
+
+
+@given(st.lists(ENTRIES, max_size=6), st.sampled_from([list, tuple, "array"]), ARRAYS)
+def test_numbers_is_number_each_as_an_array(values, kind, dtype):
+    if kind == "array":
+        try:
+            with np.errstate(all="ignore"):  # a float past float16's range is cast to an infinity
+                values = np.array(values, dtype=dtype)
+        except (ValueError, TypeError, OverflowError):  # an entry that dtype cannot hold
+            values = np.array(values, dtype=object)
+    else:
+        values = kind(values)
+    got = outcome(lambda: rules.numbers("xs", values))
+    want = outcome(lambda: np.array(rules.number.each("xs", values)))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == np.float64 and got.shape == want.shape == (len(values),)
+        np.testing.assert_array_equal(got, want)  # NaN equals NaN here
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_numbers_takes_a_numeric_array_without_a_pass():
+    scores = np.array([1.0, -0.0, NAN])
+    assert rules.numbers("xs", scores) is scores
+    assert rules.numbers("xs", np.arange(3)).dtype == np.float64
+    assert rules.numbers("xs", [1, 2**1100, -(2**1100)]).tolist() == [1.0, INF, -INF]
+    assert outcome(lambda: rules.numbers("xs", np.ones((2, 2)))) == "xs[0]: must be a number, got array([1., 1.])"
+
+
+# the one string rule, rules.text: each field's message, word for word
+TEXTS = {
+    "ReviewRecord.reviewer_id": (lambda v: ReviewRecord(v, RubricVector((5.0,))), "reviewer_id"),
+    "ReviewPanel.submission_id": (lambda v: ReviewPanel(v, PANEL.reviews), "submission_id"),
+    "CalibrationRecord.submission_id": (lambda v: CalibrationRecord(v, 1.0, True, "accept"), "submission_id"),
+    "CalibrationRecord.status": (lambda v: CalibrationRecord("c1", 1.0, True, v), "status"),
+    "CellQuota.status": (lambda v: calibrate.CellQuota(0, v, 1, 1), "status"),
+}
+
+
+@pytest.mark.parametrize("value", ["", None, 5, b"id"], ids=["empty", "none", "int", "bytes"])
+@pytest.mark.parametrize("call, field", TEXTS.values(), ids=TEXTS.keys())
+def test_text_rule_message(call, field, value):
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{field}: must be a non-empty string"
