@@ -23,6 +23,7 @@ from .core import (
     not_nan,
     positive,
 )
+from .rules import _sequence
 from .tables import PanelTable
 
 if TYPE_CHECKING:
@@ -175,7 +176,7 @@ def gls_weights(projected_variances: Sequence[float]) -> ReviewerWeights:
 
 def panel_variance(weights: ReviewerWeights, projected_variances: Sequence[float]) -> float:
     """Weighted consensus variance sum_m w_m^2 c_m."""
-    variances = tuple(projected_variances)
+    variances = _sequence("projected_variances", projected_variances)
     if len(variances) != len(weights):
         raise ValueError(
             f"projected_variances: expected {len(weights)} entries, got {len(variances)}"

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .rules import integer, non_negative, open_unit, positive
+from .rules import _sequence, integer, non_negative, open_unit, positive
 
 if TYPE_CHECKING:
     from .core import BoundInputs, NoiseProfile, ReviewerWeights, RubricSchema, ScoringFunctional
@@ -115,7 +115,7 @@ def rubric_bound_inputs(
     """
     from .core import BoundInputs
 
-    lambdas = tuple(lambda_max)
+    lambdas = _sequence("lambda_max", lambda_max)
     if len(lambdas) != len(weights):
         raise ValueError(f"lambda_max: expected {len(weights)} entries, got {len(lambdas)}")
     lambdas = non_negative.each("lambda_max", lambdas)

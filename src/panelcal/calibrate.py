@@ -9,13 +9,13 @@ isotonic fit of the conditional tail probability
 
 reaches 1/2, found exactly as a level-set argmin over the tail counts.
 One sort of the pool (``TailCounts``) gives both thresholds, the curve
-points and the packed keys of the bootstrap; ``_tau05_ranks`` runs the
-same rule on whole blocks of bootstrap replicates.  The PAVA fit that
-gives the curve for ``curve.csv`` (``isotonic_fit``, in
-``panelcal.isotonic``) and stratified subsampling, which builds the
-calibration set itself (``stratify``, in ``panelcal.strata``), are
-exported here and imported on first use, so ``simulate threshold-error``
-loads neither.
+of ``curve.csv`` fitted by ``_pava``, the one PAVA loop, and the packed
+keys of the bootstrap; ``_tau05_ranks`` runs the same rule on whole
+blocks of bootstrap replicates.  The point-and-knot API of the same fit
+(``isotonic_fit``, in ``panelcal.isotonic``) and stratified subsampling,
+which builds the calibration set itself (``stratify``, in
+``panelcal.strata``), are exported here and imported on first use, so
+the ``calibrate`` command loads no ``isotonic``.
 
 A pool is either a sequence of ``CalibrationRecord``s or a
 ``tables.CalibrationTable``; either way the work runs on the table's
@@ -130,10 +130,33 @@ class TailCounts(NamedTuple):
             raise ThresholdUnreachableError(f"fitted curve never reaches 0.5 (max fitted value {peak:.6g})")
         return float(self.scores[k])
 
-    def points(self) -> list[tuple[float, float, float]]:
-        """``tail_probability_points`` at the pool's own distinct scores."""
-        return list(zip(self.scores.tolist(), (self.accepts / self.records).tolist(),
-                        self.records.astype(float).tolist()))
+    def curve(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The tail curve at the distinct scores as columns ``(scores, raw, weight, fitted)``: raw = A_k / N_k and
+        weight = N_k, as ``tail_probability_points`` gives them, and their PAVA fit clipped to [0, 1]."""
+        raw = self.accepts / self.records
+        weight = self.records.astype(float)
+        return self.scores, raw, weight, np.clip(_pava(raw, weight), 0.0, 1.0)
+
+
+def _pava(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weighted pool-adjacent-violators fit (non-decreasing) of ``values``; every weight is > 0.
+
+    Each value opens a block (sum of weight * value, sum of weight, size) that absorbs the block below while
+    that block's mean is larger, compared cross-multiplied; a merged block's sums are the lower's plus the newer's.
+    """
+    swv: list[float] = []
+    sw: list[float] = []
+    size: list[int] = []
+    for v, w in zip(values.tolist(), weights.tolist()):
+        top_swv, top_sw, top_size = v * w, w, 1
+        while swv and swv[-1] * top_sw > top_swv * sw[-1]:
+            top_swv = swv.pop() + top_swv
+            top_sw = sw.pop() + top_sw
+            top_size += size.pop()
+        swv.append(top_swv)
+        sw.append(top_sw)
+        size.append(top_size)
+    return np.repeat(np.divide(swv, sw), size)
 
 
 def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> float:

@@ -26,28 +26,16 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     tau_rate = tails.rate_threshold(target_rate)
     achieved = calibrate.empirical_acceptance(used.scores, tau_rate)
     tau05 = tails.tau05()
-    points = tails.points()
-    curve = calibrate.isotonic_fit(points)
-    thresholds = DecisionThresholds(
-        tau_rate=tau_rate,
-        tau_05=tau05,
-        target_rate=target_rate,
-        calibration_size=len(used),
-    )
+    t, raw, weight, fitted = (column.tolist() for column in tails.curve())
+    thresholds = DecisionThresholds(tau_rate, tau05, target_rate, calibration_size=len(used))
 
     payload = {**asdict(thresholds), "stratified": plan is not None, "seed": args.seed}
     run.write("thresholds.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if plan is not None:
         run.write("plan.json", json.dumps(asdict(plan), indent=2, sort_keys=True) + "\n")
 
-    t, raw, weight = zip(*points)
-    run.write(
-        "curve.csv",
-        writers.csv_text(
-            ["threshold", "raw_estimate", "fitted", "weight"],
-            [t, raw, curve.fitted, weight],
-        ),
-    )
+    headers = ["threshold", "raw_estimate", "fitted", "weight"]
+    run.write("curve.csv", writers.csv_text(headers, [t, raw, fitted, weight]))
 
     eps = bounds.dkw_bound(len(used), delta)
     lines = [
@@ -60,7 +48,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         f"tau_rate:            {tau_rate:.6g}",
         f"achieved rate:       {achieved:.6g}  ({round(achieved * len(used))}/{len(used)})",
         f"tau_05:              {tau05:.6g}",
-        f"curve max fitted:    {curve.fitted[-1]:.6g}",
+        f"curve max fitted:    {fitted[-1]:.6g}",
         f"rate error bound:    {eps:.6g}  (delta={delta:.6g})",
         "",
     ]

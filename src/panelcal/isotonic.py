@@ -5,11 +5,11 @@
     pi(z) = P(human accepts | agent score >= z)
 
 at candidate thresholds, ``isotonic_fit`` their weighted PAVA fit and
-``tau_05`` the smallest knot where the fit reaches a level.  ``calibrate``
-exports these names and imports this module on first use of one: the
-``calibrate`` command writes the fitted curve, and ``simulate
-threshold-error``, which needs only ``calibrate.TailCounts``, loads none
-of this.
+``tau_05`` the smallest knot where the fit reaches a level; the fit is
+``calibrate._pava``, the one PAVA loop.  ``calibrate`` exports these names
+and imports this module on first use of one.  The ``calibrate`` command
+writes ``calibrate.TailCounts.curve``'s columns and ``simulate
+threshold-error`` needs only the tail counts, so neither loads this.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibrate import Pool, TailCounts, _table, _tails
+from .calibrate import Pool, TailCounts, _pava, _table, _tails
 from .rules import ThresholdUnreachableError, _fail, numbers, open_unit
 
 __all__ = ["IsotonicCurve", "tail_probability_points", "isotonic_fit", "tau_05", "fit_tau05"]
@@ -82,10 +82,7 @@ class IsotonicCurve:
         return tuple(k[2] for k in self.knots)
 
 
-def tail_probability_points(
-    records: Pool,
-    thresholds: Sequence[float],
-) -> list[tuple[float, float, float]]:
+def tail_probability_points(records: Pool, thresholds: Sequence[float]) -> list[tuple[float, float, float]]:
     """Raw conditional acceptance estimates at candidate thresholds.
 
     For each threshold z the estimate is the accepted fraction among
@@ -112,25 +109,6 @@ def tail_probability_points(
     return list(zip(cand.tolist(), estimates.tolist(), counts.astype(float).tolist()))
 
 
-def _pava(values: Sequence[float], weights: Sequence[float]) -> np.ndarray:
-    """Weighted pool-adjacent-violators fit (non-decreasing)."""
-    swv: list[float] = []  # per-block sum of weight * value
-    sw: list[float] = []   # per-block sum of weight
-    cnt: list[int] = []
-    for v, w in zip(values, weights):
-        swv.append(v * w)
-        sw.append(w)
-        cnt.append(1)
-        # merge while the previous block mean exceeds the last one;
-        # cross-multiplied form avoids division (weights are positive)
-        while len(swv) > 1 and swv[-2] * sw[-1] > swv[-1] * sw[-2]:
-            top_swv, top_sw, top_cnt = swv.pop(), sw.pop(), cnt.pop()
-            swv[-1] += top_swv
-            sw[-1] += top_sw
-            cnt[-1] += top_cnt
-    return np.repeat(np.divide(swv, sw), cnt)
-
-
 def isotonic_fit(points: Sequence[tuple[float, float, float]]) -> IsotonicCurve:
     """Weighted least-squares non-decreasing fit of (t, value, weight) points."""
     if not len(points):
@@ -138,8 +116,7 @@ def isotonic_fit(points: Sequence[tuple[float, float, float]]) -> IsotonicCurve:
     ts, values, weights = _columns("points", points)
     _first_bad("points", [(values, (values >= 0.0) & (values <= 1.0), "value must lie in [0, 1]")])
     _first_bad("points", [(weights, np.isfinite(weights) & (weights > 0), "weight must be finite and > 0")])
-    fitted = _pava(values.tolist(), weights.tolist())
-    return IsotonicCurve(tuple(zip(ts.tolist(), fitted.tolist(), weights.tolist())))
+    return IsotonicCurve(tuple(zip(ts.tolist(), _pava(values, weights).tolist(), weights.tolist())))
 
 
 def tau_05(curve: IsotonicCurve, level: float = 0.5) -> float:
@@ -161,4 +138,5 @@ def fit_tau05(records: Pool) -> tuple[float, IsotonicCurve]:
     """tau_05 of the records, and the isotonic fit of their tail curve, from one sort."""
     table = _table(records)
     tails = _tails(table.scores, table.accepts)
-    return tails.tau05(), isotonic_fit(tails.points())
+    scores, _, weight, fitted = tails.curve()
+    return tails.tau05(), IsotonicCurve(tuple(zip(scores.tolist(), fitted.tolist(), weight.tolist())))

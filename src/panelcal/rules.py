@@ -70,8 +70,15 @@ class NumberRule:
         return number
 
     def each(self, field: str, values: Iterable[Any]) -> tuple[float, ...]:
-        """Every value as a float, each checked in order as ``field[k]``."""
-        return tuple(self(f"{field}[{k}]", value) for k, value in enumerate(values))
+        """Every value of ``_sequence(field, values)`` as a float, each checked in order as ``field[k]``."""
+        return tuple(self(f"{field}[{k}]", value) for k, value in enumerate(_sequence(field, values)))
+
+
+def _sequence(field: str, values: Any) -> tuple[Any, ...]:
+    """``values`` as a tuple; a bare number or a 0-d array raises ``field: must be a sequence of numbers``."""
+    if not hasattr(values, "__iter__") or getattr(values, "ndim", None) == 0:
+        _fail(field, "must be a sequence of numbers")
+    return tuple(values)
 
 
 number = NumberRule("be a number", lambda x: True)
@@ -100,7 +107,7 @@ def numbers(field: str, values: Iterable[Any]) -> np.ndarray:
 
 def increasing_edges(field: str, values: Iterable[Any]) -> tuple[float, ...]:
     """``values`` as bin edges: at least 2 finite numbers, strictly increasing, as floats."""
-    values = tuple(values)
+    values = _sequence(field, values)
     if len(values) < 2:
         _fail(field, f"need at least 2 edges, got {len(values)}")
     checked = finite.each(field, values)

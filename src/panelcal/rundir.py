@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import shutil
 import time
@@ -79,7 +80,7 @@ class _Run:
         self.started_at = _utc_now()
         self.input_digests: dict[str, str] = {}  # of the JSONL inputs, from the bytes ``load`` parsed
         self.entries: list[Callable[[], None]] = []  # the cache writes of the tables parsed
-        self.outputs: dict[str, str] = {}
+        self.outputs: dict[str, bytes] = {}  # each output's text, encoded once
 
     def load(self, kind: str, path: str) -> PanelTable | CalibrationTable:
         """The ``kind`` ("panel" or "pool") table of the JSONL file at ``path``.
@@ -105,11 +106,12 @@ class _Run:
     def write(self, name: str, text: str) -> None:
         if name in self.outputs:
             raise RuntimeError(f"refusing to overwrite {name}")
-        self.outputs[name] = text
+        self.outputs[name] = text.encode("utf-8")
 
     def finish(self) -> None:
         """Create the run directory, write the outputs, the manifest, then the cache entries.
 
+        The ``mkdir`` claims the name (the next suffix while it exists), and each digest is of the bytes written.
         A run that loaded a JSONL input then prunes the cache of entries whose input is gone.
         """
         input_digests = {**self.input_digests, **{str(p): _sha256_file(Path(p)) for p in self.input_paths}}
@@ -127,14 +129,15 @@ class _Run:
             raise _out_error(self.out_base, exc.errno) from None
         name = f"{self.command}-{self.stamp}-{ident}"
         run_dir = self.out_base / name
-        suffix = 1
-        while run_dir.exists():
-            suffix += 1
-            run_dir = self.out_base / f"{name}-{suffix}"
-        run_dir.mkdir()
+        for suffix in itertools.count(2):  # no exists() first: another run may take the name before the mkdir
+            try:
+                run_dir.mkdir()
+                break
+            except FileExistsError:
+                run_dir = self.out_base / f"{name}-{suffix}"
         try:
-            for output, text in self.outputs.items():
-                (run_dir / output).write_text(text, encoding="utf-8")
+            for output, data in self.outputs.items():
+                (run_dir / output).write_bytes(data)
             manifest = RunManifest(
                 command=self.command,
                 tool_version=__version__,
@@ -143,10 +146,10 @@ class _Run:
                 seed=self.seed,
                 config_digest=config_digest,
                 input_digests=input_digests,
-                output_digests={output: _sha256_file(run_dir / output) for output in sorted(self.outputs)},
+                output_digests={output: hashlib.sha256(data).hexdigest() for output, data in self.outputs.items()},
             )
             text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-            (run_dir / "manifest.json").write_text(text, encoding="utf-8")
+            (run_dir / "manifest.json").write_bytes(text.encode("utf-8"))
         except OSError:  # no run directory without its manifest; ``cli.main`` words the error
             shutil.rmtree(run_dir, ignore_errors=True)
             raise

@@ -14,11 +14,13 @@ columns and words the same errors.
 ``scalar_uniform_bound`` computes its Bernstein exponent itself, as the
 package did before ``tail_bound`` and it shared one exponent function.
 
-The calibration references are the earlier forms of two computations:
+The calibration references are the earlier forms of three computations:
 ``tau05_from_scores`` as an integer suffix sum over the tail counts (the
-package runs a level-set kernel over packed ranks), and
-``allocate_quotas`` with its reallocation loop (the package gives out the
-leftover units in one pass).
+package runs a level-set kernel over packed ranks), ``allocate_quotas``
+with its reallocation loop (the package gives out the leftover units in
+one pass), and ``pava``, the weighted PAVA fit that pushes each value as a
+block and then merges the top two (the package merges the newest block
+before it pushes it).
 
 ``load_panel_table`` reads a panel file one line at a time, checking each
 field of each review as it goes (the package decodes a piece of lines in
@@ -276,6 +278,25 @@ def scalar_uniform_bound(m: int, gamma: float, sigma_sq: float, range_width: flo
     if math.isnan(exponent):  # the denominator underflows, or it and m * gamma^2 overflow
         exponent = m * gamma / (2.0 * (sigma_sq / gamma) + (2.0 / 3.0) * range_width)
     return math.exp(-exponent)
+
+
+def pava(values: Sequence[float], weights: Sequence[float]) -> np.ndarray:
+    """Weighted pool-adjacent-violators fit (non-decreasing)."""
+    swv: list[float] = []  # per-block sum of weight * value
+    sw: list[float] = []   # per-block sum of weight
+    cnt: list[int] = []
+    for v, w in zip(values, weights):
+        swv.append(v * w)
+        sw.append(w)
+        cnt.append(1)
+        # merge while the previous block mean exceeds the last one;
+        # cross-multiplied form avoids division (weights are positive)
+        while len(swv) > 1 and swv[-2] * sw[-1] > swv[-1] * sw[-2]:
+            top_swv, top_sw, top_cnt = swv.pop(), sw.pop(), cnt.pop()
+            swv[-1] += top_swv
+            sw[-1] += top_sw
+            cnt[-1] += top_cnt
+    return np.repeat(np.divide(swv, sw), cnt)
 
 
 def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> float:

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import isotonic_regression
 
 import reference
+from panelcal import calibrate
 from panelcal.calibrate import (
     CellQuota,
     IsotonicCurve,
@@ -401,6 +403,52 @@ def test_isotonic_fit_invariants():
         # fitting a monotone vector is the identity, so the fit is idempotent
         again = isotonic_fit([(float(i), float(v), float(w)) for i, (v, w) in enumerate(zip(fitted, weights))])
         np.testing.assert_allclose(again.fitted, fitted, atol=1e-12)
+
+
+@st.composite
+def pava_columns(draw):
+    """(values in [0, 1], weights > 0): tied values, equal weights, a single point, long decreasing runs."""
+    n = draw(st.integers(1, 80))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), min_size=n, max_size=n))
+    else:
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=3)))
+    runs = [sorted(values[a:b], reverse=True) for a, b in zip([0, *cuts], [*cuts, n])]
+    if draw(st.booleans()):  # decreasing runs, each merged into one block
+        values = [v for run in runs for v in run]
+    weight = st.one_of(st.integers(1, 1000).map(float), st.floats(1e-3, 1e3))
+    weights = [draw(weight)] * n if draw(st.booleans()) else draw(st.lists(weight, min_size=n, max_size=n))
+    return np.array(values), np.array(weights)
+
+
+@given(pava_columns())
+@example((np.array([0.5]), np.array([2.0])))
+@example((np.linspace(1.0, 0.0, 60), np.ones(60)))
+def test_pava_kernel_is_the_reference_loop_bit_for_bit(columns):
+    values, weights = columns
+    got = calibrate._pava(values, weights)
+    want = reference.pava(values.tolist(), weights.tolist())
+    assert got.dtype == np.float64 and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(pava_columns())
+@example((np.array([0.5]), np.array([2.0])))
+def test_pava_kernel_matches_scipy(columns):
+    values, weights = columns
+    want = isotonic_regression(values, weights=weights).x
+    np.testing.assert_allclose(calibrate._pava(values, weights), want, rtol=0, atol=1e-12)
+
+
+@given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, -0.0, 2.0, 3.5]) | st.floats(-10, 10), st.booleans()),
+                min_size=1, max_size=60))
+def test_tail_curve_is_the_isotonic_fit_of_the_tail_points(pool):
+    scores, accepts = (list(column) for column in zip(*pool))
+    t, raw, weight, fitted = TailCounts.of(np.array(scores), np.array(accepts)).curve()
+    points = tail_probability_points(make_pool(scores, accepts=accepts), t.tolist())
+    curve = isotonic_fit(points)
+    for got, want in zip((t, raw, weight, fitted), (*zip(*points), curve.fitted)):
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))
 
 
 def test_isotonic_fit_validation():

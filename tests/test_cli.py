@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from panelcal import calibrate, isotonic, simulate, strata
+from panelcal import calibrate, simulate, strata
 from panelcal.cli import _sha256_file, main
 from panelcal.core import CalibrationRecord
 from panelcal.records import load_calibration_records
@@ -230,7 +230,7 @@ def test_calibrate_stratified_deterministic(tmp_path, capsys):
 
 def test_calibrate_fits_and_bins_once(tmp_path, capsys, monkeypatch):
     calls = collections.Counter()
-    for module, name in ((isotonic, "_pava"), (strata, "_cell_members")):
+    for module, name in ((calibrate, "_pava"), (strata, "_cell_members")):
 
         def counted(*args, _name=name, _original=getattr(module, name)):
             calls[_name] += 1
@@ -245,7 +245,7 @@ def test_calibrate_fits_and_bins_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "calibrate", "--records", pool, "--config", config,
                          "--seed", "3", "--out", str(tmp_path / "runs"))
     assert code == 0
-    # one ranking of the calibration set gives tau_rate, tau_05 and the curve points
+    # one ranking of the calibration set gives tau_rate, tau_05 and the curve, fitted by one PAVA run
     assert calls == {"_pava": 1, "TailCounts.of": 1, "_cell_members": 1}
 
 
@@ -940,8 +940,8 @@ def test_detector_eval_requires_labels(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("method", "name", "code"),
     [
-        ("write_text", "detector.csv", errno.ENOSPC),
-        ("write_text", "manifest.json", errno.ENOSPC),
+        ("write_bytes", "detector.csv", errno.ENOSPC),
+        ("write_bytes", "manifest.json", errno.ENOSPC),
         ("mkdir", "detector-eval-", errno.EACCES),
     ],
     ids=["first-output", "manifest", "run-directory"],
@@ -970,6 +970,60 @@ def test_a_failed_write_exits_2_and_leaves_no_run_directory(tmp_path, capsys, mo
     assert out_text == ""
     assert err == f"error: {failed[0]}: {os.strerror(code)}\n"
     assert kept() == before
+
+
+def test_a_run_directory_name_taken_before_its_mkdir_gets_the_next_suffix(tmp_path, capsys, monkeypatch):
+    # another run makes the chosen name between the name's choice and the mkdir: the mkdir's
+    # FileExistsError, not an exists() before it, moves this run on to the next suffix
+    panels = write(tmp_path, "panels.jsonl", DET_PANELS)
+    out = tmp_path / "runs"
+    original, taken = Path.mkdir, []
+
+    def mkdir(path, *args, **kwargs):
+        if path.name.startswith("detector-eval-") and not taken:
+            taken.append(path)
+            original(path)  # the other run's directory
+        return original(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "mkdir", mkdir)
+    code, text, err = run_cli(capsys, "detector-eval", "--panels", panels, "--out", str(out))
+    assert (code, err) == (0, "")
+    (other,) = taken
+    assert run_dir(text) == other.with_name(f"{other.name}-2")
+    assert (run_dir(text) / "manifest.json").is_file() and not any(other.iterdir())
+
+
+def test_an_output_that_is_not_utf8_exits_2_before_any_run_directory(tmp_path, capsys):
+    # a lone surrogate in a panel id cannot be encoded: each output is encoded as it is handed over,
+    # so the run stops before finish makes a directory it could not complete
+    panels = write(tmp_path, "panels.jsonl",
+                   '{"id": "a\\ud800", "reviews": [{"reviewer": "m1", "overall": 7, "flag": false}]}\n')
+    thresholds = write(tmp_path, "thresholds.json", THRESHOLDS)
+    config = write_json(tmp_path, "config.json", {"functional": {"kind": "linear", "coefficients": [1]}})
+    out = tmp_path / "runs"
+    code, text, err = run_cli(capsys, "review", "--panels", panels, "--thresholds", thresholds, "--config", config,
+                              "--out", str(out))
+    assert (code, text) == (2, "")
+    assert "surrogates not allowed" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_finish_hashes_the_bytes_it_wrote(tmp_path, capsys, monkeypatch):
+    # files are hashed only for the JSON inputs and the config: each output's digest is of the
+    # bytes written, and equals the sha256 of the file on disk
+    from panelcal import rundir
+
+    argv, _ = cached_command(tmp_path, "review")
+    files, sha256_file = [], rundir._sha256_file
+    monkeypatch.setattr(rundir, "_sha256_file", lambda path: files.append(str(path)) or sha256_file(path))
+    code, text, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "runs"))
+    assert code == 0
+    assert sorted(files) == sorted([argv[argv.index("--thresholds") + 1], argv[argv.index("--config") + 1]])
+    d = run_dir(text)
+    digests = json.loads((d / "manifest.json").read_text())["output_digests"]
+    assert sorted(digests) == sorted(p.name for p in d.iterdir() if p.name != "manifest.json")
+    for name, digest in digests.items():
+        assert digest == hashlib.sha256((d / name).read_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------- fail closed

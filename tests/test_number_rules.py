@@ -84,6 +84,8 @@ CASES = {
                           "lambda_max[1]: must be finite and >= 0, got -2.0"),
     "rubric.lambda_max.string": (lambda: bounds.rubric_bound_inputs(WEIGHTS, SCHEMA, LINEAR, ["2", True]),
                                  "lambda_max[0]: must be finite and >= 0, got '2'"),
+    "rubric.lambda_max.scalar": (lambda: bounds.rubric_bound_inputs(WEIGHTS, SCHEMA, LINEAR, 2.0),
+                                 "lambda_max: must be a sequence of numbers"),
     "rubric.lambda_max.length": (
         lambda: bounds.rubric_bound_inputs(WEIGHTS, SCHEMA, LINEAR, [NAN]),
         "lambda_max: expected 2 entries, got 1",
@@ -197,8 +199,12 @@ CASES = {
                                "values[2]: must be finite, got -inf"),
     "gls_weights": (lambda: aggregate.gls_weights([1, 0]),
                     "projected_variances[1]: must be finite and > 0, got 0.0"),
+    "gls_weights.scalar": (lambda: aggregate.gls_weights(2.0),
+                           "projected_variances: must be a sequence of numbers"),
     "panel_variance": (lambda: aggregate.panel_variance(WEIGHTS, [np.float64(-1), 1]),
                        "projected_variances[0]: must be finite and >= 0, got -1.0"),
+    "panel_variance.scalar": (lambda: aggregate.panel_variance(WEIGHTS, np.float64(2.0)),
+                              "projected_variances: must be a sequence of numbers"),
     "panel_variance.length": (lambda: aggregate.panel_variance(WEIGHTS, [-1]),
                               "projected_variances: expected 2 entries, got 1"),
     "panel_variance.string": (lambda: aggregate.panel_variance(WEIGHTS, ["1", True]),
@@ -244,6 +250,16 @@ CASES = {
                                           "status_vocabulary: entries must be unique"),
     "empirical_acceptance.threshold": (lambda: calibrate.empirical_acceptance([1.0, 2.0], NAN),
                                        "threshold: must not be NaN, got nan"),
+    "empirical_acceptance.scores.scalar": (lambda: calibrate.empirical_acceptance(5.0, 1.0),
+                                           "scores: must be a sequence of numbers"),
+    "empirical_acceptance.scores.0-d": (lambda: calibrate.empirical_acceptance(np.array(5.0), 1.0),
+                                        "scores: must be a sequence of numbers"),
+    "tau05_from_scores.scores.scalar": (lambda: calibrate.tau05_from_scores(5.0, 1),
+                                        "scores: must be a sequence of numbers"),
+    "rate_matching_threshold.scores.numpy-scalar": (
+        lambda: calibrate.rate_matching_threshold(np.float64(5.0), 0.5),
+        "scores: must be a sequence of numbers",
+    ),
     "rate_matching_threshold.target_rate": (
         lambda: calibrate.rate_matching_threshold([1.0, 2.0], 0),
         "target_rate: must lie strictly in (0, 1), got 0.0",
@@ -282,6 +298,7 @@ CASES = {
         "threshold: must be finite, got nan",
     ),
     "margin_bin_edges.count": (lambda: simulate.margin_bin_edges([0.5]), "bin_edges: need at least 2 edges, got 1"),
+    "margin_bin_edges.scalar": (lambda: simulate.margin_bin_edges(0.5), "bin_edges: must be a sequence of numbers"),
     "margin_bin_edges.decreasing": (lambda: simulate.margin_bin_edges([1, 0.5]),
                                     "bin_edges: must be strictly increasing, got [1.0, 0.5]"),
     "margin_bin_edges.first": (lambda: simulate.margin_bin_edges([-1, 1]),
@@ -544,6 +561,15 @@ def test_numbers_takes_a_numeric_array_without_a_pass():
     assert rules.numbers("xs", np.arange(3)).dtype == np.float64
     assert rules.numbers("xs", [1, 2**1100, -(2**1100)]).tolist() == [1.0, INF, -INF]
     assert outcome(lambda: rules.numbers("xs", np.ones((2, 2)))) == "xs[0]: must be a number, got array([1., 1.])"
+
+
+@pytest.mark.parametrize("value", [5.0, 2, None, np.float64(5.0), np.int64(2), np.array(5.0), np.array([5.0])[0]],
+                         ids=["float", "int", "none", "np-float", "np-int", "0-d", "element"])
+def test_a_bare_number_is_not_a_sequence(value):
+    message = "xs: must be a sequence of numbers"
+    assert outcome(lambda: rules.numbers("xs", value)) == message
+    assert outcome(lambda: rules.finite.each("xs", value)) == message
+    assert outcome(lambda: rules.increasing_edges("xs", value)) == message
 
 
 # the one string rule, rules.text: each field's message, word for word
