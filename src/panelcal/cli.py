@@ -70,6 +70,7 @@ _HASH_BLOCK = 1 << 20  # bytes read at once, so no file is held whole to hash it
 
 
 def _sha256_file(path: Path) -> str:
+    # no command calls it (each manifest digest is of bytes already read); bench/tracer.py wraps it by name
     import hashlib  # here: OpenSSL costs bound, which hashes nothing, a few ms of start-up
 
     digest = hashlib.sha256()

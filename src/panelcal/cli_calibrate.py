@@ -26,7 +26,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     tau_rate = tails.rate_threshold(target_rate)
     achieved = calibrate.empirical_acceptance(used.scores, tau_rate)
     tau05 = tails.tau05()
-    t, raw, weight, fitted = (column.tolist() for column in tails.curve())
+    t, raw, weight, fitted = tails.curve()
     thresholds = DecisionThresholds(tau_rate, tau05, target_rate, calibration_size=len(used))
 
     payload = {**asdict(thresholds), "stratified": plan is not None, "seed": args.seed}

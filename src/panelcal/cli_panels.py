@@ -2,19 +2,20 @@
 
 Both parse a panel file once into a ``PanelTable`` and work on its
 columns; neither imports ``simulate``, ``calibrate`` or ``bounds``, and
-only ``bayes`` imports ``panelcal.bayes``.  ``detector-eval``, which
-scores nothing, lives in ``cli_detector``.
+only ``bayes`` imports ``panelcal.bayes``, and only ``review``
+``metrics``.  ``detector-eval``, which scores nothing, lives in
+``cli_detector``.  Both write their per-panel files from typed columns
+(``writers.texts``): each distinct number is formatted once.
 """
 
 from __future__ import annotations
 
 import argparse
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
-from . import aggregate, config, metrics, rules, writers
-from .cli_detector import _check_roster
+from . import aggregate, config, rules, writers
 from .core import RubricSchema, ScoringFunctional
 from .rundir import _Run
 from .tables import PanelTable, left_sums
@@ -96,11 +97,18 @@ def _check_criteria(table: PanelTable, functional: ScoringFunctional) -> None:
                       f"rubric length differs from the functional's {count} coefficients")
 
 
+def _margin(tau: float) -> Callable[[float], str]:
+    """The text of ``score - tau`` for one distinct score: the IEEE subtraction numpy runs over a column."""
+    return lambda score: repr(score - tau)
+
 
 # ---------------------------------------------------------------- review
 
 
 def cmd_review(args: argparse.Namespace) -> int:
+    from . import metrics  # here, so bayes does not load the rates or the roster check
+    from .cli_detector import _check_roster
+
     schema, functional, weights, gls_variances = config.load(
         args.config, "schema", "functional", "weights", "gls_variances"
     )
@@ -144,6 +152,7 @@ def cmd_review(args: argparse.Namespace) -> int:
                 (name, label, writers.rate_with_counts(k, total) if total else "- (no flags)")
             )
 
+    score_text, margin_rate, margin_05 = writers.texts(scores, repr, *map(_margin, taus.values()))
     run.write(
         "decisions.csv",
         writers.csv_text(
@@ -158,12 +167,12 @@ def cmd_review(args: argparse.Namespace) -> int:
             ],
             [
                 table.ids,
-                scores.tolist(),
-                accepts["tau_rate"].tolist(),
-                (scores - thresholds.tau_rate).tolist(),
-                accepts["tau_05"].tolist(),
-                (scores - thresholds.tau_05).tolist(),
-                table.any_flag.tolist(),
+                score_text,
+                accepts["tau_rate"],
+                margin_rate,
+                accepts["tau_05"],
+                margin_05,
+                table.any_flag,
             ],
         ),
     )
@@ -232,9 +241,10 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     p_accept, robust, solicit = bayes.credible_calls(
         means, posterior_variances, threshold, alpha, solicit_variance
     )
-    counts = list(map(str, table.counts.tolist()))
-    notes = ["" if count else "prior-only" for count in table.counts.tolist()]
-    floats = [means.tolist(), posterior_variances.tolist(), p_accept.tolist()]
+    [counts] = writers.texts(table.counts, str)
+    notes = writers.Cells(("prior-only", ""), table.counts > 0)
+    # each float column's full text for the CSV and its 4-decimal text for the report
+    floats = [writers.texts(column, repr, "{:.4f}".format) for column in (means, posterior_variances, p_accept)]
 
     run.write(
         "bayes.csv",
@@ -253,10 +263,10 @@ def cmd_bayes(args: argparse.Namespace) -> int:
             [
                 table.ids,
                 counts,
-                *floats,
-                (p_accept >= 0.5).tolist(),
-                robust.tolist(),
-                solicit.tolist(),
+                *(full for full, _ in floats),
+                p_accept >= 0.5,
+                robust,
+                solicit,
                 notes,
             ],
         ),
@@ -264,8 +274,8 @@ def cmd_bayes(args: argparse.Namespace) -> int:
     table_columns = [
         table.ids,
         counts,
-        *(list(map("{:.4f}".format, column)) for column in floats),
-        *([("no", "yes")[call] for call in calls.tolist()] for calls in (robust, solicit)),
+        *(short for _, short in floats),
+        *(writers.Cells(("no", "yes"), calls) for calls in (robust, solicit)),
         notes,
     ]
     report = [

@@ -7,10 +7,13 @@ invalid JSON raise ``RecordError`` naming the file (and line).  This
 module loads no numpy: ``config`` reads its files through it, and
 ``rundir`` reads and hashes a JSONL input with it before the column
 cache is looked up, so a cache hit loads no parser (``records``).
+``load_config`` keeps the sha256 of the bytes it read, so a run's
+manifest names the bytes the run used without reading the file again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -19,6 +22,8 @@ from typing import Any
 from .rules import RecordError
 
 __all__ = ["read_text", "load_config"]
+
+_digests: dict[str, str] = {}  # path as given -> sha256 of the bytes ``load_config`` last read there
 
 
 def read_text(path: str | Path) -> str:
@@ -64,7 +69,14 @@ def _decode(text: str, where: str) -> Any:
 
 def load_config(path: str | Path) -> dict[str, Any]:
     """Load a JSON config or thresholds file; the top level must be an object."""
-    data = _decode(read_text(path), str(path))
+    raw = _read_bytes(path)
+    _digests[str(path)] = hashlib.sha256(raw).hexdigest()
+    data = _decode(_decode_text(path, raw), str(path))
     if not isinstance(data, dict):
         raise RecordError(f"{path}: top level must be a JSON object")
     return data
+
+
+def digest(path: str | Path) -> str:
+    """The sha256 of the file at ``path`` as ``load_config`` last read it; a KeyError if it never did."""
+    return _digests[str(path)]

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Container, Iterable
 
@@ -257,6 +258,21 @@ def _breaks(text: str) -> bool:
     return text.splitlines() not in ([text], [])
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # a code point no output can encode as UTF-8
+
+
+def _unicode(key: str, column: list[str], present: Iterable[str]) -> _Break:
+    """The first entry of ``column`` that holds a lone surrogate (a ``"\\ud800"`` escape).
+
+    ``present`` holds the strings of ``column``, or is ``column``.
+    """
+    text = "".join(present)
+    if text.isascii() or not _SURROGATE.search(text):
+        return None
+    k = next(k for k, value in enumerate(column) if _SURROGATE.search(value))
+    return k, f"field {key!r} must not contain a lone surrogate"
+
+
 def _numbers(values: list[Any]) -> tuple[np.ndarray | None, int | None, int | None]:
     """(``rules.numbers(values)``, None, None) if each value is a finite JSON number, else None, the index of
     the first value that is not a JSON number (``json_number`` is None) and that of the first that is not finite."""
@@ -358,6 +374,7 @@ class _PanelColumns:
         panel = [
             _text("id", self.ids, self.ids),
             _one_line("id", self.ids, self.ids),
+            _unicode("id", self.ids, self.ids),
             _typed(self.labels, {bool, type(None)}, "field 'label' must be a boolean or null"),
             (self.not_arrays[0], "field 'reviews' must be an array") if self.not_arrays else None,
         ]
@@ -365,6 +382,7 @@ class _PanelColumns:
             (self.not_objects[0], "each review must be a JSON object") if self.not_objects else None,
             _text("reviewer", self.reviewer, self.names),
             _one_line("reviewer", self.reviewer, self.names),
+            _unicode("reviewer", self.reviewer, self.names),
             (self.neither[0], "each review needs a 'rubric' array or an 'overall' number")
             if self.neither else None,
             (self.criteria.index(0), "field 'rubric' must be a non-empty array of numbers")
@@ -442,10 +460,12 @@ class _PoolColumns:
         self.flat, not_number, not_finite = _numbers(self.scores)
         hits = [
             _text("id", self.ids, self.ids),
+            _unicode("id", self.ids, self.ids),
             None if not_number is None else (not_number, "field 'score' must be a number"),
             None if not_finite is None else (not_finite, "field 'score' must be finite"),
             _typed(self.accepts, {bool}, "field 'accept' must be a boolean"),
             _text("status", self.statuses, self.vocabulary),
+            _unicode("status", self.statuses, self.vocabulary),
             _duplicate("record", self.ids),
         ]
         return [hit and ((hit[0], 0), hit[1]) for hit in hits]

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from . import __version__
-from .cli import _out_error, _sha256_file
+from .cli import _out_error
 
 if TYPE_CHECKING:
     from .tables import CalibrationTable, PanelTable
@@ -59,8 +59,9 @@ def _utc_now() -> str:
 class _Run:
     """One run's manifest and outputs, kept in memory until ``finish`` writes them.
 
-    ``input_paths`` are JSON inputs, hashed by ``finish``; each JSONL input
-    is read through ``load``.
+    ``config_path`` and ``input_paths`` are JSON inputs, which the command
+    has read through ``reader.load_config``: their digests are of the bytes
+    it read.  Each JSONL input is read through ``load``.
     """
 
     def __init__(
@@ -114,8 +115,12 @@ class _Run:
         The ``mkdir`` claims the name (the next suffix while it exists), and each digest is of the bytes written.
         A run that loaded a JSONL input then prunes the cache of entries whose input is gone.
         """
-        input_digests = {**self.input_digests, **{str(p): _sha256_file(Path(p)) for p in self.input_paths}}
-        config_digest = None if self.config_path is None else _sha256_file(Path(self.config_path))
+        input_digests, config_digest = dict(self.input_digests), None
+        if self.config_path is not None or self.input_paths:
+            from . import reader  # the command has loaded it to read these files
+
+            input_digests.update((str(p), reader.digest(p)) for p in self.input_paths)
+            config_digest = None if self.config_path is None else reader.digest(self.config_path)
         ident = hashlib.sha256(
             json.dumps(
                 [self.command, self.seed, config_digest, sorted(input_digests.items())],

@@ -1,19 +1,30 @@
 """Plain-text and CSV writers of the report files: percentages, aligned tables and CSV text.
 
 Every command that writes a report calls them here; ``metrics``
-re-exports them as the same objects.  They need no numpy and no
-dataclass, so ``simulate threshold-error`` and ``calibrate``, which
-compute no rate, load this module and not ``metrics``.
+re-exports them as the same objects.  They need no dataclass and import
+numpy only when handed an array, so ``simulate threshold-error``,
+``calibrate`` and ``bayes``, which compute no rate, load this module and
+not ``metrics``.
+
+A column is a list (or tuple) of values, or a typed one: a numpy float,
+integer or bool array, or ``Cells``.  A list column's cells are
+converted one by one (a ``str`` stays as it is).  A typed column becomes
+``Cells``: a float array is written by ``repr`` and an integer array by
+``str``, each once per distinct value (for floats, per distinct bit
+pattern, so ``-0.0`` and ``0.0`` keep their own texts), and a bool array
+as ``True``/``False``.  The writers then work on each column's distinct
+strings: the CSV writer checks and quotes each once, and a report column
+is as wide as the longest string its rows use.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from itertools import zip_longest
-from typing import Sequence
+from itertools import compress, repeat, zip_longest
+from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["format_percent", "rate_with_counts", "aligned_table", "csv_text"]
+__all__ = ["format_percent", "rate_with_counts", "aligned_table", "csv_text", "Cells", "texts"]
 
 
 def format_percent(value: float | None) -> str:
@@ -30,65 +41,145 @@ def rate_with_counts(numerator: int, denominator: int) -> str:
     return f"{format_percent(numerator / denominator)} ({numerator}/{denominator})"
 
 
-def aligned_table(headers: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
+class Cells:
+    """A column of finished text: row ``i`` holds ``strings[codes[i]]``.
+
+    ``codes`` is a numpy integer or bool array (a bool code takes entry 0
+    or 1).  The writers take the strings as they are, with no ``str()``.
+    """
+
+    __slots__ = ("strings", "codes")
+
+    def __init__(self, strings: Sequence[str], codes: Any) -> None:
+        import numpy as np  # here: a Cells is made from numpy arrays, and writers loads no numpy itself
+
+        self.strings = list(strings)
+        self.codes = np.asarray(codes).astype(np.intp, copy=False)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+def texts(values: Any, *formats: Callable[[Any], str]) -> list[Cells]:
+    """``values``, a numpy number array, as Cells in each of ``formats``, from one ``unique``.
+
+    Each format turns one Python number into its text (``repr``,
+    ``"{:.4f}".format``) and runs once per distinct value.  Floats are
+    told apart by their bit patterns, so ``-0.0`` and ``0.0`` (and NaNs of
+    other payloads) keep their own texts.
+    """
+    import numpy as np
+
+    values = np.asarray(values)
+    if values.dtype.kind == "f":
+        keys, codes = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
+        distinct = keys.view(np.float64).tolist()
+    else:
+        keys, codes = np.unique(values, return_inverse=True)
+        distinct = keys.tolist()
+    return [Cells(list(map(fmt, distinct)), codes) for fmt in formats]
+
+
+def _strings(column: Sequence[object] | Cells, none: str) -> tuple[list[str], Any]:
+    """``column``'s strings and codes: row ``i`` holds ``strings[codes[i]]``, or ``strings[i]`` when codes is None.
+
+    A list column's cells are its strings, ``none`` standing for None.
+    """
+    kind = getattr(getattr(column, "dtype", None), "kind", None)
+    if kind == "b":
+        column = Cells(("False", "True"), column)
+    elif kind in ("f", "i", "u"):
+        [column] = texts(column, repr if kind == "f" else str)
+    if isinstance(column, Cells):
+        return column.strings, column.codes
+    if set(map(type, column)) <= {str}:
+        return list(column), None
+    return [none if cell is None else str(cell) for cell in column], None
+
+
+def _rows(strings: list[str], codes: Any) -> list[str]:
+    """Each row's string: ``strings`` taken by ``codes`` in one object-array take."""
+    if codes is None:
+        return strings
+    import numpy as np
+
+    table = np.empty(len(strings), dtype=object)
+    table[:] = strings
+    return table[codes].tolist()
+
+
+def _used(strings: list[str], codes: Any) -> Iterable[str]:
+    """The strings that some row holds: a Cells may hold one that none takes."""
+    if codes is None:
+        return strings
+    import numpy as np
+
+    return compress(strings, np.bincount(codes, minlength=len(strings)).tolist())
+
+
+def aligned_table(headers: Sequence[str], columns: Sequence[Sequence[object] | Cells]) -> str:
     """Fixed-width text table of ``columns``: the first left-aligned, the rest right-aligned.
 
     Columns shorter than the longest, and missing headers, are padded with
-    empty cells.
+    empty cells.  A None cell of a list column reads ``None``.  Each
+    distinct string is padded once.
     """
     n_rows = max(map(len, columns), default=0)
     # a table without cells has one empty column
-    headers = [*headers, *[""] * (max(len(columns), 1) - len(headers))]
-    table = [
-        [header, *column, *[""] * (n_rows - len(column))]
-        for header, column in zip_longest(headers, columns, fillvalue=())
-    ]
-    widths = [max(map(len, map(str, column))) for column in table]
-    # then each row in one call, with one field per column: the first left-aligned, the rest
-    # right-aligned; padded cells are never held at once, only the finished lines
-    template = "  ".join(("%%%ds" if c else "%%-%ds") % width for c, width in enumerate(widths))
-    lines = [(template % row).rstrip() for row in zip(*table)]
-    lines.insert(1, "  ".join("-" * width for width in widths))
+    headers = [*map(str, headers), *[""] * (max(len(columns), 1) - len(headers))]
+    head, widths, body = [], [], []
+    for c, (header, column) in enumerate(zip_longest(headers, columns, fillvalue=())):
+        strings, codes = _strings(column, "None")
+        pad = str.rjust if c else str.ljust
+        width = max([len(header), *map(len, _used(strings, codes))])
+        cells = _rows(list(map(pad, strings, repeat(width))), codes)
+        cells.extend([" " * width] * (n_rows - len(cells)))
+        head.append(pad(header, width))
+        widths.append(width)
+        body.append(cells)
+    lines = ["  ".join(head).rstrip(), "  ".join("-" * width for width in widths)]
+    lines.extend(map(str.rstrip, map("  ".join, zip(*body))))
     return "\n".join(lines) + "\n"
 
 
-_CSV_BLOCK = 1024  # rows that csv_text converts at a time
+def _quoted(strings: list[str], alone: bool) -> list[str]:
+    """``strings`` as ``csv.writer`` writes them as cells; ``alone``: the table's only column.
 
-
-def _csv_cells(column: Sequence[object], alone: bool) -> list[str]:
-    """A column's cells as ``csv.writer`` writes them; ``alone``: the table's only column.
-
-    None becomes '' and anything else its ``str`` (for a float, its
-    ``repr``).  A column whose text needs quoting has each cell quoted by
-    ``csv`` itself, so the quoting rules stay those of the running Python.
+    When any needs quoting, each is quoted by ``csv`` itself, so the
+    quoting rules stay those of the running Python.  A typed column's
+    distinct strings are checked, and quoted, once each.
     """
-    cells = ["" if cell is None else str(cell) for cell in column]
-    text = "".join(cells)
     # csv quotes an empty field only when it is its row's one field
-    if any(mark in text for mark in ',"\r\n') or (alone and "" in cells):
-        rest = () if alone else ("",)
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        for i, cell in enumerate(cells):
-            buffer.seek(0)
-            buffer.truncate()
-            writer.writerow((cell, *rest))
-            cells[i] = buffer.getvalue()[: -1 - len(rest)]  # cut the rest of the row
-    return cells
+    if not (any(mark in "".join(strings) for mark in ',"\r\n') or (alone and "" in strings)):
+        return strings
+    rest = () if alone else ("",)
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    quoted = []
+    for cell in strings:
+        buffer.seek(0)
+        buffer.truncate()
+        writer.writerow((cell, *rest))
+        quoted.append(buffer.getvalue()[: -1 - len(rest)])  # cut the rest of the row
+    return quoted
 
 
-def csv_text(headers: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
+_CSV_BLOCK = 2048  # rows joined at a time, so no more than a block's row strings are held at once
+
+
+def csv_text(headers: Sequence[str], columns: Sequence[Sequence[object] | Cells]) -> str:
     """CSV text of a header row and equal-length ``columns``, as ``csv.writer`` writes it.
 
-    Absent values (None) are written as ''.
+    Absent values (None) of a list column are written as ''.
     """
     if len(set(map(len, columns))) > 1:
         raise ValueError(f"columns: must have equal lengths, got {list(map(len, columns))}")
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(headers)
-    texts = [header.getvalue()]
-    # a block of rows at a time: its cell strings are built, joined and dropped
-    for start in range(0, len(columns[0]) if columns else 0, _CSV_BLOCK):
-        block = [_csv_cells(column[start:start + _CSV_BLOCK], len(columns) == 1) for column in columns]
-        texts.append("\n".join(map(",".join, zip(*block))) + "\n")
-    return "".join(texts)
+    alone = len(columns) == 1
+    cells = [_rows(_quoted(strings, alone), codes) for strings, codes in map(_strings, columns, repeat(""))]
+    blocks = [
+        "\n".join(map(",".join, zip(*(column[start:start + _CSV_BLOCK] for column in cells)))) + "\n"
+        for start in range(0, len(cells[0]) if cells else 0, _CSV_BLOCK)
+    ]
+    return header.getvalue() + "".join(blocks)

@@ -382,12 +382,14 @@ def allocate_quotas(
 
 
 def _get_name(obj: Mapping[str, Any], key: str) -> str:
-    """A non-empty string without a line break (a character ``str.splitlines`` splits at)."""
+    """A non-empty string without a line break (a character ``str.splitlines`` splits at) or a surrogate code point."""
     value = obj.get(key)
     if not isinstance(value, str) or not value:
         raise ValueError(f"field {key!r} must be a non-empty string")
     if value.splitlines() != [value]:
         raise ValueError(f"field {key!r} must not contain a line break")
+    if any("\ud800" <= char <= "\udfff" for char in value):
+        raise ValueError(f"field {key!r} must not contain a lone surrogate")
     return value
 
 

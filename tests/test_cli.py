@@ -993,34 +993,42 @@ def test_a_run_directory_name_taken_before_its_mkdir_gets_the_next_suffix(tmp_pa
     assert (run_dir(text) / "manifest.json").is_file() and not any(other.iterdir())
 
 
-def test_an_output_that_is_not_utf8_exits_2_before_any_run_directory(tmp_path, capsys):
-    # a lone surrogate in a panel id cannot be encoded: each output is encoded as it is handed over,
-    # so the run stops before finish makes a directory it could not complete
-    panels = write(tmp_path, "panels.jsonl",
-                   '{"id": "a\\ud800", "reviews": [{"reviewer": "m1", "overall": 7, "flag": false}]}\n')
+@pytest.mark.parametrize(("command", "line", "message"), [
+    ("review", '{"id": "a\\ud800", "reviews": [{"reviewer": "m1", "overall": 7, "flag": false}]}',
+     "field 'id' must not contain a lone surrogate"),
+    ("detector-eval", '{"id": "a", "label": true, "reviews": [{"reviewer": "m\\udfff", "overall": 7, "flag": true}]}',
+     "reviews[0]: field 'reviewer' must not contain a lone surrogate"),
+])
+def test_a_lone_surrogate_exits_2_naming_its_line_before_any_run_directory(tmp_path, capsys, command, line,
+                                                                          message):
+    # no output could encode the name as UTF-8: the loader refuses it, as it refuses a line break
+    panels = write(tmp_path, "panels.jsonl", line + "\n")
     thresholds = write(tmp_path, "thresholds.json", THRESHOLDS)
     config = write_json(tmp_path, "config.json", {"functional": {"kind": "linear", "coefficients": [1]}})
     out = tmp_path / "runs"
-    code, text, err = run_cli(capsys, "review", "--panels", panels, "--thresholds", thresholds, "--config", config,
-                              "--out", str(out))
-    assert (code, text) == (2, "")
-    assert "surrogates not allowed" in err and "Traceback" not in err
+    extra = ["--thresholds", thresholds, "--config", config] if command == "review" else []
+    code, text, err = run_cli(capsys, command, "--panels", panels, *extra, "--out", str(out))
+    assert (code, text, err) == (2, "", f"error: {panels}:1: {message}\n")
     assert not out.exists()
 
 
 def test_finish_hashes_the_bytes_it_wrote(tmp_path, capsys, monkeypatch):
-    # files are hashed only for the JSON inputs and the config: each output's digest is of the
-    # bytes written, and equals the sha256 of the file on disk
-    from panelcal import rundir
-
+    # each JSON input is opened once, by the loader, and its digest is of the bytes it read; each output's
+    # digest is of the bytes written, and equals the sha256 of the file on disk
     argv, _ = cached_command(tmp_path, "review")
-    files, sha256_file = [], rundir._sha256_file
-    monkeypatch.setattr(rundir, "_sha256_file", lambda path: files.append(str(path)) or sha256_file(path))
+    json_inputs = {flag: argv[argv.index(flag) + 1] for flag in ("--thresholds", "--config")}
+    opened, path_open = [], Path.open
+    monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs: opened.append(str(path))
+                        or path_open(path, *args, **kwargs))
     code, text, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "runs"))
     assert code == 0
-    assert sorted(files) == sorted([argv[argv.index("--thresholds") + 1], argv[argv.index("--config") + 1]])
+    assert sorted(path for path in opened if path in json_inputs.values()) == sorted(json_inputs.values())
     d = run_dir(text)
-    digests = json.loads((d / "manifest.json").read_text())["output_digests"]
+    manifest = json.loads((d / "manifest.json").read_text())
+    thresholds, config = (hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in json_inputs.values())
+    assert manifest["input_digests"][json_inputs["--thresholds"]] == thresholds
+    assert manifest["config_digest"] == config
+    digests = manifest["output_digests"]
     assert sorted(digests) == sorted(p.name for p in d.iterdir() if p.name != "manifest.json")
     for name, digest in digests.items():
         assert digest == hashlib.sha256((d / name).read_bytes()).hexdigest()
@@ -1697,20 +1705,21 @@ def test_each_jsonl_input_is_read_and_hashed_once(tmp_path, capsys, monkeypatch,
 
     argv, source = cached_command(tmp_path, command)
     data = Path(source).read_bytes()
-    reads, hashes, files_hashed = [], [], []
-    read_bytes, sha256, sha256_file = reader._read_bytes, hashlib.sha256, rundir._sha256_file
+    reads, hashes, opened = [], [], []
+    read_bytes, sha256, path_open = reader._read_bytes, hashlib.sha256, Path.open
     monkeypatch.setattr(reader, "_read_bytes", lambda path: reads.append(str(path)) or read_bytes(path))
     monkeypatch.setattr(rundir, "hashlib", types.SimpleNamespace(
         sha256=lambda *data_: hashes.extend(d for d in data_ if d == data) or sha256(*data_)))
-    monkeypatch.setattr(rundir, "_sha256_file", lambda path: files_hashed.append(str(path)) or sha256_file(path))
+    monkeypatch.setattr(Path, "open", lambda path, *args, **kwargs: opened.append(str(path))
+                        or path_open(path, *args, **kwargs))
     for parsed in ([source], []):  # a miss, then a hit
-        for seen in (reads, hashes, files_hashed, parses):
+        for seen in (reads, hashes, opened, parses):
             seen.clear()
         run_outputs(capsys, argv, tmp_path / "runs")
         assert reads.count(source) == 1
         assert len(hashes) == 1
         assert parses == parsed
-        assert source not in files_hashed
+        assert opened.count(source) == 1
 
 
 def spoil_entry(entry, how):

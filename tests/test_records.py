@@ -183,6 +183,8 @@ def _str_field(obj, key):
     value = obj.get(key)
     if not isinstance(value, str) or not value:
         raise ValueError(f"field {key!r} must be a non-empty string")
+    if any(0xD800 <= ord(char) <= 0xDFFF for char in value):
+        raise ValueError(f"field {key!r} must not contain a lone surrogate")
     return value
 
 
@@ -342,10 +344,10 @@ def test_calibration_table_matches_per_line_records(filler, lines):
 
 
 FIELD_BREAKS = {
-    "id": ["", 5, None, ["c"], True, MISSING],
+    "id": ["", 5, None, ["c"], True, MISSING, "c\ud800"],
     "score": [True, False, "7", None, 10**400, -(10**400), math.nan, math.inf, [1.0], MISSING],
     "accept": [1, 0, "true", None, MISSING],
-    "status": ["", None, 3, MISSING],
+    "status": ["", None, 3, MISSING, "\udfff"],
 }
 LINE_BREAKS = ["[1, 2]", '"pool"', "3", "null", "{broken", '{"id": "x",}', "{", "\ufeff{}", "]"]
 TRAILERS = [" {}", " x", ",", "]", " 1"]
@@ -682,6 +684,9 @@ PANEL_BREAKS = [
     # names with a line break, which a written row would split in two
     *(("panel", "id", name) for name in ["a\rb", "\n", "p\u2028", "\x1c"]),
     *(("review", "reviewer", name) for name in ["m\r1", "m\r\n", "\x85"]),
+    # names with a lone surrogate, which no output can encode; json.dumps writes it as an escape
+    *(("panel", "id", name) for name in ["a\ud800", "\udfff"]),
+    ("review", "reviewer", "m\udc00"),
 ]
 
 
@@ -870,6 +875,45 @@ def test_a_file_is_read_once(tmp_path, monkeypatch, load, bad):
 def test_a_name_with_a_line_break_breaks_its_line(line, message):
     text = filler_lines(2) + line + "\n" + '{"id": "p9", "label": "no", "reviews": []}\n'
     assert assert_panel_loaders_agree(text).endswith(f":3: {message}")
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ('{"id": "a\\ud800", "label": "yes", "reviews": []}', "field 'id' must not contain a lone surrogate"),
+        ('{"id": "p3", "reviews": [{"reviewer": "m\\udfff", "rubric": "7"}]}',
+         "reviews[0]: field 'reviewer' must not contain a lone surrogate"),
+        ('{"id": "p3", "reviews": [{"reviewer": "\\ud800\\u2028"}]}',
+         "reviews[0]: field 'reviewer' must not contain a line break"),
+    ],
+    ids=["id-before-label", "reviewer-before-rubric", "line-break-first"],
+)
+def test_panel_loader_refuses_a_lone_surrogate(tmp_path, line, message):
+    # no output could encode it as UTF-8, so the name's own line is the error, not a failed write
+    path = write(tmp_path, "panels.jsonl", filler_lines(2) + line + "\n")
+    with pytest.raises(RecordError) as got:
+        load_panel_table(path)
+    assert str(got.value) == f"{path}:3: {message}"
+    assert assert_panel_loaders_agree(filler_lines(2) + line + "\n").endswith(f":3: {message}")
+    # an escaped surrogate pair is one character, which encodes
+    pair = write(tmp_path, "pair.jsonl", '{"id": "a\\ud83d\\ude00", "reviews": []}\n')
+    assert load_panel_table(pair).ids == ("a\U0001f600",)
+
+
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ('{"id": "c\\udc00", "score": "7", "accept": true, "status": "s"}', "field 'id' must not contain a lone surrogate"),
+        ('{"id": "c9", "score": 7, "accept": true, "status": "s\\ud800"}',
+         "field 'status' must not contain a lone surrogate"),
+    ],
+    ids=["id-before-score", "status"],
+)
+def test_pool_loader_refuses_a_lone_surrogate(tmp_path, line, message):
+    path = write(tmp_path, "pool.jsonl", "".join(line + "\n" for line in [*pool_filler(2), line]))
+    with pytest.raises(RecordError) as got:
+        load_calibration_table(path)
+    assert str(got.value) == f"{path}:3: {message}"
 
 
 # ------------------------------------------- the piece decoder against per-line decoding

@@ -55,12 +55,15 @@ def _env():
 
 def fresh(cwd, *argv, code=0):
     """The modules a fresh interpreter has loaded after running ``panelcal argv``,
-    which must exit with ``code``, and what the command printed."""
+    which must exit with ``code``, and what the command printed.
+
+    No command loads scipy, which only the tests use: every probe checks it."""
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=_env(),
                           capture_output=True, text=True, check=True)
     printed, _, probe = proc.stdout.rstrip("\n").rpartition("\n")
     exit_code, modules = json.loads(probe)
     assert exit_code == code, proc.stderr
+    assert not [m for m in modules if m.partition(".")[0] == "scipy"]
     return set(modules), printed
 
 
@@ -138,6 +141,8 @@ def test_panel_commands_load_no_simulate_calibrate_or_bounds(tmp_path, command):
     assert "panelcal.objects" not in modules
     if command != "bayes":
         assert not modules & {"panelcal.bayes", "statistics"}
+    else:  # it computes no rate and checks no reserved reviewer name
+        assert not modules & {"panelcal.metrics", "panelcal.cli_detector"}
 
 
 def calibrate_modules(tmp_path, config):
@@ -209,7 +214,7 @@ HIT_MODULES = {
     "calibrate": {"cli", "rules", "cli_calibrate", "writers", "tables", "rundir", "cache", "reader", "bounds",
                   "calibrate", "config", "core"},
 }
-HIT_MODULES["bayes"] = HIT_MODULES["review"] | {"bayes"}
+HIT_MODULES["bayes"] = HIT_MODULES["review"] - {"cli_detector", "metrics"} | {"bayes"}
 
 
 @pytest.mark.parametrize("command", ["review", "bayes", "detector-eval", "calibrate"])
