@@ -23,7 +23,6 @@ from .core import (
     not_nan,
     positive,
 )
-from .rules import _sequence
 from .tables import PanelTable
 
 if TYPE_CHECKING:
@@ -49,10 +48,7 @@ class ConsensusRubric:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = finite.each("values", self.values)
-        object.__setattr__(self, "values", values)
-        if not values:
-            raise ValueError("values: must contain at least one criterion")
+        object.__setattr__(self, "values", finite.each("values", self.values, non_empty=True))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -166,9 +162,7 @@ def gls_weights(projected_variances: Sequence[float]) -> ReviewerWeights:
     These minimize the weighted consensus variance sum(w_m^2 c_m) subject
     to the weights summing to one.  Every variance must be > 0.
     """
-    variances = positive.each("projected_variances", projected_variances)
-    if not variances:
-        raise ValueError("projected_variances: must contain at least one variance")
+    variances = positive.each("projected_variances", projected_variances, non_empty=True)
     inverse = [1.0 / v for v in variances]
     total = left_sum(inverse)
     return ReviewerWeights(tuple(x / total for x in inverse))
@@ -176,10 +170,5 @@ def gls_weights(projected_variances: Sequence[float]) -> ReviewerWeights:
 
 def panel_variance(weights: ReviewerWeights, projected_variances: Sequence[float]) -> float:
     """Weighted consensus variance sum_m w_m^2 c_m."""
-    variances = _sequence("projected_variances", projected_variances)
-    if len(variances) != len(weights):
-        raise ValueError(
-            f"projected_variances: expected {len(weights)} entries, got {len(variances)}"
-        )
-    variances = non_negative.each("projected_variances", variances)
+    variances = non_negative.each("projected_variances", projected_variances, len(weights))
     return sum(w * w * v for w, v in zip(weights.weights, variances))

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GaussianPosterior, finite, open_unit, positive
+from .core import GaussianPosterior, finite, open_unit, positive, sequence
 from .tables import left_sums
 
 __all__ = [
@@ -47,8 +47,10 @@ def posterior_update(
     precision; the mean is the precision-weighted average.  An empty
     review sequence returns the prior unchanged.
     """
-    checked = [(finite(f"reviews[{i}].score", score), positive(f"reviews[{i}].variance", variance))
-               for i, (score, variance) in enumerate(reviews)]
+    checked = []
+    for i, review in enumerate(sequence("reviews", reviews, "(score, variance) pairs")):
+        score, variance = sequence(f"reviews[{i}]", review, "numbers", 2)
+        checked.append((finite(f"reviews[{i}].score", score), positive(f"reviews[{i}].variance", variance)))
     scores, variances = np.array(checked, dtype=float).reshape(-1, 2).T
     means, variances = posterior_arrays(prior, scores, variances, np.array([len(checked)]))
     return GaussianPosterior(mean=float(means[0]), variance=float(variances[0]))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Sequence
 
-from .rules import _sequence, integer, non_negative, open_unit, positive
+from .rules import integer, non_negative, open_unit, positive, sequence
 
 if TYPE_CHECKING:
     from .core import BoundInputs, NoiseProfile, ReviewerWeights, RubricSchema, ScoringFunctional
@@ -91,10 +91,7 @@ def scalar_bound_inputs(weights: ReviewerWeights, noise: NoiseProfile) -> BoundI
     """
     from .core import BoundInputs  # here, so the bounds that take no objects load no core
 
-    if len(weights) != noise.reviewer_count:
-        raise ValueError(
-            f"weights: expected {noise.reviewer_count} entries, got {len(weights)}"
-        )
+    sequence("weights", weights.weights, "weights", noise.reviewer_count)
     sigma_w_sq = _weighted_square_sum(weights.weights, noise.per_reviewer_variance)
     width = noise.range_width
     c_max = max(w * width for w in weights.weights)
@@ -115,10 +112,7 @@ def rubric_bound_inputs(
     """
     from .core import BoundInputs
 
-    lambdas = _sequence("lambda_max", lambda_max)
-    if len(lambdas) != len(weights):
-        raise ValueError(f"lambda_max: expected {len(weights)} entries, got {len(lambdas)}")
-    lambdas = non_negative.each("lambda_max", lambdas)
+    lambdas = non_negative.each("lambda_max", lambda_max, len(weights))
     lipschitz = functional.lipschitz_constant
     width_norm = math.sqrt(sum(w * w for w in schema.widths))
     sigma_w_sq = lipschitz * lipschitz * _weighted_square_sum(weights.weights, lambdas)

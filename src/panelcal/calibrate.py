@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence, Union
 import numpy as np
 
 from . import _lazy
-from .rules import ThresholdUnreachableError, not_nan, numbers, open_unit
+from .rules import ThresholdUnreachableError, not_nan, numbers, open_unit, sequence
 from .tables import CalibrationTable
 
 if TYPE_CHECKING:
@@ -64,15 +64,17 @@ __getattr__, __dir__ = _lazy(__name__, {
 })
 
 
-def _table(pool: Pool) -> CalibrationTable:
-    return pool if isinstance(pool, CalibrationTable) else CalibrationTable.from_records(pool)
+def _table(field: str, pool: Pool, non_empty: bool = False) -> CalibrationTable:
+    """The pool as a table; records run through ``rules.sequence`` as ``field`` first, and a table by its ids."""
+    if isinstance(pool, CalibrationTable):
+        sequence(field, pool.ids, "calibration records", non_empty=non_empty)
+        return pool
+    return CalibrationTable.from_records(sequence(field, pool, "calibration records", non_empty=non_empty))
 
 
 def empirical_acceptance(scores: Sequence[float], threshold: float) -> float:
     """Fraction of scores at or above the threshold."""
-    arr = numbers("scores", scores)
-    if arr.size == 0:
-        raise ValueError("scores: must be non-empty")
+    arr = numbers("scores", scores, non_empty=True)
     return float(np.mean(arr >= not_nan("threshold", threshold)))
 
 
@@ -165,9 +167,7 @@ def rate_matching_threshold(scores: Sequence[float], target_rate: float) -> floa
     Candidates are the distinct observed scores plus an accept-nothing
     sentinel (+inf); among equally close candidates the smallest wins.
     """
-    arr = numbers("scores", scores)
-    if arr.size == 0:
-        raise ValueError("scores: must be non-empty")
+    arr = numbers("scores", scores, non_empty=True)
     if not np.all(np.isfinite(arr)):
         raise ValueError("scores: must be finite")
     return TailCounts.of(arr).rate_threshold(target_rate)
@@ -213,12 +213,10 @@ def _tau05_ranks(keys: np.ndarray) -> np.ndarray:
 
 def _tails(scores: Sequence[float], accepts: Sequence[float]) -> TailCounts:
     """The ``TailCounts`` of a non-empty pool whose accepts are 0/1."""
-    s = numbers("scores", scores)
-    a = np.asarray(accepts)
-    if s.size == 0 or s.shape != a.shape:
-        raise ValueError("scores: must be non-empty and match accepts in length")
+    s = numbers("scores", scores, non_empty=True)
+    a = np.asarray(sequence("accepts", accepts, "0/1 values", len(s)))
     accepted = a == 1
-    if not np.all(accepted | (a == 0)):
+    if a.ndim != 1 or not np.all(accepted | (a == 0)):
         raise ValueError("accepts: must be 0 or 1")
     return TailCounts.of(s, accepted)
 

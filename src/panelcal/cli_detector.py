@@ -35,24 +35,21 @@ def cmd_detector_eval(args: argparse.Namespace) -> int:
         tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
         m = metrics.detector_metrics(counts)
         csv_rows.append((name, tp, fp, tn, fn, m.tpr, m.fpr, m.accuracy, m.f1))
-        table_rows.append(
-            (
-                name,
-                f"{writers.format_percent(m.tpr)} ({tp}/{tp + fn})",
-                f"{writers.format_percent(m.fpr)} ({fp}/{fp + tn})",
-                f"{writers.format_percent(m.accuracy)} ({tp + tn}/{counts.total})",
-                writers.format_percent(m.f1),
-            )
-        )
+        table_rows.append((
+            name,
+            writers.rate_with_counts(tp, tp + fn),
+            writers.rate_with_counts(fp, fp + tn),
+            writers.rate_with_counts(tp + tn, counts.total),
+            writers.format_percent(m.f1),
+        ))
 
     # fair-coin reference: TPR/FPR/Acc 50% in expectation, F1 from prevalence
     positives = confusion[-1].tp + confusion[-1].fn
     negatives = confusion[-1].fp + confusion[-1].tn
     baseline_f1 = 2 * positives / (3 * positives + negatives) if positives else 0.0
     csv_rows.append(("random-baseline", None, None, None, None, 0.5, 0.5, 0.5, baseline_f1))
-    table_rows.append(
-        ("random-baseline", "50.0%", "50.0%", "50.0%", writers.format_percent(baseline_f1))
-    )
+    coin = writers.format_percent(0.5)
+    table_rows.append(("random-baseline", coin, coin, coin, writers.format_percent(baseline_f1)))
 
     run.write(
         "detector.csv",

@@ -71,10 +71,9 @@ class RubricSchema:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "criteria_count", integer("criteria_count", self.criteria_count, 1))
-        bounds = tuple(finite.each(f"bounds[{k}]", pair) for k, pair in enumerate(self.bounds))
+        pairs = sequence("bounds", self.bounds, "[lo, hi] pairs", self.criteria_count)
+        bounds = tuple(finite.each(f"bounds[{k}]", pair, 2) for k, pair in enumerate(pairs))
         object.__setattr__(self, "bounds", bounds)
-        if len(bounds) != self.criteria_count:
-            _fail("bounds", f"expected {self.criteria_count} pairs, got {len(bounds)}")
         for k, (lo, hi) in enumerate(bounds):
             if not lo < hi:
                 _fail(f"bounds[{k}]", f"lower bound must be strictly below upper, got ({lo}, {hi})")
@@ -109,9 +108,7 @@ class ReviewerWeights:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        weights = non_negative.each("weights", self.weights)
-        if not weights:
-            _fail("weights", "must contain at least one weight")
+        weights = non_negative.each("weights", self.weights, non_empty=True)
         total = left_sum(weights)
         if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             _fail("weights", f"must sum to 1 within {_WEIGHT_SUM_TOL}, got sum {total!r}")
@@ -147,10 +144,8 @@ class ScoringFunctional:
         if self.kind == "linear":
             if self.coefficients is None:
                 _fail("coefficients", "required for the linear variant")
-            coeffs = finite.each("coefficients", self.coefficients)
+            coeffs = finite.each("coefficients", self.coefficients, non_empty=True)
             object.__setattr__(self, "coefficients", coeffs)
-            if not coeffs:
-                _fail("coefficients", "must contain at least one coefficient")
             if not any(c != 0.0 for c in coeffs):
                 _fail("coefficients", "must not be all zero")
         else:
@@ -159,7 +154,7 @@ class ScoringFunctional:
 
     @classmethod
     def linear(cls, coefficients: Sequence[float]) -> "ScoringFunctional":
-        return cls("linear", tuple(coefficients))
+        return cls("linear", coefficients)
 
     @classmethod
     def mean(cls, criteria_count: int) -> "ScoringFunctional":
@@ -186,10 +181,8 @@ class NoiseProfile:
     scalar_bounds: tuple[float, float]
 
     def __post_init__(self) -> None:
-        variances = non_negative.each("per_reviewer_variance", self.per_reviewer_variance)
+        variances = non_negative.each("per_reviewer_variance", self.per_reviewer_variance, non_empty=True)
         object.__setattr__(self, "per_reviewer_variance", variances)
-        if not variances:
-            _fail("per_reviewer_variance", "must contain at least one variance")
         bounds = finite.each("scalar_bounds", self.scalar_bounds)
         object.__setattr__(self, "scalar_bounds", bounds)
         if len(bounds) != 2 or not bounds[0] < bounds[1]:

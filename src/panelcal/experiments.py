@@ -25,7 +25,7 @@ import numpy as np
 from . import simulate
 from .bounds import margin_misclassification_bound, scalar_bound_inputs
 from .core import NoiseProfile, ReviewerWeights
-from .rules import finite, increasing_edges, integer
+from .rules import finite, increasing_edges, integer, sequence
 from .simulate import Cohort, CohortSpec
 
 __all__ = [
@@ -41,6 +41,9 @@ __all__ = [
     "check_margin_ordering",
     "check_variance_rows",
 ]
+
+# a margin bin is compared across panel sizes only where both hold this many papers
+_MIN_BIN_COUNT = 50
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,7 @@ def margin_experiment(
     margin falls outside the binning range are not counted.
     """
     spec = cohort.spec
-    if len(weights) != spec.m_reviewers:
-        raise ValueError(
-            f"weights: expected {spec.m_reviewers} entries, got {len(weights)}"
-        )
+    sequence("weights", weights.weights, "weights", spec.m_reviewers)
     threshold = finite("threshold", threshold)
     edges = margin_bin_edges(bin_edges)
 
@@ -131,7 +131,7 @@ def margin_bin_edges(bin_edges: Sequence[float]) -> np.ndarray:
 
 def panel_sizes(m_grid: Sequence[int]) -> list[int]:
     """The distinct panel sizes of ``m_grid``, ascending; it must hold integers >= 1, at least one."""
-    grid = list(m_grid)
+    grid = list(sequence("m_grid", m_grid, "integers"))
     try:
         if grid:
             return sorted({integer("m_grid", m, 1) for m in grid})
@@ -216,11 +216,11 @@ def check_margin_dominance(rows: Sequence[MarginBinRow]) -> list[str]:
     return failures
 
 
-def check_margin_ordering(rows: Sequence[MarginBinRow], min_count: int = 50) -> list[str]:
+def check_margin_ordering(rows: Sequence[MarginBinRow]) -> list[str]:
     """Largest-M curve must sit at or below the smallest-M curve per bin.
 
-    Only bins whose count reaches ``min_count`` for both panel sizes are
-    compared.
+    Only bins whose count reaches ``_MIN_BIN_COUNT`` for both panel sizes
+    are compared.
     """
     sizes = sorted({row.m for row in rows})
     if len(sizes) < 2:
@@ -234,7 +234,7 @@ def check_margin_ordering(rows: Sequence[MarginBinRow], min_count: int = 50) -> 
         if low not in group or high not in group:
             continue
         row_lo, row_hi = group[low], group[high]
-        if row_lo.count < min_count or row_hi.count < min_count:
+        if row_lo.count < _MIN_BIN_COUNT or row_hi.count < _MIN_BIN_COUNT:
             continue
         assert row_lo.empirical is not None and row_hi.empirical is not None
         if row_hi.empirical > row_lo.empirical:
@@ -245,18 +245,12 @@ def check_margin_ordering(rows: Sequence[MarginBinRow], min_count: int = 50) -> 
     return failures
 
 
-def check_variance_rows(
-    rows: Sequence[VarianceRow],
-    m_low: int = 1,
-    m_high: int = 3,
-    window: tuple[float, float] | None = None,
-) -> list[str]:
+def check_variance_rows(rows: Sequence[VarianceRow], m_low: int = 1, m_high: int = 3) -> list[str]:
     """Empirical variance must scale like 1/M; the proxy scales exactly.
 
-    The ratio var(m_low) / var(m_high) has to land inside ``window``,
-    which defaults to the ideal ratio m_high / m_low with one sixth of
-    relative slack on either side, and proxy * m must agree across rows
-    to float tolerance.
+    The ratio var(m_low) / var(m_high) has to land within one sixth of
+    relative slack on either side of the ideal ratio m_high / m_low, and
+    proxy * m must agree across rows to float tolerance.
     """
     by_m = {row.m: row for row in rows}
     failures = []
@@ -264,10 +258,8 @@ def check_variance_rows(
         failures.append(f"rows must include m={m_low} and m={m_high}")
         return failures
     ratio = by_m[m_low].var_empirical / by_m[m_high].var_empirical
-    if window is None:
-        # ordered so the default grid's window comes out exactly (2.5, 3.5)
-        window = (m_high * 5.0 / (6.0 * m_low), m_high * 7.0 / (6.0 * m_low))
-    lo, hi = window
+    # ordered so the default grid's window comes out exactly (2.5, 3.5)
+    lo, hi = m_high * 5.0 / (6.0 * m_low), m_high * 7.0 / (6.0 * m_low)
     if not lo <= ratio <= hi:
         failures.append(
             f"variance ratio m={m_low} over m={m_high} is {ratio:.4f}, outside [{lo}, {hi}]"

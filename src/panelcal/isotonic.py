@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import Pool, TailCounts, _pava, _table, _tails
-from .rules import ThresholdUnreachableError, _fail, numbers, open_unit
+from .rules import ThresholdUnreachableError, _fail, numbers, open_unit, sequence
 
 __all__ = ["IsotonicCurve", "tail_probability_points", "isotonic_fit", "tau_05", "fit_tau05"]
 
@@ -28,9 +28,11 @@ _MONOTONE_TOL = 1e-12
 
 
 def _columns(field: str, rows: Sequence[Sequence[float]]) -> list[np.ndarray]:
-    """The columns of ``rows``, (threshold, value, weight) triples, each converted by ``rules.numbers``."""
-    if not all(isinstance(row, (tuple, list, np.ndarray)) and len(row) == 3 for row in rows):
-        _fail(field, "each entry must be a (threshold, value, weight) triple")
+    """The columns of ``rows``, a non-empty sequence of (threshold, value, weight) triples (``rules.sequence``,
+    then each row as ``field[i]``), each column converted by ``rules.numbers``."""
+    rows = sequence(field, rows, "(threshold, value, weight) triples", non_empty=True)
+    for i, row in enumerate(rows):
+        sequence(f"{field}[{i}]", row, "numbers", 3)
     return [numbers(field, column) for column in zip(*rows)]
 
 
@@ -52,8 +54,6 @@ class IsotonicCurve:
     knots: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.knots:
-            raise ValueError("knots: must contain at least one knot")
         t, v, w = _columns("knots", self.knots)
         _first_bad("knots", [
             (t, np.isfinite(t), "threshold must be finite"),
@@ -89,13 +89,9 @@ def tail_probability_points(records: Pool, thresholds: Sequence[float]) -> list[
     records with score >= z, weighted by that tail count.  Thresholds must
     be strictly increasing and every tail must be non-empty.
     """
-    table = _table(records)
-    if not len(table):
-        raise ValueError("records: must be non-empty")
+    table = _table("records", records, non_empty=True)
     tails = TailCounts.of(table.scores, table.accepts)
-    cand = numbers("thresholds", thresholds)
-    if cand.size == 0:
-        raise ValueError("thresholds: must be non-empty")
+    cand = numbers("thresholds", thresholds, non_empty=True)
     if not np.all(np.isfinite(cand)):
         raise ValueError("thresholds: must be finite")
     if np.any(np.diff(cand) <= 0):
@@ -111,8 +107,6 @@ def tail_probability_points(records: Pool, thresholds: Sequence[float]) -> list[
 
 def isotonic_fit(points: Sequence[tuple[float, float, float]]) -> IsotonicCurve:
     """Weighted least-squares non-decreasing fit of (t, value, weight) points."""
-    if not len(points):
-        raise ValueError("points: must be non-empty")
     ts, values, weights = _columns("points", points)
     _first_bad("points", [(values, (values >= 0.0) & (values <= 1.0), "value must lie in [0, 1]")])
     _first_bad("points", [(weights, np.isfinite(weights) & (weights > 0), "weight must be finite and > 0")])
@@ -136,7 +130,7 @@ def tau_05(curve: IsotonicCurve, level: float = 0.5) -> float:
 
 def fit_tau05(records: Pool) -> tuple[float, IsotonicCurve]:
     """tau_05 of the records, and the isotonic fit of their tail curve, from one sort."""
-    table = _table(records)
+    table = _table("records", records, non_empty=True)
     tails = _tails(table.scores, table.accepts)
     scores, _, weight, fitted = tails.curve()
     return tails.tau05(), IsotonicCurve(tuple(zip(scores.tolist(), fitted.tolist(), weight.tolist())))

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
-from .rules import _fail, finite, integer, not_nan, unit
+from .rules import _fail, finite, integer, not_nan, sequence, unit
 from .tables import PanelTable
 from .writers import aligned_table, csv_text, format_percent, rate_with_counts
 
@@ -78,8 +78,7 @@ class DetectorMetrics:
 
 def acpt(decisions: Sequence[Decision]) -> float:
     """Fraction of decisions that accepted."""
-    if not decisions:
-        raise ValueError("decisions: must be non-empty")
+    decisions = sequence("decisions", decisions, "decisions", non_empty=True)
     return sum(1 for d in decisions if d.accept) / len(decisions)
 
 
@@ -88,8 +87,7 @@ def _scope(
 ) -> tuple[PanelTable, int]:
     """The panels as a table and the index of ``reviewer_id`` (None: ``any``) in its counts;
     raises at the first panel with no label (if ``labeled``) or no review by ``reviewer_id``."""
-    if not panels:
-        raise ValueError("panels: must be non-empty")
+    panels = sequence("panels", panels, "panels", non_empty=True)
     table = PanelTable.from_panels(panels)
     scope = table.roster.index(reviewer_id) if reviewer_id in table.roster else -1
     unlabeled = ~table.labeled & labeled
@@ -104,13 +102,13 @@ def _scope(
 def icr_per_model(panels: Sequence[ReviewPanel], reviewer_id: str) -> float:
     """Fraction of panels in which the given reviewer raised a flag."""
     table, scope = _scope(panels, reviewer_id)
-    return flag_counts(table)[0][scope] / len(panels)
+    return flag_counts(table)[0][scope] / len(table)
 
 
 def icr_any(panels: Sequence[ReviewPanel]) -> float:
     """Fraction of panels in which at least one reviewer raised a flag."""
     table, scope = _scope(panels, None)
-    return flag_counts(table)[0][scope] / len(panels)
+    return flag_counts(table)[0][scope] / len(table)
 
 
 def conflict_rate(
@@ -125,8 +123,7 @@ def conflict_rate(
     otherwise.  Returns None when no panel is flagged (the rate is
     conditional and has no denominator).
     """
-    if not panels:
-        raise ValueError("panels: must be non-empty")
+    panels = sequence("panels", panels, "panels", non_empty=True)  # the panels are refused before the threshold
     threshold = not_nan("threshold", threshold)
     table, scope = _scope(panels, reviewer_id)
     flagged = flag_counts(table)[0][scope]

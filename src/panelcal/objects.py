@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .rules import _fail, finite, text
+from .rules import _fail, finite, sequence, text
 
 if TYPE_CHECKING:
     from .core import RubricSchema
@@ -28,10 +28,7 @@ class RubricVector:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = finite.each("values", self.values)
-        object.__setattr__(self, "values", values)
-        if not values:
-            _fail("values", "must contain at least one criterion score")
+        object.__setattr__(self, "values", finite.each("values", self.values, non_empty=True))
 
     def __len__(self) -> int:
         return len(self.values)
@@ -74,10 +71,8 @@ class ReviewPanel:
 
     def __post_init__(self) -> None:
         text("submission_id", self.submission_id)
-        reviews = tuple(self.reviews)
+        reviews = tuple(sequence("reviews", self.reviews, "reviews", non_empty=True))
         object.__setattr__(self, "reviews", reviews)
-        if not reviews:
-            _fail("reviews", "panel must contain at least one review")
         seen: set[str] = set()
         for r in reviews:
             if not isinstance(r, ReviewRecord):

@@ -21,14 +21,9 @@ from typing import Any
 
 from .rules import RecordError
 
-__all__ = ["read_text", "load_config"]
+__all__ = ["load_config"]
 
 _digests: dict[str, str] = {}  # path as given -> sha256 of the bytes ``load_config`` last read there
-
-
-def read_text(path: str | Path) -> str:
-    """Read a UTF-8 input file; an unreadable path or a non-UTF-8 byte raises RecordError."""
-    return _decode_text(path, _read_bytes(path))
 
 
 def _read_bytes(path: str | Path) -> bytes:

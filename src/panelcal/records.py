@@ -20,8 +20,8 @@ and a pool file is parsed once, into a columnar ``CalibrationTable``;
 ``load_calibration_records`` builds ``CalibrationRecord`` objects from it.
 
 Files are read, decoded and their JSON errors worded by
-``panelcal.reader``; this module exports its ``read_text`` and
-``load_config``.  Malformed input raises RecordError naming the file,
+``panelcal.reader``; this module exports its ``load_config``.
+Malformed input raises RecordError naming the file,
 line, and field.  Both JSONL loaders run one shell over one pass of the
 file: the fields go into columns, and each loader has one ordered list of
 line rules, each a whole-column check that finds its first broken line
@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Any, Container, Iterable
 import numpy as np
 
 from . import _lazy
-from .reader import _decode, _decode_text, _read_bytes, load_config, read_text
+from .reader import _decode, _decode_text, _read_bytes, load_config
 from .rules import RecordError, json_number, numbers
 from .tables import CalibrationTable, PanelTable, left_sums
 
@@ -58,7 +58,6 @@ __all__ = [
     "load_calibration_table",
     "load_calibration_records",
     "load_config",
-    "read_text",
 ]
 
 __getattr__, __dir__ = _lazy(__name__, {"objects": ("PanelRecord",)})

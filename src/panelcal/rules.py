@@ -1,4 +1,4 @@
-"""The exit-code errors and the number rules, with no numpy and no dataclasses.
+"""The exit-code errors, the number rules and the sequence rule, with no numpy and no dataclasses.
 
 ``RecordError`` (exit 2) and ``ThresholdUnreachableError`` (exit 3) are
 the two errors the command line maps to exit codes.  The float rules
@@ -7,7 +7,9 @@ the two errors the command line maps to exit codes.  The float rules
 integer rule (``integer``) are the only statements of a number rule in
 the package: the library checks its number arguments with them, and
 ``config``'s number leaves are the same rules worded without a field;
-``text`` is the one string rule.  Every rule raises only ``ValueError``.
+``text`` is the one string rule, and ``sequence`` the one shape rule of
+a sequence argument (not a bare value, non-empty, N entries), which the
+number rules run on their sequences.  Every rule raises only ``ValueError``.
 ``json_number`` converts a number and ``numbers`` an array of them, for
 the loaders, the rules and every array argument.  ``core`` re-exports
 ``__all__``, so ``bound`` loads neither ``core``, ``dataclasses`` nor numpy.
@@ -33,6 +35,7 @@ __all__ = [
     "non_negative",
     "open_unit",
     "unit",
+    "sequence",
     "numbers",
     "increasing_edges",
     "integer",
@@ -69,16 +72,32 @@ class NumberRule:
             _fail(field, f"must {self.requirement}, got {value if number is None else number!r}")
         return number
 
-    def each(self, field: str, values: Iterable[Any]) -> tuple[float, ...]:
-        """Every value of ``_sequence(field, values)`` as a float, each checked in order as ``field[k]``."""
-        return tuple(self(f"{field}[{k}]", value) for k, value in enumerate(_sequence(field, values)))
+    def each(self, field: str, values: Iterable[Any], length: int | None = None,
+             non_empty: bool = False) -> tuple[float, ...]:
+        """Every value of ``sequence(field, values, "numbers", ...)`` as a float, each checked in order as
+        ``field[k]`` after the shape."""
+        values = sequence(field, values, "numbers", length, non_empty)
+        return tuple(self(f"{field}[{k}]", value) for k, value in enumerate(values))
 
 
-def _sequence(field: str, values: Any) -> tuple[Any, ...]:
-    """``values`` as a tuple; a bare number or a 0-d array raises ``field: must be a sequence of numbers``."""
-    if not hasattr(values, "__iter__") or getattr(values, "ndim", None) == 0:
-        _fail(field, "must be a sequence of numbers")
-    return tuple(values)
+def sequence(field: str, values: Any, of: str, length: int | None = None, non_empty: bool = False) -> Any:
+    """``values`` if it is a sequence (an iterator or a set is taken once, as a tuple), or ``ValueError``:
+
+    * ``field: must be a sequence of <of>`` for a bare value, a ``str`` or ``bytes``, or a 0-d array;
+    * ``field: expected <length> entries, got <n>`` where a ``length`` is given;
+    * ``field: must be non-empty`` where ``non_empty`` is asked.
+
+    The checks are O(1): a list, tuple or array is returned as it is, with no copy.
+    """
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__") or getattr(values, "ndim", None) == 0:
+        _fail(field, f"must be a sequence of {of}")
+    if not (hasattr(values, "__len__") and hasattr(values, "__getitem__")):
+        values = tuple(values)
+    if length is not None and len(values) != length:
+        _fail(field, f"expected {length} entries, got {len(values)}")
+    if non_empty and not len(values):
+        _fail(field, "must be non-empty")
+    return values
 
 
 number = NumberRule("be a number", lambda x: True)
@@ -90,24 +109,28 @@ open_unit = NumberRule("lie strictly in (0, 1)", lambda x: 0.0 < x < 1.0)
 unit = NumberRule("lie in [0, 1]", lambda x: 0.0 <= x <= 1.0)
 
 
-def numbers(field: str, values: Iterable[Any]) -> np.ndarray:
+def numbers(field: str, values: Iterable[Any], non_empty: bool = False) -> np.ndarray:
     """``number.each`` as a float ndarray: a 1-d int or float ndarray by its dtype, a list or tuple of plain ints
-    and floats by one type pass and one ``np.array``, anything else entry by entry; numpy is imported only here."""
+    and floats by one type pass and one ``np.array``, anything else entry by entry; numpy is imported only here.
+    The fast paths come first, and the shape rule runs on the array they made."""
     import numpy as np
 
+    array = None
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iuf":
-        return values.astype(float, copy=False)
-    if isinstance(values, (list, tuple)) and set(map(type, values)) <= {int, float}:
+        array = values.astype(float, copy=False)
+    elif isinstance(values, (list, tuple)) and set(map(type, values)) <= {int, float}:
         try:
-            return np.array(values, dtype=float)
+            array = np.array(values, dtype=float)
         except OverflowError:
             pass
-    return np.array(number.each(field, values), dtype=float)
+    if array is None:
+        return np.array(number.each(field, values, non_empty=non_empty), dtype=float)
+    return sequence(field, array, "numbers", non_empty=non_empty)
 
 
 def increasing_edges(field: str, values: Iterable[Any]) -> tuple[float, ...]:
     """``values`` as bin edges: at least 2 finite numbers, strictly increasing, as floats."""
-    values = _sequence(field, values)
+    values = sequence(field, values, "numbers")
     if len(values) < 2:
         _fail(field, f"need at least 2 edges, got {len(values)}")
     checked = finite.each(field, values)

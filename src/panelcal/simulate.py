@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _lazy, calibrate
 from .calibrate import Pool, ThresholdUnreachableError, _table
-from .rules import finite, integer, positive
+from .rules import finite, integer, positive, sequence
 
 if TYPE_CHECKING:
     from .core import NoiseProfile
@@ -72,6 +72,7 @@ __getattr__, __dir__ = _lazy(__name__, {
 
 _CLIP_MODES = ("clip", "none", "reject-resample")
 _RESAMPLE_ROUNDS = 1000
+_SLOPE_WINDOW = (-0.6, -0.4)  # the log-log slope of an error curve that decays like 1 / sqrt(n_cal)
 
 
 @dataclass(frozen=True)
@@ -247,7 +248,7 @@ def synthetic_calibration_population(settings: PopulationSettings) -> Population
 
 def calibration_sizes(n_cal_grid: Sequence[int], size: int) -> list[int]:
     """``n_cal_grid`` as ints: at least one, strictly increasing, each in [2, ``size``]."""
-    grid = list(n_cal_grid)
+    grid = list(sequence("n_cal_grid", n_cal_grid, "integers"))
     try:
         sizes = [integer("n_cal_grid", n, 2, size) for n in grid]
         if sizes and sizes == sorted(set(sizes)):
@@ -281,10 +282,8 @@ def threshold_bootstrap(
     excluded from the mean; ThresholdUnreachableError is raised when every
     replicate of one n_cal fails.
     """
-    columns = population if isinstance(population, Population) else _table(population)
-    size = len(columns)
-    if not size:
-        raise ValueError("population: must be non-empty")
+    columns = population if isinstance(population, Population) else _table("population", population)
+    size = len(sequence("population", columns.scores, "calibration records", non_empty=True))
     grid = calibration_sizes(n_cal_grid, size)
     replicates = integer("replicates", replicates, 2)
     seed = integer("seed", seed, 0)
@@ -318,7 +317,7 @@ def threshold_bootstrap(
 
 def error_curve_sizes(sizes: Sequence[int], field: str = "n_cal_grid") -> list[int]:
     """``sizes`` as a list, which must hold at least the 2 calibration sizes of an error curve's slope."""
-    sizes = list(sizes)
+    sizes = list(sequence(field, sizes, "integers"))
     if len(sizes) < 2:
         raise ValueError(f"{field}: the error curve needs at least 2 calibration sizes, got {sizes}")
     return sizes
@@ -333,11 +332,8 @@ def error_curve_slope(rows: Sequence[ThresholdErrorRow]) -> float:
     return float(np.polyfit(x, y, 1)[0])
 
 
-def check_threshold_rows(
-    rows: Sequence[ThresholdErrorRow],
-    slope_window: tuple[float, float] = (-0.6, -0.4),
-) -> list[str]:
-    """Error curve must decay like one over root n and be near-monotone.
+def check_threshold_rows(rows: Sequence[ThresholdErrorRow]) -> list[str]:
+    """Error curve must decay like one over root n (a log-log slope in ``_SLOPE_WINDOW``) and be near-monotone.
 
     Near-monotone: non-increasing in n_cal, allowing at most one
     inversion, and any inversion must stay within the two rows' combined
@@ -348,7 +344,7 @@ def check_threshold_rows(
     failures = [f"n_cal={row.n_cal}: mean error 0 has no logarithm, so the log-log slope is undefined"
                 for row in rows if row.mean_abs_err == 0]
     slope = error_curve_slope(rows)
-    lo, hi = slope_window
+    lo, hi = _SLOPE_WINDOW
     if not failures and not lo <= slope <= hi:
         failures.append(f"log-log slope {slope:.4f} outside [{lo}, {hi}]")
     inversions = 0

@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .calibrate import Pool, _table
-from .rules import _fail, increasing_edges, integer, text
+from .rules import _fail, increasing_edges, integer, sequence, text
 from .tables import CalibrationTable
 
 __all__ = [
@@ -30,10 +30,9 @@ __all__ = [
 
 
 def vocabulary(words: Iterable[Any]) -> tuple[str, ...]:
-    """``words`` as a status vocabulary: at least one, each a non-empty string, no two equal."""
-    words = tuple(words)
-    if not words:
-        _fail("status_vocabulary", "must be non-empty")
+    """``words`` as a status vocabulary: a sequence (a string is not one), at least one word, each a non-empty
+    string, no two equal."""
+    words = tuple(sequence("status_vocabulary", words, "strings", non_empty=True))
     if not all(isinstance(word, str) and word for word in words):
         _fail("status_vocabulary", "entries must be non-empty strings")
     if len(set(words)) != len(words):
@@ -70,6 +69,7 @@ class StratificationPlan:
         vocab = vocabulary(self.status_vocabulary)
         object.__setattr__(self, "bin_edges", edges)
         object.__setattr__(self, "status_vocabulary", vocab)
+        object.__setattr__(self, "cells", tuple(sequence("cells", self.cells, "cell quotas")))
         n_bins = len(edges) - 1
         seen: set[tuple[int, str]] = set()
         for cell in self.cells:
@@ -99,14 +99,15 @@ def _subset(pool: Pool, indices: np.ndarray) -> Pool:
 
 
 def _cell_members(
+    field: str,
     records: Pool,
     edges: Sequence[float],
     status_vocabulary: Sequence[str],
 ) -> dict[tuple[int, str], np.ndarray]:
-    """Indices of the records in each (score bin, status) cell, in record order."""
+    """Indices of the records, the argument ``field``, in each (score bin, status) cell, in record order."""
     edges = increasing_edges("bin_edges", edges)
     vocab = list(vocabulary(status_vocabulary))
-    table = _table(records)
+    table = _table(field, records)
     codes = {s: k for k, s in enumerate(vocab)}
     status = np.array([codes.get(s, -1) for s in table.statuses], dtype=np.intp)
     scores = table.scores
@@ -134,7 +135,7 @@ def cell_populations(
     status_vocabulary: Sequence[str],
 ) -> dict[tuple[int, str], int]:
     """Count pool records per (score bin, status) cell."""
-    members = _cell_members(records, bin_edges, status_vocabulary)
+    members = _cell_members("records", records, bin_edges, status_vocabulary)
     return {key: len(idx) for key, idx in members.items()}
 
 
@@ -190,7 +191,7 @@ def stratified_sample(pool: Pool, plan: StratificationPlan, seed: int) -> Pool:
     Returns the selected records in pool order.  The plan must be feasible:
     every cell's quota has to fit inside the pool's actual cell population.
     """
-    members = _cell_members(pool, plan.bin_edges, plan.status_vocabulary)
+    members = _cell_members("pool", pool, plan.bin_edges, plan.status_vocabulary)
     return _subset(pool, _draw(members, plan, seed))
 
 
@@ -206,7 +207,7 @@ def stratify(
     Same as ``allocate_quotas`` on ``cell_populations``, then
     ``stratified_sample``, but bins the pool once.
     """
-    members = _cell_members(pool, bin_edges, status_vocabulary)
+    members = _cell_members("pool", pool, bin_edges, status_vocabulary)
     populations = {key: len(idx) for key, idx in members.items()}
     plan = allocate_quotas(populations, n_cal, bin_edges, status_vocabulary)
     return plan, _subset(pool, _draw(members, plan, seed))

@@ -42,6 +42,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from panelcal import reader
 from panelcal.aggregate import ConsensusRubric
 from panelcal.bayes import normal_quantile
 from panelcal.calibrate import CellQuota, StratificationPlan
@@ -55,7 +56,7 @@ from panelcal.core import (
     ScoringFunctional,
     ThresholdUnreachableError,
 )
-from panelcal.records import PanelTable, RecordError, read_text
+from panelcal.records import PanelTable, RecordError
 
 
 def consensus_rubric(panel: ReviewPanel, weights: ReviewerWeights) -> ConsensusRubric:
@@ -306,8 +307,10 @@ def tau05_from_scores(scores: Sequence[float], accepts: Sequence[float]) -> floa
     """
     s = np.asarray(scores, dtype=float)
     a = np.asarray(accepts)
-    if s.size == 0 or s.shape != a.shape:
-        raise ValueError("scores: must be non-empty and match accepts in length")
+    if s.size == 0:
+        raise ValueError("scores: must be non-empty")
+    if s.shape != a.shape:
+        raise ValueError(f"accepts: expected {s.size} entries, got {a.size}")
     accepted = a == 1
     if not np.all(accepted | (a == 0)):
         raise ValueError("accepts: must be 0 or 1")
@@ -449,7 +452,7 @@ def load_panel_table(path: str | Path) -> PanelTable:
     reviewer, values, criteria, flags, feedback = [], [], [], [], []  # per review
     codes: dict[str, int] = {}  # reviewer id -> code in order of first appearance
     seen: set[str] = set()
-    for line_no, line in enumerate(read_text(path).splitlines(), start=1):
+    for line_no, line in enumerate(reader._decode_text(path, reader._read_bytes(path)).splitlines(), start=1):
         if not line.strip():
             continue
         try:

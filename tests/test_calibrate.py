@@ -551,10 +551,11 @@ def test_fit_tau05_ranks_the_pool_once(monkeypatch):
 
 
 def three_rankings(pool):
-    """``fit_tau05`` as ``tau05_from_scores`` and the points at the distinct scores, each ranking the pool."""
+    """``fit_tau05`` as ``tau05_from_scores`` and the points at the distinct scores, each ranking the pool;
+    the points first, so an empty pool is refused as ``records``, the argument both take."""
     table = pool if isinstance(pool, CalibrationTable) else CalibrationTable.from_records(pool)
-    tau = tau05_from_scores(table.scores, table.accepts)
-    return tau, isotonic_fit(tail_probability_points(pool, TailCounts.of(table.scores).scores))
+    curve = isotonic_fit(tail_probability_points(pool, TailCounts.of(table.scores).scores))
+    return tau05_from_scores(table.scores, table.accepts), curve
 
 
 def outcome(fit, pool):
@@ -635,7 +636,7 @@ def test_tau05_from_scores_rejects_bad_inputs():
         tau05_from_scores([1.0, 2.0], [1.0, 0.5])
     with pytest.raises(ValueError, match="accepts: must be 0 or 1"):
         tau05_from_scores([1.0], [math.nan])
-    with pytest.raises(ValueError, match="match accepts"):
+    with pytest.raises(ValueError, match=r"^accepts: expected 2 entries, got 1$"):
         tau05_from_scores([1.0, 2.0], [1.0])
-    with pytest.raises(ValueError, match="non-empty"):
+    with pytest.raises(ValueError, match="^scores: must be non-empty$"):
         tau05_from_scores([], [])

@@ -86,7 +86,7 @@ def test_panel_invariants():
     assert panel.review_by("r1").integrity_flag
     with pytest.raises(ValueError, match="no review by"):
         panel.review_by("r9")
-    with pytest.raises(ValueError, match="at least one review"):
+    with pytest.raises(ValueError, match="^reviews: must be non-empty$"):
         ReviewPanel("p1", ())
     dup = panel.reviews[0]
     with pytest.raises(ValueError, match="duplicate reviewer_id"):

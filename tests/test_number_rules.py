@@ -7,7 +7,10 @@ float in the message, an integer beyond the float range as an infinity,
 and a bool or a string as it was given; a NaN fails every "strictly in
 (0, 1)" check.  The integer rule refuses a bool and a float, takes a numpy
 integer and stores a plain ``int``.  The config's number leaves are the
-same rules worded without a field.
+same rules worded without a field.  The last section holds the shape of
+each sequence argument, which ``rules.sequence`` checks: a bare value, a
+string and a 0-d array are no sequence, and an empty sequence or a wrong
+length is refused where the argument asks for entries.
 """
 
 import json
@@ -19,7 +22,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from panelcal import aggregate, bayes, bounds, calibrate, config, metrics, rules, simulate
+from panelcal import aggregate, bayes, bounds, calibrate, config, metrics, rules, simulate, strata
 from panelcal.core import (
     BoundInputs,
     CalibrationRecord,
@@ -277,13 +280,13 @@ CASES = {
     "isotonic_fit.points.bool": (lambda: calibrate.isotonic_fit([(1.0, 0.5, 1.0), (2.0, True, 1.0)]),
                                  "points[1]: must be a number, got True"),
     "isotonic_fit.points.pair": (lambda: calibrate.isotonic_fit([(1.0, 0.5)]),
-                                 "points: each entry must be a (threshold, value, weight) triple"),
+                                 "points[0]: expected 3 entries, got 2"),
     "IsotonicCurve.knots.bool": (lambda: calibrate.IsotonicCurve(((True, 0.5, "1"),)),
                                  "knots[0]: must be a number, got True"),
     "IsotonicCurve.knots.string": (lambda: calibrate.IsotonicCurve(((1.0, 0.5, 1.0), (2.0, 0.5, "1"))),
                                    "knots[1]: must be a number, got '1'"),
     "IsotonicCurve.knots.ragged": (lambda: calibrate.IsotonicCurve(((1.0, 0.5, 1.0), (2.0, 0.5, 1.0, 1.0))),
-                                   "knots: each entry must be a (threshold, value, weight) triple"),
+                                   "knots[1]: expected 3 entries, got 4"),
     "tau_05.level": (lambda: calibrate.tau_05(CURVE, np.float64(1)),
                      "level: must lie strictly in (0, 1), got 1.0"),
     "tau_05.level.nan": (lambda: calibrate.tau_05(CURVE, NAN),
@@ -589,3 +592,149 @@ def test_text_rule_message(call, field, value):
         call(value)
     assert type(info.value) is ValueError
     assert str(info.value) == f"{field}: must be a non-empty string"
+
+
+# ---------------------------------------------------------------- the sequence rule
+
+MAY_BE_EMPTY, NON_EMPTY, OWN = "may be empty", "non-empty", "own words"
+# One row per sequence argument: a call of the value, the field its message names, and its shape: it may be
+# empty, must be non-empty (``field: must be non-empty``), words its own count rule (``bin_edges: need at
+# least 2 edges``), or must hold exactly N entries; then, for N, a value one entry too long.
+SEQUENCES = {
+    # aggregate
+    "ConsensusRubric.values": (aggregate.ConsensusRubric, "values", NON_EMPTY),
+    "gls_weights.projected_variances": (aggregate.gls_weights, "projected_variances", NON_EMPTY),
+    "panel_variance.projected_variances": (lambda v: aggregate.panel_variance(WEIGHTS, v), "projected_variances", 2),
+    # bayes
+    "posterior_update.reviews": (lambda v: bayes.posterior_update(PRIOR, v), "reviews", MAY_BE_EMPTY),
+    "posterior_update.reviews[0]": (lambda v: bayes.posterior_update(PRIOR, [v]), "reviews[0]", 2),
+    # bounds
+    "rubric_bound_inputs.lambda_max": (lambda v: bounds.rubric_bound_inputs(WEIGHTS, SCHEMA, LINEAR, v),
+                                       "lambda_max", 2),
+    # calibrate
+    "empirical_acceptance.scores": (lambda v: calibrate.empirical_acceptance(v, 1.0), "scores", NON_EMPTY),
+    "rate_matching_threshold.scores": (lambda v: calibrate.rate_matching_threshold(v, 0.5), "scores", NON_EMPTY),
+    "tau05_from_scores.scores": (lambda v: calibrate.tau05_from_scores(v, [1, 0]), "scores", NON_EMPTY),
+    "tau05_from_scores.accepts": (lambda v: calibrate.tau05_from_scores([1.0, 2.0], v), "accepts", 2),
+    "tail_probability_points.records": (lambda v: calibrate.tail_probability_points(v, [1.0]), "records", NON_EMPTY),
+    "tail_probability_points.thresholds": (lambda v: calibrate.tail_probability_points(ONE, v), "thresholds",
+                                           NON_EMPTY),
+    "fit_tau05.records": (calibrate.fit_tau05, "records", NON_EMPTY),
+    "isotonic_fit.points": (calibrate.isotonic_fit, "points", NON_EMPTY),
+    "isotonic_fit.points[0]": (lambda v: calibrate.isotonic_fit([v]), "points[0]", 3),
+    "IsotonicCurve.knots": (calibrate.IsotonicCurve, "knots", NON_EMPTY),
+    "IsotonicCurve.knots[0]": (lambda v: calibrate.IsotonicCurve((v,)), "knots[0]", 3),
+    "cell_populations.records": (lambda v: calibrate.cell_populations(v, (0.0, 10.0), ("accept",)), "records",
+                                 MAY_BE_EMPTY),
+    "stratified_sample.pool": (lambda v: calibrate.stratified_sample(v, PLAN, 0), "pool", MAY_BE_EMPTY),
+    "stratify.pool": (lambda v: calibrate.stratify(v, 1, (0.0, 10.0), ("accept",), 0), "pool", MAY_BE_EMPTY),
+    "StratificationPlan.bin_edges": (plan, "bin_edges", OWN),
+    "StratificationPlan.status_vocabulary": (lambda v: plan((0, 1), v), "status_vocabulary", NON_EMPTY),
+    "StratificationPlan.cells": (lambda v: calibrate.StratificationPlan((0, 1), ("accept",), v), "cells", OWN),
+    "vocabulary": (strata.vocabulary, "status_vocabulary", NON_EMPTY),
+    # core
+    "RubricSchema.bounds": (lambda v: RubricSchema(2, v), "bounds", 2, [(0, 1)] * 3),
+    "RubricSchema.bounds[0]": (lambda v: RubricSchema(1, (v,)), "bounds[0]", 2),
+    "ScoringFunctional.coefficients": (lambda v: ScoringFunctional("linear", v), "coefficients", NON_EMPTY),
+    "ScoringFunctional.linear": (ScoringFunctional.linear, "coefficients", NON_EMPTY),
+    "ReviewerWeights.weights": (ReviewerWeights, "weights", NON_EMPTY),
+    "NoiseProfile.per_reviewer_variance": (lambda v: NoiseProfile(v, (1.0, 10.0)), "per_reviewer_variance",
+                                           NON_EMPTY),
+    "NoiseProfile.scalar_bounds": (lambda v: NoiseProfile((1.0,), v), "scalar_bounds", OWN),
+    # objects
+    "RubricVector.values": (RubricVector, "values", NON_EMPTY),
+    "ReviewPanel.reviews": (lambda v: ReviewPanel("p1", v), "reviews", NON_EMPTY),
+    # metrics
+    "acpt": (metrics.acpt, "decisions", NON_EMPTY),
+    "icr_any": (metrics.icr_any, "panels", NON_EMPTY),
+    "icr_per_model": (lambda v: metrics.icr_per_model(v, "m1"), "panels", NON_EMPTY),
+    "conflict_rate": (lambda v: metrics.conflict_rate(v, {}, 5.0), "panels", NON_EMPTY),
+    "detector_counts": (metrics.detector_counts, "panels", NON_EMPTY),
+    # simulate
+    "threshold_bootstrap.population": (lambda v: simulate.threshold_bootstrap(v, (2, 3), 2, 0), "population",
+                                       NON_EMPTY),
+    "calibration_sizes": (lambda v: simulate.calibration_sizes(v, 10), "n_cal_grid", OWN),
+    "error_curve_sizes": (simulate.error_curve_sizes, "n_cal_grid", OWN),
+    "panel_sizes": (simulate.panel_sizes, "m_grid", OWN),
+    "margin_bin_edges": (simulate.margin_bin_edges, "bin_edges", OWN),
+    # rules
+    "numbers": (lambda v: rules.numbers("xs", v), "xs", MAY_BE_EMPTY),
+    "finite.each": (lambda v: rules.finite.each("xs", v), "xs", MAY_BE_EMPTY),
+    "increasing_edges": (lambda v: rules.increasing_edges("xs", v), "xs", OWN),
+}
+
+
+def refused(call, value):
+    """The message of the ``ValueError`` that ``call(value)`` raises: never a ``TypeError`` nor an unpacking error."""
+    with pytest.raises(Exception) as info:
+        call(value)
+    assert type(info.value) is ValueError, repr(info.value)
+    message = str(info.value)
+    assert "unpack" not in message
+    return message
+
+
+def sequence_refusals():
+    for name, (call, field, shape, *longer) in SEQUENCES.items():
+        for label, value in (("number", 5.0), ("numpy-number", np.float64(5.0)), ("str", "ab"), ("bytes", b"ab"),
+                             ("0-d", np.array(5.0))):
+            yield pytest.param(call, value, f"{field}: must be a sequence of ", id=f"{name}.{label}")
+        if shape == NON_EMPTY:
+            yield pytest.param(call, [], f"{field}: must be non-empty", id=f"{name}.empty")
+        elif shape == OWN:
+            yield pytest.param(call, [], f"{field}: ", id=f"{name}.empty")
+        elif shape != MAY_BE_EMPTY:
+            yield pytest.param(call, [], f"{field}: expected {shape} entries, got 0", id=f"{name}.empty")
+            value = longer[0] if longer else [1.0] * (shape + 1)
+            yield pytest.param(call, value, f"{field}: expected {shape} entries, got {shape + 1}", id=f"{name}.long")
+
+
+@pytest.mark.parametrize("call, value, message", sequence_refusals())
+def test_sequence_argument_refuses(call, value, message):
+    """A bare value, a string, a 0-d array, an empty sequence and a wrong length each end in the field's ValueError;
+    a message that ends in ``: `` is a prefix of the field's own words, any other is the whole message or its
+    ``must be a sequence of <entries>`` start."""
+    got = refused(call, value)
+    assert got.startswith(message) if message.endswith(" ") else got == message
+
+
+# word for word: bare values, a string vocabulary and review pairs of the wrong size, and the length checks
+# of an argument that is no sequence itself (``ReviewerWeights`` against a reviewer count)
+SEQUENCE_WORDS = {
+    "posterior_update.number": (lambda: bayes.posterior_update(PRIOR, 7.0),
+                                "reviews: must be a sequence of (score, variance) pairs"),
+    "posterior_update.bare-review": (lambda: bayes.posterior_update(PRIOR, [7.0]),
+                                     "reviews[0]: must be a sequence of numbers"),
+    "posterior_update.one": (lambda: bayes.posterior_update(PRIOR, [(7.0,)]), "reviews[0]: expected 2 entries, got 1"),
+    "posterior_update.three": (lambda: bayes.posterior_update(PRIOR, [(7.0, 1.0, 2.0)]),
+                               "reviews[0]: expected 2 entries, got 3"),
+    "acpt": (lambda: metrics.acpt(5), "decisions: must be a sequence of decisions"),
+    "icr_any": (lambda: metrics.icr_any(5), "panels: must be a sequence of panels"),
+    "isotonic_fit": (lambda: calibrate.isotonic_fit(5), "points: must be a sequence of (threshold, value, weight) triples"),
+    "panel_sizes": (lambda: simulate.panel_sizes(5), "m_grid: must be a sequence of integers"),
+    "RubricSchema": (lambda: RubricSchema(1, 5.0), "bounds: must be a sequence of [lo, hi] pairs"),
+    "RubricSchema.count": (lambda: RubricSchema(2, ((1, 10),)), "bounds: expected 2 entries, got 1"),
+    "ScoringFunctional.linear": (lambda: ScoringFunctional.linear(5.0), "coefficients: must be a sequence of numbers"),
+    "vocabulary": (lambda: strata.vocabulary("ab"), "status_vocabulary: must be a sequence of strings"),
+    "scalar_bound_inputs.weights": (
+        lambda: bounds.scalar_bound_inputs(ReviewerWeights.uniform(3), NoiseProfile((1.0, 1.0), (1.0, 10.0))),
+        "weights: expected 2 entries, got 3",
+    ),
+    "margin_experiment.weights": (lambda: simulate.margin_experiment(COHORT, ReviewerWeights.uniform(3), 5.0, [0, 1]),
+                                  "weights: expected 2 entries, got 3"),
+}
+
+
+@pytest.mark.parametrize("call, message", SEQUENCE_WORDS.values(), ids=SEQUENCE_WORDS.keys())
+def test_sequence_argument_message(call, message):
+    assert refused(lambda _: call(), None) == message
+
+
+def test_sequence_rule_takes_a_sequence_as_it_is():
+    values = [1.0, 2.0]
+    assert rules.sequence("xs", values, "numbers", 2, non_empty=True) is values
+    assert rules.sequence("xs", (v for v in values), "numbers") == (1.0, 2.0)  # an iterator, taken once
+    assert rules.sequence("xs", {3.0}, "numbers") == (3.0,)
+    array = np.arange(3.0)
+    assert rules.sequence("xs", array, "numbers", non_empty=True) is array
+    assert rules.numbers("xs", array, non_empty=True) is array

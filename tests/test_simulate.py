@@ -599,8 +599,6 @@ def test_check_variance_rows():
     assert check_variance_rows(scaled, m_low=1, m_high=4) == []
     too_flat = [VarianceRow(1, 1.0, 81.0), VarianceRow(4, 0.5, 20.25)]
     assert any("ratio" in f for f in check_variance_rows(too_flat, m_low=1, m_high=4))
-    # an explicit window still wins
-    assert any("ratio" in f for f in check_variance_rows(scaled, 1, 4, window=(2.5, 3.5)))
 
 
 # ---------------------------------------------------------------- presets
