@@ -7,8 +7,9 @@ and validates the whole stack with a deterministic Monte-Carlo harness.
 
 ``import panelcal`` loads no submodule: each one is imported on first
 attribute access (``panelcal.simulate``), so a command pays only for the
-modules it runs.  ``core``, ``records``, ``calibrate`` and ``simulate``
-export names defined in modules of their own the same way (``_lazy``).
+modules it runs.  ``core``, ``aggregate``, ``records``, ``calibrate`` and
+``simulate`` export names defined in modules of their own the same way
+(``_lazy``).
 """
 
 import importlib

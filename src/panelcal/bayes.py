@@ -6,20 +6,25 @@ A decision is credible-robust when the threshold sits outside the
 central credible interval, and soliciting one more review is worthwhile
 only when the current call is ambiguous but the post-solicitation
 interval could exclude the threshold.
+
+This module defines ``GaussianPosterior``, which only the ``bayes``
+command and the object API build; ``core`` re-exports it.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from .core import GaussianPosterior, finite, open_unit, positive, sequence
+from .rules import finite, open_unit, positive, sequence
 from .tables import left_sums
 
 __all__ = [
+    "GaussianPosterior",
     "normal_quantile",
     "posterior_update",
     "acceptance_probability",
@@ -30,6 +35,22 @@ __all__ = [
 ]
 
 _STD_NORMAL = NormalDist()
+
+
+@dataclass(frozen=True)
+class GaussianPosterior:
+    """Gaussian belief over the latent quality of one submission."""
+
+    mean: float
+    variance: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mean", finite("mean", self.mean))
+        object.__setattr__(self, "variance", positive("variance", self.variance))
+
+    @property
+    def std(self) -> float:
+        return math.sqrt(self.variance)
 
 
 def normal_quantile(p: float) -> float:

@@ -20,7 +20,9 @@ from typing import TYPE_CHECKING, Sequence
 from .rules import integer, non_negative, open_unit, positive, sequence
 
 if TYPE_CHECKING:
-    from .core import BoundInputs, NoiseProfile, ReviewerWeights, RubricSchema, ScoringFunctional
+    from .core import RubricSchema, ScoringFunctional
+    from .objects import BoundInputs, ReviewerWeights
+    from .simulate import NoiseProfile
 
 __all__ = [
     "tail_bound",
@@ -89,7 +91,7 @@ def scalar_bound_inputs(weights: ReviewerWeights, noise: NoiseProfile) -> BoundI
 
     sigma_w^2 = sum_m w_m^2 sigma_m^2 and c_max = max_m w_m (b - a).
     """
-    from .core import BoundInputs  # here, so the bounds that take no objects load no core
+    from .objects import BoundInputs  # here, so the bounds that take plain numbers load no objects
 
     sequence("weights", weights.weights, "weights", noise.reviewer_count)
     sigma_w_sq = _weighted_square_sum(weights.weights, noise.per_reviewer_variance)
@@ -110,7 +112,7 @@ def rubric_bound_inputs(
     the variance proxy is sigma_w^2 = L^2 sum_m w_m^2 lambda_m, where
     lambda_m bounds the top eigenvalue of reviewer m's rubric covariance.
     """
-    from .core import BoundInputs
+    from .objects import BoundInputs
 
     lambdas = non_negative.each("lambda_max", lambda_max, len(weights))
     lipschitz = functional.lipschitz_constant

@@ -19,7 +19,9 @@ the ``calibrate`` command loads no ``isotonic``.
 
 A pool is either a sequence of ``CalibrationRecord``s or a
 ``tables.CalibrationTable``; either way the work runs on the table's
-columns, and a subsample comes back in the form the pool came in.
+columns, and a subsample comes back in the form the pool came in.  Only
+``_table`` imports ``tables``, so ``simulate threshold-error``, which
+passes its population as two columns, loads no ``tables``.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ import numpy as np
 
 from . import _lazy
 from .rules import ThresholdUnreachableError, not_nan, numbers, open_unit, sequence
-from .tables import CalibrationTable
 
 if TYPE_CHECKING:
     from .objects import CalibrationRecord
+    from .tables import CalibrationTable
 
-Pool = Union[Sequence["CalibrationRecord"], CalibrationTable]
+Pool = Union[Sequence["CalibrationRecord"], "CalibrationTable"]
 
 __all__ = [
     "ThresholdUnreachableError",
@@ -66,6 +68,8 @@ __getattr__, __dir__ = _lazy(__name__, {
 
 def _table(field: str, pool: Pool, non_empty: bool = False) -> CalibrationTable:
     """The pool as a table; records run through ``rules.sequence`` as ``field`` first, and a table by its ids."""
+    from .tables import CalibrationTable
+
     if isinstance(pool, CalibrationTable):
         sequence(field, pool.ids, "calibration records", non_empty=non_empty)
         return pool
@@ -214,10 +218,14 @@ def _tau05_ranks(keys: np.ndarray) -> np.ndarray:
 def _tails(scores: Sequence[float], accepts: Sequence[float]) -> TailCounts:
     """The ``TailCounts`` of a non-empty pool whose accepts are 0/1."""
     s = numbers("scores", scores, non_empty=True)
-    a = np.asarray(sequence("accepts", accepts, "0/1 values", len(s)))
-    accepted = a == 1
-    if a.ndim != 1 or not np.all(accepted | (a == 0)):
+    a = sequence("accepts", accepts, "0/1 values", len(s))
+    try:
+        a = np.asarray(a)
+    except ValueError:  # entries of different lengths: no array
+        a = None
+    if a is None or a.ndim != 1 or not np.all((a == 1) | (a == 0)):
         raise ValueError("accepts: must be 0 or 1")
+    accepted = a == 1
     return TailCounts.of(s, accepted)
 
 

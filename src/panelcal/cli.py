@@ -87,7 +87,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     from . import bounds
 
     if args.bound_kind in ("tail", "margin"):
-        from .core import BoundInputs  # only these two kinds load core and its dataclasses
+        from .objects import BoundInputs  # only these two kinds load objects and its dataclasses
 
         inputs = BoundInputs(sigma_w_sq=args.sigma_w_sq, c_max=args.c_max)
         if args.bound_kind == "tail":

@@ -5,7 +5,9 @@ columns; neither imports ``simulate``, ``calibrate`` or ``bounds``, and
 only ``bayes`` imports ``panelcal.bayes``, and only ``review``
 ``metrics``.  ``detector-eval``, which scores nothing, lives in
 ``cli_detector``.  Both write their per-panel files from typed columns
-(``writers.texts``): each distinct number is formatted once.
+(``writers.texts``): each distinct number is formatted once.  Neither
+builds an object of ``panelcal.objects``: they run ``aggregate``'s column
+kernels.
 """
 
 from __future__ import annotations
@@ -65,7 +67,7 @@ def _review_weights(
     """(N,) each review's weight in its panel's consensus.
 
     The weights are normalized the way ``ReviewerWeights`` (and, for GLS,
-    ``aggregate.gls_weights`` before it) normalize them.
+    ``objects.gls_weights`` before it) normalize them.
     """
 
     def normalized(values: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import fields, replace
 from typing import Sequence
 
 from . import config, simulate, writers
-from .core import NoiseProfile, RecordError
+from .rules import RecordError
 from .rundir import _Run
 
 
@@ -38,7 +38,7 @@ def _cohort_settings(
         raise config.rename(exc, {"m_grid": name}) from None
     if m_max != spec.m_reviewers:
         sigma = spec.noise.per_reviewer_variance[0]
-        noise = NoiseProfile((sigma,) * m_max, spec.noise.scalar_bounds)
+        noise = simulate.NoiseProfile((sigma,) * m_max, spec.noise.scalar_bounds)
         spec = replace(spec, m_reviewers=m_max, noise=noise)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)

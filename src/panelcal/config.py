@@ -11,6 +11,11 @@ the field is given as.  A JSON null
 is the same as leaving the key out.  ``load`` rejects a key that no
 command knows, naming the nearest known one, and parses only the keys the
 calling command reads, so one config file can serve several commands.
+Each ``Section`` builds its type (``core``'s ``RubricSchema``,
+``ScoringFunctional`` and ``DecisionThresholds``, ``simulate``'s
+``NoiseProfile`` and cohort types, ``bayes``'s ``GaussianPosterior``)
+through a builder that imports the type's module only when its key is
+parsed, so ``config`` itself imports only ``rules``.
 """
 
 from __future__ import annotations
@@ -20,17 +25,11 @@ import math
 from typing import TYPE_CHECKING, Any, Callable, Mapping, NamedTuple
 
 from . import rules
-from .core import (
-    DecisionThresholds,
-    GaussianPosterior,
-    NoiseProfile,
-    RecordError,
-    RubricSchema,
-    ScoringFunctional,
-)
+from .rules import RecordError
 
 if TYPE_CHECKING:
-    from .simulate import CohortSpec, LatentDistribution, PopulationSettings
+    from .core import DecisionThresholds, RubricSchema, ScoringFunctional
+    from .simulate import CohortSpec, LatentDistribution, NoiseProfile, PopulationSettings
 
 __all__ = ["REQUIRED", "Section", "ReviewerMap", "SPEC", "THRESHOLDS", "parse", "key_name", "error", "rename",
            "load", "load_thresholds"]
@@ -194,8 +193,33 @@ def parse(node: Any, value: Any, path: str = "") -> Any:
 
 
 # ---------------------------------------------------------------- spec and files
-# The simulate builders import ``simulate`` only when a ``simulate.*`` key
-# is parsed, so the other commands never load it.
+# Each builder imports its type only when its key is parsed: config loads
+# neither ``core`` nor ``simulate`` nor ``bayes`` itself, so a command
+# loads the module of a type only if it reads a key of that type.
+
+
+def _schema(**keys: Any) -> RubricSchema:
+    from .core import RubricSchema
+
+    return RubricSchema(**keys)
+
+
+def _functional(**keys: Any) -> ScoringFunctional:
+    from .core import ScoringFunctional
+
+    return ScoringFunctional(**keys)
+
+
+def _thresholds(stratified: bool, seed: int | None, **fields: Any) -> DecisionThresholds:
+    from .core import DecisionThresholds
+
+    return DecisionThresholds(**fields)
+
+
+def _noise(**keys: Any) -> NoiseProfile:
+    from .simulate import NoiseProfile
+
+    return NoiseProfile(**keys)
 
 
 def _cohort(**keys: Any) -> CohortSpec:
@@ -246,12 +270,14 @@ def _stratify(**settings: Any) -> dict[str, Any]:
 
 
 def _bayes(prior_mean: float, prior_variance: float, **settings: Any) -> dict[str, Any]:
+    from .bayes import GaussianPosterior
+
     return {"prior": GaussianPosterior(prior_mean, prior_variance), **settings}
 
 
 LATENT = Section({"kind": (string, REQUIRED), **dict.fromkeys(("lo", "hi", "mean", "sd"), (number, None))},
                  _latent)
-NOISE = Section({"per_reviewer_variance": (numbers, REQUIRED), "scalar_bounds": (pair, REQUIRED)}, NoiseProfile)
+NOISE = Section({"per_reviewer_variance": (numbers, REQUIRED), "scalar_bounds": (pair, REQUIRED)}, _noise)
 _COHORT_KEYS = {"m_reviewers": (integer(), REQUIRED), "latent": (LATENT, REQUIRED),
                 "noise": (NOISE, REQUIRED), "clip_mode": (string, "clip"), "seed": (integer(0), 0)}
 COHORT = Section({"n_papers": (integer(), REQUIRED), **_COHORT_KEYS}, _cohort)
@@ -259,8 +285,8 @@ COHORT = Section({"n_papers": (integer(), REQUIRED), **_COHORT_KEYS}, _cohort)
 POPULATION = Section({"size": (integer(), REQUIRED), **_COHORT_KEYS, "link_midpoint": (number, REQUIRED),
                       "link_slope": (number, REQUIRED)}, _population)
 SCHEMA = Section({"criteria_count": (integer(), REQUIRED), "bounds": (_list(pair, "[lo, hi] pairs"), REQUIRED),
-                  "overall_index": (integer(), None)}, RubricSchema)
-FUNCTIONAL = Section({"kind": (string, REQUIRED), "coefficients": (numbers, None)}, ScoringFunctional)
+                  "overall_index": (integer(), None)}, _schema)
+FUNCTIONAL = Section({"kind": (string, REQUIRED), "coefficients": (numbers, None)}, _functional)
 BAYES = Section({
     # declared, not left to GaussianPosterior, whose fields are mean and variance
     "prior_mean": (finite, REQUIRED),
@@ -306,7 +332,7 @@ THRESHOLDS = Section({
     "calibration_size": (integer(), REQUIRED),
     "stratified": (boolean, False),
     "seed": (integer(0), None),
-}, lambda stratified, seed, **fields: DecisionThresholds(**fields))
+}, _thresholds)
 
 
 def key_name(path: str) -> str:

@@ -1,28 +1,32 @@
-"""Shared domain types for the review aggregation and calibration stack.
+"""The value types read from config and thresholds files: rubric schema, scoring functional, thresholds.
 
-Every type validates its invariants at construction and raises
-``ValueError`` with a message that names the violated field.  All types
-are immutable.  ``panelcal.config`` builds the types read from config and
-thresholds files and reports these errors under the key path.  The two
-errors the command line maps to exit codes, ``RecordError`` (2) and
-``ThresholdUnreachableError`` (3), and the number rules live in
-``panelcal.rules``, which loads no numpy and no ``dataclasses``; ``core``
-re-exports every name of its ``__all__``, as ``records`` and
-``calibrate`` re-export the errors.
+``core`` defines ``RubricSchema``, ``ScoringFunctional`` and
+``DecisionThresholds``.  Every type validates its invariants at
+construction and raises ``ValueError`` with a message that names the
+violated field.  All types are immutable.  ``panelcal.config`` builds
+them from config and thresholds files, importing this module only when a
+key that needs one is parsed, and reports their errors under the key
+path.  The two errors the command line maps to exit codes,
+``RecordError`` (2) and ``ThresholdUnreachableError`` (3), and the number
+rules live in ``panelcal.rules``, which loads no numpy and no
+``dataclasses``; ``core`` re-exports every name of its ``__all__``.
 
-The record objects ``RubricVector``, ``ReviewRecord``, ``ReviewPanel``
-and ``CalibrationRecord`` are defined in ``panelcal.objects``, which
-``core`` imports on first use of one of them: the commands build none.
-``ConfusionCounts`` is defined in ``panelcal.metrics``, which counts
-them, and exported here the same way, so ``detector-eval`` loads no
-``core``.
+The other names of ``__all__`` are defined in the module that builds
+them at run time, and ``core`` imports that module on first use of one:
+``NoiseProfile`` in ``panelcal.simulate``, ``GaussianPosterior`` in
+``panelcal.bayes``, ``ConfusionCounts`` in ``panelcal.metrics``, and the
+object layer (``RubricVector``, ``ReviewRecord``, ``ReviewPanel``,
+``CalibrationRecord``, ``ReviewerWeights``, ``BoundInputs`` and
+``left_sum``) in ``panelcal.objects``.  So ``simulate threshold-error``
+and ``detector-eval`` load no ``core``, and the panel commands and
+``calibrate`` load no ``objects``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import _lazy, rules
 from .rules import *  # noqa: F403 -- core re-exports every name of rules.__all__
@@ -46,19 +50,12 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy(__name__, {
-    "objects": ("RubricVector", "ReviewRecord", "ReviewPanel", "CalibrationRecord"),
+    "objects": ("RubricVector", "ReviewRecord", "ReviewPanel", "CalibrationRecord", "ReviewerWeights",
+                "BoundInputs", "left_sum"),
+    "simulate": ("NoiseProfile",),
+    "bayes": ("GaussianPosterior",),
     "metrics": ("ConfusionCounts",),
 })
-
-_WEIGHT_SUM_TOL = 1e-9
-
-
-def left_sum(values: Iterable[float]) -> float:
-    """Float sum added left to right, like ``tables.left_sums`` (not 3.12's ``sum``)."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 @dataclass(frozen=True)
@@ -95,32 +92,6 @@ class RubricSchema:
     @property
     def widths(self) -> tuple[float, ...]:
         return tuple(hi - lo for lo, hi in self.bounds)
-
-
-@dataclass(frozen=True)
-class ReviewerWeights:
-    """Non-negative reviewer weights; stored renormalized to sum exactly 1.
-
-    Inputs whose sum deviates from 1 by more than 1e-9 are rejected rather
-    than silently rescaled.
-    """
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        weights = non_negative.each("weights", self.weights, non_empty=True)
-        total = left_sum(weights)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            _fail("weights", f"must sum to 1 within {_WEIGHT_SUM_TOL}, got sum {total!r}")
-        object.__setattr__(self, "weights", tuple(w / total for w in weights))
-
-    @classmethod
-    def uniform(cls, count: int) -> "ReviewerWeights":
-        count = integer("count", count, 1)
-        return cls((1.0 / count,) * count)
-
-    def __len__(self) -> int:
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -174,46 +145,6 @@ class ScoringFunctional:
 
 
 @dataclass(frozen=True)
-class NoiseProfile:
-    """Per-reviewer score-noise variances plus the shared scalar score range."""
-
-    per_reviewer_variance: tuple[float, ...]
-    scalar_bounds: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        variances = non_negative.each("per_reviewer_variance", self.per_reviewer_variance, non_empty=True)
-        object.__setattr__(self, "per_reviewer_variance", variances)
-        bounds = finite.each("scalar_bounds", self.scalar_bounds)
-        object.__setattr__(self, "scalar_bounds", bounds)
-        if len(bounds) != 2 or not bounds[0] < bounds[1]:
-            _fail("scalar_bounds", f"must be a pair lo < hi, got {bounds}")
-
-    @property
-    def reviewer_count(self) -> int:
-        return len(self.per_reviewer_variance)
-
-    @property
-    def range_width(self) -> float:
-        return self.scalar_bounds[1] - self.scalar_bounds[0]
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Sufficient statistics for the consensus tail bound.
-
-    ``sigma_w_sq`` is the weighted consensus variance proxy and ``c_max``
-    the largest single-review influence on the consensus score.
-    """
-
-    sigma_w_sq: float
-    c_max: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_w_sq", non_negative("sigma_w_sq", self.sigma_w_sq))
-        object.__setattr__(self, "c_max", non_negative("c_max", self.c_max))
-
-
-@dataclass(frozen=True)
 class DecisionThresholds:
     """Calibrated thresholds plus the settings they were fit under.
 
@@ -231,19 +162,3 @@ class DecisionThresholds:
         object.__setattr__(self, "tau_05", finite("tau_05", self.tau_05))
         object.__setattr__(self, "target_rate", open_unit("target_rate", self.target_rate))
         object.__setattr__(self, "calibration_size", integer("calibration_size", self.calibration_size, 1))
-
-
-@dataclass(frozen=True)
-class GaussianPosterior:
-    """Gaussian belief over the latent quality of one submission."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", finite("mean", self.mean))
-        object.__setattr__(self, "variance", positive("variance", self.variance))
-
-    @property
-    def std(self) -> float:
-        return math.sqrt(self.variance)

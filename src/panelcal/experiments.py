@@ -24,9 +24,9 @@ import numpy as np
 
 from . import simulate
 from .bounds import margin_misclassification_bound, scalar_bound_inputs
-from .core import NoiseProfile, ReviewerWeights
+from .objects import ReviewerWeights
 from .rules import finite, increasing_edges, integer, sequence
-from .simulate import Cohort, CohortSpec
+from .simulate import Cohort, CohortSpec, NoiseProfile
 
 __all__ = [
     "MarginBinRow",
@@ -203,7 +203,7 @@ def variance_experiment(spec: CohortSpec, m_grid: Sequence[int]) -> list[Varianc
 def check_margin_dominance(rows: Sequence[MarginBinRow]) -> list[str]:
     """Empirical rate must not exceed the bound plus 3 binomial SEs."""
     failures = []
-    for row in rows:
+    for row in sequence("rows", rows, "margin bin rows"):
         if row.empirical is None or row.stderr is None:
             continue
         limit = row.bound + 3.0 * row.stderr
@@ -222,6 +222,7 @@ def check_margin_ordering(rows: Sequence[MarginBinRow]) -> list[str]:
     Only bins whose count reaches ``_MIN_BIN_COUNT`` for both panel sizes
     are compared.
     """
+    rows = sequence("rows", rows, "margin bin rows")
     sizes = sorted({row.m for row in rows})
     if len(sizes) < 2:
         return []
@@ -252,6 +253,7 @@ def check_variance_rows(rows: Sequence[VarianceRow], m_low: int = 1, m_high: int
     relative slack on either side of the ideal ratio m_high / m_low, and
     proxy * m must agree across rows to float tolerance.
     """
+    rows = sequence("rows", rows, "variance rows")
     by_m = {row.m: row for row in rows}
     failures = []
     if m_low not in by_m or m_high not in by_m:

@@ -19,8 +19,7 @@ from .tables import PanelTable
 from .writers import aligned_table, csv_text, format_percent, rate_with_counts
 
 if TYPE_CHECKING:
-    from .aggregate import Decision
-    from .objects import ReviewPanel
+    from .objects import Decision, ReviewPanel
 
 __all__ = [
     "ConfusionCounts",
@@ -76,9 +75,23 @@ class DetectorMetrics:
                 object.__setattr__(self, name, unit(name, getattr(self, name)))
 
 
+def _entries(field: str, values: Sequence[object], kind: str, of: str) -> Sequence[object]:
+    """``values`` if it is a non-empty sequence of ``objects.<kind>``; else ``field`` or ``field[i]``'s ValueError.
+
+    ``objects`` is imported here: the commands, which pass columns, never load it.
+    """
+    from . import objects
+
+    values = sequence(field, values, of, non_empty=True)
+    for i, value in enumerate(values):
+        if not isinstance(value, getattr(objects, kind)):
+            _fail(f"{field}[{i}]", f"must be a {kind}, got {type(value).__name__}")
+    return values
+
+
 def acpt(decisions: Sequence[Decision]) -> float:
     """Fraction of decisions that accepted."""
-    decisions = sequence("decisions", decisions, "decisions", non_empty=True)
+    decisions = _entries("decisions", decisions, "Decision", "decisions")
     return sum(1 for d in decisions if d.accept) / len(decisions)
 
 
@@ -87,7 +100,7 @@ def _scope(
 ) -> tuple[PanelTable, int]:
     """The panels as a table and the index of ``reviewer_id`` (None: ``any``) in its counts;
     raises at the first panel with no label (if ``labeled``) or no review by ``reviewer_id``."""
-    panels = sequence("panels", panels, "panels", non_empty=True)
+    panels = _entries("panels", panels, "ReviewPanel", "panels")
     table = PanelTable.from_panels(panels)
     scope = table.roster.index(reviewer_id) if reviewer_id in table.roster else -1
     unlabeled = ~table.labeled & labeled
@@ -123,7 +136,7 @@ def conflict_rate(
     otherwise.  Returns None when no panel is flagged (the rate is
     conditional and has no denominator).
     """
-    panels = sequence("panels", panels, "panels", non_empty=True)  # the panels are refused before the threshold
+    panels = _entries("panels", panels, "ReviewPanel", "panels")  # the panels are refused before the threshold
     threshold = not_nan("threshold", threshold)
     table, scope = _scope(panels, reviewer_id)
     flagged = flag_counts(table)[0][scope]

@@ -1,24 +1,57 @@
-"""The record objects: a review, a panel of reviews, a loaded panel line and a calibration record.
+"""The object layer: the value types and functions that the library's callers pass objects through.
 
-Each validates its invariants at construction, like the value types of
-``core``.  ``core`` exports ``RubricVector``, ``ReviewRecord``,
-``ReviewPanel`` and ``CalibrationRecord``, and ``records`` exports
-``PanelRecord``; both import this module on first use of one of them, so
-the commands, which work on the columns of ``tables``, never build these
-classes.
+The commands work on the columns of ``tables`` and never build these
+classes.  This module defines the record objects (``RubricVector``,
+``ReviewRecord``, ``ReviewPanel``, ``PanelRecord`` and
+``CalibrationRecord``), the reviewer weights and bound inputs
+(``ReviewerWeights``, ``BoundInputs``, ``left_sum``) and the
+object-taking forms of the consensus and decision
+(``ConsensusRubric``, ``Decision``, ``consensus_rubric``, ``score``,
+``decide``, ``gls_weights``, ``panel_variance``).  Each validates its
+invariants at construction, like the value types of ``core``.  ``core``,
+``aggregate`` and ``records`` re-export these names and import this
+module on first use of one.  Importing it loads no numpy, so ``bound
+tail`` stays numpy-free: ``consensus_rubric`` and ``score`` import numpy
+and the column kernels of ``aggregate`` when called.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .rules import _fail, finite, sequence, text
+from .rules import _fail, finite, integer, non_negative, not_nan, positive, sequence, text
 
 if TYPE_CHECKING:
-    from .core import RubricSchema
+    from .core import RubricSchema, ScoringFunctional
 
-__all__ = ["RubricVector", "ReviewRecord", "ReviewPanel", "PanelRecord", "CalibrationRecord"]
+__all__ = [
+    "RubricVector",
+    "ReviewRecord",
+    "ReviewPanel",
+    "PanelRecord",
+    "CalibrationRecord",
+    "ReviewerWeights",
+    "BoundInputs",
+    "left_sum",
+    "ConsensusRubric",
+    "Decision",
+    "consensus_rubric",
+    "score",
+    "decide",
+    "gls_weights",
+    "panel_variance",
+]
+
+_WEIGHT_SUM_TOL = 1e-9
+
+
+def left_sum(values: Iterable[float]) -> float:
+    """Float sum added left to right, like ``tables.left_sums`` (not 3.12's ``sum``)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 @dataclass(frozen=True)
@@ -141,3 +174,140 @@ class CalibrationRecord:
         if not isinstance(self.human_accept, bool):
             _fail("human_accept", "must be a bool")
         text("status", self.status)
+
+
+@dataclass(frozen=True)
+class ReviewerWeights:
+    """Non-negative reviewer weights; stored renormalized to sum exactly 1.
+
+    Inputs whose sum deviates from 1 by more than 1e-9 are rejected rather
+    than silently rescaled.
+    """
+
+    weights: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        weights = non_negative.each("weights", self.weights, non_empty=True)
+        total = left_sum(weights)
+        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
+            _fail("weights", f"must sum to 1 within {_WEIGHT_SUM_TOL}, got sum {total!r}")
+        object.__setattr__(self, "weights", tuple(w / total for w in weights))
+
+    @classmethod
+    def uniform(cls, count: int) -> "ReviewerWeights":
+        count = integer("count", count, 1)
+        return cls((1.0 / count,) * count)
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+
+@dataclass(frozen=True)
+class BoundInputs:
+    """Sufficient statistics for the consensus tail bound.
+
+    ``sigma_w_sq`` is the weighted consensus variance proxy and ``c_max``
+    the largest single-review influence on the consensus score.
+    """
+
+    sigma_w_sq: float
+    c_max: float
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sigma_w_sq", non_negative("sigma_w_sq", self.sigma_w_sq))
+        object.__setattr__(self, "c_max", non_negative("c_max", self.c_max))
+
+
+@dataclass(frozen=True)
+class ConsensusRubric:
+    """Weighted per-criterion average over a panel's reviews."""
+
+    values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", finite.each("values", self.values, non_empty=True))
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+@dataclass(frozen=True)
+class Decision:
+    """Outcome of comparing a score against a threshold.
+
+    Accepts exactly when ``score >= threshold`` (boundary inclusive);
+    ``margin`` is ``score - threshold``.
+    """
+
+    score: float
+    threshold: float
+    accept: bool
+    margin: float
+
+    def __post_init__(self) -> None:
+        finite("score", self.score)
+        not_nan("threshold", self.threshold)
+        if self.accept != (self.score >= self.threshold):
+            raise ValueError("accept: inconsistent with score >= threshold")
+        if self.margin != self.score - self.threshold:
+            raise ValueError("margin: must equal score - threshold")
+
+
+def consensus_rubric(panel: ReviewPanel, weights: ReviewerWeights) -> ConsensusRubric:
+    """Weight-average the panel's rubrics criterion by criterion (``aggregate.consensus_rows``)."""
+    import numpy as np  # here, with the column kernels: the types above load no numpy
+
+    from .aggregate import consensus_rows
+    from .tables import PanelTable
+
+    if len(weights) != len(panel.reviews):
+        raise ValueError(
+            f"weights: expected {len(panel.reviews)} entries for panel "
+            f"{panel.submission_id!r}, got {len(weights)}"
+        )
+    table = PanelTable.from_panels([panel])
+    rows = consensus_rows(table.rubric, np.array(weights.weights), table.counts)
+    return ConsensusRubric(tuple(rows[0].tolist()))
+
+
+def score(
+    consensus: ConsensusRubric,
+    functional: ScoringFunctional,
+    schema: RubricSchema | None = None,
+) -> float:
+    """Collapse a consensus rubric to a scalar via the scoring functional (``aggregate.score_rows``).
+
+    ``overall_pick`` requires a schema whose ``overall_index`` is set.
+    """
+    import numpy as np
+
+    from .aggregate import score_rows
+
+    return float(score_rows(np.array([consensus.values]), functional, schema)[0])
+
+
+def decide(value: float, threshold: float) -> Decision:
+    """Accept iff ``value >= threshold``; the boundary accepts.
+
+    ``Decision``'s rules run on both numbers before they are compared.
+    """
+    value, threshold = finite("score", value), not_nan("threshold", threshold)
+    return Decision(score=value, threshold=threshold, accept=value >= threshold, margin=value - threshold)
+
+
+def gls_weights(projected_variances: Sequence[float]) -> ReviewerWeights:
+    """Precision weights: w_m proportional to the inverse projected variance.
+
+    These minimize the weighted consensus variance sum(w_m^2 c_m) subject
+    to the weights summing to one.  Every variance must be > 0.
+    """
+    variances = positive.each("projected_variances", projected_variances, non_empty=True)
+    inverse = [1.0 / v for v in variances]
+    total = left_sum(inverse)
+    return ReviewerWeights(tuple(x / total for x in inverse))
+
+
+def panel_variance(weights: ReviewerWeights, projected_variances: Sequence[float]) -> float:
+    """Weighted consensus variance sum_m w_m^2 c_m."""
+    variances = non_negative.each("projected_variances", projected_variances, len(weights))
+    return sum(w * w * v for w, v in zip(weights.weights, variances))

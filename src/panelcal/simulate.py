@@ -15,8 +15,9 @@ range.  Three experiments run over such cohorts:
 Every experiment is deterministic given its seed.  The check_* functions
 return human-readable failure strings; empty means the property held.
 
-This module holds the cohort, the calibration population and the
-threshold-error bootstrap.  The margin and variance experiments are
+This module holds the cohort (with its ``NoiseProfile``, which ``core``
+re-exports), the calibration population and the threshold-error
+bootstrap.  The margin and variance experiments are
 defined in ``panelcal.experiments``, which this module exports and imports
 on first use of one of its names, so ``simulate threshold-error`` loads
 neither it nor ``bounds``.
@@ -26,18 +27,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import _lazy, calibrate
 from .calibrate import Pool, ThresholdUnreachableError, _table
-from .rules import finite, integer, positive, sequence
-
-if TYPE_CHECKING:
-    from .core import NoiseProfile
+from .rules import _fail, finite, integer, non_negative, positive, sequence
 
 __all__ = [
+    "NoiseProfile",
     "LatentDistribution",
     "CohortSpec",
     "Cohort",
@@ -73,6 +72,30 @@ __getattr__, __dir__ = _lazy(__name__, {
 _CLIP_MODES = ("clip", "none", "reject-resample")
 _RESAMPLE_ROUNDS = 1000
 _SLOPE_WINDOW = (-0.6, -0.4)  # the log-log slope of an error curve that decays like 1 / sqrt(n_cal)
+
+
+@dataclass(frozen=True)
+class NoiseProfile:
+    """Per-reviewer score-noise variances plus the shared scalar score range."""
+
+    per_reviewer_variance: tuple[float, ...]
+    scalar_bounds: tuple[float, float]
+
+    def __post_init__(self) -> None:
+        variances = non_negative.each("per_reviewer_variance", self.per_reviewer_variance, non_empty=True)
+        object.__setattr__(self, "per_reviewer_variance", variances)
+        bounds = finite.each("scalar_bounds", self.scalar_bounds)
+        object.__setattr__(self, "scalar_bounds", bounds)
+        if len(bounds) != 2 or not bounds[0] < bounds[1]:
+            _fail("scalar_bounds", f"must be a pair lo < hi, got {bounds}")
+
+    @property
+    def reviewer_count(self) -> int:
+        return len(self.per_reviewer_variance)
+
+    @property
+    def range_width(self) -> float:
+        return self.scalar_bounds[1] - self.scalar_bounds[0]
 
 
 @dataclass(frozen=True)
@@ -325,6 +348,7 @@ def error_curve_sizes(sizes: Sequence[int], field: str = "n_cal_grid") -> list[i
 
 def error_curve_slope(rows: Sequence[ThresholdErrorRow]) -> float:
     """Least-squares slope of log mean error against log n_cal; nan if a mean error is 0 (no log)."""
+    rows = sequence("rows", rows, "threshold-error rows")
     x = np.log(error_curve_sizes([row.n_cal for row in rows], "rows"))
     if any(row.mean_abs_err == 0 for row in rows):
         return math.nan
@@ -341,6 +365,7 @@ def check_threshold_rows(rows: Sequence[ThresholdErrorRow]) -> list[str]:
     the population's size draws the whole population) has no logarithm, so
     it fails in place of the slope.
     """
+    rows = sequence("rows", rows, "threshold-error rows")
     failures = [f"n_cal={row.n_cal}: mean error 0 has no logarithm, so the log-log slope is undefined"
                 for row in rows if row.mean_abs_err == 0]
     slope = error_curve_slope(rows)

@@ -1,11 +1,12 @@
 """The column tables: a panel file and a calibration pool as arrays.
 
 ``records`` parses JSONL into these tables and exports them, but the code
-that only works on columns (``calibrate``, ``simulate``, ``metrics``, the
-commands) imports them from here, so ``simulate threshold-error``, which
-reads no file, loads no JSONL loader, and neither does a table built from
-record objects (``PanelTable.from_panels``).  ``left_sums`` adds the values of a
-group of rows in the order of ``core.left_sum``.
+that only works on columns (``calibrate``, ``metrics``, the commands)
+imports them from here, so a command loads no JSONL loader on a cache
+hit, and neither does a table built from record objects
+(``PanelTable.from_panels``).  ``simulate threshold-error``, which reads
+no file, loads no table at all.  ``left_sums`` adds the values of a
+group of rows in the order of ``objects.left_sum``.
 """
 
 from __future__ import annotations
@@ -284,8 +285,8 @@ class CalibrationTable:
 def left_sums(values: np.ndarray, counts: np.ndarray, start: float = 0.0) -> np.ndarray:
     """(P,) ``start`` plus each of P groups of ``values``, ``counts`` long, added left to right.
 
-    This is the order of ``core.left_sum``, which ``ReviewerWeights`` and
-    ``aggregate.gls_weights`` use; ``np.add.reduceat`` and, from Python
+    This is the order of ``objects.left_sum``, which ``ReviewerWeights`` and
+    ``objects.gls_weights`` use; ``np.add.reduceat`` and, from Python
     3.12, builtin ``sum`` add in another order.
     """
     starts = np.cumsum(counts) - counts

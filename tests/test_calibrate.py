@@ -640,3 +640,7 @@ def test_tau05_from_scores_rejects_bad_inputs():
         tau05_from_scores([1.0, 2.0], [1.0])
     with pytest.raises(ValueError, match="^scores: must be non-empty$"):
         tau05_from_scores([], [])
+    # entries that are lists, ragged or not, make no 1-d array of 0/1 values
+    for accepts in ([[1], [0, 1]], [[1], [0]], [[1, 0], [0, 1]]):
+        with pytest.raises(ValueError, match=r"^accepts: must be 0 or 1$"):
+            tau05_from_scores([1.0, 2.0], accepts)

@@ -657,6 +657,11 @@ SEQUENCES = {
     "error_curve_sizes": (simulate.error_curve_sizes, "n_cal_grid", OWN),
     "panel_sizes": (simulate.panel_sizes, "m_grid", OWN),
     "margin_bin_edges": (simulate.margin_bin_edges, "bin_edges", OWN),
+    "error_curve_slope": (simulate.error_curve_slope, "rows", OWN),
+    "check_threshold_rows": (simulate.check_threshold_rows, "rows", OWN),
+    "check_margin_dominance": (simulate.check_margin_dominance, "rows", MAY_BE_EMPTY),
+    "check_margin_ordering": (simulate.check_margin_ordering, "rows", MAY_BE_EMPTY),
+    "check_variance_rows": (simulate.check_variance_rows, "rows", MAY_BE_EMPTY),
     # rules
     "numbers": (lambda v: rules.numbers("xs", v), "xs", MAY_BE_EMPTY),
     "finite.each": (lambda v: rules.finite.each("xs", v), "xs", MAY_BE_EMPTY),
@@ -698,8 +703,9 @@ def test_sequence_argument_refuses(call, value, message):
     assert got.startswith(message) if message.endswith(" ") else got == message
 
 
-# word for word: bare values, a string vocabulary and review pairs of the wrong size, and the length checks
-# of an argument that is no sequence itself (``ReviewerWeights`` against a reviewer count)
+# word for word: bare values, a string vocabulary, review pairs of the wrong size and rate-adapter entries of
+# another type (by their index, never an AttributeError), and the length checks of an argument that is no
+# sequence itself (``ReviewerWeights`` against a reviewer count)
 SEQUENCE_WORDS = {
     "posterior_update.number": (lambda: bayes.posterior_update(PRIOR, 7.0),
                                 "reviews: must be a sequence of (score, variance) pairs"),
@@ -710,8 +716,23 @@ SEQUENCE_WORDS = {
                                "reviews[0]: expected 2 entries, got 3"),
     "acpt": (lambda: metrics.acpt(5), "decisions: must be a sequence of decisions"),
     "icr_any": (lambda: metrics.icr_any(5), "panels: must be a sequence of panels"),
+    "acpt.entry": (lambda: metrics.acpt([5]), "decisions[0]: must be a Decision, got int"),
+    "acpt.panel": (lambda: metrics.acpt([aggregate.decide(7.0, 7.0), PANEL]),
+                   "decisions[1]: must be a Decision, got ReviewPanel"),
+    "icr_any.entry": (lambda: metrics.icr_any([5]), "panels[0]: must be a ReviewPanel, got int"),
+    "icr_per_model.decision": (lambda: metrics.icr_per_model([PANEL, aggregate.decide(7.0, 7.0)], "m1"),
+                               "panels[1]: must be a ReviewPanel, got Decision"),
+    "conflict_rate.entry": (lambda: metrics.conflict_rate([5.0], {}, NAN), "panels[0]: must be a ReviewPanel, got float"),
+    "detector_counts.entry": (lambda: metrics.detector_counts([PANEL, None]),
+                              "panels[1]: must be a ReviewPanel, got NoneType"),
     "isotonic_fit": (lambda: calibrate.isotonic_fit(5), "points: must be a sequence of (threshold, value, weight) triples"),
     "panel_sizes": (lambda: simulate.panel_sizes(5), "m_grid: must be a sequence of integers"),
+    "error_curve_slope": (lambda: simulate.error_curve_slope(5), "rows: must be a sequence of threshold-error rows"),
+    "check_threshold_rows": (lambda: simulate.check_threshold_rows(5),
+                             "rows: must be a sequence of threshold-error rows"),
+    "check_margin_dominance": (lambda: simulate.check_margin_dominance(5), "rows: must be a sequence of margin bin rows"),
+    "check_margin_ordering": (lambda: simulate.check_margin_ordering(5), "rows: must be a sequence of margin bin rows"),
+    "check_variance_rows": (lambda: simulate.check_variance_rows(5), "rows: must be a sequence of variance rows"),
     "RubricSchema": (lambda: RubricSchema(1, 5.0), "bounds: must be a sequence of [lo, hi] pairs"),
     "RubricSchema.count": (lambda: RubricSchema(2, ((1, 10),)), "bounds: expected 2 entries, got 1"),
     "ScoringFunctional.linear": (lambda: ScoringFunctional.linear(5.0), "coefficients: must be a sequence of numbers"),

@@ -1,12 +1,13 @@
 """Each command imports only the modules it runs.
 
 Fresh interpreters run one command each on the ``test_cli`` fixtures and
-report the modules they loaded.  In-process tests cover the lazy
-``panelcal`` package: submodules resolve on first attribute access, the
-two exit-code errors and the number rules live in ``rules``, which
-``core`` re-exports, and every name that ``core``, ``records``,
-``calibrate`` and ``simulate`` export from a module of its own is one
-object wherever it is exported.
+report the modules they loaded and the dataclasses those modules
+define.  In-process tests cover the lazy ``panelcal`` package:
+submodules resolve on first attribute access, the two exit-code errors
+and the number rules live in ``rules``, which ``core`` re-exports, and
+every name that ``core``, ``aggregate``, ``records``, ``calibrate`` and
+``simulate`` export from a module of its own is one object wherever it
+is exported.
 """
 
 import functools
@@ -33,8 +34,8 @@ from test_cli import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# runs the command like the console script, then prints its exit code and the modules it
-# loaded; json is imported only after sys.modules is read
+# runs the command like the console script, then prints its exit code, the modules it
+# loaded and the dataclasses the panelcal ones define; json is imported only after sys.modules is read
 PROBE = (
     "import sys\n"
     "from panelcal.cli import main\n"
@@ -43,8 +44,12 @@ PROBE = (
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
     "modules = sorted(sys.modules)\n"
+    "built = sorted(f'{name}.{value.__name__}' for name in modules if name.startswith('panelcal')\n"
+    "               for value in vars(sys.modules[name]).values()\n"
+    "               if isinstance(value, type) and '__dataclass_fields__' in vars(value)\n"
+    "               and value.__module__ == name)\n"
     "import json\n"
-    "print(json.dumps([code, modules]))\n"
+    "print(json.dumps([code, modules, built]))\n"
 )
 
 
@@ -53,18 +58,25 @@ def _env():
     return {**os.environ, "PYTHONPATH": str(SRC) + (os.pathsep + path if path else "")}
 
 
-def fresh(cwd, *argv, code=0):
-    """The modules a fresh interpreter has loaded after running ``panelcal argv``,
-    which must exit with ``code``, and what the command printed.
+def probe(cwd, *argv, code=0):
+    """The modules a fresh interpreter has loaded after running ``panelcal argv``, which
+    must exit with ``code``, the dataclasses those modules define (``module.Class``), and
+    what the command printed.
 
     No command loads scipy, which only the tests use: every probe checks it."""
     proc = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=cwd, env=_env(),
                           capture_output=True, text=True, check=True)
-    printed, _, probe = proc.stdout.rstrip("\n").rpartition("\n")
-    exit_code, modules = json.loads(probe)
+    printed, _, result = proc.stdout.rstrip("\n").rpartition("\n")
+    exit_code, modules, built = json.loads(result)
     assert exit_code == code, proc.stderr
     assert not [m for m in modules if m.partition(".")[0] == "scipy"]
-    return set(modules), printed
+    return set(modules), built, printed
+
+
+def fresh(cwd, *argv, code=0):
+    """The modules ``probe`` reports and what the command printed."""
+    modules, _, printed = probe(cwd, *argv, code=code)
+    return modules, printed
 
 
 def loaded(cwd, *argv, code=0):
@@ -98,7 +110,9 @@ def test_bound_and_version_load_no_core_dataclasses_hashlib_or_json(tmp_path, ar
 def test_tail_and_margin_build_their_bound_inputs(tmp_path, argv, expected):
     modules, printed = fresh(tmp_path, *argv)
     assert printed == expected
-    assert "panelcal.core" in modules
+    # BoundInputs is defined in the object layer, which loads no numpy
+    assert "panelcal.objects" in modules
+    assert not modules & {"panelcal.core", "numpy"}
 
 
 def test_bound_loads_no_numpy(tmp_path):
@@ -175,14 +189,46 @@ def test_threshold_error_loads_no_aggregate(tmp_path):
                      "--out", "runs", code=4)
     assert {"panelcal.simulate", "panelcal.rundir"} <= modules
     assert not modules & {"panelcal.aggregate", "panelcal.bayes"}
-    # it reads no JSONL, so it loads neither the loaders nor the column cache; it runs no margin or
-    # variance experiment (nor bounds), no stratification, no isotonic fit, builds no record object,
-    # and computes no rate: its CSV goes through the writers, not metrics
+    # it reads no JSONL, so it loads neither the loaders, the column cache nor the tables; it runs
+    # no margin or variance experiment (nor bounds), no stratification, no isotonic fit, builds no
+    # record object and no core type (its NoiseProfile is simulate's), and computes no rate: its CSV
+    # goes through the writers, not metrics
     assert {m for m in modules if m.startswith("panelcal")} == {
         "panelcal", "panelcal.calibrate", "panelcal.cli", "panelcal.cli_simulate", "panelcal.config",
-        "panelcal.core", "panelcal.rules", "panelcal.rundir", "panelcal.simulate", "panelcal.tables",
-        "panelcal.writers",
+        "panelcal.rules", "panelcal.rundir", "panelcal.simulate", "panelcal.writers",
     }
+
+
+# the dataclasses each data command's modules define: the types it runs, and no other
+SIMULATE_TYPES = {"simulate.NoiseProfile", "simulate.LatentDistribution", "simulate.CohortSpec",
+                  "simulate.Cohort", "simulate.ThresholdErrorRow", "simulate.PopulationSettings",
+                  "simulate.Population"}
+COLUMN_TYPES = {"rundir.RunManifest", "tables.PanelTable", "tables.CalibrationTable"}
+CORE_TYPES = {"core.RubricSchema", "core.ScoringFunctional", "core.DecisionThresholds"}
+METRICS_TYPES = {"metrics.ConfusionCounts", "metrics.DetectorMetrics"}
+BUILT = {
+    "threshold-error": SIMULATE_TYPES | {"rundir.RunManifest"},
+    "review": CORE_TYPES | COLUMN_TYPES | METRICS_TYPES,
+    "bayes": CORE_TYPES | COLUMN_TYPES | {"bayes.GaussianPosterior"},
+    "calibrate": CORE_TYPES | COLUMN_TYPES,
+    "detector-eval": COLUMN_TYPES | METRICS_TYPES,
+}
+
+
+@pytest.mark.parametrize(("command", "count"), [
+    ("threshold-error", 8), ("review", 8), ("bayes", 7), ("calibrate", 6), ("detector-eval", 5),
+])
+def test_each_data_command_builds_only_the_dataclasses_it_runs(tmp_path, command, count):
+    if command == "threshold-error":
+        _, built, _ = probe(tmp_path, "simulate", "threshold-error", "--grid", "50,100", "--replicates", "2",
+                            "--out", "runs", code=4)
+    else:
+        from test_cli import cached_command
+
+        argv, _ = cached_command(tmp_path, command)
+        _, built, _ = probe(tmp_path, *argv, "--out", "runs")
+    assert {name.removeprefix("panelcal.") for name in built} == BUILT[command]
+    assert len(built) == count
 
 
 @functools.cache
@@ -273,10 +319,18 @@ def test_exit_code_errors_are_reexported():
     assert issubclass(rules.ThresholdUnreachableError, ValueError)
 
 
-# the modules that core, records, calibrate and simulate export names from, each imported on first use
+# the modules that core, aggregate, records, calibrate and simulate export names from, each imported on
+# first use (core's NoiseProfile and GaussianPosterior load simulate and bayes, which a command may run)
 LAZY_MODULES = ("panelcal.objects", "panelcal.isotonic", "panelcal.strata", "panelcal.experiments")
-EXPORTERS = ("core", "records", "calibrate", "simulate", "rules", "tables", "objects", "isotonic", "strata",
-             "experiments", "metrics", "reader", "writers")
+EXPORTERS = ("core", "aggregate", "records", "calibrate", "simulate", "bayes", "rules", "tables", "objects",
+             "isotonic", "strata", "experiments", "metrics", "reader", "writers")
+# each name that core or aggregate exports from another module, and that module
+MOVED = {
+    "core": {"NoiseProfile": "simulate", "GaussianPosterior": "bayes", "ReviewerWeights": "objects",
+             "BoundInputs": "objects", "left_sum": "objects"},
+    "aggregate": {name: "objects" for name in ("ConsensusRubric", "Decision", "consensus_rubric", "score", "decide",
+                                               "gls_weights", "panel_variance")},
+}
 
 
 def test_import_panelcal_core_builds_no_record_class(tmp_path):
@@ -306,17 +360,18 @@ def test_from_imports_and_dunder_lookups_load_no_lazy_module(tmp_path):
     # load its lazy modules on every one
     probe = ("import json, sys\n"
              "from panelcal.core import RecordError, NoiseProfile\n"
+             "from panelcal.aggregate import consensus_rows\n"
              "from panelcal.records import PanelTable\n"
              "from panelcal.calibrate import TailCounts\n"
              "from panelcal.simulate import generate_cohort\n"
-             "import panelcal.core, panelcal.records, panelcal.calibrate, panelcal.simulate\n"
-             "modules = [panelcal.core, panelcal.records, panelcal.calibrate, panelcal.simulate]\n"
+             "import panelcal.core, panelcal.aggregate, panelcal.records, panelcal.calibrate, panelcal.simulate\n"
+             "modules = [panelcal.core, panelcal.aggregate, panelcal.records, panelcal.calibrate, panelcal.simulate]\n"
              "paths = [hasattr(m, '__path__') for m in modules]\n"
              "print(json.dumps([paths, sorted(sys.modules)]))\n")
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_env(), capture_output=True,
                           text=True, check=True)
     paths, modules = json.loads(proc.stdout)
-    assert paths == [False] * 4
+    assert paths == [False] * 5
     assert not set(modules) & {*LAZY_MODULES, "panelcal.bounds"}
 
 
@@ -336,9 +391,14 @@ def test_every_exported_name_is_one_object_wherever_it_is_exported():
     assert seen["ConfusionCounts"] is sys.modules["panelcal.metrics"].ConfusionCounts
     assert seen["load_config"] is sys.modules["panelcal.reader"].load_config
     assert seen["csv_text"] is sys.modules["panelcal.writers"].csv_text
+    for exporter, homes in MOVED.items():
+        for name, home in homes.items():
+            home_module = sys.modules[f"panelcal.{home}"]
+            assert name in home_module.__all__
+            assert getattr(sys.modules[f"panelcal.{exporter}"], name) is getattr(home_module, name) is seen[name]
 
 
-@pytest.mark.parametrize("name", ["core", "records", "calibrate", "simulate"])
+@pytest.mark.parametrize("name", ["core", "aggregate", "records", "calibrate", "simulate"])
 def test_lazy_exporters_refuse_unknown_and_dunder_names(name):
     module = importlib.import_module(f"panelcal.{name}")
     assert not hasattr(module, "__path__")
