@@ -153,7 +153,7 @@ def credible_calls(
     """
     std = np.sqrt(variances)
     arguments = -((threshold - means) / std) / math.sqrt(2.0)
-    p_accept = 1.0 - 0.5 * np.array([math.erfc(x) for x in arguments.tolist()])
+    p_accept = 1.0 - 0.5 * np.fromiter(map(math.erfc, arguments.tolist()), float, count=arguments.size)
     z = normal_quantile(1.0 - alpha / 2.0)
     gap = np.abs(threshold - means)
     robust = gap >= z * std

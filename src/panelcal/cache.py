@@ -11,11 +11,16 @@ this module owns what an entry holds.  An entry is one file:
 
 A numpy column keeps its dtype, from a whitelist, and shape.  A string
 column is one UTF-8 blob of its strings joined by a separator that none
-of them holds, restored by one ``split``.  A column that repeats a string
-among its first entries (statuses, feedback) keeps its distinct strings
-and a code per entry, so that equal entries come back as one string; any
-other column (ids) keeps every string, which costs a miss no pass over
-the column to find its distinct strings.
+of them holds.  A column that repeats a string among its first entries
+(statuses, feedback) keeps its distinct strings and a code per entry, so
+that equal entries come back as one string; any other column (ids) keeps
+every string, which costs a miss no pass over the column to find its
+distinct strings.
+A hit decodes each blob and checks that it splits into its count and
+that every code is in range, but splits it on first read only
+(``tables.Strings``): ``calibrate`` and ``detector-eval`` split none,
+``review`` and ``bayes`` the ids alone, and no command the feedback.  The
+``roster``, short and read by every panel command, is split at once.
 The table's ``path`` is not stored: it always names the file as given.
 
 A hit needs the input's digest and the interpreter key to match, and the
@@ -37,13 +42,14 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .tables import CalibrationTable, PanelTable
+from .tables import CalibrationTable, PanelTable, Strings, split_strings
 
 FORMAT = 2  # the entry layout; a new layout makes every old entry a miss
 # each table kind: its class, and the name of the ``records`` loader that parses its file on a miss
@@ -53,6 +59,7 @@ _DTYPES = frozenset({"|b1", "<i4", "<i8", "<u4", "<f8"})
 _ALIGN = 8  # every column starts at a multiple of 8 bytes, so np.frombuffer gives aligned arrays
 _CODES = np.dtype("<u4")
 _PROBE = 256  # a string column that repeats within its first _PROBE entries is stored with codes
+_WHOLE = frozenset({"roster"})  # the string columns a hit splits at once; the others are split on first read
 _HEADER_LIMIT = 1 << 20  # prune reads at most this much of a file for its header
 # the source files, beside this one, of the modules a parse runs, this one included; the package's own
 # version is in the key
@@ -116,7 +123,7 @@ def read(entry: Path, kind: str, digest: str, path: str) -> PanelTable | Calibra
             return None
         columns, offset = {}, end
         for item in header["columns"]:
-            columns[item["name"]], offset = _restore(buffer, offset, item)
+            columns[item["name"]], offset = _restore(buffer, offset, item, item["name"] in _WHOLE)
         if offset != len(buffer) - 32:
             return None
         return cls(path=path, **columns)
@@ -185,7 +192,7 @@ def _names(cls: type) -> list[str]:
     return [f.name for f in fields(cls) if f.name != "path"]
 
 
-def _store(column: np.ndarray | tuple[str, ...]) -> tuple[dict, list]:
+def _store(column: np.ndarray | Sequence[str]) -> tuple[dict, list]:
     """A column's header item and the buffers that hold it."""
     if isinstance(column, np.ndarray):
         array = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("<"))
@@ -207,22 +214,32 @@ def _store(column: np.ndarray | tuple[str, ...]) -> tuple[dict, list]:
     return item, [blob, np.fromiter(map(code.__getitem__, column), _CODES, len(column))]
 
 
-def _restore(buffer: bytearray, offset: int, item: dict) -> tuple[np.ndarray | tuple[str, ...], int]:
-    """The column that ``item`` describes, at ``offset`` of ``buffer``, and the offset after it."""
+def _restore(
+    buffer: bytearray, offset: int, item: dict, whole: bool
+) -> tuple[np.ndarray | Strings | tuple[str, ...], int]:
+    """The column that ``item`` describes, at ``offset`` of ``buffer``, and the offset after it.
+
+    A string column is a ``Strings``, or a tuple when ``whole``; every check
+    of its split runs here, so a column that is read later cannot fail.
+    """
     if "dtype" in item:
         if item["dtype"] not in _DTYPES:
             raise ValueError(f"dtype {item['dtype']!r} has no cache form")
         return _array(buffer, offset, np.dtype(item["dtype"]), item["shape"])
-    size = item["bytes"]
+    size, sep, count = item["bytes"], item["sep"], item["count"]
     text = str(memoryview(buffer)[offset : offset + size], "utf-8", "surrogatepass")
-    distinct = text.split(item["sep"]) if item["count"] else []
-    if len(distinct) != item["count"]:
+    # the split that the first read runs (``tables.split_strings``) gives ``count`` strings
+    if type(count) is not int or not sep or (text.count(sep) + 1 if count else 0) != count:
         raise ValueError("string column does not hold its count")
     offset += size + -size % _ALIGN
-    if item["codes"] is None:
-        return tuple(distinct), offset
-    codes, offset = _array(buffer, offset, _CODES, [item["codes"]])
-    return tuple(map(distinct.__getitem__, codes.tolist())), offset
+    codes = None
+    if item["codes"] is not None:
+        codes, offset = _array(buffer, offset, _CODES, [item["codes"]])
+        if codes.size and int(codes.max()) >= count:
+            raise ValueError("string column holds a code past its strings")
+    if whole:
+        return split_strings(text, sep, count, codes), offset
+    return Strings(text, sep, count, codes), offset
 
 
 def _array(buffer: bytearray, offset: int, dtype: np.dtype, shape: list[int]) -> tuple[np.ndarray, int]:

@@ -7,13 +7,22 @@ hit, and neither does a table built from record objects
 (``PanelTable.from_panels``).  ``simulate threshold-error``, which reads
 no file, loads no table at all.  ``left_sums`` adds the values of a
 group of rows in the order of ``objects.left_sum``.
+
+A parsed table holds its string columns as tuples.  A table read from
+the column cache holds each per-row string column (ids, feedback,
+statuses) as ``Strings``: its length is known at once, and its text is
+split on first read.  Of those, ``review`` and ``bayes`` read the ids,
+``calibrate`` reads the statuses, and the ids, only to stratify, and
+``detector-eval`` reads none; only the record objects read the feedback.
+Each table takes its length from its ``lines`` column.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,7 +32,52 @@ if TYPE_CHECKING:
     from .core import RubricSchema
     from .objects import CalibrationRecord, PanelRecord, ReviewPanel
 
-__all__ = ["PanelTable", "CalibrationTable", "left_sums"]
+__all__ = ["PanelTable", "CalibrationTable", "Strings", "left_sums"]
+
+
+def split_strings(text: str, sep: str, count: int, codes: np.ndarray | None = None) -> tuple[str, ...]:
+    """The ``count`` strings that ``text`` joins with ``sep``, or, with ``codes``, distinct string ``codes[i]`` for
+    each ``i``: one object-array take, so that equal entries are one object."""
+    distinct = text.split(sep) if count else []
+    if codes is None:
+        return tuple(distinct)
+    table = np.empty(len(distinct), dtype=object)
+    table[:] = distinct
+    return tuple(table[codes].tolist())
+
+
+class Strings(Sequence[str]):
+    """A string column read from the column cache: ``split_strings`` of its arguments, run on first read.
+
+    ``len`` needs no split.  The cache has checked, as it read the entry,
+    that ``text`` splits into ``count`` strings and that every code is
+    below ``count``, so no read fails.
+    """
+
+    __slots__ = ("_parts", "_length", "_strings")
+
+    def __init__(self, text: str, sep: str, count: int, codes: np.ndarray | None = None) -> None:
+        self._parts = (text, sep, count, codes)
+        self._length = count if codes is None else len(codes)
+        self._strings: tuple[str, ...] | None = None
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index: int | slice) -> str | tuple[str, ...]:
+        return self._column()[index]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._column())
+
+    def _column(self) -> tuple[str, ...]:
+        """The strings, split on the first call, which lets the text go."""
+        if self._strings is None:
+            self._strings, self._parts = self._split(), None
+        return self._strings
+
+    def _split(self) -> tuple[str, ...]:
+        return split_strings(*self._parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,7 +93,7 @@ class PanelTable:
     """
 
     path: str
-    ids: tuple[str, ...]
+    ids: Sequence[str]
     lines: np.ndarray  # (P,) line number of each panel
     counts: np.ndarray  # (P,) reviews per panel
     offsets: np.ndarray  # (P + 1,) first review row of each panel, then N
@@ -50,7 +104,7 @@ class PanelTable:
     rubric: np.ndarray  # (N, K) float
     criteria: np.ndarray  # (N,) rubric length of each review
     flags: np.ndarray  # (N,) bool
-    feedback: tuple[str, ...]  # (N,)
+    feedback: Sequence[str]  # (N,)
 
     @classmethod
     def from_columns(
@@ -107,7 +161,7 @@ class PanelTable:
         )
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.lines)
 
     @cached_property
     def panel_index(self) -> np.ndarray:
@@ -232,11 +286,11 @@ class CalibrationTable:
     """
 
     path: str
-    ids: tuple[str, ...]
+    ids: Sequence[str]
     lines: np.ndarray  # (N,) line number of each record
     scores: np.ndarray  # (N,) float
     accepts: np.ndarray  # (N,) bool
-    statuses: tuple[str, ...]
+    statuses: Sequence[str]
 
     @classmethod
     def from_records(cls, records: Sequence[CalibrationRecord]) -> CalibrationTable:
@@ -251,7 +305,7 @@ class CalibrationTable:
         )
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.lines)
 
     def where(self, i: int) -> str:
         """``path:line`` of record ``i``, or ``record 'id'`` without a file."""

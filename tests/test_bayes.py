@@ -6,6 +6,7 @@ import pytest
 
 from panelcal.bayes import (
     acceptance_probability,
+    credible_calls,
     credible_robust,
     normal_quantile,
     posterior_update,
@@ -88,6 +89,21 @@ def test_acceptance_probability():
     assert acceptance_probability(post, 10.0) == pytest.approx(1 - normal_cdf(2.0), abs=1e-12)
     with pytest.raises(ValueError, match="threshold"):
         acceptance_probability(post, math.inf)
+
+
+# means at the threshold, a signed zero and far past either side, then drawn ones
+MEANS = [6.0, -0.0, 1e300, -1e300, *np.random.default_rng(5).normal(6.0, 3.0, 2000)]
+
+
+@pytest.mark.parametrize("means", [[], [6.0], MEANS], ids=["empty", "one", "many"])
+def test_credible_calls_p_accept_is_one_minus_half_erfc_bit_for_bit(means):
+    means = np.array(means, dtype=float)
+    rng = np.random.default_rng(len(means))
+    variances = rng.uniform(1e-6, 9.0, means.size)
+    p_accept, _, _ = credible_calls(means, variances, 6.0, 0.05, 1.0)
+    arguments = -((6.0 - means) / np.sqrt(variances)) / math.sqrt(2.0)
+    assert p_accept.dtype == np.float64 and p_accept.shape == means.shape
+    assert [v.hex() for v in p_accept.tolist()] == [(1.0 - 0.5 * math.erfc(x)).hex() for x in arguments.tolist()]
 
 
 def test_credible_robust_boundary():

@@ -10,6 +10,7 @@ that is not an entry of this table's bytes reads as a miss.
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -58,10 +59,22 @@ def pool_file(draw):
                    for i in range(draw(st.integers(1, 8))))
 
 
+def columns(table):
+    """Each field of ``table`` as it is held, with no copy."""
+    return [getattr(table, field.name) for field in dataclasses.fields(table)]
+
+
+def strings(table):
+    """The string columns of ``table``, by name: a restored one is a ``tables.Strings``, a parsed one a tuple."""
+    return {field.name: getattr(table, field.name) for field in dataclasses.fields(table)
+            if field.name != "path" and not isinstance(getattr(table, field.name), np.ndarray)}
+
+
 def table_bytes(table):
-    """Every column of ``table``, arrays as (dtype, shape, bytes) so that -0.0 differs from 0.0."""
-    return [(value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray) else value
-            for value in dataclasses.astuple(table)]
+    """Every column of ``table``: arrays as (dtype, shape, bytes) so that -0.0 differs from 0.0, and string
+    columns as tuples."""
+    return [(value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
+            else value if isinstance(value, str) else tuple(value) for value in columns(table)]
 
 
 def round_trip(tmp_path, kind, text):
@@ -72,8 +85,20 @@ def round_trip(tmp_path, kind, text):
     cache.write(entry, kind, "digest", table)
     restored = cache.read(entry, kind, "digest", str(path))
     assert restored is not None
+    parsed = strings(table)
+    for name, column in strings(restored).items():  # the length is known before the first read splits the text
+        assert isinstance(column, tuple if name == "roster" else tables.Strings)
+        assert len(column) == len(parsed[name])
+    assert len(restored) == len(table)
+    for name, column in strings(restored).items():
+        assert column[1:3] == parsed[name][1:3]
+        assert column[::-1] == parsed[name][::-1]
     assert table_bytes(restored) == table_bytes(table)
-    assert all(value.flags.writeable for value in dataclasses.astuple(restored) if isinstance(value, np.ndarray))
+    assert all(value.flags.writeable for value in columns(restored) if isinstance(value, np.ndarray))
+    again = tmp_path / "again"  # a restored table is written and read back as the parsed one was
+    cache.write(again, kind, "digest", restored)
+    assert table_bytes(cache.read(again, kind, "digest", str(path))) == table_bytes(table)
+    assert again.read_bytes() == entry.read_bytes()
     return entry
 
 
@@ -114,6 +139,50 @@ def test_anything_but_this_tables_entry_is_a_miss(tmp_path, spoil):
         entry.write_bytes({"empty": b"", "no-header": b"\x00" * 64, "foreign-json": b"[1, 2]\n" + b"\x00" * 32,
                            "deep-header": b"[" * 100_000 + b"\n", "header-only": header}[spoil])
     assert cache.read(entry, kind, digest, "pool.jsonl") is None
+
+
+def resign(data):
+    """``data`` with its trailing sha256 made again, so that only the read-time checks can refuse it."""
+    return data[:-32] + hashlib.sha256(data[:-32]).digest()
+
+
+def string_column(data, name):
+    """Where the string column ``name`` of the entry ``data`` lies: its header item, the offset of its blob
+    and the offset of its codes."""
+    end = data.index(b"\n") + 1
+    offset = end
+    for item in json.loads(data[:end])["columns"]:
+        size = item["bytes"] if "sep" in item else np.dtype(item["dtype"]).itemsize * math.prod(item["shape"])
+        codes = offset + size + -size % 8
+        if item["name"] == name:
+            return item, offset, codes
+        offset = codes
+        if item.get("codes") is not None:
+            offset += 4 * item["codes"] + -4 * item["codes"] % 8
+
+
+# 300 records of two statuses: ids kept whole, statuses as two strings and a code each
+CODED = "".join(json.dumps({"id": f"c{i}", "score": i, "accept": i % 2 == 0, "status": "ab"[i % 2]}) + "\n"
+                for i in range(300))
+
+
+@pytest.mark.parametrize("fault", ["one-separator-short", "code-past-the-strings", "not-utf-8"])
+def test_an_entry_whose_strings_do_not_split_is_a_miss_at_read(tmp_path, fault):
+    """Each read-time check of a string column refuses a spoiled entry whose sha256 was made again, so a
+    hit's column, split on first read, cannot fail then."""
+    entry = round_trip(tmp_path, "pool", CODED)
+    data = bytearray(entry.read_bytes())
+    if fault == "one-separator-short":  # ids c0 and c1 read as one
+        _, blob, _ = string_column(data, "ids")
+        data[data.index(b"\n", blob)] = ord("x")
+    elif fault == "code-past-the-strings":
+        item, _, codes = string_column(data, "statuses")
+        data[codes : codes + 4] = item["count"].to_bytes(4, "little")
+    else:
+        _, blob, _ = string_column(data, "ids")
+        data[blob] = 0xFF
+    entry.write_bytes(resign(bytes(data)))
+    assert cache.read(entry, "pool", "digest", "pool.jsonl") is None
 
 
 def test_an_entry_that_cannot_be_written_leaves_nothing(tmp_path):
@@ -177,9 +246,7 @@ def test_prune_removes_only_the_entries_of_inputs_that_are_gone(tmp_path):
 
 
 def test_a_column_that_repeats_early_comes_back_as_one_string_per_value(tmp_path):
-    text = "".join(json.dumps({"id": f"c{i}", "score": i, "accept": i % 2 == 0, "status": "ab"[i % 2]}) + "\n"
-                   for i in range(300))
-    entry = round_trip(tmp_path, "pool", text)
+    entry = round_trip(tmp_path, "pool", CODED)
     restored = cache.read(entry, "pool", "digest", "pool.jsonl")
     assert len(set(map(id, restored.statuses))) == 2
     assert len(set(map(id, restored.ids))) == 300

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import io
@@ -1686,6 +1687,39 @@ def test_a_cache_hit_gives_the_outputs_of_a_parse(tmp_path, capsys, parses, comm
     assert fresh == miss
     assert miss[1]["input_digests"][source] == hashlib.sha256(Path(source).read_bytes()).hexdigest()
     assert len(entries(tmp_path / "runs")) == 1
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """A function giving the names of the string columns split so far, of the tables the column cache gave."""
+    from panelcal import cache, tables
+
+    restored, split = [], []
+    read, build = cache.read, tables.Strings._split
+    monkeypatch.setattr(cache, "read", lambda *args: restored.append(read(*args)) or restored[-1])
+    monkeypatch.setattr(tables.Strings, "_split", lambda column: split.append(column) or build(column))
+
+    def names():
+        found = [field.name for table in filter(None, restored) for field in dataclasses.fields(table)
+                 if any(getattr(table, field.name) is column for column in split)]
+        assert len(found) == len(split)  # every split column is one of those tables'
+        return sorted(found)
+
+    return names
+
+
+@pytest.mark.parametrize("command, split", [("review", ["ids"]), ("bayes", ["ids"]), ("detector-eval", []),
+                                            ("calibrate", []), ("stratified", ["ids", "statuses"])])
+def test_a_cache_hit_splits_only_the_string_columns_its_command_reads(tmp_path, capsys, splits, command, split):
+    """No command reads the feedback, ``calibrate`` reads a pool's strings only to stratify it, and
+    ``detector-eval`` reads no string column but the roster, which a hit restores whole."""
+    argv, _ = cached_command(tmp_path, "calibrate" if command == "stratified" else command)
+    if command == "stratified":
+        argv[-1] = write_json(tmp_path, "config.json", {"target_rate": 0.33, "stratify": STRATIFY})
+    run_outputs(capsys, argv, tmp_path / "runs")  # a miss: the parsed table holds tuples
+    assert splits() == []
+    run_outputs(capsys, argv, tmp_path / "runs")
+    assert splits() == split
 
 
 def test_panel_commands_share_one_entry(tmp_path, capsys, parses):
