@@ -147,13 +147,15 @@ def credible_calls(
 
     Takes arrays of posterior means and variances.  The caller has checked
     what those functions check: a finite threshold, ``0 < alpha < 1`` and
-    a finite ``new_review_variance > 0``.  ``p_accept`` is one minus the
-    normal CDF of the threshold's z-score; ``solicit`` is never set where
-    ``robust`` is.  Returns (p_accept, robust, solicit).
+    a finite ``new_review_variance > 0``.  ``p_accept`` is the normal upper
+    tail at the threshold's z-score, ½·erfc(z/√2), taken directly rather
+    than as one minus the CDF, which cancels to 0 for tails below about
+    1e-16; ``solicit`` is never set where ``robust`` is.  Returns
+    (p_accept, robust, solicit).
     """
     std = np.sqrt(variances)
-    arguments = -((threshold - means) / std) / math.sqrt(2.0)
-    p_accept = 1.0 - 0.5 * np.fromiter(map(math.erfc, arguments.tolist()), float, count=arguments.size)
+    arguments = ((threshold - means) / std) / math.sqrt(2.0)
+    p_accept = 0.5 * np.fromiter(map(math.erfc, arguments.tolist()), float, count=arguments.size)
     z = normal_quantile(1.0 - alpha / 2.0)
     gap = np.abs(threshold - means)
     robust = gap >= z * std

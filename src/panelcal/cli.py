@@ -15,11 +15,12 @@ input and output digests, UTC timestamps); no run directory is ever
 overwritten.  ``--out`` also keeps the column cache of the JSONL inputs
 (``.panelcal-cache``, see ``rundir``).  A command that stops on an error
 creates nothing under ``--out``, nor does one whose writes fail.  Exit
-codes: 0 success, 2 input, config or file error, 3 calibration infeasible,
-4 simulation property-check failure (its run directory is still written).
+codes: 0 success, 2 input, config or file error (stdout's included),
+3 calibration infeasible, 4 simulation property-check failure (its run
+directory is still written).
 
-This module holds the parser, ``main``, the ``--out`` check, the file
-digest and ``bound``, and imports only ``rules``, argparse and small
+This module holds the parser, ``main``, ``run``, the ``--out`` check, the
+file digest and ``bound``, and imports only ``rules``, argparse and small
 standard modules.  The data commands live in ``cli_calibrate``,
 ``cli_panels``, ``cli_detector`` and ``cli_simulate``, each imported only
 when its command runs, with the run directory and its manifest in
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import importlib
 import os
 import sys
@@ -238,6 +240,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: calibration infeasible: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:  # a file the command reads or writes: its path and the reason, as one line
+        if exc.filename is None:  # a write to stdout: every file's error names it (``rundir._write``)
+            raise  # ``run`` words it; an in-process caller owns its stdout
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except ValueError as exc:
@@ -246,7 +250,36 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """The ``panelcal`` console script: ``main``, then stdout flushed and the heap frozen, then exit.
+
+    At exit the interpreter runs its cyclic collections over every object
+    still tracked, numpy's included.  ``gc.freeze()`` moves them all out of
+    the collector's reach on every way out (an exit code, argparse's exit,
+    an uncaught exception), so those passes skip them; ``atexit`` hooks,
+    the flush of the std streams and the clearing of the modules still
+    run.  No output waits for them: every output file is closed before
+    ``main`` returns, and stdout is flushed here.  A failed write to
+    stdout (a reader gone, a full disk) exits 2 with one line, and fd 1 is
+    then pointed at ``os.devnull``, so the interpreter's own flush at exit
+    prints nothing more.  ``main`` does neither, so in-process callers keep
+    a normal collector and their own stdout.
+    """
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse: a usage error (2), --help and --version (0)
+            code = exc.code
+        if sys.stdout is not None:  # None when fd 1 was closed at start-up: print then writes nothing
+            sys.stdout.flush()
+    except OSError as exc:  # only a write to stdout gets here: ``main`` words every file's error
+        print(f"error: stdout: {exc.strerror}", file=sys.stderr)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 2
+    finally:
+        gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

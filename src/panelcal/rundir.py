@@ -56,6 +56,17 @@ def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
+def _write(path: Path, data: bytes) -> None:
+    """``path.write_bytes(data)``, whose error names ``path`` even when the failing call is the write
+    (a full disk), which names no file: ``cli.main`` takes an error without a name for stdout's."""
+    try:
+        path.write_bytes(data)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
+
+
 class _Run:
     """One run's manifest and outputs, kept in memory until ``finish`` writes them.
 
@@ -142,7 +153,7 @@ class _Run:
                 run_dir = self.out_base / f"{name}-{suffix}"
         try:
             for output, data in self.outputs.items():
-                (run_dir / output).write_bytes(data)
+                _write(run_dir / output, data)
             manifest = RunManifest(
                 command=self.command,
                 tool_version=__version__,
@@ -154,7 +165,7 @@ class _Run:
                 output_digests={output: hashlib.sha256(data).hexdigest() for output, data in self.outputs.items()},
             )
             text = json.dumps(asdict(manifest), indent=2, sort_keys=True) + "\n"
-            (run_dir / "manifest.json").write_bytes(text.encode("utf-8"))
+            _write(run_dir / "manifest.json", text.encode("utf-8"))
         except OSError:  # no run directory without its manifest; ``cli.main`` words the error
             shutil.rmtree(run_dir, ignore_errors=True)
             raise

@@ -122,7 +122,7 @@ def acceptance_probability(posterior: GaussianPosterior, threshold: float) -> fl
     threshold = float(threshold)
     if not math.isfinite(threshold):
         raise ValueError(f"threshold: must be finite, got {threshold!r}")
-    return 1.0 - normal_cdf((threshold - posterior.mean) / posterior.std)
+    return 0.5 * math.erfc((threshold - posterior.mean) / posterior.std / math.sqrt(2.0))
 
 
 def credible_robust(posterior: GaussianPosterior, threshold: float, alpha: float) -> bool:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from panelcal.bayes import (
     acceptance_probability,
@@ -96,14 +97,26 @@ MEANS = [6.0, -0.0, 1e300, -1e300, *np.random.default_rng(5).normal(6.0, 3.0, 20
 
 
 @pytest.mark.parametrize("means", [[], [6.0], MEANS], ids=["empty", "one", "many"])
-def test_credible_calls_p_accept_is_one_minus_half_erfc_bit_for_bit(means):
+def test_credible_calls_p_accept_is_half_erfc_bit_for_bit(means):
     means = np.array(means, dtype=float)
     rng = np.random.default_rng(len(means))
     variances = rng.uniform(1e-6, 9.0, means.size)
     p_accept, _, _ = credible_calls(means, variances, 6.0, 0.05, 1.0)
-    arguments = -((6.0 - means) / np.sqrt(variances)) / math.sqrt(2.0)
+    arguments = ((6.0 - means) / np.sqrt(variances)) / math.sqrt(2.0)
     assert p_accept.dtype == np.float64 and p_accept.shape == means.shape
-    assert [v.hex() for v in p_accept.tolist()] == [(1.0 - 0.5 * math.erfc(x)).hex() for x in arguments.tolist()]
+    assert [v.hex() for v in p_accept.tolist()] == [(0.5 * math.erfc(x)).hex() for x in arguments.tolist()]
+
+
+def test_credible_calls_p_accept_matches_the_normal_upper_tail_down_to_1e_300():
+    # the upper tail taken directly: one minus the CDF read 0 for every tail below about 1e-16
+    z = np.concatenate([np.linspace(-8.0, norm.isf(1e-300), 4001), [norm.isf(1e-300)]])
+    variances = np.random.default_rng(3).uniform(1e-3, 10.0, z.size)
+    means = 6.0 - z * np.sqrt(variances)
+    p_accept, _, _ = credible_calls(means, variances, 6.0, 0.05, 1.0)
+    oracle = norm.sf((6.0 - means) / np.sqrt(variances))  # the z the kernel sees, rounding of the means included
+    assert oracle.min() >= 1e-300 * (1 - 1e-9)
+    assert np.all(p_accept > 0)
+    np.testing.assert_allclose(p_accept, oracle, rtol=1e-12, atol=0)
 
 
 def test_credible_robust_boundary():

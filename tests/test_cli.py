@@ -973,6 +973,23 @@ def test_a_failed_write_exits_2_and_leaves_no_run_directory(tmp_path, capsys, mo
     assert kept() == before
 
 
+def test_a_failed_write_that_names_no_file_is_worded_with_its_path(tmp_path, capsys, monkeypatch):
+    # a write() that fails after the open (a full disk) raises an OSError with no filename
+    panels = write(tmp_path, "panels.jsonl", DET_PANELS)
+    original, failed = Path.write_bytes, []
+
+    def fail(path, data):
+        if path.name == "detector.csv":
+            failed.append(path)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return original(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", fail)
+    code, out_text, err = run_cli(capsys, "detector-eval", "--panels", panels, "--out", str(tmp_path / "runs"))
+    assert (code, out_text) == (2, "")
+    assert err == f"error: {failed[0]}: {os.strerror(errno.ENOSPC)}\n"
+
+
 def test_a_run_directory_name_taken_before_its_mkdir_gets_the_next_suffix(tmp_path, capsys, monkeypatch):
     # another run makes the chosen name between the name's choice and the mkdir: the mkdir's
     # FileExistsError, not an exists() before it, moves this run on to the next suffix
