@@ -10,17 +10,11 @@ this module owns what an entry holds.  An entry is one file:
 * the sha256 of everything before it (32 bytes).
 
 A numpy column keeps its dtype, from a whitelist, and shape.  A string
-column is one UTF-8 blob of its strings joined by a separator that none
-of them holds.  A column that repeats a string among its first entries
-(statuses, feedback) keeps its distinct strings and a code per entry, so
-that equal entries come back as one string; any other column (ids) keeps
-every string, which costs a miss no pass over the column to find its
-distinct strings.
-A hit decodes each blob and checks that it splits into its count and
-that every code is in range, but splits it on first read only
-(``tables.Strings``): ``calibrate`` and ``detector-eval`` split none,
-``review`` and ``bayes`` the ids alone, and no command the feedback.  The
-``roster``, short and read by every panel command, is split at once.
+column keeps the parts of its ``tables.Strings`` (``Strings.of`` of the
+``roster`` tuple): a UTF-8 blob and, for statuses and feedback, codes.
+A hit checks that each blob splits into its count and that every code is
+in range; the ``roster``, short and read by every panel command, is split
+at once, and the other columns as ``Strings`` read them.
 The table's ``path`` is not stored: it always names the file as given.
 
 A hit needs the input's digest and the interpreter key to match, and the
@@ -42,14 +36,13 @@ import json
 import math
 import os
 import sys
-from collections.abc import Sequence
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .tables import CalibrationTable, PanelTable, Strings, split_strings
+from .tables import CalibrationTable, PanelTable, Strings
 
 FORMAT = 2  # the entry layout; a new layout makes every old entry a miss
 # each table kind: its class, and the name of the ``records`` loader that parses its file on a miss
@@ -58,7 +51,6 @@ KINDS = {"panel": (PanelTable, "load_panel_table"), "pool": (CalibrationTable, "
 _DTYPES = frozenset({"|b1", "<i4", "<i8", "<u4", "<f8"})
 _ALIGN = 8  # every column starts at a multiple of 8 bytes, so np.frombuffer gives aligned arrays
 _CODES = np.dtype("<u4")
-_PROBE = 256  # a string column that repeats within its first _PROBE entries is stored with codes
 _WHOLE = frozenset({"roster"})  # the string columns a hit splits at once; the others are split on first read
 _HEADER_LIMIT = 1 << 20  # prune reads at most this much of a file for its header
 # the source files, beside this one, of the modules a parse runs, this one included; the package's own
@@ -192,26 +184,17 @@ def _names(cls: type) -> list[str]:
     return [f.name for f in fields(cls) if f.name != "path"]
 
 
-def _store(column: np.ndarray | Sequence[str]) -> tuple[dict, list]:
+def _store(column: np.ndarray | Strings | tuple[str, ...]) -> tuple[dict, list]:
     """A column's header item and the buffers that hold it."""
     if isinstance(column, np.ndarray):
         array = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("<"))
         return {"dtype": array.dtype.str, "shape": list(array.shape)}, [array]
-    head = column[:_PROBE]
-    repeats = len(set(head)) < len(head)
-    distinct = list(dict.fromkeys(column)) if repeats else column  # no dict of a column of unique ids
-    sep = "\n"
-    text = sep.join(distinct)
-    if text.count(sep) != len(distinct) - 1:  # a string holds a line feed
-        held = set("".join(distinct))
-        sep = next(c for c in map(chr, range(sys.maxunicode + 1)) if c not in held)
-        text = sep.join(distinct)
-    blob = text.encode("utf-8", "surrogatepass")
-    item = {"sep": sep, "count": len(distinct), "bytes": len(blob), "codes": len(column) if repeats else None}
-    if not repeats:
-        return item, [blob]
-    code = {s: k for k, s in enumerate(distinct)}
-    return item, [blob, np.fromiter(map(code.__getitem__, column), _CODES, len(column))]
+    strings = column if isinstance(column, Strings) else Strings.of(column)  # the roster is a tuple
+    blob = strings.text.encode("utf-8", "surrogatepass")
+    codes = strings.codes
+    item = {"sep": strings.sep, "count": strings.n_strings, "bytes": len(blob),
+            "codes": None if codes is None else len(codes)}
+    return item, [blob] if codes is None else [blob, np.ascontiguousarray(codes, dtype=_CODES)]
 
 
 def _restore(
@@ -228,7 +211,7 @@ def _restore(
         return _array(buffer, offset, np.dtype(item["dtype"]), item["shape"])
     size, sep, count = item["bytes"], item["sep"], item["count"]
     text = str(memoryview(buffer)[offset : offset + size], "utf-8", "surrogatepass")
-    # the split that the first read runs (``tables.split_strings``) gives ``count`` strings
+    # the split that the first read runs (``Strings.strings``) gives ``count`` strings
     if type(count) is not int or not sep or (text.count(sep) + 1 if count else 0) != count:
         raise ValueError("string column does not hold its count")
     offset += size + -size % _ALIGN
@@ -237,9 +220,8 @@ def _restore(
         codes, offset = _array(buffer, offset, _CODES, [item["codes"]])
         if codes.size and int(codes.max()) >= count:
             raise ValueError("string column holds a code past its strings")
-    if whole:
-        return split_strings(text, sep, count, codes), offset
-    return Strings(text, sep, count, codes), offset
+    strings = Strings(text, sep, count, codes)
+    return (tuple(strings) if whole else strings), offset
 
 
 def _array(buffer: bytearray, offset: int, dtype: np.dtype, shape: list[int]) -> tuple[np.ndarray, int]:

@@ -38,7 +38,7 @@ import importlib
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from . import __version__
 from .rules import ThresholdUnreachableError
@@ -134,8 +134,17 @@ def _command(module: str, name: str) -> Callable[[argparse.Namespace], int]:
     return handler
 
 
+class _Parser(argparse.ArgumentParser):
+    def _print_message(self, message: str, file: Any = None) -> None:
+        """argparse's, but a failed write to stdout (``--help``, ``--version``) is raised, for ``run`` to word."""
+        if message and file is not None and file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="panelcal",
         description="Calibrated multi-reviewer decisions: aggregation, bounds, "
         "calibration, credible calls, and Monte-Carlo validation.",
@@ -259,10 +268,11 @@ def run() -> None:
     the flush of the std streams and the clearing of the modules still
     run.  No output waits for them: every output file is closed before
     ``main`` returns, and stdout is flushed here.  A failed write to
-    stdout (a reader gone, a full disk) exits 2 with one line, and fd 1 is
-    then pointed at ``os.devnull``, so the interpreter's own flush at exit
-    prints nothing more.  ``main`` does neither, so in-process callers keep
-    a normal collector and their own stdout.
+    stdout (a reader gone, a full disk; ``--help`` and ``--version``
+    included) exits 2 with one line, and fd 1 is then pointed at
+    ``os.devnull``, so the interpreter's own flush at exit prints nothing
+    more.  ``main`` does neither, so in-process callers keep a normal
+    collector and their own stdout.
     """
     try:
         try:

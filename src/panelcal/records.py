@@ -42,7 +42,7 @@ import numpy as np
 from . import _lazy
 from .reader import _decode, _decode_text, _read_bytes, load_config
 from .rules import RecordError, json_number, numbers
-from .tables import CalibrationTable, PanelTable, left_sums
+from .tables import CalibrationTable, PanelTable, Strings, left_sums
 
 if TYPE_CHECKING:
     from .objects import CalibrationRecord, PanelRecord
@@ -470,8 +470,8 @@ class _PoolColumns:
         return [hit and ((hit[0], 0), hit[1]) for hit in hits]
 
     def table(self, path: str, lines: list[int]) -> CalibrationTable:
-        accepts = np.array(self.accepts, dtype=bool)
-        return CalibrationTable(path, tuple(self.ids), np.array(lines), self.flat, accepts, tuple(self.statuses))
+        return CalibrationTable(path, Strings.of(self.ids), np.array(lines), self.flat,
+                                np.array(self.accepts, dtype=bool), Strings.of(self.statuses))
 
 
 def load_calibration_records(path: str | Path) -> list[CalibrationRecord]:

@@ -91,13 +91,6 @@ class StratificationPlan:
         return sum(cell.quota for cell in self.cells)
 
 
-def _subset(pool: Pool, indices: np.ndarray) -> Pool:
-    """The pool's records at ``indices``, as a table or a list like the pool."""
-    if isinstance(pool, CalibrationTable):
-        return pool.take(indices)
-    return [pool[i] for i in indices.tolist()]
-
-
 def _cell_members(
     field: str,
     records: Pool,
@@ -108,15 +101,16 @@ def _cell_members(
     edges = increasing_edges("bin_edges", edges)
     vocab = list(vocabulary(status_vocabulary))
     table = _table(field, records)
-    codes = {s: k for k, s in enumerate(vocab)}
-    status = np.array([codes.get(s, -1) for s in table.statuses], dtype=np.intp)
+    statuses, codes = table.statuses, {s: k for k, s in enumerate(vocab)}
+    known = np.array([codes.get(s, -1) for s in statuses.strings], dtype=np.intp)  # each distinct status once
+    status = known if statuses.codes is None else known[statuses.codes]
     scores = table.scores
     outside = (scores < edges[0]) | (scores > edges[-1])
     bad = np.flatnonzero((status < 0) | outside)
     if bad.size:
         i = int(bad[0])
         if status[i] < 0:
-            raise ValueError(f"{table.where(i)}: status {table.statuses[i]!r} not in status_vocabulary {vocab}")
+            raise ValueError(f"{table.where(i)}: status {statuses[i]!r} not in status_vocabulary {vocab}")
         raise ValueError(f"{table.where(i)}: score {float(scores[i])} outside bin_edges [{edges[0]}, {edges[-1]}]")
     # bins are [e_i, e_{i+1}) except the last, which includes its upper edge
     bins = np.searchsorted(np.asarray(edges, dtype=float), scores, side="right") - 1
@@ -192,7 +186,7 @@ def stratified_sample(pool: Pool, plan: StratificationPlan, seed: int) -> Pool:
     every cell's quota has to fit inside the pool's actual cell population.
     """
     members = _cell_members("pool", pool, plan.bin_edges, plan.status_vocabulary)
-    return _subset(pool, _draw(members, plan, seed))
+    return _draw(pool, members, plan, seed)
 
 
 def stratify(
@@ -210,15 +204,12 @@ def stratify(
     members = _cell_members("pool", pool, bin_edges, status_vocabulary)
     populations = {key: len(idx) for key, idx in members.items()}
     plan = allocate_quotas(populations, n_cal, bin_edges, status_vocabulary)
-    return plan, _subset(pool, _draw(members, plan, seed))
+    return plan, _draw(pool, members, plan, seed)
 
 
-def _draw(
-    members: Mapping[tuple[int, str], np.ndarray],
-    plan: StratificationPlan,
-    seed: int,
-) -> np.ndarray:
-    """Sorted indices of each cell's quota of its members, drawn with ``seed``, an integer >= 0."""
+def _draw(pool: Pool, members: Mapping[tuple[int, str], np.ndarray], plan: StratificationPlan, seed: int) -> Pool:
+    """The pool's records of each cell's quota of its members, drawn with ``seed``, an integer >= 0, in pool
+    order, as a table or a list like the pool."""
     rng = np.random.default_rng(integer("seed", seed, 0))
     chosen: list[np.ndarray] = []
     for cell in plan.cells:
@@ -231,4 +222,5 @@ def _draw(
         if cell.quota == 0:
             continue
         chosen.append(available[rng.choice(len(available), size=cell.quota, replace=False)])
-    return np.sort(np.concatenate(chosen))
+    indices = np.sort(np.concatenate(chosen))
+    return pool.take(indices) if isinstance(pool, CalibrationTable) else [pool[i] for i in indices.tolist()]

@@ -8,17 +8,18 @@ hit, and neither does a table built from record objects
 no file, loads no table at all.  ``left_sums`` adds the values of a
 group of rows in the order of ``objects.left_sum``.
 
-A parsed table holds its string columns as tuples.  A table read from
-the column cache holds each per-row string column (ids, feedback,
-statuses) as ``Strings``: its length is known at once, and its text is
-split on first read.  Of those, ``review`` and ``bayes`` read the ids,
-``calibrate`` reads the statuses, and the ids, only to stratify, and
+Every table, parsed, read from the column cache or built from objects,
+holds each per-row string column (ids, feedback, statuses) as ``Strings``:
+its length is known at once, a subset of its rows is taken by code, and
+its text is split on first read.  Of those, ``review`` and ``bayes`` read
+the ids, ``calibrate`` reads only the distinct statuses, to stratify, and
 ``detector-eval`` reads none; only the record objects read the feedback.
 Each table takes its length from its ``lines`` column.
 """
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -35,34 +36,58 @@ if TYPE_CHECKING:
 __all__ = ["PanelTable", "CalibrationTable", "Strings", "left_sums"]
 
 
-def split_strings(text: str, sep: str, count: int, codes: np.ndarray | None = None) -> tuple[str, ...]:
-    """The ``count`` strings that ``text`` joins with ``sep``, or, with ``codes``, distinct string ``codes[i]`` for
-    each ``i``: one object-array take, so that equal entries are one object."""
-    distinct = text.split(sep) if count else []
-    if codes is None:
-        return tuple(distinct)
-    table = np.empty(len(distinct), dtype=object)
-    table[:] = distinct
-    return tuple(table[codes].tolist())
+_PROBE = 256  # a column that repeats a string within its first _PROBE entries is held with codes
 
 
 class Strings(Sequence[str]):
-    """A string column read from the column cache: ``split_strings`` of its arguments, run on first read.
+    """A per-row string column: the ``n_strings`` strings that ``text`` joins with ``sep``, a character none of
+    them holds, and, with ``codes``, a code per row into them.
 
-    ``len`` needs no split.  The cache has checked, as it read the entry,
-    that ``text`` splits into ``count`` strings and that every code is
-    below ``count``, so no read fails.
+    ``of`` encodes a column; the column cache stores these parts, and checks on read that they split and index
+    as they should.  ``len`` and ``take`` split nothing; the text is split on the first read of ``strings``, and
+    every row's string built on that of a row.
     """
 
-    __slots__ = ("_parts", "_length", "_strings")
+    __slots__ = ("text", "sep", "n_strings", "codes", "_strings", "_rows")
 
-    def __init__(self, text: str, sep: str, count: int, codes: np.ndarray | None = None) -> None:
-        self._parts = (text, sep, count, codes)
-        self._length = count if codes is None else len(codes)
-        self._strings: tuple[str, ...] | None = None
+    def __init__(self, text: str, sep: str, n_strings: int, codes: np.ndarray | None = None,
+                 strings: tuple[str, ...] | None = None) -> None:
+        self.text, self.sep, self.n_strings, self.codes = text, sep, n_strings, codes
+        self._strings = strings
+        self._rows = strings if codes is None else None
+
+    @classmethod
+    def of(cls, column: Sequence[str]) -> Strings:
+        """``column`` encoded: a column that repeats a string within its first ``_PROBE`` entries (statuses,
+        feedback) as its distinct strings, in order of first appearance, and codes, so that equal rows read as one
+        string, and any other (ids) string by string, with no pass to find its distinct strings."""
+        head = column[:_PROBE]
+        repeats = len(set(head)) < len(head)
+        strings = tuple(dict.fromkeys(column) if repeats else column)
+        sep = "\n"
+        text = sep.join(strings)
+        if text.count(sep) != len(strings) - 1:  # a string holds a line feed
+            held = set("".join(strings))
+            sep = next(c for c in map(chr, range(sys.maxunicode + 1)) if c not in held)
+            text = sep.join(strings)
+        code = {s: k for k, s in enumerate(strings)} if repeats else None
+        codes = np.fromiter(map(code.__getitem__, column), np.uint32, len(column)) if repeats else None
+        return cls(text, sep, len(strings), codes, strings)
+
+    @property
+    def strings(self) -> tuple[str, ...]:
+        """The strings that ``text`` joins: row ``i`` holds ``strings[codes[i]]``, or ``strings[i]`` without codes."""
+        if self._strings is None:
+            self._strings = tuple(self.text.split(self.sep)) if self.n_strings else ()
+        return self._strings
+
+    def take(self, rows: np.ndarray) -> Strings:
+        """The rows at ``rows``, an index array, in that order: the text is shared, and only codes are taken."""
+        codes = np.arange(self.n_strings, dtype=np.uint32) if self.codes is None else self.codes
+        return Strings(self.text, self.sep, self.n_strings, codes[rows], self._strings)
 
     def __len__(self) -> int:
-        return self._length
+        return self.n_strings if self.codes is None else len(self.codes)
 
     def __getitem__(self, index: int | slice) -> str | tuple[str, ...]:
         return self._column()[index]
@@ -71,13 +96,11 @@ class Strings(Sequence[str]):
         return iter(self._column())
 
     def _column(self) -> tuple[str, ...]:
-        """The strings, split on the first call, which lets the text go."""
-        if self._strings is None:
-            self._strings, self._parts = self._split(), None
-        return self._strings
-
-    def _split(self) -> tuple[str, ...]:
-        return split_strings(*self._parts)
+        """Each row's string, built on the first call; equal rows are one object."""
+        if self._rows is None:
+            strings = self.strings
+            self._rows = strings if self.codes is None else tuple(map(strings.__getitem__, self.codes.tolist()))
+        return self._rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +116,7 @@ class PanelTable:
     """
 
     path: str
-    ids: Sequence[str]
+    ids: Strings
     lines: np.ndarray  # (P,) line number of each panel
     counts: np.ndarray  # (P,) reviews per panel
     offsets: np.ndarray  # (P + 1,) first review row of each panel, then N
@@ -104,7 +127,7 @@ class PanelTable:
     rubric: np.ndarray  # (N, K) float
     criteria: np.ndarray  # (N,) rubric length of each review
     flags: np.ndarray  # (N,) bool
-    feedback: Sequence[str]  # (N,)
+    feedback: Strings  # (N,)
 
     @classmethod
     def from_columns(
@@ -128,7 +151,7 @@ class PanelTable:
         count_array = np.array(counts, dtype=np.intp)
         return cls(
             path=path,
-            ids=tuple(ids),
+            ids=Strings.of(ids),
             lines=np.array(lines),
             counts=count_array,
             offsets=np.concatenate(([0], np.cumsum(count_array))),
@@ -139,7 +162,7 @@ class PanelTable:
             rubric=rubric,
             criteria=widths,
             flags=np.array(flags, dtype=bool),
-            feedback=tuple(feedback),
+            feedback=Strings.of(feedback),
         )
 
     @classmethod
@@ -286,22 +309,22 @@ class CalibrationTable:
     """
 
     path: str
-    ids: Sequence[str]
+    ids: Strings
     lines: np.ndarray  # (N,) line number of each record
     scores: np.ndarray  # (N,) float
     accepts: np.ndarray  # (N,) bool
-    statuses: Sequence[str]
+    statuses: Strings
 
     @classmethod
     def from_records(cls, records: Sequence[CalibrationRecord]) -> CalibrationTable:
         """The records as a table without a file."""
         return cls(
             path="",
-            ids=tuple(r.submission_id for r in records),
+            ids=Strings.of([r.submission_id for r in records]),
             lines=np.arange(1, len(records) + 1),
             scores=np.array([r.agent_score for r in records], dtype=float),
             accepts=np.array([r.human_accept for r in records], dtype=bool),
-            statuses=tuple(r.status for r in records),
+            statuses=Strings.of([r.status for r in records]),
         )
 
     def __len__(self) -> int:
@@ -324,15 +347,8 @@ class CalibrationTable:
     def take(self, indices: Sequence[int] | np.ndarray) -> CalibrationTable:
         """The records at ``indices``, in that order."""
         idx = np.asarray(indices, dtype=np.intp)
-        rows = idx.tolist()
-        return CalibrationTable(
-            path=self.path,
-            ids=tuple(self.ids[i] for i in rows),
-            lines=self.lines[idx],
-            scores=self.scores[idx],
-            accepts=self.accepts[idx],
-            statuses=tuple(self.statuses[i] for i in rows),
-        )
+        return CalibrationTable(self.path, self.ids.take(idx), self.lines[idx], self.scores[idx], self.accepts[idx],
+                                self.statuses.take(idx))
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # callers check the totals

@@ -65,16 +65,25 @@ def columns(table):
 
 
 def strings(table):
-    """The string columns of ``table``, by name: a restored one is a ``tables.Strings``, a parsed one a tuple."""
+    """The string columns of ``table``, by name: the roster a tuple, every other a ``tables.Strings``."""
     return {field.name: getattr(table, field.name) for field in dataclasses.fields(table)
             if field.name != "path" and not isinstance(getattr(table, field.name), np.ndarray)}
 
 
 def table_bytes(table):
     """Every column of ``table``: arrays as (dtype, shape, bytes) so that -0.0 differs from 0.0, and string
-    columns as tuples."""
+    columns by their strings, a ``Strings`` also by the parts an entry stores (a ``Strings`` compares by
+    identity)."""
     return [(value.dtype, value.shape, value.tobytes()) if isinstance(value, np.ndarray)
-            else value if isinstance(value, str) else tuple(value) for value in columns(table)]
+            else value if isinstance(value, str) else (tuple(value), parts(value)) for value in columns(table)]
+
+
+def parts(column):
+    """What an entry stores of a ``Strings`` column, the codes as bytes; None for a tuple."""
+    if not isinstance(column, tables.Strings):
+        return None
+    codes = None if column.codes is None else column.codes.astype("<u4").tobytes()
+    return column.text, column.sep, column.n_strings, codes
 
 
 def round_trip(tmp_path, kind, text):
@@ -88,6 +97,7 @@ def round_trip(tmp_path, kind, text):
     parsed = strings(table)
     for name, column in strings(restored).items():  # the length is known before the first read splits the text
         assert isinstance(column, tuple if name == "roster" else tables.Strings)
+        assert type(parsed[name]) is type(column)  # a parse builds the form a hit restores
         assert len(column) == len(parsed[name])
     assert len(restored) == len(table)
     for name, column in strings(restored).items():
@@ -250,3 +260,49 @@ def test_a_column_that_repeats_early_comes_back_as_one_string_per_value(tmp_path
     restored = cache.read(entry, "pool", "digest", "pool.jsonl")
     assert len(set(map(id, restored.statuses))) == 2
     assert len(set(map(id, restored.ids))) == 300
+
+
+# strings that stress the encoding: line feeds and the first characters the separator search tries next, a
+# character outside the BMP and lone surrogates, which only a feedback may hold, and "" (the empty text)
+ENCODED = st.text(st.characters() | st.sampled_from(["\n", "\x00", "\x01", "\U0001f600", "\ud800", "\udfff"]),
+                  max_size=4)
+
+
+@st.composite
+def string_columns(draw):
+    """A string column: 0, 255, 256 or 300 distinct fillers, then drawn strings, which may repeat; behind 256
+    fillers or more, a repeat falls past the probe."""
+    fillers = draw(st.sampled_from([0, 0, 255, 256, 300]))
+    return [f"#{k}" for k in range(fillers)] + draw(st.lists(ENCODED, max_size=8))
+
+
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
+@given(string_columns(), st.data())
+@example([], None)
+@example(["a\nb", "\x00", "\x01"], None)  # the separator is the third candidate, chr(2)
+@example(["", ""], None)
+@example([f"#{k}" for k in range(255)] + ["#0"], None)  # the first repeat is the 256th entry: codes
+@example([f"#{k}" for k in range(256)] + ["#0"], None)  # the first repeat is the 257th entry: no codes
+def test_a_string_column_encodes_once_and_comes_back_from_an_entry(tmp_path_factory, column, data):
+    """``Strings.of`` is the one encoding of a string column: its rows, a take of them and an entry's parts."""
+    strings = tables.Strings.of(column)
+    assert list(strings) == column
+    assert len(strings) == len(column)
+    head = column[:256]
+    assert (strings.codes is not None) == (len(set(head)) < len(head))
+    held = set("".join(column))  # the separator the entry format fixes: a line feed, else the first free character
+    assert strings.sep == ("\n" if column and "\n" not in held else min(set(map(chr, range(len(held) + 1))) - held))
+    assert len(strings.strings) == strings.n_strings
+    rows = data.draw(st.lists(st.integers(0, len(column) - 1))) if column and data else []
+    taken = strings.take(np.array(rows, dtype=np.intp))
+    assert list(taken) == [column[i] for i in rows]
+    # the columns of an entry need not be of one length: a taken column, whose codes index the whole text,
+    # is stored as it is held too
+    table = tables.CalibrationTable(path="pool.jsonl", ids=strings, lines=np.arange(len(column)),
+                                    scores=np.zeros(len(column)), accepts=np.zeros(len(column), dtype=bool),
+                                    statuses=taken)
+    entry = tmp_path_factory.mktemp("strings") / "entry"
+    cache.write(entry, "pool", "digest", table)
+    restored = cache.read(entry, "pool", "digest", "pool.jsonl")
+    assert restored is not None
+    assert table_bytes(restored) == table_bytes(table)

@@ -228,7 +228,7 @@ def test_stratified_sample_matches_record_order_draw(size, seed, fraction):
     assert sample == expected
     assert stratified_sample(pool, plan, seed) == expected
     table = CalibrationTable.from_records(pool)
-    assert stratified_sample(table, plan, seed).ids == tuple(r.submission_id for r in expected)
+    assert tuple(stratified_sample(table, plan, seed).ids) == tuple(r.submission_id for r in expected)
 
 
 def test_stratified_sample_infeasible_names_cell():

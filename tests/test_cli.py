@@ -1708,35 +1708,56 @@ def test_a_cache_hit_gives_the_outputs_of_a_parse(tmp_path, capsys, parses, comm
 
 @pytest.fixture
 def splits(monkeypatch):
-    """A function giving the names of the string columns split so far, of the tables the column cache gave."""
+    """A function giving the names of the string columns read a row at a time so far, of the tables the column
+    cache gave."""
     from panelcal import cache, tables
 
-    restored, split = [], []
-    read, build = cache.read, tables.Strings._split
+    restored = []
+    read = cache.read
     monkeypatch.setattr(cache, "read", lambda *args: restored.append(read(*args)) or restored[-1])
-    monkeypatch.setattr(tables.Strings, "_split", lambda column: split.append(column) or build(column))
 
     def names():
-        found = [field.name for table in filter(None, restored) for field in dataclasses.fields(table)
-                 if any(getattr(table, field.name) is column for column in split)]
-        assert len(found) == len(split)  # every split column is one of those tables'
-        return sorted(found)
+        return sorted(field.name for table in filter(None, restored) for field in dataclasses.fields(table)
+                      if isinstance(column := getattr(table, field.name), tables.Strings) and column._rows is not None)
 
     return names
 
 
 @pytest.mark.parametrize("command, split", [("review", ["ids"]), ("bayes", ["ids"]), ("detector-eval", []),
-                                            ("calibrate", []), ("stratified", ["ids", "statuses"])])
+                                            ("calibrate", []), ("stratified", [])])
 def test_a_cache_hit_splits_only_the_string_columns_its_command_reads(tmp_path, capsys, splits, command, split):
-    """No command reads the feedback, ``calibrate`` reads a pool's strings only to stratify it, and
+    """No command reads the feedback, ``calibrate`` reads only a pool's distinct statuses, to stratify it, and
     ``detector-eval`` reads no string column but the roster, which a hit restores whole."""
     argv, _ = cached_command(tmp_path, "calibrate" if command == "stratified" else command)
     if command == "stratified":
         argv[-1] = write_json(tmp_path, "config.json", {"target_rate": 0.33, "stratify": STRATIFY})
-    run_outputs(capsys, argv, tmp_path / "runs")  # a miss: the parsed table holds tuples
+    run_outputs(capsys, argv, tmp_path / "runs")  # a miss: the cache gives no table
     assert splits() == []
     run_outputs(capsys, argv, tmp_path / "runs")
     assert splits() == split
+
+
+def test_a_stratified_hit_samples_the_pool_by_code(tmp_path, capsys, monkeypatch, parses):
+    """On a hit, ``calibrate.stratify`` bins the pool by its distinct statuses and takes the sample by code:
+    neither the ids nor the statuses are split into rows.  The hit writes the miss's outputs byte for byte."""
+    from panelcal import calibrate
+
+    argv, pool = cached_command(tmp_path, "calibrate")
+    argv[-1] = write_json(tmp_path, "config.json", {"target_rate": 0.33, "stratify": STRATIFY})
+    stratify, seen = calibrate.stratify, []
+
+    def spy(table, *args, **kwargs):
+        result = stratify(table, *args, **kwargs)
+        seen.append((table.ids._strings, table.ids._rows, table.statuses._rows))
+        return result
+
+    monkeypatch.setattr(calibrate, "stratify", spy)
+    miss = run_outputs(capsys, argv, tmp_path / "runs")
+    hit = run_outputs(capsys, argv, tmp_path / "runs")
+    assert parses == [pool]
+    assert seen[1] == (None, None, None)
+    assert sorted(hit[0]) == ["calibration_report.txt", "curve.csv", "plan.json", "thresholds.json"]
+    assert hit == miss
 
 
 def test_panel_commands_share_one_entry(tmp_path, capsys, parses):

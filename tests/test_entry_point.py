@@ -178,6 +178,19 @@ def test_a_closed_pipe_on_stdout_exits_2_with_one_line(tmp_path, argv, unbuffere
     assert proc.stderr == f"error: stdout: {os.strerror(errno.EPIPE)}\n"
 
 
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_help_and_version_into_a_closed_pipe_exit_2_with_one_line(tmp_path, flag, unbuffered):
+    # argparse swallows a failed write of its own messages: unbuffered, the write fails inside it
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = launch(tmp_path, flag, unbuffered=unbuffered, stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (2, f"error: stdout: {os.strerror(errno.EPIPE)}\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
 def test_a_full_disk_on_stdout_exits_2_with_one_line(tmp_path, unbuffered):
