@@ -8,7 +8,13 @@ only when the current call is ambiguous but the post-solicitation
 interval could exclude the threshold.
 
 This module defines ``GaussianPosterior``, which only the ``bayes``
-command and the object API build; ``core`` re-exports it.
+command and the object API build, and the column kernels
+``posterior_arrays`` and ``credible_calls``, which take arrays of many
+panels; ``core`` re-exports ``GaussianPosterior``.  The one-posterior
+forms (``posterior_update``, ``acceptance_probability``,
+``credible_robust`` and ``solicit_worthwhile``) are defined in
+``panelcal.objects``; this module re-exports them and imports that
+module on first use of one.
 """
 
 from __future__ import annotations
@@ -16,11 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Sequence
 
 import numpy as np
 
-from .rules import finite, open_unit, positive, sequence
+from . import _lazy
+from .rules import finite, open_unit, positive
 from .tables import left_sums
 
 __all__ = [
@@ -33,6 +39,10 @@ __all__ = [
     "posterior_arrays",
     "credible_calls",
 ]
+
+__getattr__, __dir__ = _lazy(__name__, {
+    "objects": ("posterior_update", "acceptance_probability", "credible_robust", "solicit_worthwhile"),
+})
 
 _STD_NORMAL = NormalDist()
 
@@ -56,63 +66,6 @@ class GaussianPosterior:
 def normal_quantile(p: float) -> float:
     """Inverse standard normal CDF for p strictly inside (0, 1)."""
     return _STD_NORMAL.inv_cdf(open_unit("p", p))
-
-
-def posterior_update(
-    prior: GaussianPosterior,
-    reviews: Sequence[tuple[float, float]],
-) -> GaussianPosterior:
-    """Precision-weighted conjugate update with (score, variance) reviews (``posterior_arrays``).
-
-    Posterior precision is the prior precision plus each review's
-    precision; the mean is the precision-weighted average.  An empty
-    review sequence returns the prior unchanged.
-    """
-    checked = []
-    for i, review in enumerate(sequence("reviews", reviews, "(score, variance) pairs")):
-        score, variance = sequence(f"reviews[{i}]", review, "numbers", 2)
-        checked.append((finite(f"reviews[{i}].score", score), positive(f"reviews[{i}].variance", variance)))
-    scores, variances = np.array(checked, dtype=float).reshape(-1, 2).T
-    means, variances = posterior_arrays(prior, scores, variances, np.array([len(checked)]))
-    return GaussianPosterior(mean=float(means[0]), variance=float(variances[0]))
-
-
-def _calls(posterior: GaussianPosterior, threshold: float, alpha: float, new_variance: float):
-    """``credible_calls`` of one posterior, after checking threshold and alpha."""
-    calls = credible_calls(np.array([posterior.mean]), np.array([posterior.variance]),
-                           finite("threshold", threshold), open_unit("alpha", alpha), new_variance)
-    return [column.item() for column in calls]
-
-
-def acceptance_probability(posterior: GaussianPosterior, threshold: float) -> float:
-    """Posterior probability that latent quality reaches the threshold."""
-    return _calls(posterior, threshold, 0.5, 1.0)[0]  # p_accept needs neither of the last two
-
-
-def credible_robust(posterior: GaussianPosterior, threshold: float, alpha: float) -> bool:
-    """True when the threshold lies outside the central (1 - alpha) interval.
-
-    Equivalent to |threshold - mean| >= z_{1 - alpha/2} * posterior std,
-    so the accept/reject call would survive the credible band.
-    """
-    return _calls(posterior, threshold, alpha, 1.0)[1]  # robust needs no new_review_variance
-
-
-def solicit_worthwhile(
-    posterior: GaussianPosterior,
-    threshold: float,
-    alpha: float,
-    new_review_variance: float,
-) -> bool:
-    """Whether one more review of the given variance could settle the call.
-
-    False when the decision is already credible-robust.  Otherwise the
-    posterior std after one more review is computed; soliciting is
-    worthwhile only if the current margin would clear the credible band
-    at that tighter std (best case: the new review confirms the mean).
-    """
-    new_review_variance = positive("new_review_variance", new_review_variance)
-    return _calls(posterior, threshold, alpha, new_review_variance)[2]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # callers check the results

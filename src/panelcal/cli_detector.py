@@ -1,7 +1,8 @@
 """``panelcal detector-eval``: integrity flags scored against fabrication labels.
 
 It parses a panel file once into a ``PanelTable`` and counts on its
-columns.  It scores no panel, so it loads neither ``aggregate``, ``config``
+columns; each row's rates come from ``metrics.detector_rates``, so it
+builds no ``objects`` type.  It scores no panel, so it loads neither ``aggregate``, ``config``
 nor ``core``; on a column-cache hit it loads no parser either (``rundir``).
 """
 
@@ -31,21 +32,21 @@ def cmd_detector_eval(args: argparse.Namespace) -> int:
 
     table_rows, csv_rows = [], []
     confusion = metrics.confusion_counts(table)
-    for name, counts in zip([*table.roster, "any"], confusion):
-        tp, fp, tn, fn = counts.tp, counts.fp, counts.tn, counts.fn
-        m = metrics.detector_metrics(counts)
-        csv_rows.append((name, tp, fp, tn, fn, m.tpr, m.fpr, m.accuracy, m.f1))
+    for name, tp, fp, tn, fn in zip([*table.roster, "any"], *confusion):
+        tpr, fpr, accuracy, f1 = metrics.detector_rates(tp, fp, tn, fn)
+        csv_rows.append((name, tp, fp, tn, fn, tpr, fpr, accuracy, f1))
         table_rows.append((
             name,
             writers.rate_with_counts(tp, tp + fn),
             writers.rate_with_counts(fp, fp + tn),
-            writers.rate_with_counts(tp + tn, counts.total),
-            writers.format_percent(m.f1),
+            writers.rate_with_counts(tp + tn, tp + fp + tn + fn),
+            writers.format_percent(f1),
         ))
 
     # fair-coin reference: TPR/FPR/Acc 50% in expectation, F1 from prevalence
-    positives = confusion[-1].tp + confusion[-1].fn
-    negatives = confusion[-1].fp + confusion[-1].tn
+    tp, fp, tn, fn = (column[-1] for column in confusion)
+    positives = tp + fn
+    negatives = fp + tn
     baseline_f1 = 2 * positives / (3 * positives + negatives) if positives else 0.0
     csv_rows.append(("random-baseline", None, None, None, None, 0.5, 0.5, 0.5, baseline_f1))
     coin = writers.format_percent(0.5)

@@ -14,9 +14,9 @@ rules live in ``panelcal.rules``, which loads no numpy and no
 The other names of ``__all__`` are defined in the module that builds
 them at run time, and ``core`` imports that module on first use of one:
 ``NoiseProfile`` in ``panelcal.simulate``, ``GaussianPosterior`` in
-``panelcal.bayes``, ``ConfusionCounts`` in ``panelcal.metrics``, and the
-object layer (``RubricVector``, ``ReviewRecord``, ``ReviewPanel``,
-``CalibrationRecord``, ``ReviewerWeights``, ``BoundInputs`` and
+``panelcal.bayes``, and the object layer (``RubricVector``,
+``ReviewRecord``, ``ReviewPanel``, ``CalibrationRecord``,
+``ReviewerWeights``, ``BoundInputs``, ``ConfusionCounts`` and
 ``left_sum``) in ``panelcal.objects``.  So ``simulate threshold-error``
 and ``detector-eval`` load no ``core``, and the panel commands and
 ``calibrate`` load no ``objects``.
@@ -51,10 +51,9 @@ __all__ = [
 
 __getattr__, __dir__ = _lazy(__name__, {
     "objects": ("RubricVector", "ReviewRecord", "ReviewPanel", "CalibrationRecord", "ReviewerWeights",
-                "BoundInputs", "left_sum"),
+                "BoundInputs", "ConfusionCounts", "left_sum"),
     "simulate": ("NoiseProfile",),
     "bayes": ("GaussianPosterior",),
-    "metrics": ("ConfusionCounts",),
 })
 
 

@@ -4,26 +4,35 @@ The commands work on the columns of ``tables`` and never build these
 classes.  This module defines the record objects (``RubricVector``,
 ``ReviewRecord``, ``ReviewPanel``, ``PanelRecord`` and
 ``CalibrationRecord``), the reviewer weights and bound inputs
-(``ReviewerWeights``, ``BoundInputs``, ``left_sum``) and the
+(``ReviewerWeights``, ``BoundInputs``, ``left_sum``), the
 object-taking forms of the consensus and decision
 (``ConsensusRubric``, ``Decision``, ``consensus_rubric``, ``score``,
-``decide``, ``gls_weights``, ``panel_variance``).  Each validates its
-invariants at construction, like the value types of ``core``.  ``core``,
-``aggregate`` and ``records`` re-export these names and import this
-module on first use of one.  Importing it loads no numpy, so ``bound
-tail`` stays numpy-free: ``consensus_rubric`` and ``score`` import numpy
-and the column kernels of ``aggregate`` when called.
+``decide``, ``gls_weights``, ``panel_variance``), of the corpus rates
+(``ConfusionCounts``, ``DetectorMetrics``, ``acpt``, ``icr_per_model``,
+``icr_any``, ``conflict_rate``, ``detector_counts``,
+``detector_metrics``) and of the credible calls (``posterior_update``,
+``acceptance_probability``, ``credible_robust``,
+``solicit_worthwhile``).  Each validates its invariants at
+construction, like the value types of ``core``.  ``core``,
+``aggregate``, ``records``, ``metrics`` and ``bayes`` re-export these
+names and import this module on first use of one.  Importing it loads
+no numpy, so ``bound tail`` stays numpy-free: the functions import
+numpy and the column kernels of ``aggregate``, ``metrics`` and
+``bayes`` when called.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-from .rules import _fail, finite, integer, non_negative, not_nan, positive, sequence, text
+from .rules import _fail, finite, integer, non_negative, not_nan, open_unit, positive, sequence, text, unit
 
 if TYPE_CHECKING:
+    from .bayes import GaussianPosterior
     from .core import RubricSchema, ScoringFunctional
+    from .tables import PanelTable
 
 __all__ = [
     "RubricVector",
@@ -41,6 +50,18 @@ __all__ = [
     "decide",
     "gls_weights",
     "panel_variance",
+    "ConfusionCounts",
+    "DetectorMetrics",
+    "acpt",
+    "icr_per_model",
+    "icr_any",
+    "conflict_rate",
+    "detector_counts",
+    "detector_metrics",
+    "posterior_update",
+    "acceptance_probability",
+    "credible_robust",
+    "solicit_worthwhile",
 ]
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -311,3 +332,208 @@ def panel_variance(weights: ReviewerWeights, projected_variances: Sequence[float
     """Weighted consensus variance sum_m w_m^2 c_m."""
     variances = non_negative.each("projected_variances", projected_variances, len(weights))
     return sum(w * w * v for w, v in zip(weights.weights, variances))
+
+
+@dataclass(frozen=True)
+class ConfusionCounts:
+    """Binary-detection outcome counts."""
+
+    tp: int
+    fp: int
+    tn: int
+    fn: int
+
+    def __post_init__(self) -> None:
+        for name in ("tp", "fp", "tn", "fn"):
+            object.__setattr__(self, name, integer(name, getattr(self, name), 0))
+        if self.total < 1:
+            _fail("tp", "counts must sum to at least 1")
+
+    @property
+    def total(self) -> int:
+        return self.tp + self.fp + self.tn + self.fn
+
+
+@dataclass(frozen=True)
+class DetectorMetrics:
+    """Detection rates from a confusion table; absent on empty denominators."""
+
+    tpr: float | None
+    fpr: float | None
+    accuracy: float
+    f1: float
+
+    def __post_init__(self) -> None:
+        for name in ("tpr", "fpr", "accuracy", "f1"):
+            if getattr(self, name) is not None or name in ("accuracy", "f1"):  # tpr and fpr may be absent
+                object.__setattr__(self, name, unit(name, getattr(self, name)))
+
+
+def _entries(field: str, values: Sequence[object], kind: type, of: str) -> Sequence[object]:
+    """``values`` if it is a non-empty sequence of ``kind``; else ``field`` or ``field[i]``'s ValueError."""
+    values = sequence(field, values, of, non_empty=True)
+    for i, value in enumerate(values):
+        if not isinstance(value, kind):
+            _fail(f"{field}[{i}]", f"must be a {kind.__name__}, got {type(value).__name__}")
+    return values
+
+
+def acpt(decisions: Sequence[Decision]) -> float:
+    """Fraction of decisions that accepted."""
+    decisions = _entries("decisions", decisions, Decision, "decisions")
+    return sum(1 for d in decisions if d.accept) / len(decisions)
+
+
+def _scope(
+    panels: Sequence[ReviewPanel], reviewer_id: str | None, labeled: bool = False
+) -> tuple[PanelTable, int]:
+    """The panels as a table and the index of ``reviewer_id`` (None: ``any``) in its counts;
+    raises at the first panel with no label (if ``labeled``) or no review by ``reviewer_id``."""
+    import numpy as np
+
+    from .tables import PanelTable
+
+    panels = _entries("panels", panels, ReviewPanel, "panels")
+    table = PanelTable.from_panels(panels)
+    scope = table.roster.index(reviewer_id) if reviewer_id in table.roster else -1
+    unlabeled = ~table.labeled & labeled
+    unreviewed = ~table.panel_any(table.reviewer == scope) & (reviewer_id is not None)
+    for i in np.flatnonzero(unlabeled | unreviewed)[:1].tolist():
+        if unlabeled[i]:
+            raise ValueError(f"panels: panel {table.ids[i]!r} has no fabrication_label")
+        panels[i].review_by(reviewer_id)  # raises its "no review by" error
+    return table, scope
+
+
+def icr_per_model(panels: Sequence[ReviewPanel], reviewer_id: str) -> float:
+    """Fraction of panels in which the given reviewer raised a flag (``metrics.flag_counts``)."""
+    from .metrics import flag_counts
+
+    table, scope = _scope(panels, reviewer_id)
+    return flag_counts(table)[0][scope] / len(table)
+
+
+def icr_any(panels: Sequence[ReviewPanel]) -> float:
+    """Fraction of panels in which at least one reviewer raised a flag."""
+    from .metrics import flag_counts
+
+    table, scope = _scope(panels, None)
+    return flag_counts(table)[0][scope] / len(table)
+
+
+def conflict_rate(
+    panels: Sequence[ReviewPanel],
+    scores: Mapping[str, float],
+    threshold: float,
+    reviewer_id: str | None = None,
+) -> float | None:
+    """Among flagged panels, the fraction still scored at acceptance level (``metrics.conflict_counts``).
+
+    Flagging is per-reviewer when ``reviewer_id`` is given, any-reviewer
+    otherwise.  Returns None when no panel is flagged (the rate is
+    conditional and has no denominator).
+    """
+    import numpy as np
+
+    from .metrics import conflict_counts, flag_counts
+
+    panels = _entries("panels", panels, ReviewPanel, "panels")  # the panels are refused before the threshold
+    threshold = not_nan("threshold", threshold)
+    table, scope = _scope(panels, reviewer_id)
+    flagged = flag_counts(table)[0][scope]
+    if not flagged:
+        return None
+    hit = table.any_flag if scope < 0 else table.panel_any(table.flags & (table.reviewer == scope))
+    values = []
+    for submission_id, flagged_here in zip(table.ids, hit.tolist()):
+        if flagged_here and submission_id not in scores:
+            raise ValueError(f"scores: missing entry for panel {submission_id!r}")
+        values.append(finite(f"scores[{submission_id!r}]", scores[submission_id]) if flagged_here
+                      else math.nan)  # NaN never accepts
+    return conflict_counts(table, np.array(values) >= threshold)[scope] / flagged
+
+
+def detector_counts(
+    panels: Sequence[ReviewPanel],
+    reviewer_id: str | None = None,
+) -> ConfusionCounts:
+    """Confusion counts treating flags as fabrication predictions (``metrics.confusion_counts``).
+
+    Truth is each panel's fabrication label; every panel must be labeled.
+    """
+    from .metrics import confusion_counts
+
+    table, scope = _scope(panels, reviewer_id, labeled=True)
+    return ConfusionCounts(*(column[scope] for column in confusion_counts(table)))
+
+
+def detector_metrics(counts: ConfusionCounts) -> DetectorMetrics:
+    """TPR, FPR, accuracy, F1 from confusion counts (``metrics.detector_rates``), checked by ``DetectorMetrics``."""
+    from .metrics import detector_rates
+
+    return DetectorMetrics(*detector_rates(counts.tp, counts.fp, counts.tn, counts.fn))
+
+
+def posterior_update(
+    prior: GaussianPosterior,
+    reviews: Sequence[tuple[float, float]],
+) -> GaussianPosterior:
+    """Precision-weighted conjugate update with (score, variance) reviews (``bayes.posterior_arrays``).
+
+    Posterior precision is the prior precision plus each review's
+    precision; the mean is the precision-weighted average.  An empty
+    review sequence returns the prior unchanged.
+    """
+    import numpy as np
+
+    from .bayes import GaussianPosterior, posterior_arrays
+
+    checked = []
+    for i, review in enumerate(sequence("reviews", reviews, "(score, variance) pairs")):
+        score, variance = sequence(f"reviews[{i}]", review, "numbers", 2)
+        checked.append((finite(f"reviews[{i}].score", score), positive(f"reviews[{i}].variance", variance)))
+    scores, variances = np.array(checked, dtype=float).reshape(-1, 2).T
+    means, variances = posterior_arrays(prior, scores, variances, np.array([len(checked)]))
+    return GaussianPosterior(mean=float(means[0]), variance=float(variances[0]))
+
+
+def _calls(posterior: GaussianPosterior, threshold: float, alpha: float, new_variance: float):
+    """``bayes.credible_calls`` of one posterior, after checking threshold and alpha."""
+    import numpy as np
+
+    from .bayes import credible_calls
+
+    calls = credible_calls(np.array([posterior.mean]), np.array([posterior.variance]),
+                           finite("threshold", threshold), open_unit("alpha", alpha), new_variance)
+    return [column.item() for column in calls]
+
+
+def acceptance_probability(posterior: GaussianPosterior, threshold: float) -> float:
+    """Posterior probability that latent quality reaches the threshold."""
+    return _calls(posterior, threshold, 0.5, 1.0)[0]  # p_accept needs neither of the last two
+
+
+def credible_robust(posterior: GaussianPosterior, threshold: float, alpha: float) -> bool:
+    """True when the threshold lies outside the central (1 - alpha) interval.
+
+    Equivalent to |threshold - mean| >= z_{1 - alpha/2} * posterior std,
+    so the accept/reject call would survive the credible band.
+    """
+    return _calls(posterior, threshold, alpha, 1.0)[1]  # robust needs no new_review_variance
+
+
+def solicit_worthwhile(
+    posterior: GaussianPosterior,
+    threshold: float,
+    alpha: float,
+    new_review_variance: float,
+) -> bool:
+    """Whether one more review of the given variance could settle the call.
+
+    False when the decision is already credible-robust.  Otherwise the
+    posterior std after one more review is computed; soliciting is
+    worthwhile only if the current margin would clear the credible band
+    at that tighter std (best case: the new review confirms the mean).
+    """
+    new_review_variance = positive("new_review_variance", new_review_variance)
+    return _calls(posterior, threshold, alpha, new_review_variance)[2]

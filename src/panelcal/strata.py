@@ -115,11 +115,13 @@ def _cell_members(
     # bins are [e_i, e_{i+1}) except the last, which includes its upper edge
     bins = np.searchsorted(np.asarray(edges, dtype=float), scores, side="right") - 1
     cell = np.minimum(bins, len(edges) - 2) * len(vocab) + status
-    order = np.argsort(cell, kind="stable")
-    keys, starts = np.unique(cell[order], return_index=True)
+    # a stable sort of the codes in the smallest unsigned dtype that holds them is numpy's radix sort
+    order = np.argsort(cell.astype(np.min_scalar_type((len(edges) - 1) * len(vocab) - 1)), kind="stable")
+    ordered = cell[order]
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))  # each cell's first member in the sorted codes
     return {
         (int(key) // len(vocab), vocab[int(key) % len(vocab)]): members
-        for key, members in zip(keys, np.split(order, starts[1:]))
+        for key, members in zip(ordered[starts], np.split(order, starts[1:]))
     }
 
 

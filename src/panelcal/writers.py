@@ -7,8 +7,9 @@ numpy only when handed an array, so ``simulate threshold-error``,
 not ``metrics``.
 
 A column is a list (or tuple) of values, or a typed one: a numpy float,
-integer or bool array, or ``Cells``.  A list column's cells are
-converted one by one (a ``str`` stays as it is).  A typed column becomes
+integer or bool array, ``Cells`` or ``tables.Strings``.  A list
+column's cells are converted one by one (a ``str`` stays as it is); a
+``Strings`` is read by its own strings and codes, as a ``Cells`` is.  A typed column becomes
 ``Cells``: a float array is written by ``repr`` and an integer array by
 ``str``, each once per distinct value (for floats, per distinct bit
 pattern, so ``-0.0`` and ``0.0`` keep their own texts), and a bool array
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from itertools import compress, repeat, zip_longest
 from typing import Any, Callable, Iterable, Sequence
 
@@ -90,6 +92,11 @@ def _strings(column: Sequence[object] | Cells, none: str) -> tuple[list[str], An
         column = Cells(("False", "True"), column)
     elif kind in ("f", "i", "u"):
         [column] = texts(column, repr if kind == "f" else str)
+    tables = sys.modules.get(f"{__package__}.tables")  # a Strings column exists only once tables is loaded
+    if tables is not None and isinstance(column, tables.Strings):
+        if column.codes is None:
+            return list(column.strings), None
+        column = Cells(column.strings, column.codes)  # its codes as intp: an index, never a mask
     if isinstance(column, Cells):
         return column.strings, column.codes
     if set(map(type, column)) <= {str}:

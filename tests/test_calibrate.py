@@ -34,6 +34,7 @@ from panelcal.calibrate import (
 )
 from panelcal.core import CalibrationRecord
 from panelcal.records import CalibrationTable
+from panelcal.strata import _cell_members
 
 
 def make_pool(scores, statuses=None, accepts=None):
@@ -95,6 +96,26 @@ def test_cell_populations_bins_top_edge_inclusive():
         cell_populations(make_pool([10.5]), (0.0, 5.0, 10.0), ("accept",))
     with pytest.raises(ValueError, match=re.escape("status 'hold' not in status_vocabulary ['accept']")):
         cell_populations(make_pool([1.0], statuses=["hold"]), (0.0, 10.0), ("accept",))
+
+
+@example(seed=0, n=0, n_bins=1, n_statuses=1)  # an empty pool has no cell
+@given(st.integers(0, 2**32 - 1), st.integers(0, 300), st.integers(1, 4), st.sampled_from([1, 2, 3, 70, 300]))
+def test_cell_members_match_the_intp_stable_argsort(seed, n, n_bins, n_statuses):
+    # scores on the edges and midpoints and few statuses fill each cell with ties; 70 or 300 statuses take
+    # the cell codes past uint8
+    rng = np.random.default_rng(seed)
+    vocab = tuple(f"s{k}" for k in range(n_statuses))
+    edges = tuple(map(float, range(n_bins + 1)))
+    scores = rng.integers(0, 2 * n_bins + 1, n) / 2
+    status = rng.integers(0, n_statuses, n)
+    members = _cell_members("records", make_pool(scores.tolist(), [vocab[k] for k in status.tolist()]),
+                            edges, vocab)
+    # bins are [e_i, e_{i+1}) except the last, which includes its upper edge
+    cell = np.minimum(np.floor(scores).astype(np.intp), n_bins - 1) * n_statuses + status.astype(np.intp)
+    want = {}
+    for i in np.argsort(cell, kind="stable").tolist():
+        want.setdefault((int(cell[i]) // n_statuses, vocab[int(cell[i]) % n_statuses]), []).append(i)
+    assert [(key, idx.tolist()) for key, idx in members.items()] == list(want.items())
 
 
 def test_allocate_quotas_exact_shares():

@@ -14,6 +14,7 @@ error that ``reference.validate_panels`` finds with ``ReviewPanel`` objects.
 from __future__ import annotations
 
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -23,11 +24,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from panelcal import aggregate, bayes, metrics
+from panelcal import aggregate, bayes, metrics, objects
 from panelcal.cli import main
 from panelcal.core import (
     GaussianPosterior,
@@ -317,6 +318,60 @@ def test_panel_commands_match_object_path(s):
             assert code == 2
             assert "has no fabrication_label" in err
             assert run_dir is None
+
+
+@st.composite
+def labelled_corpora(draw):
+    """Labelled panels of a roster of 1 to 5.  Each reviewer but ``m0`` may review only positive-label or
+    only negative-label panels, so its tpr or fpr has no denominator."""
+    n_roster = draw(st.integers(1, 5))
+    admits = [None, *(draw(st.sampled_from([None, True, False])) for _ in range(n_roster - 1))]
+    corpus = []
+    for i in range(draw(st.integers(1, 8))):
+        label = draw(st.booleans())
+        admitted = [f"m{j}" for j, admit in enumerate(admits) if admit in (None, label)]
+        names = draw(st.lists(st.sampled_from(admitted), min_size=1, max_size=len(admitted), unique=True))
+        reviews = tuple(ReviewRecord(name, RubricVector((5.0,)), draw(st.booleans())) for name in names)
+        corpus.append(ReviewPanel(f"p{i}", reviews, label))
+    return corpus
+
+
+def percent(rate):
+    return "-" if rate is None else f"{100.0 * rate:.1f}%"
+
+
+# m1 reviews no positive-label panel and m2 no negative-label one: an absent tpr and an absent fpr
+@example(corpus=[
+    ReviewPanel("p0", (ReviewRecord("m0", RubricVector((5.0,)), True),), True),
+    ReviewPanel("p1", (ReviewRecord("m0", RubricVector((5.0,)), False),
+                       ReviewRecord("m1", RubricVector((5.0,)), True)), False),
+    ReviewPanel("p2", (ReviewRecord("m2", RubricVector((5.0,)), False),), True),
+])
+@given(labelled_corpora())
+def test_detector_eval_rows_are_the_object_layer_rates(corpus):
+    roster = sorted({r.reviewer_id for p in corpus for r in p.reviews})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "panels.jsonl"
+        path.write_text("".join(panel_line(p, p.fabrication_label) + "\n" for p in corpus), encoding="utf-8")
+        code, err, run_dir = cli(["detector-eval", "--panels", str(path)], Path(tmp) / "runs")
+        assert code == 0, err
+        rows = list(csv.reader(io.StringIO((run_dir / "detector.csv").read_text())))[1:]
+        # after the title, the panel count, the table's header and its rule
+        report = (run_dir / "detector_report.txt").read_text().splitlines()[6:]
+    assert len(rows) == len(report) == len(roster) + 2  # and the random-baseline row
+    for name, row, line in zip([*roster, "any"], rows, report):
+        panels = corpus if name == "any" else [p for p in corpus if name in p.reviewer_ids]
+        counts = objects.detector_counts(panels, None if name == "any" else name)
+        rates = objects.detector_metrics(counts)
+        assert row == [name, *map(str, (counts.tp, counts.fp, counts.tn, counts.fn)),
+                       *("" if rate is None else repr(rate)
+                         for rate in (rates.tpr, rates.fpr, rates.accuracy, rates.f1))]
+        cells = [f"{percent(rate)} ({k}/{n})" for rate, k, n in (
+            (rates.tpr, counts.tp, counts.tp + counts.fn),
+            (rates.fpr, counts.fp, counts.fp + counts.tn),
+            (rates.accuracy, counts.tp + counts.tn, counts.total),
+        )]
+        assert line.split() == [name, *" ".join(cells).split(), percent(rates.f1)]
 
 
 def test_large_uniform_panels_match_object_path(tmp_path):

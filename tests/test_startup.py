@@ -5,9 +5,9 @@ report the modules they loaded and the dataclasses those modules
 define.  In-process tests cover the lazy ``panelcal`` package:
 submodules resolve on first attribute access, the two exit-code errors
 and the number rules live in ``rules``, which ``core`` re-exports, and
-every name that ``core``, ``aggregate``, ``records``, ``calibrate`` and
-``simulate`` export from a module of its own is one object wherever it
-is exported.
+every name that ``core``, ``aggregate``, ``records``, ``calibrate``,
+``simulate``, ``metrics`` and ``bayes`` export from a module of its own
+is one object wherever it is exported.
 """
 
 import functools
@@ -205,18 +205,18 @@ SIMULATE_TYPES = {"simulate.NoiseProfile", "simulate.LatentDistribution", "simul
                   "simulate.Population"}
 COLUMN_TYPES = {"rundir.RunManifest", "tables.PanelTable", "tables.CalibrationTable"}
 CORE_TYPES = {"core.RubricSchema", "core.ScoringFunctional", "core.DecisionThresholds"}
-METRICS_TYPES = {"metrics.ConfusionCounts", "metrics.DetectorMetrics"}
+# ConfusionCounts and DetectorMetrics are the object layer's: review and detector-eval count and rate on columns
 BUILT = {
     "threshold-error": SIMULATE_TYPES | {"rundir.RunManifest"},
-    "review": CORE_TYPES | COLUMN_TYPES | METRICS_TYPES,
+    "review": CORE_TYPES | COLUMN_TYPES,
     "bayes": CORE_TYPES | COLUMN_TYPES | {"bayes.GaussianPosterior"},
     "calibrate": CORE_TYPES | COLUMN_TYPES,
-    "detector-eval": COLUMN_TYPES | METRICS_TYPES,
+    "detector-eval": COLUMN_TYPES,
 }
 
 
 @pytest.mark.parametrize(("command", "count"), [
-    ("threshold-error", 8), ("review", 8), ("bayes", 7), ("calibrate", 6), ("detector-eval", 5),
+    ("threshold-error", 8), ("review", 6), ("bayes", 7), ("calibrate", 6), ("detector-eval", 3),
 ])
 def test_each_data_command_builds_only_the_dataclasses_it_runs(tmp_path, command, count):
     if command == "threshold-error":
@@ -319,17 +319,21 @@ def test_exit_code_errors_are_reexported():
     assert issubclass(rules.ThresholdUnreachableError, ValueError)
 
 
-# the modules that core, aggregate, records, calibrate and simulate export names from, each imported on
-# first use (core's NoiseProfile and GaussianPosterior load simulate and bayes, which a command may run)
+# the modules that core, aggregate, records, calibrate, simulate, metrics and bayes export names from, each
+# imported on first use (core's NoiseProfile and GaussianPosterior load simulate and bayes, which a command may run)
 LAZY_MODULES = ("panelcal.objects", "panelcal.isotonic", "panelcal.strata", "panelcal.experiments")
 EXPORTERS = ("core", "aggregate", "records", "calibrate", "simulate", "bayes", "rules", "tables", "objects",
              "isotonic", "strata", "experiments", "metrics", "reader", "writers")
-# each name that core or aggregate exports from another module, and that module
+# each name that core, aggregate, metrics or bayes exports from another module, and that module
 MOVED = {
     "core": {"NoiseProfile": "simulate", "GaussianPosterior": "bayes", "ReviewerWeights": "objects",
-             "BoundInputs": "objects", "left_sum": "objects"},
+             "BoundInputs": "objects", "ConfusionCounts": "objects", "left_sum": "objects"},
     "aggregate": {name: "objects" for name in ("ConsensusRubric", "Decision", "consensus_rubric", "score", "decide",
                                                "gls_weights", "panel_variance")},
+    "metrics": {name: "objects" for name in ("ConfusionCounts", "DetectorMetrics", "acpt", "icr_per_model",
+                                             "icr_any", "conflict_rate", "detector_counts", "detector_metrics")},
+    "bayes": {name: "objects" for name in ("posterior_update", "acceptance_probability", "credible_robust",
+                                           "solicit_worthwhile")},
 }
 
 
@@ -364,14 +368,18 @@ def test_from_imports_and_dunder_lookups_load_no_lazy_module(tmp_path):
              "from panelcal.records import PanelTable\n"
              "from panelcal.calibrate import TailCounts\n"
              "from panelcal.simulate import generate_cohort\n"
+             "from panelcal.metrics import confusion_counts, detector_rates\n"
+             "from panelcal.bayes import GaussianPosterior, credible_calls\n"
              "import panelcal.core, panelcal.aggregate, panelcal.records, panelcal.calibrate, panelcal.simulate\n"
-             "modules = [panelcal.core, panelcal.aggregate, panelcal.records, panelcal.calibrate, panelcal.simulate]\n"
+             "modules = [panelcal.core, panelcal.aggregate, panelcal.records, panelcal.calibrate, panelcal.simulate,\n"
+             "           panelcal.metrics, panelcal.bayes]\n"
              "paths = [hasattr(m, '__path__') for m in modules]\n"
              "print(json.dumps([paths, sorted(sys.modules)]))\n")
     proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_env(), capture_output=True,
                           text=True, check=True)
     paths, modules = json.loads(proc.stdout)
-    assert paths == [False] * 5
+    assert paths == [False] * 7
+    # importing metrics or bayes, and their kernels, loads no object layer
     assert not set(modules) & {*LAZY_MODULES, "panelcal.bounds"}
 
 
@@ -388,17 +396,18 @@ def test_every_exported_name_is_one_object_wherever_it_is_exported():
     assert seen["CellQuota"] is sys.modules["panelcal.strata"].CellQuota
     assert seen["MarginBinRow"] is sys.modules["panelcal.experiments"].MarginBinRow
     assert seen["PanelTable"] is sys.modules["panelcal.tables"].PanelTable
-    assert seen["ConfusionCounts"] is sys.modules["panelcal.metrics"].ConfusionCounts
+    assert seen["ConfusionCounts"] is sys.modules["panelcal.objects"].ConfusionCounts
     assert seen["load_config"] is sys.modules["panelcal.reader"].load_config
     assert seen["csv_text"] is sys.modules["panelcal.writers"].csv_text
     for exporter, homes in MOVED.items():
         for name, home in homes.items():
             home_module = sys.modules[f"panelcal.{home}"]
             assert name in home_module.__all__
+            assert name in dir(sys.modules[f"panelcal.{exporter}"])
             assert getattr(sys.modules[f"panelcal.{exporter}"], name) is getattr(home_module, name) is seen[name]
 
 
-@pytest.mark.parametrize("name", ["core", "aggregate", "records", "calibrate", "simulate"])
+@pytest.mark.parametrize("name", ["core", "aggregate", "records", "calibrate", "simulate", "metrics", "bayes"])
 def test_lazy_exporters_refuse_unknown_and_dunder_names(name):
     module = importlib.import_module(f"panelcal.{name}")
     assert not hasattr(module, "__path__")

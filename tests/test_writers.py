@@ -1,7 +1,7 @@
 """Typed columns in the writers: the same text as the row-by-row writers of ``tests/reference.py``.
 
-A typed column (a numpy float, integer or bool array, or ``Cells``) is
-formatted once per distinct value and taken back to its rows; the
+A typed column (a numpy float, integer or bool array, ``Cells`` or
+``tables.Strings``) is formatted once per distinct value and taken back to its rows; the
 reference writes each row's values one by one, as the list form does:
 a float by its ``repr``, an integer by ``str``, a bool as
 ``True``/``False``.
@@ -14,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import reference
+from panelcal.tables import Strings
 from panelcal.writers import Cells, aligned_table, csv_text, texts
 
 # floats that repeat, both zeros, subnormals, the exponent forms of repr, NaN and the infinities
@@ -32,7 +33,7 @@ def quarter(value):
 @st.composite
 def typed_column(draw, n):
     """(a typed column of ``n`` rows, the values the reference writes for each row)."""
-    kind = draw(st.sampled_from(["float", "int", "bool", "repr", "quarter", "take"]))
+    kind = draw(st.sampled_from(["float", "int", "bool", "repr", "quarter", "take", "strings", "coded"]))
     if kind == "int":
         values = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 3), min_size=n,
                                         max_size=n)), dtype=np.int64)
@@ -43,6 +44,15 @@ def typed_column(draw, n):
     if kind == "take":
         codes = np.array(draw(st.lists(st.integers(0, len(NOTES) - 1), min_size=n, max_size=n)), dtype=np.intp)
         return Cells(NOTES, codes), [NOTES[k] for k in codes.tolist()]
+    if kind == "strings":  # Strings.of: codes when a string repeats early, none for distinct strings
+        values = draw(st.lists(st.sampled_from(NOTES) | st.text(st.sampled_from('ab,"\n'), max_size=3),
+                               min_size=n, max_size=n))
+        return Strings.of(values), values
+    if kind == "coded":  # codes of any integer or bool dtype index the strings by position, never as a mask
+        dtype = draw(st.sampled_from([bool, np.uint8, np.uint32, np.intp]))
+        top = 1 if dtype is bool else len(NOTES) - 1
+        codes = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=np.intp).astype(dtype)
+        return Strings("\n".join(NOTES), "\n", len(NOTES), codes), [NOTES[k] for k in codes.tolist()]
     values = np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=np.float64)
     if kind == "float":
         return values, values.tolist()
@@ -67,6 +77,9 @@ def typed_tables(draw):
 @example(table=(["x"], [np.array([-0.0, 0.0, -0.0])], [[-0.0], [0.0], [-0.0]]))
 @example(table=(["note"], [Cells(("", "x"), np.array([0, 1, 0]))], [[""], ["x"], [""]]))
 @example(table=(["a", "b"], [np.array([], dtype=np.float64), np.array([], dtype=bool)], []))
+@example(table=(["note"], [Strings("\n".join(NOTES), "\n", 4, np.array([True, False, True, True]))],
+                [[NOTES[1]], [NOTES[0]], [NOTES[1]], [NOTES[1]]]))
+@example(table=(["id"], [Strings.of(["p1", "a,b", ""])], [["p1"], ["a,b"], [""]]))
 @given(typed_tables())
 def test_typed_csv_text_matches_csv_writer_row_by_row(table):
     headers, columns, rows = table
