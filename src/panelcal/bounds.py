@@ -10,6 +10,9 @@ largest change any single review can induce in the consensus score.
 Setting t to the margin |mu_s - tau| turns the tail bound into a
 misclassification bound for thresholded decisions.  DKW-based threshold
 error bounds for calibration live here too.
+
+Only the two ``*_bound_inputs`` builders import ``weights``, so the
+bounds that take plain numbers load no ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .rules import integer, non_negative, open_unit, positive, sequence
 
 if TYPE_CHECKING:
     from .core import RubricSchema, ScoringFunctional
-    from .objects import BoundInputs, ReviewerWeights
     from .simulate import NoiseProfile
+    from .weights import BoundInputs, ReviewerWeights
 
 __all__ = [
     "tail_bound",
@@ -36,6 +39,7 @@ __all__ = [
 
 
 def _weighted_square_sum(weights: Sequence[float], values: Sequence[float]) -> float:
+    """sum_m w_m^2 v_m, the weighted consensus variance, which ``objects.panel_variance`` runs too."""
     return sum(w * w * v for w, v in zip(weights, values))
 
 
@@ -91,7 +95,7 @@ def scalar_bound_inputs(weights: ReviewerWeights, noise: NoiseProfile) -> BoundI
 
     sigma_w^2 = sum_m w_m^2 sigma_m^2 and c_max = max_m w_m (b - a).
     """
-    from .objects import BoundInputs  # here, so the bounds that take plain numbers load no objects
+    from .weights import BoundInputs  # here, so the bounds that take plain numbers load no dataclasses
 
     sequence("weights", weights.weights, "weights", noise.reviewer_count)
     sigma_w_sq = _weighted_square_sum(weights.weights, noise.per_reviewer_variance)
@@ -112,7 +116,7 @@ def rubric_bound_inputs(
     the variance proxy is sigma_w^2 = L^2 sum_m w_m^2 lambda_m, where
     lambda_m bounds the top eigenvalue of reviewer m's rubric covariance.
     """
-    from .objects import BoundInputs
+    from .weights import BoundInputs
 
     lambdas = non_negative.each("lambda_max", lambda_max, len(weights))
     lipschitz = functional.lipschitz_constant

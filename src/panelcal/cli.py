@@ -26,7 +26,9 @@ standard modules.  The data commands live in ``cli_calibrate``,
 when its command runs, with the run directory and its manifest in
 ``rundir``.  So a command loads just the modules it uses: ``bound dkw``,
 ``scalar`` and ``tau05`` load no numpy, ``core``, ``dataclasses``,
-``hashlib`` or ``json``.
+``hashlib`` or ``json``; ``bound tail`` and ``margin`` load ``weights``
+and ``dataclasses`` for their ``BoundInputs``, and still no numpy or
+``core``.  No command loads the object layer, ``objects``.
 """
 
 from __future__ import annotations
@@ -89,7 +91,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     from . import bounds
 
     if args.bound_kind in ("tail", "margin"):
-        from .objects import BoundInputs  # only these two kinds load objects and its dataclasses
+        from .weights import BoundInputs  # only these two kinds load dataclasses
 
         inputs = BoundInputs(sigma_w_sq=args.sigma_w_sq, c_max=args.c_max)
         if args.bound_kind == "tail":

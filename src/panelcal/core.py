@@ -14,12 +14,12 @@ rules live in ``panelcal.rules``, which loads no numpy and no
 The other names of ``__all__`` are defined in the module that builds
 them at run time, and ``core`` imports that module on first use of one:
 ``NoiseProfile`` in ``panelcal.simulate``, ``GaussianPosterior`` in
-``panelcal.bayes``, and the object layer (``RubricVector``,
-``ReviewRecord``, ``ReviewPanel``, ``CalibrationRecord``,
-``ReviewerWeights``, ``BoundInputs``, ``ConfusionCounts`` and
-``left_sum``) in ``panelcal.objects``.  So ``simulate threshold-error``
-and ``detector-eval`` load no ``core``, and the panel commands and
-``calibrate`` load no ``objects``.
+``panelcal.bayes``, ``ReviewerWeights``, ``BoundInputs`` and
+``left_sum`` in ``panelcal.weights``, and the object layer
+(``RubricVector``, ``ReviewRecord``, ``ReviewPanel``,
+``CalibrationRecord`` and ``ConfusionCounts``) in ``panelcal.objects``.
+So ``simulate threshold-error`` and ``detector-eval`` load no ``core``,
+and no command loads ``objects``.
 """
 
 from __future__ import annotations
@@ -50,8 +50,8 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = _lazy(__name__, {
-    "objects": ("RubricVector", "ReviewRecord", "ReviewPanel", "CalibrationRecord", "ReviewerWeights",
-                "BoundInputs", "ConfusionCounts", "left_sum"),
+    "objects": ("RubricVector", "ReviewRecord", "ReviewPanel", "CalibrationRecord", "ConfusionCounts"),
+    "weights": ("ReviewerWeights", "BoundInputs", "left_sum"),
     "simulate": ("NoiseProfile",),
     "bayes": ("GaussianPosterior",),
 })

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import simulate
 from .bounds import margin_misclassification_bound, scalar_bound_inputs
-from .objects import ReviewerWeights
 from .rules import finite, increasing_edges, integer, sequence
 from .simulate import Cohort, CohortSpec, NoiseProfile
+from .weights import ReviewerWeights
 
 __all__ = [
     "MarginBinRow",

@@ -3,36 +3,39 @@
 The commands work on the columns of ``tables`` and never build these
 classes.  This module defines the record objects (``RubricVector``,
 ``ReviewRecord``, ``ReviewPanel``, ``PanelRecord`` and
-``CalibrationRecord``), the reviewer weights and bound inputs
-(``ReviewerWeights``, ``BoundInputs``, ``left_sum``), the
-object-taking forms of the consensus and decision
-(``ConsensusRubric``, ``Decision``, ``consensus_rubric``, ``score``,
-``decide``, ``gls_weights``, ``panel_variance``), of the corpus rates
-(``ConfusionCounts``, ``DetectorMetrics``, ``acpt``, ``icr_per_model``,
-``icr_any``, ``conflict_rate``, ``detector_counts``,
+``CalibrationRecord``), the object-taking forms of the consensus and
+decision (``ConsensusRubric``, ``Decision``, ``consensus_rubric``,
+``score``, ``decide``, ``gls_weights``, ``panel_variance``), of the
+corpus rates (``ConfusionCounts``, ``DetectorMetrics``, ``acpt``,
+``icr_per_model``, ``icr_any``, ``conflict_rate``, ``detector_counts``,
 ``detector_metrics``) and of the credible calls (``posterior_update``,
 ``acceptance_probability``, ``credible_robust``,
 ``solicit_worthwhile``).  Each validates its invariants at
-construction, like the value types of ``core``.  ``core``,
+construction, like the value types of ``core``, and runs the column
+kernels of ``aggregate``, ``metrics`` and ``bayes``.  ``core``,
 ``aggregate``, ``records``, ``metrics`` and ``bayes`` re-export these
-names and import this module on first use of one.  Importing it loads
-no numpy, so ``bound tail`` stays numpy-free: the functions import
-numpy and the column kernels of ``aggregate``, ``metrics`` and
-``bayes`` when called.
+names and import this module on first use of one.  The reviewer
+weights and bound inputs live in ``weights``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
+import numpy as np
+
+from .aggregate import consensus_rows, score_rows
+from .bayes import GaussianPosterior, credible_calls, posterior_arrays
+from .bounds import _weighted_square_sum
+from .metrics import conflict_counts, confusion_counts, detector_rates, flag_counts
 from .rules import _fail, finite, integer, non_negative, not_nan, open_unit, positive, sequence, text, unit
+from .tables import PanelTable
+from .weights import ReviewerWeights, left_sum
 
 if TYPE_CHECKING:
-    from .bayes import GaussianPosterior
     from .core import RubricSchema, ScoringFunctional
-    from .tables import PanelTable
 
 __all__ = [
     "RubricVector",
@@ -40,9 +43,6 @@ __all__ = [
     "ReviewPanel",
     "PanelRecord",
     "CalibrationRecord",
-    "ReviewerWeights",
-    "BoundInputs",
-    "left_sum",
     "ConsensusRubric",
     "Decision",
     "consensus_rubric",
@@ -63,16 +63,6 @@ __all__ = [
     "credible_robust",
     "solicit_worthwhile",
 ]
-
-_WEIGHT_SUM_TOL = 1e-9
-
-
-def left_sum(values: Iterable[float]) -> float:
-    """Float sum added left to right, like ``tables.left_sums`` (not 3.12's ``sum``)."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
 
 
 @dataclass(frozen=True)
@@ -198,48 +188,6 @@ class CalibrationRecord:
 
 
 @dataclass(frozen=True)
-class ReviewerWeights:
-    """Non-negative reviewer weights; stored renormalized to sum exactly 1.
-
-    Inputs whose sum deviates from 1 by more than 1e-9 are rejected rather
-    than silently rescaled.
-    """
-
-    weights: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        weights = non_negative.each("weights", self.weights, non_empty=True)
-        total = left_sum(weights)
-        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-            _fail("weights", f"must sum to 1 within {_WEIGHT_SUM_TOL}, got sum {total!r}")
-        object.__setattr__(self, "weights", tuple(w / total for w in weights))
-
-    @classmethod
-    def uniform(cls, count: int) -> "ReviewerWeights":
-        count = integer("count", count, 1)
-        return cls((1.0 / count,) * count)
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Sufficient statistics for the consensus tail bound.
-
-    ``sigma_w_sq`` is the weighted consensus variance proxy and ``c_max``
-    the largest single-review influence on the consensus score.
-    """
-
-    sigma_w_sq: float
-    c_max: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sigma_w_sq", non_negative("sigma_w_sq", self.sigma_w_sq))
-        object.__setattr__(self, "c_max", non_negative("c_max", self.c_max))
-
-
-@dataclass(frozen=True)
 class ConsensusRubric:
     """Weighted per-criterion average over a panel's reviews."""
 
@@ -276,11 +224,6 @@ class Decision:
 
 def consensus_rubric(panel: ReviewPanel, weights: ReviewerWeights) -> ConsensusRubric:
     """Weight-average the panel's rubrics criterion by criterion (``aggregate.consensus_rows``)."""
-    import numpy as np  # here, with the column kernels: the types above load no numpy
-
-    from .aggregate import consensus_rows
-    from .tables import PanelTable
-
     if len(weights) != len(panel.reviews):
         raise ValueError(
             f"weights: expected {len(panel.reviews)} entries for panel "
@@ -300,10 +243,6 @@ def score(
 
     ``overall_pick`` requires a schema whose ``overall_index`` is set.
     """
-    import numpy as np
-
-    from .aggregate import score_rows
-
     return float(score_rows(np.array([consensus.values]), functional, schema)[0])
 
 
@@ -331,7 +270,7 @@ def gls_weights(projected_variances: Sequence[float]) -> ReviewerWeights:
 def panel_variance(weights: ReviewerWeights, projected_variances: Sequence[float]) -> float:
     """Weighted consensus variance sum_m w_m^2 c_m."""
     variances = non_negative.each("projected_variances", projected_variances, len(weights))
-    return sum(w * w * v for w, v in zip(weights.weights, variances))
+    return _weighted_square_sum(weights.weights, variances)
 
 
 @dataclass(frozen=True)
@@ -389,10 +328,6 @@ def _scope(
 ) -> tuple[PanelTable, int]:
     """The panels as a table and the index of ``reviewer_id`` (None: ``any``) in its counts;
     raises at the first panel with no label (if ``labeled``) or no review by ``reviewer_id``."""
-    import numpy as np
-
-    from .tables import PanelTable
-
     panels = _entries("panels", panels, ReviewPanel, "panels")
     table = PanelTable.from_panels(panels)
     scope = table.roster.index(reviewer_id) if reviewer_id in table.roster else -1
@@ -407,16 +342,12 @@ def _scope(
 
 def icr_per_model(panels: Sequence[ReviewPanel], reviewer_id: str) -> float:
     """Fraction of panels in which the given reviewer raised a flag (``metrics.flag_counts``)."""
-    from .metrics import flag_counts
-
     table, scope = _scope(panels, reviewer_id)
     return flag_counts(table)[0][scope] / len(table)
 
 
 def icr_any(panels: Sequence[ReviewPanel]) -> float:
     """Fraction of panels in which at least one reviewer raised a flag."""
-    from .metrics import flag_counts
-
     table, scope = _scope(panels, None)
     return flag_counts(table)[0][scope] / len(table)
 
@@ -433,10 +364,6 @@ def conflict_rate(
     otherwise.  Returns None when no panel is flagged (the rate is
     conditional and has no denominator).
     """
-    import numpy as np
-
-    from .metrics import conflict_counts, flag_counts
-
     panels = _entries("panels", panels, ReviewPanel, "panels")  # the panels are refused before the threshold
     threshold = not_nan("threshold", threshold)
     table, scope = _scope(panels, reviewer_id)
@@ -461,16 +388,12 @@ def detector_counts(
 
     Truth is each panel's fabrication label; every panel must be labeled.
     """
-    from .metrics import confusion_counts
-
     table, scope = _scope(panels, reviewer_id, labeled=True)
     return ConfusionCounts(*(column[scope] for column in confusion_counts(table)))
 
 
 def detector_metrics(counts: ConfusionCounts) -> DetectorMetrics:
     """TPR, FPR, accuracy, F1 from confusion counts (``metrics.detector_rates``), checked by ``DetectorMetrics``."""
-    from .metrics import detector_rates
-
     return DetectorMetrics(*detector_rates(counts.tp, counts.fp, counts.tn, counts.fn))
 
 
@@ -484,10 +407,6 @@ def posterior_update(
     precision; the mean is the precision-weighted average.  An empty
     review sequence returns the prior unchanged.
     """
-    import numpy as np
-
-    from .bayes import GaussianPosterior, posterior_arrays
-
     checked = []
     for i, review in enumerate(sequence("reviews", reviews, "(score, variance) pairs")):
         score, variance = sequence(f"reviews[{i}]", review, "numbers", 2)
@@ -499,10 +418,6 @@ def posterior_update(
 
 def _calls(posterior: GaussianPosterior, threshold: float, alpha: float, new_variance: float):
     """``bayes.credible_calls`` of one posterior, after checking threshold and alpha."""
-    import numpy as np
-
-    from .bayes import credible_calls
-
     calls = credible_calls(np.array([posterior.mean]), np.array([posterior.variance]),
                            finite("threshold", threshold), open_unit("alpha", alpha), new_variance)
     return [column.item() for column in calls]

@@ -6,7 +6,7 @@ imports them from here, so a command loads no JSONL loader on a cache
 hit, and neither does a table built from record objects
 (``PanelTable.from_panels``).  ``simulate threshold-error``, which reads
 no file, loads no table at all.  ``left_sums`` adds the values of a
-group of rows in the order of ``objects.left_sum``.
+group of rows in the order of ``weights.left_sum``.
 
 Every table, parsed, read from the column cache or built from objects,
 holds each per-row string column (ids, feedback, statuses) as ``Strings``:
@@ -355,7 +355,7 @@ class CalibrationTable:
 def left_sums(values: np.ndarray, counts: np.ndarray, start: float = 0.0) -> np.ndarray:
     """(P,) ``start`` plus each of P groups of ``values``, ``counts`` long, added left to right.
 
-    This is the order of ``objects.left_sum``, which ``ReviewerWeights`` and
+    This is the order of ``weights.left_sum``, which ``ReviewerWeights`` and
     ``objects.gls_weights`` use; ``np.add.reduceat`` and, from Python
     3.12, builtin ``sum`` add in another order.
     """

@@ -83,6 +83,13 @@ def loaded(cwd, *argv, code=0):
     return fresh(cwd, *argv, code=code)[0]
 
 
+def cohort_argv(tmp_path, experiment):
+    """``simulate experiment`` (margins or variance) on the ``test_cli`` cohort, panel sizes 1 and 2."""
+    config = {"simulate": {experiment: {"spec": COHORT_SPEC}}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return ["simulate", experiment, "--config", "config.json", "--m", "1,2", "--out", "runs"]
+
+
 @functools.cache
 def interpreter_modules():
     """The modules ``python -c pass`` has loaded in this environment, site hooks included."""
@@ -110,9 +117,36 @@ def test_bound_and_version_load_no_core_dataclasses_hashlib_or_json(tmp_path, ar
 def test_tail_and_margin_build_their_bound_inputs(tmp_path, argv, expected):
     modules, printed = fresh(tmp_path, *argv)
     assert printed == expected
-    # BoundInputs is defined in the object layer, which loads no numpy
-    assert "panelcal.objects" in modules
-    assert not modules & {"panelcal.core", "numpy"}
+    # BoundInputs is defined in weights, which loads no numpy, not in the object layer
+    assert "panelcal.weights" in modules
+    assert not modules & {"panelcal.objects", "panelcal.core", "numpy"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "tail", "--t", "2", "--sigma-w-sq", "0.25", "--c-max", "0.5"],
+    ["bound", "margin", "--gamma", "2", "--sigma-w-sq", "0.25", "--c-max", "0.5"],
+    ["bound", "scalar", "--m", "3", "--gamma", "1", "--sigma-sq", "1", "--range", "9"],
+    ["bound", "dkw", "--n", "200", "--delta", "0.05"],
+    ["bound", "tau05", "--eps-pi", "0.1", "--c-min", "0.4", "--flat-width", "1"],
+    ["simulate", "margins"],
+    ["simulate", "variance"],
+    ["simulate", "threshold-error"],
+    ["review"],
+    ["bayes"],
+    ["detector-eval"],
+    ["calibrate"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_no_command_loads_the_object_layer(tmp_path, argv):
+    code = 0
+    if argv[0] == "simulate" and argv[1] != "threshold-error":
+        argv = cohort_argv(tmp_path, argv[1])
+    elif argv[0] == "simulate":  # two replicates fail the slope check (exit 4) after the whole experiment has run
+        argv, code = [*argv, "--grid", "50,100", "--replicates", "2", "--out", "runs"], 4
+    elif argv[0] != "bound":
+        from test_cli import cached_command
+
+        argv = [*cached_command(tmp_path, argv[0])[0], "--out", "runs"]
+    assert "panelcal.objects" not in loaded(tmp_path, *argv, code=code)
 
 
 def test_bound_loads_no_numpy(tmp_path):
@@ -208,6 +242,9 @@ CORE_TYPES = {"core.RubricSchema", "core.ScoringFunctional", "core.DecisionThres
 # ConfusionCounts and DetectorMetrics are the object layer's: review and detector-eval count and rate on columns
 BUILT = {
     "threshold-error": SIMULATE_TYPES | {"rundir.RunManifest"},
+    # the cohort experiments' rows and the two weights types, not the object layer's
+    "margins": SIMULATE_TYPES | {"rundir.RunManifest", "experiments.MarginBinRow", "experiments.VarianceRow",
+                                 "weights.ReviewerWeights", "weights.BoundInputs"},
     "review": CORE_TYPES | COLUMN_TYPES,
     "bayes": CORE_TYPES | COLUMN_TYPES | {"bayes.GaussianPosterior"},
     "calibrate": CORE_TYPES | COLUMN_TYPES,
@@ -216,12 +253,14 @@ BUILT = {
 
 
 @pytest.mark.parametrize(("command", "count"), [
-    ("threshold-error", 8), ("review", 6), ("bayes", 7), ("calibrate", 6), ("detector-eval", 3),
+    ("threshold-error", 8), ("margins", 12), ("review", 6), ("bayes", 7), ("calibrate", 6), ("detector-eval", 3),
 ])
 def test_each_data_command_builds_only_the_dataclasses_it_runs(tmp_path, command, count):
     if command == "threshold-error":
         _, built, _ = probe(tmp_path, "simulate", "threshold-error", "--grid", "50,100", "--replicates", "2",
                             "--out", "runs", code=4)
+    elif command == "margins":
+        _, built, _ = probe(tmp_path, *cohort_argv(tmp_path, "margins"))
     else:
         from test_cli import cached_command
 
@@ -277,10 +316,7 @@ def test_a_cache_hit_loads_no_parser(tmp_path, command):
 
 @pytest.mark.parametrize("experiment", ["margins", "variance"])
 def test_cohort_experiments_load_the_run_directory(tmp_path, experiment):
-    config = {"simulate": {experiment: {"spec": COHORT_SPEC}}}
-    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
-    modules = loaded(tmp_path, "simulate", experiment, "--config", "config.json", "--m", "1,2",
-                     "--out", "runs")
+    modules = loaded(tmp_path, *cohort_argv(tmp_path, experiment))
     assert {"panelcal.cli_simulate", "panelcal.rundir", "panelcal.experiments", "panelcal.bounds"} <= modules
 
 
@@ -321,13 +357,14 @@ def test_exit_code_errors_are_reexported():
 
 # the modules that core, aggregate, records, calibrate, simulate, metrics and bayes export names from, each
 # imported on first use (core's NoiseProfile and GaussianPosterior load simulate and bayes, which a command may run)
-LAZY_MODULES = ("panelcal.objects", "panelcal.isotonic", "panelcal.strata", "panelcal.experiments")
+LAZY_MODULES = ("panelcal.objects", "panelcal.weights", "panelcal.isotonic", "panelcal.strata",
+                "panelcal.experiments")
 EXPORTERS = ("core", "aggregate", "records", "calibrate", "simulate", "bayes", "rules", "tables", "objects",
-             "isotonic", "strata", "experiments", "metrics", "reader", "writers")
+             "weights", "isotonic", "strata", "experiments", "metrics", "reader", "writers")
 # each name that core, aggregate, metrics or bayes exports from another module, and that module
 MOVED = {
-    "core": {"NoiseProfile": "simulate", "GaussianPosterior": "bayes", "ReviewerWeights": "objects",
-             "BoundInputs": "objects", "ConfusionCounts": "objects", "left_sum": "objects"},
+    "core": {"NoiseProfile": "simulate", "GaussianPosterior": "bayes", "ReviewerWeights": "weights",
+             "BoundInputs": "weights", "ConfusionCounts": "objects", "left_sum": "weights"},
     "aggregate": {name: "objects" for name in ("ConsensusRubric", "Decision", "consensus_rubric", "score", "decide",
                                                "gls_weights", "panel_variance")},
     "metrics": {name: "objects" for name in ("ConfusionCounts", "DetectorMetrics", "acpt", "icr_per_model",
@@ -335,6 +372,26 @@ MOVED = {
     "bayes": {name: "objects" for name in ("posterior_update", "acceptance_probability", "credible_robust",
                                            "solicit_worthwhile")},
 }
+
+
+@pytest.mark.parametrize("first", [
+    "import panelcal.objects",
+    "from panelcal.core import ReviewPanel",
+    "from panelcal.bayes import posterior_update",
+    "from panelcal.aggregate import gls_weights",
+    "from panelcal.metrics import icr_any",
+])
+def test_the_object_layer_resolves_whichever_module_is_imported_first(tmp_path, first):
+    # objects imports the kernel modules at its top, and each of them exports objects' names lazily
+    probe = (f"{first}\n"
+             "import json, panelcal.aggregate, panelcal.bayes, panelcal.core, panelcal.metrics, panelcal.objects\n"
+             "from panelcal import aggregate, bayes, core, metrics, objects\n"
+             "pairs = [(core.ReviewPanel, objects.ReviewPanel), (bayes.posterior_update, objects.posterior_update),\n"
+             "         (aggregate.gls_weights, objects.gls_weights), (metrics.icr_any, objects.icr_any)]\n"
+             "print(json.dumps([a is b for a, b in pairs]))\n")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=_env(), capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == [True] * 4
 
 
 def test_import_panelcal_core_builds_no_record_class(tmp_path):
