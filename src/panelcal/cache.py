@@ -10,11 +10,11 @@ this module owns what an entry holds.  An entry is one file:
 * the sha256 of everything before it (32 bytes).
 
 A numpy column keeps its dtype, from a whitelist, and shape.  A string
-column keeps the parts of its ``tables.Strings`` (``Strings.of`` of the
-``roster`` tuple): a UTF-8 blob and, for statuses and feedback, codes.
-A hit checks that each blob splits into its count and that every code is
-in range; the ``roster``, short and read by every panel command, is split
-at once, and the other columns as ``Strings`` read them.
+column, a ``tables.Strings``, keeps its joined text (``Strings.joined``,
+which nothing else calls) as a UTF-8 blob and, for statuses and feedback,
+its codes.  A hit checks that each blob splits into its count and that
+every code is in range, and restores every string column one way
+(``Strings.split``): split on first read.
 The table's ``path`` is not stored: it always names the file as given.
 
 A hit needs the input's digest and the interpreter key to match, and the
@@ -51,7 +51,6 @@ KINDS = {"panel": (PanelTable, "load_panel_table"), "pool": (CalibrationTable, "
 _DTYPES = frozenset({"|b1", "<i4", "<i8", "<u4", "<f8"})
 _ALIGN = 8  # every column starts at a multiple of 8 bytes, so np.frombuffer gives aligned arrays
 _CODES = np.dtype("<u4")
-_WHOLE = frozenset({"roster"})  # the string columns a hit splits at once; the others are split on first read
 _HEADER_LIMIT = 1 << 20  # prune reads at most this much of a file for its header
 # the source files, beside this one, of the modules a parse runs, this one included; the package's own
 # version is in the key
@@ -115,7 +114,7 @@ def read(entry: Path, kind: str, digest: str, path: str) -> PanelTable | Calibra
             return None
         columns, offset = {}, end
         for item in header["columns"]:
-            columns[item["name"]], offset = _restore(buffer, offset, item, item["name"] in _WHOLE)
+            columns[item["name"]], offset = _restore(buffer, offset, item)
         if offset != len(buffer) - 32:
             return None
         return cls(path=path, **columns)
@@ -184,26 +183,23 @@ def _names(cls: type) -> list[str]:
     return [f.name for f in fields(cls) if f.name != "path"]
 
 
-def _store(column: np.ndarray | Strings | tuple[str, ...]) -> tuple[dict, list]:
+def _store(column: np.ndarray | Strings) -> tuple[dict, list]:
     """A column's header item and the buffers that hold it."""
     if isinstance(column, np.ndarray):
         array = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("<"))
         return {"dtype": array.dtype.str, "shape": list(array.shape)}, [array]
-    strings = column if isinstance(column, Strings) else Strings.of(column)  # the roster is a tuple
-    blob = strings.text.encode("utf-8", "surrogatepass")
-    codes = strings.codes
-    item = {"sep": strings.sep, "count": strings.n_strings, "bytes": len(blob),
-            "codes": None if codes is None else len(codes)}
+    text, sep = column.joined()
+    blob = text.encode("utf-8", "surrogatepass")
+    codes = column.codes
+    item = {"sep": sep, "count": column.n_strings, "bytes": len(blob), "codes": None if codes is None else len(codes)}
     return item, [blob] if codes is None else [blob, np.ascontiguousarray(codes, dtype=_CODES)]
 
 
-def _restore(
-    buffer: bytearray, offset: int, item: dict, whole: bool
-) -> tuple[np.ndarray | Strings | tuple[str, ...], int]:
+def _restore(buffer: bytearray, offset: int, item: dict) -> tuple[np.ndarray | Strings, int]:
     """The column that ``item`` describes, at ``offset`` of ``buffer``, and the offset after it.
 
-    A string column is a ``Strings``, or a tuple when ``whole``; every check
-    of its split runs here, so a column that is read later cannot fail.
+    A string column is a ``Strings`` of the stored text, split on first
+    read; every check of that split runs here, so a read cannot fail.
     """
     if "dtype" in item:
         if item["dtype"] not in _DTYPES:
@@ -220,8 +216,7 @@ def _restore(
         codes, offset = _array(buffer, offset, _CODES, [item["codes"]])
         if codes.size and int(codes.max()) >= count:
             raise ValueError("string column holds a code past its strings")
-    strings = Strings(text, sep, count, codes)
-    return (tuple(strings) if whole else strings), offset
+    return Strings.split(text, sep, count, codes), offset
 
 
 def _array(buffer: bytearray, offset: int, dtype: np.dtype, shape: list[int]) -> tuple[np.ndarray, int]:

@@ -4,10 +4,10 @@ Both parse a panel file once into a ``PanelTable`` and work on its
 columns; neither imports ``simulate``, ``calibrate`` or ``bounds``, and
 only ``bayes`` imports ``panelcal.bayes``, and only ``review``
 ``metrics``.  ``detector-eval``, which scores nothing, lives in
-``cli_detector``.  Both write their per-panel files from typed columns
-(``writers.texts``): each distinct number is formatted once.  Neither
-builds an object of ``panelcal.objects``: they run ``aggregate``'s column
-kernels.
+``cli_detector``.  Both write their per-panel files from typed columns,
+each a ``tables.Strings`` (``writers.texts``): each distinct number is
+formatted once.  Neither builds an object of ``panelcal.objects``: they
+run ``aggregate``'s column kernels.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import aggregate, config, rules, writers
 from .core import RubricSchema, ScoringFunctional
 from .rundir import _Run
-from .tables import PanelTable, left_sums
+from .tables import PanelTable, Strings, left_sums
 
 
 def _scoring(
@@ -244,7 +244,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
         means, posterior_variances, threshold, alpha, solicit_variance
     )
     [counts] = writers.texts(table.counts, str)
-    notes = writers.Cells(("prior-only", ""), table.counts > 0)
+    notes = Strings(("prior-only", ""), table.counts > 0)
     # each float column's full text for the CSV and its 4-decimal text for the report
     floats = [writers.texts(column, repr, "{:.4f}".format) for column in (means, posterior_variances, p_accept)]
 
@@ -277,7 +277,7 @@ def cmd_bayes(args: argparse.Namespace) -> int:
         table.ids,
         counts,
         *(short for _, short in floats),
-        *(writers.Cells(("no", "yes"), calls) for calls in (robust, solicit)),
+        *(Strings(("no", "yes"), calls) for calls in (robust, solicit)),
         notes,
     ]
     report = [

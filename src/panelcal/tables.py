@@ -8,13 +8,14 @@ hit, and neither does a table built from record objects
 no file, loads no table at all.  ``left_sums`` adds the values of a
 group of rows in the order of ``weights.left_sum``.
 
-Every table, parsed, read from the column cache or built from objects,
-holds each per-row string column (ids, feedback, statuses) as ``Strings``:
-its length is known at once, a subset of its rows is taken by code, and
-its text is split on first read.  Of those, ``review`` and ``bayes`` read
-the ids, ``calibrate`` reads only the distinct statuses, to stratify, and
-``detector-eval`` reads none; only the record objects read the feedback.
-Each table takes its length from its ``lines`` column.
+Every string column, in a table (ids, feedback, statuses, the roster)
+or written by ``writers``, is a ``Strings``: its length is known at once,
+a subset of its rows is taken by code, a column read from the column
+cache is split on first read, and only the cache joins one.  Of a
+table's, ``review`` and ``bayes`` write the ids, ``calibrate`` reads only
+the distinct statuses, to stratify, and the panel commands read the
+roster; only the record objects read the feedback.  Each table takes its
+length from its ``lines`` column.
 """
 
 from __future__ import annotations
@@ -40,21 +41,21 @@ _PROBE = 256  # a column that repeats a string within its first _PROBE entries i
 
 
 class Strings(Sequence[str]):
-    """A per-row string column: the ``n_strings`` strings that ``text`` joins with ``sep``, a character none of
-    them holds, and, with ``codes``, a code per row into them.
+    """A per-row string column: ``n_strings`` distinct strings and, with ``codes``, a code per row into them.
 
-    ``of`` encodes a column; the column cache stores these parts, and checks on read that they split and index
-    as they should.  ``len`` and ``take`` split nothing; the text is split on the first read of ``strings``, and
-    every row's string built on that of a row.
+    A column holds either its strings or their text, joined with a character none of them holds, whichever it
+    was built from, and derives the other the first time it is needed: the strings on the first read of
+    ``strings`` or of a row, the text on the first ``joined``, which only the column cache calls.  ``len`` and
+    ``take`` need neither, and every row's string is built on the first read of a row.
     """
 
-    __slots__ = ("text", "sep", "n_strings", "codes", "_strings", "_rows")
+    __slots__ = ("n_strings", "codes", "_strings", "_text", "_sep", "_rows")
 
-    def __init__(self, text: str, sep: str, n_strings: int, codes: np.ndarray | None = None,
-                 strings: tuple[str, ...] | None = None) -> None:
-        self.text, self.sep, self.n_strings, self.codes = text, sep, n_strings, codes
-        self._strings = strings
-        self._rows = strings if codes is None else None
+    def __init__(self, strings: Sequence[str], codes: np.ndarray | None = None) -> None:
+        """Row ``i`` holds ``strings[codes[i]]``, or ``strings[i]`` without codes; codes of any integer or bool
+        dtype index by position."""
+        self._strings = tuple(strings)
+        self.n_strings, self.codes, self._text, self._sep, self._rows = len(self._strings), codes, None, None, None
 
     @classmethod
     def of(cls, column: Sequence[str]) -> Strings:
@@ -62,29 +63,47 @@ class Strings(Sequence[str]):
         feedback) as its distinct strings, in order of first appearance, and codes, so that equal rows read as one
         string, and any other (ids) string by string, with no pass to find its distinct strings."""
         head = column[:_PROBE]
-        repeats = len(set(head)) < len(head)
-        strings = tuple(dict.fromkeys(column) if repeats else column)
-        sep = "\n"
-        text = sep.join(strings)
-        if text.count(sep) != len(strings) - 1:  # a string holds a line feed
-            held = set("".join(strings))
-            sep = next(c for c in map(chr, range(sys.maxunicode + 1)) if c not in held)
-            text = sep.join(strings)
-        code = {s: k for k, s in enumerate(strings)} if repeats else None
-        codes = np.fromiter(map(code.__getitem__, column), np.uint32, len(column)) if repeats else None
-        return cls(text, sep, len(strings), codes, strings)
+        if len(set(head)) == len(head):
+            return cls(column)
+        strings = tuple(dict.fromkeys(column))
+        code = {s: k for k, s in enumerate(strings)}
+        return cls(strings, np.fromiter(map(code.__getitem__, column), np.uint32, len(column)))
+
+    @classmethod
+    def split(cls, text: str, sep: str, n_strings: int, codes: np.ndarray | None = None) -> Strings:
+        """The column of the ``n_strings`` strings that ``text`` joins with ``sep`` (``joined``), split on first
+        read."""
+        column = cls((), codes)
+        column._strings, column._text, column._sep, column.n_strings = None, text, sep, n_strings
+        return column
 
     @property
     def strings(self) -> tuple[str, ...]:
-        """The strings that ``text`` joins: row ``i`` holds ``strings[codes[i]]``, or ``strings[i]`` without codes."""
+        """The distinct strings: row ``i`` holds ``strings[codes[i]]``, or ``strings[i]`` without codes."""
         if self._strings is None:
-            self._strings = tuple(self.text.split(self.sep)) if self.n_strings else ()
+            self._strings = tuple(self._text.split(self._sep)) if self.n_strings else ()
         return self._strings
 
+    def joined(self) -> tuple[str, str]:
+        """``(text, sep)``: the strings joined with a line feed, or, when one holds a line feed or there are
+        none, with the first character that none holds."""
+        if self._text is None:
+            strings, sep = self._strings, "\n"
+            text = sep.join(strings)
+            if text.count(sep) != len(strings) - 1:
+                held = set("".join(strings))
+                sep = next(c for c in map(chr, range(sys.maxunicode + 1)) if c not in held)
+                text = sep.join(strings)
+            self._text, self._sep = text, sep
+        return self._text, self._sep
+
     def take(self, rows: np.ndarray) -> Strings:
-        """The rows at ``rows``, an index array, in that order: the text is shared, and only codes are taken."""
+        """The rows at ``rows``, an index array, in that order: the strings or text are shared, and only codes
+        are taken."""
         codes = np.arange(self.n_strings, dtype=np.uint32) if self.codes is None else self.codes
-        return Strings(self.text, self.sep, self.n_strings, codes[rows], self._strings)
+        taken = Strings.split(self._text, self._sep, self.n_strings, codes[rows])
+        taken._strings = self._strings
+        return taken
 
     def __len__(self) -> int:
         return self.n_strings if self.codes is None else len(self.codes)
@@ -122,7 +141,7 @@ class PanelTable:
     offsets: np.ndarray  # (P + 1,) first review row of each panel, then N
     labels: np.ndarray  # (P,) bool
     labeled: np.ndarray  # (P,) bool
-    roster: tuple[str, ...]
+    roster: Strings
     reviewer: np.ndarray  # (N,) roster codes
     rubric: np.ndarray  # (N, K) float
     criteria: np.ndarray  # (N,) rubric length of each review
@@ -157,7 +176,7 @@ class PanelTable:
             offsets=np.concatenate(([0], np.cumsum(count_array))),
             labels=np.array([label is True for label in labels]),
             labeled=np.array([label is not None for label in labels]),
-            roster=tuple(roster),
+            roster=Strings(roster),
             reviewer=np.array(list(map(code.__getitem__, reviewer)), dtype=np.intp),
             rubric=rubric,
             criteria=widths,

@@ -1,32 +1,35 @@
 """Plain-text and CSV writers of the report files: percentages, aligned tables and CSV text.
 
 Every command that writes a report calls them here; ``metrics``
-re-exports them as the same objects.  They need no dataclass and import
-numpy only when handed an array, so ``simulate threshold-error``,
-``calibrate`` and ``bayes``, which compute no rate, load this module and
-not ``metrics``.
+re-exports them as the same objects.  They need no dataclass, so
+``simulate threshold-error``, ``calibrate`` and ``bayes``, which compute
+no rate, load this module and not ``metrics``.
 
 A column is a list (or tuple) of values, or a typed one: a numpy float,
-integer or bool array, ``Cells`` or ``tables.Strings``.  A list
-column's cells are converted one by one (a ``str`` stays as it is); a
-``Strings`` is read by its own strings and codes, as a ``Cells`` is.  A typed column becomes
-``Cells``: a float array is written by ``repr`` and an integer array by
-``str``, each once per distinct value (for floats, per distinct bit
-pattern, so ``-0.0`` and ``0.0`` keep their own texts), and a bool array
-as ``True``/``False``.  The writers then work on each column's distinct
-strings: the CSV writer checks and quotes each once, and a report column
-is as wide as the longest string its rows use.
+integer or bool array, or a ``tables.Strings``.  A list column's cells
+are converted one by one (a ``str`` stays as it is); a ``Strings`` is
+read by its own strings and codes.  A float array is written by ``repr``
+and an integer array by ``str``, each once per distinct value (for
+floats, per distinct bit pattern, so ``-0.0`` and ``0.0`` keep their own
+texts), and a bool array as ``True``/``False``; ``texts`` gives such an
+array's texts as a ``Strings``, in any format.  The writers then work on
+each column's distinct strings: the CSV writer checks and quotes each
+once, and a report column is as wide as the longest string its rows use.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import sys
 from itertools import compress, repeat, zip_longest
-from typing import Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
-__all__ = ["format_percent", "rate_with_counts", "aligned_table", "csv_text", "Cells", "texts"]
+import numpy as np
+
+if TYPE_CHECKING:
+    from .tables import Strings
+
+__all__ = ["format_percent", "rate_with_counts", "aligned_table", "csv_text", "texts"]
 
 
 def format_percent(value: float | None) -> str:
@@ -43,88 +46,68 @@ def rate_with_counts(numerator: int, denominator: int) -> str:
     return f"{format_percent(numerator / denominator)} ({numerator}/{denominator})"
 
 
-class Cells:
-    """A column of finished text: row ``i`` holds ``strings[codes[i]]``.
+def _distinct(values: Any) -> tuple[list, np.ndarray]:
+    """The distinct values of a numpy number array, as Python numbers, and each row's code into them.
 
-    ``codes`` is a numpy integer or bool array (a bool code takes entry 0
-    or 1).  The writers take the strings as they are, with no ``str()``.
+    Floats are told apart by their bit patterns, so ``-0.0`` and ``0.0``
+    (and NaNs of other payloads) stay apart.
     """
-
-    __slots__ = ("strings", "codes")
-
-    def __init__(self, strings: Sequence[str], codes: Any) -> None:
-        import numpy as np  # here: a Cells is made from numpy arrays, and writers loads no numpy itself
-
-        self.strings = list(strings)
-        self.codes = np.asarray(codes).astype(np.intp, copy=False)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-
-def texts(values: Any, *formats: Callable[[Any], str]) -> list[Cells]:
-    """``values``, a numpy number array, as Cells in each of ``formats``, from one ``unique``.
-
-    Each format turns one Python number into its text (``repr``,
-    ``"{:.4f}".format``) and runs once per distinct value.  Floats are
-    told apart by their bit patterns, so ``-0.0`` and ``0.0`` (and NaNs of
-    other payloads) keep their own texts.
-    """
-    import numpy as np
-
     values = np.asarray(values)
     if values.dtype.kind == "f":
         keys, codes = np.unique(np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True)
-        distinct = keys.view(np.float64).tolist()
-    else:
-        keys, codes = np.unique(values, return_inverse=True)
-        distinct = keys.tolist()
-    return [Cells(list(map(fmt, distinct)), codes) for fmt in formats]
+        return keys.view(np.float64).tolist(), codes
+    keys, codes = np.unique(values, return_inverse=True)
+    return keys.tolist(), codes
 
 
-def _strings(column: Sequence[object] | Cells, none: str) -> tuple[list[str], Any]:
+def texts(values: Any, *formats: Callable[[Any], str]) -> list[Strings]:
+    """``values``, a numpy number array, as a ``tables.Strings`` in each of ``formats``, from one ``unique``.
+
+    Each format turns one Python number into its text (``repr``,
+    ``"{:.4f}".format``) and runs once per distinct value (``_distinct``).
+    """
+    from .tables import Strings  # here: the commands that write no such column load no tables
+
+    distinct, codes = _distinct(values)
+    return [Strings(list(map(fmt, distinct)), codes) for fmt in formats]
+
+
+def _strings(column: Sequence[object], none: str) -> tuple[list[str], np.ndarray | None]:
     """``column``'s strings and codes: row ``i`` holds ``strings[codes[i]]``, or ``strings[i]`` when codes is None.
 
     A list column's cells are its strings, ``none`` standing for None.
     """
     kind = getattr(getattr(column, "dtype", None), "kind", None)
     if kind == "b":
-        column = Cells(("False", "True"), column)
-    elif kind in ("f", "i", "u"):
-        [column] = texts(column, repr if kind == "f" else str)
-    tables = sys.modules.get(f"{__package__}.tables")  # a Strings column exists only once tables is loaded
-    if tables is not None and isinstance(column, tables.Strings):
-        if column.codes is None:
-            return list(column.strings), None
-        column = Cells(column.strings, column.codes)  # its codes as intp: an index, never a mask
-    if isinstance(column, Cells):
-        return column.strings, column.codes
+        return ["False", "True"], column.astype(np.intp)
+    if kind in ("f", "i", "u"):
+        distinct, codes = _distinct(column)
+        return list(map(repr if kind == "f" else str, distinct)), codes
+    if hasattr(column, "codes"):  # a tables.Strings: its codes as intp, an index, never a mask
+        codes = column.codes
+        return list(column.strings), None if codes is None else codes.astype(np.intp, copy=False)
     if set(map(type, column)) <= {str}:
         return list(column), None
     return [none if cell is None else str(cell) for cell in column], None
 
 
-def _rows(strings: list[str], codes: Any) -> list[str]:
+def _rows(strings: list[str], codes: np.ndarray | None) -> list[str]:
     """Each row's string: ``strings`` taken by ``codes`` in one object-array take."""
     if codes is None:
         return strings
-    import numpy as np
-
     table = np.empty(len(strings), dtype=object)
     table[:] = strings
     return table[codes].tolist()
 
 
-def _used(strings: list[str], codes: Any) -> Iterable[str]:
-    """The strings that some row holds: a Cells may hold one that none takes."""
+def _used(strings: list[str], codes: np.ndarray | None) -> Iterable[str]:
+    """The strings that some row holds: a ``Strings`` may hold one that none takes."""
     if codes is None:
         return strings
-    import numpy as np
-
     return compress(strings, np.bincount(codes, minlength=len(strings)).tolist())
 
 
-def aligned_table(headers: Sequence[str], columns: Sequence[Sequence[object] | Cells]) -> str:
+def aligned_table(headers: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
     """Fixed-width text table of ``columns``: the first left-aligned, the rest right-aligned.
 
     Columns shorter than the longest, and missing headers, are padded with
@@ -174,7 +157,7 @@ def _quoted(strings: list[str], alone: bool) -> list[str]:
 _CSV_BLOCK = 2048  # rows joined at a time, so no more than a block's row strings are held at once
 
 
-def csv_text(headers: Sequence[str], columns: Sequence[Sequence[object] | Cells]) -> str:
+def csv_text(headers: Sequence[str], columns: Sequence[Sequence[object]]) -> str:
     """CSV text of a header row and equal-length ``columns``, as ``csv.writer`` writes it.
 
     Absent values (None) of a list column are written as ''.

@@ -65,7 +65,7 @@ def columns(table):
 
 
 def strings(table):
-    """The string columns of ``table``, by name: the roster a tuple, every other a ``tables.Strings``."""
+    """The string columns of ``table``, by name: each a ``tables.Strings``, the roster too."""
     return {field.name: getattr(table, field.name) for field in dataclasses.fields(table)
             if field.name != "path" and not isinstance(getattr(table, field.name), np.ndarray)}
 
@@ -79,11 +79,9 @@ def table_bytes(table):
 
 
 def parts(column):
-    """What an entry stores of a ``Strings`` column, the codes as bytes; None for a tuple."""
-    if not isinstance(column, tables.Strings):
-        return None
+    """What an entry stores of a ``Strings`` column, the codes as bytes."""
     codes = None if column.codes is None else column.codes.astype("<u4").tobytes()
-    return column.text, column.sep, column.n_strings, codes
+    return *column.joined(), column.n_strings, codes
 
 
 def round_trip(tmp_path, kind, text):
@@ -96,7 +94,7 @@ def round_trip(tmp_path, kind, text):
     assert restored is not None
     parsed = strings(table)
     for name, column in strings(restored).items():  # the length is known before the first read splits the text
-        assert isinstance(column, tuple if name == "roster" else tables.Strings)
+        assert isinstance(column, tables.Strings)
         assert type(parsed[name]) is type(column)  # a parse builds the form a hit restores
         assert len(column) == len(parsed[name])
     assert len(restored) == len(table)
@@ -291,7 +289,8 @@ def test_a_string_column_encodes_once_and_comes_back_from_an_entry(tmp_path_fact
     head = column[:256]
     assert (strings.codes is not None) == (len(set(head)) < len(head))
     held = set("".join(column))  # the separator the entry format fixes: a line feed, else the first free character
-    assert strings.sep == ("\n" if column and "\n" not in held else min(set(map(chr, range(len(held) + 1))) - held))
+    assert strings.joined()[1] == (
+        "\n" if column and "\n" not in held else min(set(map(chr, range(len(held) + 1))) - held))
     assert len(strings.strings) == strings.n_strings
     rows = data.draw(st.lists(st.integers(0, len(column) - 1))) if column and data else []
     taken = strings.take(np.array(rows, dtype=np.intp))
@@ -306,3 +305,43 @@ def test_a_string_column_encodes_once_and_comes_back_from_an_entry(tmp_path_fact
     restored = cache.read(entry, "pool", "digest", "pool.jsonl")
     assert restored is not None
     assert table_bytes(restored) == table_bytes(table)
+
+
+def test_only_the_cache_joins_a_string_column(tmp_path):
+    """``Strings.of``, the constructor, ``take``, ``writers.texts`` and ``PanelTable.from_panels`` join nothing;
+    on a hit, ``joined`` gives back the parts the entry stores, with no split; and in the package only
+    ``cache._store`` calls ``joined``."""
+    import ast
+
+    from panelcal import writers
+    from panelcal.objects import ReviewPanel, ReviewRecord, RubricVector
+
+    panels = [ReviewPanel(f"p{i}", (ReviewRecord("r2", RubricVector((1.0,)), True, "a\nb"),
+                                    ReviewRecord("r1", RubricVector((2.0,)), False, "")), i % 2 == 0)
+              for i in range(3)]
+    table = tables.PanelTable.from_panels(panels)
+    built = [tables.Strings.of(["x", "y", "x"]), tables.Strings.of(["x", "y"]),
+             tables.Strings(("no", "yes"), np.array([True, False])), *writers.texts(np.array([0.5, -0.0]), repr, str),
+             table.ids, table.roster, table.feedback]
+    built += [column.take(np.array([1, 0], dtype=np.intp)) for column in built]
+    assert [column._text for column in built] == [None] * len(built)
+
+    entry = tmp_path / "entry"
+    cache.write(entry, "panel", "digest", table)
+    restored = cache.read(entry, "panel", "digest", "panels.jsonl")
+    header = json.loads(entry.read_bytes().split(b"\n", 1)[0])
+    stored = {item["name"]: item for item in header["columns"] if "sep" in item}
+    assert sorted(stored) == ["feedback", "ids", "roster"]
+    for name, item in stored.items():
+        text, sep = getattr(restored, name).joined()
+        assert getattr(restored, name)._strings is None  # given back as stored, not split and joined again
+        assert (sep, len(text.encode("utf-8", "surrogatepass"))) == (item["sep"], item["bytes"])
+        assert (text, sep) == getattr(table, name).joined()
+
+    calls = []
+    for path in sorted(Path(cache.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, ast.FunctionDef):
+                calls += [(path.name, function.name) for node in ast.walk(function) if isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Attribute) and node.func.attr == "joined"]
+    assert calls == [("cache.py", "_store")]

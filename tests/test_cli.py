@@ -1726,15 +1726,15 @@ def splits(monkeypatch):
 @pytest.mark.parametrize("command", ["review", "bayes", "detector-eval", "calibrate", "stratified"])
 def test_a_cache_hit_builds_no_per_row_strings(tmp_path, capsys, splits, command):
     """No command reads the feedback, ``review`` and ``bayes`` write the ids by their distinct strings and codes,
-    ``calibrate`` reads only a pool's distinct statuses, to stratify it, and ``detector-eval`` reads no string
-    column but the roster, which a hit restores whole."""
+    ``calibrate`` reads only a pool's distinct statuses, to stratify it, and the panel commands read the roster
+    a row at a time, which a hit splits on that first read."""
     argv, _ = cached_command(tmp_path, "calibrate" if command == "stratified" else command)
     if command == "stratified":
         argv[-1] = write_json(tmp_path, "config.json", {"target_rate": 0.33, "stratify": STRATIFY})
     run_outputs(capsys, argv, tmp_path / "runs")  # a miss: the cache gives no table
     assert splits() == []
     run_outputs(capsys, argv, tmp_path / "runs")
-    assert splits() == []
+    assert splits() == ([] if command in ("calibrate", "stratified") else ["roster"])
 
 
 def test_a_stratified_hit_samples_the_pool_by_code(tmp_path, capsys, monkeypatch, parses):
@@ -1769,6 +1769,59 @@ def test_panel_commands_share_one_entry(tmp_path, capsys, parses):
                 tmp_path / "runs")
     assert parses == [panels]
     assert len(entries(tmp_path / "runs")) == 1
+
+
+# ids and reviewer names that a CSV writer must quote, or that only look like a cell boundary
+AWKWARD = st.text(st.sampled_from(['a', ',', '"', '\t', '\x00', '\xa0']), min_size=1, max_size=4)
+
+
+@st.composite
+def awkward_panels(draw):
+    """(JSONL text, the panel ids, the reviewer names) of 1-6 labelled panels of 1-4 reviewers."""
+    ids = draw(st.lists(AWKWARD, min_size=1, max_size=6, unique=True))
+    names = draw(st.lists(AWKWARD, min_size=1, max_size=4, unique=True))
+    reviews = [draw(st.lists(st.sampled_from(names), min_size=1, max_size=len(names), unique=True)) for _ in ids]
+    text = "".join(json.dumps({"id": i, "label": draw(st.booleans()), "reviews": [
+        {"reviewer": name, "overall": draw(st.sampled_from([4.0, 6.5, 7.0, 9.0])), "flag": draw(st.booleans())}
+        for name in panel]}) + "\n" for i, panel in zip(ids, reviews))
+    return text, ids, sorted({name for panel in reviews for name in panel})
+
+
+@settings(max_examples=max(30, settings.default.max_examples))
+@given(awkward_panels())
+@example(('{"id": "a\\u0000b", "label": true, "reviews": [{"reviewer": "m", "overall": 7, "flag": true}]}\n'
+          '{"id": "t\\tab", "label": false, "reviews": [{"reviewer": "m", "overall": 4, "flag": false}]}\n'
+          '{"id": "nb\\u00a0sp", "label": true, "reviews": [{"reviewer": "m", "overall": 6, "flag": false}]}\n'
+          '{"id": "q\\"x", "label": false, "reviews": [{"reviewer": "m", "overall": 9, "flag": true}]}\n'
+          '{"id": "c,d", "label": true, "reviews": [{"reviewer": "m", "overall": 5, "flag": false}]}\n',
+          ["a\x00b", "t\tab", "nb\xa0sp", 'q"x', "c,d"], ["m"]))
+def test_every_csv_reads_back_one_row_per_panel_or_reviewer(corpus):
+    """``review``, ``bayes`` and ``detector-eval``, each a miss and then a hit into one ``--out``: ``csv.reader``
+    gives back each CSV's header and one row per panel, or per reviewer, whose first cell is its input id."""
+    import csv
+
+    text, ids, roster = corpus
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        panels = write(tmp_path, "panels.jsonl", text)
+        thresholds = write(tmp_path, "thresholds.json", THRESHOLDS)
+        review = write_json(tmp_path, "review.json", {"functional": {"kind": "linear", "coefficients": [1.0]}})
+        bayes = write_json(tmp_path, "bayes.json", bayes_config("tau_05"))
+        commands = [
+            (["review", "--panels", panels, "--thresholds", thresholds, "--config", review], "decisions.csv", ids),
+            (["bayes", "--panels", panels, "--thresholds", thresholds, "--config", bayes], "bayes.csv", ids),
+            (["detector-eval", "--panels", panels], "detector.csv", [*roster, "any", "random-baseline"]),
+        ]
+        for argv, name, firsts in commands:
+            for _ in ("miss", "hit"):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    assert main([*argv, "--out", str(tmp_path / "runs")]) == 0
+                with open(run_dir(out.getvalue()) / name, newline="", encoding="utf-8") as file:
+                    rows = list(csv.reader(file))
+                assert [row[0] for row in rows[1:]] == firsts
+                assert len(set(map(len, rows))) == 1
+        assert len(entries(tmp_path / "runs")) == 1
 
 
 @pytest.mark.parametrize("command", ["review", "bayes", "detector-eval", "calibrate"])

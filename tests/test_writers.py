@@ -1,6 +1,6 @@
 """Typed columns in the writers: the same text as the row-by-row writers of ``tests/reference.py``.
 
-A typed column (a numpy float, integer or bool array, ``Cells`` or
+A typed column (a numpy float, integer or bool array, or a
 ``tables.Strings``) is formatted once per distinct value and taken back to its rows; the
 reference writes each row's values one by one, as the list form does:
 a float by its ``repr``, an integer by ``str``, a bool as
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import reference
 from panelcal.tables import Strings
-from panelcal.writers import Cells, aligned_table, csv_text, texts
+from panelcal.writers import aligned_table, csv_text, texts
 
 # floats that repeat, both zeros, subnormals, the exponent forms of repr, NaN and the infinities
 FLOATS = st.one_of(
@@ -33,7 +33,7 @@ def quarter(value):
 @st.composite
 def typed_column(draw, n):
     """(a typed column of ``n`` rows, the values the reference writes for each row)."""
-    kind = draw(st.sampled_from(["float", "int", "bool", "repr", "quarter", "take", "strings", "coded"]))
+    kind = draw(st.sampled_from(["float", "int", "bool", "repr", "quarter", "of", "new", "split", "take"]))
     if kind == "int":
         values = np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1) | st.integers(0, 3), min_size=n,
                                         max_size=n)), dtype=np.int64)
@@ -41,18 +41,21 @@ def typed_column(draw, n):
     if kind == "bool":
         values = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
         return values, values.tolist()
-    if kind == "take":
-        codes = np.array(draw(st.lists(st.integers(0, len(NOTES) - 1), min_size=n, max_size=n)), dtype=np.intp)
-        return Cells(NOTES, codes), [NOTES[k] for k in codes.tolist()]
-    if kind == "strings":  # Strings.of: codes when a string repeats early, none for distinct strings
+    if kind == "of":  # Strings.of: codes when a string repeats early, none for distinct strings
         values = draw(st.lists(st.sampled_from(NOTES) | st.text(st.sampled_from('ab,"\n'), max_size=3),
                                min_size=n, max_size=n))
         return Strings.of(values), values
-    if kind == "coded":  # codes of any integer or bool dtype index the strings by position, never as a mask
+    if kind == "take":  # the rows of a longer column, of a Strings with codes or without
+        column = draw(st.lists(st.sampled_from(NOTES) | st.text(st.sampled_from('ab,"\n'), max_size=3),
+                               min_size=1, max_size=2 * n + 1))
+        rows = draw(st.lists(st.integers(0, len(column) - 1), min_size=n, max_size=n))
+        return Strings.of(column).take(np.array(rows, dtype=np.intp)), [column[i] for i in rows]
+    if kind in ("new", "split"):  # codes of any integer or bool dtype index the strings by position, never as a mask
         dtype = draw(st.sampled_from([bool, np.uint8, np.uint32, np.intp]))
         top = 1 if dtype is bool else len(NOTES) - 1
         codes = np.array(draw(st.lists(st.integers(0, top), min_size=n, max_size=n)), dtype=np.intp).astype(dtype)
-        return Strings("\n".join(NOTES), "\n", len(NOTES), codes), [NOTES[k] for k in codes.tolist()]
+        column = Strings(NOTES, codes) if kind == "new" else Strings.split(*Strings(NOTES).joined(), len(NOTES), codes)
+        return column, [NOTES[k] for k in codes.tolist()]
     values = np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=np.float64)
     if kind == "float":
         return values, values.tolist()
@@ -75,9 +78,9 @@ def typed_tables(draw):
 
 
 @example(table=(["x"], [np.array([-0.0, 0.0, -0.0])], [[-0.0], [0.0], [-0.0]]))
-@example(table=(["note"], [Cells(("", "x"), np.array([0, 1, 0]))], [[""], ["x"], [""]]))
+@example(table=(["note"], [Strings(("", "x"), np.array([0, 1, 0]))], [[""], ["x"], [""]]))
 @example(table=(["a", "b"], [np.array([], dtype=np.float64), np.array([], dtype=bool)], []))
-@example(table=(["note"], [Strings("\n".join(NOTES), "\n", 4, np.array([True, False, True, True]))],
+@example(table=(["note"], [Strings.split("\n".join(NOTES), "\n", 4, np.array([True, False, True, True]))],
                 [[NOTES[1]], [NOTES[0]], [NOTES[1]], [NOTES[1]]]))
 @example(table=(["id"], [Strings.of(["p1", "a,b", ""])], [["p1"], ["a,b"], [""]]))
 @given(typed_tables())
@@ -89,7 +92,7 @@ def test_typed_csv_text_matches_csv_writer_row_by_row(table):
 
 @example(table=(["x"], [np.array([5e-324, 1e16, 1e-5])], [[5e-324], [1e16], [1e-5]]))
 @example(table=([], [np.array([], dtype=np.float64), np.array([], dtype=np.float64)], []))
-@example(table=(["note", "n"], [Cells(("prior-only", ""), np.array([True, True])), np.array([2, 3])],
+@example(table=(["note", "n"], [Strings(("prior-only", ""), np.array([True, True])), np.array([2, 3])],
                 [["", 2], ["", 3]]))
 @given(typed_tables())
 def test_typed_aligned_table_matches_row_by_row_layout(table):
